@@ -13,14 +13,12 @@ open square.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .disk import (
     TAU,
-    Arc,
     CarlesonSquare,
     as_complex,
     dyadic_arc,
@@ -64,43 +62,48 @@ class DiscreteMeasure:
         return float(self.masses[inside].sum())
 
 
-def _segment_length_in_square(a: complex, b: complex, square: CarlesonSquare) -> float:
-    """Exact length of [a, b] inside the square, by breakpoint subdivision."""
-    d = b - a
-    seg_len = abs(d)
-    if seg_len == 0.0:
-        return 0.0
-    ts = [0.0, 1.0]
-    # crossings of the inner circle |p(t)| = r0
-    r0 = square.inner_radius
-    if r0 > 0.0:
-        qa = abs(d) ** 2
-        qb = 2.0 * (np.conj(d) * a).real
-        qc = abs(a) ** 2 - r0 * r0
-        disc = qb * qb - 4.0 * qa * qc
-        if disc > 0.0:
-            sq = math.sqrt(disc)
-            for t in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)):
-                if 0.0 < t < 1.0:
-                    ts.append(t)
-    # crossings of the two boundary rays
-    if square.base.length < TAU - 1e-15:
-        for theta in (square.base.start, square.base.end):
-            e = complex(math.cos(theta), math.sin(theta))
-            denom = (np.conj(e) * d).imag
-            if denom != 0.0:
-                t = -(np.conj(e) * a).imag / denom
-                if 0.0 < t < 1.0:
-                    ts.append(t)
-    ts.sort()
-    total = 0.0
-    for t0, t1 in zip(ts, ts[1:]):
-        if t1 - t0 <= 0.0:
-            continue
-        mid = a + 0.5 * (t0 + t1) * d
-        if square.contains(mid):
-            total += (t1 - t0) * seg_len
-    return total
+def _lengths_in_squares(a, d, start, end, length: float, r0: float,
+                        closed: bool = True) -> np.ndarray:
+    """Exact length of each segment [a, a + d] inside a Carleson square.
+
+    The square has base angles [start, end), of the given length, and inner
+    radius r0; ``start`` and ``end`` are scalars (one square for every
+    segment) or arrays aligned with the segments (one square each).  Each segment is cut
+    at its at most four crossings with the inner circle |z| = r0 and the two
+    boundary rays; every piece between consecutive cuts lies wholly inside
+    or outside the square, so its midpoint decides it, tested with the
+    predicate of ``CarlesonSquare.contains_many``.
+    """
+    seg_len = np.hypot(d.real, d.imag)
+    partial = length < TAU - 1e-15
+    cuts = [np.zeros_like(seg_len), np.ones_like(seg_len)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if r0 > 0.0:
+            qa = seg_len ** 2
+            qb = 2.0 * (d.real * a.real + d.imag * a.imag)
+            qc = np.hypot(a.real, a.imag) ** 2 - r0 * r0
+            disc = qb * qb - 4.0 * qa * qc
+            sq = np.sqrt(disc)
+            for t in ((-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)):
+                cuts.append(np.where(disc > 0.0, t, 1.0))
+        if partial:
+            for theta in (start, end):
+                c, s = np.cos(theta), np.sin(theta)
+                denom = c * d.imag - s * d.real
+                t = -(c * a.imag - s * a.real) / denom
+                cuts.append(np.where(denom != 0.0, t, 1.0))
+    # cuts outside (0, 1) collapse onto an end point and give empty pieces
+    ts = np.sort(np.clip(np.column_stack(cuts), 0.0, 1.0), axis=1)
+    t0, t1 = ts[:, :-1], ts[:, 1:]
+    h = 0.5 * (t0 + t1)
+    mid_re = a.real[:, None] + h * d.real[:, None]
+    mid_im = a.imag[:, None] + h * d.imag[:, None]
+    r = np.hypot(mid_re, mid_im)
+    inside = (t1 > t0) & (r >= r0) & ((r <= 1.0 + 1e-12) if closed else (r < 1.0))
+    if partial:
+        theta = np.arctan2(mid_im, mid_re)
+        inside &= ((theta - np.reshape(start, (-1, 1))) % TAU < length) & (r > 0.0)
+    return (np.where(inside, t1 - t0, 0.0) * seg_len[:, None]).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -127,35 +130,19 @@ class CurveMeasure:
     def total_mass(self) -> float:
         return float(sum(np.sum(np.abs(np.diff(c))) for c in self.polylines))
 
-    def segments(self):
-        for chain in self.polylines:
-            for a, b in zip(chain, chain[1:]):
-                yield complex(a), complex(b)
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end points of every segment, polyline after polyline."""
+        if not self.polylines:
+            return np.empty(0, dtype=complex), np.empty(0, dtype=complex)
+        return (np.concatenate([c[:-1] for c in self.polylines]),
+                np.concatenate([c[1:] for c in self.polylines]))
 
     def mass_in_square(self, square: CarlesonSquare) -> float:
-        return float(
-            sum(_segment_length_in_square(a, b, square) for a, b in self.segments())
-        )
-
-
-def _segment_angle_window(a: complex, b: complex) -> tuple[float, float]:
-    """A (start, extent) angular window containing the segment's angles."""
-    ta = math.atan2(a.imag, a.real) % TAU
-    tb = math.atan2(b.imag, b.real) % TAU
-    fwd = (tb - ta) % TAU
-    if fwd <= TAU - fwd:
-        return ta, fwd
-    return tb, TAU - fwd
-
-
-def _candidate_indices(window: tuple[float, float], depth: int) -> range:
-    """Indices of depth-``depth`` dyadic arcs meeting the angular window."""
-    n = 1 << depth
-    cell = TAU / n
-    start, extent = window
-    j0 = int(math.floor(start / cell))
-    j1 = int(math.floor((start + extent) / cell))
-    return range(j0, j1 + 1)  # reduce modulo n at use sites
+        a, b = self._endpoints()
+        base = square.base
+        lengths = _lengths_in_squares(a, b - a, base.start, base.end, base.length,
+                                      square.inner_radius, square.closed)
+        return float(lengths.sum())
 
 
 def carleson_norm(measure, depth: int = 12) -> float:
@@ -164,6 +151,15 @@ def carleson_norm(measure, depth: int = 12) -> float:
     Only arcs whose square can receive mass are evaluated; the membership
     predicate is the same one ``mass_in_square`` uses, so this equals the
     brute-force supremum over the same arcs.
+
+    A ``CurveMeasure`` takes one vectorized pass per depth.  Each segment
+    that reaches radius 1 - 2**-depth is paired with the arcs of that depth
+    whose indices run over floor(w0 / |I|) .. floor(w1 / |I|) mod 2**depth,
+    where [w0, w1] is the shorter angular window between its end points.
+    At depths 0 and 1 a window crossing angle 0 can span more than 2**depth
+    indices, which then repeat an arc; each (arc, segment) pair is kept
+    once.  The pairs' lengths inside their squares are summed per arc with
+    ``np.bincount``.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative")
@@ -186,28 +182,36 @@ def carleson_norm(measure, depth: int = 12) -> float:
                 best = max(best, m / arc.length)
         return best
     if isinstance(measure, CurveMeasure):
-        segs = list(measure.segments())
-        if not segs:
+        a, b = measure._endpoints()
+        if a.size == 0:
             return 0.0
-        windows = [_segment_angle_window(a, b) for a, b in segs]
-        max_radius = [max(abs(a), abs(b)) for a, b in segs]
-        for d in range(depth + 1):
-            n = 1 << d
-            norm_len = 1.0 / n
-            buckets: dict[int, list[int]] = {}
-            for i, ((a, b), w) in enumerate(zip(segs, windows)):
-                if max_radius[i] < 1.0 - norm_len:
-                    continue
-                for j in _candidate_indices(w, d):
-                    buckets.setdefault(j % n, []).append(i)
-            for j, seg_ids in buckets.items():
-                arc = dyadic_arc(d, j)
-                square = CarlesonSquare(arc, closed=True)
-                m = sum(
-                    _segment_length_in_square(segs[i][0], segs[i][1], square)
-                    for i in seg_ids
-                )
-                best = max(best, m / arc.length)
+        d = b - a
+        # the shorter angular window [w_start, w_end] holding each segment
+        ta = np.arctan2(a.imag, a.real) % TAU
+        tb = np.arctan2(b.imag, b.real) % TAU
+        fwd = (tb - ta) % TAU
+        short = fwd <= TAU - fwd
+        w_start = np.where(short, ta, tb)
+        w_end = w_start + np.where(short, fwd, TAU - fwd)
+        max_radius = np.maximum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
+        for level in range(depth + 1):
+            n = 1 << level
+            alive = np.flatnonzero(max_radius >= 1.0 - 1.0 / n)
+            if alive.size == 0:
+                continue
+            length = TAU / n
+            j0 = np.floor(w_start[alive] / length).astype(np.int64)
+            j1 = np.floor(w_end[alive] / length).astype(np.int64)
+            # more than n consecutive indices repeat an arc (depths 0 and 1)
+            count = np.minimum(j1 - j0 + 1, n)
+            seg = np.repeat(alive, count)
+            offset = np.arange(seg.size) - np.repeat(np.cumsum(count) - count, count)
+            j = (np.repeat(j0, count) + offset) % n
+            center = (j + 0.5) * length
+            lengths = _lengths_in_squares(
+                a[seg], d[seg], center - 0.5 * length, center + 0.5 * length, length,
+                max(0.0, 1.0 - length / TAU))
+            best = max(best, float(np.bincount(j, weights=lengths).max()) / length)
         return best
     raise DomainError(f"unsupported measure type: {type(measure).__name__}")
 

@@ -3,7 +3,7 @@
 Each subcommand runs one analysis, writes a deterministic report (sorted
 keys, no timestamps, atomic replace) and exits 0 when every exercised
 check passed, 1 on a check failure, 2 on bad input.  Complex numbers
-travel as [re, im] pairs.  CARLESON_KIT_THREADS caps internal parallelism.
+travel as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -545,8 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carleson-kit",
         description="Analyses of disk sequences, Carleson measures, contours, "
-                    "subspace systems and weights; JSON reports, SVG figures.",
-        epilog="Set CARLESON_KIT_THREADS to cap internal parallelism.")
+                    "subspace systems and weights; JSON reports, SVG figures.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
             ("sequence", "interpolation constants of a point sequence"),

@@ -19,8 +19,6 @@ design, so all comparisons against it are carried out in log space.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -613,16 +611,6 @@ def bourgain_contour(phi: BoundedFunction, eps: float,
     return ContourResult(region, polylines, constants, tuple(stats), truncated)
 
 
-def _threaded_log_abs(phi: BoundedFunction, zs: np.ndarray) -> np.ndarray:
-    workers = int(os.environ.get("CARLESON_KIT_THREADS", "1"))
-    if workers <= 1 or zs.size < 2048:
-        return phi.log_abs(zs)
-    chunks = np.array_split(zs, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(phi.log_abs, chunks))
-    return np.concatenate(parts)
-
-
 def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
                   samples: int = 10000, rng=None, depth: int = 12) -> dict:
     """Sample-based check of the two-level sandwich and the contour norm.
@@ -651,7 +639,7 @@ def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
     if near:
         zs = np.concatenate([zs] + near)
     inside = result.contains_many(zs)
-    log_abs = _threaded_log_abs(phi, zs)
+    log_abs = phi.log_abs(zs)
     upper_viol = int(np.sum(log_abs[inside] > math.log(eps) + 1e-9))
     outside_vals = log_abs[~inside]
     lower_viol = int(np.sum(outside_vals < result.constants.log_eps_prime))

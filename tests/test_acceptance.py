@@ -3,7 +3,8 @@ and runtime budgets.
 
 Run with ``pytest tests/test_acceptance.py -v`` to get one pass/fail line per
 guarantee.  Each test also records its headline numbers (worst errors, worst
-ratios, elapsed seconds) in ``tests/artifacts/acceptance_report.json``.
+ratios, elapsed seconds) in ``tests/artifacts/acceptance_report.json``, which
+every run rewrites and git ignores.
 """
 
 import filecmp

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from carleson_kit.carleson import (
     embedding_constant_empirical,
     kernel_test_constant,
 )
+from carleson_kit.disk import Arc, CarlesonSquare, dyadic_arc
 from carleson_kit.errors import DomainError
 
 TAU = 2 * math.pi
@@ -74,6 +76,115 @@ def test_curve_measure_circle_norm_is_radius():
     circle = [r * np.exp(1j * t) for t in ts]
     got = carleson_norm(CurveMeasure([circle]), depth=8)
     assert got == pytest.approx(r, abs=2e-3)
+
+
+def _oracle_segment_length(a: complex, b: complex, square: CarlesonSquare) -> float:
+    """Length of [a, b] inside the square, one segment at a time in scalars.
+
+    Cuts the segment at its crossings with the inner circle and the two
+    boundary rays and tests each piece's midpoint with ``square.contains``.
+    """
+    d = b - a
+    seg_len = abs(d)
+    if seg_len == 0.0:
+        return 0.0
+    ts = [0.0, 1.0]
+    r0 = square.inner_radius
+    if r0 > 0.0:
+        qa = abs(d) ** 2
+        qb = 2.0 * (d.conjugate() * a).real
+        qc = abs(a) ** 2 - r0 * r0
+        disc = qb * qb - 4.0 * qa * qc
+        if disc > 0.0:
+            sq = math.sqrt(disc)
+            ts += [t for t in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)) if 0.0 < t < 1.0]
+    if square.base.length < TAU - 1e-15:
+        for theta in (square.base.start, square.base.end):
+            e = complex(math.cos(theta), math.sin(theta))
+            denom = (e.conjugate() * d).imag
+            if denom != 0.0:
+                t = -(e.conjugate() * a).imag / denom
+                if 0.0 < t < 1.0:
+                    ts.append(t)
+    ts.sort()
+    total = 0.0
+    for t0, t1 in zip(ts, ts[1:]):
+        if t1 > t0 and square.contains(a + 0.5 * (t0 + t1) * d):
+            total += (t1 - t0) * seg_len
+    return total
+
+
+def _oracle_mass(polylines, square) -> float:
+    return sum(_oracle_segment_length(complex(p), complex(q), square)
+               for chain in polylines for p, q in zip(chain, chain[1:]))
+
+
+def _awkward_polylines(rng):
+    """Random chains plus the cases where the breakpoint geometry degenerates."""
+    def polar(r, t):
+        return r * cmath.exp(1j * t)
+
+    chains = []
+    for _ in range(3):
+        k = int(rng.integers(3, 9))
+        chains.append([polar(0.99 * math.sqrt(rng.uniform()), rng.uniform(0, TAU))
+                       for _ in range(k)])
+    # crossing angle 0, once and back again
+    chains.append([polar(rng.uniform(0.3, 0.99), rng.uniform(-0.5, 0.5)) for _ in range(4)])
+    # chords whose ends lie near the circle dip below several inner circles
+    t = rng.uniform(0, TAU)
+    chains.append([polar(0.97, t), polar(0.97, t + 1.2), polar(0.985, t + 1.5)])
+    # zero-length segments: repeated vertices
+    p, q = polar(0.9, rng.uniform(0, TAU)), polar(0.8, rng.uniform(0, TAU))
+    chains.append([p, p, q, q])
+    # parallel to the ray at angle 0 (horizontal) and close to the ray at pi/2
+    y = rng.uniform(0.1, 0.6)
+    chains.append([complex(-0.7, y), complex(0.7, y)])
+    chains.append([complex(-0.25, 0.1), complex(-0.25, 0.95)])
+    # vertices on dyadic rays (exactly so on the real axis), and a segment
+    # along the real axis through the origin
+    chains.append([0.5 + 0j, 0.3 + 0.6j, 0.6j, -0.7 + 0j, -0.3 - 0.8j, 0.875 + 0j])
+    chains.append([-0.4 + 0j, 0.96 + 0j])
+    # a dense zigzag against the circle puts the supremum at a deep arc
+    t = rng.uniform(0, TAU)
+    chains.append([polar(0.975 if k % 2 else 0.995, t + 0.002 * k) for k in range(120)])
+    return chains
+
+
+def _oracle_norm(chains, depth: int) -> float:
+    return max(_oracle_mass(chains, CarlesonSquare(arc, closed=True)) / arc.length
+               for level in range(depth + 1)
+               for arc in (dyadic_arc(level, j) for j in range(1 << level)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_curve_norm_matches_brute_force_oracle(seed):
+    chains = _awkward_polylines(np.random.default_rng(seed))
+    # the whole set and each chain alone: their suprema sit at different depths
+    for part in [chains] + [[c] for c in chains]:
+        expect = _oracle_norm(part, depth=6)
+        assert carleson_norm(CurveMeasure(part), depth=6) == pytest.approx(expect, rel=1e-12)
+
+
+def test_curve_mass_in_square_matches_oracle():
+    rng = np.random.default_rng(77)
+    chains = _awkward_polylines(rng)
+    measure = CurveMeasure(chains)
+    for _ in range(40):
+        square = CarlesonSquare(Arc(rng.uniform(-1, 8), rng.uniform(0.01, TAU)),
+                                closed=bool(rng.integers(2)))
+        expect = _oracle_mass(chains, square)
+        assert measure.mass_in_square(square) == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
+
+def test_curve_norm_counts_a_segment_once_per_arc():
+    # the chord crosses angle 0, so its angular window meets both depth-0
+    # indices 0 and 1, which name the same arc
+    chord = CurveMeasure([[0.5 * cmath.exp(-0.1j), 0.5 * cmath.exp(0.1j)]])
+    whole = chord.mass_in_square(CarlesonSquare(dyadic_arc(0, 0), closed=True))
+    assert whole == pytest.approx(math.sin(0.1), rel=1e-12)
+    assert carleson_norm(chord, depth=0) == pytest.approx(whole / TAU, rel=1e-12)
+    assert carleson_norm(chord, depth=1) == pytest.approx(whole / TAU, rel=1e-12)
 
 
 def test_curve_measure_requires_interior_vertices():
