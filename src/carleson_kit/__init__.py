@@ -16,7 +16,7 @@ from .construction import (ConstructionConfig, ContourNetEntry, PointSystem,
                            unit_sphere_net, validate_epsilon_choice)
 from .contour import (BoundedFunction, ContourConstants, ContourResult,
                       RepresentingMeasure, bourgain_contour, check_potential_bounds,
-                      harmonic_measure, select_bad_intervals, verify_region)
+                      select_bad_intervals, verify_region)
 from .disk import (Arc, CarlesonSquare, DiskPoint, DyadicGrid, blaschke_factor,
                    dyadic_arc, hyperbolic_distance, hyperbolic_grid, kernel,
                    kernel_inner, pseudo_hyperbolic, pseudo_hyperbolic_disk)

@@ -115,7 +115,10 @@ class CurveMeasure:
     def __init__(self, polylines):
         chains = []
         for chain in polylines:
-            pts = np.asarray([as_complex(p) for p in chain], dtype=complex)
+            if isinstance(chain, np.ndarray) and chain.ndim == 1 and chain.dtype.kind in "biufc":
+                pts = np.array(chain, dtype=complex)
+            else:  # a sequence that may hold DiskPoint vertices
+                pts = np.asarray([as_complex(p) for p in chain], dtype=complex)
             if pts.shape[0] < 2:
                 continue
             if np.any(np.abs(pts) >= 1.0):

@@ -18,6 +18,7 @@ design, so all comparisons against it are carried out in log space.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,21 +36,10 @@ from .disk import (
 from .errors import ContourBoundError, DomainError
 
 _AC_CHUNK = 256
-
-
-def harmonic_measure(z, arc: Arc) -> float:
-    """Harmonic measure of a boundary arc seen from an interior point.
-
-    Computed exactly: the disk automorphism sending z to 0 maps the arc to
-    another arc, and the measure is the normalized length of the image.
-    """
-    z = require_interior(z)
-    if arc.length >= TAU:
-        return 1.0
-    ends = np.exp(1j * np.array([arc.start, arc.end]))
-    image = (ends - z) / (1.0 - np.conj(z) * ends)
-    sweep = (np.angle(image[1]) - np.angle(image[0])) % TAU
-    return float(sweep) / TAU
+# pads of the bad-interval scan's descent bound: radians on the atom angle
+# tests, and relative on the bound itself
+_ANGLE_PAD = 1e-9
+_BOUND_PAD = 1e-9
 
 
 def _poisson_boundary(z: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -325,22 +315,70 @@ def select_bad_intervals(measure: RepresentingMeasure, base: Arc,
     are maximal and pairwise disjoint.  The returned intervals are the
     connected components of the union of the dilated witnesses 5J,
     clipped to the window 5*base.
+
+    A visited arc J of depth d that does not trigger is subdivided only if
+    some dyadic J' under J, of depth d' in (d, depth_floor], could:
+
+        nu(Q(J')) <= min(nu(Q(J)) + E(J),  dbar(J) |J'| + A_d'(J)),
+
+    where dbar(J) is the largest density sample over the cells that meet
+    J, A_d'(J) the mass of the atoms over J that lie at radius at least
+    1 - 2**-d' (boundary atoms count at every depth; no other atom can
+    enter a square of depth d'), and E(J) the mass of the atoms within the
+    angle pad of an end of J, which floating-point dyadic arcs do not nest
+    reliably (a child may contain an angle a ulp outside its parent).  J
+    is subdivided if the bound, raised by the relative pad, exceeds
+    m_threshold * 2**-d' for some d'.  The atom tests widen J by _ANGLE_PAD
+    radians on each side, which also covers the last-bit disagreement of
+    np.angle and cmath.phase, the density term adds dbar over twice that
+    width, and radii get 1e-12.  Arcs with nu(Q(J)) <= m_threshold *
+    2**-depth_floor are never subdivided.  Every visited arc is measured and
+    tested as in the unpruned recursion, so the result is the same.
     """
     window = base.dilate(5.0)
     floor_threshold = m_threshold * (2.0 ** -depth_floor)
+    # normalized lengths of the depths 1..depth_floor and their thresholds
+    scales = 2.0 ** -np.arange(1, depth_floor + 1)
+    thresholds = m_threshold * scales
+    # every atom as (angle, radius, mass); boundary atoms sit at radius 1
+    interior, boundary = measure.interior_atoms, measure.boundary_atoms
+    atom_angle = np.array([cmath.phase(p) for p, _ in interior] + [a for a, _ in boundary])
+    atom_radius = np.array([abs(p) for p, _ in interior] + [1.0] * len(boundary))
+    atom_mass = np.array([m for _, m in interior + boundary])
+    # reach[k, j]: atom k can enter a square of depth j + 1
+    reach = atom_radius[:, None] >= 1.0 - scales[None, :] - 1e-12
+    density = measure.density
+    density_pad = 2.0 * _ANGLE_PAD / TAU  # normalized width of both angle pads
     witnesses = []
+
+    def may_trigger(depth: int, arc: Arc, mass: float) -> bool:
+        if mass <= floor_threshold:
+            return False
+        dbar = 0.0
+        if density is not None:
+            n = density.size
+            k0 = math.floor((arc.start - _ANGLE_PAD) * n / TAU)
+            k1 = math.floor((arc.end + _ANGLE_PAD) * n / TAU)
+            cells = density if k1 - k0 + 1 >= n else density[np.arange(k0, k1 + 1) % n]
+            dbar = float(np.max(cells))
+        off = (atom_angle - (arc.start - _ANGLE_PAD)) % TAU
+        near = off < arc.length + 2.0 * _ANGLE_PAD
+        edge = near & ((off < 2.0 * _ANGLE_PAD) | (off >= arc.length))
+        parts = (dbar * (scales[depth:] + density_pad)
+                 + np.where(near, atom_mass, 0.0) @ reach[:, depth:])
+        whole = mass + dbar * density_pad + np.where(edge, atom_mass, 0.0) @ reach[:, depth]
+        bound = (1.0 + _BOUND_PAD) * np.minimum(whole, parts)
+        return bool(np.any(bound > thresholds[depth:]))
 
     def scan(depth: int, index: int) -> None:
         arc = dyadic_arc(depth, index)
         if not window.intersects(arc):
             return
         mass = measure.mass_in_square(CarlesonSquare(arc, closed=True))
-        if mass <= min(floor_threshold, m_threshold * arc.normalized_length):
-            return  # no descendant can trigger either
         if window.contains_arc(arc) and mass > m_threshold * arc.normalized_length:
             witnesses.append(arc)
             return
-        if depth < depth_floor:
+        if depth < depth_floor and may_trigger(depth, arc, mass):
             scan(depth + 1, 2 * index)
             scan(depth + 1, 2 * index + 1)
 

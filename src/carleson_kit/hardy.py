@@ -209,14 +209,13 @@ def herglotz_coefficients(log_modulus: np.ndarray) -> np.ndarray:
     return g
 
 
-def outer_from_modulus(u, positive_at_zero: bool = True) -> HardyFunction:
+def outer_from_modulus(u) -> HardyFunction:
     """Outer function h with |h| = u on the boundary, h(0) > 0.
 
     ``u`` is a positive sample array (or BoundaryGrid); accuracy is that of
     the grid, so u whose log has slowly decaying Fourier tail (zeros on or
     near the circle) converges slowly.  The Herglotz construction always
-    yields h(0) = exp(mean log u) > 0; the flag is kept for the surface and
-    rejected only if someone asks for the non-normalized variant explicitly.
+    yields h(0) = exp(mean log u) > 0.
     """
     if isinstance(u, BoundaryGrid):
         u = u.values.real
@@ -226,9 +225,6 @@ def outer_from_modulus(u, positive_at_zero: bool = True) -> HardyFunction:
     _check_power_of_two(u.shape[0])
     if np.any(u <= 0.0):
         raise DomainError("outer modulus must be strictly positive at every sample")
-    if not positive_at_zero:
-        # the construction is canonical; any unimodular rotation is as good
-        pass
     g = herglotz_coefficients(np.log(u))
     n = u.shape[0]
     g_samples = np.fft.ifft(g * n)

@@ -24,13 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .blaschke import BlaschkeProduct
 from .disk import TAU, as_complex, require_interior
 from .errors import DomainError
 from .hardy import BoundaryGrid, riesz_project
-
-#: scalar inner functions are finite Blaschke products
-InnerFunction = BlaschkeProduct
 
 DEFAULT_BOUNDARY_SIZE = 512
 

@@ -11,7 +11,7 @@ from carleson_kit.carleson import (
     embedding_constant_empirical,
     kernel_test_constant,
 )
-from carleson_kit.disk import Arc, CarlesonSquare, dyadic_arc
+from carleson_kit.disk import Arc, CarlesonSquare, DiskPoint, dyadic_arc
 from carleson_kit.errors import DomainError
 
 TAU = 2 * math.pi
@@ -190,6 +190,25 @@ def test_curve_norm_counts_a_segment_once_per_arc():
 def test_curve_measure_requires_interior_vertices():
     with pytest.raises(DomainError):
         CurveMeasure([[0.0 + 0j, 1.0 + 0j]])
+    with pytest.raises(DomainError):
+        CurveMeasure([np.array([0.0 + 0j, 1.0 + 0j])])
+
+
+def test_curve_measure_array_and_vertex_paths_agree():
+    # numeric arrays skip the per-vertex conversion; lists may hold DiskPoint
+    chains = _awkward_polylines(np.random.default_rng(5))
+    arrays = [np.asarray(c, dtype=complex) for c in chains]
+    arrays.append(np.array([0.25, -0.5, 0.75]))  # a real-valued chain
+    lists = [list(c) for c in arrays]
+    lists[0] = [DiskPoint(complex(p)) for p in lists[0]]
+    fast, slow = CurveMeasure(arrays), CurveMeasure(lists)
+    assert len(fast.polylines) == len(slow.polylines) == len(arrays)
+    for a, b in zip(fast.polylines, slow.polylines):
+        assert a.dtype == b.dtype == complex
+        assert a.tobytes() == b.tobytes()
+    # the measure keeps its own copy of an array chain
+    arrays[1][0] = 0.0
+    assert fast.polylines[1].tobytes() == slow.polylines[1].tobytes()
 
 
 def test_kernel_test_constant_single_atom():

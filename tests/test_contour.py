@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from carleson_kit.contour import (
+    BadIntervals,
     BoundedFunction,
     ContourConstants,
     ContourResult,
@@ -11,12 +13,14 @@ from carleson_kit.contour import (
     Region,
     RegionPiece,
     RepresentingMeasure,
+    _clip_arc,
+    _merge_arcs,
     bourgain_contour,
     check_potential_bounds,
     select_bad_intervals,
     verify_region,
 )
-from carleson_kit.disk import Arc, blaschke_factor
+from carleson_kit.disk import Arc, CarlesonSquare, blaschke_factor, dyadic_arc
 from carleson_kit.errors import ContourBoundError, DomainError
 
 TAU = 2 * math.pi
@@ -160,6 +164,164 @@ class TestBadIntervals:
         nu = RepresentingMeasure(interior_atoms=[(0.5, 1.0)])
         bad = select_bad_intervals(nu, Arc(0.0, TAU), m_threshold=10.0)
         assert bad.witnesses == ()
+
+
+def unpruned_bad_intervals(measure, base, m_threshold, depth_floor=20):
+    """The scan without its descent bound: every arc above the mass floor
+    m_threshold * 2**-depth_floor is subdivided down to depth_floor."""
+    window = base.dilate(5.0)
+    floor_threshold = m_threshold * (2.0 ** -depth_floor)
+    witnesses = []
+
+    def scan(depth, index):
+        arc = dyadic_arc(depth, index)
+        if not window.intersects(arc):
+            return
+        mass = measure.mass_in_square(CarlesonSquare(arc, closed=True))
+        if mass <= min(floor_threshold, m_threshold * arc.normalized_length):
+            return
+        if window.contains_arc(arc) and mass > m_threshold * arc.normalized_length:
+            witnesses.append(arc)
+            return
+        if depth < depth_floor:
+            scan(depth + 1, 2 * index)
+            scan(depth + 1, 2 * index + 1)
+
+    scan(0, 0)
+    components = []
+    for comp in _merge_arcs([w.dilate(5.0) for w in witnesses]):
+        components.extend(_clip_arc(comp, window))
+    ratio = sum(c.length for c in components) / base.length
+    return BadIntervals(tuple(witnesses), tuple(components), ratio)
+
+
+def _ray_angle(rng, base_depth, base_index, depth):
+    """An end or the center of a random dyadic arc under the base, moved by
+    at most two ulps: the angles where child and parent arcs disagree."""
+    sub = 1 << (depth - base_depth)
+    arc = dyadic_arc(depth, base_index * sub + int(rng.integers(sub)))
+    angle = (arc.start, arc.end, arc.center_angle)[int(rng.integers(3))]
+    steps = int(rng.integers(-2, 3))
+    for _ in range(abs(steps)):
+        angle = math.nextafter(angle, math.inf if steps > 0 else -math.inf)
+    return angle
+
+
+def _fuzzed_measure(rng, m_threshold, depth_floor, n, base_depth, base_index):
+    """Atoms on and off dyadic rays under the base, interior atoms close to
+    the circle, and a density of spikes with low bumps around the atoms."""
+    def angle(depth):
+        if rng.uniform() < 0.7:
+            return _ray_angle(rng, base_depth, base_index, depth)
+        return dyadic_arc(base_depth, base_index).start + rng.uniform() * TAU / (1 << base_depth)
+
+    boundary = [(angle(int(rng.integers(base_depth + 1, depth_floor + 1))),
+                 m_threshold * 2.0 ** -rng.uniform(1.0, depth_floor + 2.0))
+                for _ in range(int(rng.integers(1, 5)))]
+    interior = []
+    for _ in range(int(rng.integers(0, 4))):
+        r = 1.0 - 10.0 ** rng.uniform(-5.0, math.log10(0.3))
+        depth = min(depth_floor, max(base_depth + 1, int(-math.log2(1.0 - r))))
+        interior.append((r * np.exp(1j * angle(depth)), rng.uniform(0.5, 40.0) * (1.0 - r * r) / 2))
+    density = np.zeros(n)
+    for _ in range(int(rng.integers(1, 4))):
+        density[int(rng.integers(n))] += m_threshold * rng.uniform(0.1, 4.0)
+    for a, _ in boundary + [(np.angle(p), m) for p, m in interior]:
+        k = int(math.floor((a % TAU) / TAU * n))
+        width = int(rng.integers(1, 4))
+        density[np.arange(k - width, k + width + 1) % n] += m_threshold * 2.0 ** -rng.uniform(1, 8)
+    return RepresentingMeasure(interior, boundary, density)
+
+
+class TestBadIntervalOracle:
+    """The pruned scan against the unpruned recursion, bit for bit."""
+
+    @pytest.mark.parametrize("depth_floor", [8, 12, 16])
+    @pytest.mark.parametrize("base_depth", [0, 2])
+    def test_fuzzed_measures_match_unpruned_scan(self, depth_floor, base_depth):
+        rng = np.random.default_rng(1000 * depth_floor + base_depth)
+        found = 0
+        for trial in range(12):
+            n = (64, 256, 1000, 1024)[trial % 4]
+            m_threshold = (10.0, 23.0)[trial % 2]
+            base_index = int(rng.integers(1 << base_depth))
+            base = Arc(0.0, TAU) if base_depth == 0 else dyadic_arc(base_depth, base_index)
+            nu = _fuzzed_measure(rng, m_threshold, depth_floor, n, base_depth, base_index)
+            want = unpruned_bad_intervals(nu, base, m_threshold, depth_floor)
+            assert select_bad_intervals(nu, base, m_threshold, depth_floor) == want
+            found += len(want.witnesses)
+        assert found >= 12
+
+    def test_atoms_on_dyadic_rays_match_unpruned_scan(self):
+        # atoms on the rays of the arcs of their trigger depth, each under a
+        # density bump heavy enough that the unpruned scan descends to it
+        # even where a parent arc leaves the atom out; interior atoms reach
+        # no deeper than that depth, so only the parent's mass can carry them
+        rng = np.random.default_rng(11)
+        found = 0
+        for _ in range(40):
+            interior, boundary = [], []
+            density = np.zeros(1024)
+            for _ in range(3):
+                depth = int(rng.integers(6, 12))
+                angle = _ray_angle(rng, 0, 0, depth)
+                mass = 10.0 * 2.0 ** -depth * rng.uniform(1.0, 1.4)
+                if rng.uniform() < 0.5:
+                    boundary.append((angle, mass))
+                else:
+                    r = 1.0 - 2.0 ** -depth * rng.uniform(0.5, 1.0)
+                    interior.append((r * cmath.exp(1j * angle), mass))
+                k = int(angle % TAU / TAU * 1024)
+                density[np.arange(k - 2, k + 3) % 1024] = 3.0
+            nu = RepresentingMeasure(interior, boundary, density)
+            want = unpruned_bad_intervals(nu, Arc(0.0, TAU), 10.0, 12)
+            assert select_bad_intervals(nu, Arc(0.0, TAU), 10.0, 12) == want
+            found += len(want.witnesses)
+        assert found >= 40
+
+
+def _count_nodes(monkeypatch):
+    calls = []
+    inner = RepresentingMeasure.mass_in_square
+
+    def counted(self, square):
+        calls.append(square)
+        return inner(self, square)
+
+    monkeypatch.setattr(RepresentingMeasure, "mass_in_square", counted)
+    return calls
+
+
+class TestBadIntervalPruning:
+    def test_uniform_density_stops_at_the_root(self, monkeypatch):
+        calls = _count_nodes(monkeypatch)
+        nu = RepresentingMeasure(density=np.full(256, 0.5))
+        assert select_bad_intervals(nu, Arc(0.0, TAU), m_threshold=10.0).witnesses == ()
+        assert len(calls) <= 4
+
+    def test_smooth_outer_measure_stops_at_the_root(self, monkeypatch):
+        # the outer-contour benchmark's inputs: depth 0.06, 4096 samples,
+        # c1 = 0.1 at eps = 0.1, i.e. M = 10 log 10
+        calls = _count_nodes(monkeypatch)
+        size = 4096
+        grid = TAU * np.arange(size) / size
+        phi = BoundedFunction(
+            zeros=[0.5 + 0.6j, -0.85 + 0.1j],
+            singular_atoms=[(2.0, 3e-6)],
+            outer_log=-0.06 * (1.0 + 0.5 * np.cos(3 * grid + 1.0)),
+        )
+        m_threshold = ContourConstants.for_epsilon(0.1, c1=0.1).m_threshold
+        bad = select_bad_intervals(phi.representing_measure(), Arc(0.0, TAU), m_threshold)
+        assert bad.witnesses == ()
+        assert len(calls) <= 4
+
+    def test_planted_atom_still_reaches_its_witness(self, monkeypatch):
+        calls = _count_nodes(monkeypatch)
+        nu = RepresentingMeasure(boundary_atoms=[(1.0, 0.004)])
+        bad = select_bad_intervals(nu, Arc(0.0, TAU), m_threshold=10.0)
+        assert [w.normalized_length for w in bad.witnesses] == [2.0**-12]
+        # the path to depth 12 and the empty sibling at every level
+        assert len(calls) == 1 + 2 * 12
 
 
 class TestContour:
