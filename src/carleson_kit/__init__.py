@@ -24,7 +24,7 @@ from .errors import (ContourBoundError, DomainError, LinearDependenceError,
                      NetValidityError, ResolutionWarning)
 from .hardy import (BoundaryGrid, HardyFunction, garsia_sum,
                     hankel_embedding_constant, outer_from_modulus, outer_log_at,
-                    poisson_extend, riesz_project)
+                    poisson_extend, poisson_sum, riesz_project)
 from .model_space import (MatrixFunction, ModelSubspace, ModelTriple, covering_count,
                           det_theta, det_theta_many, distance_analytic,
                           distance_coanalytic, distance_kernel_datum, kernel_grid,

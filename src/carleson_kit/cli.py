@@ -294,9 +294,13 @@ def run_contour(cfg: RunConfig) -> dict:
         _check("child-interval-ratio", all(r <= 0.01 + 1e-12 for r in ratios),
                {"ratios": ratios}),
         _check("sandwich-upper", verification["upper_violations"] == 0,
-               {"violations": verification["upper_violations"]}),
+               {"violations": verification["upper_violations"],
+                "max_log_abs_inside": verification["max_log_abs_inside"],
+                "threshold": verification["upper_level"]}),
         _check("sandwich-lower", verification["lower_violations"] == 0,
-               {"violations": verification["lower_violations"]}),
+               {"violations": verification["lower_violations"],
+                "min_log_abs_outside": verification["min_log_abs_outside"],
+                "threshold": verification["lower_level"]}),
         _check("contour-norm-at-most-10", verification["contour_norm"] <= 10.0,
                {"norm": verification["contour_norm"]}),
     ])

@@ -19,7 +19,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct, net_is_valid, place_net_on_curve
 from .contour import ContourConstants, ContourResult, BoundedFunction, bourgain_contour
 from .errors import DomainError, NetValidityError
-from .hardy import outer_log_at
+from .hardy import poisson_sum
 from .model_space import MatrixFunction, det_theta_many
 from . import riesz
 
@@ -537,8 +537,7 @@ def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
     for i in range(n_funcs):
         if np.all(log_h_boundary[i] == 0.0):
             continue
-        log_h[i] = np.minimum(
-            [outer_log_at(log_h_boundary[i], z).real for z in zs], 0.0)
+        log_h[i] = np.minimum(poisson_sum(log_h_boundary[i], zs), 0.0)
 
     log_b = np.stack([p.log_abs(zs) for p in products])
     with np.errstate(divide="ignore"):

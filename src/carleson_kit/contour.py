@@ -34,17 +34,12 @@ from .disk import (
     require_interior,
 )
 from .errors import ContourBoundError, DomainError
+from .hardy import poisson_sum
 
-_AC_CHUNK = 256
 # pads of the bad-interval scan's descent bound: radians on the atom angle
 # tests, and relative on the bound itself
 _ANGLE_PAD = 1e-9
 _BOUND_PAD = 1e-9
-
-
-def _poisson_boundary(z: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """(1 - |z|^2) / |xi - z|^2 for boundary xi, broadcast over both."""
-    return (1.0 - np.abs(z[..., None]) ** 2) / np.abs(xi[None, :] - z[..., None]) ** 2
 
 
 class BoundedFunction:
@@ -56,7 +51,7 @@ class BoundedFunction:
     None means the outer part is constant 1.
     """
 
-    __slots__ = ("zeros", "singular_atoms", "outer_log", "_grid_points")
+    __slots__ = ("zeros", "singular_atoms", "outer_log")
 
     def __init__(self, zeros=(), singular_atoms=(), outer_log=None):
         self.zeros = tuple(require_interior(z, "zero") for z in zeros)
@@ -72,9 +67,6 @@ class BoundedFunction:
                 raise DomainError("outer_log must be a 1-d sample array")
             if np.max(outer_log) > 1e-8:
                 raise DomainError("outer part must have modulus <= 1")
-            self._grid_points = np.exp(1j * TAU * np.arange(outer_log.size) / outer_log.size)
-        else:
-            self._grid_points = None
         self.outer_log = outer_log
 
     @property
@@ -94,11 +86,7 @@ class BoundedFunction:
             xi = complex(math.cos(ang), math.sin(ang))
             out -= mass * (1.0 - np.abs(zs) ** 2) / np.abs(xi - zs) ** 2
         if self.outer_log is not None:
-            n = self.outer_log.size
-            for k in range(0, zs.size, _AC_CHUNK):
-                chunk = zs[k : k + _AC_CHUNK]
-                p = _poisson_boundary(chunk, self._grid_points)
-                out[k : k + _AC_CHUNK] += p @ self.outer_log / n
+            out += poisson_sum(self.outer_log, zs)
         if np.isscalar(z) or isinstance(z, (complex, float, int)):
             return out[0]
         return out
@@ -175,11 +163,7 @@ class RepresentingMeasure:
             xi = complex(math.cos(ang), math.sin(ang))
             out += m * (1.0 - np.abs(zs) ** 2) / np.abs(xi - zs) ** 2
         if self.density is not None:
-            n = self.density.size
-            pts = np.exp(1j * TAU * np.arange(n) / n)
-            for k in range(0, zs.size, _AC_CHUNK):
-                chunk = zs[k : k + _AC_CHUNK]
-                out[k : k + _AC_CHUNK] += _poisson_boundary(chunk, pts) @ self.density / n
+            out += poisson_sum(self.density, zs)
         if np.isscalar(z) or isinstance(z, (complex, float, int)):
             return out[0]
         return out
@@ -654,8 +638,12 @@ def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
     """Sample-based check of the two-level sandwich and the contour norm.
 
     Points inside the region must satisfy |phi| <= eps; points outside must
-    satisfy log|phi| >= log eps' (the inner level).  The boundary polylines
-    are measured as a curve and their Carleson norm must not exceed 10.
+    satisfy log|phi| >= log eps' (the inner level).  The levels as compared
+    (log eps + 1e-9 and log eps') are returned with the violation counts and
+    the observed extremes: the largest log|phi| inside and the smallest
+    outside (-inf and inf when a side has no sample).  The boundary
+    polylines are measured as a curve and their Carleson norm must not
+    exceed 10.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -678,9 +666,12 @@ def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
         zs = np.concatenate([zs] + near)
     inside = result.contains_many(zs)
     log_abs = phi.log_abs(zs)
-    upper_viol = int(np.sum(log_abs[inside] > math.log(eps) + 1e-9))
+    upper_level = math.log(eps) + 1e-9
+    lower_level = result.constants.log_eps_prime
+    inside_vals = log_abs[inside]
+    upper_viol = int(np.sum(inside_vals > upper_level))
     outside_vals = log_abs[~inside]
-    lower_viol = int(np.sum(outside_vals < result.constants.log_eps_prime))
+    lower_viol = int(np.sum(outside_vals < lower_level))
     if result.polylines:
         curve = CurveMeasure([np.asarray(p) for p in result.polylines])
         norm = carleson_norm(curve, depth=depth)
@@ -692,6 +683,10 @@ def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
         "outside": int(np.sum(~inside)),
         "upper_violations": upper_viol,
         "lower_violations": lower_viol,
+        "upper_level": upper_level,
+        "lower_level": lower_level,
+        "max_log_abs_inside": float(np.max(inside_vals)) if inside_vals.size else -math.inf,
+        "min_log_abs_outside": float(np.min(outside_vals)) if outside_vals.size else math.inf,
         "contour_norm": norm,
         "contour_norm_ok": norm <= 10.0,
         "truncated": result.truncated,

@@ -23,6 +23,10 @@ DEFAULT_GRID_SIZE = 4096  # 2**12
 #: points closer to the boundary than this many grid cells trigger a warning
 POISSON_RESOLUTION_CELLS = 4
 
+#: points per block of poisson_sum, and the relative Fourier tail it drops
+_POISSON_BLOCK = 128
+_POISSON_TAIL = 2.0 ** -60
+
 
 def _check_power_of_two(n: int):
     if n < 2 or (n & (n - 1)) != 0:
@@ -115,6 +119,57 @@ def riesz_project(grid: BoundaryGrid, sign: str) -> BoundaryGrid:
     return BoundaryGrid.from_coefficients(out)
 
 
+def poisson_sum(samples, z) -> np.ndarray:
+    """Poisson integral of uniform-grid samples, vectorized over ``z``.
+
+    Returns  mean_j v_j (1 - |z|^2) / |xi_j - z|^2  with xi_j = exp(2 pi i j/n),
+    for real samples v of any length n >= 1 and points z of any shape with
+    |z| < 1 (the result has z's shape); |z| >= 1 raises DomainError.
+
+    The quadrature equals its Fourier series exactly,
+
+        S(z) = Re(c_0 + 2 sum_{j >= 1} c_{j mod n} z^j),   c = fft(v) / n,
+
+    because summing the kernel's series over the grid folds frequency j onto
+    j mod n.  The points are sorted by radius and taken in blocks of
+    ``_POISSON_BLOCK``.  A block whose outermost radius is r keeps the terms
+    j <= J = ceil(log(2**-60 (1 - r)) / log r), which drops a tail of at most
+    2 max|c| r**(J+1) / (1 - r) <= 2**-59 max|c|; the powers come from a
+    cumulative product and the sum is one complex matrix-vector product.
+    Where J >= n, the shell 1 - |z| below about 45/n, the block sums the
+    positive kernel directly instead: there the series would need more
+    terms than the grid has samples, and the direct sum keeps its relative
+    accuracy next to the circle, away from the data's mass.
+    """
+    v = np.asarray(samples, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise DomainError("poisson_sum expects a nonempty 1-d sample array")
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.reshape(-1)
+    radius = np.abs(flat)
+    if not np.all(radius < 1.0):
+        raise DomainError("the Poisson integral is defined at interior points only")
+    n = v.size
+    c = np.fft.fft(v) / n
+    out = np.empty(flat.shape)
+    order = np.argsort(radius, kind="stable")
+    xi = None
+    for k in range(0, flat.size, _POISSON_BLOCK):
+        idx = order[k : k + _POISSON_BLOCK]
+        r = radius[idx[-1]]
+        terms = 0 if r == 0.0 else math.ceil(math.log(_POISSON_TAIL * (1.0 - r)) / math.log(r))
+        if terms < n:
+            powers = np.cumprod(np.broadcast_to(flat[idx], (terms, idx.size)), axis=0)
+            out[idx] = c[0].real + 2.0 * (c[1 : terms + 1] @ powers).real
+        else:
+            if xi is None:
+                xi = np.exp(1j * TAU * np.arange(n) / n)
+            zb = flat[idx, None]
+            kern = (1.0 - radius[idx, None] ** 2) / np.abs(xi[None, :] - zb) ** 2
+            out[idx] = kern @ v / n
+    return out.reshape(zs.shape)
+
+
 def poisson_extend(values, lam, warn: bool = True):
     """Harmonic (Poisson) extension of boundary samples at interior points.
 
@@ -126,7 +181,8 @@ def poisson_extend(values, lam, warn: bool = True):
     warn : emit a ResolutionWarning when 1 - |lam| is below
         POISSON_RESOLUTION_CELLS / N, where the quadrature loses accuracy.
 
-    Returns the quadrature  mean_j values_j * (1-|lam|^2) / |1 - conj(lam) xi_j|^2.
+    Returns the quadrature  mean_j values_j (1-|lam|^2) / |xi_j - lam|^2,
+    evaluated by :func:`poisson_sum` (complex samples part by part).
     """
     if isinstance(values, BoundaryGrid):
         values = values.values
@@ -135,8 +191,9 @@ def poisson_extend(values, lam, warn: bool = True):
         raise DomainError("poisson_extend expects scalar samples, shape (N,)")
     n = values.shape[0]
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    if np.any(np.abs(lam_arr) >= 1.0):
-        raise DomainError("Poisson extension is defined at interior points only")
+    out = poisson_sum(values.real, lam_arr)
+    if np.iscomplexobj(values):
+        out = out + 1j * poisson_sum(values.imag, lam_arr)
     if warn and np.any(1.0 - np.abs(lam_arr) < POISSON_RESOLUTION_CELLS / n):
         warnings.warn(
             f"Poisson quadrature at distance < {POISSON_RESOLUTION_CELLS}/{n} from the boundary; "
@@ -144,9 +201,6 @@ def poisson_extend(values, lam, warn: bool = True):
             ResolutionWarning,
             stacklevel=2,
         )
-    xi = np.exp(1j * TAU * np.arange(n) / n)
-    kern = (1.0 - np.abs(lam_arr)[:, None] ** 2) / np.abs(1.0 - np.conj(lam_arr)[:, None] * xi[None, :]) ** 2
-    out = kern @ values / n
     if np.isscalar(lam) or isinstance(lam, (complex, float, int)):
         return out[0]
     return out
@@ -234,10 +288,11 @@ def outer_from_modulus(u) -> HardyFunction:
 
 
 def outer_log_at(log_modulus: np.ndarray, z) -> complex:
-    """log h(z) of the outer function via the Herglotz quadrature.
+    """log h(z) of the outer function via the Herglotz quadrature, at one point.
 
-    mean_j log_modulus_j * (xi_j + z) / (xi_j - z); the real part is the
-    Poisson extension of the log modulus.
+    mean_j log_modulus_j * (xi_j + z) / (xi_j - z).  Only its real part, the
+    Poisson extension of the log modulus, is needed by the library, which
+    evaluates it at many points at once with :func:`poisson_sum`.
     """
     z = as_complex(z)
     require_interior(z, "evaluation point")

@@ -69,8 +69,29 @@ class TestReports:
         assert q["polylines"] >= 1
         assert not q["truncated"]
         assert q["generations"][0]["generation"] == 0
-        names = [c["name"] for c in rep["checks"]]
-        assert "sandwich-upper" in names and "sandwich-lower" in names
+        checks = {c["name"]: c for c in rep["checks"]}
+        upper, lower = checks["sandwich-upper"], checks["sandwich-lower"]
+        # the observed extremes stand next to the levels and agree with the outcome
+        assert upper["detail"]["threshold"] == pytest.approx(math.log(0.1) + 1e-9, abs=1e-15)
+        assert lower["detail"]["threshold"] == rep["constants"]["log_eps_prime"]
+        assert upper["passed"] == (upper["detail"]["max_log_abs_inside"]
+                                   <= upper["detail"]["threshold"])
+        assert lower["passed"] == (lower["detail"]["min_log_abs_outside"]
+                                   >= lower["detail"]["threshold"])
+        assert upper["passed"] and lower["passed"]
+
+    def test_contour_lower_sandwich_fails_with_a_shallow_inner_level(self, tmp_path):
+        # c2 = 1e-4 lifts log eps' to about -1.9, above log|phi| at most samples
+        inp = write_json(tmp_path, "zeros.json",
+                         {"zeros": [[0.0, 0.0], [0.3, 0.2]]})
+        code, rep = run_to_file(tmp_path, [
+            "contour", "--input", inp, "--epsilon", "0.1", "--seed", "3", "--c2", "1e-4"])
+        assert code == 1
+        failed = {c["name"]: c for c in rep["checks"] if not c["passed"]}
+        assert set(failed) == {"sandwich-lower"}
+        detail = failed["sandwich-lower"]["detail"]
+        assert detail["violations"] > 0
+        assert detail["min_log_abs_outside"] < detail["threshold"]
 
     def test_embedding(self, tmp_path):
         inp = write_json(tmp_path, "fams.json",

@@ -96,6 +96,24 @@ class TestBoundedFunction:
         # the potential at the origin is exactly the total mass
         assert nu.potential(0.0) == pytest.approx(nu.total_mass(), rel=1e-12)
 
+    def test_outer_part_rejects_points_off_the_open_disk(self):
+        # the Poisson integral of outer_log gave nan at 1.0 and a positive
+        # log|phi| at 1.1, for a phi bounded by one
+        phi = BoundedFunction(zeros=[0.3], outer_log=-0.1 * np.ones(8))
+        with pytest.raises(DomainError):
+            phi.log_abs([1.0, 1.1])
+        with pytest.raises(DomainError):
+            phi.log_abs([0.5, 1.1])
+        with pytest.raises(DomainError):
+            phi.representing_measure().potential([0.5, 1.0])
+        assert phi.log_abs(0.0) < 0.0
+
+    def test_blaschke_only_log_abs_on_the_circle(self):
+        # without an outer part the circle stays allowed: |B| = 1 there
+        phi = BoundedFunction(zeros=[0.3, -0.5j])
+        vals = phi.log_abs(np.exp(1j * np.array([0.0, 1.0, 4.0])))
+        assert np.allclose(vals, 0.0, atol=1e-15)
+
 
 class TestPotentialBounds:
     def test_two_sided_on_separated_points(self):

@@ -14,6 +14,7 @@ from carleson_kit.hardy import (
     outer_from_modulus,
     outer_log_at,
     poisson_extend,
+    poisson_sum,
     riesz_project,
 )
 
@@ -107,6 +108,71 @@ class TestPoisson:
     def test_rejects_exterior_points(self):
         with pytest.raises(DomainError):
             poisson_extend(np.ones(64), 1.0)
+
+
+def direct_poisson_sum(v, zs):
+    """Test oracle: the positive-kernel quadrature, summed point by point."""
+    n = v.size
+    xi = np.exp(1j * TAU * np.arange(n) / n)
+    return np.array([np.mean(v * (1.0 - abs(z) ** 2) / np.abs(xi - z) ** 2) for z in zs])
+
+
+def poisson_oracle_data(n, rng):
+    t = TAU * np.arange(n) / n
+    spike = np.zeros(n)
+    spike[0] = -50.0
+    # a block of samples at a construct-style log floor over mild noise
+    clamped = -rng.uniform(0.0, 1.0, n)
+    clamped[: max(1, round(0.05 * n))] = -1.5e5
+    return {
+        "noise": rng.uniform(-1.0, 1.0, n),
+        "spike": spike,
+        "clamped": clamped,
+        "cosine": 0.3 * np.cos(t) - 0.1 * np.cos(3 * t + 0.4),
+    }
+
+
+def poisson_oracle_points(n, rng):
+    area = np.sqrt(rng.uniform(0.0, 1.0, 300)) * np.exp(1j * rng.uniform(0.0, TAU, 300))
+    # 1 - |z| from 0.5 down to 1e-6, densest across the series/direct switch near 45/n
+    gaps = np.concatenate([np.geomspace(0.5, 1e-6, 200),
+                           np.geomspace(4.0, 100.0, 60) / max(n, 64)])
+    near = (1.0 - gaps) * np.exp(1j * rng.uniform(0.0, TAU, gaps.size))
+    # on and next to grid rays, where the kernel peaks
+    rays = TAU * rng.integers(0, n, 12) / n
+    ray_angles = np.concatenate([rays, rays - 1e-9, rays + 1e-9])
+    ray_gaps = np.array([1e-6, 1e-4, 1e-2, 45.0 / max(n, 64), 0.3])
+    on_rays = ((1.0 - ray_gaps)[:, None] * np.exp(1j * ray_angles)[None, :]).ravel()
+    return np.concatenate([[0.0], area, near, on_rays])
+
+
+class TestPoissonSum:
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 100, 1000, 1024, 4096])
+    def test_matches_direct_sum(self, n):
+        rng = np.random.default_rng(n)
+        zs = poisson_oracle_points(n, rng)
+        for name, v in poisson_oracle_data(n, rng).items():
+            want = direct_poisson_sum(v, zs)
+            got = poisson_sum(v, zs)
+            err = np.abs(got - want)
+            bound = 1e-9 * np.abs(want) + 1e-12 * np.max(np.abs(v))
+            worst = int(np.argmax(err - bound))
+            assert np.all(err <= bound), (name, zs[worst], got[worst], want[worst])
+
+    def test_shape_and_mean_at_origin(self):
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(256)
+        zs = 0.4 * np.exp(1j * rng.uniform(0.0, TAU, (3, 5)))
+        got = poisson_sum(v, zs)
+        assert got.shape == (3, 5)
+        assert np.allclose(got.ravel(), direct_poisson_sum(v, zs.ravel()), rtol=1e-12, atol=1e-13)
+        assert poisson_sum(v, 0.0) == pytest.approx(np.mean(v), abs=1e-15)
+        assert poisson_sum(v, np.array([], dtype=complex)).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [1.0, 1.1, -1j, np.nan, complex(np.inf, 0.0)])
+    def test_rejects_points_off_the_open_disk(self, bad):
+        with pytest.raises(DomainError):
+            poisson_sum(np.ones(64), np.array([0.2, bad]))
 
 
 def test_hardy_function_evaluation_and_norm():
