@@ -42,6 +42,12 @@ _ANGLE_PAD = 1e-9
 _BOUND_PAD = 1e-9
 
 
+def _require_open_disk(zs: np.ndarray) -> None:
+    """Raise DomainError unless every point lies in the open disk (nan fails)."""
+    if not np.all(np.abs(zs) < 1.0):
+        raise DomainError("the Poisson kernels are defined at interior points only")
+
+
 class BoundedFunction:
     """phi = (Blaschke part) * (singular part) * (outer part), ||phi|| <= 1.
 
@@ -82,6 +88,8 @@ class BoundedFunction:
             den = np.abs(1.0 - np.conj(lam)[None, :] * zs[:, None])
             with np.errstate(divide="ignore"):
                 out += np.sum(np.log(num) - np.log(den), axis=1)
+        if self.singular_atoms:
+            _require_open_disk(zs)
         for ang, mass in self.singular_atoms:
             xi = complex(math.cos(ang), math.sin(ang))
             out -= mass * (1.0 - np.abs(zs) ** 2) / np.abs(xi - zs) ** 2
@@ -157,6 +165,8 @@ class RepresentingMeasure:
         """
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         out = np.zeros(zs.shape, dtype=float)
+        if self.interior_atoms or self.boundary_atoms:
+            _require_open_disk(zs)
         for lam, m in self.interior_atoms:
             out += m * (1.0 - np.abs(zs) ** 2) / np.abs(1.0 - np.conj(lam) * zs) ** 2
         for ang, m in self.boundary_atoms:

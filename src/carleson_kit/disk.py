@@ -287,17 +287,25 @@ def layer_index(z) -> int:
     return m
 
 
+def grid_layers(max_layer: int = 10, base_angles: int = 8) -> list[tuple[float, int]]:
+    """(radius, angle count) of each layer of :func:`hyperbolic_grid`.
+
+    Layer m has base_angles * 2**m angles at the radial midpoint
+    1 - 0.75 * 2**-m of the dyadic annulus 1 - 2**-m <= |z| <= 1 - 2**-(m+1).
+    """
+    return [(1.0 - 0.75 * 2.0 ** (-m), base_angles * (1 << m)) for m in range(max_layer + 1)]
+
+
 def hyperbolic_grid(max_layer: int = 10, base_angles: int = 8, include_origin: bool = True) -> np.ndarray:
     """Quasi-uniform sample of the disk, layer by layer.
 
     Layer m gets base_angles * 2**m equally spaced angles at the layer's
-    radial midpoint 1 - 0.75 * 2**-m.  The default (10 layers, 8 base
-    angles) is the grid used for sup-over-the-disk estimates.
+    radial midpoint 1 - 0.75 * 2**-m (see :func:`grid_layers`).  The default
+    (10 layers, 8 base angles) is the grid used for sup-over-the-disk
+    estimates.
     """
     pts = [np.array([0.0 + 0.0j])] if include_origin else []
-    for m in range(max_layer + 1):
-        r = 1.0 - 0.75 * 2.0 ** (-m)
-        n = base_angles * (1 << m)
+    for r, n in grid_layers(max_layer, base_angles):
         theta = TAU * np.arange(n) / n
         pts.append(r * np.exp(1j * theta))
     return np.concatenate(pts)

@@ -7,11 +7,19 @@ import pytest
 from carleson_kit.carleson import (
     CurveMeasure,
     DiscreteMeasure,
+    _kernel_layer,
     carleson_norm,
     embedding_constant_empirical,
     kernel_test_constant,
 )
-from carleson_kit.disk import Arc, CarlesonSquare, DiskPoint, dyadic_arc
+from carleson_kit.disk import (
+    Arc,
+    CarlesonSquare,
+    DiskPoint,
+    dyadic_arc,
+    grid_layers,
+    hyperbolic_grid,
+)
 from carleson_kit.errors import DomainError
 
 TAU = 2 * math.pi
@@ -220,6 +228,76 @@ def test_kernel_test_constant_single_atom():
         mass = rng.uniform(0.2, 2.0)
         got = kernel_test_constant(DiscreteMeasure([(a, mass)]))
         assert got == pytest.approx(mass / (1 - abs(a) ** 2), rel=1e-12)
+    # an atom on the circle peaks at the outermost layer's grid point r:
+    # (1 - r^2) / (1 - r)^2 = (1 + r) / (1 - r)
+    r = grid_layers()[-1][0]
+    got = kernel_test_constant(DiscreteMeasure([(1j, 1.0)]))
+    assert got == pytest.approx((1.0 + r) / (1.0 - r), rel=1e-12)
+
+
+def _direct_kernel_sums(measure, lam):
+    """The kernel test's former direct sum, in chunks of 4096 grid points:
+    sum_i mass_i (1 - |lam|^2) / |1 - conj(lam) point_i|^2 at each lam."""
+    out = np.empty(lam.size)
+    for i in range(0, lam.size, 4096):
+        chunk = lam[i : i + 4096, None]
+        kern = (1.0 - np.abs(chunk) ** 2) / np.abs(1.0 - np.conj(chunk) * measure.points) ** 2
+        out[i : i + 4096] = kern @ measure.masses
+    return out
+
+
+def _disk_atoms(rng, n, r_max=1.0):
+    radius = np.sqrt(rng.uniform(0.0, 1.0, n)) * r_max
+    return list(zip(radius * np.exp(1j * rng.uniform(0.0, TAU, n)), rng.uniform(0.1, 2.0, n)))
+
+
+def _kernel_oracle_measures():
+    rng = np.random.default_rng(61)
+    cases = {
+        "boundary-atom": [(1.0, 1.0)],
+        "origin-atom": [(0.0, 2.5)],
+        "origin-and-boundary": [(0.0, 1.0), (1j, 0.5), (cmath.exp(2j), 1e-3), (0.5, 0.25)],
+    }
+    # 200 atoms 1e-6 from the circle, in a cluster 0.01 rad wide
+    theta = 0.7 + rng.uniform(0.0, 0.01, 200)
+    cases["boundary-cluster"] = list(zip((1.0 - 1e-6) * np.exp(1j * theta),
+                                         rng.uniform(0.5, 1.5, 200)))
+    # atoms on the rays of the grid, some of them at grid points
+    rays = []
+    for r, n in grid_layers()[::2]:
+        ks = rng.integers(0, n, 4)
+        rays += [(r * cmath.exp(1j * TAU * k / n), 0.3) for k in ks]
+        rays += [(rng.uniform(0.0, 1.0) * cmath.exp(1j * TAU * k / n), 0.2) for k in ks]
+        rays.append((cmath.exp(1j * TAU * ks[0] / n), 0.1))
+    cases["grid-rays"] = rays
+    pts = rng.uniform(0.0, 1.0, 150) ** 0.25 * np.exp(1j * rng.uniform(0.0, TAU, 150))
+    cases["six-decades"] = list(zip(pts, 10.0 ** rng.uniform(-6.0, 0.0, 150)))
+    for n in (1, 31, 32, 33, 400):  # one, and either side of a block edge
+        atoms = _disk_atoms(rng, n)
+        if n > 1:
+            atoms[0] = (cmath.exp(1j * rng.uniform(0.0, TAU)), atoms[0][1])
+        cases[f"disk-{n}"] = atoms
+    cases["inner-33"] = _disk_atoms(rng, 33, r_max=0.6)
+    return cases
+
+
+_KERNEL_ORACLE = _kernel_oracle_measures()
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_ORACLE))
+def test_kernel_test_constant_matches_direct_sum(name):
+    measure = DiscreteMeasure(_KERNEL_ORACLE[name])
+    order = np.argsort(np.abs(measure.points), kind="stable")
+    points, masses = measure.points[order], measure.masses[order]
+    # each layer within 1e-11 of its largest value: far from the mass the
+    # values are small differences of the series' terms
+    for r, n in grid_layers():
+        want = _direct_kernel_sums(measure, r * np.exp(1j * TAU * np.arange(n) / n))
+        got = _kernel_layer(points, masses, r, n)
+        assert np.max(np.abs(got - want)) <= 1e-11 * want.max(), (r, n)
+    interior = measure.points[np.abs(measure.points) < 1.0 - 1e-12]
+    want = _direct_kernel_sums(measure, np.concatenate([hyperbolic_grid(), interior])).max()
+    assert abs(kernel_test_constant(measure) - want) <= 1e-12 * want
 
 
 def test_embedding_constant_small_cases():

@@ -58,6 +58,22 @@ class TestReports:
         vals = sorted(q.values())
         assert vals[-1] / vals[0] <= 100.0
 
+    def test_carleson_constants_drift_apart_for_a_boundary_atom(self, tmp_path):
+        # a unit atom at 1: the kernel test peaks at the outermost grid layer,
+        # (1 + r)/(1 - r) with r = 1 - 0.75 * 2**-10, while the depth-1 norm
+        # is mass / |I| = 1/pi
+        inp = write_json(tmp_path, "atom.json", {"atoms": [[[1.0, 0.0], 1.0]]})
+        code, rep = run_to_file(tmp_path, ["carleson", "--input", inp, "--depth", "1"])
+        assert code == 1
+        failed = {c["name"]: c for c in rep["checks"] if not c["passed"]}
+        assert set(failed) == {"constants-within-factor-100"}
+        q = rep["quantities"]
+        assert q["carleson_norm"] == pytest.approx(1.0 / math.pi, rel=1e-12)
+        assert q["kernel_test_constant"] == pytest.approx(2729.67, abs=0.01)
+        ratio = failed["constants-within-factor-100"]["detail"]["ratio"]
+        assert ratio == pytest.approx(q["kernel_test_constant"] / q["carleson_norm"], rel=1e-12)
+        assert ratio == pytest.approx(8575.5, abs=0.1)
+
     def test_contour(self, tmp_path):
         inp = write_json(tmp_path, "zeros.json",
                          {"zeros": [[0.0, 0.0], [0.3, 0.2]]})

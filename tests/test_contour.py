@@ -108,6 +108,30 @@ class TestBoundedFunction:
             phi.representing_measure().potential([0.5, 1.0])
         assert phi.log_abs(0.0) < 0.0
 
+    def test_singular_part_rejects_points_off_the_open_disk(self):
+        # the singular kernel gave +2.1 and +0.02 at 1.1 and -1.5, a positive
+        # log|phi| for a phi bounded by one
+        phi = BoundedFunction(singular_atoms=[(0.0, 0.1)])
+        for z in ([1.1, -1.5], [0.5, 1.0], [0.5, 1j], [0.5, complex("nan")], 1.1):
+            with pytest.raises(DomainError):
+                phi.log_abs(z)
+        assert phi.log_abs(0.0) == pytest.approx(-0.1)
+        assert np.all(phi.log_abs([0.5, -0.999j]) < 0.0)
+
+    def test_atom_potential_rejects_points_off_the_open_disk(self):
+        # the atom kernels gave -2.1 and -0.3 at 1.1 and 2.0
+        measures = (
+            RepresentingMeasure(interior_atoms=[(0.5, 0.2)]),
+            RepresentingMeasure(boundary_atoms=[(0.0, 0.1)]),
+            BoundedFunction(zeros=[0.3], singular_atoms=[(1.0, 0.1)]).representing_measure(),
+        )
+        for nu in measures:
+            for z in ([1.1, 2.0], [0.5, 1.0], [0.5, complex("nan")], -1.0):
+                with pytest.raises(DomainError):
+                    nu.potential(z)
+            assert nu.potential(0.0) == pytest.approx(nu.total_mass(), rel=1e-12)
+            assert np.all(nu.potential([0.5, 0.9j]) > 0.0)
+
     def test_blaschke_only_log_abs_on_the_circle(self):
         # without an outer part the circle stays allowed: |B| = 1 there
         phi = BoundedFunction(zeros=[0.3, -0.5j])
