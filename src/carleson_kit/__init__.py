@@ -9,17 +9,16 @@ from .blaschke import (BlaschkeProduct, InterpolationReport, interpolation_const
                        net_is_valid, place_net_on_curve, projection_norm_formula)
 from .carleson import (CurveMeasure, DiscreteMeasure, carleson_norm,
                        embedding_constant_empirical, kernel_test_constant)
-from .construction import (ConstructionConfig, ContourNetEntry, PointSystem,
-                           build_contour_nets, check_two_eps_margins, condition_sums,
-                           epsilon_net_split, estimate_cv, lemma_10_1_check,
-                           measure_c_alpha, n_power_for, product_defect_bound,
-                           unit_sphere_net, validate_epsilon_choice)
+from .construction import (ContourNetEntry, PointSystem, build_contour_nets,
+                           check_two_eps_margins, condition_sums, epsilon_net_split,
+                           estimate_cv, lemma_10_1_check, measure_c_alpha, n_power_for,
+                           product_defect_bound, unit_sphere_net, validate_epsilon_choice)
 from .contour import (BoundedFunction, ContourConstants, ContourResult,
                       RepresentingMeasure, bourgain_contour, check_potential_bounds,
                       select_bad_intervals, verify_region)
-from .disk import (Arc, CarlesonSquare, DiskPoint, DyadicGrid, blaschke_factor,
-                   dyadic_arc, hyperbolic_distance, hyperbolic_grid, kernel,
-                   kernel_inner, pseudo_hyperbolic, pseudo_hyperbolic_disk)
+from .disk import (Arc, CarlesonSquare, blaschke_factor, dyadic_arc, hyperbolic_distance,
+                   hyperbolic_grid, kernel, kernel_inner, pseudo_hyperbolic,
+                   pseudo_hyperbolic_disk)
 from .errors import (ContourBoundError, DomainError, LinearDependenceError,
                      NetValidityError, ResolutionWarning)
 from .hardy import (BoundaryGrid, HardyFunction, garsia_sum,

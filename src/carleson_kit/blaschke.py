@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import carleson as carleson_mod
-from .disk import as_complex, blaschke_factor, layer_index, pseudo_hyperbolic, require_interior
+from .disk import blaschke_factor, layer_index, pseudo_hyperbolic, require_interior
 from .errors import DomainError
 
 
@@ -86,7 +86,7 @@ def interpolation_constants(points, depth: int = 12) -> InterpolationReport:
         alpha = 1.0
     else:
         arr = np.asarray(pts, dtype=complex)
-        dist = np.abs(arr[:, None] - arr[None, :]) / np.abs(1.0 - np.conj(arr[:, None]) * arr[None, :])
+        dist = pseudo_hyperbolic(arr[:, None], arr[None, :])
         np.fill_diagonal(dist, 1.0)
         alpha = float(dist.min())
         delta = float(np.exp(np.log(dist).sum(axis=1).min()))
@@ -102,13 +102,11 @@ def projection_norm_formula(points, lam) -> float:
     sequence.
     """
     pts = _check_distinct(points)
-    lam = as_complex(lam)
+    lam = complex(lam)
     if lam not in pts:
         raise DomainError("lam must be one of the sequence points")
-    prod = 1.0
-    for mu in pts:
-        if mu != lam:
-            prod *= abs(blaschke_factor(mu, lam))
+    others = np.array([mu for mu in pts if mu != lam], dtype=complex)
+    prod = float(np.prod(pseudo_hyperbolic(others, lam)))
     if prod == 0.0:
         raise DomainError("degenerate sequence: coinciding points")
     return 1.0 / prod
@@ -130,16 +128,13 @@ def place_net_on_curve(vertices, alpha: float) -> list[complex]:
     if not pts:
         return []
     order = sorted(range(len(pts)), key=lambda i: (layer_index(pts[i]), i))
+    visit = np.array([pts[i] for i in order], dtype=complex)
+    free = np.ones(visit.size, dtype=bool)  # farther than alpha from the net so far
     selected: list[complex] = []
-    sel_arr = np.zeros(0, dtype=complex)
-    for i in order:
-        v = pts[i]
-        if selected.__len__():
-            d = np.abs(sel_arr - v) / np.abs(1.0 - np.conj(sel_arr) * v)
-            if not np.all(d > alpha):
-                continue
-        selected.append(v)
-        sel_arr = np.asarray(selected, dtype=complex)
+    for k, i in enumerate(order):
+        if free[k]:
+            selected.append(pts[i])
+            free[k + 1:] &= pseudo_hyperbolic(visit[k], visit[k + 1:]) > alpha
     return selected
 
 
@@ -150,19 +145,17 @@ def net_is_valid(vertices, net, alpha: float) -> tuple[bool, bool, bool]:
     dense: every vertex has a net point with |b_lam(z)| < alpha;
     product_small: |B(z)| < alpha at every vertex for B the net's product.
     """
-    net = [as_complex(p) for p in net]
-    verts = np.asarray([as_complex(v) for v in vertices], dtype=complex)
-    if not net:
-        return (True, len(verts) == 0, len(verts) == 0)
     arr = np.asarray(net, dtype=complex)
-    n = len(net)
+    verts = np.asarray(vertices, dtype=complex)
+    if arr.size == 0:
+        return (True, verts.size == 0, verts.size == 0)
     separated = True
-    if n > 1:
-        d = np.abs(arr[:, None] - arr[None, :]) / np.abs(1.0 - np.conj(arr[:, None]) * arr[None, :])
+    if arr.size > 1:
+        d = pseudo_hyperbolic(arr[:, None], arr[None, :])
         np.fill_diagonal(d, np.inf)
         separated = bool(d.min() > alpha)
-    dv = np.abs(arr[None, :] - verts[:, None]) / np.abs(1.0 - np.conj(arr[None, :]) * verts[:, None])
+    dv = pseudo_hyperbolic(arr[None, :], verts[:, None])
     dense = bool(np.all(dv.min(axis=1) < alpha))
-    product = BlaschkeProduct(net)
+    product = BlaschkeProduct(arr)
     product_small = bool(np.all(np.abs(product(verts)) < alpha))
     return separated, dense, product_small

@@ -21,7 +21,6 @@ import numpy as np
 from .disk import (
     TAU,
     CarlesonSquare,
-    as_complex,
     dyadic_arc,
     grid_layers,
 )
@@ -45,7 +44,7 @@ class DiscreteMeasure:
         pts = []
         ms = []
         for p, m in atoms:
-            p = as_complex(p)
+            p = complex(p)
             m = float(m)
             if abs(p) > 1.0 + 1e-12:
                 raise DomainError(f"atom outside the closed disk: |z| = {abs(p):.6g}")
@@ -122,10 +121,9 @@ class CurveMeasure:
     def __init__(self, polylines):
         chains = []
         for chain in polylines:
-            if isinstance(chain, np.ndarray) and chain.ndim == 1 and chain.dtype.kind in "biufc":
-                pts = np.array(chain, dtype=complex)
-            else:  # a sequence that may hold DiskPoint vertices
-                pts = np.asarray([as_complex(p) for p in chain], dtype=complex)
+            pts = np.array(chain, dtype=complex)  # a copy, never a view of the caller's array
+            if pts.ndim != 1:
+                raise DomainError("each polyline must be a 1-d sequence of vertices")
             if pts.shape[0] < 2:
                 continue
             if np.any(np.abs(pts) >= 1.0):

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -577,13 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULTS = {"depth": 12, "section": 256, "c1": 8.0, "c2": 8.0, "c3": 8.0}
-
-
 def _config_from_args(args) -> RunConfig:
-    values = {k: getattr(args, k) for k in (
-        "input", "epsilon", "alpha", "depth", "seed", "delta", "cv",
-        "c1", "c2", "c3", "section", "out", "svg")}
+    """RunConfig from the flags, then the --config file, then the field defaults."""
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "command"}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -597,10 +593,7 @@ def _config_from_args(args) -> RunConfig:
                 raise InputError(f"unknown config key {key!r}")
             if values[key] is None:
                 values[key] = val
-    for key, default in _DEFAULTS.items():
-        if values[key] is None:
-            values[key] = default
-    cfg = RunConfig(command=args.command, **values)
+    cfg = RunConfig(command=args.command, **{k: v for k, v in values.items() if v is not None})
     cfg.validate()
     return cfg
 

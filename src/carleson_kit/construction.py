@@ -12,7 +12,7 @@ basis, and replay the outer-comparison bound chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,43 +85,6 @@ class PointSystem:
         if len(dims) != 1:
             raise DomainError("family members have mixed dimensions")
         return dims.pop()
-
-
-@dataclass(frozen=True)
-class ConstructionConfig:
-    """Tuning constants for the pipeline.
-
-    log_eps_prime is log(eps') of the contour constants; eps' itself
-    underflows.  cv_of_half_delta is the measured basis constant at
-    minimality delta/2 (no closed formula exists for it, see estimate_cv).
-    admissible_epsilon, when given, caps epsilon from the admissibility side
-    and the effective level is the min of the two.
-    """
-
-    alpha: float
-    epsilon: float
-    log_eps_prime: float
-    cv_of_half_delta: float
-    admissible_epsilon: float | None = None
-    net_vectors: tuple | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 0.1:
-            raise DomainError("alpha must lie in (0, 0.1)")
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError("epsilon must lie in (0, 1)")
-        if self.cv_of_half_delta <= 0.0:
-            raise DomainError("cv_of_half_delta must be positive")
-
-    @property
-    def effective_epsilon(self) -> float:
-        if self.admissible_epsilon is None:
-            return self.epsilon
-        return min(self.epsilon, self.admissible_epsilon)
-
-    def validate(self, c_alpha: float, delta: float) -> dict:
-        return validate_epsilon_choice(self.effective_epsilon, c_alpha,
-                                       self.cv_of_half_delta, delta)
 
 
 def validate_epsilon_choice(eps: float, c_alpha: float, cv_half_delta: float,

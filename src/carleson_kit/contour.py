@@ -30,6 +30,7 @@ from .disk import (
     Arc,
     CarlesonSquare,
     dyadic_arc,
+    pseudo_hyperbolic,
     pseudo_hyperbolic_disk,
     require_interior,
 )
@@ -83,11 +84,15 @@ class BoundedFunction:
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         out = np.zeros(zs.shape, dtype=float)
         if self.zeros:
-            lam = np.array(self.zeros)
-            num = np.abs(lam[None, :] - zs[:, None])
-            den = np.abs(1.0 - np.conj(lam)[None, :] * zs[:, None])
+            # |b_lam| = 1 on the circle, so only interior points add to the
+            # Blaschke part; points off the closed disk are refused
+            r = np.abs(zs)
+            if not np.all(r <= 1.0 + 1e-12):
+                raise DomainError("the Blaschke part is defined on the closed disk only")
+            inner = r < 1.0
+            rho = pseudo_hyperbolic(np.array(self.zeros)[None, :], zs[inner][:, None])
             with np.errstate(divide="ignore"):
-                out += np.sum(np.log(num) - np.log(den), axis=1)
+                out[inner] += np.sum(np.log(rho), axis=1)
         if self.singular_atoms:
             _require_open_disk(zs)
         for ang, mass in self.singular_atoms:
@@ -194,9 +199,7 @@ def check_potential_bounds(phi: BoundedFunction, eps: float, points) -> dict:
     neglog = -phi.log_abs(zs)
     pot = phi.representing_measure().potential(zs)
     if phi.zeros:
-        lam = np.array(phi.zeros)
-        b = np.abs(lam[None, :] - zs[:, None]) / np.abs(1.0 - np.conj(lam)[None, :] * zs[:, None])
-        min_b = np.min(b, axis=1)
+        min_b = np.min(pseudo_hyperbolic(np.array(phi.zeros)[None, :], zs[:, None]), axis=1)
     else:
         min_b = np.ones(zs.shape)
     lower_margin = neglog - pot

@@ -13,13 +13,21 @@ Conventions used throughout the package:
   ``k_lam(z) = sqrt(1 - |lam|^2) / (1 - conj(lam) * z)``;
 * arcs carry their Euclidean length (radians); the radial threshold of a
   Carleson square uses the normalized length ``|I| / (2*pi)``.
+
+The metric and kernel primitives (:func:`pseudo_hyperbolic`,
+:func:`hyperbolic_distance`, :func:`kernel`, :func:`kernel_inner`) broadcast
+over numpy arrays like ufuncs, so ``pseudo_hyperbolic(p[:, None], p[None, :])``
+is a distance matrix and ``kernel_inner(p[:, None], p[None, :])`` a kernel
+Gram matrix; scalar arguments give a float or a complex.  Each of them is the
+package's one implementation of its formula.  Every entry that must be an
+interior point is checked: |z| >= 1 or nan raises :class:`DomainError`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,47 +36,28 @@ from .errors import DomainError
 TAU = 2.0 * math.pi
 
 
-def as_complex(p) -> complex:
-    """Accept a plain complex number or a DiskPoint."""
-    if isinstance(p, DiskPoint):
-        return p.value
-    return complex(p)
-
-
 def require_interior(p, what: str = "point") -> complex:
-    z = as_complex(p)
-    if abs(z) >= 1.0:
+    z = complex(p)
+    if not abs(z) < 1.0:  # nan fails too
         raise DomainError(f"{what} must lie strictly inside the unit disk, got |z| = {abs(z):.6g}")
     return z
 
 
-@dataclass(frozen=True)
-class DiskPoint:
-    """A point of the closed unit disk.
-
-    Interior points satisfy ``|value| < 1``.  Setting ``boundary=True``
-    permits ``|value| = 1`` for the places that work with boundary data.
-    """
-
-    value: complex
-    boundary: bool = False
-
-    def __post_init__(self):
-        r = abs(self.value)
-        if self.boundary:
-            if abs(r - 1.0) > 1e-12:
-                raise DomainError(f"boundary point must have |z| = 1, got {r:.12g}")
-        elif r >= 1.0:
-            raise DomainError(f"interior point must have |z| < 1, got {r:.12g}")
-
-    def __complex__(self) -> complex:
-        return self.value
+def _interior(z, what: str = "point") -> np.ndarray:
+    """``z`` as a complex array; DomainError unless every entry lies in the
+    open disk (nan fails)."""
+    zs = np.asarray(z, dtype=complex)
+    inside = np.abs(zs) < 1.0
+    if not inside.all():
+        bad = np.abs(zs[~inside]).flat[0]
+        raise DomainError(f"{what} must lie strictly inside the unit disk, got |z| = {bad:.6g}")
+    return zs
 
 
-def _maybe_scalar(z_in, result):
-    if np.isscalar(z_in) or isinstance(z_in, (complex, float, int)):
-        return complex(result)
-    return result
+def _modulus(zs: np.ndarray) -> np.ndarray:
+    """|z| by ``hypot``, as Python's ``abs`` computes it for a complex number;
+    numpy's SIMD ``abs`` can differ from it in the last bit."""
+    return np.hypot(zs.real, zs.imag)
 
 
 def blaschke_factor(lam, z):
@@ -80,51 +69,60 @@ def blaschke_factor(lam, z):
     lam = require_interior(lam, "Blaschke zero")
     zs = np.asarray(z, dtype=complex)
     if lam == 0:
-        return _maybe_scalar(z, zs + 0.0)
-    unim = abs(lam) / lam
-    out = unim * (lam - zs) / (1.0 - np.conj(lam) * zs)
-    return _maybe_scalar(z, out)
+        out = zs + 0.0
+    else:
+        out = abs(lam) / lam * (lam - zs) / (1.0 - np.conj(lam) * zs)
+    return complex(out) if np.isscalar(z) else out
 
 
-def pseudo_hyperbolic(lam, mu) -> float:
-    """Pseudo-hyperbolic distance |b_lam(mu)| between interior points."""
-    lam = require_interior(lam)
-    mu = require_interior(mu)
-    if lam == mu:
-        return 0.0
-    return abs((lam - mu) / (1.0 - np.conj(lam) * mu))
+def pseudo_hyperbolic(lam, mu):
+    """Pseudo-hyperbolic distance |b_lam(mu)| = |lam - mu| / |1 - conj(lam) mu|.
+
+    Broadcasts over arrays of interior points; a float when both arguments
+    are scalars.
+    """
+    lam_a = _interior(lam)
+    mu_a = _interior(mu)
+    out = np.abs(lam_a - mu_a) / np.abs(1.0 - np.conj(lam_a) * mu_a)
+    return float(out) if np.isscalar(lam) and np.isscalar(mu) else out
 
 
-def hyperbolic_distance(lam, mu) -> float:
+def hyperbolic_distance(lam, mu):
     """Hyperbolic distance rho = (1/2) log((1+p)/(1-p)) with p pseudo-hyperbolic."""
-    p = pseudo_hyperbolic(lam, mu)
-    return math.atanh(p)
-
-
-def metrics(lam, mu) -> tuple[float, float]:
-    """Return the pair (pseudo-hyperbolic, hyperbolic) distance."""
-    p = pseudo_hyperbolic(lam, mu)
-    return p, math.atanh(p)
+    return np.arctanh(pseudo_hyperbolic(lam, mu))
 
 
 def kernel(lam, z):
-    """Normalized reproducing kernel k_lam evaluated at ``z``."""
-    lam = require_interior(lam, "kernel parameter")
+    """Normalized reproducing kernel k_lam evaluated at ``z``.
+
+    Broadcasts over arrays of interior parameters ``lam`` and of points
+    ``z``, which may lie on the circle; a complex when both are scalars.
+    """
+    lam_a = _interior(lam, "kernel parameter")
     zs = np.asarray(z, dtype=complex)
-    out = math.sqrt(1.0 - abs(lam) ** 2) / (1.0 - np.conj(lam) * zs)
-    return _maybe_scalar(z, out)
+    out = np.sqrt(1.0 - _modulus(lam_a) ** 2) / (1.0 - np.conj(lam_a) * zs)
+    return complex(out) if np.isscalar(lam) and np.isscalar(z) else out
 
 
-def kernel_inner(lam, mu) -> complex:
+def kernel_inner(lam, mu):
     """Inner product <k_mu, k_lam> of two normalized kernels.
 
     Equals sqrt(1-|mu|^2) sqrt(1-|lam|^2) / (1 - conj(mu) lam); in particular
-    kernel_inner(lam, lam) = 1.
+    kernel_inner(lam, lam) = 1.  Broadcasts over arrays of interior points,
+    so ``kernel_inner(p[:, None], p[None, :])`` is the Gram matrix of the
+    kernels at ``p``; a complex when both arguments are scalars.
     """
-    lam = require_interior(lam)
-    mu = require_interior(mu)
-    num = math.sqrt((1.0 - abs(mu) ** 2) * (1.0 - abs(lam) ** 2))
-    return num / (1.0 - np.conj(mu) * lam)
+    lam_a = _interior(lam)
+    mu_a = _interior(mu)
+    num = np.sqrt((1.0 - _modulus(mu_a) ** 2) * (1.0 - _modulus(lam_a) ** 2))
+    # conj(mu) lam in real arithmetic: every entry then rounds exactly as the
+    # scalar complex product does, while numpy's SIMD complex multiply can
+    # differ in the last bit, which ill-conditioned Grams amplify
+    den = np.empty(num.shape, dtype=complex)
+    den.real = 1.0 - (mu_a.real * lam_a.real + mu_a.imag * lam_a.imag)
+    den.imag = 0.0 - (mu_a.real * lam_a.imag - mu_a.imag * lam_a.real)
+    out = num / den
+    return complex(out) if np.isscalar(lam) and np.isscalar(mu) else out
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,7 @@ class CarlesonSquare:
         return max(0.0, 1.0 - self.base.normalized_length)
 
     def contains(self, z) -> bool:
-        z = as_complex(z)
+        z = complex(z)
         r = abs(z)
         if self.closed:
             if r > 1.0 + 1e-12:
@@ -224,11 +222,6 @@ class CarlesonSquare:
         return ok
 
 
-def square_membership(square: CarlesonSquare, z) -> bool:
-    """Whether ``z`` belongs to the Carleson square."""
-    return square.contains(z)
-
-
 def dyadic_arc(depth: int, index: int) -> Arc:
     """The dyadic arc of the given depth (2**depth arcs per circle)."""
     if depth < 0:
@@ -237,22 +230,6 @@ def dyadic_arc(depth: int, index: int) -> Arc:
     index %= n
     length = TAU / n
     return Arc((index + 0.5) * length, length)
-
-
-@dataclass(frozen=True)
-class DyadicGrid:
-    """All dyadic arcs of depth 0..max_depth."""
-
-    max_depth: int
-
-    def arcs(self, depth: int) -> list[Arc]:
-        if not (0 <= depth <= self.max_depth):
-            raise DomainError(f"depth must lie in [0, {self.max_depth}]")
-        return [dyadic_arc(depth, j) for j in range(1 << depth)]
-
-    def all_arcs(self):
-        for depth in range(self.max_depth + 1):
-            yield from self.arcs(depth)
 
 
 def pseudo_hyperbolic_disk(a, gamma: float) -> tuple[complex, float]:

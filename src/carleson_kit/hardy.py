@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .disk import TAU, as_complex, require_interior
+from .disk import TAU, require_interior
 from .errors import DomainError, ResolutionWarning
 
 DEFAULT_GRID_SIZE = 4096  # 2**12
@@ -294,8 +294,7 @@ def outer_log_at(log_modulus: np.ndarray, z) -> complex:
     Poisson extension of the log modulus, is needed by the library, which
     evaluates it at many points at once with :func:`poisson_sum`.
     """
-    z = as_complex(z)
-    require_interior(z, "evaluation point")
+    z = require_interior(z, "evaluation point")
     v = np.asarray(log_modulus, dtype=float)
     n = v.shape[0]
     xi = np.exp(1j * TAU * np.arange(n) / n)

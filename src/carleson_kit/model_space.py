@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .disk import TAU, as_complex, require_interior
+from .disk import TAU, kernel, kernel_inner, require_interior
 from .errors import DomainError
 from .hardy import BoundaryGrid, riesz_project
 
@@ -186,7 +186,7 @@ def det_theta(theta: MatrixFunction, z) -> complex:
         return 0.0 + 0.0j
     if theta.cols > theta.rows:
         return 1.0 + 0.0j
-    return complex(np.linalg.det(theta(as_complex(z))))
+    return complex(np.linalg.det(theta(complex(z))))
 
 
 def det_theta_many(theta: MatrixFunction, zs: np.ndarray) -> np.ndarray:
@@ -214,9 +214,7 @@ def project_model(theta, f: BoundaryGrid) -> BoundaryGrid:
 
 def kernel_grid(lam, size: int) -> BoundaryGrid:
     """Boundary samples of the normalized kernel k_lam."""
-    lam = require_interior(lam)
-    pts = np.exp(1j * TAU * np.arange(size) / size)
-    return BoundaryGrid(math.sqrt(1.0 - abs(lam) ** 2) / (1.0 - np.conj(lam) * pts))
+    return BoundaryGrid(kernel(lam, np.exp(1j * TAU * np.arange(size) / size)))
 
 
 class ModelTriple:
@@ -425,16 +423,11 @@ class ModelSubspace:
 
     @classmethod
     def from_zeros(cls, zeros) -> "ModelSubspace":
-        from .disk import kernel_inner
-
         pts = [require_interior(z) for z in zeros]
         if len(set(pts)) != len(pts):
             raise DomainError("zeros must be distinct")
-        n = len(pts)
-        gram = np.empty((n, n), dtype=complex)
-        for i, a in enumerate(pts):
-            for j, b in enumerate(pts):
-                gram[i, j] = kernel_inner(a, b)
+        p = np.array(pts, dtype=complex)
+        gram = kernel_inner(p[:, None], p[None, :])
         chol = np.linalg.cholesky(gram)
         vectors = chol.conj().T  # columns realize the kernels in C^n
         q, _ = np.linalg.qr(vectors)

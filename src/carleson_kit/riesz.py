@@ -118,13 +118,14 @@ class SubspaceSystem:
                     if np.linalg.norm(e) == 0:
                         raise DomainError("zero direction vector")
                     dirs.append(e)
-        n = len(pts)
-        gram = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                gram[i, j] = kernel_inner(pts[i], pts[j])
-                if vectors is not None:
-                    gram[i, j] *= np.vdot(dirs[j], dirs[i])
+        p = np.array(pts)
+        # kernel_inner rounds each entry exactly as a scalar call does; the
+        # condition numbers of near-dependent systems amplify a last-bit
+        # change of G to ~1e-8 relative
+        gram = kernel_inner(p[:, None], p[None, :])
+        if vectors is not None:
+            d = np.array(dirs)
+            gram *= d @ np.conj(d).T  # np.vdot(e_j, e_i) at (i, j)
         try:
             chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError as exc:
@@ -256,14 +257,11 @@ def tensor_bound_check(points, e_dim: int, trials: int, rng) -> dict:
     the sum must lie between lmin(G) and lmax(G) times sum ||f_lambda||^2,
     G the kernel Gram matrix.  Returns the worst margins over the draws.
     """
-    pts = [require_interior(p) for p in points]
-    n = len(pts)
+    p = np.array([require_interior(z) for z in points], dtype=complex)
+    n = len(p)
     if n == 0 or e_dim <= 0 or trials <= 0:
         raise DomainError("need points, a positive dimension and trials")
-    gram = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            gram[i, j] = kernel_inner(pts[i], pts[j])
+    gram = kernel_inner(p[:, None], p[None, :])
     w = np.linalg.eigvalsh(gram)
     lo, hi = float(w[0]), float(w[-1])
     chol = np.linalg.cholesky(gram)

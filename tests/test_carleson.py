@@ -15,7 +15,6 @@ from carleson_kit.carleson import (
 from carleson_kit.disk import (
     Arc,
     CarlesonSquare,
-    DiskPoint,
     dyadic_arc,
     grid_layers,
     hyperbolic_grid,
@@ -200,15 +199,17 @@ def test_curve_measure_requires_interior_vertices():
         CurveMeasure([[0.0 + 0j, 1.0 + 0j]])
     with pytest.raises(DomainError):
         CurveMeasure([np.array([0.0 + 0j, 1.0 + 0j])])
+    with pytest.raises(DomainError):  # not a 1-d chain
+        CurveMeasure([np.zeros((3, 2))])
 
 
 def test_curve_measure_array_and_vertex_paths_agree():
-    # numeric arrays skip the per-vertex conversion; lists may hold DiskPoint
+    # arrays and plain sequences of vertices go through the same conversion
     chains = _awkward_polylines(np.random.default_rng(5))
     arrays = [np.asarray(c, dtype=complex) for c in chains]
     arrays.append(np.array([0.25, -0.5, 0.75]))  # a real-valued chain
     lists = [list(c) for c in arrays]
-    lists[0] = [DiskPoint(complex(p)) for p in lists[0]]
+    lists[0] = [complex(p) for p in lists[0]]
     fast, slow = CurveMeasure(arrays), CurveMeasure(lists)
     assert len(fast.polylines) == len(slow.polylines) == len(arrays)
     for a, b in zip(fast.polylines, slow.polylines):

@@ -5,7 +5,6 @@ import pytest
 
 from carleson_kit.blaschke import BlaschkeProduct
 from carleson_kit.construction import (
-    ConstructionConfig,
     ContourNetEntry,
     PointSystem,
     build_contour_nets,
@@ -346,20 +345,6 @@ def test_validate_epsilon_choice_branches():
     assert not bad["ok"]
     with pytest.raises(DomainError):
         validate_epsilon_choice(0.1, 2.0, 5.0, 0.0)
-
-
-def test_construction_config_effective_epsilon():
-    cfg = ConstructionConfig(alpha=0.05, epsilon=0.1, log_eps_prime=-100.0,
-                             cv_of_half_delta=5.0)
-    assert cfg.effective_epsilon == 0.1
-    capped = ConstructionConfig(alpha=0.05, epsilon=0.1, log_eps_prime=-100.0,
-                                cv_of_half_delta=5.0, admissible_epsilon=0.01)
-    assert capped.effective_epsilon == 0.01
-    out = capped.validate(c_alpha=2.0, delta=0.4)
-    assert out["epsilon"] == 0.01
-    with pytest.raises(DomainError):
-        ConstructionConfig(alpha=0.5, epsilon=0.1, log_eps_prime=-1.0,
-                           cv_of_half_delta=5.0)
 
 
 def test_measure_c_alpha_single_point_nets():

@@ -138,6 +138,13 @@ class TestBoundedFunction:
         vals = phi.log_abs(np.exp(1j * np.array([0.0, 1.0, 4.0])))
         assert np.allclose(vals, 0.0, atol=1e-15)
 
+    def test_blaschke_only_log_abs_rejects_points_off_the_closed_disk(self):
+        # log|B| gave +0.78 at 1.5 and nan at nan, for a B bounded by one
+        phi = BoundedFunction(zeros=[0.3])
+        for z in ([0.5, 1.5], [0.5, complex("nan")], -1.1j):
+            with pytest.raises(DomainError):
+                phi.log_abs(z)
+
 
 class TestPotentialBounds:
     def test_two_sided_on_separated_points(self):

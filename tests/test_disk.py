@@ -5,7 +5,6 @@ import pytest
 
 from carleson_kit.disk import (
     CarlesonSquare,
-    DyadicGrid,
     blaschke_factor,
     dyadic_arc,
     hyperbolic_distance,
@@ -13,11 +12,9 @@ from carleson_kit.disk import (
     kernel,
     kernel_inner,
     layer_index,
-    metrics,
     pseudo_hyperbolic,
     pseudo_hyperbolic_disk,
     require_interior,
-    square_membership,
 )
 from carleson_kit.errors import DomainError
 
@@ -64,9 +61,7 @@ def test_pseudo_hyperbolic_symmetry_and_moebius_invariance():
 
 def test_hyperbolic_distance_agrees_with_rho():
     lam, mu = 0.5, -0.25 + 0.1j
-    rho, h = metrics(lam, mu)
-    assert rho == pytest.approx(pseudo_hyperbolic(lam, mu))
-    assert h == pytest.approx(hyperbolic_distance(lam, mu))
+    rho, h = pseudo_hyperbolic(lam, mu), hyperbolic_distance(lam, mu)
     assert h == pytest.approx(0.5 * math.log((1 + rho) / (1 - rho)))
 
 
@@ -120,7 +115,6 @@ def test_dyadic_arcs_are_half_open_and_nest():
 
 
 def test_dyadic_grid_children_partition_parent():
-    grid = DyadicGrid(max_depth=4)
     for d in range(3):
         for i in range(2**d):
             arc = dyadic_arc(d, i)
@@ -128,8 +122,6 @@ def test_dyadic_grid_children_partition_parent():
             assert sum(k.length for k in kids) == pytest.approx(arc.length)
             for theta in np.linspace(arc.start, arc.end, 33, endpoint=False):
                 assert sum(k.contains_angle(theta) for k in kids) == 1
-    assert len(grid.arcs(4)) == 16
-    assert sum(1 for _ in grid.all_arcs()) == 31
 
 
 def test_square_membership_matches_geometry():
@@ -138,13 +130,13 @@ def test_square_membership_matches_geometry():
     inner = sq.inner_radius
     assert inner == pytest.approx(1 - arc.length / (2 * math.pi))
     mid = arc.center_angle
-    assert square_membership(sq, (inner + 1) / 2 * np.exp(1j * mid))
-    assert not square_membership(sq, 0.5 * inner * np.exp(1j * mid))
+    assert sq.contains((inner + 1) / 2 * np.exp(1j * mid))
+    assert not sq.contains(0.5 * inner * np.exp(1j * mid))
     # open at the unit circle, closed variant accepts it
-    assert not square_membership(sq, np.exp(1j * mid))
+    assert not sq.contains(np.exp(1j * mid))
     assert CarlesonSquare(arc, closed=True).contains(np.exp(1j * mid))
     # angle outside the base arc
-    assert not square_membership(sq, (inner + 1) / 2 * np.exp(1j * (arc.end + 0.3)))
+    assert not sq.contains((inner + 1) / 2 * np.exp(1j * (arc.end + 0.3)))
 
 
 def test_contains_many_agrees_with_scalar_membership():
@@ -156,7 +148,7 @@ def test_contains_many_agrees_with_scalar_membership():
         if abs(z) >= 1:
             assert not m
         else:
-            assert m == square_membership(sq, complex(z))
+            assert m == sq.contains(complex(z))
 
 
 def test_hyperbolic_grid_layers():
@@ -167,3 +159,72 @@ def test_hyperbolic_grid_layers():
     assert pts.size == 1 + sum(8 * 2**m for m in range(7))
     for z in pts[np.abs(pts) > 0][:50]:
         assert 0 <= layer_index(z) <= 6
+
+
+def _random_interior(rng, n, rmax=0.999):
+    pts = rmax * np.sqrt(rng.uniform(0, 1, n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    pts[:4] = [0.0, 0.5, -0.3j, rmax]  # the origin, real and imaginary points
+    pts[-3:] = pts[4:7]  # repeated points: coincident pairs off the diagonal
+    return pts
+
+
+def _scalar_matrix(fn, rows, cols):
+    return np.array([[fn(complex(a), complex(b)) for b in cols] for a in rows])
+
+
+def test_pseudo_hyperbolic_broadcast_matches_scalar():
+    rng = np.random.default_rng(41)
+    p = _random_interior(rng, 60)
+    dist = pseudo_hyperbolic(p[:, None], p[None, :])
+    assert dist.shape == (60, 60) and dist.dtype == float
+    np.testing.assert_allclose(dist, _scalar_matrix(pseudo_hyperbolic, p, p), rtol=1e-15, atol=0)
+    # the textbook |b_lam(mu)| in Python complex arithmetic
+    textbook = _scalar_matrix(lambda a, b: abs((a - b) / (1 - a.conjugate() * b)), p, p)
+    np.testing.assert_allclose(dist, textbook, rtol=1e-12, atol=0)
+    assert np.all(dist[p[:, None] == p[None, :]] == 0.0)
+    assert isinstance(pseudo_hyperbolic(0.5, 0.5j), float)
+
+
+def test_kernel_inner_broadcast_equals_scalar_loop_bitwise():
+    # the Gram loops this call replaced: one scalar kernel_inner per pair,
+    # computed with math.sqrt, Python abs and numpy's scalar complex product
+    def per_pair(lam, mu):
+        num = math.sqrt((1.0 - abs(mu) ** 2) * (1.0 - abs(lam) ** 2))
+        return num / (1.0 - np.conj(mu) * lam)
+
+    rng = np.random.default_rng(43)
+    p = _random_interior(rng, 80)
+    gram = kernel_inner(p[:, None], p[None, :])
+    assert gram.shape == (80, 80) and gram.dtype == complex
+    assert gram.tobytes() == _scalar_matrix(per_pair, p, p).tobytes()
+    assert gram.tobytes() == _scalar_matrix(kernel_inner, p, p).tobytes()
+    assert isinstance(kernel_inner(0.5, 0.5j), complex)
+
+
+def test_kernel_broadcast_matches_scalar():
+    rng = np.random.default_rng(47)
+    lam = _random_interior(rng, 30)
+    z = np.concatenate([_random_interior(rng, 30), np.exp(1j * rng.uniform(0, 2 * np.pi, 10))])
+    vals = kernel(lam[:, None], z[None, :])
+    assert vals.shape == (30, 40)
+    np.testing.assert_allclose(vals, _scalar_matrix(kernel, lam, z), rtol=1e-15, atol=0)
+    textbook = _scalar_matrix(
+        lambda a, b: math.sqrt(1 - abs(a) ** 2) / (1 - a.conjugate() * b), lam, z)
+    np.testing.assert_allclose(vals, textbook, rtol=1e-12, atol=0)
+    assert isinstance(kernel(0.5, 1j), complex)
+
+
+@pytest.mark.parametrize("bad", [1.0, 1j, 1.5 - 0.2j, complex("nan"), complex(0.2, float("nan"))])
+def test_broadcast_primitives_reject_points_off_the_open_disk(bad):
+    pts = np.array([0.1, bad, -0.4j])
+    good = np.array([0.3j, 0.2])
+    for call in (lambda: pseudo_hyperbolic(pts[:, None], good[None, :]),
+                 lambda: pseudo_hyperbolic(good[:, None], pts[None, :]),
+                 lambda: kernel_inner(pts[:, None], good[None, :]),
+                 lambda: kernel_inner(good[:, None], pts[None, :]),
+                 lambda: kernel(pts, 0.5),
+                 lambda: pseudo_hyperbolic(bad, 0.0),
+                 lambda: kernel_inner(0.0, bad),
+                 lambda: require_interior(bad)):
+        with pytest.raises(DomainError):
+            call()
