@@ -21,8 +21,12 @@ import numpy as np
 from .disk import (
     TAU,
     CarlesonSquare,
-    dyadic_arc,
+    dyadic_index,
     grid_layers,
+    in_layer,
+    in_open_disk,
+    in_square,
+    polar,
 )
 from .errors import DomainError
 
@@ -62,26 +66,21 @@ class DiscreteMeasure:
         return float(self.masses.sum())
 
     def mass_in_square(self, square: CarlesonSquare) -> float:
-        if len(self) == 0:
-            return 0.0
-        inside = square.contains_many(self.points)
-        return float(self.masses[inside].sum())
+        return float(self.masses[square.contains(self.points)].sum())
 
 
-def _lengths_in_squares(a, d, start, end, length: float, r0: float,
-                        closed: bool = True) -> np.ndarray:
+def _lengths_in_squares(a, d, start, length: float, closed: bool = True) -> np.ndarray:
     """Exact length of each segment [a, a + d] inside a Carleson square.
 
-    The square has base angles [start, end), of the given length, and inner
-    radius r0; ``start`` and ``end`` are scalars (one square for every
-    segment) or arrays aligned with the segments (one square each).  Each segment is cut
-    at its at most four crossings with the inner circle |z| = r0 and the two
-    boundary rays; every piece between consecutive cuts lies wholly inside
-    or outside the square, so its midpoint decides it, tested with the
-    predicate of ``CarlesonSquare.contains_many``.
+    The square's base is the arc [start, start + length) of turns; ``start``
+    is a scalar (one square for every segment) or an array aligned with the
+    segments (one square each).  Each segment is cut at its at most four
+    crossings with the inner circle |z| = 1 - length and the two boundary
+    rays; every piece between consecutive cuts lies wholly inside or outside
+    the square, so its midpoint decides it, by ``in_square``.
     """
     seg_len = np.hypot(d.real, d.imag)
-    partial = length < TAU - 1e-15
+    r0 = max(0.0, 1.0 - length)
     cuts = [np.zeros_like(seg_len), np.ones_like(seg_len)]
     with np.errstate(divide="ignore", invalid="ignore"):
         if r0 > 0.0:
@@ -92,23 +91,17 @@ def _lengths_in_squares(a, d, start, end, length: float, r0: float,
             sq = np.sqrt(disc)
             for t in ((-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)):
                 cuts.append(np.where(disc > 0.0, t, 1.0))
-        if partial:
-            for theta in (start, end):
-                c, s = np.cos(theta), np.sin(theta)
+        if length < 1.0:
+            for turn in (start, start + length):
+                c, s = np.cos(TAU * turn), np.sin(TAU * turn)
                 denom = c * d.imag - s * d.real
                 t = -(c * a.imag - s * a.real) / denom
                 cuts.append(np.where(denom != 0.0, t, 1.0))
     # cuts outside (0, 1) collapse onto an end point and give empty pieces
     ts = np.sort(np.clip(np.column_stack(cuts), 0.0, 1.0), axis=1)
     t0, t1 = ts[:, :-1], ts[:, 1:]
-    h = 0.5 * (t0 + t1)
-    mid_re = a.real[:, None] + h * d.real[:, None]
-    mid_im = a.imag[:, None] + h * d.imag[:, None]
-    r = np.hypot(mid_re, mid_im)
-    inside = (t1 > t0) & (r >= r0) & ((r <= 1.0 + 1e-12) if closed else (r < 1.0))
-    if partial:
-        theta = np.arctan2(mid_im, mid_re)
-        inside &= ((theta - np.reshape(start, (-1, 1))) % TAU < length) & (r > 0.0)
+    u, r = polar(a[:, None] + 0.5 * (t0 + t1) * d[:, None])
+    inside = (t1 > t0) & in_square(u, r, np.reshape(start, (-1, 1)), length, closed)
     return (np.where(inside, t1 - t0, 0.0) * seg_len[:, None]).sum(axis=1)
 
 
@@ -126,14 +119,10 @@ class CurveMeasure:
                 raise DomainError("each polyline must be a 1-d sequence of vertices")
             if pts.shape[0] < 2:
                 continue
-            if np.any(np.abs(pts) >= 1.0):
+            if not in_open_disk(pts).all():
                 raise DomainError("polyline vertices must lie inside the open disk")
             chains.append(pts)
         object.__setattr__(self, "polylines", tuple(chains))
-
-    @classmethod
-    def single(cls, vertices) -> "CurveMeasure":
-        return cls([vertices])
 
     def total_mass(self) -> float:
         return float(sum(np.sum(np.abs(np.diff(c))) for c in self.polylines))
@@ -147,27 +136,30 @@ class CurveMeasure:
 
     def mass_in_square(self, square: CarlesonSquare) -> float:
         a, b = self._endpoints()
-        base = square.base
-        lengths = _lengths_in_squares(a, b - a, base.start, base.end, base.length,
-                                      square.inner_radius, square.closed)
+        lengths = _lengths_in_squares(a, b - a, square.base.start_turn,
+                                      square.base.normalized_length, square.closed)
         return float(lengths.sum())
 
 
 def carleson_norm(measure, depth: int = 12) -> float:
     """sup over dyadic arcs of depth <= depth of mass(S(I)) / |I| (Euclidean).
 
-    Only arcs whose square can receive mass are evaluated; the membership
-    predicate is the same one ``mass_in_square`` uses, so this equals the
-    brute-force supremum over the same arcs.
+    Membership in S(I) is ``disk.in_square``, as in ``mass_in_square``, so
+    this is the brute-force supremum over the same arcs, up to the order in
+    which masses are summed.  Only arcs whose square can receive mass are
+    evaluated.
+
+    A ``DiscreteMeasure`` takes one ``np.bincount`` per depth: the atoms in
+    the depth's radial layer, binned by ``dyadic_index`` of their turns.
 
     A ``CurveMeasure`` takes one vectorized pass per depth.  Each segment
     that reaches radius 1 - 2**-depth is paired with the arcs of that depth
-    whose indices run over floor(w0 / |I|) .. floor(w1 / |I|) mod 2**depth,
-    where [w0, w1] is the shorter angular window between its end points.
-    At depths 0 and 1 a window crossing angle 0 can span more than 2**depth
-    indices, which then repeat an arc; each (arc, segment) pair is kept
-    once.  The pairs' lengths inside their squares are summed per arc with
-    ``np.bincount``.
+    whose indices run over floor(w0 2**depth) .. floor(w1 2**depth)
+    mod 2**depth, where [w0, w1] is the shorter window of turns between its
+    end points.  At depths 0 and 1 a window crossing turn 0 can span more
+    than 2**depth indices, which then repeat an arc; each (arc, segment)
+    pair is kept once.  The pairs' lengths inside their squares are summed
+    per arc with ``np.bincount``.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative")
@@ -175,50 +167,42 @@ def carleson_norm(measure, depth: int = 12) -> float:
     if isinstance(measure, DiscreteMeasure):
         if len(measure) == 0:
             return 0.0
-        angles = np.angle(measure.points) % TAU
-        radii = np.abs(measure.points)
-        for d in range(depth + 1):
-            n = 1 << d
-            norm_len = 1.0 / n
-            alive = radii >= 1.0 - norm_len
+        u, r = polar(measure.points)
+        for level in range(depth + 1):
+            n = 1 << level
+            alive = in_layer(r, 1.0 / n)
             if not np.any(alive):
                 continue
-            idx = np.unique(np.minimum((angles[alive] / (TAU / n)).astype(int), n - 1))
-            for j in idx:
-                arc = dyadic_arc(d, int(j))
-                m = measure.mass_in_square(CarlesonSquare(arc, closed=True))
-                best = max(best, m / arc.length)
+            mass = np.bincount(dyadic_index(u[alive], level), weights=measure.masses[alive])
+            best = max(best, float(mass.max()) / (TAU / n))
         return best
     if isinstance(measure, CurveMeasure):
         a, b = measure._endpoints()
         if a.size == 0:
             return 0.0
         d = b - a
-        # the shorter angular window [w_start, w_end] holding each segment
-        ta = np.arctan2(a.imag, a.real) % TAU
-        tb = np.arctan2(b.imag, b.real) % TAU
-        fwd = (tb - ta) % TAU
-        short = fwd <= TAU - fwd
+        # the shorter window [w_start, w_end] of turns holding each segment
+        ta, ra = polar(a)
+        tb, rb = polar(b)
+        fwd = (tb - ta) % 1.0
+        short = fwd <= 1.0 - fwd
         w_start = np.where(short, ta, tb)
-        w_end = w_start + np.where(short, fwd, TAU - fwd)
-        max_radius = np.maximum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
+        w_end = w_start + np.where(short, fwd, 1.0 - fwd)
+        max_radius = np.maximum(ra, rb)
         for level in range(depth + 1):
             n = 1 << level
             alive = np.flatnonzero(max_radius >= 1.0 - 1.0 / n)
             if alive.size == 0:
                 continue
-            length = TAU / n
-            j0 = np.floor(w_start[alive] / length).astype(np.int64)
-            j1 = np.floor(w_end[alive] / length).astype(np.int64)
+            j0 = dyadic_index(w_start[alive], level)
+            j1 = dyadic_index(w_end[alive], level)
             # more than n consecutive indices repeat an arc (depths 0 and 1)
             count = np.minimum(j1 - j0 + 1, n)
             seg = np.repeat(alive, count)
             offset = np.arange(seg.size) - np.repeat(np.cumsum(count) - count, count)
             j = (np.repeat(j0, count) + offset) % n
-            center = (j + 0.5) * length
-            lengths = _lengths_in_squares(
-                a[seg], d[seg], center - 0.5 * length, center + 0.5 * length, length,
-                max(0.0, 1.0 - length / TAU))
+            lengths = _lengths_in_squares(a[seg], d[seg], j / n, 1.0 / n)
+            length = TAU / n
             best = max(best, float(np.bincount(j, weights=lengths).max()) / length)
         return best
     raise DomainError(f"unsupported measure type: {type(measure).__name__}")

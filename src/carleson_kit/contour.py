@@ -18,7 +18,6 @@ design, so all comparisons against it are carried out in log space.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,24 +28,24 @@ from .disk import (
     TAU,
     Arc,
     CarlesonSquare,
+    _modulus,
     dyadic_arc,
+    in_layer,
+    in_open_disk,
+    in_square,
+    kernel,
+    polar,
     pseudo_hyperbolic,
     pseudo_hyperbolic_disk,
     require_interior,
+    turns,
 )
 from .errors import ContourBoundError, DomainError
 from .hardy import poisson_sum
 
-# pads of the bad-interval scan's descent bound: radians on the atom angle
-# tests, and relative on the bound itself
-_ANGLE_PAD = 1e-9
+# relative pad of the bad-interval scan's descent bound, for the rounding of
+# sums taken in different orders
 _BOUND_PAD = 1e-9
-
-
-def _require_open_disk(zs: np.ndarray) -> None:
-    """Raise DomainError unless every point lies in the open disk (nan fails)."""
-    if not np.all(np.abs(zs) < 1.0):
-        raise DomainError("the Poisson kernels are defined at interior points only")
 
 
 class BoundedFunction:
@@ -86,26 +85,22 @@ class BoundedFunction:
         if self.zeros:
             # |b_lam| = 1 on the circle, so only interior points add to the
             # Blaschke part; points off the closed disk are refused
-            r = np.abs(zs)
-            if not np.all(r <= 1.0 + 1e-12):
+            if not np.all(_modulus(zs) <= 1.0 + 1e-12):
                 raise DomainError("the Blaschke part is defined on the closed disk only")
-            inner = r < 1.0
+            inner = in_open_disk(zs)
             rho = pseudo_hyperbolic(np.array(self.zeros)[None, :], zs[inner][:, None])
             with np.errstate(divide="ignore"):
                 out[inner] += np.sum(np.log(rho), axis=1)
-        if self.singular_atoms:
-            _require_open_disk(zs)
         for ang, mass in self.singular_atoms:
+            # the boundary Poisson kernel at xi is |k_z(xi)|^2; disk.kernel
+            # refuses z off the open disk
             xi = complex(math.cos(ang), math.sin(ang))
-            out -= mass * (1.0 - np.abs(zs) ** 2) / np.abs(xi - zs) ** 2
+            out -= mass * np.abs(kernel(zs, xi)) ** 2
         if self.outer_log is not None:
             out += poisson_sum(self.outer_log, zs)
         if np.isscalar(z) or isinstance(z, (complex, float, int)):
             return out[0]
         return out
-
-    def abs_values(self, z) -> np.ndarray:
-        return np.exp(self.log_abs(z))
 
     def representing_measure(self) -> "RepresentingMeasure":
         interior = tuple((lam, 0.5 * (1.0 - abs(lam) ** 2)) for lam in self.zeros)
@@ -120,7 +115,7 @@ class RepresentingMeasure:
     measure 1 under dm).
     """
 
-    __slots__ = ("interior_atoms", "boundary_atoms", "density")
+    __slots__ = ("interior_atoms", "boundary_atoms", "density", "_atoms")
 
     def __init__(self, interior_atoms=(), boundary_atoms=(), density=None):
         self.interior_atoms = tuple(
@@ -134,6 +129,13 @@ class RepresentingMeasure:
             if np.min(density) < 0:
                 raise DomainError("density must be nonnegative")
         self.density = density
+        # every atom once as (turn, radius, mass); boundary atoms sit at radius 1
+        u, r = polar([p for p, _ in self.interior_atoms])
+        self._atoms = (
+            np.concatenate([u, turns([a for a, _ in self.boundary_atoms])]),
+            np.concatenate([r, np.ones(len(self.boundary_atoms))]),
+            np.array([m for _, m in self.interior_atoms + self.boundary_atoms], dtype=float),
+        )
 
     def total_mass(self) -> float:
         m = sum(m for _, m in self.interior_atoms) + sum(m for _, m in self.boundary_atoms)
@@ -142,41 +144,36 @@ class RepresentingMeasure:
         return m
 
     def mass_in_square(self, square: CarlesonSquare) -> float:
-        m = 0.0
-        for p, w in self.interior_atoms:
-            if square.contains(p):
-                m += w
-        for ang, w in self.boundary_atoms:
-            if square.base.contains_angle(ang):
-                m += w
+        u, r, w = self._atoms
+        base = square.base
+        m = float(w @ in_square(u, r, base.start_turn, base.normalized_length, square.closed))
         if self.density is not None:
             # each sample carries mass density[k]/n spread over its cell of
-            # width 2*pi/n; integrate the overlap so that arcs shorter than
+            # 1/n turns; integrate the overlap so that arcs shorter than
             # the sample spacing do not see concentrated point masses
             n = self.density.size
-            cell = TAU / n
-            rel = (TAU * np.arange(n) / n - square.base.start) % TAU
-            length = min(square.base.length, TAU)
+            cell = 1.0 / n
+            rel = (np.arange(n) / n - base.start_turn) % 1.0
+            length = min(base.normalized_length, 1.0)
             overlap = np.clip(length - rel, 0.0, cell)
-            wrap = np.clip(rel + cell - TAU, 0.0, length)
-            m += float(np.dot(self.density, overlap + wrap)) / (n * cell)
+            wrap = np.clip(rel + cell - 1.0, 0.0, length)
+            m += float(np.dot(self.density, overlap + wrap))
         return m
 
     def potential(self, z) -> np.ndarray:
         """sum of masses against the boundary-normalized Poisson-type kernel.
 
-        Interior atoms at lam use (1 - |z|^2)/|1 - conj(lam) z|^2, which for
-        mass (1 - |lam|^2)/2 equals (1 - |b_lam(z)|^2)/2.
+        An atom at a takes |k_z(a)|^2 = (1 - |z|^2)/|1 - conj(z) a|^2, the
+        boundary Poisson kernel when |a| = 1; for an interior atom of mass
+        (1 - |a|^2)/2 it equals (1 - |b_a(z)|^2)/2.  ``disk.kernel`` refuses
+        z off the open disk.
         """
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         out = np.zeros(zs.shape, dtype=float)
-        if self.interior_atoms or self.boundary_atoms:
-            _require_open_disk(zs)
         for lam, m in self.interior_atoms:
-            out += m * (1.0 - np.abs(zs) ** 2) / np.abs(1.0 - np.conj(lam) * zs) ** 2
+            out += m * np.abs(kernel(zs, lam)) ** 2
         for ang, m in self.boundary_atoms:
-            xi = complex(math.cos(ang), math.sin(ang))
-            out += m * (1.0 - np.abs(zs) ** 2) / np.abs(xi - zs) ** 2
+            out += m * np.abs(kernel(zs, complex(math.cos(ang), math.sin(ang)))) ** 2
         if self.density is not None:
             out += poisson_sum(self.density, zs)
         if np.isscalar(z) or isinstance(z, (complex, float, int)):
@@ -248,50 +245,36 @@ class ContourConstants:
 
 def _clip_arc(a: Arc, window: Arc) -> list[Arc]:
     """Intersection of two arcs, as a list of zero, one or two arcs."""
-    if window.length >= TAU:
+    if window.normalized_length >= 1.0:
         return [a]
-    if a.length >= TAU:
+    if a.normalized_length >= 1.0:
         return [window]
-    rel = (a.start - window.start) % TAU
-    pieces = []
-    # part of a starting inside [0, 2pi) of the window frame
-    first_len = min(a.length, TAU - rel)
-    lo, hi = rel, rel + first_len
-    s, e = max(lo, 0.0), min(hi, window.length)
-    if e - s > 1e-15:
-        pieces.append((s, e - s))
-    wrap = a.length - first_len
-    if wrap > 1e-15:
-        s, e = 0.0, min(wrap, window.length)
-        if e - s > 1e-15:
-            pieces.append((s, e - s))
-    return [
-        Arc(center_angle=window.start + s + ln / 2.0, length=ln) for s, ln in pieces
-    ]
+    # in the window's frame of turns, a covers [rel, end) and, past turn 1,
+    # [0, end - 1)
+    rel = (a.start_turn - window.start_turn) % 1.0
+    end = rel + a.normalized_length
+    pieces = ((rel, min(end, window.normalized_length)),
+              (0.0, min(end - 1.0, window.normalized_length)))
+    return [Arc.from_turns((window.start_turn + s) % 1.0, e - s)
+            for s, e in pieces if e - s > 1e-15 / TAU]
 
 
 def _merge_arcs(arcs) -> list[Arc]:
     """Connected components of a union of arcs on the circle."""
-    ivs = sorted((a.start % TAU, a.length) for a in arcs)
-    if not ivs:
-        return []
+    tol = 1e-12 / TAU
     merged = []
-    cur_s, cur_e = ivs[0][0], ivs[0][0] + ivs[0][1]
-    for s, ln in ivs[1:]:
-        if s <= cur_e + 1e-12:
-            cur_e = max(cur_e, s + ln)
+    for s, ln in sorted((a.start_turn, a.normalized_length) for a in arcs):
+        if merged and s <= merged[-1][1] + tol:
+            merged[-1][1] = max(merged[-1][1], s + ln)
         else:
-            merged.append((cur_s, cur_e))
-            cur_s, cur_e = s, s + ln
-    merged.append((cur_s, cur_e))
-    # wrap: last component may continue into the first
-    if len(merged) > 1 and merged[-1][1] >= TAU + merged[0][0] - 1e-12:
+            merged.append([s, s + ln])
+    # wrap: the last component may continue into the first
+    if len(merged) > 1 and merged[-1][1] >= 1.0 + merged[0][0] - tol:
         first = merged.pop(0)
-        last = merged.pop()
-        merged.append((last[0], max(last[1], first[1] + TAU)))
-    if any(e - s >= TAU - 1e-12 for s, e in merged):
+        merged[-1][1] = max(merged[-1][1], first[1] + 1.0)
+    if any(e - s >= 1.0 - tol for s, e in merged):
         return [Arc(center_angle=0.0, length=TAU)]
-    return [Arc(center_angle=(s + e) / 2.0, length=e - s) for s, e in merged]
+    return [Arc.from_turns(s, e - s) for s, e in merged]
 
 
 @dataclass(frozen=True)
@@ -316,55 +299,42 @@ def select_bad_intervals(measure: RepresentingMeasure, base: Arc,
     A visited arc J of depth d that does not trigger is subdivided only if
     some dyadic J' under J, of depth d' in (d, depth_floor], could:
 
-        nu(Q(J')) <= min(nu(Q(J)) + E(J),  dbar(J) |J'| + A_d'(J)),
+        nu(Q(J')) <= min(nu(Q(J)),  dbar(J) |J'| + A_d'(J)),
 
     where dbar(J) is the largest density sample over the cells that meet
-    J, A_d'(J) the mass of the atoms over J that lie at radius at least
-    1 - 2**-d' (boundary atoms count at every depth; no other atom can
-    enter a square of depth d'), and E(J) the mass of the atoms within the
-    angle pad of an end of J, which floating-point dyadic arcs do not nest
-    reliably (a child may contain an angle a ulp outside its parent).  J
-    is subdivided if the bound, raised by the relative pad, exceeds
-    m_threshold * 2**-d' for some d'.  The atom tests widen J by _ANGLE_PAD
-    radians on each side, which also covers the last-bit disagreement of
-    np.angle and cmath.phase, the density term adds dbar over twice that
-    width, and radii get 1e-12.  Arcs with nu(Q(J)) <= m_threshold *
-    2**-depth_floor are never subdivided.  Every visited arc is measured and
-    tested as in the unpruned recursion, so the result is the same.
+    J, and A_d'(J) the mass of the atoms in Q(J) at radius at least
+    1 - 2**-d' (no other atom can enter a square of depth d' under J).
+    Both terms hold exactly because every membership test is
+    ``disk.in_square``, under which Q(J') lies in Q(J).  J is subdivided if
+    the bound, raised by the relative pad for the rounding of sums taken in
+    different orders, exceeds m_threshold * 2**-d' for some d'.  Arcs with
+    nu(Q(J)) <= m_threshold * 2**-depth_floor are never subdivided.  Every
+    visited arc is measured and tested as in the unpruned recursion, so the
+    result is the same.
     """
     window = base.dilate(5.0)
     floor_threshold = m_threshold * (2.0 ** -depth_floor)
     # normalized lengths of the depths 1..depth_floor and their thresholds
     scales = 2.0 ** -np.arange(1, depth_floor + 1)
     thresholds = m_threshold * scales
-    # every atom as (angle, radius, mass); boundary atoms sit at radius 1
-    interior, boundary = measure.interior_atoms, measure.boundary_atoms
-    atom_angle = np.array([cmath.phase(p) for p, _ in interior] + [a for a, _ in boundary])
-    atom_radius = np.array([abs(p) for p, _ in interior] + [1.0] * len(boundary))
-    atom_mass = np.array([m for _, m in interior + boundary])
-    # reach[k, j]: atom k can enter a square of depth j + 1
-    reach = atom_radius[:, None] >= 1.0 - scales[None, :] - 1e-12
+    u, r, atom_mass = measure._atoms
+    # reach[k, j]: atom k lies in the radial layer of the squares of depth j + 1
+    reach = in_layer(r[:, None], scales[None, :])
     density = measure.density
-    density_pad = 2.0 * _ANGLE_PAD / TAU  # normalized width of both angle pads
     witnesses = []
 
-    def may_trigger(depth: int, arc: Arc, mass: float) -> bool:
+    def may_trigger(depth: int, index: int, mass: float) -> bool:
         if mass <= floor_threshold:
             return False
         dbar = 0.0
         if density is not None:
+            # the cells [k/n, (k+1)/n) that meet [index, index + 1) * 2**-depth
             n = density.size
-            k0 = math.floor((arc.start - _ANGLE_PAD) * n / TAU)
-            k1 = math.floor((arc.end + _ANGLE_PAD) * n / TAU)
-            cells = density if k1 - k0 + 1 >= n else density[np.arange(k0, k1 + 1) % n]
-            dbar = float(np.max(cells))
-        off = (atom_angle - (arc.start - _ANGLE_PAD)) % TAU
-        near = off < arc.length + 2.0 * _ANGLE_PAD
-        edge = near & ((off < 2.0 * _ANGLE_PAD) | (off >= arc.length))
-        parts = (dbar * (scales[depth:] + density_pad)
-                 + np.where(near, atom_mass, 0.0) @ reach[:, depth:])
-        whole = mass + dbar * density_pad + np.where(edge, atom_mass, 0.0) @ reach[:, depth]
-        bound = (1.0 + _BOUND_PAD) * np.minimum(whole, parts)
+            k0, k1 = (index * n) >> depth, ((index + 1) * n - 1) >> depth
+            dbar = float(np.max(density[k0 : k1 + 1]))
+        inside = in_square(u, r, index / (1 << depth), 1.0 / (1 << depth))
+        parts = dbar * scales[depth:] + np.where(inside, atom_mass, 0.0) @ reach[:, depth:]
+        bound = (1.0 + _BOUND_PAD) * np.minimum(mass, parts)
         return bool(np.any(bound > thresholds[depth:]))
 
     def scan(depth: int, index: int) -> None:
@@ -375,7 +345,7 @@ def select_bad_intervals(measure: RepresentingMeasure, base: Arc,
         if window.contains_arc(arc) and mass > m_threshold * arc.normalized_length:
             witnesses.append(arc)
             return
-        if depth < depth_floor and may_trigger(depth, arc, mass):
+        if depth < depth_floor and may_trigger(depth, index, mass):
             scan(depth + 1, 2 * index)
             scan(depth + 1, 2 * index + 1)
 
@@ -415,9 +385,9 @@ class RegionPiece:
     disks: tuple
 
     def contains_many(self, z: np.ndarray) -> np.ndarray:
-        inside = self.square.contains_many(z)
+        inside = self.square.contains(z)
         for hole in self.holes:
-            inside &= ~hole.contains_many(z)
+            inside &= ~hole.contains(z)
         in_disk = np.zeros(z.shape, dtype=bool)
         for d in self.disks:
             in_disk |= d.contains_many(z)
@@ -604,6 +574,7 @@ def bourgain_contour(phi: BoundedFunction, eps: float,
     if constants is None:
         constants = ContourConstants.for_epsilon(eps)
     measure = phi.representing_measure()
+    zeros = np.array(phi.zeros, dtype=complex)
     gamma = constants.gamma
     full = Arc(center_angle=0.0, length=TAU)
     active = [full]
@@ -625,7 +596,7 @@ def bourgain_contour(phi: BoundedFunction, eps: float,
             gen_bad += len(bad.intervals)
             parent_square = CarlesonSquare(interval, closed=True)
             double = CarlesonSquare(interval.dilate(2.0), closed=True)
-            disk_centers = {z for z in phi.zeros if double.contains(z)}
+            disk_centers = set(zeros[double.contains(zeros)].tolist())
             disks = tuple(DiskSpec.around(z, gamma) for z in sorted(
                 disk_centers, key=lambda w: (w.real, w.imag)))
             holes = tuple(CarlesonSquare(c, closed=True) for c in bad.intervals)
@@ -665,7 +636,7 @@ def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
     while sum(b.size for b in bulk) < half:
         cand = rng.uniform(-1, 1, (half, 2))
         pts = cand[:, 0] + 1j * cand[:, 1]
-        bulk.append(pts[np.abs(pts) < 1.0])
+        bulk.append(pts[in_open_disk(pts)])
     zs = np.concatenate(bulk)[:half]
     near = []
     per_disk = max(1, (samples - half) // max(1, sum(len(p.disks) for p in result.region.pieces)))
@@ -674,7 +645,7 @@ def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
             ang = rng.uniform(0.0, TAU, per_disk)
             rad = d.eu_radius * np.sqrt(rng.uniform(0.0, 4.0, per_disk))
             cand = d.eu_center + rad * np.exp(1j * ang)
-            near.append(cand[np.abs(cand) < 1.0])
+            near.append(cand[in_open_disk(cand)])
     if near:
         zs = np.concatenate([zs] + near)
     inside = result.contains_many(zs)

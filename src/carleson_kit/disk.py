@@ -11,8 +11,8 @@ Conventions used throughout the package:
   with ``b_0(z) = z`` when ``lam = 0``;
 * the normalized reproducing kernel at ``lam`` is
   ``k_lam(z) = sqrt(1 - |lam|^2) / (1 - conj(lam) * z)``;
-* arcs carry their Euclidean length (radians); the radial threshold of a
-  Carleson square uses the normalized length ``|I| / (2*pi)``.
+* |z| is ``hypot(Re z, Im z)``, and :func:`in_open_disk` tests |z| < 1;
+* arcs are kept in turns (fractions of the full circle).
 
 The metric and kernel primitives (:func:`pseudo_hyperbolic`,
 :func:`hyperbolic_distance`, :func:`kernel`, :func:`kernel_inner`) broadcast
@@ -21,11 +21,13 @@ is a distance matrix and ``kernel_inner(p[:, None], p[None, :])`` a kernel
 Gram matrix; scalar arguments give a float or a complex.  Each of them is the
 package's one implementation of its formula.  Every entry that must be an
 interior point is checked: |z| >= 1 or nan raises :class:`DomainError`.
+
+Membership in a Carleson square is :func:`in_square` of the turn and
+modulus that :func:`polar` gives a point; it is exact for dyadic arcs.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,9 +38,20 @@ from .errors import DomainError
 TAU = 2.0 * math.pi
 
 
+def _modulus(zs: np.ndarray) -> np.ndarray:
+    """|z| by ``hypot``, as Python's ``abs`` computes it for a complex number;
+    numpy's SIMD ``abs`` can differ from it in the last bit."""
+    return np.hypot(zs.real, zs.imag)
+
+
+def in_open_disk(z) -> np.ndarray:
+    """The package's one test of |z| < 1, entrywise (nan fails)."""
+    return _modulus(np.asarray(z, dtype=complex)) < 1.0
+
+
 def require_interior(p, what: str = "point") -> complex:
-    z = complex(p)
-    if not abs(z) < 1.0:  # nan fails too
+    z = complex(p)  # Python's abs is the hypot of in_open_disk, without numpy's call cost
+    if not abs(z) < 1.0:
         raise DomainError(f"{what} must lie strictly inside the unit disk, got |z| = {abs(z):.6g}")
     return z
 
@@ -47,17 +60,11 @@ def _interior(z, what: str = "point") -> np.ndarray:
     """``z`` as a complex array; DomainError unless every entry lies in the
     open disk (nan fails)."""
     zs = np.asarray(z, dtype=complex)
-    inside = np.abs(zs) < 1.0
+    inside = in_open_disk(zs)
     if not inside.all():
-        bad = np.abs(zs[~inside]).flat[0]
+        bad = _modulus(zs[~inside]).flat[0]
         raise DomainError(f"{what} must lie strictly inside the unit disk, got |z| = {bad:.6g}")
     return zs
-
-
-def _modulus(zs: np.ndarray) -> np.ndarray:
-    """|z| by ``hypot``, as Python's ``abs`` computes it for a complex number;
-    numpy's SIMD ``abs`` can differ from it in the last bit."""
-    return np.hypot(zs.real, zs.imag)
 
 
 def blaschke_factor(lam, z):
@@ -125,42 +132,96 @@ def kernel_inner(lam, mu):
     return complex(out) if np.isscalar(lam) and np.isscalar(mu) else out
 
 
-@dataclass(frozen=True)
-class Arc:
-    """A boundary arc given by its center angle and Euclidean length.
+def turns(theta) -> np.ndarray:
+    """Angles (radians) as turns in [0, 1): (theta / 2 pi) mod 1, where a
+    value that rounds to 1 wraps to 0."""
+    v = np.asarray(theta, dtype=float) / TAU
+    u = v - np.floor(v)  # rounds as v % 1.0 does, at a fraction of its cost
+    return u - (u == 1.0)
 
-    The arc is the half-open interval [center - length/2, center + length/2)
-    of angles modulo 2*pi, so that equal-depth dyadic arcs partition the
-    circle exactly.  ``length`` lies in (0, 2*pi].
+
+def polar(z) -> tuple[np.ndarray, np.ndarray]:
+    """Turn u = arg(z) / 2 pi mod 1 and modulus r of each point, the two
+    coordinates :func:`in_square` tests."""
+    zs = np.asarray(z, dtype=complex)
+    return turns(np.arctan2(zs.imag, zs.real)), _modulus(zs)
+
+
+def in_layer(r, length, closed: bool = True) -> np.ndarray:
+    """The radial half of :func:`in_square`: 1 - length <= r, and r <= 1
+    (up to 1e-12) if ``closed``, r < 1 otherwise."""
+    outer = r <= 1.0 + 1e-12 if closed else r < 1.0
+    return (r >= 1.0 - length) & outer
+
+
+def in_square(u, r, start, length: float, closed: bool = True) -> np.ndarray:
+    """The package's one test of membership in a Carleson square.
+
+    The point with turn ``u`` and modulus ``r`` (see :func:`polar`) is in
+    the square over the arc [start, start + length) of turns modulo 1 when
+    (u - start) mod 1 < length (any u if length >= 1) and :func:`in_layer`
+    holds.  For a dyadic arc, start = j 2**-d and length = 2**-d, d <= 52,
+    every step is exact: the angle test is ``dyadic_index(u, d) == j``, so
+    squares of depth d + 1 nest in their parents.
+    """
+    inside = in_layer(r, length, closed)
+    if length >= 1.0:
+        return inside
+    w = u - start
+    return inside & (w - np.floor(w) < length)
+
+
+def dyadic_index(u, depth: int) -> np.ndarray:
+    """Index floor(u 2**depth) of the dyadic arc of the given depth holding
+    turn u; ``dyadic_index(u, d + 1) >> 1 == dyadic_index(u, d)`` exactly."""
+    return (np.asarray(u) * float(1 << depth)).astype(np.int64)
+
+
+@dataclass(frozen=True, init=False)
+class Arc:
+    """The half-open boundary arc [start_turn, start_turn + normalized_length)
+    of turns modulo 1, so that equal-depth dyadic arcs partition the circle
+    exactly.  ``Arc(center_angle, length)`` takes radians, with length in
+    (0, 2*pi]; :meth:`from_turns` takes turns.
     """
 
-    center_angle: float
-    length: float
+    start_turn: float
+    normalized_length: float
 
-    def __post_init__(self):
-        if not (0.0 < self.length <= TAU + 1e-12):
-            raise DomainError(f"arc length must lie in (0, 2*pi], got {self.length}")
+    def __init__(self, center_angle: float, length: float):
+        if not (0.0 < length <= TAU + 1e-12):
+            raise DomainError(f"arc length must lie in (0, 2*pi], got {length}")
+        object.__setattr__(self, "start_turn", float(turns(center_angle - 0.5 * length)))
+        object.__setattr__(self, "normalized_length", length / TAU)
+
+    @classmethod
+    def from_turns(cls, start: float, length: float) -> "Arc":
+        arc = object.__new__(cls)
+        object.__setattr__(arc, "start_turn", start)
+        object.__setattr__(arc, "normalized_length", length)
+        return arc
 
     @property
-    def normalized_length(self) -> float:
-        return self.length / TAU
+    def length(self) -> float:
+        return self.normalized_length * TAU
 
     @property
     def start(self) -> float:
-        return self.center_angle - 0.5 * self.length
+        return self.start_turn * TAU
 
     @property
     def end(self) -> float:
-        return self.center_angle + 0.5 * self.length
+        return (self.start_turn + self.normalized_length) * TAU
 
-    def contains_angle(self, theta: float) -> bool:
-        if self.length >= TAU - 1e-15:
-            return True
-        return (theta - self.start) % TAU < self.length
+    @property
+    def center_angle(self) -> float:
+        return (self.start_turn + 0.5 * self.normalized_length) * TAU
 
     def dilate(self, factor: float) -> "Arc":
         """The concentric arc of ``factor`` times the length, capped at 2*pi."""
-        return Arc(self.center_angle, min(self.length * factor, TAU))
+        length = min(self.normalized_length * factor, 1.0)
+        start = (self.start_turn + 0.5 * (self.normalized_length - length)) % 1.0
+        return Arc.from_turns(start if start < 1.0 else 0.0, length)
 
     def intersects(self, other: "Arc") -> bool:
         if self.length >= TAU - 1e-15 or other.length >= TAU - 1e-15:
@@ -181,9 +242,10 @@ class Arc:
 class CarlesonSquare:
     """Carleson square over a boundary arc.
 
-    Membership: arg(z) lies in the base arc and |z| >= 1 - |I|/(2*pi).
-    With ``closed=False`` the square is open at the boundary circle
-    (|z| < 1); with ``closed=True`` it is taken inside the closed disk.
+    Membership (:func:`in_square`): the point's turn lies in the base arc
+    and |z| >= 1 - normalized length.  With ``closed=False`` the square is
+    open at the boundary circle (|z| < 1); with ``closed=True`` it is taken
+    inside the closed disk.
     """
 
     base: Arc
@@ -193,43 +255,23 @@ class CarlesonSquare:
     def inner_radius(self) -> float:
         return max(0.0, 1.0 - self.base.normalized_length)
 
-    def contains(self, z) -> bool:
-        z = complex(z)
-        r = abs(z)
-        if self.closed:
-            if r > 1.0 + 1e-12:
-                return False
-        elif r >= 1.0:
-            return False
-        if r < self.inner_radius:
-            return False
-        if self.base.length >= TAU - 1e-15:
-            return True
-        if r == 0.0:
-            return False
-        return self.base.contains_angle(cmath.phase(z))
-
-    def contains_many(self, zs: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an array of complex points."""
-        zs = np.asarray(zs, dtype=complex)
-        r = np.abs(zs)
-        ok = r <= 1.0 + 1e-12 if self.closed else r < 1.0
-        ok &= r >= self.inner_radius
-        if self.base.length < TAU - 1e-15:
-            theta = np.angle(zs)
-            ok &= (theta - self.base.start) % TAU < self.base.length
-            ok &= r > 0.0
-        return ok
+    def contains(self, z):
+        """Membership of ``z``: a bool for a scalar, a bool array for an array."""
+        zs = np.asarray(z, dtype=complex)
+        base = self.base
+        # a full circle's angle test passes every turn: skip computing them
+        u, r = polar(zs) if base.normalized_length < 1.0 else (0.0, _modulus(zs))
+        inside = in_square(u, r, base.start_turn, base.normalized_length, self.closed)
+        return bool(inside) if inside.ndim == 0 else inside
 
 
 def dyadic_arc(depth: int, index: int) -> Arc:
-    """The dyadic arc of the given depth (2**depth arcs per circle)."""
+    """The dyadic arc [index 2**-depth, (index + 1) 2**-depth) of turns
+    (2**depth arcs per circle), exact for depth <= 52."""
     if depth < 0:
         raise DomainError("dyadic depth must be nonnegative")
     n = 1 << depth
-    index %= n
-    length = TAU / n
-    return Arc((index + 0.5) * length, length)
+    return Arc.from_turns((index % n) / n, 1.0 / n)
 
 
 def pseudo_hyperbolic_disk(a, gamma: float) -> tuple[complex, float]:

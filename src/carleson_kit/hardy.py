@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .disk import TAU, require_interior
+from .disk import TAU, _modulus, in_open_disk, require_interior
 from .errors import DomainError, ResolutionWarning
 
 DEFAULT_GRID_SIZE = 4096  # 2**12
@@ -145,10 +145,10 @@ def poisson_sum(samples, z) -> np.ndarray:
     if v.ndim != 1 or v.size == 0:
         raise DomainError("poisson_sum expects a nonempty 1-d sample array")
     zs = np.asarray(z, dtype=complex)
-    flat = zs.reshape(-1)
-    radius = np.abs(flat)
-    if not np.all(radius < 1.0):
+    if not np.all(in_open_disk(zs)):
         raise DomainError("the Poisson integral is defined at interior points only")
+    flat = zs.reshape(-1)
+    radius = _modulus(flat)
     n = v.size
     c = np.fft.fft(v) / n
     out = np.empty(flat.shape)

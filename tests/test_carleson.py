@@ -58,6 +58,28 @@ def test_single_atom_norms_have_closed_forms():
         assert got == pytest.approx(expect, rel=1e-12)
 
 
+def test_atoms_next_to_dyadic_rays_keep_their_arcs():
+    # np.angle put this atom in arc 15 of depth 4, whose square then
+    # refused it, so the atom was lost at depths 1-4 (1/2pi, not 16/2pi)
+    m = DiscreteMeasure([(0.96875 - 2.37e-16j, 1.0)])
+    assert carleson_norm(m, 4) == pytest.approx(16 / TAU, rel=1e-15)
+    # single atoms within three ulps of dyadic rays, at radius 1 - 2^-k or
+    # on the circle: the closed form of test_single_atom_norms_have_closed_forms
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        depth = int(rng.integers(1, 7))
+        theta = TAU * (int(rng.integers(2**depth)) + rng.choice([0.0, 0.5, 1.0])) / 2**depth
+        for _ in range(int(rng.integers(0, 4))):
+            theta = math.nextafter(theta, math.inf if rng.uniform() < 0.5 else -math.inf)
+        k = int(rng.integers(0, 9))
+        radius = 1.0 if k == 8 else 1.0 - 2.0**-k
+        z, mass = radius * cmath.exp(1j * theta), rng.uniform(0.1, 3.0)
+        # |z| is computed: the atom enters depth d while abs(z) >= 1 - 2^-d
+        dmax = max(d for d in range(7) if abs(z) >= 1.0 - 2.0**-d)
+        got = carleson_norm(DiscreteMeasure([(z, mass)]), 6)
+        assert got == pytest.approx(mass * 2.0**dmax / TAU, rel=1e-12)
+
+
 def test_carleson_norm_is_homogeneous_and_monotone():
     rng = np.random.default_rng(12)
     pts = np.sqrt(rng.uniform(0, 1, 12)) * 0.9 * np.exp(1j * rng.uniform(0, TAU, 12))

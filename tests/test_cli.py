@@ -109,6 +109,20 @@ class TestReports:
         assert detail["violations"] > 0
         assert detail["min_log_abs_outside"] < detail["threshold"]
 
+    def test_contour_interval_ratio_fails_for_a_persistent_atom(self, tmp_path):
+        # c1 = 0.1 / log 10 makes M = 10 at eps = 0.1; the atom of mass 0.004
+        # stays heavy under recursion until a dilated witness fills its parent
+        inp = write_json(tmp_path, "atom.json",
+                         {"zeros": [[0.0, 0.0]], "singular_atoms": [[1.0, 0.004]]})
+        code, rep = run_to_file(tmp_path, [
+            "contour", "--input", inp, "--epsilon", "0.1", "--seed", "3",
+            "--c1", repr(0.1 / math.log(10.0))])
+        assert code == 1
+        assert rep["constants"]["m_threshold"] == pytest.approx(10.0, rel=1e-12)
+        failed = {c["name"]: c for c in rep["checks"] if not c["passed"]}
+        assert set(failed) == {"child-interval-ratio"}
+        assert "bad intervals cover" in failed["child-interval-ratio"]["detail"]
+
     def test_embedding(self, tmp_path):
         inp = write_json(tmp_path, "fams.json",
                          {"families": [[[0.5, 0.0]], [[-0.3, 0.2]]]})

@@ -20,8 +20,20 @@ from carleson_kit.contour import (
     select_bad_intervals,
     verify_region,
 )
-from carleson_kit.disk import Arc, CarlesonSquare, blaschke_factor, dyadic_arc
+from carleson_kit.disk import (
+    Arc,
+    CarlesonSquare,
+    blaschke_factor,
+    dyadic_arc,
+    dyadic_index,
+    kernel,
+    polar,
+    pseudo_hyperbolic,
+    require_interior,
+    turns,
+)
 from carleson_kit.errors import ContourBoundError, DomainError
+from carleson_kit.hardy import poisson_sum
 
 TAU = 2 * math.pi
 
@@ -138,6 +150,24 @@ class TestBoundedFunction:
         vals = phi.log_abs(np.exp(1j * np.array([0.0, 1.0, 4.0])))
         assert np.allclose(vals, 0.0, atol=1e-15)
 
+    def test_circle_points_get_one_open_disk_verdict(self):
+        # computed circle points with hypot(z) == 1, of which numpy's SIMD
+        # np.abs puts about a quarter inside: every open-disk test takes them
+        # as on the circle, none as interior
+        z = np.exp(1j * np.random.default_rng(4).uniform(0.0, TAU, 2000))
+        z = z[np.hypot(z.real, z.imag) == 1.0][:200]
+        assert z.size == 200
+        blaschke = BoundedFunction(zeros=[0.3, -0.5j])
+        singular = BoundedFunction(singular_atoms=[(1.0, 0.1)])
+        for p in z:
+            for call in (lambda: require_interior(p), lambda: pseudo_hyperbolic(p, 0.0),
+                         lambda: kernel(p, 0.5), lambda: poisson_sum(np.ones(8), p),
+                         lambda: singular.log_abs([0.5, p]),
+                         lambda: singular.representing_measure().potential([0.5, p])):
+                with pytest.raises(DomainError):
+                    call()
+        assert (blaschke.log_abs(z) == 0.0).all()
+
     def test_blaschke_only_log_abs_rejects_points_off_the_closed_disk(self):
         # log|B| gave +0.78 at 1.5 and nan at nan, for a B bounded by one
         phi = BoundedFunction(zeros=[0.3])
@@ -189,7 +219,7 @@ class TestBadIntervals:
         j = bad.witnesses[0]
         # smallest depth with 0.004 > 10 * 2^-d is d = 12
         assert j.normalized_length == pytest.approx(2.0**-12)
-        assert j.contains_angle(1.0)
+        assert j == dyadic_arc(12, int(dyadic_index(turns(1.0), 12)))
         assert bad.length_ratio == pytest.approx(5 * 2.0**-12, rel=1e-12)
         assert bad.length_ratio <= 0.01
 
@@ -207,6 +237,24 @@ class TestBadIntervals:
         bad = select_bad_intervals(nu, Arc(0.0, TAU), m_threshold=10.0)
         assert bad.witnesses == ()
         assert bad.length_ratio == 0.0
+
+    def test_atoms_next_to_dyadic_rays_reach_their_witness(self):
+        # one atom within three ulps of a dyadic ray, heavy at depth d only:
+        # the witness is the depth-d arc holding the atom's turn
+        rng = np.random.default_rng(29)
+        for _ in range(150):
+            depth = int(rng.integers(3, 17))
+            angle = _ray_angle(rng, 0, 0, int(rng.integers(1, depth + 1)), ulps=3)
+            mass = 10.0 * 2.0**-depth * rng.uniform(1.05, 1.9)
+            if rng.uniform() < 0.5:
+                nu = RepresentingMeasure(boundary_atoms=[(angle, mass)])
+                u = turns(angle % TAU)
+            else:
+                z = (1.0 - 2.0**-depth * rng.uniform(0.5, 1.0)) * cmath.exp(1j * angle)
+                nu = RepresentingMeasure(interior_atoms=[(z, mass)])
+                u = polar(z)[0]
+            bad = select_bad_intervals(nu, Arc(0.0, TAU), m_threshold=10.0)
+            assert bad.witnesses == (dyadic_arc(depth, int(dyadic_index(u, depth))),)
 
     def test_deep_interior_atom_is_light(self):
         # an atom at radius 1/2 only enters squares of depth 0 and 1
@@ -244,13 +292,14 @@ def unpruned_bad_intervals(measure, base, m_threshold, depth_floor=20):
     return BadIntervals(tuple(witnesses), tuple(components), ratio)
 
 
-def _ray_angle(rng, base_depth, base_index, depth):
+def _ray_angle(rng, base_depth, base_index, depth, ulps=2):
     """An end or the center of a random dyadic arc under the base, moved by
-    at most two ulps: the angles where child and parent arcs disagree."""
+    at most ``ulps`` ulps: angles whose turns sit on a dyadic ray or round
+    next to it."""
     sub = 1 << (depth - base_depth)
     arc = dyadic_arc(depth, base_index * sub + int(rng.integers(sub)))
     angle = (arc.start, arc.end, arc.center_angle)[int(rng.integers(3))]
-    steps = int(rng.integers(-2, 3))
+    steps = int(rng.integers(-ulps, ulps + 1))
     for _ in range(abs(steps)):
         angle = math.nextafter(angle, math.inf if steps > 0 else -math.inf)
     return angle

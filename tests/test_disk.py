@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from carleson_kit.disk import (
+    Arc,
     CarlesonSquare,
     blaschke_factor,
     dyadic_arc,
+    dyadic_index,
     hyperbolic_distance,
     hyperbolic_grid,
+    in_layer,
+    in_square,
     kernel,
     kernel_inner,
     layer_index,
+    polar,
     pseudo_hyperbolic,
     pseudo_hyperbolic_disk,
     require_interior,
+    turns,
 )
 from carleson_kit.errors import DomainError
 
@@ -103,15 +109,20 @@ def test_pseudo_hyperbolic_disk_is_euclidean():
         assert pseudo_hyperbolic(a, c) < gamma
 
 
+def _in_arc(arc, u):
+    """Whether the turns u lie in the arc: its closed square at radius 1."""
+    return in_square(u, 1.0, arc.start_turn, arc.normalized_length)
+
+
 def test_dyadic_arcs_are_half_open_and_nest():
     arc = dyadic_arc(3, 0)
-    assert arc.contains_angle(arc.start)
-    assert not arc.contains_angle(arc.end)
+    assert (arc.start_turn, arc.normalized_length) == (0.0, 0.125)
+    assert _in_arc(arc, arc.start_turn)
+    assert not _in_arc(arc, arc.start_turn + arc.normalized_length)
     assert arc.length == pytest.approx(2 * math.pi / 8)
     parent = dyadic_arc(2, 0)
     assert parent.contains_arc(arc)
-    for theta in np.linspace(arc.start, arc.end, 7, endpoint=False):
-        assert parent.contains_angle(theta)
+    assert _in_arc(parent, np.linspace(0.0, 0.125, 7, endpoint=False)).all()
 
 
 def test_dyadic_grid_children_partition_parent():
@@ -120,8 +131,67 @@ def test_dyadic_grid_children_partition_parent():
             arc = dyadic_arc(d, i)
             kids = [dyadic_arc(d + 1, 2 * i), dyadic_arc(d + 1, 2 * i + 1)]
             assert sum(k.length for k in kids) == pytest.approx(arc.length)
-            for theta in np.linspace(arc.start, arc.end, 33, endpoint=False):
-                assert sum(k.contains_angle(theta) for k in kids) == 1
+            u = arc.start_turn + arc.normalized_length * np.arange(33) / 33
+            assert (sum(_in_arc(k, u).astype(int) for k in kids) == 1).all()
+
+
+def test_turns_of_tiny_negative_angles_wrap_to_zero():
+    # (theta / 2 pi) mod 1 rounds to 1.0 for these angles; index 2**d would
+    # name no arc
+    tiny = np.array([-1e-300, -5e-324, -2.0**-60, -1e-17, -2.37e-16])
+    for u in (turns(tiny), polar(np.cos(tiny) + 1j * np.sin(tiny))[0]):
+        assert ((0.0 <= u) & (u < 1.0)).all()
+        for d in (1, 4, 20, 52):
+            assert (dyadic_index(u, d) < 2**d).all()
+    assert (turns(tiny) == 0.0).all()
+    # a turn that stays below 1 keeps its last arc
+    assert 1.0 - 2.0**-51 < turns(-1e-15) < 1.0
+    assert dyadic_index(turns(-1e-15), 4) == 15
+
+
+def _ray_probes(rng, count, max_depth, ulps):
+    """Turns and points at the ends and centres of random dyadic arcs of
+    depths 1..max_depth, each angle moved by up to ``ulps`` ulps, at radii
+    on and around the inner circles of the arcs' squares."""
+    depth = rng.integers(1, max_depth + 1, count)
+    turn = (rng.integers(0, 2**depth) + rng.choice([0.0, 0.5, 1.0], count)) / 2.0**depth
+    theta = 2 * math.pi * turn
+    for _ in range(ulps):
+        step = rng.integers(-1, 2, count)
+        theta = np.where(step > 0, np.nextafter(theta, np.inf),
+                         np.where(step < 0, np.nextafter(theta, -np.inf), theta))
+    radius = np.where(rng.uniform(size=count) < 0.5, 1.0,
+                      1.0 - 2.0 ** -(depth + rng.integers(-1, 2, count)))
+    return radius * np.exp(1j * theta)
+
+
+def test_dyadic_squares_nest_exactly():
+    # a child square holding a point whose parent misses it let the scans
+    # stop above an atom on a dyadic ray
+    z = _ray_probes(np.random.default_rng(23), 20000, 30, 3)
+    u, r = polar(z)
+    for d in range(31):
+        index = dyadic_index(u, d)
+        child = dyadic_index(u, d + 1)
+        assert ((0 <= index) & (index < 2**d)).all()
+        assert (child >> 1 == index).all()
+        # the predicate's angle test is the index, in the arc it names and
+        # its neighbours; a point in a child square is in the parent square
+        for j in (index - 1, index, index + 1):
+            angle = in_square(u, 1.0, (j % 2**d) / 2.0**d, 2.0**-d)
+            assert (angle == (j % 2**d == index)).all()
+        parent_sq = in_square(u, r, index / 2.0**d, 2.0**-d)
+        child_sq = in_square(u, r, child / 2.0 ** (d + 1), 2.0 ** -(d + 1))
+        assert not (child_sq & ~parent_sq).any()
+        assert (parent_sq == in_layer(r, 2.0**-d)).all()
+    # the square objects give the same answers
+    for k in range(0, 20000, 97):
+        d = k % 31
+        j = int(dyadic_index(u[k], d))
+        for closed in (False, True):
+            sq = CarlesonSquare(dyadic_arc(d, j), closed=closed)
+            assert sq.contains(z[k]) == bool(in_layer(r[k], 2.0**-d, closed))
+            assert sq.contains(z[k : k + 1])[0] == sq.contains(z[k])
 
 
 def test_square_membership_matches_geometry():
@@ -139,16 +209,18 @@ def test_square_membership_matches_geometry():
     assert not sq.contains((inner + 1) / 2 * np.exp(1j * (arc.end + 0.3)))
 
 
-def test_contains_many_agrees_with_scalar_membership():
+def test_square_membership_broadcasts_like_scalar_calls():
     rng = np.random.default_rng(19)
-    sq = CarlesonSquare(dyadic_arc(3, 5))
     pts = rng.uniform(-1, 1, (200, 2)) @ np.array([1, 1j])
-    mask = sq.contains_many(pts)
-    for z, m in zip(pts, mask):
-        if abs(z) >= 1:
-            assert not m
-        else:
-            assert m == sq.contains(complex(z))
+    for sq in (CarlesonSquare(dyadic_arc(3, 5)), CarlesonSquare(Arc(-2.0, 0.7), closed=True),
+               CarlesonSquare(Arc(0.0, 2 * math.pi))):
+        mask = sq.contains(pts)
+        assert mask.shape == pts.shape
+        for z, m in zip(pts, mask):
+            if abs(z) >= 1:
+                assert not m
+            else:
+                assert m == sq.contains(complex(z))
 
 
 def test_hyperbolic_grid_layers():
