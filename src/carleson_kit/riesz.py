@@ -1,10 +1,13 @@
 """Diagnostics for finite systems of subspaces of a Hilbert space.
 
 A system is stored as a list of frames with orthonormal columns in a common
-ambient C^dim.  Everything of interest is read off the block Gram matrix:
-the condition number of the orthogonalizer, uniform minimality, norms of
-skew projections onto sub-families, biorthogonal dual frames, and the
-constant of the embedding f -> (P_n f)_n.
+ambient C^dim.  Two factorizations of the stacked frames V = [F_1 ... F_K]
+carry every diagnostic.  The block Gram matrix G = V^H V gives the
+condition number of the orthogonalizer, norms of skew projections onto
+sub-families, biorthogonal dual frames and the constant of the embedding
+f -> (P_n f)_n.  Uniform minimality is read off the triangular factor of
+V = QR instead, because forming G squares the condition number that its
+inverse would pass on.
 
 Kernel-based systems (groups of reproducing kernels, optionally tensored
 with direction vectors) are embedded isometrically into C^n through the
@@ -22,6 +25,15 @@ from .disk import kernel_inner, require_interior
 from .errors import DomainError, LinearDependenceError
 
 _DEP_TOL = 1e-12
+
+
+def _block_slices(ranks) -> list[slice]:
+    """Consecutive column blocks of the given widths."""
+    out, start = [], 0
+    for k in ranks:
+        out.append(slice(start, start + k))
+        start += k
+    return out
 
 
 class SubspaceSystem:
@@ -66,11 +78,7 @@ class SubspaceSystem:
         return np.concatenate(self.frames, axis=1)
 
     def block_slices(self) -> list[slice]:
-        out, start = [], 0
-        for f in self.frames:
-            out.append(slice(start, start + f.shape[1]))
-            start += f.shape[1]
-        return out
+        return _block_slices(self.ranks)
 
     def gram(self) -> np.ndarray:
         v = self.stacked()
@@ -140,39 +148,57 @@ class SubspaceSystem:
         return cls(frames, labels=labels)
 
 
-def _checked_gram(system: SubspaceSystem) -> np.ndarray:
+def _checked_gram(system: SubspaceSystem):
+    """The Gram matrix and its ascending eigenvalues, refused when singular."""
     gram = system.gram()
     w = np.linalg.eigvalsh(gram)
     if w[0] <= _DEP_TOL * max(w[-1], 1.0):
         raise LinearDependenceError("subspaces are not jointly independent")
-    return gram
+    return gram, w
 
 
 def orthogonalizer_condition(system: SubspaceSystem) -> float:
     """Condition number sqrt(lmax(G)/lmin(G)) of the joint Gram matrix."""
-    gram = _checked_gram(system)
-    w = np.linalg.eigvalsh(gram)
+    _, w = _checked_gram(system)
     return math.sqrt(w[-1] / w[0])
 
 
-def uniform_minimality(system: SubspaceSystem) -> float:
-    """min over n of the smallest singular value of (I - Q_n Q_n^H) F_n.
+def _minimality_from_r(r: np.ndarray, slices: list[slice]) -> float:
+    """Uniform minimality of the frames whose stack V has QR factor ``r``.
 
-    Q_n spans the union of the other subspaces.  A system with a single
-    subspace scores 1.
+    ``slices`` are the column blocks of the frames.  A zero diagonal entry
+    (or fewer rows than columns) means V is rank deficient: minimality 0.
     """
-    if len(system) == 1:
+    if len(slices) == 1:
         return 1.0
-    best = 1.0
-    for n, frame in enumerate(system.frames):
-        others = np.concatenate(
-            [f for m, f in enumerate(system.frames) if m != n], axis=1
-        )
-        q, _ = np.linalg.qr(others)
-        resid = frame - q @ (np.conj(q).T @ frame)
-        s = np.linalg.svd(resid, compute_uv=False)
-        best = min(best, float(s[-1]))
-    return best
+    n = r.shape[1]
+    if r.shape[0] < n or not np.all(np.diagonal(r)):
+        return 0.0
+    rinv = scipy.linalg.solve_triangular(r, np.eye(n), check_finite=False)
+    rows = np.linalg.norm(rinv, axis=1)
+    # sigma_max of a one-row block is its row norm; wider blocks need the
+    # matrix 2-norm
+    largest = max(float(rows[sl.start]) if sl.stop - sl.start == 1
+                  else float(np.linalg.norm(rinv[sl], 2)) for sl in slices)
+    return min(1.0, 1.0 / largest)
+
+
+def uniform_minimality(system: SubspaceSystem) -> float:
+    """min over n of delta_n = sigma_min((I - Q_n Q_n^H) F_n).
+
+    Q_n is an orthonormal basis of the other subspaces.  Every delta_n is
+    read off one QR factor V = QR of the stacked frames; G is never formed.
+    - 1/delta_n is the norm of the skew projection P_n onto subspace n along
+      the others: for x = F_n a + y, y in the others, ||x|| >= delta_n ||a||,
+      with equality at y = -Q_n Q_n^H F_n a.
+    - On the span of V, V^+ = R^{-1} Q^H, so P_n = F_n (V^+)_n, the block-n
+      rows of V^+.  F_n and Q are isometries, hence
+      ||P_n|| = sigma_max(R^{-1}[block n, :]).
+    A system with a single subspace scores 1; one whose R has a zero pivot
+    (exactly dependent frames) scores 0.
+    """
+    r = np.linalg.qr(system.stacked(), mode="r")
+    return _minimality_from_r(r, system.block_slices())
 
 
 def skew_projection_norm(system: SubspaceSystem, onto) -> float:
@@ -186,7 +212,7 @@ def skew_projection_norm(system: SubspaceSystem, onto) -> float:
     onto = sorted(set(onto))
     if not onto or any(i < 0 or i >= len(system) for i in onto):
         raise DomainError("selection must be a nonempty subset of subspace indices")
-    gram = _checked_gram(system)
+    gram, _ = _checked_gram(system)
     slices = system.block_slices()
     keep = np.zeros(gram.shape[0], dtype=bool)
     for i in onto:
@@ -204,7 +230,7 @@ def dual_system(system: SubspaceSystem) -> SubspaceSystem:
     The dual of subspace n is spanned by the columns of F G^{-1} in block n;
     every dual frame is orthogonal to all original frames with other indices.
     """
-    gram = _checked_gram(system)
+    gram, _ = _checked_gram(system)
     stacked = system.stacked()
     all_dual = stacked @ np.linalg.inv(gram)
     frames = []
@@ -236,13 +262,20 @@ def extract_critical_subset(system: SubspaceSystem, delta: float):
     """
     if delta <= 0:
         raise DomainError("delta must be positive")
-    if uniform_minimality(system) >= delta:
+    r = np.linalg.qr(system.stacked(), mode="r")
+    slices = system.block_slices()
+    if _minimality_from_r(r, slices) >= delta:
         return None
+    # V[:, S] = Q R[:, S], so a sub-family's factor is the QR factor of its
+    # columns of R: an N x |S| problem on the one factor of the whole system
+    cols = [np.arange(sl.start, sl.stop) for sl in slices]
+    ranks = system.ranks
     current = list(range(len(system)))
     while len(current) > 1:
         for k in range(len(current)):
             trial = current[:k] + current[k + 1 :]
-            if uniform_minimality(system.subsystem(trial)) < delta:
+            sub_r = np.linalg.qr(r[:, np.concatenate([cols[i] for i in trial])], mode="r")
+            if _minimality_from_r(sub_r, _block_slices([ranks[i] for i in trial])) < delta:
                 current = trial
                 break
         else:

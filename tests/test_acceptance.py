@@ -48,6 +48,7 @@ from carleson_kit.riesz import (
     uniform_minimality,
 )
 from carleson_kit.weights import Weight, classify_weight, p0_norm_check
+from oracles import minimality_oracle
 
 TAU = 2 * math.pi
 ARTIFACT = Path(__file__).parent / "artifacts" / "acceptance_report.json"
@@ -90,20 +91,6 @@ def separated_points(rng, n, min_rho=0.3, rmax=0.85):
         if all(abs(z - p) / abs(1 - np.conj(p) * z) >= min_rho for p in pts):
             pts.append(z)
     return pts
-
-
-def minimality_oracle(system):
-    """Recompute min_n sigma_min((I - Q_n Q_n^H) F_n) from scratch."""
-    if len(system) == 1:
-        return float(np.linalg.svd(system.frames[0], compute_uv=False)[-1])
-    best = math.inf
-    for n in range(len(system)):
-        others = [system.frames[i] for i in range(len(system)) if i != n]
-        q, _ = np.linalg.qr(np.concatenate(others, axis=1))
-        f = system.frames[n]
-        resid = f - q @ (np.conj(q).T @ f)
-        best = min(best, float(np.linalg.svd(resid, compute_uv=False)[-1]))
-    return best
 
 
 def test_c01_projection_norms_match_inverse_product_formula():

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from carleson_kit.cli import main
+from carleson_kit.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
 with open(REPO / "docs" / "schemas" / "report.schema.json") as _fh:
@@ -182,6 +182,23 @@ class TestDeterminism:
             code, _ = run_to_file(tmp_path, ["sequence", "--input", inp], name)
             assert code == 0
         assert filecmp.cmp(tmp_path / "a.json", tmp_path / "b.json", shallow=False)
+
+    def test_one_parser_serves_successive_reports(self, tmp_path):
+        # the parser is built once per process; flags given to one report
+        # (--delta, --depth) must not leak into the next
+        assert build_parser() is build_parser()
+        groups = write_json(tmp_path, "groups.json", {
+            "groups": [[[[1.0, 0.0], [0.0, 0.0]]], [[[0.6, 0.0], [0.8, 0.0]]]]})
+        assert run_to_file(tmp_path, ["system", "--input", groups], "a.json")[0] == 0
+        code, rep = run_to_file(tmp_path, [
+            "sequence", "--input", points_input(tmp_path), "--depth", "7",
+            "--delta", "0.9"], "b.json")
+        assert code == 0
+        assert rep["constants"]["depth"] == 7
+        code, rep = run_to_file(tmp_path, ["system", "--input", groups], "c.json")
+        assert code == 0
+        assert rep["constants"]["delta"] is None
+        assert filecmp.cmp(tmp_path / "a.json", tmp_path / "c.json", shallow=False)
 
     def test_seeded_contour_repeats(self, tmp_path):
         inp = write_json(tmp_path, "zeros.json", {"zeros": [[0.0, 0.0]]})

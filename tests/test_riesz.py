@@ -15,6 +15,7 @@ from carleson_kit.riesz import (
     tensor_bound_check,
     uniform_minimality,
 )
+from oracles import extraction_oracle, member_minimality, minimality_oracle
 
 TAU = 2 * math.pi
 
@@ -30,18 +31,13 @@ def separated_points(rng, n, min_rho=0.3, rmax=0.85):
     return pts
 
 
-def minimality_oracle(system):
-    """min_n sigma_min((I - Q_n Q_n^H) F_n), Q_n spanning the other frames."""
-    best = math.inf
-    for n in range(len(system)):
-        others = [system.frames[i] for i in range(len(system)) if i != n]
-        rest = np.concatenate(others, axis=1)
-        q, _ = np.linalg.qr(rest)
-        f = system.frames[n]
-        resid = f - q @ (np.conj(q).T @ f)
-        s = np.linalg.svd(resid, compute_uv=False)
-        best = min(best, float(s[-1]))
-    return best
+def random_frames(rng, dim, ranks):
+    frames = []
+    for k in ranks:
+        m = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+        q, _ = np.linalg.qr(m)
+        frames.append(q)
+    return frames
 
 
 def test_system_construction_and_validation():
@@ -84,7 +80,12 @@ def test_dependent_systems_are_rejected_where_it_matters():
         orthogonalizer_condition(sys_dep)
     # the embedding constant is defined regardless of independence
     assert embedding_norm(sys_dep) == pytest.approx(2.0)
-    assert uniform_minimality(sys_dep) == pytest.approx(0.0, abs=1e-12)
+    # R has a zero pivot
+    assert uniform_minimality(sys_dep) == 0.0
+    # three lines in C^2: R has fewer rows than columns
+    crowd = SubspaceSystem.from_vectors([[1, 0], [0, 1], [1, 1]])
+    assert uniform_minimality(crowd) == 0.0
+    assert extract_critical_subset(crowd, 0.1) is not None
 
 
 def test_kernel_groups_match_vector_route():
@@ -138,11 +139,7 @@ def test_dual_system_biorthogonality():
 
 def test_embedding_norm_is_top_eigenvalue_of_frame_sum():
     rng = np.random.default_rng(41)
-    frames = []
-    for _ in range(5):
-        m = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-        q, _ = np.linalg.qr(m)
-        frames.append(q)
+    frames = random_frames(rng, 6, [2] * 5)
     system = SubspaceSystem(frames)
     total = sum(f @ np.conj(f).T for f in frames)
     want = float(np.linalg.eigvalsh(total)[-1])
@@ -158,6 +155,94 @@ def test_uniform_minimality_matches_oracle():
         assert uniform_minimality(system) == pytest.approx(
             minimality_oracle(system), abs=1e-10
         )
+
+
+def test_uniform_minimality_matches_oracle_on_mixed_ranks():
+    # wider blocks take the matrix 2-norm of their rows of R^-1, rank-1
+    # blocks the row norm; both against one QR per member
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        ranks = [int(k) for k in rng.integers(1, 4, int(rng.integers(2, 7)))]
+        dim = sum(ranks) + int(rng.integers(0, 4))
+        system = SubspaceSystem(random_frames(rng, dim, ranks))
+        assert uniform_minimality(system) == pytest.approx(
+            minimality_oracle(system), rel=1e-9)
+
+
+def test_uniform_minimality_matches_oracle_on_tensored_kernel_groups():
+    rng = np.random.default_rng(54)
+    for _ in range(20):
+        sizes = [int(k) for k in rng.integers(1, 4, int(rng.integers(2, 5)))]
+        pts = separated_points(rng, sum(sizes), min_rho=0.25)
+        e_dim = int(rng.integers(1, 4))
+        groups, vectors, start = [], [], 0
+        for k in sizes:
+            groups.append(pts[start:start + k])
+            vectors.append([rng.standard_normal(e_dim) + 1j * rng.standard_normal(e_dim)
+                            for _ in range(k)])
+            start += k
+        system = SubspaceSystem.from_kernel_groups(groups, vectors=vectors)
+        assert uniform_minimality(system) == pytest.approx(
+            minimality_oracle(system), rel=1e-9)
+
+
+def near_duplicate_system(rng, n, rho):
+    """n - 1 separated kernels plus one at pseudo-hyperbolic distance ~rho of one of them."""
+    pts = separated_points(rng, n - 1, min_rho=0.3)
+    lam = pts[int(rng.integers(0, n - 1))]
+    direction = np.exp(1j * rng.uniform(0, TAU))
+    pts.append(lam + rho * direction * (1 - abs(lam) ** 2))
+    return SubspaceSystem.from_kernel_groups([[pts[i]] for i in rng.permutation(n)])
+
+
+def test_uniform_minimality_matches_oracle_on_near_duplicate_kernels():
+    # the one-QR route never forms G, so it keeps the oracle's accuracy at
+    # orthogonalizer conditions from 1e2 to past 1e6
+    rng = np.random.default_rng(55)
+    worst_cond = 0.0
+    for rho in np.geomspace(1e-1, 1e-5, 30):
+        system = near_duplicate_system(rng, int(rng.integers(3, 9)), rho)
+        worst_cond = max(worst_cond, np.linalg.cond(system.stacked()))
+        assert uniform_minimality(system) == pytest.approx(
+            minimality_oracle(system), rel=1e-9)
+    assert worst_cond > 1e6
+
+
+def test_skew_norms_of_members_invert_their_minimality():
+    # 1/delta_n is the norm of the skew projection onto member n, which the
+    # library takes from the generalized eigenproblem of (G_n, G)
+    rng = np.random.default_rng(56)
+    for rho in np.geomspace(0.5, 1e-2, 20):
+        system = near_duplicate_system(rng, int(rng.integers(3, 8)), rho)
+        assert orthogonalizer_condition(system) <= 1e3
+        skew = [skew_projection_norm(system, [n]) for n in range(len(system))]
+        for n, s in enumerate(skew):
+            assert s * member_minimality(system, n) == pytest.approx(1.0, abs=1e-10)
+        assert uniform_minimality(system) * max(skew) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_extract_critical_subset_matches_reference_greedy():
+    # the factor-based trials pick the same witness as rebuilding and
+    # rescoring every trial subfamily from scratch
+    rng = np.random.default_rng(57)
+    found = 0
+    for t in range(60):
+        pts = separated_points(rng, int(rng.integers(4, 8)), min_rho=0.35)
+        lam = pts[int(rng.integers(0, len(pts)))]
+        pts.append(lam + float(rng.uniform(2e-3, 5e-2)) * (1 - abs(lam) ** 2))
+        order = rng.permutation(len(pts))
+        if t % 2:
+            # pair consecutive points so that some members have rank 2
+            groups = [[pts[i] for i in order[j:j + 2]] for j in range(0, len(pts), 2)]
+        else:
+            groups = [[pts[i]] for i in order]
+        labels = [f"m{i}" for i in range(len(groups))]
+        system = SubspaceSystem.from_kernel_groups(groups, labels=labels)
+        delta = float(rng.uniform(1.0, 3.0)) * uniform_minimality(system)
+        want = extraction_oracle(system, delta)
+        assert extract_critical_subset(system, delta) == want
+        found += want is not None
+    assert found >= 50
 
 
 def test_extract_critical_subset_on_planted_cluster():
