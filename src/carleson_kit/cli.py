@@ -12,10 +12,12 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -144,19 +146,57 @@ def _load_json(path: str | None) -> dict:
         raise InputError(f"input is not valid JSON: {exc}") from exc
 
 
-def _complex_in(value, what: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
-        return complex(value[0], value[1])
-    raise InputError(f"{what} must be a number or an [re, im] pair")
+#: the JSON number types; bool is an int to Python but not a number here
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _complex_array(values, what: str) -> np.ndarray:
+    """Complex array from a JSON list of numbers and [re, im] pairs.
+
+    The entries are checked by the sets of their types and pair lengths, so
+    the per-entry work runs in C (``map``, ``compress``, ``set``) rather than
+    in a Python-level check per entry.
+    """
+    if not isinstance(values, list):
+        raise InputError(f"{what} must be a list")
+    is_pair = list(map(isinstance, values, repeat(list)))
+    pairs = list(compress(values, is_pair))
+    numbers = list(compress(values, map(operator.not_, is_pair)))
+    parts = list(chain.from_iterable(pairs))
+    if (not set(map(type, numbers)) <= _NUMBER_TYPES
+            or not set(map(len, pairs)) <= {2}
+            or not set(map(type, parts)) <= _NUMBER_TYPES):
+        raise InputError(f"{what} must be a number or an [re, im] pair")
+    re_im = np.array(parts, dtype=float).reshape(-1, 2)
+    if numbers:
+        mask = np.array(is_pair)
+        mixed = np.zeros((len(values), 2))
+        mixed[mask] = re_im
+        mixed[~mask, 0] = numbers
+        re_im = mixed
+    return re_im.view(complex).reshape(-1)
 
 
 def _complex_list(values, what: str) -> list[complex]:
-    if not isinstance(values, list):
-        raise InputError(f"{what} must be a list")
-    return [_complex_in(v, what) for v in values]
+    return _complex_array(values, what).tolist()
+
+
+def _frame_in(group) -> np.ndarray:
+    """(dim, rank) frame from a list of rank vectors of numbers or [re, im] pairs.
+
+    Faults are named in the order a vector-by-vector parse meets them: a bad
+    entry in a vector ahead of the first non-list vector comes first.
+    """
+    if not isinstance(group, list) or not group:
+        raise InputError("each group is a nonempty list of vectors")
+    is_list = list(map(isinstance, group, repeat(list)))
+    vectors = group[: is_list.index(False)] if False in is_list else group
+    entries = _complex_array(list(chain.from_iterable(vectors)), "frame vector")
+    if len(vectors) < len(group):
+        raise InputError("frame vector must be a list")
+    if len(set(map(len, group))) > 1:
+        raise InputError("the vectors of one group must have one length")
+    return np.ascontiguousarray(entries.reshape(len(group), -1).T)
 
 
 def run_sequence(cfg: RunConfig) -> dict:
@@ -198,15 +238,13 @@ def run_carleson(cfg: RunConfig) -> dict:
     atoms_raw = data.get("atoms")
     if not isinstance(atoms_raw, list) or not atoms_raw:
         raise InputError("atoms must be a nonempty list of [[re, im], mass]")
-    atoms = []
     for entry in atoms_raw:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise InputError("each atom is [[re, im], mass]")
-        z = _complex_in(entry[0], "atom position")
-        mass = entry[1]
-        if not isinstance(mass, (int, float)) or mass <= 0:
+        if type(entry[1]) not in _NUMBER_TYPES or entry[1] <= 0:
             raise InputError("atom masses must be positive numbers")
-        atoms.append((z, float(mass)))
+    positions = _complex_list([entry[0] for entry in atoms_raw], "atom position")
+    atoms = [(z, float(entry[1])) for z, entry in zip(positions, atoms_raw)]
     try:
         measure = DiscreteMeasure(atoms)
         norm = carleson_norm(measure, depth=cfg.depth)
@@ -351,12 +389,7 @@ def run_system(cfg: RunConfig) -> dict:
     groups = data.get("groups")
     if not isinstance(groups, list) or not groups:
         raise InputError("groups must be a nonempty list of frame matrices")
-    frames = []
-    for g in groups:
-        if not isinstance(g, list) or not g:
-            raise InputError("each group is a nonempty list of vectors")
-        cols = [np.asarray(_complex_list(v, "frame vector"), dtype=complex) for v in g]
-        frames.append(np.stack(cols, axis=1))
+    frames = [_frame_in(g) for g in groups]
     try:
         system = riesz.SubspaceSystem(frames)
     except DomainError as exc:

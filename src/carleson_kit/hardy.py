@@ -134,12 +134,18 @@ def poisson_sum(samples, z) -> np.ndarray:
     j mod n.  The points are sorted by radius and taken in blocks of
     ``_POISSON_BLOCK``.  A block whose outermost radius is r keeps the terms
     j <= J = ceil(log(2**-60 (1 - r)) / log r), which drops a tail of at most
-    2 max|c| r**(J+1) / (1 - r) <= 2**-59 max|c|; the powers come from a
-    cumulative product and the sum is one complex matrix-vector product.
-    Where J >= n, the shell 1 - |z| below about 45/n, the block sums the
-    positive kernel directly instead: there the series would need more
-    terms than the grid has samples, and the direct sum keeps its relative
-    accuracy next to the circle, away from the data's mass.
+    2 max|c| r**(J+1) / (1 - r) <= 2**-59 max|c|.  With m = isqrt(J) the
+    block evaluates the series by blocked powers (Paterson-Stockmeyer):
+    one cumulative product gives the baby powers z, ..., z**m; one complex
+    matrix product of c_1..c_J, zero-padded to ceil(J/m) rows of m, with
+    them gives each row's polynomial; Horner in z**m combines the rows.
+    Every power is then a product of at most m + J/m factors rather than J,
+    so rounding does not grow with J, and a block holds O(128 sqrt(J))
+    numbers instead of a (J, 128) table of powers.  A block at the origin
+    (J = 0) is c_0.  Where J >= n, the shell 1 - |z| below about 45/n, the
+    block sums the positive kernel directly instead: there the series would
+    need more terms than the grid has samples, and the direct sum keeps its
+    relative accuracy next to the circle, away from the data's mass.
     """
     v = np.asarray(samples, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -158,9 +164,20 @@ def poisson_sum(samples, z) -> np.ndarray:
         idx = order[k : k + _POISSON_BLOCK]
         r = radius[idx[-1]]
         terms = 0 if r == 0.0 else math.ceil(math.log(_POISSON_TAIL * (1.0 - r)) / math.log(r))
-        if terms < n:
-            powers = np.cumprod(np.broadcast_to(flat[idx], (terms, idx.size)), axis=0)
-            out[idx] = c[0].real + 2.0 * (c[1 : terms + 1] @ powers).real
+        if terms == 0:
+            out[idx] = c[0].real
+        elif terms < n:
+            step = math.isqrt(terms)
+            rows = -(-terms // step)
+            baby = np.cumprod(np.broadcast_to(flat[idx], (step, idx.size)), axis=0)
+            coef = np.zeros(rows * step, dtype=complex)
+            coef[:terms] = c[1 : terms + 1]
+            part = coef.reshape(rows, step) @ baby
+            acc = part[-1]
+            for row in part[-2::-1]:
+                acc *= baby[-1]
+                acc += row
+            out[idx] = c[0].real + 2.0 * acc.real
         else:
             if xi is None:
                 xi = np.exp(1j * TAU * np.arange(n) / n)

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from carleson_kit.cli import build_parser, main
+from carleson_kit.cli import InputError, _complex_list, _frame_in, build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
 with open(REPO / "docs" / "schemas" / "report.schema.json") as _fh:
@@ -265,6 +265,100 @@ class TestExitCodes:
         assert not rep["passed"]
         failed = {c["name"] for c in rep["checks"] if not c["passed"]}
         assert failed == {"epsilon-choice"}
+
+
+    def test_boolean_point_is_refused(self, tmp_path, capsys):
+        # JSON false is a Python int; it must not read as the origin
+        inp = write_json(tmp_path, "bool.json",
+                         {"points": [[False, False], [0.5, 0.0], [0.0, 0.4]]})
+        assert main(["sequence", "--input", inp]) == 2
+        assert "points must be a number or an [re, im] pair" in capsys.readouterr().err
+
+    def test_boolean_frame_entry_is_refused(self, tmp_path, capsys):
+        inp = write_json(tmp_path, "bool.json", {
+            "groups": [[[[1.0, 0.0], True]], [[[0.6, 0.0], [0.8, 0.0]]]]})
+        assert main(["system", "--input", inp]) == 2
+        assert "frame vector must be a number or an [re, im] pair" in capsys.readouterr().err
+
+    def test_boolean_atom_mass_is_refused(self, tmp_path, capsys):
+        inp = write_json(tmp_path, "bool.json", {"atoms": [[[0.5, 0.0], True]]})
+        assert main(["carleson", "--input", inp]) == 2
+        assert "atom masses must be positive numbers" in capsys.readouterr().err
+
+
+def complex_in_oracle(value, what):
+    """Test oracle: the per-entry parse of one number or [re, im] pair."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    if number(value):
+        return complex(value)
+    if isinstance(value, list) and len(value) == 2 and all(map(number, value)):
+        return complex(value[0], value[1])
+    raise InputError(f"{what} must be a number or an [re, im] pair")
+
+
+def frame_oracle(group):
+    """Test oracle: a group parsed vector by vector and entry by entry."""
+    if not isinstance(group, list) or not group:
+        raise InputError("each group is a nonempty list of vectors")
+    cols = []
+    for v in group:
+        if not isinstance(v, list):
+            raise InputError("frame vector must be a list")
+        cols.append(np.array([complex_in_oracle(x, "frame vector") for x in v], dtype=complex))
+    if len({c.size for c in cols}) > 1:
+        raise InputError("the vectors of one group must have one length")
+    return np.stack(cols, axis=1)
+
+
+def outcome(parse, value):
+    try:
+        return "ok", np.asarray(parse(value), dtype=complex)
+    except InputError as exc:
+        return "error", str(exc)
+    except OverflowError:
+        return "overflow", None
+
+
+ENTRY_TABLE = [
+    [], [0], [3, -2.5, 1e300, 2 ** 70], [[0.5, 0], [0, -0.4]], [-0.0, [-0.0, -0.0]],
+    [1, [0.5, 0.25], 2.0], [[0.5, 0.25], 1, [1, 2]],
+    ["1"], [["1", 0]], [1, "x"],
+    [None], [[None, 0.0]], [0.5, None],
+    [True], [False, 0.5], [[False, False]], [[0.5, True]], [1, [0, 1], False],
+    [[0.5]], [[]], [[0.5, 0.0, 0.0]], [[0.5, 0.0], [1, 2, 3]],
+    [[[0.5, 0.0], 0.0]], [[[0.5]]], [[0.5, [0.0]]], [{"re": 1.0}], [[0.5, {}]],
+    [10 ** 400], [[0.0, 10 ** 400]],
+]
+
+
+class TestEntryParser:
+    @pytest.mark.parametrize("values", ENTRY_TABLE + [0.5, "abc", None, {"a": 1}, True])
+    def test_list_matches_per_entry_parse(self, values):
+        def oracle(vals):
+            if not isinstance(vals, list):
+                raise InputError("w must be a list")
+            return [complex_in_oracle(v, "w") for v in vals]
+        got, want = outcome(lambda v: _complex_list(v, "w"), values), outcome(oracle, values)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            # bit for bit, signed zeros included
+            assert got[1].tobytes() == want[1].tobytes()
+        else:
+            assert got[1] == want[1]
+
+    @pytest.mark.parametrize("group", [[v] for v in ENTRY_TABLE if v] + [
+        [], None, [[0.5, 1.0], [2.0, 3.0]], [[0.5, "x"], 3.0], [3.0, [0.5, "x"]],
+        [[1.0], [True]], [[1.0, 2.0], [1.0]], [[1.0, 2.0], 1.0, [1.0]],
+        [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [1, 1]]]])
+    def test_frame_matches_vector_by_vector_parse(self, group):
+        got, want = outcome(_frame_in, group), outcome(frame_oracle, group)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert got[1].shape == want[1].shape
+            assert got[1].tobytes() == want[1].tobytes()
+        else:
+            assert got[1] == want[1]
 
 
 class TestConfigFile:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -173,6 +174,115 @@ class TestPoissonSum:
     def test_rejects_points_off_the_open_disk(self, bad):
         with pytest.raises(DomainError):
             poisson_sum(np.ones(64), np.array([0.2, bad]))
+
+
+def series_terms(r):
+    """J for a block whose outermost radius is r, as poisson_sum chooses it."""
+    return 0 if r == 0.0 else math.ceil(math.log(2.0 ** -60 * (1.0 - r)) / math.log(r))
+
+
+def radius_with_terms(target):
+    """Smallest radius whose block keeps exactly ``target`` >= 1 series terms."""
+    lo, hi = 0.0, 1.0 - 1e-12
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if series_terms(mid) >= target else (mid, hi)
+    assert series_terms(hi) == target
+    return hi
+
+
+def table_poisson_sum(v, zs):
+    """Test oracle: the series with a (J, block) table of powers by one cumulative
+    product and one matrix-vector product per block, plus the same direct shell."""
+    n = v.size
+    c = np.fft.fft(v) / n
+    radius = np.hypot(zs.real, zs.imag)
+    order = np.argsort(radius, kind="stable")
+    xi = np.exp(1j * TAU * np.arange(n) / n)
+    out = np.empty(zs.size)
+    for k in range(0, zs.size, 128):
+        idx = order[k : k + 128]
+        terms = series_terms(radius[idx[-1]])
+        if terms < n:
+            powers = np.cumprod(np.broadcast_to(zs[idx], (terms, idx.size)), axis=0)
+            out[idx] = c[0].real + 2.0 * (c[1 : terms + 1] @ powers).real
+        else:
+            kern = (1.0 - radius[idx, None] ** 2) / np.abs(xi[None, :] - zs[idx, None]) ** 2
+            out[idx] = kern @ v / n
+    return out
+
+
+def outer_contour_style(n, rng):
+    """An outer log as the contour workload draws it, and 10,000 points spread
+    over the disk and crowded towards the circle as verify_region samples them."""
+    t = TAU * np.arange(n) / n
+    v = -0.06 * (1.0 + 0.5 * np.cos(rng.integers(1, 6) * t + rng.uniform(0.0, TAU)))
+    area = np.sqrt(rng.uniform(0.0, 1.0, 5000))
+    near = 1.0 - np.exp(rng.uniform(math.log(1e-4), math.log(0.3), 5000))
+    radii = np.concatenate([area, near])
+    return v, radii * np.exp(1j * rng.uniform(0.0, TAU, radii.size))
+
+
+class TestBlockedSeries:
+    def assert_matches_direct(self, v, zs):
+        want = direct_poisson_sum(v, zs)
+        err = np.abs(poisson_sum(v, zs) - want)
+        bound = 1e-9 * np.abs(want) + 1e-12 * np.max(np.abs(v))
+        assert np.all(err <= bound), zs[int(np.argmax(err - bound))]
+
+    @pytest.mark.parametrize("terms", [1, 20 * 20 - 1, 20 * 20, 20 * 20 + 1,
+                                       31 * 31, 1023])
+    def test_block_with_given_series_length(self, terms):
+        # one block of 128 points whose outermost radius keeps exactly J terms;
+        # J = 1023 is the last series block before the direct shell at n = 1024
+        n = 1024
+        rng = np.random.default_rng(terms)
+        r = radius_with_terms(terms)
+        radii = np.append(r * rng.uniform(0.0, 1.0, 127), r)
+        zs = radii * np.exp(1j * rng.uniform(0.0, TAU, 128))
+        for v in poisson_oracle_data(n, rng).values():
+            self.assert_matches_direct(v, zs)
+
+    def test_block_at_the_origin_is_the_mean(self):
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(64)
+        zs = np.concatenate([np.zeros(128), 0.5 * np.exp(1j * rng.uniform(0.0, TAU, 40))])
+        got = poisson_sum(v, zs)
+        assert np.all(got[:128] == np.fft.fft(v)[0].real / 64)
+        self.assert_matches_direct(v, zs)
+
+    def test_blocks_straddle_the_direct_switch(self):
+        n = 1024
+        rng = np.random.default_rng(11)
+        gaps = np.geomspace(200.0, 10.0, 700) / n
+        zs = (1.0 - gaps) * np.exp(1j * rng.uniform(0.0, TAU, gaps.size))
+        outermost = np.sort(1.0 - gaps)[127::128]
+        terms = [series_terms(r) for r in np.append(outermost, np.max(1.0 - gaps))]
+        assert min(terms) < n <= max(terms)
+        for v in poisson_oracle_data(n, rng).values():
+            self.assert_matches_direct(v, zs)
+
+    @pytest.mark.parametrize("n", [1024, 2048, 4096])
+    def test_matches_power_table_on_contour_inputs(self, n):
+        v, zs = outer_contour_style(n, np.random.default_rng(n))
+        err = np.max(np.abs(poisson_sum(v, zs) - table_poisson_sum(v, zs)))
+        assert err <= 1e-13 * np.max(np.abs(np.fft.fft(v) / n))
+
+    def test_block_memory_grows_as_the_square_root_of_the_terms(self):
+        # r = 0.985 keeps J = 3030 < n terms: all series, no direct shell; a
+        # (J, 128) complex table of powers alone would take 6.2 MB
+        n = 4096
+        assert series_terms(0.985) < n
+        rng = np.random.default_rng(6)
+        v = rng.standard_normal(n)
+        zs = 0.985 * np.exp(1j * rng.uniform(0.0, TAU, 2000))
+        tracemalloc.start()
+        try:
+            poisson_sum(v, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 def test_hardy_function_evaluation_and_norm():
