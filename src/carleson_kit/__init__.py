@@ -20,12 +20,9 @@ from .disk import (Arc, CarlesonSquare, blaschke_factor, dyadic_arc, hyperbolic_
                    hyperbolic_grid, kernel, kernel_inner, pseudo_hyperbolic,
                    pseudo_hyperbolic_disk)
 from .errors import (ContourBoundError, DomainError, LinearDependenceError,
-                     NetValidityError, ResolutionWarning)
-from .hardy import (BoundaryGrid, HardyFunction, garsia_sum,
-                    hankel_embedding_constant, outer_from_modulus, outer_log_at,
-                    poisson_extend, poisson_sum, riesz_project)
-from .model_space import (MatrixFunction, ModelSubspace, ModelTriple, covering_count,
-                          det_theta, det_theta_many, distance_analytic,
+                     NetValidityError)
+from .hardy import BoundaryGrid, outer_log_at, poisson_sum, riesz_project
+from .model_space import (MatrixFunction, ModelTriple, det_theta_many, distance_analytic,
                           distance_coanalytic, distance_kernel_datum, kernel_grid,
                           project_model, residual_norm_coanalytic,
                           support_cover_count, triple_from_theta,

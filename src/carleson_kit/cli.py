@@ -177,6 +177,13 @@ def _complex_array(values, what: str) -> np.ndarray:
     return re_im.view(complex).reshape(-1)
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """Float array from a JSON list of numbers, checked by the set of their types."""
+    if not isinstance(values, list) or not set(map(type, values)) <= _NUMBER_TYPES:
+        raise InputError(f"{what} must be a list of numbers")
+    return np.array(values, dtype=float)
+
+
 def _complex_list(values, what: str) -> list[complex]:
     return _complex_array(values, what).tolist()
 
@@ -280,15 +287,17 @@ def run_contour(cfg: RunConfig) -> dict:
         raise InputError("--epsilon is required for contour runs")
     data = _load_json(cfg.input)
     zeros = _complex_list(data.get("zeros", []), "zeros")
+    atoms_raw = data.get("singular_atoms", [])
+    if not isinstance(atoms_raw, list):
+        raise InputError("singular_atoms must be a list of [angle, mass]")
     atoms = []
-    for entry in data.get("singular_atoms", []):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise InputError("each singular atom is [angle, mass]")
+    for entry in atoms_raw:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and set(map(type, entry)) <= _NUMBER_TYPES):
+            raise InputError("each singular atom is [angle, mass] with numbers")
         atoms.append((float(entry[0]), float(entry[1])))
     outer = data.get("outer_log")
-    outer_arr = None
-    if outer is not None:
-        outer_arr = np.asarray(outer, dtype=float)
+    outer_arr = None if outer is None else _real_array(outer, "outer_log")
     try:
         phi = BoundedFunction(zeros=tuple(zeros), singular_atoms=tuple(atoms),
                               outer_log=outer_arr)
@@ -544,7 +553,7 @@ def run_weight(cfg: RunConfig) -> dict:
     samples = data.get("samples")
     try:
         if samples is not None:
-            w = Weight.from_samples(np.asarray(samples, dtype=float), tag=tag)
+            w = Weight.from_samples(_real_array(samples, "samples"), tag=tag)
         elif tag is not None:
             w = Weight.from_tag(tag)
         else:

@@ -1,4 +1,4 @@
-"""Shared exception and warning types."""
+"""Shared exception types."""
 
 
 class DomainError(ValueError):
@@ -15,7 +15,3 @@ class NetValidityError(DomainError):
 
 class ContourBoundError(RuntimeError):
     """A structural bound of the contour construction failed."""
-
-
-class ResolutionWarning(UserWarning):
-    """A quantity was requested too close to the boundary for the grid in use."""

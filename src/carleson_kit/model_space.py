@@ -7,7 +7,10 @@ Blaschke product theta.  Matrix side: two-component subspaces
 
 their orthogonal projection, the three distance formulas for analytic,
 kernel and co-analytic data, determinants of matrix functions with the
-rectangular conventions, covering counts and boundary support counts.
+rectangular conventions (:func:`det_theta_many`) and boundary support
+counts.  The span of the kernels at a finite zero set is built by
+``riesz.SubspaceSystem.from_kernel_groups``; the covering count of
+{|det Theta_n| < eps**d} is computed by ``construction.lemma_10_1_check``.
 
 Matrix functions are held as a polynomial matrix numerator over a scalar
 polynomial denominator with no zeros in the closed disk.  Polynomial
@@ -19,12 +22,11 @@ representable exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .disk import TAU, kernel, kernel_inner, require_interior
+from .disk import TAU, kernel, require_interior
 from .errors import DomainError
 from .hardy import BoundaryGrid, riesz_project
 
@@ -175,21 +177,13 @@ class MatrixFunction:
         return cls(numer, den)
 
 
-def det_theta(theta: MatrixFunction, z) -> complex:
-    """Determinant of theta(z), with the rectangular conventions.
+def det_theta_many(theta: MatrixFunction, zs: np.ndarray) -> np.ndarray:
+    """Determinant of theta at each point of ``zs``, with the rectangular conventions.
 
     For square theta this is the determinant of the evaluated matrix; when
     the domain space is smaller than the range (cols < rows) the result is
     identically 0, and when it is larger (cols > rows) identically 1.
     """
-    if theta.cols < theta.rows:
-        return 0.0 + 0.0j
-    if theta.cols > theta.rows:
-        return 1.0 + 0.0j
-    return complex(np.linalg.det(theta(complex(z))))
-
-
-def det_theta_many(theta: MatrixFunction, zs: np.ndarray) -> np.ndarray:
     zs = np.asarray(zs, dtype=complex)
     if theta.cols < theta.rows:
         return np.zeros(zs.shape, dtype=complex)
@@ -336,18 +330,6 @@ def residual_norm_coanalytic(triple: ModelTriple, g: BoundaryGrid) -> float:
     return math.sqrt(max(res_sq, 0.0))
 
 
-def covering_count(family, eps: float, z_grid) -> int:
-    """max over the grid of #{n : |det Theta_n(z)| < eps^d_n}, d_n = dim E."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    zs = np.asarray(z_grid, dtype=complex)
-    counts = np.zeros(zs.shape, dtype=int)
-    for theta in family:
-        thresh = eps ** theta.rows
-        counts += np.abs(det_theta_many(theta, zs)) < thresh
-    return int(counts.max())
-
-
 def support_cover_count(triples, tol: float = 1e-8) -> tuple[int, int]:
     """Boundary multiplicities of the supports sigma_k and tau_k.
 
@@ -411,24 +393,3 @@ def triple_from_theta(theta: MatrixFunction, d_star: int | None = None,
     else:
         raise DomainError("proj must be 'zero' or 'identity'")
     return ModelTriple(theta, BoundaryGrid(delta), BoundaryGrid(p))
-
-
-@dataclass(frozen=True)
-class ModelSubspace:
-    """Scalar model space K_theta spanned by the kernels at theta's zeros."""
-
-    points: tuple
-    gram: np.ndarray
-    frame: np.ndarray  # coefficient frame, orthonormal columns
-
-    @classmethod
-    def from_zeros(cls, zeros) -> "ModelSubspace":
-        pts = [require_interior(z) for z in zeros]
-        if len(set(pts)) != len(pts):
-            raise DomainError("zeros must be distinct")
-        p = np.array(pts, dtype=complex)
-        gram = kernel_inner(p[:, None], p[None, :])
-        chol = np.linalg.cholesky(gram)
-        vectors = chol.conj().T  # columns realize the kernels in C^n
-        q, _ = np.linalg.qr(vectors)
-        return cls(points=tuple(pts), gram=gram, frame=q)

@@ -123,6 +123,16 @@ class TestReports:
         assert set(failed) == {"child-interval-ratio"}
         assert "bad intervals cover" in failed["child-interval-ratio"]["detail"]
 
+    def test_system_independence_fails_for_a_repeated_frame(self, tmp_path):
+        # the first two one-dimensional frames span the same line of C^2
+        inp = write_json(tmp_path, "repeat.json",
+                         {"groups": [[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]]})
+        code, rep = run_to_file(tmp_path, ["system", "--input", inp])
+        assert code == 1
+        assert [c["name"] for c in rep["checks"]] == ["linearly-independent"]
+        assert not rep["checks"][0]["passed"]
+        assert rep["quantities"] == {}
+
     def test_embedding(self, tmp_path):
         inp = write_json(tmp_path, "fams.json",
                          {"families": [[[0.5, 0.0]], [[-0.3, 0.2]]]})
@@ -284,6 +294,62 @@ class TestExitCodes:
         inp = write_json(tmp_path, "bool.json", {"atoms": [[[0.5, 0.0], True]]})
         assert main(["carleson", "--input", inp]) == 2
         assert "atom masses must be positive numbers" in capsys.readouterr().err
+
+
+OUTER_LOG = [-0.1] * 64
+SAMPLES = [1.0, 2.0, 3.0, 2.0] * 2048
+
+
+class TestNumberInputs:
+    """Contour and weight numbers are JSON numbers: no strings, booleans or lists."""
+
+    def contour(self, tmp_path, payload):
+        inp = write_json(tmp_path, "contour.json", {"zeros": [[0.0, 0.0]], **payload})
+        return run_to_file(tmp_path, ["contour", "--input", inp, "--epsilon", "0.1",
+                                      "--seed", "3"])
+
+    @pytest.mark.parametrize("payload", [
+        {"singular_atoms": [["1.0", 0.01]]},
+        {"singular_atoms": [[1.0, True]]},
+        {"singular_atoms": [[[1.0], 0.01]]},
+        {"singular_atoms": [[1.0, None]]},
+        {"singular_atoms": 0.01},
+        {"outer_log": ["-0.1"] + OUTER_LOG[1:]},
+        {"outer_log": [False] + OUTER_LOG[1:]},
+        {"outer_log": [[-0.1]] + OUTER_LOG[1:]},
+        {"outer_log": -0.1},
+    ])
+    def test_contour_refuses_non_numbers(self, tmp_path, capsys, payload):
+        assert self.contour(tmp_path, payload) == (2, None)
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ints, floats", [
+        ({"singular_atoms": [[3, 0.01]]}, {"singular_atoms": [[3.0, 0.01]]}),
+        ({"outer_log": [0, -1] * 32}, {"outer_log": [0.0, -1.0] * 32}),
+    ])
+    def test_contour_reads_ints_as_their_floats(self, tmp_path, ints, floats):
+        code, rep = self.contour(tmp_path, ints)
+        assert code in (0, 1)
+        assert (code, rep) == self.contour(tmp_path, floats)
+
+    @pytest.mark.parametrize("samples", [
+        ["2.0"] + SAMPLES[1:],
+        [True] + SAMPLES[1:],
+        [[2.0]] + SAMPLES[1:],
+        2.0,
+    ])
+    def test_weight_refuses_non_numbers(self, tmp_path, capsys, samples):
+        inp = write_json(tmp_path, "weight.json", {"samples": samples})
+        assert run_to_file(tmp_path, ["weight", "--input", inp]) == (2, None)
+        assert "samples must be a list of numbers" in capsys.readouterr().err
+
+    def test_weight_reads_ints_as_their_floats(self, tmp_path):
+        ints = write_json(tmp_path, "ints.json", {"samples": [int(v) for v in SAMPLES]})
+        floats = write_json(tmp_path, "floats.json", {"samples": SAMPLES})
+        code, rep = run_to_file(tmp_path, ["weight", "--input", ints])
+        assert code in (0, 1)
+        assert rep["inputs"]["sample_count"] == len(SAMPLES)
+        assert (code, rep) == run_to_file(tmp_path, ["weight", "--input", floats])
 
 
 def complex_in_oracle(value, what):

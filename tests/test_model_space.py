@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from carleson_kit.blaschke import BlaschkeProduct
+from carleson_kit.construction import lemma_10_1_check
 from carleson_kit.errors import DomainError
 from carleson_kit.hardy import BoundaryGrid
 from carleson_kit.model_space import (
     MatrixFunction,
-    ModelSubspace,
     ModelTriple,
-    covering_count,
-    det_theta,
     det_theta_many,
     distance_analytic,
     distance_coanalytic,
@@ -23,6 +21,7 @@ from carleson_kit.model_space import (
     triple_from_theta,
     two_component_project,
 )
+from carleson_kit.riesz import SubspaceSystem
 
 TAU = 2 * math.pi
 
@@ -78,7 +77,7 @@ class TestMatrixFunction:
         dets = det_theta_many(th, probes)
         for z, d in zip(probes, dets):
             assert d == pytest.approx(ba(complex(z)) * bb(complex(z)), abs=1e-10)
-        assert det_theta(th, 0.1) == pytest.approx(ba(0.1) * bb(0.1), abs=1e-12)
+        assert det_theta_many(th, 0.1) == pytest.approx(ba(0.1) * bb(0.1), abs=1e-12)
 
     def test_det_zeros_recovered(self):
         zeros = [0.3, -0.5j, 0.2 + 0.4j]
@@ -182,17 +181,17 @@ def test_coanalytic_distances_zero_projection():
 
 def test_covering_count_scalar_family():
     rng = np.random.default_rng(44)
-    fam = [MatrixFunction.from_scalar_blaschke([z]) for z in random_zeros(rng, 4, rmax=0.6)]
+    zeros = random_zeros(rng, 4, rmax=0.6)
+    fam = [MatrixFunction.from_scalar_blaschke([z]) for z in zeros]
     grid = random_zeros(rng, 200, rmax=0.95)
-    count = covering_count(fam, 0.3, grid)
+    out = lemma_10_1_check(fam, [BlaschkeProduct([z]) for z in zeros], eps=0.3,
+                           log_eps_prime=-5.0, z_grid=grid, n_power=1)
     # direct recount
     best = 0
     for z in grid:
         c = sum(abs(BlaschkeProduct([f.det_zeros_in_disk()[0]])(complex(z))) < 0.3 for f in fam)
         best = max(best, c)
-    assert count == best
-    with pytest.raises(DomainError):
-        covering_count(fam, 0.0, grid)
+    assert out["covering_max"] == best
 
 
 def test_support_cover_count_inner_vs_defective():
@@ -206,11 +205,11 @@ def test_support_cover_count_inner_vs_defective():
 
 
 def test_model_subspace_frame_is_orthonormal():
+    # the kernels at theta's zeros span K_theta; one kernel group gives its frame
     rng = np.random.default_rng(9)
     pts = random_zeros(rng, 5, rmax=0.7)
-    sub = ModelSubspace.from_zeros(pts)
-    q = sub.frame
+    q = SubspaceSystem.from_kernel_groups([pts]).frames[0]
+    assert q.shape == (5, 5)
     assert np.allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-10)
-    assert np.allclose(sub.gram, sub.gram.conj().T, atol=1e-12)
     with pytest.raises(DomainError):
-        ModelSubspace.from_zeros([0.5, 0.5])
+        SubspaceSystem.from_kernel_groups([[0.5, 0.5]])
