@@ -29,7 +29,8 @@ from .model_space import (MatrixFunction, ModelTriple, det_theta_many, distance_
                           two_component_project)
 from .riesz import (SubspaceSystem, dual_system, embedding_norm,
                     extract_critical_subset, orthogonalizer_condition,
-                    skew_projection_norm, tensor_bound_check, uniform_minimality)
+                    skew_projection_norm, skew_projection_norms, tensor_bound_check,
+                    uniform_minimality)
 from .weights import Weight, classify_weight, p0_norm_check
 
 __version__ = "0.1.0"

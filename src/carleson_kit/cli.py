@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import math
 import operator
@@ -134,16 +135,33 @@ def _finish(report: dict, checks: list) -> dict:
     return report
 
 
-def _load_json(path: str | None) -> dict:
+def _load_input(path: str | None) -> tuple[dict, bytes]:
+    """The input document and the bytes it was parsed from."""
     if path is None:
         raise InputError("--input is required for this command")
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read input file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        return json.loads(raw), raw
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"input is not valid JSON: {exc}") from exc
+
+
+def _load_json(path: str | None) -> dict:
+    return _load_input(path)[0]
+
+
+def _load_json_digest(path: str | None) -> tuple[dict, str]:
+    """The input document and the sha256 hex digest of its bytes.
+
+    Reports whose input is one bulk list state the digest instead of
+    echoing the list.
+    """
+    data, raw = _load_input(path)
+    return data, hashlib.sha256(raw).hexdigest()
 
 
 #: the JSON number types; bool is an int to Python but not a number here
@@ -207,13 +225,13 @@ def _frame_in(group) -> np.ndarray:
 
 
 def run_sequence(cfg: RunConfig) -> dict:
-    data = _load_json(cfg.input)
+    data, digest = _load_json_digest(cfg.input)
     points = _complex_list(data.get("points"), "points")
     try:
         rep = interpolation_constants(points, depth=cfg.depth)
         norms = [projection_norm_formula(points, p) for p in points]
         system = riesz.SubspaceSystem.from_kernel_groups([[p] for p in points])
-        gram_norms = [riesz.skew_projection_norm(system, [i]) for i in range(len(points))]
+        gram_norms = riesz.skew_projection_norms(system)
         condition = riesz.orthogonalizer_condition(system)
     except DomainError as exc:
         raise InputError(str(exc)) from exc
@@ -226,7 +244,7 @@ def run_sequence(cfg: RunConfig) -> dict:
     ]
     report = {
         "command": "sequence",
-        "inputs": {"points": points, "count": len(points)},
+        "inputs": {"input_sha256": digest, "count": len(points)},
         "constants": {"depth": cfg.depth},
         "quantities": {
             "delta": rep.delta, "alpha": rep.alpha,
@@ -241,7 +259,7 @@ def run_sequence(cfg: RunConfig) -> dict:
 
 
 def run_carleson(cfg: RunConfig) -> dict:
-    data = _load_json(cfg.input)
+    data, digest = _load_json_digest(cfg.input)
     atoms_raw = data.get("atoms")
     if not isinstance(atoms_raw, list) or not atoms_raw:
         raise InputError("atoms must be a nonempty list of [[re, im], mass]")
@@ -268,7 +286,7 @@ def run_carleson(cfg: RunConfig) -> dict:
     ]
     report = {
         "command": "carleson",
-        "inputs": {"atoms": atoms, "count": len(atoms)},
+        "inputs": {"input_sha256": digest, "count": len(atoms)},
         "constants": {"depth": cfg.depth, "test_degree": 64},
         "quantities": {
             "carleson_norm": norm,
@@ -358,7 +376,7 @@ def run_contour(cfg: RunConfig) -> dict:
 
 
 def run_embedding(cfg: RunConfig) -> dict:
-    data = _load_json(cfg.input)
+    data, digest = _load_json_digest(cfg.input)
     families = data.get("families")
     if not isinstance(families, list) or not families:
         raise InputError("families must be a nonempty list of zero lists")
@@ -381,7 +399,7 @@ def run_embedding(cfg: RunConfig) -> dict:
     ]
     report = {
         "command": "embedding",
-        "inputs": {"families": zero_lists, "count": len(zero_lists)},
+        "inputs": {"input_sha256": digest, "count": len(zero_lists)},
         "constants": {"grid_points": int(grid.shape[0])},
         "quantities": {
             "embedding_norm": norm,
@@ -407,11 +425,11 @@ def run_system(cfg: RunConfig) -> dict:
         condition = riesz.orthogonalizer_condition(system)
         minimality = riesz.uniform_minimality(system)
         # skew_n = 1/delta_n exactly, yet the singleton norms stay on the
-        # generalized eigenproblem of (G_n, G): at conditions near 9e5 the
-        # two routes differ by up to 4.2e-6 relative, so reading them off
-        # the QR factor would move reports past the 1e-9 tolerance of
+        # Cholesky reduction of the pencil (G_n, G): at conditions near 9e5
+        # the two routes differ by up to 4.2e-6 relative, so reading them
+        # off the QR factor would move reports past the 1e-9 tolerance of
         # bench/refs; that switch belongs with a regeneration of the refs
-        skew = [riesz.skew_projection_norm(system, [i]) for i in range(len(system))]
+        skew = riesz.skew_projection_norms(system)
         dual = riesz.dual_system(system)
         residual = 0.0
         stacked = system.stacked()

@@ -470,6 +470,8 @@ def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
     if len(dims) != 1:
         raise DomainError("matrix family members must share a square shape")
     d = dims.pop()
+    if not 0.0 < eps < 1.0:
+        raise DomainError("eps must lie in (0, 1)")
     if log_eps_prime >= 0.0:
         raise DomainError("log_eps_prime must be negative")
     if n_power is None:

@@ -66,27 +66,16 @@ class BoundaryGrid:
         _check_power_of_two(coeffs.shape[0])
         return cls(np.fft.ifft(coeffs * coeffs.shape[0], axis=0))
 
-    def negative_part_magnitude(self) -> float:
-        """Largest coefficient magnitude at negative frequencies."""
-        c = self.coefficients()
-        return float(np.max(np.abs(c[self.size // 2:]))) if self.size > 1 else 0.0
-
     def is_analytic(self, tol: float = 1e-10) -> bool:
+        """No coefficient at a negative frequency above ``tol`` times max(1, max|f|)."""
         scale = max(1.0, float(np.max(np.abs(self.values))))
-        return self.negative_part_magnitude() <= tol * scale
+        negative = np.abs(self.coefficients()[self.size // 2:])
+        return float(np.max(negative)) <= tol * scale
 
     def norm(self) -> float:
         """L2 norm with normalized arc-length measure."""
         v = self.values.reshape(self.size, -1)
         return float(np.sqrt(np.mean(np.sum(np.abs(v) ** 2, axis=1))))
-
-    def inner(self, other: "BoundaryGrid") -> complex:
-        """<self, other>, linear in self, conjugate in other."""
-        if other.size != self.size:
-            raise DomainError("grids must share a size")
-        a = self.values.reshape(self.size, -1)
-        b = other.values.reshape(self.size, -1)
-        return complex(np.mean(np.sum(a * np.conj(b), axis=1)))
 
 
 def riesz_project(grid: BoundaryGrid, sign: str) -> BoundaryGrid:

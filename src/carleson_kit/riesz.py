@@ -4,10 +4,10 @@ A system is stored as a list of frames with orthonormal columns in a common
 ambient C^dim.  Two factorizations of the stacked frames V = [F_1 ... F_K]
 carry every diagnostic.  The block Gram matrix G = V^H V gives the
 condition number of the orthogonalizer, norms of skew projections onto
-sub-families, biorthogonal dual frames and the constant of the embedding
-f -> (P_n f)_n.  Uniform minimality is read off the triangular factor of
-V = QR instead, because forming G squares the condition number that its
-inverse would pass on.
+sub-families (all of them from one Cholesky factor of G), biorthogonal
+dual frames and the constant of the embedding f -> (P_n f)_n.  Uniform
+minimality is read off the triangular factor of V = QR instead, because
+forming G squares the condition number that its inverse would pass on.
 
 Kernel-based systems (groups of reproducing kernels, optionally tensored
 with direction vectors) are embedded isometrically into C^n through the
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .disk import kernel_inner, require_interior
 from .errors import DomainError, LinearDependenceError
@@ -174,7 +173,7 @@ def _minimality_from_r(r: np.ndarray, slices: list[slice]) -> float:
     n = r.shape[1]
     if r.shape[0] < n or not np.all(np.diagonal(r)):
         return 0.0
-    rinv = scipy.linalg.solve_triangular(r, np.eye(n), check_finite=False)
+    rinv = np.linalg.solve(r, np.eye(n))
     rows = np.linalg.norm(rinv, axis=1)
     # sigma_max of a one-row block is its row norm; wider blocks need the
     # matrix 2-norm
@@ -201,27 +200,61 @@ def uniform_minimality(system: SubspaceSystem) -> float:
     return _minimality_from_r(r, system.block_slices())
 
 
+def _skew_norms(system: SubspaceSystem, selections) -> list[float]:
+    """Skew projection norms onto each selection of subspaces, from one factor of G.
+
+    The squared norm of the projection onto the subspaces sigma along the
+    rest is the largest generalized eigenvalue of the pencil (G_sigma, G),
+    G_sigma the Gram matrix with every block row and column outside sigma
+    zeroed.  The pencil's Cholesky reduction G = L L^H turns it into the
+    ordinary eigenproblem of L^{-1} G_sigma L^{-H}, whose nonzero spectrum
+    is that of G_{sigma sigma} (G^{-1})_{sigma sigma}:
+
+        lmax(G_sigma, G) = lmax(G_{sigma sigma} (G^{-1})_{sigma sigma}).
+
+    With G_{sigma sigma} = C C^H and (G^{-1})_{sigma sigma} = M^H M for
+    M = L^{-1}[:, sigma], the norm is sigma_max(M C).  One L^{-1} serves
+    every selection; a one-column selection j gives ||L^{-1}[:, j]|| sqrt(G_jj).
+    """
+    gram, _ = _checked_gram(system)
+    linv = np.linalg.inv(np.linalg.cholesky(gram))
+    col_norms = np.linalg.norm(linv, axis=0)
+    slices = system.block_slices()
+    out = []
+    for sel in selections:
+        cols = np.concatenate([np.arange(slices[i].start, slices[i].stop) for i in sel])
+        if cols.size == 1:
+            j = cols[0]
+            out.append(float(col_norms[j]) * math.sqrt(gram[j, j].real))
+        else:
+            c = np.linalg.cholesky(gram[np.ix_(cols, cols)])
+            out.append(float(np.linalg.norm(linv[:, cols] @ c, 2)))
+    return out
+
+
 def skew_projection_norm(system: SubspaceSystem, onto) -> float:
     """Norm of the skew projection onto the subspaces ``onto`` along the rest.
 
     On the span of the whole system, the projection keeps the components
     in the selected subspaces and kills the others.  The squared norm is
     the largest generalized eigenvalue of (G_sigma, G) where G_sigma zeroes
-    every block row/column outside the selection.
+    every block row/column outside the selection; see :func:`_skew_norms`
+    for how it is computed.
     """
     onto = sorted(set(onto))
     if not onto or any(i < 0 or i >= len(system) for i in onto):
         raise DomainError("selection must be a nonempty subset of subspace indices")
-    gram, _ = _checked_gram(system)
-    slices = system.block_slices()
-    keep = np.zeros(gram.shape[0], dtype=bool)
-    for i in onto:
-        keep[slices[i]] = True
-    g_sigma = gram.copy()
-    g_sigma[~keep, :] = 0.0
-    g_sigma[:, ~keep] = 0.0
-    vals = scipy.linalg.eigh(g_sigma, gram, eigvals_only=True)
-    return math.sqrt(max(float(vals[-1]), 0.0))
+    return _skew_norms(system, [onto])[0]
+
+
+def skew_projection_norms(system: SubspaceSystem) -> list[float]:
+    """The skew projection norm onto every single subspace along the others.
+
+    Entry n is ``skew_projection_norm(system, [n])``, all read off one
+    Cholesky factor of G after one dependence test; a dependent system
+    raises LinearDependenceError.
+    """
+    return _skew_norms(system, [[n] for n in range(len(system))])
 
 
 def dual_system(system: SubspaceSystem) -> SubspaceSystem:

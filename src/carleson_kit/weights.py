@@ -47,7 +47,7 @@ class Weight:
     integrability facts are known exactly.
     """
 
-    __slots__ = ("_fn", "_values", "tag")
+    __slots__ = ("_fn", "_values", "_grids", "tag")
 
     def __init__(self, fn=None, values=None, tag=None):
         if fn is None and values is None:
@@ -64,6 +64,7 @@ class Weight:
             self._values = arr
         else:
             self._values = None
+        self._grids = {}
         self.tag = tag
 
     @classmethod
@@ -88,10 +89,22 @@ class Weight:
         """Values on a uniform grid of the given size.
 
         Midpoint angles dodge singularities sitting at grid points; stored
-        samples ignore the flag and are coarsened by striding.
+        samples ignore the flag and are coarsened by striding.  Each grid is
+        computed once per weight and handed out read-only, because every
+        caller shares the one array.
         """
         if size < 8 or size & (size - 1):
             raise DomainError("sample size must be a power of two, at least 8")
+        grid = self._grids.get((size, midpoint))
+        if grid is None:
+            # a read-only view leaves the flags of an array the weight's
+            # callable or its caller owns alone
+            grid = self._grid(size, midpoint).view()
+            grid.flags.writeable = False
+            self._grids[size, midpoint] = grid
+        return grid
+
+    def _grid(self, size: int, midpoint: bool) -> np.ndarray:
         if self._fn is not None:
             shift = 0.5 if midpoint else 0.0
             t = (np.arange(size) + shift) * (TAU / size)
@@ -245,11 +258,13 @@ def p0_norm_check(w: Weight, section_size: int, sample_size: int | None = None) 
     if np.max(vals) <= 0.0:
         raise DomainError("the weight is identically zero at this resolution")
 
+    def inv_mean(size):
+        grid = w.samples(size)
+        return np.mean(np.where(grid > 0.0, 1.0 / grid, np.inf))
+
     sizes = [sample_size >> 2, sample_size >> 1, sample_size]
     with np.errstate(divide="ignore"):
-        _, inv_divergent, _ = _refined(
-            lambda s: np.mean(np.where(w.samples(s) > 0.0, 1.0 / w.samples(s), np.inf)),
-            sizes)
+        _, inv_divergent, _ = _refined(inv_mean, sizes)
     mass = float(np.mean(vals))
     with np.errstate(divide="ignore"):
         inv_vals = np.where(vals > 0.0, 1.0 / vals, np.inf)

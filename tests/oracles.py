@@ -5,7 +5,10 @@ factorization per member, so a test can compare the library's faster route
 against them.
 """
 
+import math
+
 import numpy as np
+import scipy.linalg
 
 
 def member_minimality(system, n):
@@ -19,6 +22,25 @@ def member_minimality(system, n):
         q, _ = np.linalg.qr(np.concatenate(others, axis=1))
         f = f - q @ (np.conj(q).T @ f)
     return float(np.linalg.svd(f, compute_uv=False)[-1])
+
+
+def skew_norm_oracle(system, onto):
+    """Norm of the skew projection onto the members ``onto`` along the rest.
+
+    The square root of the largest generalized eigenvalue of the pencil
+    (G_sigma, G), G_sigma the Gram matrix with every block row and column
+    outside the selection zeroed, solved by scipy's generalized eigh.
+    """
+    gram = system.gram()
+    slices = system.block_slices()
+    keep = np.zeros(gram.shape[0], dtype=bool)
+    for i in onto:
+        keep[slices[i]] = True
+    g_sigma = gram.copy()
+    g_sigma[~keep, :] = 0.0
+    g_sigma[:, ~keep] = 0.0
+    vals = scipy.linalg.eigh(g_sigma, gram, eigvals_only=True)
+    return math.sqrt(max(float(vals[-1]), 0.0))
 
 
 def minimality_oracle(system):

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end via ``main(argv)``."""
 
 import filecmp
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -185,6 +186,21 @@ class TestReports:
         assert rep["quantities"]["classification"]["level"] == 5
 
 
+    @pytest.mark.parametrize("command, payload", [
+        ("sequence", {"points": [[0.0, 0.0], [0.5, 0.0], [0.0, -0.6]]}),
+        ("carleson", {"atoms": [[[0.5, 0.0], 0.25], [[0.0, -0.9], 1.0]]}),
+        ("embedding", {"families": [[[0.5, 0.0]], [[-0.3, 0.2], [0.1, 0.1]]]}),
+    ])
+    def test_inputs_named_by_digest_not_echoed(self, tmp_path, command, payload):
+        inp = write_json(tmp_path, "input.json", payload)
+        code, rep = run_to_file(tmp_path, [command, "--input", inp])
+        assert code == 0
+        (bulk,) = payload.values()
+        assert rep["inputs"] == {
+            "input_sha256": hashlib.sha256(Path(inp).read_bytes()).hexdigest(),
+            "count": len(bulk)}
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):
         inp = points_input(tmp_path)
@@ -246,6 +262,13 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["sequence", "--input", str(path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["sequence", "contour"])
+    def test_input_that_is_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"points": "\xff"}')
+        assert main([command, "--input", str(path), "--epsilon", "0.1", "--seed", "1"]) == 2
+        assert "input is not valid JSON" in capsys.readouterr().err
 
     def test_missing_input(self, capsys):
         assert main(["sequence"]) == 2

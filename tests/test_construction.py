@@ -335,6 +335,13 @@ class TestLemmaChain:
             lemma_10_1_check(theta, [BlaschkeProduct(())], eps=0.1,
                              log_eps_prime=-5.0, z_grid=np.array([0.0]))
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 1.0])
+    def test_eps_outside_the_unit_interval_rejected(self, eps):
+        theta = [MatrixFunction.from_scalar_blaschke([0.5])]
+        with pytest.raises(DomainError, match="eps"):
+            lemma_10_1_check(theta, [BlaschkeProduct([0.5])], eps=eps,
+                             log_eps_prime=-5.0, z_grid=np.array([0.0]), alpha=0.5)
+
 
 def test_validate_epsilon_choice_branches():
     ok = validate_epsilon_choice(0.001, 2.0, 5.0, 0.4)

@@ -40,20 +40,19 @@ class TestBoundaryGrid:
         c[5] = 0
         assert np.allclose(c, 0, atol=1e-12)
 
-    def test_parseval_norm_and_inner(self):
+    def test_parseval_norm(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        b = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        ga, gb = BoundaryGrid(a), BoundaryGrid(b)
-        assert ga.norm() ** 2 == pytest.approx(np.mean(np.abs(a) ** 2))
-        assert ga.inner(gb) == pytest.approx(np.mean(a * np.conj(b)))
+        assert BoundaryGrid(a).norm() ** 2 == pytest.approx(np.mean(np.abs(a) ** 2))
 
     def test_analytic_detection(self):
         xi = unit_samples(64)
         assert BoundaryGrid(1 + xi + xi**2).is_analytic()
         g = BoundaryGrid(np.conj(xi))
         assert not g.is_analytic()
-        assert g.negative_part_magnitude() == pytest.approx(1.0)
+        # the one negative coefficient is 1: a tolerance just above it passes
+        assert g.is_analytic(tol=1.0 + 1e-12)
+        assert not g.is_analytic(tol=1.0 - 1e-12)
 
 
 def test_riesz_projection_splits_frequencies():

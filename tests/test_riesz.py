@@ -12,10 +12,11 @@ from carleson_kit.riesz import (
     extract_critical_subset,
     orthogonalizer_condition,
     skew_projection_norm,
+    skew_projection_norms,
     tensor_bound_check,
     uniform_minimality,
 )
-from oracles import extraction_oracle, member_minimality, minimality_oracle
+from oracles import extraction_oracle, member_minimality, minimality_oracle, skew_norm_oracle
 
 TAU = 2 * math.pi
 
@@ -210,15 +211,77 @@ def test_uniform_minimality_matches_oracle_on_near_duplicate_kernels():
 
 def test_skew_norms_of_members_invert_their_minimality():
     # 1/delta_n is the norm of the skew projection onto member n, which the
-    # library takes from the generalized eigenproblem of (G_n, G)
+    # library takes from one Cholesky factor of G
     rng = np.random.default_rng(56)
     for rho in np.geomspace(0.5, 1e-2, 20):
         system = near_duplicate_system(rng, int(rng.integers(3, 8)), rho)
         assert orthogonalizer_condition(system) <= 1e3
-        skew = [skew_projection_norm(system, [n]) for n in range(len(system))]
+        skew = skew_projection_norms(system)
         for n, s in enumerate(skew):
             assert s * member_minimality(system, n) == pytest.approx(1.0, abs=1e-10)
         assert uniform_minimality(system) * max(skew) == pytest.approx(1.0, abs=1e-10)
+
+
+def assert_skew_norms_match_pencil(system, rng):
+    """Every singleton norm and one random selection against the pencil oracle.
+
+    Both routes reduce the pencil by a Cholesky factor of G, so they agree
+    to a multiple of cond(G) eps = cond^2 eps, cond the orthogonalizer
+    condition.
+    """
+    tol = 16.0 * orthogonalizer_condition(system) ** 2 * np.finfo(float).eps
+    got = skew_projection_norms(system)
+    assert got == pytest.approx([skew_norm_oracle(system, [n]) for n in range(len(system))],
+                                rel=tol)
+    assert [skew_projection_norm(system, [n]) for n in range(len(system))] == got
+    onto = sorted(rng.choice(len(system), int(rng.integers(1, len(system) + 1)),
+                             replace=False).tolist())
+    assert skew_projection_norm(system, onto) == pytest.approx(
+        skew_norm_oracle(system, onto), rel=tol)
+
+
+def test_skew_norms_match_pencil_on_mixed_ranks():
+    rng = np.random.default_rng(58)
+    for _ in range(40):
+        ranks = [int(k) for k in rng.integers(1, 4, int(rng.integers(2, 7)))]
+        dim = sum(ranks) + int(rng.integers(0, 4))
+        assert_skew_norms_match_pencil(SubspaceSystem(random_frames(rng, dim, ranks)), rng)
+
+
+def test_skew_norms_match_pencil_on_tensored_kernel_groups():
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        sizes = [int(k) for k in rng.integers(1, 4, int(rng.integers(2, 5)))]
+        pts = separated_points(rng, sum(sizes), min_rho=0.25)
+        e_dim = int(rng.integers(1, 4))
+        groups, vectors, start = [], [], 0
+        for k in sizes:
+            groups.append(pts[start:start + k])
+            vectors.append([rng.standard_normal(e_dim) + 1j * rng.standard_normal(e_dim)
+                            for _ in range(k)])
+            start += k
+        system = SubspaceSystem.from_kernel_groups(groups, vectors=vectors)
+        assert_skew_norms_match_pencil(system, rng)
+
+
+def test_skew_norms_match_pencil_on_near_duplicate_kernels():
+    # orthogonalizer conditions from about 10 to past 1e5
+    rng = np.random.default_rng(62)
+    worst_cond = 0.0
+    for rho in np.geomspace(1e-1, 3e-5, 30):
+        system = near_duplicate_system(rng, int(rng.integers(3, 9)), rho)
+        worst_cond = max(worst_cond, orthogonalizer_condition(system))
+        assert_skew_norms_match_pencil(system, rng)
+    assert worst_cond > 1e5
+
+
+def test_skew_norms_refuse_a_dependent_system():
+    v = np.array([1.0, 0.0])
+    dependent = SubspaceSystem.from_vectors([v, [0.0, 1.0], v])
+    with pytest.raises(LinearDependenceError):
+        skew_projection_norms(dependent)
+    with pytest.raises(LinearDependenceError):
+        skew_projection_norm(dependent, [1])
 
 
 def test_extract_critical_subset_matches_reference_greedy():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -89,6 +90,32 @@ def test_stored_samples_and_max_size():
     assert out["level"] == 5
     with pytest.raises(DomainError):
         classify_weight(w, base_depth=11, max_depth=14)
+
+
+@pytest.mark.parametrize("weight", [
+    Weight.from_tag("two_plus_cos"),
+    Weight.from_samples(np.linspace(1.0, 2.0, 64)),
+])
+def test_each_grid_is_computed_once_and_read_only(weight):
+    grid = weight.samples(16)
+    assert weight.samples(16) is grid
+    assert weight.samples(16, midpoint=False) is not grid
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 0.0
+
+
+def test_classification_evaluates_each_grid_once():
+    evaluations = Counter()
+
+    def fn(t):
+        evaluations[t.size, t[0] > 0.0] += 1
+        return 2.0 + np.cos(t)
+
+    w = Weight.from_function(fn)
+    classify_weight(w)
+    p0_norm_check(w, section_size=16)
+    assert len(evaluations) > 1
+    assert set(evaluations.values()) == {1}
 
 
 def test_samples_power_of_two_guard():
