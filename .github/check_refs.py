@@ -9,10 +9,16 @@ bench/refcheck.py), and prints one line per mismatch.  Exits 1 when any
 case differs from its reference or its input no longer matches the
 referenced one, 0 otherwise.  Unlike a timed ``bench/run.py`` smoke run,
 which draws a sample of rounds, this covers the whole corpus.
+
+Each workload's summary line also gives one sha256 over every case's exit
+code and report bytes, in corpus order.  Equal digests from two checkouts
+run on one machine show that their corpus reports are byte-identical,
+which the reference gate's tolerances alone do not.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 import tempfile
@@ -25,25 +31,39 @@ import refcheck  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
+def report_bytes(runner) -> bytes | None:
+    """The bytes of the report the last run wrote, or None."""
+    if not os.path.exists(runner.out_path):
+        return None
+    with open(runner.out_path, "rb") as fh:
+        return fh.read()
+
+
 def check(name: str, main, workdir: str) -> int:
     """Number of cases of the workload that do not match their reference."""
     wl = WORKLOADS[name]
     refs = refcheck.load_refs(name)
     runner = harness.CaseRunner(main, os.path.join(workdir, name))
+    digest = hashlib.sha256()
     bad = 0
     for index in range(wl.corpus_size):
         case = wl.case(index)
+        code, _, error = runner.run(case)
+        raw = report_bytes(runner)
+        # the length prefix keeps the boundaries between cases in the digest
+        digest.update(f"{code} {-1 if raw is None else len(raw)}\n".encode())
+        digest.update(raw or b"")
         ref = refs.get(str(index))
         if ref is None or ref["input_sha256"] != case.input_sha256():
             problems = ["input does not match the referenced one"]
         else:
-            code, _, error = runner.run(case)
             problems = [error] if error is not None else refcheck.compare(
                 ref, code, runner.report())
         if problems:
             bad += 1
             print(f"{name} case {index} ({case.stratum}): {problems[0]}")
-    print(f"{name}: {wl.corpus_size - bad}/{wl.corpus_size} cases match")
+    print(f"{name}: {wl.corpus_size - bad}/{wl.corpus_size} cases match, "
+          f"reports sha256 {digest.hexdigest()}")
     return bad
 
 

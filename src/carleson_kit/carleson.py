@@ -62,9 +62,6 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
     def mass_in_square(self, square: CarlesonSquare) -> float:
         return float(self.masses[square.contains(self.points)].sum())
 
@@ -123,9 +120,6 @@ class CurveMeasure:
                 raise DomainError("polyline vertices must lie inside the open disk")
             chains.append(pts)
         object.__setattr__(self, "polylines", tuple(chains))
-
-    def total_mass(self) -> float:
-        return float(sum(np.sum(np.abs(np.diff(c))) for c in self.polylines))
 
     def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Start and end points of every segment, polyline after polyline."""

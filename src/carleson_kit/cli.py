@@ -2,8 +2,9 @@
 
 Each subcommand runs one analysis, writes a deterministic report (sorted
 keys, no timestamps, atomic replace) and exits 0 when every exercised
-check passed, 1 on a check failure, 2 on bad input.  Complex numbers
-travel as [re, im] pairs.
+check passed, 1 on a check failure, 2 on bad input: an ``InputError`` of
+this module or a ``DomainError`` of the library, both reported by ``main``.
+Complex numbers travel as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -227,14 +228,11 @@ def _frame_in(group) -> np.ndarray:
 def run_sequence(cfg: RunConfig) -> dict:
     data, digest = _load_json_digest(cfg.input)
     points = _complex_list(data.get("points"), "points")
-    try:
-        rep = interpolation_constants(points, depth=cfg.depth)
-        norms = [projection_norm_formula(points, p) for p in points]
-        system = riesz.SubspaceSystem.from_kernel_groups([[p] for p in points])
-        gram_norms = riesz.skew_projection_norms(system)
-        condition = riesz.orthogonalizer_condition(system)
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
+    rep = interpolation_constants(points, depth=cfg.depth)
+    norms = [projection_norm_formula(points, p) for p in points]
+    system = riesz.SubspaceSystem.from_kernel_groups([[p] for p in points])
+    gram_norms = riesz.skew_projection_norms(system)
+    condition = riesz.orthogonalizer_condition(system)
     worst = max(abs(a - b) / b for a, b in zip(gram_norms, norms))
     checks = [
         _check("delta-not-above-alpha", rep.delta <= rep.alpha + 1e-12,
@@ -270,13 +268,10 @@ def run_carleson(cfg: RunConfig) -> dict:
             raise InputError("atom masses must be positive numbers")
     positions = _complex_list([entry[0] for entry in atoms_raw], "atom position")
     atoms = [(z, float(entry[1])) for z, entry in zip(positions, atoms_raw)]
-    try:
-        measure = DiscreteMeasure(atoms)
-        norm = carleson_norm(measure, depth=cfg.depth)
-        kernel_const = kernel_test_constant(measure)
-        embed_const = embedding_constant_empirical(measure, test_degree=64)
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
+    measure = DiscreteMeasure(atoms)
+    norm = carleson_norm(measure, depth=cfg.depth)
+    kernel_const = kernel_test_constant(measure)
+    embed_const = embedding_constant_empirical(measure, test_degree=64)
     values = [norm, kernel_const, embed_const]
     lo, hi = min(values), max(values)
     ratio = hi / lo if lo > 0 else math.inf
@@ -316,13 +311,10 @@ def run_contour(cfg: RunConfig) -> dict:
         atoms.append((float(entry[0]), float(entry[1])))
     outer = data.get("outer_log")
     outer_arr = None if outer is None else _real_array(outer, "outer_log")
-    try:
-        phi = BoundedFunction(zeros=tuple(zeros), singular_atoms=tuple(atoms),
-                              outer_log=outer_arr)
-        constants = ContourConstants.for_epsilon(cfg.epsilon, c1=cfg.c1,
-                                                 c2=cfg.c2, c3=cfg.c3)
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
+    phi = BoundedFunction(zeros=tuple(zeros), singular_atoms=tuple(atoms),
+                          outer_log=outer_arr)
+    constants = ContourConstants.for_epsilon(cfg.epsilon, c1=cfg.c1,
+                                             c2=cfg.c2, c3=cfg.c3)
     checks = []
     report = {
         "command": "contour",
@@ -381,18 +373,12 @@ def run_embedding(cfg: RunConfig) -> dict:
     if not isinstance(families, list) or not families:
         raise InputError("families must be a nonempty list of zero lists")
     zero_lists = [_complex_list(f, "family zeros") for f in families]
-    try:
-        products = [BlaschkeProduct(zs) for zs in zero_lists]
-        system = riesz.SubspaceSystem.from_kernel_groups(zero_lists)
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
+    products = [BlaschkeProduct(zs) for zs in zero_lists]
+    system = riesz.SubspaceSystem.from_kernel_groups(zero_lists)
     grid = hyperbolic_grid(min(cfg.depth, 8), 8)
-    sums = np.zeros(grid.shape[0])
-    for p in products:
-        sums += 1.0 - np.abs(p(grid)) ** 2
     norm = riesz.embedding_norm(system)
     rep = condition_sums(b_family=products, lam_grid=grid)
-    worst = float(np.max(sums) - norm)
+    worst = rep["sum_10_2_sup"] - norm
     checks = [
         _check("sums-below-embedding-norm", worst <= 1e-8, {"worst_margin": worst}),
         _check("embedding-norm-at-least-1", norm >= 1.0 - 1e-12, {"norm": norm}),
@@ -417,10 +403,7 @@ def run_system(cfg: RunConfig) -> dict:
     if not isinstance(groups, list) or not groups:
         raise InputError("groups must be a nonempty list of frame matrices")
     frames = [_frame_in(g) for g in groups]
-    try:
-        system = riesz.SubspaceSystem(frames)
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
+    system = riesz.SubspaceSystem(frames)
     try:
         condition = riesz.orthogonalizer_condition(system)
         minimality = riesz.uniform_minimality(system)
@@ -525,8 +508,6 @@ def run_construct(cfg: RunConfig) -> dict:
     except (NetValidityError, ContourBoundError) as exc:
         checks.append(_check("point-system-valid", False, str(exc)))
         return _finish(report, checks)
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
     checks.append(_check("point-system-valid", True))
     margins = check_two_eps_margins(ps, cfg.epsilon)
     checks.append(_check("two-eps-margins", margins["passed"], margins))
@@ -569,16 +550,13 @@ def run_weight(cfg: RunConfig) -> dict:
     data = _load_json(cfg.input)
     tag = data.get("tag")
     samples = data.get("samples")
-    try:
-        if samples is not None:
-            w = Weight.from_samples(_real_array(samples, "samples"), tag=tag)
-        elif tag is not None:
-            w = Weight.from_tag(tag)
-        else:
-            raise InputError("weight input needs 'samples' or a known 'tag'")
-        classification = classify_weight(w)
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
+    if samples is not None:
+        w = Weight.from_samples(_real_array(samples, "samples"), tag=tag)
+    elif tag is not None:
+        w = Weight.from_tag(tag)
+    else:
+        raise InputError("weight input needs 'samples' or a known 'tag'")
+    classification = classify_weight(w)
     checks = [
         _check("levels-monotone", classification["monotone_ok"]),
         _check("a2-at-least-1",
@@ -671,10 +649,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         report = _RUNNERS[cfg.command](cfg)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (InputError, DomainError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     write_report(cfg.out, report)

@@ -24,6 +24,10 @@ from .model_space import MatrixFunction, det_theta_many
 from . import riesz
 
 _EXACT = 1e-12
+# boundary samples of det theta, for its outer part and its support
+_DET_BOUNDARY_SIZE = 2048
+# random unit vectors per draw of the sphere net
+_PROBE_BATCH = 2048
 
 
 def _as_unit(v) -> np.ndarray:
@@ -113,14 +117,13 @@ def measure_c_alpha(ps: PointSystem) -> float:
     return worst
 
 
-def estimate_cv(delta_floor: float, rng=None, trials: int = 40,
-                max_groups: int = 4, max_group_size: int = 3) -> dict:
+def estimate_cv(delta_floor: float, rng=None, trials: int = 40) -> dict:
     """Empirical basis constant at minimality level delta_floor.
 
-    Draws random kernel-group systems, keeps those whose uniform minimality
-    is at least delta_floor, and reports the largest orthogonalizer
-    condition seen among them.  Purely a measurement; there is no formula
-    to check it against.
+    Draws random kernel-group systems (2 to 4 groups of 1 to 3 points),
+    keeps those whose uniform minimality is at least delta_floor, and
+    reports the largest orthogonalizer condition seen among them.  Purely
+    a measurement; there is no formula to check it against.
     """
     if not 0.0 < delta_floor < 1.0:
         raise DomainError("delta_floor must lie in (0, 1)")
@@ -130,8 +133,8 @@ def estimate_cv(delta_floor: float, rng=None, trials: int = 40,
     for _ in range(trials):
         groups = []
         seen = set()
-        for _ in range(int(rng.integers(2, max_groups + 1))):
-            size = int(rng.integers(1, max_group_size + 1))
+        for _ in range(int(rng.integers(2, 5))):
+            size = int(rng.integers(1, 4))
             pts = []
             while len(pts) < size:
                 z = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
@@ -150,15 +153,17 @@ def estimate_cv(delta_floor: float, rng=None, trials: int = 40,
     return {"cv": best, "samples_used": used, "trials": trials}
 
 
-def _det_as_bounded_function(theta: MatrixFunction, boundary_size: int = 2048,
-                             log_floor: float = -60.0) -> BoundedFunction:
-    """Zeros plus boundary outer log of det theta, as a bounded function."""
+def _det_as_bounded_function(theta: MatrixFunction) -> BoundedFunction:
+    """Zeros plus boundary outer log of det theta, as a bounded function.
+
+    The boundary log modulus is clipped to [-60, 0].
+    """
     zeros = theta.det_zeros_in_disk()
-    boundary = theta.boundary(boundary_size)
+    boundary = theta.boundary(_DET_BOUNDARY_SIZE)
     dets = np.linalg.det(boundary)
     with np.errstate(divide="ignore"):
         log_mod = np.log(np.abs(dets))
-    log_mod = np.clip(log_mod, log_floor, 0.0)
+    log_mod = np.clip(log_mod, -60.0, 0.0)
     if float(np.min(log_mod)) > -1e-10:
         log_mod = None
     return BoundedFunction(zeros=tuple(zeros), outer_log=log_mod)
@@ -215,7 +220,7 @@ def build_contour_nets(theta_family, eps: float, alpha: float,
     return PointSystem(epsilon=eps, alpha=alpha, entries=tuple(entries))
 
 
-def unit_sphere_net(dim: int, eps: float, rng=None, batch: int = 2048,
+def unit_sphere_net(dim: int, eps: float, rng=None,
                     certify_samples: int = 10_000) -> list[np.ndarray]:
     """Greedy eps-net on phase-canonicalized unit vectors, probe-certified.
 
@@ -244,15 +249,15 @@ def unit_sphere_net(dim: int, eps: float, rng=None, batch: int = 2048,
         return np.min(np.linalg.norm(probes[:, None, :] - arr[None, :, :], axis=2), axis=1)
 
     while True:
-        probes = draw(batch)
+        probes = draw(_PROBE_BATCH)
         d = min_dists(probes)
         far = int(np.argmax(d))
         if d[far] >= eps:
             net.append(probes[far])
             continue
         certified = True
-        for start in range(0, certify_samples, batch):
-            probes = draw(min(batch, certify_samples - start))
+        for start in range(0, certify_samples, _PROBE_BATCH):
+            probes = draw(min(_PROBE_BATCH, certify_samples - start))
             d = min_dists(probes)
             far = int(np.argmax(d))
             if d[far] >= eps:
@@ -348,7 +353,7 @@ def _scalar_values(functions, zs: np.ndarray) -> np.ndarray:
 
 
 def condition_sums(b_family=None, theta_family=None, lam_grid=None,
-                   e_grid=None, b_parts=None) -> dict:
+                   b_parts=None) -> dict:
     """Suprema of the basis condition sums over a grid.
 
     Scalar families feed the sum of (1 - |B_n|^2); matrix families feed the
@@ -388,15 +393,6 @@ def condition_sums(b_family=None, theta_family=None, lam_grid=None,
         margin = float(np.max(eig_sums - det_sums))
         report["implication_margin"] = margin
         report["implication_ok"] = bool(margin <= 1e-8)
-        if e_grid is not None:
-            total = np.sum(gaps, axis=0)
-            best = 0.0
-            for e in e_grid:
-                ev = _as_unit(e)
-                vals = np.real(np.einsum("i,zij,j->z", np.conj(ev), total, ev))
-                best = max(best, float(np.max(vals)))
-            report["sum_5_4_e_grid_sup"] = best
-            report["e_grid_below_eig"] = bool(best <= report["sum_5_4_sup"] + _EXACT)
         if scalars is None:
             scalars = dets
 
@@ -449,15 +445,16 @@ def n_power_for(alpha: float, log_eps_prime: float, dim: int) -> int:
 
 
 def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
-                     z_grid, n_power: int | None = None, alpha: float | None = None,
-                     d_star: int | None = None, boundary_size: int = 2048,
-                     mid_tol: float = 1e-6) -> dict:
+                     z_grid, n_power: int | None = None,
+                     alpha: float | None = None) -> dict:
     """Replay of the outer-comparison bound chain on a grid.
 
     h_n is outer with boundary modulus max(|det theta_n|, eps'**d), kept in
-    logs throughout.  Checks, at every grid point: the product-complement
-    inequality for the computed moduli; the bound sum (1 - |h_n|^2) <=
-    2 d_star log(1/eps'); the mid chain |h_n| |B_n|^N <= |det theta_n|
+    logs throughout.  d_star is the largest number of members whose
+    boundary |det| falls below 1 - 1e-8 at one sample (at least 1).
+    Checks, at every grid point: the product-complement inequality for the
+    computed moduli; the bound sum (1 - |h_n|^2) <= 2 d_star log(1/eps');
+    the mid chain |h_n| |B_n|^N <= |det theta_n| (to 1e-6)
     wherever |det theta_n| >= eps**d; and the assembled bound
     sum (1 - |det|^2) <= sum (1 - |h|^2) + N sum (1 - |B|^2) + d together
     with the covering count of {|det| < eps**d} staying at most d.
@@ -486,17 +483,16 @@ def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
 
     # boundary data: support multiplicity and log of the comparison modulus
     log_h_boundary = []
-    support = np.zeros((n_funcs, boundary_size), dtype=bool)
+    support = np.zeros((n_funcs, _DET_BOUNDARY_SIZE), dtype=bool)
     for i, theta in enumerate(family):
-        dets = np.linalg.det(theta.boundary(boundary_size))
+        dets = np.linalg.det(theta.boundary(_DET_BOUNDARY_SIZE))
         absdet = np.abs(dets)
         support[i] = absdet < 1.0 - 1e-8
         with np.errstate(divide="ignore"):
             log_mod = np.log(absdet)
         log_h_boundary.append(np.maximum(log_mod, d * log_eps_prime))
     multiplicity = int(np.max(np.sum(support, axis=0))) if n_funcs else 0
-    d_star_eff = d_star if d_star is not None else max(multiplicity, 1)
-    support_ok = multiplicity <= d_star_eff
+    d_star = max(multiplicity, 1)
 
     log_h = np.zeros((n_funcs, zs.shape[0]))
     for i in range(n_funcs):
@@ -521,7 +517,7 @@ def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
 
     # (b) outer sums against the multiplicity bound
     b_sums = np.sum(1.0 - h_sq, axis=0)
-    b_bound = 2.0 * d_star_eff * (-log_eps_prime)
+    b_bound = 2.0 * d_star * (-log_eps_prime)
     check_b_sup = float(np.max(b_sums)) if b_sums.size else 0.0
     check_b_ok = check_b_sup <= b_bound + 1e-6
 
@@ -531,7 +527,7 @@ def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
     off = log_det >= level
     mid_margin = (log_h + n_power * log_b) - log_det
     mid_worst = float(np.max(mid_margin[off])) if np.any(off) else -math.inf
-    mid_ok = mid_worst <= mid_tol
+    mid_ok = mid_worst <= 1e-6
 
     # assembled bound with the covering count
     covering = np.sum(~off, axis=0)
@@ -543,10 +539,11 @@ def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
     assembled_ok = assembled_margin <= 1e-8
 
     passed = bool(check_a_ok and check_b_ok and mid_ok and covering_ok
-                  and assembled_ok and support_ok)
+                  and assembled_ok)
     return {
-        "dim": d, "d_star": d_star_eff, "n_power": n_power,
-        "support_multiplicity": multiplicity, "support_ok": bool(support_ok),
+        # d_star is derived from the multiplicity, so support_ok always holds
+        "dim": d, "d_star": d_star, "n_power": n_power,
+        "support_multiplicity": multiplicity, "support_ok": True,
         "check_a_margin": check_a_margin, "check_a_ok": bool(check_a_ok),
         "check_b_sup": check_b_sup, "check_b_bound": b_bound,
         "check_b_ok": bool(check_b_ok),

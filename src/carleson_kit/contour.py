@@ -46,6 +46,10 @@ from .hardy import poisson_sum
 # relative pad of the bad-interval scan's descent bound, for the rounding of
 # sums taken in different orders
 _BOUND_PAD = 1e-9
+# dyadic depth below which the scan stops and the construction is truncated
+_DEPTH_FLOOR = 20
+# probe offset of the boundary extraction, relative to a primitive's length
+_PROBE_OFFSET = 2.0 ** -12
 
 
 class BoundedFunction:
@@ -74,10 +78,6 @@ class BoundedFunction:
             if np.max(outer_log) > 1e-8:
                 raise DomainError("outer part must have modulus <= 1")
         self.outer_log = outer_log
-
-    @property
-    def degree(self) -> int:
-        return len(self.zeros)
 
     def log_abs(self, z) -> np.ndarray:
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -287,7 +287,7 @@ class BadIntervals:
 
 
 def select_bad_intervals(measure: RepresentingMeasure, base: Arc,
-                         m_threshold: float, depth_floor: int = 20) -> BadIntervals:
+                         m_threshold: float, depth_floor: int = _DEPTH_FLOOR) -> BadIntervals:
     """Find the maximal dyadic arcs under 5*base whose square is too heavy.
 
     An arc J triggers when nu(Q(J)) > m_threshold * |J| (normalized
@@ -407,9 +407,6 @@ class Region:
             out |= piece.contains_many(zs)
         return out
 
-    def contains(self, z) -> bool:
-        return bool(self.contains_many(np.array([complex(z)]))[0])
-
 
 @dataclass(frozen=True)
 class GenerationStats:
@@ -426,9 +423,6 @@ class ContourResult:
     constants: ContourConstants
     generations: tuple
     truncated: bool
-
-    def contains_many(self, z) -> np.ndarray:
-        return self.region.contains_many(z)
 
 
 def _square_primitives(square: CarlesonSquare):
@@ -468,7 +462,7 @@ def _curve_normals(kind, payload, ts):
     return np.exp(1j * (arc.start + ts * arc.length))
 
 
-def _extract_polylines(region: Region, resolution: float = 2.0 ** -12):
+def _extract_polylines(region: Region):
     """Boundary of the region as polylines along the primitive curves.
 
     Every boundary point of a piece lies on a disk circle, a radial edge or
@@ -500,7 +494,7 @@ def _extract_polylines(region: Region, resolution: float = 2.0 ** -12):
         ts = span * (np.arange(n) + 0.5) / n
         pts = _curve_points(kind, payload, ts)
         normals = _curve_normals(kind, payload, ts)
-        h = max(scale * resolution, 1e-13)
+        h = max(scale * _PROBE_OFFSET, 1e-13)
         side_a = region.contains_many(pts + h * normals)
         side_b = region.contains_many(pts - h * normals)
         on_boundary = side_a ^ side_b
@@ -560,16 +554,15 @@ def _extract_polylines(region: Region, resolution: float = 2.0 ** -12):
 
 def bourgain_contour(phi: BoundedFunction, eps: float,
                      constants: ContourConstants | None = None,
-                     depth_floor: int = 20,
-                     resolution: float = 2.0 ** -12,
                      max_generations: int = 64) -> ContourResult:
     """Build the two-level region and its boundary polylines.
 
     Each generation interval I contributes (Q(I) minus the bad child
     squares) intersected with the union of pseudo-hyperbolic gamma-disks
     around the zeros in Q(2I).  Bad children recurse; recursion below
-    depth_floor (or past max_generations) is cut off and flagged, in which
-    case the inner inclusion {|phi| < eps'} subset O is no longer certified.
+    dyadic depth 20 (or past max_generations) is cut off and flagged, in
+    which case the inner inclusion {|phi| < eps'} subset O is no longer
+    certified.
     """
     if constants is None:
         constants = ContourConstants.for_epsilon(eps)
@@ -587,7 +580,7 @@ def bourgain_contour(phi: BoundedFunction, eps: float,
         gen_bad = 0
         worst_ratio = 0.0
         for interval in active:
-            bad = select_bad_intervals(measure, interval, constants.m_threshold, depth_floor)
+            bad = select_bad_intervals(measure, interval, constants.m_threshold)
             if bad.length_ratio > 0.01 + 1e-12:
                 raise ContourBoundError(
                     f"bad intervals cover {bad.length_ratio:.4f} of their parent"
@@ -603,7 +596,7 @@ def bourgain_contour(phi: BoundedFunction, eps: float,
             if disks:
                 pieces.append(RegionPiece(parent_square, holes, disks))
             for child in bad.intervals:
-                if child.normalized_length <= 2.0 ** -depth_floor:
+                if child.normalized_length <= 2.0 ** -_DEPTH_FLOOR:
                     truncated = True
                 else:
                     next_active.append(child)
@@ -613,7 +606,7 @@ def bourgain_contour(phi: BoundedFunction, eps: float,
     if active:
         truncated = True
     region = Region(pieces)
-    polylines = _extract_polylines(region, resolution)
+    polylines = _extract_polylines(region)
     return ContourResult(region, polylines, constants, tuple(stats), truncated)
 
 
@@ -648,7 +641,7 @@ def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
             near.append(cand[in_open_disk(cand)])
     if near:
         zs = np.concatenate([zs] + near)
-    inside = result.contains_many(zs)
+    inside = result.region.contains_many(zs)
     log_abs = phi.log_abs(zs)
     upper_level = math.log(eps) + 1e-9
     lower_level = result.constants.log_eps_prime

@@ -315,15 +315,15 @@ def grid_layers(max_layer: int = 10, base_angles: int = 8) -> list[tuple[float, 
     return [(1.0 - 0.75 * 2.0 ** (-m), base_angles * (1 << m)) for m in range(max_layer + 1)]
 
 
-def hyperbolic_grid(max_layer: int = 10, base_angles: int = 8, include_origin: bool = True) -> np.ndarray:
-    """Quasi-uniform sample of the disk, layer by layer.
+def hyperbolic_grid(max_layer: int = 10, base_angles: int = 8) -> np.ndarray:
+    """Quasi-uniform sample of the disk: the origin, then layer by layer.
 
     Layer m gets base_angles * 2**m equally spaced angles at the layer's
     radial midpoint 1 - 0.75 * 2**-m (see :func:`grid_layers`).  The default
     (10 layers, 8 base angles) is the grid used for sup-over-the-disk
     estimates.
     """
-    pts = [np.array([0.0 + 0.0j])] if include_origin else []
+    pts = [np.array([0.0 + 0.0j])]
     for r, n in grid_layers(max_layer, base_angles):
         theta = TAU * np.arange(n) / n
         pts.append(r * np.exp(1j * theta))

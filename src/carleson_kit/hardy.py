@@ -49,12 +49,8 @@ class BoundaryGrid:
         return self.values.shape[0]
 
     @property
-    def angles(self) -> np.ndarray:
-        return TAU * np.arange(self.size) / self.size
-
-    @property
     def points(self) -> np.ndarray:
-        return np.exp(1j * self.angles)
+        return np.exp(1j * (TAU * np.arange(self.size) / self.size))
 
     def coefficients(self) -> np.ndarray:
         """Fourier coefficients in FFT order along the sample axis."""

@@ -92,10 +92,11 @@ class MatrixFunction:
         pts = np.exp(1j * TAU * np.arange(size) / size)
         return self(pts)
 
-    def is_contractive(self, size: int = DEFAULT_BOUNDARY_SIZE, tol: float = 1e-8) -> bool:
+    def is_contractive(self, size: int = DEFAULT_BOUNDARY_SIZE) -> bool:
+        """Largest boundary singular value at most 1 + 1e-8 on ``size`` samples."""
         vals = self.boundary(size)
         s = np.linalg.svd(vals, compute_uv=False)
-        return bool(np.max(s) <= 1.0 + tol)
+        return bool(np.max(s) <= 1.0 + 1e-8)
 
     def det_coefficients(self) -> np.ndarray:
         """Coefficients of det(numerator) via roots-of-unity interpolation."""
@@ -260,10 +261,6 @@ class ModelTriple:
         return self.theta.rows
 
     @property
-    def dim_domain(self) -> int:
-        return self.theta.cols
-
-    @property
     def dim_star(self) -> int:
         return self.delta.values.shape[1]
 
@@ -360,22 +357,16 @@ def support_cover_count(triples, tol: float = 1e-8) -> tuple[int, int]:
     return int(sigma_counts.max()), int(tau_counts.max())
 
 
-def triple_from_theta(theta: MatrixFunction, d_star: int | None = None,
-                      size: int = DEFAULT_BOUNDARY_SIZE,
+def triple_from_theta(theta: MatrixFunction, size: int = DEFAULT_BOUNDARY_SIZE,
                       proj: str = "zero") -> ModelTriple:
-    """A valid triple over a contractive Theta.
+    """A valid triple over a contractive Theta, with E_* of the domain's dimension.
 
-    Delta(xi) = (I - Theta* Theta)^(1/2)(xi) embedded into E_* (padded with
-    zero rows when d_star > cols).  ``proj`` selects P: 'zero' always works;
-    'identity' requires Theta inner (Delta = 0).
+    Delta(xi) = (I - Theta* Theta)^(1/2)(xi).  ``proj`` selects P: 'zero'
+    always works; 'identity' requires Theta inner (Delta = 0).
     """
     if not theta.is_contractive(size):
         raise DomainError("Theta must be contractive on the boundary")
     d1 = theta.cols
-    if d_star is None:
-        d_star = d1
-    if d_star < d1 and proj != "identity":
-        raise DomainError("d_star must be at least the domain dimension")
     tb = theta.boundary(size)
     gram = np.einsum("nij,nik->njk", np.conj(tb), tb)
     w, v = np.linalg.eigh(np.eye(d1) - gram)
@@ -384,12 +375,11 @@ def triple_from_theta(theta: MatrixFunction, d_star: int | None = None,
     if proj == "identity":
         if np.max(w) > 1e-10:
             raise DomainError("identity projection needs an inner Theta")
-        delta = np.zeros((size, d_star, d1), dtype=complex)
-        p = np.broadcast_to(np.eye(d_star, dtype=complex), (size, d_star, d_star)).copy()
+        delta = np.zeros((size, d1, d1), dtype=complex)
+        p = np.broadcast_to(np.eye(d1, dtype=complex), (size, d1, d1)).copy()
     elif proj == "zero":
-        delta = np.zeros((size, d_star, d1), dtype=complex)
-        delta[:, :d1, :] = root
-        p = np.zeros((size, d_star, d_star), dtype=complex)
+        delta = root
+        p = np.zeros((size, d1, d1), dtype=complex)
     else:
         raise DomainError("proj must be 'zero' or 'identity'")
     return ModelTriple(theta, BoundaryGrid(delta), BoundaryGrid(p))

@@ -26,19 +26,17 @@ def _fmt(v: float) -> str:
 
 
 def circle_element(center: complex = 0j, radius: float = 1.0,
-                   stroke: str = "#444", width: float = 1.5,
-                   fill: str = "none") -> str:
+                   stroke: str = "#444", width: float = 1.5) -> str:
     cx, cy = _xy(center)
     r = radius * _VIEW / (2.0 * (1.0 + _MARGIN))
     return (f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-            f'stroke="{stroke}" stroke-width="{width}" fill="{fill}"/>')
+            f'stroke="{stroke}" stroke-width="{width}" fill="none"/>')
 
 
-def polyline_element(points, stroke: str = "#c22", width: float = 1.2,
-                     closed: bool = False) -> str:
+def polyline_element(points, closed: bool = False) -> str:
     coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(_xy, points))
     tag = "polygon" if closed else "polyline"
-    return f'<{tag} points="{coords}" stroke="{stroke}" stroke-width="{width}" fill="none"/>'
+    return f'<{tag} points="{coords}" stroke="#c22" stroke-width="1.2" fill="none"/>'
 
 
 def dot_element(z: complex, radius: float = 3.0, fill: str = "#06c") -> str:

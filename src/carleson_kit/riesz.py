@@ -92,7 +92,7 @@ class SubspaceSystem:
         )
 
     @classmethod
-    def from_vectors(cls, vectors, labels=None) -> "SubspaceSystem":
+    def from_vectors(cls, vectors) -> "SubspaceSystem":
         """One-dimensional subspaces spanned by the given nonzero vectors."""
         frames = []
         for v in vectors:
@@ -101,7 +101,7 @@ class SubspaceSystem:
             if nv == 0:
                 raise DomainError("zero vector spans no subspace")
             frames.append((v / nv)[:, None])
-        return cls(frames, labels=labels)
+        return cls(frames)
 
     @classmethod
     def from_kernel_groups(cls, groups, vectors=None, labels=None) -> "SubspaceSystem":

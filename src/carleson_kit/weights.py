@@ -47,7 +47,7 @@ class Weight:
     integrability facts are known exactly.
     """
 
-    __slots__ = ("_fn", "_values", "_grids", "tag")
+    __slots__ = ("_fn", "_values", "_grids", "_reciprocals", "tag")
 
     def __init__(self, fn=None, values=None, tag=None):
         if fn is None and values is None:
@@ -65,11 +65,12 @@ class Weight:
         else:
             self._values = None
         self._grids = {}
+        self._reciprocals = {}
         self.tag = tag
 
     @classmethod
-    def from_function(cls, fn, tag=None) -> "Weight":
-        return cls(fn=fn, tag=tag)
+    def from_function(cls, fn) -> "Weight":
+        return cls(fn=fn)
 
     @classmethod
     def from_samples(cls, values, tag=None) -> "Weight":
@@ -104,6 +105,20 @@ class Weight:
             self._grids[size, midpoint] = grid
         return grid
 
+    def reciprocal(self, size: int, midpoint: bool = True) -> np.ndarray:
+        """1/w on the grid of ``samples(size, midpoint)``, inf where w = 0.
+
+        Computed once per grid and handed out read-only, like the samples.
+        """
+        inv = self._reciprocals.get((size, midpoint))
+        if inv is None:
+            vals = self.samples(size, midpoint)
+            with np.errstate(divide="ignore"):
+                inv = np.where(vals > 0.0, 1.0 / vals, np.inf)
+            inv.flags.writeable = False
+            self._reciprocals[size, midpoint] = inv
+        return inv
+
     def _grid(self, size: int, midpoint: bool) -> np.ndarray:
         if self._fn is not None:
             shift = 0.5 if midpoint else 0.0
@@ -136,13 +151,13 @@ def _refined(values_fn, sizes) -> tuple[float, bool, list[float]]:
     return trace[-1], divergent, trace
 
 
-def _dyadic_a2(w: np.ndarray, inv: np.ndarray, min_block: int = 8) -> float:
-    """sup over dyadic arcs of (avg w)(avg 1/w), arcs kept above min_block samples."""
+def _dyadic_a2(w: np.ndarray, inv: np.ndarray) -> float:
+    """sup over dyadic arcs of (avg w)(avg 1/w), arcs of at least 8 samples."""
     n = w.shape[0]
     with np.errstate(invalid="ignore"):
         best = float(np.nan_to_num(np.mean(w) * np.mean(inv), nan=np.inf))
         depth = 1
-        while n >> depth >= min_block:
+        while n >> depth >= 8:
             block = n >> depth
             aw = w.reshape(-1, block).mean(axis=1)
             ai = inv.reshape(-1, block).mean(axis=1)
@@ -167,10 +182,6 @@ def classify_weight(w: Weight, base_depth: int = 8, max_depth: int = 14) -> dict
         if len(sizes) < 3:
             raise DomainError("stored samples allow fewer than three refinements")
 
-    def inv_of(vals):
-        with np.errstate(divide="ignore"):
-            return np.where(vals > 0.0, 1.0 / vals, np.inf)
-
     top = w.samples(sizes[-1])
     mass = float(np.mean(top))
     nonzero = bool(np.max(top) > 0.0 and mass > 0.0)
@@ -193,16 +204,16 @@ def classify_weight(w: Weight, base_depth: int = 8, max_depth: int = 14) -> dict
     log_integrable = nonzero and not log_divergent
 
     inv_value, inv_divergent, inv_trace = _refined(
-        lambda s: np.mean(inv_of(w.samples(s))), sizes)
+        lambda s: np.mean(w.reciprocal(s)), sizes)
     inv_integrable = nonzero and not inv_divergent and math.isfinite(inv_value)
 
     a2_value, a2_divergent, a2_trace = _refined(
-        lambda s: _dyadic_a2(w.samples(s), inv_of(w.samples(s))), sizes)
+        lambda s: _dyadic_a2(w.samples(s), w.reciprocal(s)), sizes)
     a2_finite = nonzero and not a2_divergent and math.isfinite(a2_value)
 
     sup_w, w_divergent, _ = _refined(lambda s: float(np.max(w.samples(s))), sizes)
     sup_inv, sup_inv_divergent, _ = _refined(
-        lambda s: float(np.max(inv_of(w.samples(s)))), sizes)
+        lambda s: float(np.max(w.reciprocal(s))), sizes)
     w_bounded = not w_divergent and math.isfinite(sup_w)
     inv_bounded = not sup_inv_divergent and math.isfinite(sup_inv)
 
@@ -240,35 +251,28 @@ def classify_weight(w: Weight, base_depth: int = 8, max_depth: int = 14) -> dict
     }
 
 
-def p0_norm_check(w: Weight, section_size: int, sample_size: int | None = None) -> dict:
+def p0_norm_check(w: Weight, section_size: int) -> dict:
     """Squared norm of the zeroth-coefficient projection on a finite section.
 
     The section spans the exponentials of index -n..n; the squared norm of
     the projection onto the constant along the rest is
     (integral of w) times the central entry of the inverse Gram matrix,
-    computed through a Toeplitz solve.  It increases with the section and
-    never exceeds (integral of w)(integral of 1/w).
+    computed through a Toeplitz solve on 2**max(13, bit length of 4n + 2)
+    samples.  It increases with the section and never exceeds
+    (integral of w)(integral of 1/w).
     """
     n = int(section_size)
     if n < 1:
         raise DomainError("section size must be at least 1")
-    if sample_size is None:
-        sample_size = 1 << max(13, (4 * n + 2).bit_length())
+    sample_size = 1 << max(13, (4 * n + 2).bit_length())
     vals = w.samples(sample_size, midpoint=False)
     if np.max(vals) <= 0.0:
         raise DomainError("the weight is identically zero at this resolution")
 
-    def inv_mean(size):
-        grid = w.samples(size)
-        return np.mean(np.where(grid > 0.0, 1.0 / grid, np.inf))
-
     sizes = [sample_size >> 2, sample_size >> 1, sample_size]
-    with np.errstate(divide="ignore"):
-        _, inv_divergent, _ = _refined(inv_mean, sizes)
+    _, inv_divergent, _ = _refined(lambda s: np.mean(w.reciprocal(s)), sizes)
     mass = float(np.mean(vals))
-    with np.errstate(divide="ignore"):
-        inv_vals = np.where(vals > 0.0, 1.0 / vals, np.inf)
-    inv_mass = float(np.mean(inv_vals))
+    inv_mass = float(np.mean(w.reciprocal(sample_size, midpoint=False)))
     rhs = mass * inv_mass if not inv_divergent and math.isfinite(inv_mass) else math.inf
 
     coeffs = np.fft.fft(vals) / sample_size

@@ -249,6 +249,29 @@ class TestExitCodes:
         assert main(["sequence", "--input", inp]) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, payload, flags, message", [
+        ("sequence", {"points": [[2.0, 0.0]]}, [],
+         "sequence point must lie strictly inside the unit disk, got |z| = 2"),
+        ("carleson", {"atoms": [[[2.0, 0.0], 0.5]]}, [],
+         "atom outside the closed disk: |z| = 2"),
+        ("contour", {"zeros": [[2.0, 0.0]]}, ["--epsilon", "0.1", "--seed", "1"],
+         "zero must lie strictly inside the unit disk, got |z| = 2"),
+        ("embedding", {"families": [[[2.0, 0.0]]]}, [],
+         "Blaschke zero must lie strictly inside the unit disk, got |z| = 2"),
+        ("system", {"groups": [[[[1.0, 0.0], [1.0, 0.0]]]]}, [],
+         "frame columns must be orthonormal"),
+        ("construct", {"matrices": [{"coefficients": [[[[2.0, 0.0]]]]}]},
+         ["--epsilon", "0.01", "--alpha", "0.05", "--seed", "1"],
+         "family members must be contractive in the disk"),
+        ("weight", {"samples": [-1.0] * 16}, [],
+         "weight samples must be finite and nonnegative"),
+    ])
+    def test_library_domain_error_exits_2(self, tmp_path, capsys, command, payload,
+                                          flags, message):
+        inp = write_json(tmp_path, "refused.json", payload)
+        assert main([command, "--input", inp] + flags) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
     def test_seed_is_mandatory_for_randomized_commands(self, tmp_path, capsys):
         zeros = write_json(tmp_path, "z.json", {"zeros": [[0.0, 0.0]]})
         assert main(["contour", "--input", zeros, "--epsilon", "0.1"]) == 2

@@ -102,6 +102,12 @@ def test_each_grid_is_computed_once_and_read_only(weight):
     assert weight.samples(16, midpoint=False) is not grid
     with pytest.raises(ValueError, match="read-only"):
         grid[0] = 0.0
+    inv = weight.reciprocal(16)
+    assert weight.reciprocal(16) is inv
+    assert weight.reciprocal(16, midpoint=False) is not inv
+    np.testing.assert_array_equal(inv, 1.0 / grid)
+    with pytest.raises(ValueError, match="read-only"):
+        inv[0] = 0.0
 
 
 def test_classification_evaluates_each_grid_once():
