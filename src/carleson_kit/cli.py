@@ -18,7 +18,6 @@ import operator
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
 from itertools import chain, compress, repeat
 
 import numpy as np
@@ -30,8 +29,8 @@ from .carleson import (DiscreteMeasure, carleson_norm, embedding_constant_empiri
 from .construction import (build_contour_nets, check_two_eps_margins, condition_sums,
                            epsilon_net_split, lemma_10_1_check, measure_c_alpha,
                            validate_epsilon_choice)
-from .contour import (BoundedFunction, ContourBoundError, ContourConstants,
-                      bourgain_contour, verify_region)
+from .contour import (CONTOUR_NORM_BOUND, BoundedFunction, ContourBoundError,
+                      ContourConstants, bourgain_contour, verify_region)
 from .disk import hyperbolic_grid
 from .errors import DomainError, NetValidityError
 from .model_space import MatrixFunction
@@ -42,39 +41,30 @@ class InputError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    epsilon: float | None = None
-    alpha: float | None = None
-    depth: int = 12
-    seed: int | None = None
-    delta: float | None = None
-    cv: float | None = None
-    c1: float = 8.0
-    c2: float = 8.0
-    c3: float = 8.0
-    section: int = 256
-    out: str | None = None
-    svg: str | None = None
+def require_seed(args) -> None:
+    if args.seed is None:
+        raise InputError("this command runs randomized checks; --seed is mandatory")
+    if args.seed < 0:
+        raise InputError("--seed must be nonnegative")
 
-    def require_seed(self):
-        if self.seed is None:
-            raise InputError("this command runs randomized checks; --seed is mandatory")
 
-    def validate(self):
-        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
-            raise InputError("--epsilon must lie in (0, 1)")
-        if self.alpha is not None and not 0.0 < self.alpha < 0.1:
-            raise InputError("--alpha must lie in (0, 0.1)")
-        if not 1 <= self.depth <= 24:
-            raise InputError("--depth must lie in 1..24")
-        if self.section < 1:
-            raise InputError("--section must be positive")
-        for name in ("c1", "c2", "c3"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"--{name} must be positive")
+def validate(args) -> None:
+    """Refuse out-of-range flag values; a flag the command lacks is not in args."""
+    flags = vars(args)
+    for name, value in flags.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError(f"--{name} must be finite")
+    if flags.get("epsilon") is not None and not 0.0 < flags["epsilon"] < 1.0:
+        raise InputError("--epsilon must lie in (0, 1)")
+    if flags.get("alpha") is not None and not 0.0 < flags["alpha"] < 0.1:
+        raise InputError("--alpha must lie in (0, 0.1)")
+    if "depth" in flags and not 1 <= flags["depth"] <= 24:
+        raise InputError("--depth must lie in 1..24")
+    if "section" in flags and flags["section"] < 1:
+        raise InputError("--section must be positive")
+    for name in ("cv", "c1", "c2", "c3"):
+        if flags.get(name) is not None and flags[name] <= 0:
+            raise InputError(f"--{name} must be positive")
 
 
 def _sanitize(obj):
@@ -136,8 +126,13 @@ def _finish(report: dict, checks: list) -> dict:
     return report
 
 
+def _refuse_constant(name: str):
+    """json.loads hook for NaN, Infinity and -Infinity, which JSON does not have."""
+    raise InputError(f"input is not valid JSON: {name} is not a JSON number")
+
+
 def _load_input(path: str | None) -> tuple[dict, bytes]:
-    """The input document and the bytes it was parsed from."""
+    """The input document, a JSON object, and the bytes it was parsed from."""
     if path is None:
         raise InputError("--input is required for this command")
     try:
@@ -146,9 +141,12 @@ def _load_input(path: str | None) -> tuple[dict, bytes]:
     except OSError as exc:
         raise InputError(f"cannot read input file: {exc}") from exc
     try:
-        return json.loads(raw), raw
+        data = json.loads(raw, parse_constant=_refuse_constant)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"input is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError("input must be a JSON object")
+    return data, raw
 
 
 def _load_json(path: str | None) -> dict:
@@ -225,10 +223,10 @@ def _frame_in(group) -> np.ndarray:
     return np.ascontiguousarray(entries.reshape(len(group), -1).T)
 
 
-def run_sequence(cfg: RunConfig) -> dict:
-    data, digest = _load_json_digest(cfg.input)
+def run_sequence(args: argparse.Namespace) -> dict:
+    data, digest = _load_json_digest(args.input)
     points = _complex_list(data.get("points"), "points")
-    rep = interpolation_constants(points, depth=cfg.depth)
+    rep = interpolation_constants(points, depth=args.depth)
     norms = [projection_norm_formula(points, p) for p in points]
     system = riesz.SubspaceSystem.from_kernel_groups([[p] for p in points])
     gram_norms = riesz.skew_projection_norms(system)
@@ -243,7 +241,7 @@ def run_sequence(cfg: RunConfig) -> dict:
     report = {
         "command": "sequence",
         "inputs": {"input_sha256": digest, "count": len(points)},
-        "constants": {"depth": cfg.depth},
+        "constants": {"depth": args.depth},
         "quantities": {
             "delta": rep.delta, "alpha": rep.alpha,
             "carleson_norm": rep.carleson_norm,
@@ -251,13 +249,13 @@ def run_sequence(cfg: RunConfig) -> dict:
             "orthogonalizer_condition": condition,
         },
     }
-    if cfg.svg:
-        rendering.write_svg(cfg.svg, rendering.render_points(points))
+    if args.svg:
+        rendering.write_svg(args.svg, rendering.render_points(points))
     return _finish(report, checks)
 
 
-def run_carleson(cfg: RunConfig) -> dict:
-    data, digest = _load_json_digest(cfg.input)
+def run_carleson(args: argparse.Namespace) -> dict:
+    data, digest = _load_json_digest(args.input)
     atoms_raw = data.get("atoms")
     if not isinstance(atoms_raw, list) or not atoms_raw:
         raise InputError("atoms must be a nonempty list of [[re, im], mass]")
@@ -269,7 +267,7 @@ def run_carleson(cfg: RunConfig) -> dict:
     positions = _complex_list([entry[0] for entry in atoms_raw], "atom position")
     atoms = [(z, float(entry[1])) for z, entry in zip(positions, atoms_raw)]
     measure = DiscreteMeasure(atoms)
-    norm = carleson_norm(measure, depth=cfg.depth)
+    norm = carleson_norm(measure, depth=args.depth)
     kernel_const = kernel_test_constant(measure)
     embed_const = embedding_constant_empirical(measure, test_degree=64)
     values = [norm, kernel_const, embed_const]
@@ -282,23 +280,23 @@ def run_carleson(cfg: RunConfig) -> dict:
     report = {
         "command": "carleson",
         "inputs": {"input_sha256": digest, "count": len(atoms)},
-        "constants": {"depth": cfg.depth, "test_degree": 64},
+        "constants": {"depth": args.depth, "test_degree": 64},
         "quantities": {
             "carleson_norm": norm,
             "kernel_test_constant": kernel_const,
             "embedding_constant": embed_const,
         },
     }
-    if cfg.svg:
-        rendering.write_svg(cfg.svg, rendering.render_points([], measure_atoms=atoms))
+    if args.svg:
+        rendering.write_svg(args.svg, rendering.render_points([], measure_atoms=atoms))
     return _finish(report, checks)
 
 
-def run_contour(cfg: RunConfig) -> dict:
-    cfg.require_seed()
-    if cfg.epsilon is None:
+def run_contour(args: argparse.Namespace) -> dict:
+    require_seed(args)
+    if args.epsilon is None:
         raise InputError("--epsilon is required for contour runs")
-    data = _load_json(cfg.input)
+    data = _load_json(args.input)
     zeros = _complex_list(data.get("zeros", []), "zeros")
     atoms_raw = data.get("singular_atoms", [])
     if not isinstance(atoms_raw, list):
@@ -313,30 +311,31 @@ def run_contour(cfg: RunConfig) -> dict:
     outer_arr = None if outer is None else _real_array(outer, "outer_log")
     phi = BoundedFunction(zeros=tuple(zeros), singular_atoms=tuple(atoms),
                           outer_log=outer_arr)
-    constants = ContourConstants.for_epsilon(cfg.epsilon, c1=cfg.c1,
-                                             c2=cfg.c2, c3=cfg.c3)
+    constants = ContourConstants.for_epsilon(args.epsilon, c1=args.c1,
+                                             c2=args.c2, c3=args.c3)
     checks = []
     report = {
         "command": "contour",
         "inputs": {"zeros": zeros, "singular_atoms": atoms,
                    "has_outer": outer_arr is not None},
         "constants": {
-            "epsilon": cfg.epsilon, "c1": cfg.c1, "c2": cfg.c2, "c3": cfg.c3,
-            "seed": cfg.seed, "depth": cfg.depth,
+            "epsilon": args.epsilon, "c1": args.c1, "c2": args.c2, "c3": args.c3,
+            "seed": args.seed, "depth": args.depth,
             "m_threshold": constants.m_threshold, "gamma": constants.gamma,
             "log_eps_prime": constants.log_eps_prime,
         },
         "quantities": {},
     }
     try:
-        result = bourgain_contour(phi, cfg.epsilon, constants=constants)
+        result = bourgain_contour(phi, args.epsilon, constants=constants)
     except ContourBoundError as exc:
         checks.append(_check("child-interval-ratio", False, str(exc)))
         return _finish(report, checks)
-    verification = verify_region(phi, result, cfg.epsilon,
-                                 rng=np.random.default_rng(cfg.seed),
-                                 depth=cfg.depth)
+    verification = verify_region(phi, result, args.epsilon,
+                                 rng=np.random.default_rng(args.seed),
+                                 depth=args.depth)
     ratios = [g.length_ratio for g in result.generations]
+    norm = verification["contour_norm"]
     report["quantities"] = {
         "pieces": len(result.region.pieces),
         "polylines": len(result.polylines),
@@ -345,7 +344,7 @@ def run_contour(cfg: RunConfig) -> dict:
             {"generation": g.generation, "active_intervals": g.active_intervals,
              "bad_intervals": g.bad_intervals, "length_ratio": g.length_ratio}
             for g in result.generations],
-        "contour_norm": verification["contour_norm"],
+        "contour_norm": norm,
         "samples": verification["samples"],
     }
     checks.extend([
@@ -359,23 +358,24 @@ def run_contour(cfg: RunConfig) -> dict:
                {"violations": verification["lower_violations"],
                 "min_log_abs_outside": verification["min_log_abs_outside"],
                 "threshold": verification["lower_level"]}),
-        _check("contour-norm-at-most-10", verification["contour_norm"] <= 10.0,
-               {"norm": verification["contour_norm"]}),
+        _check("contour-norm-at-most-10", norm <= CONTOUR_NORM_BOUND,
+               {"norm": norm, "threshold": CONTOUR_NORM_BOUND,
+                "slack": CONTOUR_NORM_BOUND - norm}),
     ])
-    if cfg.svg:
-        rendering.write_svg(cfg.svg, rendering.render_contour(result, zeros))
+    if args.svg:
+        rendering.write_svg(args.svg, rendering.render_contour(result, zeros))
     return _finish(report, checks)
 
 
-def run_embedding(cfg: RunConfig) -> dict:
-    data, digest = _load_json_digest(cfg.input)
+def run_embedding(args: argparse.Namespace) -> dict:
+    data, digest = _load_json_digest(args.input)
     families = data.get("families")
     if not isinstance(families, list) or not families:
         raise InputError("families must be a nonempty list of zero lists")
     zero_lists = [_complex_list(f, "family zeros") for f in families]
     products = [BlaschkeProduct(zs) for zs in zero_lists]
     system = riesz.SubspaceSystem.from_kernel_groups(zero_lists)
-    grid = hyperbolic_grid(min(cfg.depth, 8), 8)
+    grid = hyperbolic_grid(min(args.depth, 8), 8)
     norm = riesz.embedding_norm(system)
     rep = condition_sums(b_family=products, lam_grid=grid)
     worst = rep["sum_10_2_sup"] - norm
@@ -397,8 +397,8 @@ def run_embedding(cfg: RunConfig) -> dict:
     return _finish(report, checks)
 
 
-def run_system(cfg: RunConfig) -> dict:
-    data = _load_json(cfg.input)
+def run_system(args: argparse.Namespace) -> dict:
+    data = _load_json(args.input)
     groups = data.get("groups")
     if not isinstance(groups, list) or not groups:
         raise InputError("groups must be a nonempty list of frame matrices")
@@ -442,51 +442,56 @@ def run_system(cfg: RunConfig) -> dict:
         "embedding_norm": norm,
         "dual_residual": residual,
     }
-    if cfg.delta is not None:
-        subset = riesz.extract_critical_subset(system, cfg.delta)
+    if args.delta is not None:
+        subset = riesz.extract_critical_subset(system, args.delta)
         quantities["critical_subset"] = subset
         if subset is None:
-            checks.append(_check("extraction-consistent", minimality >= cfg.delta))
+            checks.append(_check("extraction-consistent", minimality >= args.delta))
         else:
             sub = system.subsystem(subset)
-            below = riesz.uniform_minimality(sub) < cfg.delta
+            below = riesz.uniform_minimality(sub) < args.delta
             minimal = all(
                 riesz.uniform_minimality(
-                    sub.subsystem([j for j in range(len(sub)) if j != i])) >= cfg.delta
+                    sub.subsystem([j for j in range(len(sub)) if j != i])) >= args.delta
                 for i in range(len(sub))) if len(sub) > 1 else True
             checks.append(_check("extraction-consistent", below and minimal,
                                  {"below": below, "minimal": minimal}))
     report = {
         "command": "system",
         "inputs": {"groups": len(groups), "ranks": system.ranks},
-        "constants": {"delta": cfg.delta},
+        "constants": {"delta": args.delta},
         "quantities": quantities,
     }
     return _finish(report, checks)
 
 
 def _parse_matrix_function(entry) -> MatrixFunction:
-    if isinstance(entry, dict) and "coefficients" in entry:
-        mats = []
-        for mat in entry["coefficients"]:
-            rows = [
-                _complex_list(row, "matrix row") for row in mat]
-            mats.append(np.asarray(rows, dtype=complex))
-        return MatrixFunction.from_polynomial(mats)
-    raise InputError("each matrix entry needs a 'coefficients' list")
+    coefficients = entry.get("coefficients") if isinstance(entry, dict) else None
+    if not isinstance(coefficients, list) or not all(map(isinstance, coefficients,
+                                                         repeat(list))):
+        raise InputError("each matrix entry needs a 'coefficients' list of matrices")
+    mats = [[_complex_list(row, "matrix row") for row in mat] for mat in coefficients]
+    try:
+        stacked = np.array(mats, dtype=complex)
+    except ValueError as exc:
+        raise InputError("the coefficient matrices must be rectangular and of one "
+                         "shape") from exc
+    return MatrixFunction.from_polynomial(stacked)
 
 
-def run_construct(cfg: RunConfig) -> dict:
-    cfg.require_seed()
-    if cfg.epsilon is None or cfg.alpha is None:
+def run_construct(args: argparse.Namespace) -> dict:
+    require_seed(args)
+    if args.epsilon is None or args.alpha is None:
         raise InputError("--epsilon and --alpha are required for construct runs")
-    data = _load_json(cfg.input)
-    family = []
+    data = _load_json(args.input)
     if "families" in data:
-        for zeros in data["families"]:
-            family.append(MatrixFunction.from_scalar_blaschke(
-                _complex_list(zeros, "family zeros")))
+        if not isinstance(data["families"], list):
+            raise InputError("families must be a list of zero lists")
+        family = [MatrixFunction.from_scalar_blaschke(_complex_list(zeros, "family zeros"))
+                  for zeros in data["families"]]
     elif "matrices" in data:
+        if not isinstance(data["matrices"], list):
+            raise InputError("matrices must be a list of {'coefficients': ...} entries")
         family = [_parse_matrix_function(m) for m in data["matrices"]]
     else:
         raise InputError("input needs 'families' (zero lists) or 'matrices'")
@@ -497,22 +502,22 @@ def run_construct(cfg: RunConfig) -> dict:
         "command": "construct",
         "inputs": {"members": len(family),
                    "dims": sorted({t.rows for t in family})},
-        "constants": {"epsilon": cfg.epsilon, "alpha": cfg.alpha,
-                      "seed": cfg.seed, "cv": cfg.cv, "delta": cfg.delta},
+        "constants": {"epsilon": args.epsilon, "alpha": args.alpha,
+                      "seed": args.seed, "cv": args.cv, "delta": args.delta},
         "quantities": {},
     }
     try:
-        ps = build_contour_nets(family, cfg.epsilon, cfg.alpha)
-        ps = epsilon_net_split(ps, cfg.epsilon,
-                               rng=np.random.default_rng(cfg.seed))
+        ps = build_contour_nets(family, args.epsilon, args.alpha)
+        ps = epsilon_net_split(ps, args.epsilon,
+                               rng=np.random.default_rng(args.seed))
     except (NetValidityError, ContourBoundError) as exc:
         checks.append(_check("point-system-valid", False, str(exc)))
         return _finish(report, checks)
     checks.append(_check("point-system-valid", True))
-    margins = check_two_eps_margins(ps, cfg.epsilon)
+    margins = check_two_eps_margins(ps, args.epsilon)
     checks.append(_check("two-eps-margins", margins["passed"], margins))
 
-    grid = hyperbolic_grid(min(cfg.depth, 8), 8)
+    grid = hyperbolic_grid(min(args.depth, 8), 8)
     b_family = [e.blaschke for e in ps.entries]
     parts = [[e.part_products[k] for k in sorted(e.part_products)] for e in ps.entries]
     sums = condition_sums(b_family=b_family, theta_family=family,
@@ -520,10 +525,10 @@ def run_construct(cfg: RunConfig) -> dict:
     checks.append(_check("det-sum-dominates", sums["implication_ok"],
                          {"margin": sums["implication_margin"]}))
     checks.append(_check("split-domination", sums["split_pointwise_ok"]))
-    consts = ContourConstants.for_epsilon(cfg.epsilon, c1=cfg.c1, c2=cfg.c2,
-                                          c3=cfg.c3)
-    lemma = lemma_10_1_check(family, b_family, cfg.epsilon,
-                             consts.log_eps_prime, z_grid=grid, alpha=cfg.alpha)
+    consts = ContourConstants.for_epsilon(args.epsilon, c1=args.c1, c2=args.c2,
+                                          c3=args.c3)
+    lemma = lemma_10_1_check(family, b_family, args.epsilon,
+                             consts.log_eps_prime, z_grid=grid, alpha=args.alpha)
     checks.append(_check("outer-comparison-chain", lemma["passed"], {
         "assembled_margin": lemma["assembled_margin"],
         "covering_max": lemma["covering_max"]}))
@@ -536,18 +541,18 @@ def run_construct(cfg: RunConfig) -> dict:
         "lemma_10_1": lemma,
         "n_power": lemma["n_power"],
     }
-    if cfg.cv is not None and cfg.delta is not None:
-        choice = validate_epsilon_choice(cfg.epsilon, c_alpha, cfg.cv, cfg.delta)
+    if args.cv is not None and args.delta is not None:
+        choice = validate_epsilon_choice(args.epsilon, c_alpha, args.cv, args.delta)
         report["quantities"]["epsilon_choice"] = choice
         checks.append(_check("epsilon-choice", choice["ok"], choice))
-    if cfg.svg:
+    if args.svg:
         pts = [z for e in ps.entries for z in e.sigma]
-        rendering.write_svg(cfg.svg, rendering.render_points(pts))
+        rendering.write_svg(args.svg, rendering.render_points(pts))
     return _finish(report, checks)
 
 
-def run_weight(cfg: RunConfig) -> dict:
-    data = _load_json(cfg.input)
+def run_weight(args: argparse.Namespace) -> dict:
+    data = _load_json(args.input)
     tag = data.get("tag")
     samples = data.get("samples")
     if samples is not None:
@@ -566,26 +571,49 @@ def run_weight(cfg: RunConfig) -> dict:
     ]
     p0 = None
     if classification["level"] >= 3:
-        p0 = p0_norm_check(w, cfg.section)
+        p0 = p0_norm_check(w, args.section)
         checks.append(_check("p0-between-bounds", p0["ok"],
                              {"lhs": p0["lhs"], "rhs": p0["rhs"]}))
     report = {
         "command": "weight",
         "inputs": {"tag": tag, "sample_count": None if samples is None else len(samples)},
-        "constants": {"section": cfg.section},
+        "constants": {"section": args.section},
         "quantities": {"classification": classification, "p0": p0},
     }
     return _finish(report, checks)
 
 
-_RUNNERS = {
-    "sequence": run_sequence,
-    "carleson": run_carleson,
-    "contour": run_contour,
-    "embedding": run_embedding,
-    "system": run_system,
-    "construct": run_construct,
-    "weight": run_weight,
+#: each subcommand: its runner, its help line, and the flags the runner
+#: reads besides --input and --out
+_COMMANDS = {
+    "sequence": (run_sequence, "interpolation constants of a point sequence",
+                 ("depth", "svg")),
+    "carleson": (run_carleson, "Carleson constants of a discrete measure",
+                 ("depth", "svg")),
+    "contour": (run_contour, "level contour of a bounded function, with verification",
+                ("epsilon", "seed", "depth", "c1", "c2", "c3", "svg")),
+    "embedding": (run_embedding, "condition sums and embedding norm of Blaschke families",
+                  ("depth",)),
+    "system": (run_system, "Riesz diagnostics of a subspace frame file", ("delta",)),
+    "construct": (run_construct, "contour-net point systems and their checks",
+                  ("epsilon", "alpha", "seed", "depth", "cv", "delta", "c1", "c2", "c3",
+                   "svg")),
+    "weight": (run_weight, "five-level classification of a boundary weight", ("section",)),
+}
+
+#: the argparse settings of each flag in _COMMANDS
+_FLAGS = {
+    "epsilon": {"type": float},
+    "alpha": {"type": float},
+    "seed": {"type": int},
+    "depth": {"type": int, "default": 12, "help": "dyadic depth (default %(default)s)"},
+    "cv": {"type": float},
+    "delta": {"type": float},
+    "c1": {"type": float, "default": 8.0},
+    "c2": {"type": float, "default": 8.0},
+    "c3": {"type": float, "default": 8.0},
+    "section": {"type": int, "default": 256, "help": "Toeplitz section size (default %(default)s)"},
+    "svg": {"help": "figure path"},
 }
 
 
@@ -597,62 +625,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analyses of disk sequences, Carleson measures, contours, "
                     "subspace systems and weights; JSON reports, SVG figures.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("sequence", "interpolation constants of a point sequence"),
-            ("carleson", "Carleson constants of a discrete measure"),
-            ("contour", "level contour of a bounded function, with verification"),
-            ("embedding", "condition sums and embedding norm of Blaschke families"),
-            ("system", "Riesz diagnostics of a subspace frame file"),
-            ("construct", "contour-net point systems and their checks"),
-            ("weight", "five-level classification of a boundary weight")):
+    for name, (_, helptext, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", help="JSON file with flag values")
         p.add_argument("--input", help="input JSON document")
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--depth", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--cv", type=float)
-        p.add_argument("--c1", type=float)
-        p.add_argument("--c2", type=float)
-        p.add_argument("--c3", type=float)
-        p.add_argument("--section", type=int)
         p.add_argument("--out", help="report path (stdout when omitted)")
-        p.add_argument("--svg", help="figure path")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    """RunConfig from the flags, then the --config file, then the field defaults."""
-    values = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "command"}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                stored = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot load config: {exc}") from exc
-        if not isinstance(stored, dict):
-            raise InputError("config must be a JSON object")
-        for key, val in stored.items():
-            if key not in values:
-                raise InputError(f"unknown config key {key!r}")
-            if values[key] is None:
-                values[key] = val
-    cfg = RunConfig(command=args.command, **{k: v for k, v in values.items() if v is not None})
-    cfg.validate()
-    return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        report = _RUNNERS[cfg.command](cfg)
+        validate(args)
+        report = _COMMANDS[args.command][0](args)
     except (InputError, DomainError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    write_report(cfg.out, report)
+    write_report(args.out, report)
     return 0 if report["passed"] else 1
 
 

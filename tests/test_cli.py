@@ -1,5 +1,6 @@
 """End-to-end runs of the command line front end via ``main(argv)``."""
 
+import argparse
 import filecmp
 import hashlib
 import json
@@ -30,6 +31,14 @@ def run_to_file(tmp_path, argv, name="report.json"):
     if report is not None:
         jsonschema.validate(instance=report, schema=REPORT_SCHEMA)
     return code, report
+
+
+#: flags without which each subcommand refuses to run
+REQUIRED_FLAGS = {
+    "sequence": [], "carleson": [], "embedding": [], "system": [], "weight": [],
+    "contour": ["--epsilon", "0.1", "--seed", "1"],
+    "construct": ["--epsilon", "0.01", "--alpha", "0.05", "--seed", "1"],
+}
 
 
 def points_input(tmp_path):
@@ -96,6 +105,10 @@ class TestReports:
         assert lower["passed"] == (lower["detail"]["min_log_abs_outside"]
                                    >= lower["detail"]["threshold"])
         assert upper["passed"] and lower["passed"]
+        bound = checks["contour-norm-at-most-10"]
+        assert bound["detail"] == {"norm": q["contour_norm"], "threshold": 10.0,
+                                   "slack": 10.0 - q["contour_norm"]}
+        assert bound["passed"] and bound["detail"]["slack"] >= 0.0
 
     def test_contour_lower_sandwich_fails_with_a_shallow_inner_level(self, tmp_path):
         # c2 = 1e-4 lifts log eps' to about -1.9, above log|phi| at most samples
@@ -217,8 +230,11 @@ class TestDeterminism:
             "groups": [[[[1.0, 0.0], [0.0, 0.0]]], [[[0.6, 0.0], [0.8, 0.0]]]]})
         assert run_to_file(tmp_path, ["system", "--input", groups], "a.json")[0] == 0
         code, rep = run_to_file(tmp_path, [
-            "sequence", "--input", points_input(tmp_path), "--depth", "7",
-            "--delta", "0.9"], "b.json")
+            "system", "--input", groups, "--delta", "0.9"], "b.json")
+        assert code in (0, 1)
+        assert rep["constants"]["delta"] == 0.9
+        code, rep = run_to_file(tmp_path, [
+            "sequence", "--input", points_input(tmp_path), "--depth", "7"], "d.json")
         assert code == 0
         assert rep["constants"]["depth"] == 7
         code, rep = run_to_file(tmp_path, ["system", "--input", groups], "c.json")
@@ -280,6 +296,14 @@ class TestExitCodes:
                      "--alpha", "0.05"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["contour", "construct"])
+    def test_negative_seed_is_refused(self, tmp_path, capsys, command):
+        # numpy's generator refuses it with a ValueError, which was a traceback
+        inp = write_json(tmp_path, "input.json", {"zeros": [], "families": [[[0.5, 0.0]]]})
+        argv = [command, "--input", inp] + REQUIRED_FLAGS[command] + ["--seed=-1"]
+        assert run_to_file(tmp_path, argv) == (2, None)
+        assert capsys.readouterr().err == "input error: --seed must be nonnegative\n"
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -290,8 +314,53 @@ class TestExitCodes:
     def test_input_that_is_not_utf8(self, tmp_path, capsys, command):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"points": "\xff"}')
-        assert main([command, "--input", str(path), "--epsilon", "0.1", "--seed", "1"]) == 2
+        assert main([command, "--input", str(path)] + REQUIRED_FLAGS[command]) == 2
         assert "input is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED_FLAGS))
+    @pytest.mark.parametrize("document", ["[1, 2]", '"x"'])
+    def test_input_that_is_not_an_object(self, tmp_path, capsys, command, document):
+        path = tmp_path / "top.json"
+        path.write_text(document)
+        argv = [command, "--input", str(path)] + REQUIRED_FLAGS[command]
+        assert run_to_file(tmp_path, argv) == (2, None)
+        assert capsys.readouterr().err == "input error: input must be a JSON object\n"
+
+    @pytest.mark.parametrize("command, payload, literal", [
+        ("sequence", {"points": [[math.nan, 0.0], [0.5, 0.0]]}, "NaN"),
+        ("carleson", {"atoms": [[[0.5, 0.0], math.nan]]}, "NaN"),
+        ("contour", {"zeros": [], "outer_log": [math.nan] + [-0.1] * 63}, "NaN"),
+        ("embedding", {"families": [[[0.5, 0.0]], [[-math.inf, 0.0]]]}, "-Infinity"),
+        ("system", {"groups": [[[math.nan, 0.0]]]}, "NaN"),
+        ("construct", {"families": [[[0.5, math.inf]]]}, "Infinity"),
+        ("weight", {"samples": [1.0] * 15 + [math.nan]}, "NaN"),
+    ])
+    def test_non_json_number_literals_are_refused(self, tmp_path, capsys, command,
+                                                  payload, literal):
+        # json.dumps writes NaN, Infinity and -Infinity, which JSON lacks
+        inp = write_json(tmp_path, "nan.json", payload)
+        argv = [command, "--input", inp] + REQUIRED_FLAGS[command]
+        assert run_to_file(tmp_path, argv) == (2, None)
+        assert capsys.readouterr().err == (
+            f"input error: input is not valid JSON: {literal} is not a JSON number\n")
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"matrices": 5}, "matrices must be a list of {'coefficients': ...} entries"),
+        ({"families": 5}, "families must be a list of zero lists"),
+        ({"matrices": [{"coefficients": 5}]},
+         "each matrix entry needs a 'coefficients' list of matrices"),
+        ({"matrices": [{"coefficients": [5]}]},
+         "each matrix entry needs a 'coefficients' list of matrices"),
+        ({"matrices": [{"coefficients": [[[0.5], [0.1, 0.0]]]}]},
+         "the coefficient matrices must be rectangular and of one shape"),
+        ({"matrices": [{"coefficients": [[[0.5]], [[0.1, 0.0]]]}]},
+         "the coefficient matrices must be rectangular and of one shape"),
+    ])
+    def test_construct_refuses_malformed_shapes(self, tmp_path, capsys, payload, message):
+        inp = write_json(tmp_path, "shapes.json", payload)
+        argv = ["construct", "--input", inp] + REQUIRED_FLAGS["construct"]
+        assert run_to_file(tmp_path, argv) == (2, None)
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_missing_input(self, capsys):
         assert main(["sequence"]) == 2
@@ -304,6 +373,26 @@ class TestExitCodes:
         assert main(["contour", "--input", zeros, "--epsilon", "1.5",
                      "--seed", "1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("contour", "--c1", "nan"), ("contour", "--c3", "inf"),
+        ("contour", "--epsilon", "nan"), ("system", "--delta", "nan"),
+        ("system", "--delta", "inf"), ("construct", "--cv", "-inf")])
+    def test_non_finite_flag_values_are_refused(self, tmp_path, capsys, command, flag,
+                                                value):
+        # a NaN --c1 ran to a passing report, an infinite one to a traceback
+        inp = write_json(tmp_path, "input.json", {})
+        argv = [command, "--input", inp] + REQUIRED_FLAGS[command] + [f"{flag}={value}"]
+        assert run_to_file(tmp_path, argv) == (2, None)
+        assert capsys.readouterr().err == f"input error: {flag} must be finite\n"
+
+    def test_nonpositive_cv_is_refused(self, tmp_path, capsys):
+        # a negative CV(delta/2) made the epsilon-choice check pass for any epsilon
+        inp = write_json(tmp_path, "input.json", {})
+        argv = (["construct", "--input", inp] + REQUIRED_FLAGS["construct"]
+                + ["--cv=-5", "--delta", "0.4"])
+        assert run_to_file(tmp_path, argv) == (2, None)
+        assert capsys.readouterr().err == "input error: --cv must be positive\n"
 
     def test_weight_needs_tag_or_samples(self, tmp_path, capsys):
         inp = write_json(tmp_path, "empty.json", {})
@@ -473,22 +562,52 @@ class TestEntryParser:
             assert got[1] == want[1]
 
 
-class TestConfigFile:
-    def test_config_supplies_values_and_flags_win(self, tmp_path):
-        inp = points_input(tmp_path)
-        cfg = write_json(tmp_path, "cfg.json", {"depth": 9, "input": inp})
-        code, rep = run_to_file(tmp_path, ["sequence", "--config", cfg])
-        assert code == 0
-        assert rep["constants"]["depth"] == 9
-        code, rep = run_to_file(tmp_path, [
-            "sequence", "--config", cfg, "--depth", "7"], "b.json")
-        assert rep["constants"]["depth"] == 7
+#: the flags of each subcommand besides --input and --out: those its runner reads
+OPTIONS = {
+    "sequence": {"--depth", "--svg"},
+    "carleson": {"--depth", "--svg"},
+    "contour": {"--epsilon", "--seed", "--depth", "--c1", "--c2", "--c3", "--svg"},
+    "embedding": {"--depth"},
+    "system": {"--delta"},
+    "construct": {"--epsilon", "--alpha", "--seed", "--depth", "--cv", "--delta",
+                  "--c1", "--c2", "--c3", "--svg"},
+    "weight": {"--section"},
+}
 
-    def test_unknown_config_key(self, tmp_path, capsys):
-        inp = points_input(tmp_path)
-        cfg = write_json(tmp_path, "cfg.json", {"depht": 9})
-        assert main(["sequence", "--config", cfg, "--input", inp]) == 2
-        capsys.readouterr()
+
+class TestOptionSurface:
+    def test_each_subcommand_takes_the_flags_its_runner_reads(self):
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        options = {name: {o for a in sub._actions for o in a.option_strings}
+                   - {"-h", "--help"} for name, sub in commands.choices.items()}
+        assert all({"--input", "--out"} <= opts for opts in options.values())
+        assert {name: opts - {"--input", "--out"}
+                for name, opts in options.items()} == OPTIONS
+        assert sum(map(len, options.values())) == 38
+
+    @pytest.mark.parametrize("command, unread", [
+        ("sequence", ["--epsilon", "0.1"]),
+        ("carleson", ["--seed", "3"]),
+        ("contour", ["--section", "16"]),
+        ("embedding", ["--svg", "fig.svg"]),
+        ("system", ["--svg", "fig.svg"]),
+        ("construct", ["--section", "16"]),
+        ("weight", ["--epsilon", "0.1"]),
+    ])
+    def test_unread_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, command,
+                                                    unread):
+        inp = write_json(tmp_path, "input.json", {})
+        svg = ["--svg", str(tmp_path / "fig.svg")] if "--svg" in OPTIONS[command] else []
+        for extra in (unread, ["--config", inp]):
+            argv = ([command, "--input", inp, "--out", str(tmp_path / "report.json")]
+                    + REQUIRED_FLAGS[command] + svg + extra)
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {extra[0]}" in capsys.readouterr().err
+            assert not (tmp_path / "report.json").exists()
+            assert not (tmp_path / "fig.svg").exists()
 
 
 def test_svg_output(tmp_path):
