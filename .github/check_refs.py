@@ -13,12 +13,18 @@ which draws a sample of rounds, this covers the whole corpus.
 Each workload's summary line also gives one sha256 over every case's exit
 code and report bytes, in corpus order.  Equal digests from two checkouts
 run on one machine show that their corpus reports are byte-identical,
-which the reference gate's tolerances alone do not.
+which the reference gate's tolerances alone do not.  Next to the digest
+stands the largest relative deviation |a - b| / max(|a|, |b|) of any
+report quantity from its reference, with its case, stratum and path, so a
+refactor states how far its numbers moved.  Numbers are what the gate
+compares as numbers, and a pair within the gate's ATOL floor counts as no
+deviation, so values near zero do not dominate.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import sys
 import tempfile
@@ -39,6 +45,31 @@ def report_bytes(runner) -> bytes | None:
         return fh.read()
 
 
+def deviations(expected, actual, path: str = "quantities"):
+    """(relative deviation, path) of every number pair of two JSON values.
+
+    The walk follows ``refcheck.diff``: booleans are not numbers, and parts
+    whose shapes differ are left to the gate's own mismatch lines.
+    """
+    num = (int, float)
+    if isinstance(expected, bool) or isinstance(actual, bool):
+        return
+    if isinstance(expected, num) and isinstance(actual, num):
+        gap = abs(expected - actual)
+        if not (math.isfinite(expected) and math.isfinite(actual)):
+            gap = 0.0 if expected == actual else math.inf
+        if gap > refcheck.ATOL:
+            yield gap / max(abs(expected), abs(actual)), path
+    elif isinstance(expected, dict) and isinstance(actual, dict):
+        if expected.keys() == actual.keys():
+            for key in expected:
+                yield from deviations(expected[key], actual[key], f"{path}.{key}")
+    elif isinstance(expected, list) and isinstance(actual, list):
+        if len(expected) == len(actual):
+            for i, (e, a) in enumerate(zip(expected, actual)):
+                yield from deviations(e, a, f"{path}[{i}]")
+
+
 def check(name: str, main, workdir: str) -> int:
     """Number of cases of the workload that do not match their reference."""
     wl = WORKLOADS[name]
@@ -46,6 +77,7 @@ def check(name: str, main, workdir: str) -> int:
     runner = harness.CaseRunner(main, os.path.join(workdir, name))
     digest = hashlib.sha256()
     bad = 0
+    worst = (0.0, "")
     for index in range(wl.corpus_size):
         case = wl.case(index)
         code, _, error = runner.run(case)
@@ -57,13 +89,18 @@ def check(name: str, main, workdir: str) -> int:
         if ref is None or ref["input_sha256"] != case.input_sha256():
             problems = ["input does not match the referenced one"]
         else:
-            problems = [error] if error is not None else refcheck.compare(
-                ref, code, runner.report())
+            report = runner.report()
+            problems = [error] if error is not None else refcheck.compare(ref, code, report)
+            if report is not None and "quantities" in ref:
+                for rel, path in deviations(ref["quantities"], report["quantities"]):
+                    if rel > worst[0]:
+                        worst = (rel, f" (case {index}, {case.stratum}, {path})")
         if problems:
             bad += 1
             print(f"{name} case {index} ({case.stratum}): {problems[0]}")
     print(f"{name}: {wl.corpus_size - bad}/{wl.corpus_size} cases match, "
-          f"reports sha256 {digest.hexdigest()}")
+          f"reports sha256 {digest.hexdigest()}, "
+          f"largest relative deviation {worst[0]:.3g}{worst[1]}")
     return bad
 
 

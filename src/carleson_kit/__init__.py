@@ -27,7 +27,7 @@ from .model_space import (MatrixFunction, ModelTriple, det_theta_many, distance_
                           project_model, residual_norm_coanalytic,
                           support_cover_count, triple_from_theta,
                           two_component_project)
-from .riesz import (SubspaceSystem, dual_system, embedding_norm,
+from .riesz import (GramFactor, SubspaceSystem, embedding_norm,
                     extract_critical_subset, orthogonalizer_condition,
                     skew_projection_norm, skew_projection_norms, tensor_bound_check,
                     uniform_minimality)

@@ -50,10 +50,10 @@ class DiscreteMeasure:
         for p, m in atoms:
             p = complex(p)
             m = float(m)
-            if abs(p) > 1.0 + 1e-12:
+            if not abs(p) <= 1.0 + 1e-12:  # nan fails
                 raise DomainError(f"atom outside the closed disk: |z| = {abs(p):.6g}")
-            if m <= 0.0:
-                raise DomainError(f"atom masses must be positive, got {m}")
+            if not 0.0 < m < math.inf:
+                raise DomainError(f"atom masses must be positive and finite, got {m}")
             pts.append(p)
             ms.append(m)
         object.__setattr__(self, "points", np.asarray(pts, dtype=complex))

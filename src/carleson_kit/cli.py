@@ -149,10 +149,6 @@ def _load_input(path: str | None) -> tuple[dict, bytes]:
     return data, raw
 
 
-def _load_json(path: str | None) -> dict:
-    return _load_input(path)[0]
-
-
 def _load_json_digest(path: str | None) -> tuple[dict, str]:
     """The input document and the sha256 hex digest of its bytes.
 
@@ -165,6 +161,21 @@ def _load_json_digest(path: str | None) -> tuple[dict, str]:
 
 #: the JSON number types; bool is an int to Python but not a number here
 _NUMBER_TYPES = frozenset((int, float))
+
+
+def _float_array(values, what: str) -> np.ndarray:
+    """Float array of JSON numbers, refused when one does not fit a double.
+
+    A literal such as 1e400 parses to inf, and an integer literal past
+    1.8e308 does not convert at all.
+    """
+    try:
+        out = np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise InputError(f"{what} must be finite") from exc
+    if not np.isfinite(out).all():
+        raise InputError(f"{what} must be finite")
+    return out
 
 
 def _complex_array(values, what: str) -> np.ndarray:
@@ -184,12 +195,12 @@ def _complex_array(values, what: str) -> np.ndarray:
             or not set(map(len, pairs)) <= {2}
             or not set(map(type, parts)) <= _NUMBER_TYPES):
         raise InputError(f"{what} must be a number or an [re, im] pair")
-    re_im = np.array(parts, dtype=float).reshape(-1, 2)
+    re_im = _float_array(parts, what).reshape(-1, 2)
     if numbers:
         mask = np.array(is_pair)
         mixed = np.zeros((len(values), 2))
         mixed[mask] = re_im
-        mixed[~mask, 0] = numbers
+        mixed[~mask, 0] = _float_array(numbers, what)
         re_im = mixed
     return re_im.view(complex).reshape(-1)
 
@@ -198,7 +209,7 @@ def _real_array(values, what: str) -> np.ndarray:
     """Float array from a JSON list of numbers, checked by the set of their types."""
     if not isinstance(values, list) or not set(map(type, values)) <= _NUMBER_TYPES:
         raise InputError(f"{what} must be a list of numbers")
-    return np.array(values, dtype=float)
+    return _float_array(values, what)
 
 
 def _complex_list(values, what: str) -> list[complex]:
@@ -229,8 +240,9 @@ def run_sequence(args: argparse.Namespace) -> dict:
     rep = interpolation_constants(points, depth=args.depth)
     norms = [projection_norm_formula(points, p) for p in points]
     system = riesz.SubspaceSystem.from_kernel_groups([[p] for p in points])
-    gram_norms = riesz.skew_projection_norms(system)
-    condition = riesz.orthogonalizer_condition(system)
+    factor = riesz.GramFactor(system)
+    gram_norms = factor.singleton_skew_norms()
+    condition = factor.condition()
     worst = max(abs(a - b) / b for a, b in zip(gram_norms, norms))
     checks = [
         _check("delta-not-above-alpha", rep.delta <= rep.alpha + 1e-12,
@@ -264,8 +276,9 @@ def run_carleson(args: argparse.Namespace) -> dict:
             raise InputError("each atom is [[re, im], mass]")
         if type(entry[1]) not in _NUMBER_TYPES or entry[1] <= 0:
             raise InputError("atom masses must be positive numbers")
+    masses = _float_array([entry[1] for entry in atoms_raw], "atom masses").tolist()
     positions = _complex_list([entry[0] for entry in atoms_raw], "atom position")
-    atoms = [(z, float(entry[1])) for z, entry in zip(positions, atoms_raw)]
+    atoms = list(zip(positions, masses))
     measure = DiscreteMeasure(atoms)
     norm = carleson_norm(measure, depth=args.depth)
     kernel_const = kernel_test_constant(measure)
@@ -296,17 +309,16 @@ def run_contour(args: argparse.Namespace) -> dict:
     require_seed(args)
     if args.epsilon is None:
         raise InputError("--epsilon is required for contour runs")
-    data = _load_json(args.input)
+    data, _ = _load_input(args.input)
     zeros = _complex_list(data.get("zeros", []), "zeros")
     atoms_raw = data.get("singular_atoms", [])
     if not isinstance(atoms_raw, list):
         raise InputError("singular_atoms must be a list of [angle, mass]")
-    atoms = []
     for entry in atoms_raw:
         if not (isinstance(entry, list) and len(entry) == 2
                 and set(map(type, entry)) <= _NUMBER_TYPES):
             raise InputError("each singular atom is [angle, mass] with numbers")
-        atoms.append((float(entry[0]), float(entry[1])))
+    atoms = _float_array(atoms_raw, "singular atoms").tolist()
     outer = data.get("outer_log")
     outer_arr = None if outer is None else _real_array(outer, "outer_log")
     phi = BoundedFunction(zeros=tuple(zeros), singular_atoms=tuple(atoms),
@@ -398,37 +410,24 @@ def run_embedding(args: argparse.Namespace) -> dict:
 
 
 def run_system(args: argparse.Namespace) -> dict:
-    data = _load_json(args.input)
+    data, _ = _load_input(args.input)
     groups = data.get("groups")
     if not isinstance(groups, list) or not groups:
         raise InputError("groups must be a nonempty list of frame matrices")
     frames = [_frame_in(g) for g in groups]
     system = riesz.SubspaceSystem(frames)
     try:
-        condition = riesz.orthogonalizer_condition(system)
-        minimality = riesz.uniform_minimality(system)
-        # skew_n = 1/delta_n exactly, yet the singleton norms stay on the
-        # Cholesky reduction of the pencil (G_n, G): at conditions near 9e5
-        # the two routes differ by up to 4.2e-6 relative, so reading them
-        # off the QR factor would move reports past the 1e-9 tolerance of
-        # bench/refs; that switch belongs with a regeneration of the refs
-        skew = riesz.skew_projection_norms(system)
-        dual = riesz.dual_system(system)
-        residual = 0.0
-        stacked = system.stacked()
-        slices = system.block_slices()
-        dual_stacked = dual.stacked()
-        for i, sl in enumerate(slices):
-            mask = np.ones(stacked.shape[1], dtype=bool)
-            mask[sl] = False
-            residual = max(residual, float(np.max(np.abs(
-                np.conj(dual_stacked[:, sl]).T @ stacked[:, mask]))))
+        factor = riesz.GramFactor(system)
     except riesz.LinearDependenceError as exc:
         return _finish({"command": "system",
                         "inputs": {"groups": len(groups)},
                         "constants": {}, "quantities": {}},
                        [_check("linearly-independent", False, str(exc))])
-    norm = riesz.embedding_norm(system)
+    condition = factor.condition()
+    minimality = riesz.uniform_minimality(system)
+    skew = factor.singleton_skew_norms()
+    residual = factor.dual_residual()
+    norm = factor.embedding_norm()
     checks = [
         _check("condition-at-least-1", condition >= 1.0 - 1e-12),
         _check("minimality-in-unit-interval", 0.0 < minimality <= 1.0 + 1e-12),
@@ -483,7 +482,7 @@ def run_construct(args: argparse.Namespace) -> dict:
     require_seed(args)
     if args.epsilon is None or args.alpha is None:
         raise InputError("--epsilon and --alpha are required for construct runs")
-    data = _load_json(args.input)
+    data, _ = _load_input(args.input)
     if "families" in data:
         if not isinstance(data["families"], list):
             raise InputError("families must be a list of zero lists")
@@ -552,7 +551,7 @@ def run_construct(args: argparse.Namespace) -> dict:
 
 
 def run_weight(args: argparse.Namespace) -> dict:
-    data = _load_json(args.input)
+    data, _ = _load_input(args.input)
     tag = data.get("tag")
     samples = data.get("samples")
     if samples is not None:

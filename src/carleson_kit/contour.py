@@ -69,14 +69,16 @@ class BoundedFunction:
         self.zeros = tuple(require_interior(z, "zero") for z in zeros)
         atoms = []
         for ang, mass in singular_atoms:
-            if mass <= 0:
-                raise DomainError("singular masses must be positive")
+            if not (math.isfinite(ang) and 0 < mass < math.inf):
+                raise DomainError("singular atoms need a finite angle and a positive finite mass")
             atoms.append((float(ang) % TAU, float(mass)))
         self.singular_atoms = tuple(atoms)
         if outer_log is not None:
             outer_log = np.asarray(outer_log, dtype=float)
             if outer_log.ndim != 1 or outer_log.size == 0:
                 raise DomainError("outer_log must be a 1-d sample array")
+            if not np.isfinite(outer_log).all():
+                raise DomainError("outer_log samples must be finite")
             if np.max(outer_log) > 1e-8:
                 raise DomainError("outer part must have modulus <= 1")
         self.outer_log = outer_log

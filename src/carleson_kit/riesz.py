@@ -2,12 +2,16 @@
 
 A system is stored as a list of frames with orthonormal columns in a common
 ambient C^dim.  Two factorizations of the stacked frames V = [F_1 ... F_K]
-carry every diagnostic.  The block Gram matrix G = V^H V gives the
-condition number of the orthogonalizer, norms of skew projections onto
-sub-families (all of them from one Cholesky factor of G), biorthogonal
-dual frames and the constant of the embedding f -> (P_n f)_n.  Uniform
+carry every diagnostic.  :class:`GramFactor` forms the block Gram matrix
+G = V^H V once per report, tests it for dependence and takes its spectrum;
+the orthogonalizer condition sqrt(lmax/lmin), the embedding constant
+lmax(G), the skew projection norms (from one Cholesky factor of G) and the
+biorthogonal duals (the blocks of V G^{-1}) are read off it.  Uniform
 minimality is read off the triangular factor of V = QR instead, because
 forming G squares the condition number that its inverse would pass on.
+The condition, skew norms and duals could come from R too, but at
+conditions near 9e5 that moves them by up to 5.5e-6 relative, so they stay
+on G for as long as reports must reproduce those made on G.
 
 Kernel-based systems (groups of reproducing kernels, optionally tensored
 with direction vectors) are embedded isometrically into C^n through the
@@ -17,6 +21,7 @@ Cholesky factor of their Gram matrix before the same diagnostics apply.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,11 +33,7 @@ _DEP_TOL = 1e-12
 
 def _block_slices(ranks) -> list[slice]:
     """Consecutive column blocks of the given widths."""
-    out, start = [], 0
-    for k in ranks:
-        out.append(slice(start, start + k))
-        start += k
-    return out
+    return [slice(end - k, end) for k, end in zip(ranks, accumulate(ranks))]
 
 
 class SubspaceSystem:
@@ -56,6 +57,8 @@ class SubspaceSystem:
         for f in frames:
             if f.ndim != 2 or f.shape[1] == 0 or f.shape[1] > self.dim:
                 raise DomainError("each frame needs shape (dim, rank)")
+            if not np.isfinite(f).all():
+                raise DomainError("frame entries must be finite")
             err = np.max(np.abs(np.conj(f).T @ f - np.eye(f.shape[1])))
             if err > 1e-10:
                 raise DomainError("frame columns must be orthonormal")
@@ -138,28 +141,86 @@ class SubspaceSystem:
         except np.linalg.LinAlgError as exc:
             raise LinearDependenceError("kernel elements are numerically dependent") from exc
         emb = np.conj(chol).T
-        frames, start = [], 0
-        for s in sizes:
-            block = emb[:, start : start + s]
-            q, _ = np.linalg.qr(block)
-            frames.append(q)
-            start += s
-        return cls(frames, labels=labels)
+        return cls([np.linalg.qr(emb[:, sl])[0] for sl in _block_slices(sizes)],
+                   labels=labels)
 
 
-def _checked_gram(system: SubspaceSystem):
-    """The Gram matrix and its ascending eigenvalues, refused when singular."""
-    gram = system.gram()
-    w = np.linalg.eigvalsh(gram)
-    if w[0] <= _DEP_TOL * max(w[-1], 1.0):
-        raise LinearDependenceError("subspaces are not jointly independent")
-    return gram, w
+class GramFactor:
+    """G = V^H V of a jointly independent system and its ascending spectrum.
+
+    Construction raises LinearDependenceError when lmin <= 1e-12 max(lmax, 1).
+    """
+
+    __slots__ = ("system", "gram", "eigenvalues")
+
+    def __init__(self, system: SubspaceSystem):
+        self.system = system
+        self.gram = system.gram()
+        self.eigenvalues = np.linalg.eigvalsh(self.gram)
+        if self.eigenvalues[0] <= _DEP_TOL * max(self.eigenvalues[-1], 1.0):
+            raise LinearDependenceError("subspaces are not jointly independent")
+
+    def condition(self) -> float:
+        """Condition number sqrt(lmax(G)/lmin(G)) of the orthogonalizer."""
+        return math.sqrt(self.eigenvalues[-1] / self.eigenvalues[0])
+
+    def embedding_norm(self) -> float:
+        """lmax(G); see :func:`embedding_norm`."""
+        return float(self.eigenvalues[-1])
+
+    def skew_norms(self, selections) -> list[float]:
+        """Norm of the skew projection onto each selection of subspaces along the rest.
+
+        Its square is the largest generalized eigenvalue of (G_sigma, G),
+        G_sigma the Gram matrix with every block row and column outside the
+        selection sigma zeroed.  With G = L L^H the pencil reduces to
+        L^{-1} G_sigma L^{-H}, whose nonzero spectrum is that of
+        G_{sigma sigma} (G^{-1})_{sigma sigma}.  For G_{sigma sigma} = C C^H
+        and M = L^{-1}[:, sigma], (G^{-1})_{sigma sigma} = M^H M and the norm
+        is sigma_max(M C).  One L^{-1} serves every selection; a one-column
+        selection j gives ||L^{-1}[:, j]|| sqrt(G_jj).
+        """
+        gram = self.gram
+        linv = np.linalg.inv(np.linalg.cholesky(gram))
+        col_norms = np.linalg.norm(linv, axis=0)
+        slices = self.system.block_slices()
+        out = []
+        for sel in selections:
+            cols = np.concatenate([np.arange(slices[i].start, slices[i].stop) for i in sel])
+            if cols.size == 1:
+                j = cols[0]
+                out.append(float(col_norms[j]) * math.sqrt(gram[j, j].real))
+            else:
+                c = np.linalg.cholesky(gram[np.ix_(cols, cols)])
+                out.append(float(np.linalg.norm(linv[:, cols] @ c, 2)))
+        return out
+
+    def singleton_skew_norms(self) -> list[float]:
+        return self.skew_norms([[n] for n in range(len(self.system))])
+
+    def dual_residual(self) -> float:
+        """Largest |<d, f>| over dual frames d and original frames f of other index.
+
+        Dual n is block n of V G^{-1}, orthonormalized by QR; it is orthogonal
+        to every other original frame, so the residual is rounding (0 for one
+        subspace).
+        """
+        stacked = self.system.stacked()
+        slices = self.system.block_slices()
+        all_dual = stacked @ np.linalg.inv(self.gram)
+        dual = np.concatenate([np.linalg.qr(all_dual[:, sl])[0] for sl in slices], axis=1)
+        residual = 0.0
+        for sl in slices:
+            others = np.ones(stacked.shape[1], dtype=bool)
+            others[sl] = False
+            residual = max(residual, float(np.max(np.abs(
+                np.conj(dual[:, sl]).T @ stacked[:, others]), initial=0.0)))
+        return residual
 
 
 def orthogonalizer_condition(system: SubspaceSystem) -> float:
     """Condition number sqrt(lmax(G)/lmin(G)) of the joint Gram matrix."""
-    _, w = _checked_gram(system)
-    return math.sqrt(w[-1] / w[0])
+    return GramFactor(system).condition()
 
 
 def _minimality_from_r(r: np.ndarray, slices: list[slice]) -> float:
@@ -200,89 +261,26 @@ def uniform_minimality(system: SubspaceSystem) -> float:
     return _minimality_from_r(r, system.block_slices())
 
 
-def _skew_norms(system: SubspaceSystem, selections) -> list[float]:
-    """Skew projection norms onto each selection of subspaces, from one factor of G.
-
-    The squared norm of the projection onto the subspaces sigma along the
-    rest is the largest generalized eigenvalue of the pencil (G_sigma, G),
-    G_sigma the Gram matrix with every block row and column outside sigma
-    zeroed.  The pencil's Cholesky reduction G = L L^H turns it into the
-    ordinary eigenproblem of L^{-1} G_sigma L^{-H}, whose nonzero spectrum
-    is that of G_{sigma sigma} (G^{-1})_{sigma sigma}:
-
-        lmax(G_sigma, G) = lmax(G_{sigma sigma} (G^{-1})_{sigma sigma}).
-
-    With G_{sigma sigma} = C C^H and (G^{-1})_{sigma sigma} = M^H M for
-    M = L^{-1}[:, sigma], the norm is sigma_max(M C).  One L^{-1} serves
-    every selection; a one-column selection j gives ||L^{-1}[:, j]|| sqrt(G_jj).
-    """
-    gram, _ = _checked_gram(system)
-    linv = np.linalg.inv(np.linalg.cholesky(gram))
-    col_norms = np.linalg.norm(linv, axis=0)
-    slices = system.block_slices()
-    out = []
-    for sel in selections:
-        cols = np.concatenate([np.arange(slices[i].start, slices[i].stop) for i in sel])
-        if cols.size == 1:
-            j = cols[0]
-            out.append(float(col_norms[j]) * math.sqrt(gram[j, j].real))
-        else:
-            c = np.linalg.cholesky(gram[np.ix_(cols, cols)])
-            out.append(float(np.linalg.norm(linv[:, cols] @ c, 2)))
-    return out
-
-
 def skew_projection_norm(system: SubspaceSystem, onto) -> float:
-    """Norm of the skew projection onto the subspaces ``onto`` along the rest.
-
-    On the span of the whole system, the projection keeps the components
-    in the selected subspaces and kills the others.  The squared norm is
-    the largest generalized eigenvalue of (G_sigma, G) where G_sigma zeroes
-    every block row/column outside the selection; see :func:`_skew_norms`
-    for how it is computed.
-    """
+    """Norm of the skew projection onto the subspaces ``onto`` along the rest."""
     onto = sorted(set(onto))
     if not onto or any(i < 0 or i >= len(system) for i in onto):
         raise DomainError("selection must be a nonempty subset of subspace indices")
-    return _skew_norms(system, [onto])[0]
+    return GramFactor(system).skew_norms([onto])[0]
 
 
 def skew_projection_norms(system: SubspaceSystem) -> list[float]:
-    """The skew projection norm onto every single subspace along the others.
-
-    Entry n is ``skew_projection_norm(system, [n])``, all read off one
-    Cholesky factor of G after one dependence test; a dependent system
-    raises LinearDependenceError.
-    """
-    return _skew_norms(system, [[n] for n in range(len(system))])
-
-
-def dual_system(system: SubspaceSystem) -> SubspaceSystem:
-    """Biorthogonal dual system inside the span of the original.
-
-    The dual of subspace n is spanned by the columns of F G^{-1} in block n;
-    every dual frame is orthogonal to all original frames with other indices.
-    """
-    gram, _ = _checked_gram(system)
-    stacked = system.stacked()
-    all_dual = stacked @ np.linalg.inv(gram)
-    frames = []
-    for sl in system.block_slices():
-        q, _ = np.linalg.qr(all_dual[:, sl])
-        frames.append(q)
-    return SubspaceSystem(frames, labels=list(system.labels))
+    """Entry n is ``skew_projection_norm(system, [n])``, all off one factor of G."""
+    return GramFactor(system).singleton_skew_norms()
 
 
 def embedding_norm(system: SubspaceSystem) -> float:
-    """Norm of f -> (P_n f)_n, i.e. lmax of the frame sum S = sum F_n F_n^H.
+    """Norm of f -> (P_n f)_n, lmax of S = sum F_n F_n^H = V V^H.
 
-    Defined for any system; joint independence is not required.
+    S and G = V^H V share their nonzero spectrum, so this is lmax(G).
+    Joint independence is not required.
     """
-    s = np.zeros((system.dim, system.dim), dtype=complex)
-    for f in system.frames:
-        s += f @ np.conj(f).T
-    w = np.linalg.eigvalsh(s)
-    return float(w[-1])
+    return float(np.linalg.eigvalsh(system.gram())[-1])
 
 
 def extract_critical_subset(system: SubspaceSystem, delta: float):

@@ -10,6 +10,8 @@ import math
 import numpy as np
 import scipy.linalg
 
+from carleson_kit.riesz import SubspaceSystem
+
 
 def member_minimality(system, n):
     """sigma_min((I - Q Q^H) F_n), Q an orthonormal basis of the other frames.
@@ -66,3 +68,27 @@ def extraction_oracle(system, delta):
         else:
             break
     return [system.labels[i] for i in current]
+
+
+def dual_system(system):
+    """Biorthogonal dual system inside the span of the original.
+
+    The dual of subspace n is spanned by the columns of V G^{-1} in block n,
+    orthonormalized by QR; every dual frame is orthogonal to all original
+    frames with other indices.
+    """
+    all_dual = system.stacked() @ np.linalg.inv(system.gram())
+    frames = [np.linalg.qr(all_dual[:, sl])[0] for sl in system.block_slices()]
+    return SubspaceSystem(frames, labels=list(system.labels))
+
+
+def dual_residual(system, dual):
+    """Largest |<dual frame n, frame m>| over n != m."""
+    stacked, dual_stacked = system.stacked(), dual.stacked()
+    residual = 0.0
+    for sl in system.block_slices():
+        mask = np.ones(stacked.shape[1], dtype=bool)
+        mask[sl] = False
+        residual = max(residual, float(np.max(np.abs(
+            np.conj(dual_stacked[:, sl]).T @ stacked[:, mask]))))
+    return residual

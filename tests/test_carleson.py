@@ -36,6 +36,14 @@ def test_discrete_measure_validation():
         DiscreteMeasure([(1.5, 1.0)])
 
 
+@pytest.mark.parametrize("atom", [(complex(math.nan, 0.0), 1.0), (0.5, math.inf),
+                                  (0.5, math.nan)])
+def test_discrete_measure_refuses_non_finite_atoms(atom):
+    # a NaN position passes |z| <= 1 and a NaN mass passes m > 0 unnoticed
+    with pytest.raises(DomainError):
+        DiscreteMeasure([(0.2, 1.0), atom])
+
+
 def test_boundary_atoms_are_allowed():
     # singular parts live on the circle; the norm scans closed squares
     m = DiscreteMeasure([(1.0 + 0j, 0.01)])

@@ -1,10 +1,12 @@
 """End-to-end runs of the command line front end via ``main(argv)``."""
 
 import argparse
+import cmath
 import filecmp
 import hashlib
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import jsonschema
@@ -12,10 +14,16 @@ import numpy as np
 import pytest
 
 from carleson_kit.cli import InputError, _complex_list, _frame_in, build_parser, main
+from carleson_kit.riesz import SubspaceSystem
 
 REPO = Path(__file__).resolve().parents[1]
 with open(REPO / "docs" / "schemas" / "report.schema.json") as _fh:
     REPORT_SCHEMA = json.load(_fh)
+
+
+#: a placeholder that test_numbers_past_the_double_range_are_refused swaps
+#: for a number literal no double holds
+BIG = "number past the double range"
 
 
 def write_json(tmp_path, name, payload):
@@ -344,6 +352,34 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"input error: input is not valid JSON: {literal} is not a JSON number\n")
 
+    @pytest.mark.parametrize("command, payload, literal, message", [
+        ("sequence", {"points": [[0.5, 0.0], [BIG, 0.0]]}, "1e400", "points"),
+        ("sequence", {"points": [0.5, BIG]}, "-10**400", "points"),
+        ("carleson", {"atoms": [[[BIG, 0.0], 1.0]]}, "1e400", "atom position"),
+        ("carleson", {"atoms": [[[0.5, 0.0], BIG]]}, "1e400", "atom masses"),
+        ("carleson", {"atoms": [[[0.5, 0.0], BIG]]}, "1" + "0" * 400, "atom masses"),
+        ("contour", {"zeros": [[0.5, BIG]]}, "1e400", "zeros"),
+        ("contour", {"singular_atoms": [[BIG, 0.1]]}, "1e400", "singular atoms"),
+        ("contour", {"singular_atoms": [[0.0, BIG]]}, "1e400", "singular atoms"),
+        ("contour", {"outer_log": [BIG] + [-0.1] * 63}, "-1e400", "outer_log"),
+        ("embedding", {"families": [[[0.5, 0.0]], [[BIG, 0.0]]]}, "1e400", "family zeros"),
+        ("system", {"groups": [[[BIG, 0.0]]]}, "1e400", "frame vector"),
+        ("construct", {"families": [[[0.5, BIG]]]}, "1e400", "family zeros"),
+        ("construct", {"matrices": [{"coefficients": [[[[BIG, 0.0]]]]}]}, "1e400",
+         "matrix row"),
+        ("weight", {"samples": [1.0] * 15 + [BIG]}, "1e400", "samples"),
+    ])
+    def test_numbers_past_the_double_range_are_refused(self, tmp_path, capsys, command,
+                                                       payload, literal, message):
+        # 1e400 parses to inf, and an integer literal that long converts to no
+        # float: a LinAlgError, a report of nulls or a contour of -inf followed
+        path = tmp_path / "huge.json"
+        literal = literal.replace("10**400", str(10 ** 400))
+        path.write_text(json.dumps(payload).replace(json.dumps(BIG), literal))
+        argv = [command, "--input", str(path)] + REQUIRED_FLAGS[command]
+        assert run_to_file(tmp_path, argv) == (2, None)
+        assert capsys.readouterr().err == f"input error: {message} must be finite\n"
+
     @pytest.mark.parametrize("payload, message", [
         ({"matrices": 5}, "matrices must be a list of {'coefficients': ...} entries"),
         ({"families": 5}, "families must be a list of zero lists"),
@@ -488,14 +524,30 @@ class TestNumberInputs:
 
 
 def complex_in_oracle(value, what):
-    """Test oracle: the per-entry parse of one number or [re, im] pair."""
+    """Test oracle: the per-entry parse of one number or [re, im] pair.
+
+    An int past the range of a double reads as inf, as a float literal
+    past it does; :func:`finite_oracle` then refuses both.
+    """
     def number(v):
         return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    def real(v):
+        try:
+            return float(v)
+        except OverflowError:
+            return math.inf if v > 0 else -math.inf
     if number(value):
-        return complex(value)
+        return complex(real(value))
     if isinstance(value, list) and len(value) == 2 and all(map(number, value)):
-        return complex(value[0], value[1])
+        return complex(real(value[0]), real(value[1]))
     raise InputError(f"{what} must be a number or an [re, im] pair")
+
+
+def finite_oracle(entries, what):
+    """Test oracle: refuse parsed entries with an infinite part."""
+    if not all(map(cmath.isfinite, entries)):
+        raise InputError(f"{what} must be finite")
 
 
 def frame_oracle(group):
@@ -505,8 +557,10 @@ def frame_oracle(group):
     cols = []
     for v in group:
         if not isinstance(v, list):
+            finite_oracle(chain.from_iterable(cols), "frame vector")
             raise InputError("frame vector must be a list")
         cols.append(np.array([complex_in_oracle(x, "frame vector") for x in v], dtype=complex))
+    finite_oracle(chain.from_iterable(cols), "frame vector")
     if len({c.size for c in cols}) > 1:
         raise InputError("the vectors of one group must have one length")
     return np.stack(cols, axis=1)
@@ -517,8 +571,6 @@ def outcome(parse, value):
         return "ok", np.asarray(parse(value), dtype=complex)
     except InputError as exc:
         return "error", str(exc)
-    except OverflowError:
-        return "overflow", None
 
 
 ENTRY_TABLE = [
@@ -539,7 +591,9 @@ class TestEntryParser:
         def oracle(vals):
             if not isinstance(vals, list):
                 raise InputError("w must be a list")
-            return [complex_in_oracle(v, "w") for v in vals]
+            entries = [complex_in_oracle(v, "w") for v in vals]
+            finite_oracle(entries, "w")
+            return entries
         got, want = outcome(lambda v: _complex_list(v, "w"), values), outcome(oracle, values)
         assert got[0] == want[0]
         if got[0] == "ok":
@@ -608,6 +662,52 @@ class TestOptionSurface:
             assert f"unrecognized arguments: {extra[0]}" in capsys.readouterr().err
             assert not (tmp_path / "report.json").exists()
             assert not (tmp_path / "fig.svg").exists()
+
+
+class TestGramFactorization:
+    """A Riesz report forms the block Gram matrix, and its spectrum, once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"gram": 0, "eigvalsh": 0}
+        gram, eigvalsh = SubspaceSystem.gram, np.linalg.eigvalsh
+
+        def counted_gram(system):
+            counts["gram"] += 1
+            return gram(system)
+
+        def counted_eigvalsh(a):
+            counts["eigvalsh"] += 1
+            return eigvalsh(a)
+        monkeypatch.setattr(SubspaceSystem, "gram", counted_gram)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        return counts
+
+    @pytest.mark.parametrize("delta", [[], ["--delta", "0.99"]])
+    def test_system_report(self, tmp_path, calls, delta):
+        inp = write_json(tmp_path, "groups.json", {"groups": [
+            [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], [[0.6, 0.0, 0.8, 0.0]],
+            [[0.0, 0.6, 0.0, 0.8]]]})
+        code, rep = run_to_file(tmp_path, ["system", "--input", inp] + delta)
+        assert code == 0
+        assert rep["quantities"]["dual_residual"] < 1e-12
+        assert calls == {"gram": 1, "eigvalsh": 1}
+
+    def test_dependent_system_report(self, tmp_path, calls):
+        inp = write_json(tmp_path, "repeat.json",
+                         {"groups": [[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]]})
+        assert run_to_file(tmp_path, ["system", "--input", inp])[0] == 1
+        assert calls == {"gram": 1, "eigvalsh": 1}
+
+    def test_sequence_report(self, tmp_path, calls):
+        assert run_to_file(tmp_path, ["sequence", "--input", points_input(tmp_path)])[0] == 0
+        assert calls["gram"] == 1
+
+    def test_embedding_report(self, tmp_path, calls):
+        inp = write_json(tmp_path, "fams.json",
+                         {"families": [[[0.5, 0.0]], [[-0.3, 0.2], [0.1, 0.1]]]})
+        assert run_to_file(tmp_path, ["embedding", "--input", inp])[0] == 0
+        assert calls["eigvalsh"] == 1
 
 
 def test_svg_output(tmp_path):

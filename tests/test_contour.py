@@ -80,6 +80,18 @@ class TestConstants:
 
 
 class TestBoundedFunction:
+    @pytest.mark.parametrize("kwargs", [
+        {"singular_atoms": [(math.inf, 0.1)]},
+        {"singular_atoms": [(0.0, math.nan)]},
+        {"singular_atoms": [(0.0, math.inf)]},
+        {"outer_log": [-math.inf] + [-0.1] * 63},
+        {"outer_log": [math.nan] + [-0.1] * 63},
+    ])
+    def test_refuses_non_finite_parts(self, kwargs):
+        # a NaN outer sample passes the modulus test max(outer_log) <= 1e-8
+        with pytest.raises(DomainError, match="finite"):
+            BoundedFunction(zeros=[0.3], **kwargs)
+
     def test_pure_blaschke_log_abs(self):
         rng = np.random.default_rng(3)
         zeros = random_blaschke_zeros(rng, 5, rmax=0.8)

@@ -6,8 +6,8 @@ import pytest
 from carleson_kit.blaschke import projection_norm_formula
 from carleson_kit.errors import DomainError, LinearDependenceError
 from carleson_kit.riesz import (
+    GramFactor,
     SubspaceSystem,
-    dual_system,
     embedding_norm,
     extract_critical_subset,
     orthogonalizer_condition,
@@ -16,7 +16,8 @@ from carleson_kit.riesz import (
     tensor_bound_check,
     uniform_minimality,
 )
-from oracles import extraction_oracle, member_minimality, minimality_oracle, skew_norm_oracle
+from oracles import (dual_residual, dual_system, extraction_oracle, member_minimality,
+                     minimality_oracle, skew_norm_oracle)
 
 TAU = 2 * math.pi
 
@@ -53,6 +54,10 @@ def test_system_construction_and_validation():
     # non-orthonormal frame rejected
     with pytest.raises(DomainError):
         SubspaceSystem([np.array([[1.0, 1.0], [0.0, 1.0]])])
+    # non-finite entries rejected: NaN passes the orthonormality test
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="must be finite"):
+            SubspaceSystem([np.array([[bad], [0.0]])])
 
 
 def test_orthonormal_system_is_perfectly_conditioned():
@@ -121,21 +126,32 @@ def test_skew_projection_of_whole_system_is_identity():
 def test_dual_system_biorthogonality():
     rng = np.random.default_rng(33)
     pts = separated_points(rng, 4)
-    groups = [[pts[0], pts[1]], [pts[2]], [pts[3]]]
-    system = SubspaceSystem.from_kernel_groups(groups)
-    dual = dual_system(system)
-    assert dual.ranks == system.ranks
-    slices = system.block_slices()
-    pairing = np.conj(dual.stacked()).T @ system.stacked()
-    # dual block i annihilates every original block j != i and pairs
-    # invertibly with its own block
-    for i, si in enumerate(slices):
-        for j, sj in enumerate(slices):
-            block = pairing[si, sj]
-            if i == j:
-                assert np.linalg.matrix_rank(block, tol=1e-8) == block.shape[0]
-            else:
-                assert np.max(np.abs(block)) < 1e-8
+    mixed_rank = SubspaceSystem.from_kernel_groups([[pts[0], pts[1]], [pts[2]], [pts[3]]])
+    # kernels 0.01 apart: condition about 1e4, still jointly independent
+    near_dependent = SubspaceSystem.from_kernel_groups([[0.5, 0.51], [0.52], [-0.3j]])
+    assert GramFactor(near_dependent).condition() > 1e4
+    for system in (mixed_rank, near_dependent):
+        dual = dual_system(system)
+        assert dual.ranks == system.ranks
+        slices = system.block_slices()
+        pairing = np.conj(dual.stacked()).T @ system.stacked()
+        # dual block i annihilates every original block j != i and pairs
+        # invertibly with its own block
+        for i, si in enumerate(slices):
+            for j, sj in enumerate(slices):
+                block = pairing[si, sj]
+                if i == j:
+                    assert np.linalg.matrix_rank(block, tol=1e-8) == block.shape[0]
+                else:
+                    assert np.max(np.abs(block)) < 1e-8
+        # the library reads the residual off its one Gram factor, by the
+        # same operations as the oracle's frames
+        assert GramFactor(system).dual_residual() == dual_residual(system, dual)
+
+
+def test_single_subspace_has_zero_dual_residual():
+    system = SubspaceSystem.from_vectors([[1.0, 0.0]])
+    assert GramFactor(system).dual_residual() == 0.0
 
 
 def test_embedding_norm_is_top_eigenvalue_of_frame_sum():
@@ -145,6 +161,13 @@ def test_embedding_norm_is_top_eigenvalue_of_frame_sum():
     total = sum(f @ np.conj(f).T for f in frames)
     want = float(np.linalg.eigvalsh(total)[-1])
     assert embedding_norm(system) == pytest.approx(want, rel=1e-12)
+    # a system report reads it off its one Gram factor, which needs the
+    # frames jointly independent: ten columns in C^12
+    frames = random_frames(rng, 12, [2] * 5)
+    total = sum(f @ np.conj(f).T for f in frames)
+    want = float(np.linalg.eigvalsh(total)[-1])
+    assert GramFactor(SubspaceSystem(frames)).embedding_norm() == pytest.approx(want,
+                                                                               rel=1e-12)
 
 
 def test_uniform_minimality_matches_oracle():
