@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
 
 from .disk import TAU
 from .errors import DomainError
@@ -152,18 +151,27 @@ def _refined(values_fn, sizes) -> tuple[float, bool, list[float]]:
 
 
 def _dyadic_a2(w: np.ndarray, inv: np.ndarray) -> float:
-    """sup over dyadic arcs of (avg w)(avg 1/w), arcs of at least 8 samples."""
-    n = w.shape[0]
+    """sup over dyadic arcs of (avg w)(avg 1/w), arcs of at least 8 samples.
+
+    One pyramid of block sums serves every level: pairwise adds of the
+    samples give the sums over blocks of 2, 4, 8, ... samples, and the
+    products of the averages are kept from blocks of 8 up to the whole
+    circle.  One nan_to_num over all levels reads an inf product (an arc
+    where 1/w is infinite) as the largest finite double and a 0 * inf (an
+    arc where w vanishes) as inf.
+    """
+    products = np.empty(w.shape[0] // 4 - 1)
+    sw, si = w, inv
+    block, start = 1, 0
     with np.errstate(invalid="ignore"):
-        best = float(np.nan_to_num(np.mean(w) * np.mean(inv), nan=np.inf))
-        depth = 1
-        while n >> depth >= 8:
-            block = n >> depth
-            aw = w.reshape(-1, block).mean(axis=1)
-            ai = inv.reshape(-1, block).mean(axis=1)
-            best = max(best, float(np.max(np.nan_to_num(aw * ai, nan=np.inf))))
-            depth += 1
-    return best
+        while sw.shape[0] > 1:
+            sw, si = sw[0::2] + sw[1::2], si[0::2] + si[1::2]
+            block *= 2
+            if block >= 8:
+                count = sw.shape[0]
+                np.multiply(sw / block, si / block, out=products[start:start + count])
+                start += count
+        return float(np.max(np.nan_to_num(products, copy=False, nan=np.inf)))
 
 
 def classify_weight(w: Weight, base_depth: int = 8, max_depth: int = 14) -> dict:
@@ -186,14 +194,12 @@ def classify_weight(w: Weight, base_depth: int = 8, max_depth: int = 14) -> dict
     mass = float(np.mean(top))
     nonzero = bool(np.max(top) > 0.0 and mass > 0.0)
 
-    # negative part of log w decides the -infinity flag
+    # negative part of log w decides the -infinity flag; a zero sample
+    # counts as 1e6
     def neg_log(size):
-        vals = w.samples(size)
         with np.errstate(divide="ignore"):
-            lg = np.log(np.where(vals > 0.0, vals, np.nan))
-        lg = np.where(np.isnan(lg), -np.inf, lg)
-        neg = np.where(lg < 0.0, -lg, 0.0)
-        return np.mean(np.where(np.isfinite(neg), neg, 1e6))
+            lg = np.log(np.minimum(w.samples(size), 1.0))
+        return np.mean(np.where(lg == -np.inf, 1e6, -lg))
 
     _, log_divergent, _ = _refined(neg_log, sizes)
     if nonzero:
@@ -251,14 +257,61 @@ def classify_weight(w: Weight, base_depth: int = 8, max_depth: int = 14) -> dict
     }
 
 
+def _centre_of_inverse(col: np.ndarray) -> float:
+    """(T^-1)_nn of the Hermitian Toeplitz T of first column ``col``, size 2n + 1.
+
+    Levinson-Durbin: the order-m forward predictor a^(m) (a_0 = 1) solves
+    T_m a^(m) = err_m e_0 on the leading (m + 1)-square section T_m, and
+    a^(m+1) = [a^(m), 0] + k [0, conj(reversed a^(m))] with the reflection
+    coefficient k = -(sum_j c_(m+1-j) a_j)/err_m and err_(m+1) =
+    err_m (1 - |k|^2).  The backward predictors b_m = conj(reversed a^(m)),
+    padded with zeros, are the columns of a unit upper triangular B with
+    B^H T B = diag(err_m), so T^-1 = sum_m b_m b_m^H / err_m (the UDL form).
+    Its centre entry is sum_(m=n..2n) |a^(m)_(m-n)|^2 / err_m, because
+    b_m[n] = conj(a^(m)_(m-n)) and b_m[n] = 0 for m < n: no right-hand side,
+    no solution vector.
+    """
+    size = col.shape[0]
+    n = size // 2
+    reversed_col = col[:0:-1].copy()
+    a = np.zeros(size, dtype=complex)
+    a[0] = 1.0
+    scratch = np.empty(size, dtype=complex)
+    err = float(col[0].real)
+    total = 0.0
+    for m in range(size):
+        if not 0.0 < err < math.inf:
+            raise DomainError("the Toeplitz section is singular at working precision")
+        if m >= n:
+            c = a[m - n]
+            total += (c.real * c.real + c.imag * c.imag) / err
+        if m == size - 1:
+            return total
+        head = a[:m + 2]
+        k = -complex(np.dot(reversed_col[size - 2 - m:], head[:-1])) / err
+        update = scratch[:m + 2]
+        np.conjugate(head[::-1], out=update)
+        np.multiply(update, k, out=update)
+        np.add(head, update, out=head)
+        err *= 1.0 - (k.real * k.real + k.imag * k.imag)
+
+
 def p0_norm_check(w: Weight, section_size: int) -> dict:
     """Squared norm of the zeroth-coefficient projection on a finite section.
 
     The section spans the exponentials of index -n..n; the squared norm of
     the projection onto the constant along the rest is
-    (integral of w) times the central entry of the inverse Gram matrix,
-    computed through a Toeplitz solve on 2**max(13, bit length of 4n + 2)
-    samples.  It increases with the section and never exceeds
+    (integral of w) times the central entry of the inverse Gram matrix, a
+    (2n + 1)-square Hermitian Toeplitz matrix of Fourier coefficients taken
+    from 2**max(13, bit length of 4n + 2) samples.  The entry comes from the
+    Levinson-Durbin recursion through the UDL form
+    (T^-1)_nn = sum_(m=n..2n) |a^(m)_(m-n)|^2 / err_m (see
+    ``_centre_of_inverse``), in O(n^2).  On an ill-conditioned section it is
+    accurate only to about cond(T) times machine epsilon, as is the entry
+    from any other route (a general Toeplitz solve, a dense inverse).  A
+    prediction error that is not finite and positive means the section is
+    singular at working precision and raises DomainError.  The norm
+    increases with the section and never exceeds
     (integral of w)(integral of 1/w).
     """
     n = int(section_size)
@@ -278,12 +331,7 @@ def p0_norm_check(w: Weight, section_size: int) -> dict:
     coeffs = np.fft.fft(vals) / sample_size
     if 2 * n >= sample_size // 2:
         raise DomainError("section too large for the sample resolution")
-    col = coeffs[: 2 * n + 1]
-    row = np.conj(col)
-    rhs_vec = np.zeros(2 * n + 1, dtype=complex)
-    rhs_vec[n] = 1.0
-    center = solve_toeplitz((col, row), rhs_vec)[n]
-    lhs = float(mass * center.real)
+    lhs = mass * _centre_of_inverse(coeffs[: 2 * n + 1])
     report = {
         "section_size": n, "sample_size": sample_size,
         "mass": mass, "inv_mass": inv_mass if math.isfinite(inv_mass) else None,

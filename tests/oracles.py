@@ -92,3 +92,37 @@ def dual_residual(system, dual):
         residual = max(residual, float(np.max(np.abs(
             np.conj(dual_stacked[:, sl]).T @ stacked[:, mask]))))
     return residual
+
+
+def dyadic_a2_oracle(w, inv):
+    """sup over dyadic arcs of (avg w)(avg 1/w), each level averaged on its own.
+
+    Arcs of at least 8 samples; 0 * inf reads inf and an inf product the
+    largest finite double, as in the library.
+    """
+    n = w.shape[0]
+    with np.errstate(invalid="ignore"):
+        best = float(np.nan_to_num(np.mean(w) * np.mean(inv), nan=np.inf))
+        depth = 1
+        while n >> depth >= 8:
+            block = n >> depth
+            aw = w.reshape(-1, block).mean(axis=1)
+            ai = inv.reshape(-1, block).mean(axis=1)
+            best = max(best, float(np.max(np.nan_to_num(aw * ai, nan=np.inf))))
+            depth += 1
+    return best
+
+
+def toeplitz_centre_oracles(col):
+    """(T^-1)_nn of the Hermitian Toeplitz T of first column ``col`` two ways.
+
+    scipy's Levinson solve of T x = e_n, and the dense inverse of T.
+    """
+    size = col.shape[0]
+    n = size // 2
+    unit = np.zeros(size, dtype=complex)
+    unit[n] = 1.0
+    levinson = scipy.linalg.solve_toeplitz((col, np.conj(col)), unit)[n].real
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    dense = np.where(lag >= 0, col[np.abs(lag)], np.conj(col[np.abs(lag)]))
+    return float(levinson), float(np.linalg.inv(dense)[n, n].real)

@@ -6,6 +6,9 @@ import filecmp
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from itertools import chain
 from pathlib import Path
 
@@ -435,6 +438,15 @@ class TestExitCodes:
         assert main(["weight", "--input", inp]) == 2
         capsys.readouterr()
 
+    def test_singular_weight_section_exits_2(self, tmp_path, capsys):
+        # 1/w integrates, so the report reaches the p0 check, but every
+        # Fourier coefficient of one unit sample among 1e-200s is 1/8192:
+        # the Toeplitz section has rank one
+        inp = write_json(tmp_path, "weight.json", {"samples": [1.0] + [1e-200] * 8191})
+        assert run_to_file(tmp_path, ["weight", "--input", inp]) == (2, None)
+        assert capsys.readouterr().err == (
+            "input error: the Toeplitz section is singular at working precision\n")
+
     def test_failed_check_exits_1(self, tmp_path):
         # epsilon far too large for this coverage and separation target
         inp = write_json(tmp_path, "family.json", {
@@ -717,3 +729,18 @@ def test_svg_output(tmp_path):
         "sequence", "--input", inp, "--svg", str(svg)])
     assert code == 0
     assert svg.read_text().startswith("<svg ")
+
+
+def test_weight_report_needs_numpy_alone(tmp_path):
+    # a fresh interpreter imports the CLI and runs one weight report, whose
+    # Toeplitz solve was the last use of scipy, without loading scipy
+    inp = write_json(tmp_path, "weight.json", {"tag": "two_plus_cos"})
+    argv = ["weight", "--input", inp, "--out", str(tmp_path / "report.json")]
+    script = ("import sys\n"
+              "from carleson_kit.cli import main\n"
+              f"code = main({argv!r})\n"
+              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout == "0 []\n"

@@ -6,6 +6,7 @@ import pytest
 
 from carleson_kit.errors import DomainError
 from carleson_kit.weights import Weight, classify_weight, p0_norm_check
+from oracles import dyadic_a2_oracle, toeplitz_centre_oracles
 
 TAU = 2 * math.pi
 
@@ -163,3 +164,73 @@ class TestP0Norm:
         assert out["inv_mass"] is None
         assert out["ok"]
         assert out["lhs"] > 1.0
+
+
+def _phase_shifted_samples(seed):
+    """Positive samples whose Fourier coefficients are not real."""
+    rng = np.random.default_rng(seed)
+    t = TAU * np.arange(1 << 13) / (1 << 13)
+    phase = TAU * rng.random(2)
+    return (1.0 + 0.5 * np.cos(t + phase[0]) + 0.4 * np.cos(3 * t + phase[1])
+            + 0.05 * rng.random(t.shape[0]))
+
+
+SECTION_WEIGHTS = {
+    **{tag: lambda tag=tag: Weight.from_tag(tag) for tag in (
+        "one", "two_plus_cos", "abs_one_minus_z", "sqrt_abs_one_minus_z")},
+    **{f"samples-seed-{seed}": lambda seed=seed: Weight.from_samples(
+        _phase_shifted_samples(seed)) for seed in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("section", [1, 2, 16, 256, 1024])
+@pytest.mark.parametrize("name", sorted(SECTION_WEIGHTS))
+def test_section_centre_matches_two_independent_solves(name, section):
+    # the Levinson-Durbin centre entry against scipy's Toeplitz solve and
+    # the dense inverse, on the same Fourier coefficients
+    w = SECTION_WEIGHTS[name]()
+    out = p0_norm_check(w, section_size=section)
+    vals = w.samples(out["sample_size"], midpoint=False)
+    col = (np.fft.fft(vals) / out["sample_size"])[: 2 * section + 1]
+    if name.startswith("samples"):
+        assert np.max(np.abs(col.imag)) > 0.01
+    centre = out["lhs"] / out["mass"]
+    levinson, dense = toeplitz_centre_oracles(col)
+    assert centre == pytest.approx(levinson, rel=1e-12)
+    assert centre == pytest.approx(dense, rel=1e-12)
+
+
+def _zero_runs(t):
+    # zero on a whole quarter of the circle and at scattered points
+    w = 1.5 + np.sin(5 * t)
+    w[(t > 1.0) & (t < 1.0 + TAU / 4)] = 0.0
+    w[::37] = 0.0
+    return w
+
+
+A2_WEIGHTS = {
+    "callable-two-plus-cos": lambda: Weight.from_tag("two_plus_cos"),
+    "callable-power-zero": lambda: Weight.from_function(
+        lambda t: np.abs(np.sin(t / 2.0)) ** 0.7),
+    "callable-zero-runs": lambda: Weight.from_function(_zero_runs),
+    "stored-random": lambda: Weight.from_samples(
+        np.random.default_rng(3).uniform(0.01, 5.0, 1 << 14)),
+    "stored-zero-runs": lambda: Weight.from_samples(
+        _zero_runs(TAU * np.arange(1 << 14) / (1 << 14))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(A2_WEIGHTS))
+def test_a2_pyramid_matches_the_per_level_oracle(name):
+    # grids of 8 to 16384 samples; the pyramid sums in another order than
+    # the per-level means, so agreement is to rounding, and exact for inf
+    w = A2_WEIGHTS[name]()
+    out = classify_weight(w, base_depth=3, max_depth=14)
+    sizes = [1 << d for d in range(3, 15)]
+    assert len(out["a2_trace"]) == len(sizes)
+    for size, a2 in zip(sizes, out["a2_trace"]):
+        expected = dyadic_a2_oracle(w.samples(size), w.reciprocal(size))
+        if math.isinf(expected):
+            assert a2 == expected
+        else:
+            assert a2 == pytest.approx(expected, rel=1e-14)
