@@ -26,8 +26,16 @@ from . import riesz
 _EXACT = 1e-12
 # boundary samples of det theta, for its outer part and its support
 _DET_BOUNDARY_SIZE = 2048
-# random unit vectors per draw of the sphere net
+# random unit vectors per draw of the sphere net, and in all to certify it
 _PROBE_BATCH = 2048
+_CERTIFY_SAMPLES = 10_000
+# candidate slack on squared distances of the sphere net's filter
+_FILTER_SLACK = 1e-12
+# probes per real product of the filter: for net size K with K dim <= 512,
+# 256 K (2 dim) <= 2^18 multiply-adds, which OpenBLAS runs on one thread
+# whatever OPENBLAS_NUM_THREADS says; a threaded call took ~8 ms on a
+# loaded 2-vCPU host, longer than the min-norm formula it filters for
+_FILTER_BLOCK = 256
 
 
 def _as_unit(v) -> np.ndarray:
@@ -220,14 +228,59 @@ def build_contour_nets(theta_family, eps: float, alpha: float,
     return PointSystem(epsilon=eps, alpha=alpha, entries=tuple(entries))
 
 
-def unit_sphere_net(dim: int, eps: float, rng=None,
-                    certify_samples: int = 10_000) -> list[np.ndarray]:
+def _farthest(probes: np.ndarray, net: np.ndarray) -> tuple[int, np.float64]:
+    """Index of the probe farthest from the net, and its distance to the net.
+
+    The distance is the min-norm formula's, min_j |p - n_j| by
+    ``np.linalg.norm`` over the (probes, net, dim) complex difference, and
+    ties go to the first index: the result is argmax and max of that
+    formula over every probe, bit for bit.  The formula runs only on the
+    candidates of a filter.
+
+    Filter: squared distances a = |p|^2 + |n|^2 - 2 Re<p, n> from a real
+    product of the stacked [re, im] coordinates, in blocks of _FILTER_BLOCK
+    probes.  The candidates are the probes whose smallest a is within
+    tau = _FILTER_SLACK of the largest.
+
+    Why the farthest probe is a candidate: let D be the exact squared
+    distance to the net and d the min-norm formula's value.  For vectors of
+    norm 1 up to rounding in C^dim, |a - D| <= e_2 ~ (8 dim + 8) u and
+    |d^2 - D| <= e_1 ~ 4 (2 dim + 5) u with u = 2^-53, and the minimum over
+    the net keeps both bounds.  If probe i has the largest d, then for
+    every j
+        a_i >= D_i - e_2 >= d_i^2 - e_1 - e_2 >= d_j^2 - e_1 - e_2
+            >= a_j - 2 (e_1 + e_2).
+    So tau >= 2 (e_1 + e_2), which 1e-12 is for every dim up to 250, keeps
+    i and every probe tied with it among the candidates, and the argmax
+    over the candidates in index order returns i and d_i.
+    """
+    stacked = np.concatenate([probes.real, probes.imag], axis=1)
+    centres = np.concatenate([net.real, net.imag], axis=1)
+    scaled = -2.0 * centres.T
+    centre_norms = np.einsum("ij,ij->i", centres, centres)
+    approx = np.empty(stacked.shape[0])
+    for start in range(0, stacked.shape[0], _FILTER_BLOCK):
+        block = stacked[start:start + _FILTER_BLOCK] @ scaled
+        block += centre_norms
+        approx[start:start + _FILTER_BLOCK] = block.min(axis=1)
+    approx += np.einsum("ij,ij->i", stacked, stacked)
+    candidates = np.flatnonzero(approx >= approx.max() - _FILTER_SLACK)
+    sub = probes[candidates]
+    d = np.min(np.linalg.norm(sub[:, None, :] - net[None], axis=2), axis=1)
+    k = int(np.argmax(d))
+    return int(candidates[k]), d[k]
+
+
+def unit_sphere_net(dim: int, eps: float, rng=None) -> list[np.ndarray]:
     """Greedy eps-net on phase-canonicalized unit vectors, probe-certified.
 
     Net points are inserted farthest-first until a full batch of fresh
     random unit vectors all fall strictly within eps of the net; the final
-    certification draws certify_samples probes.  dim 1 collapses to the
-    single vector (1,).
+    certification draws _CERTIFY_SAMPLES probes.  The farthest probe of a
+    batch comes from ``_farthest``, which filters by a real product and
+    returns what the min-norm distance over every probe gives, bit for bit,
+    so the net is that formula's net.  dim 1 collapses to the single vector
+    (1,).
     """
     if dim < 1:
         raise DomainError("dimension must be at least 1")
@@ -244,23 +297,17 @@ def unit_sphere_net(dim: int, eps: float, rng=None,
         piv = np.take_along_axis(raw, np.argmax(np.abs(raw), axis=1)[:, None], axis=1)
         return raw * (np.conj(piv) / np.abs(piv))
 
-    def min_dists(probes):
-        arr = np.asarray(net)
-        return np.min(np.linalg.norm(probes[:, None, :] - arr[None, :, :], axis=2), axis=1)
-
     while True:
         probes = draw(_PROBE_BATCH)
-        d = min_dists(probes)
-        far = int(np.argmax(d))
-        if d[far] >= eps:
+        far, dist = _farthest(probes, np.asarray(net))
+        if dist >= eps:
             net.append(probes[far])
             continue
         certified = True
-        for start in range(0, certify_samples, _PROBE_BATCH):
-            probes = draw(min(_PROBE_BATCH, certify_samples - start))
-            d = min_dists(probes)
-            far = int(np.argmax(d))
-            if d[far] >= eps:
+        for start in range(0, _CERTIFY_SAMPLES, _PROBE_BATCH):
+            probes = draw(min(_PROBE_BATCH, _CERTIFY_SAMPLES - start))
+            far, dist = _farthest(probes, np.asarray(net))
+            if dist >= eps:
                 net.append(probes[far])
                 certified = False
                 break

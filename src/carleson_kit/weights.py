@@ -156,9 +156,9 @@ def _dyadic_a2(w: np.ndarray, inv: np.ndarray) -> float:
     One pyramid of block sums serves every level: pairwise adds of the
     samples give the sums over blocks of 2, 4, 8, ... samples, and the
     products of the averages are kept from blocks of 8 up to the whole
-    circle.  One nan_to_num over all levels reads an inf product (an arc
-    where 1/w is infinite) as the largest finite double and a 0 * inf (an
-    arc where w vanishes) as inf.
+    circle.  An arc where 1/w is infinite has an inf product, and one
+    nan_to_num over all levels reads a 0 * inf (an arc where w vanishes) as
+    inf too, so the supremum is finite only when every product is.
     """
     products = np.empty(w.shape[0] // 4 - 1)
     sw, si = w, inv
@@ -171,7 +171,7 @@ def _dyadic_a2(w: np.ndarray, inv: np.ndarray) -> float:
                 count = sw.shape[0]
                 np.multiply(sw / block, si / block, out=products[start:start + count])
                 start += count
-        return float(np.max(np.nan_to_num(products, copy=False, nan=np.inf)))
+        return float(np.max(np.nan_to_num(products, copy=False, nan=np.inf, posinf=np.inf)))
 
 
 def classify_weight(w: Weight, base_depth: int = 8, max_depth: int = 14) -> dict:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from carleson_kit.construction import canonical_phase
 from carleson_kit.riesz import SubspaceSystem
 
 
@@ -97,18 +98,20 @@ def dual_residual(system, dual):
 def dyadic_a2_oracle(w, inv):
     """sup over dyadic arcs of (avg w)(avg 1/w), each level averaged on its own.
 
-    Arcs of at least 8 samples; 0 * inf reads inf and an inf product the
-    largest finite double, as in the library.
+    Arcs of at least 8 samples; 0 * inf and an inf product both read inf,
+    as in the library.
     """
     n = w.shape[0]
     with np.errstate(invalid="ignore"):
-        best = float(np.nan_to_num(np.mean(w) * np.mean(inv), nan=np.inf))
+        best = float(np.nan_to_num(np.mean(w) * np.mean(inv), nan=np.inf,
+                                   posinf=np.inf))
         depth = 1
         while n >> depth >= 8:
             block = n >> depth
             aw = w.reshape(-1, block).mean(axis=1)
             ai = inv.reshape(-1, block).mean(axis=1)
-            best = max(best, float(np.max(np.nan_to_num(aw * ai, nan=np.inf))))
+            products = np.nan_to_num(aw * ai, nan=np.inf, posinf=np.inf)
+            best = max(best, float(np.max(products)))
             depth += 1
     return best
 
@@ -126,3 +129,44 @@ def toeplitz_centre_oracles(col):
     lag = np.subtract.outer(np.arange(size), np.arange(size))
     dense = np.where(lag >= 0, col[np.abs(lag)], np.conj(col[np.abs(lag)]))
     return float(levinson), float(np.linalg.inv(dense)[n, n].real)
+
+
+def unit_sphere_net_reference(dim, eps, rng=None):
+    """The greedy sphere net with every probe's distance by the min-norm formula.
+
+    The route the library's filtered farthest-probe search must reproduce bit
+    for bit, for dim >= 2: batches of 2048 phase-canonical random probes,
+    the farthest added while its distance is at least eps, then 10,000 more
+    probes to certify.
+    """
+    rng = np.random.default_rng(rng)
+    net = [canonical_phase(np.eye(dim, dtype=complex)[0])]
+
+    def draw(count):
+        raw = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+        piv = np.take_along_axis(raw, np.argmax(np.abs(raw), axis=1)[:, None], axis=1)
+        return raw * (np.conj(piv) / np.abs(piv))
+
+    def min_dists(probes):
+        arr = np.asarray(net)
+        return np.min(np.linalg.norm(probes[:, None, :] - arr[None, :, :], axis=2), axis=1)
+
+    while True:
+        probes = draw(2048)
+        d = min_dists(probes)
+        far = int(np.argmax(d))
+        if d[far] >= eps:
+            net.append(probes[far])
+            continue
+        certified = True
+        for start in range(0, 10_000, 2048):
+            probes = draw(min(2048, 10_000 - start))
+            d = min_dists(probes)
+            far = int(np.argmax(d))
+            if d[far] >= eps:
+                net.append(probes[far])
+                certified = False
+                break
+        if certified:
+            return net

@@ -200,6 +200,17 @@ class TestReports:
         p0 = rep["quantities"]["p0"]
         assert p0["lhs"] == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-4)
 
+    def test_weight_with_one_zero_sample_has_no_finite_a2(self, tmp_path):
+        # 1/w is infinite on every dyadic arc holding the zero sample: the
+        # product there is inf, not the largest double
+        inp = write_json(tmp_path, "weight.json", {"samples": [0.0] + [1.0] * 16383})
+        code, rep = run_to_file(tmp_path, ["weight", "--input", inp])
+        assert code == 0
+        cls = rep["quantities"]["classification"]
+        assert (cls["level"], cls["a2_finite"], cls["a2_constant"]) == (2, False, None)
+        assert rep["checks"][1] == {"name": "a2-at-least-1", "passed": True,
+                                    "detail": {"a2": None}}
+
     def test_weight_samples(self, tmp_path):
         t = np.arange(8192) * (2.0 * math.pi / 8192)
         inp = write_json(tmp_path, "wsamples.json", {

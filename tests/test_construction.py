@@ -7,6 +7,7 @@ from carleson_kit.blaschke import BlaschkeProduct
 from carleson_kit.construction import (
     ContourNetEntry,
     PointSystem,
+    _farthest,
     build_contour_nets,
     canonical_phase,
     check_two_eps_margins,
@@ -23,6 +24,7 @@ from carleson_kit.construction import (
 from carleson_kit.contour import ContourConstants
 from carleson_kit.errors import DomainError, NetValidityError
 from carleson_kit.model_space import MatrixFunction
+from oracles import unit_sphere_net_reference
 
 TAU = 2 * math.pi
 
@@ -147,7 +149,7 @@ class TestSphereNet:
     def test_dimension_two_net_is_separated_and_dense(self):
         rng = np.random.default_rng(10)
         eps = 0.5
-        net = unit_sphere_net(2, eps, rng=rng, certify_samples=2000)
+        net = unit_sphere_net(2, eps, rng=rng)
         arr = np.asarray(net)
         assert np.allclose(np.linalg.norm(arr, axis=1), 1.0, atol=1e-12)
         # density against fresh canonicalized probes
@@ -158,6 +160,87 @@ class TestSphereNet:
             np.linalg.norm(probes[:, None, :] - arr[None, :, :], axis=2), axis=1
         )
         assert np.max(dmin) < eps
+
+    # the ten construct-2x2 seeds of the benchmark corpus (dimension 2, eps 0.3)
+    @pytest.mark.parametrize("seed", range(6, 80, 8))
+    def test_corpus_nets_match_the_reference_bit_for_bit(self, seed):
+        self._assert_same_net(2, 0.3, seed)
+
+    # every (dim, eps) whose net stays near 120 vectors or fewer; the rest
+    # of the grid (dim 3 below eps 0.5, dim 4 below eps 1.0) takes seconds
+    # to minutes per net
+    @pytest.mark.parametrize("dim, eps", [
+        (2, 0.2), (2, 0.3), (2, 0.5), (2, 1.0), (2, 1.5),
+        (3, 0.5), (3, 1.0), (3, 1.5), (4, 1.0), (4, 1.5)])
+    def test_sweep_nets_match_the_reference_bit_for_bit(self, dim, eps):
+        self._assert_same_net(dim, eps, 100 * dim + int(10 * eps))
+
+    @staticmethod
+    def _assert_same_net(dim, eps, seed):
+        net = unit_sphere_net(dim, eps, rng=seed)
+        reference = unit_sphere_net_reference(dim, eps, rng=seed)
+        assert len(net) == len(reference) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(net, reference))
+
+    @staticmethod
+    def _probes_near_e1(count, spread, dim, seed):
+        rng = np.random.default_rng(seed)
+        raw = np.eye(dim, dtype=complex)[0] + spread * (
+            rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim)))
+        return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+    def test_farthest_takes_the_first_of_tied_probes(self):
+        net = np.eye(2, dtype=complex)[:1]
+        probes = self._probes_near_e1(2048, 0.1, 2, seed=1)
+        # (0, 1) and (0, i) are both sqrt(2) from e1, by either formula
+        probes[700] = [0.0, 1.0]
+        probes[300] = [0.0, 1j]
+        assert _farthest(probes, net) == (300, math.sqrt(2.0))
+        probes[[300, 700]] = probes[[700, 300]]
+        assert _farthest(probes, net) == (300, math.sqrt(2.0))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_farthest_ranks_rounding_level_near_ties_by_the_min_norm_formula(self, dim):
+        # (0.6, U w) with |w| = 0.8 and U unitary is sqrt(0.8) from e1 for
+        # every U; in floating point the Gram identity and the min-norm
+        # formula often order such probes differently in the last bits
+        net = np.eye(dim, dtype=complex)[:1]
+        disagree = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            probes = self._probes_near_e1(2048, 0.1, dim, seed=rng)
+            w = rng.standard_normal(dim - 1) + 1j * rng.standard_normal(dim - 1)
+            z = rng.standard_normal((200, dim - 1, dim - 1)) + 1j * rng.standard_normal(
+                (200, dim - 1, dim - 1))
+            probes[:200, 0] = 0.6
+            probes[:200, 1:] = np.linalg.qr(z)[0] @ (0.8 * w / np.linalg.norm(w))
+            dists = np.min(np.linalg.norm(probes[:, None, :] - net[None], axis=2), axis=1)
+            # |p|^2 + |e1|^2 - 2 Re<p, e1>
+            stacked = np.concatenate([probes.real, probes.imag], axis=1)
+            gram = np.einsum("ij,ij->i", stacked, stacked) + 1.0 - 2.0 * probes.real[:, 0]
+            disagree += int(np.argmax(gram) != np.argmax(dists))
+            assert _farthest(probes, net) == (int(np.argmax(dists)), np.max(dists))
+        assert disagree > 0
+
+    @pytest.mark.parametrize("dim, size", [(2, 1), (2, 40), (3, 60), (4, 100)])
+    def test_farthest_matches_the_min_norm_formula_on_random_batches(self, dim, size):
+        rng = np.random.default_rng(dim * size)
+        for _ in range(5):
+            net = self._probes_near_e1(size, 2.0, dim, seed=rng)
+            probes = self._probes_near_e1(2048, 2.0, dim, seed=rng)
+            dists = np.min(np.linalg.norm(probes[:, None, :] - net[None], axis=2), axis=1)
+            assert _farthest(probes, net) == (int(np.argmax(dists)), np.max(dists))
+
+    def test_farthest_keeps_a_probe_exactly_eps_away(self):
+        # every coordinate a multiple of 1/8: |p| = 1 and |p - e1| = 1/2 exactly
+        net = np.eye(3, dtype=complex)[:1]
+        probes = self._probes_near_e1(2048, 0.05, 3, seed=2)
+        assert np.max(np.linalg.norm(probes - net, axis=1)) < 0.5
+        probes[1234] = [0.875, 0.375 + 0.25j, 0.125 + 0.125j]
+        far, dist = _farthest(probes, net)
+        assert (far, dist) == (1234, 0.5)
+        # so the greedy net's test "dist >= eps" takes it at eps = 1/2
+        assert dist >= 0.5
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
