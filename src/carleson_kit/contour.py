@@ -50,6 +50,11 @@ _BOUND_PAD = 1e-9
 _DEPTH_FLOOR = 20
 # probe offset of the boundary extraction, relative to a primitive's length
 _PROBE_OFFSET = 2.0 ** -12
+# absolute pad of the extraction's disk culling, far above the rounding
+# (about 1e-15) of a probe point and of its distance to a disk center
+_CULL_PAD = 1e-12
+# largest (points x zeros) block of the Blaschke part of log|phi|
+_LOG_BLOCK = 2 ** 15
 # largest Carleson norm of the boundary curve that verify_region accepts
 CONTOUR_NORM_BOUND = 10.0
 
@@ -88,13 +93,24 @@ class BoundedFunction:
         out = np.zeros(zs.shape, dtype=float)
         if self.zeros:
             # |b_lam| = 1 on the circle, so only interior points add to the
-            # Blaschke part; points off the closed disk are refused
-            if not np.all(_modulus(zs) <= 1.0 + 1e-12):
+            # Blaschke part; points off the closed disk are refused.  One
+            # modulus gives both tests (in_open_disk is modulus < 1).
+            modulus = _modulus(zs)
+            if not np.all(modulus <= 1.0 + 1e-12):
                 raise DomainError("the Blaschke part is defined on the closed disk only")
-            inner = in_open_disk(zs)
-            rho = pseudo_hyperbolic(np.array(self.zeros)[None, :], zs[inner][:, None])
+            inner = modulus < 1.0
+            pts = zs[inner][:, None]
+            zeros = np.array(self.zeros)[None, :]
+            # row blocks of at most _LOG_BLOCK entries stay in cache and bound
+            # the memory; each row is still summed along one contiguous axis,
+            # so every sum has the bits of the one-shot (points, zeros) array
+            rows = max(1, _LOG_BLOCK // zeros.size)
+            sums = np.empty(pts.shape[0])
             with np.errstate(divide="ignore"):
-                out[inner] += np.sum(np.log(rho), axis=1)
+                for start in range(0, pts.shape[0], rows):
+                    rho = pseudo_hyperbolic(zeros, pts[start : start + rows])
+                    sums[start : start + rows] = np.sum(np.log(rho, out=rho), axis=1)
+            out[inner] += sums
         for ang, mass in self.singular_atoms:
             # the boundary Poisson kernel at xi is |k_z(xi)|^2; disk.kernel
             # refuses z off the open disk
@@ -466,13 +482,72 @@ def _curve_normals(kind, payload, ts):
     return np.exp(1j * (arc.start + ts * arc.length))
 
 
+def _curve_box(kind, payload) -> np.ndarray:
+    """Bounding box [[x0, y0], [x1, y1]] of a primitive curve."""
+    if kind == "circle":
+        c, r = payload
+        pts = np.array([c - r - 1j * r, c + r + 1j * r])
+    elif kind == "segment":
+        pts = np.array(payload)
+    else:
+        # an inner arc reaches its box at its ends and at the quarter turns
+        # k pi/2 it passes
+        r0, arc = payload
+        quarter = 0.5 * math.pi
+        first = math.ceil(arc.start / quarter)
+        last = math.floor((arc.start + arc.length) / quarter)
+        angles = [arc.start, arc.start + arc.length]
+        angles += [k * quarter for k in range(first, last + 1)]
+        pts = r0 * np.exp(1j * np.array(angles))
+    xy = np.stack((pts.real, pts.imag), axis=1)
+    return np.stack((xy.min(axis=0), xy.max(axis=0)))
+
+
+def _disk_boxes(region: Region) -> list:
+    """Each piece with the bounding boxes of its disks, as (K, 2) arrays of
+    lower and of upper corners."""
+    tables = []
+    for piece in region.pieces:
+        c = np.array([d.eu_center for d in piece.disks], dtype=complex)
+        r = np.array([d.eu_radius for d in piece.disks])
+        xy = np.stack((c.real, c.imag), axis=1)
+        tables.append((piece, xy - r[:, None], xy + r[:, None]))
+    return tables
+
+
+def _near_region(tables, box: np.ndarray, reach: float) -> Region:
+    """The region as seen from within ``reach`` of ``box``: each piece keeps
+    the disks whose boxes meet the grown box, and pieces left without disks
+    drop out."""
+    lo, hi = box[0] - reach, box[1] + reach
+    pieces = []
+    for piece, disk_lo, disk_hi in tables:
+        near = np.flatnonzero(((disk_lo < hi) & (disk_hi > lo)).all(axis=1))
+        if near.size:
+            disks = tuple(piece.disks[i] for i in near)
+            pieces.append(RegionPiece(piece.square, piece.holes, disks))
+    return Region(pieces)
+
+
 def _extract_polylines(region: Region):
     """Boundary of the region as polylines along the primitive curves.
 
     Every boundary point of a piece lies on a disk circle, a radial edge or
     an inner arc of some square.  Each primitive is sampled; a sample stays
     when probes offset to either side disagree about membership; transition
-    parameters are refined by bisection.
+    parameters are refined by bisection.  Both sides of a batch of samples
+    go through one membership call.
+
+    Each primitive's probes are tested against the region near it only: a
+    piece keeps just the disks whose bounding boxes meet the primitive's
+    box grown by the probe offset h plus ``_CULL_PAD`` (see
+    :func:`_near_region`).  The membership is unchanged.  The box of a
+    dropped disk (center c, radius r) lies, along one axis, at least h + pad
+    beyond the primitive's box, while every probe point p lies within h of
+    the primitive, so |p - c| exceeds r by at least the pad.  The rounding
+    of p, of the boxes and of |p - c| is about 1e-15, far below the pad, so
+    ``abs(p - c) < r`` would have been False for that disk at every probe;
+    and a piece left without disks contains none of the probes.
     """
     prims = {}
     for piece in region.pieces:
@@ -489,35 +564,36 @@ def _extract_polylines(region: Region):
                     r0, arc = payload
                     prims[(kind, kid)] = (kind, payload, r0 * arc.length, False)
 
+    tables = _disk_boxes(region)
     polylines = []
     for kind, payload, scale, closed in prims.values():
         if scale <= 0:
             continue
-        n = 256 if kind == "circle" else 512
-        span = TAU if kind == "circle" else 1.0
-        ts = span * (np.arange(n) + 0.5) / n
-        pts = _curve_points(kind, payload, ts)
-        normals = _curve_normals(kind, payload, ts)
         h = max(scale * _PROBE_OFFSET, 1e-13)
-        side_a = region.contains_many(pts + h * normals)
-        side_b = region.contains_many(pts - h * normals)
-        on_boundary = side_a ^ side_b
+        near = _near_region(tables, _curve_box(kind, payload), h + _CULL_PAD)
+        if not near.pieces:
+            continue
+
+        def crosses(t):
+            # the samples at parameters t whose two probes disagree
+            p = _curve_points(kind, payload, t)
+            off = h * _curve_normals(kind, payload, t)
+            sides = near.contains_many(np.concatenate((p + off, p - off)))
+            return sides[: t.size] ^ sides[t.size :]
 
         def refine(t_good, t_bad):
             for _ in range(30):
                 mid = 0.5 * (t_good + t_bad)
-                p = _curve_points(kind, payload, np.array([mid]))
-                nrm = _curve_normals(kind, payload, np.array([mid]))
-                hit = bool(
-                    region.contains_many(p + h * nrm)[0]
-                    ^ region.contains_many(p - h * nrm)[0]
-                )
-                if hit:
+                if crosses(np.array([mid]))[0]:
                     t_good = mid
                 else:
                     t_bad = mid
             return t_good
 
+        n = 256 if kind == "circle" else 512
+        span = TAU if kind == "circle" else 1.0
+        ts = span * (np.arange(n) + 0.5) / n
+        on_boundary = crosses(ts)
         if not np.any(on_boundary):
             continue
         if np.all(on_boundary):
@@ -526,20 +602,15 @@ def _extract_polylines(region: Region):
                 verts[-1] = verts[0]
             polylines.append(verts)
             continue
-        idx = np.arange(n)
-        runs = []
-        start = None
-        order = idx if not closed else np.roll(idx, -int(np.argmin(on_boundary)))
+        runs, run = [], []
+        order = np.arange(n) if not closed else np.roll(np.arange(n), -int(np.argmin(on_boundary)))
         for i in order:
-            if on_boundary[i] and start is None:
-                start = i
-                run = [i]
-            elif on_boundary[i]:
+            if on_boundary[i]:
                 run.append(i)
-            elif start is not None:
+            elif run:
                 runs.append(run)
-                start = None
-        if start is not None:
+                run = []
+        if run:
             runs.append(run)
         for run in runs:
             t_first, t_last = ts[run[0]], ts[run[-1]]
@@ -549,9 +620,8 @@ def _extract_polylines(region: Region):
                 prev_t -= span
             if closed and next_t < t_last:
                 next_t += span
-            t0 = refine(t_first, prev_t)
-            t1 = refine(t_last, next_t)
-            run_ts = np.concatenate(([t0], ts[run], [t1]))
+            run_ts = np.concatenate(([refine(t_first, prev_t)], ts[run],
+                                     [refine(t_last, next_t)]))
             polylines.append(_curve_points(kind, payload, run_ts))
     return tuple(polylines)
 

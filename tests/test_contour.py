@@ -1,9 +1,12 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import extract_polylines_reference
 
+from carleson_kit import contour, disk
 from carleson_kit.contour import (
     BadIntervals,
     BoundedFunction,
@@ -14,6 +17,7 @@ from carleson_kit.contour import (
     RegionPiece,
     RepresentingMeasure,
     _clip_arc,
+    _extract_polylines,
     _merge_arcs,
     bourgain_contour,
     check_potential_bounds,
@@ -186,6 +190,69 @@ class TestBoundedFunction:
         for z in ([0.5, 1.5], [0.5, complex("nan")], -1.1j):
             with pytest.raises(DomainError):
                 phi.log_abs(z)
+
+
+def one_shot_log_abs(zeros, zs):
+    """The Blaschke part of log|phi| from one (points, zeros) array."""
+    out = np.zeros(zs.shape)
+    inner = np.hypot(zs.real, zs.imag) < 1.0
+    rho = pseudo_hyperbolic(np.asarray(zeros)[None, :], zs[inner][:, None])
+    with np.errstate(divide="ignore"):
+        out[inner] = np.sum(np.log(rho), axis=1)
+    return out
+
+
+class TestLogAbsBlocks:
+    @pytest.mark.parametrize("n_zeros, n_points", [
+        (1, 40_000), (7, 10_001), (50, 10_001), (2**15 + 1, 5),
+    ])
+    def test_blocks_match_the_one_shot_sum_bit_for_bit(self, n_zeros, n_points):
+        # point counts that no block size divides, except for 2**15 + 1
+        # zeros, where every block is one row
+        rng = np.random.default_rng(n_zeros)
+        zeros = random_blaschke_zeros(rng, n_zeros, rmax=0.95)
+        zs = random_blaschke_zeros(rng, n_points, rmax=0.999)
+        # a point at a zero (-inf) and points on the circle (0)
+        zs[:5] = [zeros[0], 1.0, -1.0, 1j, -1j]
+        rows = max(1, contour._LOG_BLOCK // n_zeros)
+        assert n_points > rows and n_points % rows or rows == 1
+        got = BoundedFunction(zeros=zeros).log_abs(zs)
+        want = one_shot_log_abs(zeros, zs)
+        assert got[0] == -math.inf
+        assert (got[1:5] == 0.0).all()
+        assert np.array_equal(got, want)
+
+    def test_memory_stays_in_blocks(self):
+        # 10,000 points x 1,000 zeros: one (points, zeros) complex array
+        # alone is 160 MB
+        rng = np.random.default_rng(3)
+        phi = BoundedFunction(zeros=random_blaschke_zeros(rng, 1000))
+        zs = random_blaschke_zeros(rng, 10_000)
+        tracemalloc.start()
+        try:
+            phi.log_abs(zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_modulus_of_the_points_is_taken_once(self, monkeypatch):
+        # both the closed-disk refusal and the open-disk mask read it
+        rng = np.random.default_rng(8)
+        phi = BoundedFunction(zeros=random_blaschke_zeros(rng, 50))
+        zs = random_blaschke_zeros(rng, 1000)
+        want = phi.log_abs(zs)
+        sizes = []
+
+        def counted(z):
+            sizes.append(np.size(z))
+            return np.hypot(z.real, z.imag)
+
+        monkeypatch.setattr(disk, "_modulus", counted)
+        monkeypatch.setattr(contour, "_modulus", counted)
+        # blocks of 655 rows: only the whole-array modulus has 1000 entries
+        assert np.array_equal(phi.log_abs(zs), want)
+        assert sizes.count(zs.size) == 1
 
 
 class TestPotentialBounds:
@@ -521,3 +588,132 @@ class TestContour:
         assert g0.generation == 0
         assert g0.active_intervals == 1
         assert g0.length_ratio <= 0.01
+
+
+def circle_crossings(c1, r1, c2, r2):
+    """The two points where the circles |z - c1| = r1 and |z - c2| = r2 meet."""
+    d = abs(c2 - c1)
+    along = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+    unit = (c2 - c1) / d
+    across = math.sqrt(r1 * r1 - along * along)
+    return [c1 + (along + 1j * s * across) * unit for s in (1.0, -1.0)]
+
+
+class TestBoundaryExtraction:
+    """Partial boundary runs and their bisected ends, against the unculled
+    reference extraction and the closed-form crossings."""
+
+    FULL = CarlesonSquare(Arc(0.0, TAU), closed=True)
+    # hole over the first quarter turn: radial edges at angles 0 and pi/2
+    # from radius 0.75 to 1, inner arc of radius 0.75 between them
+    HOLE = CarlesonSquare(Arc.from_turns(0.0, 0.25), closed=True)
+
+    def check_partial_runs(self, region, crossings, h_of):
+        """Match the reference, and put every bisected end within 4h of a
+        crossing, h the probe offset of the end's own primitive; returns the
+        number of partial runs."""
+        got = _extract_polylines(region)
+        want = extract_polylines_reference(region)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        partial = [p for p in got if p[0] != p[-1]]
+        for p in partial:
+            h = h_of(p)
+            for end in (p[0], p[-1]):
+                assert min(abs(end - x) for x in crossings) < 4.0 * h
+        return len(partial)
+
+    @staticmethod
+    def circle_h(disk_spec, other_h):
+        def h_of(polyline):
+            on_circle = abs(abs(polyline[len(polyline) // 2] - disk_spec.eu_center)
+                            - disk_spec.eu_radius) < 1e-9
+            return disk_spec.eu_radius * 2.0**-12 if on_circle else other_h
+        return h_of
+
+    def test_two_overlapping_disks(self):
+        phi = BoundedFunction(zeros=[0.0, 0.1 + 0.05j])
+        result = bourgain_contour(phi, 0.3, constants=wide_constants())
+        (piece,) = result.region.pieces
+        d0, d1 = piece.disks
+        crossings = circle_crossings(d0.eu_center, d0.eu_radius, d1.eu_center, d1.eu_radius)
+        h_of = self.circle_h(d0, d1.eu_radius * 2.0**-12)
+        # h = 0.3 * 2**-12 = 7.3e-5 on the circle around 0; its ends were
+        # 2.8h from the crossings before the culling, and must not move
+        assert self.check_partial_runs(result.region, crossings, h_of) == 2
+
+    def test_one_membership_call_per_sample_pass_and_bisection_step(self, monkeypatch):
+        phi = BoundedFunction(zeros=[0.0, 0.1 + 0.05j])
+        result = bourgain_contour(phi, 0.3, constants=wide_constants())
+        calls = []
+        original = Region.contains_many
+
+        def counted(self, z):
+            calls.append(np.size(z))
+            return original(self, z)
+
+        monkeypatch.setattr(Region, "contains_many", counted)
+        _extract_polylines(result.region)
+        # two circles sampled once each (both sides of 256 samples stacked),
+        # then 30 steps at each of 4 run ends, both probes in one call
+        assert calls.count(512) == 2
+        assert calls.count(2) == 4 * 30
+        assert len(calls) == 2 + 4 * 30
+
+    def test_disk_across_a_radial_edge(self):
+        far = DiskSpec.around(-0.5, 0.2)
+        d = DiskSpec.around(0.9, 0.2)
+        region = Region([RegionPiece(self.FULL, (self.HOLE,), (d, far))])
+        # the edge is the real axis; the disk's center lies on it
+        c, r = d.eu_center, d.eu_radius
+        crossings = [c - r, c + r]
+        assert abs(c.imag) < 1e-15 and 0.75 < c.real - r < c.real + r < 1.0
+        h_of = self.circle_h(d, 0.25 * 2.0**-12)
+        assert self.check_partial_runs(region, crossings, h_of) == 2
+
+    def test_disk_cut_by_an_inner_arc(self):
+        far = DiskSpec.around(-0.5, 0.2)
+        d = DiskSpec.around(0.75 * cmath.exp(0.25j * math.pi), 0.2)
+        region = Region([RegionPiece(self.FULL, (self.HOLE,), (d, far))])
+        crossings = circle_crossings(0.0, 0.75, d.eu_center, d.eu_radius)
+        h_of = self.circle_h(d, 0.75 * 0.5 * math.pi * 2.0**-12)
+        assert self.check_partial_runs(region, crossings, h_of) == 2
+
+    def test_disk_within_the_probe_offset_of_an_edge_is_kept(self):
+        # a disk (given by its Euclidean realization) 3e-5 below the radial
+        # edge on the real axis, whose probe offset is h = 0.25 * 2**-12 =
+        # 6.1e-5: it misses the edge's box but catches the lower probes, so
+        # the edge shows a boundary run that culling by the pad alone loses
+        r = 0.01
+        c = 0.9 - (r + 3e-5) * 1j
+        d = DiskSpec(center=c, gamma=0.05, eu_center=c, eu_radius=r)
+        region = Region([RegionPiece(self.FULL, (self.HOLE,), (d,))])
+        got = _extract_polylines(region)
+        want = extract_polylines_reference(region)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert any(np.all(p.imag == 0.0) for p in got)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fuzzed_regions_with_holes_match_the_reference(self, seed):
+        # zeros clustered at a heavy singular atom: the bad interval's hole
+        # cuts the disks; a piece over each hole, as the next generation
+        # would add, gives disks of two pieces
+        rng = np.random.default_rng(seed)
+        ang = 1.0 + rng.uniform(-0.2, 0.2, 12)
+        rad = 1.0 - 10.0 ** rng.uniform(-2.5, -0.5, 12)
+        phi = BoundedFunction(zeros=rad * np.exp(1j * ang), singular_atoms=[(1.0, 0.004)])
+        consts = wide_constants(gamma=rng.uniform(0.05, 0.3), m_threshold=10.0)
+        result = bourgain_contour(phi, consts.epsilon, constants=consts, max_generations=1)
+        (piece,) = result.region.pieces
+        assert piece.holes
+        pieces = [piece]
+        for hole in piece.holes:
+            inside = [d for d in piece.disks if hole.contains(d.center)]
+            pieces.append(RegionPiece(hole, (), tuple(inside)))
+        region = Region(pieces)
+        want = extract_polylines_reference(region)
+        got = _extract_polylines(region)
+        assert any(p[0] != p[-1] for p in got)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
