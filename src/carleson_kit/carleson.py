@@ -35,6 +35,8 @@ from .errors import DomainError
 _KERNEL_BLOCK = 32
 _KERNEL_TAIL = 2.0 ** -60
 _KERNEL_ROWS = 512
+# (segment, arc) pairs per block of the curve norm: (2**16, 6) cut arrays
+_PAIR_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,9 @@ def carleson_norm(measure, depth: int = 12) -> float:
     end points.  At depths 0 and 1 a window crossing turn 0 can span more
     than 2**depth indices, which then repeat an arc; each (arc, segment)
     pair is kept once.  The pairs' lengths inside their squares are summed
-    per arc with ``np.bincount``.
+    per arc by ``np.add.at``, in blocks of ``_PAIR_BLOCK`` pairs, so the
+    cut arrays of ``_lengths_in_squares`` stay bounded; its adds run in pair
+    order, as ``np.bincount``'s do, whatever the blocks.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative")
@@ -195,9 +199,11 @@ def carleson_norm(measure, depth: int = 12) -> float:
             seg = np.repeat(alive, count)
             offset = np.arange(seg.size) - np.repeat(np.cumsum(count) - count, count)
             j = (np.repeat(j0, count) + offset) % n
-            lengths = _lengths_in_squares(a[seg], d[seg], j / n, 1.0 / n)
-            length = TAU / n
-            best = max(best, float(np.bincount(j, weights=lengths).max()) / length)
+            mass = np.zeros(n)
+            for lo in range(0, seg.size, _PAIR_BLOCK):
+                s, jb = seg[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
+                np.add.at(mass, jb, _lengths_in_squares(a[s], d[s], jb / n, 1.0 / n))
+            best = max(best, float(mass.max()) / (TAU / n))
         return best
     raise DomainError(f"unsupported measure type: {type(measure).__name__}")
 

@@ -14,12 +14,20 @@ import math
 
 import numpy as np
 
-from .disk import TAU, _modulus, in_open_disk, require_interior
+from .disk import TAU, _modulus, require_interior
 from .errors import DomainError
 
 #: points per block of poisson_sum, and the relative Fourier tail it drops
 _POISSON_BLOCK = 128
 _POISSON_TAIL = 2.0 ** -60
+#: poisson_sum sums the kernel directly where n (1 - |z|) < _POISSON_BAND
+_POISSON_BAND = 8.0
+#: most complex entries in one table of baby powers of poisson_sum
+_POISSON_ENTRIES = 2 ** 15
+#: real multiply-adds (a complex one counts 4) below which OpenBLAS runs a
+#: matrix product on one thread whatever OPENBLAS_NUM_THREADS says; threaded
+#: products stalled poisson_sum for up to 0.1 s on a loaded 2-vCPU host
+_BLAS_SERIAL = 2 ** 18
 
 
 def _check_power_of_two(n: int):
@@ -92,72 +100,184 @@ def riesz_project(grid: BoundaryGrid, sign: str) -> BoundaryGrid:
     return BoundaryGrid.from_coefficients(out)
 
 
+def _batches(size: int, most: int) -> list[tuple[int, int]]:
+    """Bounds of ceil(size / most) consecutive batches of range(size), their
+    sizes within one of each other.
+
+    Even batches leave no one-column remainder: OpenBLAS runs that product as
+    a matrix-vector one, which it threads from a smaller size on.
+    """
+    count = -(-size // most)
+    return [(k * size // count, (k + 1) * size // count) for k in range(count)]
+
+
+def _power_series(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_{k=1..J} coef[k-1] z**k at every point of z, J = coef.size >= 1.
+
+    Blocked powers (Paterson-Stockmeyer) with m = isqrt(J): running
+    products give the baby powers z, ..., z**m; one complex matrix product
+    of the coefficients, zero-padded to ceil(J/m) rows of m, with them gives
+    each row's polynomial; Horner in z**m combines the rows.  The table
+    holds m * z.size numbers, not J * z.size.  The product runs over batches
+    of points small enough for ``_BLAS_SERIAL``.
+
+    Rounding: the computed z**m carries a relative error of up to
+    sqrt(5) (m - 1) u (u = 2**-53, sqrt(5) u per complex product), and
+    Horner applies it once per row, so term k is effectively multiplied by
+    z**k (1 + e_k) with |e_k| <= sqrt(5) (k - 1) u to first order: the
+    error grows linearly with k, as it does for a cumulative product.  It is
+    the coherent reuse of z**m that makes the typical e_k about (k / sqrt(m)) u
+    rather than the sqrt(k) u of a random walk.  The matrix product and the
+    Horner additions add at most (m + J/m + 2) u of sum_k |coef_k| |z|**k.
+    """
+    terms = coef.size
+    step = math.isqrt(terms)
+    rows = -(-terms // step)
+    baby = np.empty((step, z.size), dtype=complex)
+    baby[0] = z
+    for j in range(1, step):
+        # row by row: cumprod along axis 0 runs one short inner loop per point
+        np.multiply(baby[j - 1], z, out=baby[j])
+    padded = np.zeros(rows * step, dtype=complex)
+    padded[:terms] = coef
+    padded = padded.reshape(rows, step)
+    part = np.empty((rows, z.size), dtype=complex)
+    for lo, hi in _batches(z.size, max(1, (_BLAS_SERIAL // 4 - 1) // (rows * step))):
+        np.matmul(padded, baby[:, lo:hi], out=part[:, lo:hi])
+    acc = part[-1]
+    for row in part[-2::-1]:
+        acc *= baby[-1]
+        acc += row
+    return acc
+
+
+def _int_power(z: np.ndarray, n: int) -> np.ndarray:
+    """z**n for an integer n >= 1 by repeated squaring.
+
+    numpy's complex ``**`` goes through exp and log: up to 9e-13 relative
+    off at n = 4096 next to the band, against 2.7e-13 by squaring, whose
+    error stays within sqrt(5) (n - 1) u to first order.
+    """
+    out = None
+    while True:
+        if n & 1:
+            out = z if out is None else out * z
+        n >>= 1
+        if n == 0:
+            return out
+        z = z * z
+
+
 def poisson_sum(samples, z) -> np.ndarray:
     """Poisson integral of uniform-grid samples, vectorized over ``z``.
 
     Returns  mean_j v_j (1 - |z|^2) / |xi_j - z|^2  with xi_j = exp(2 pi i j/n),
     for real samples v of any length n >= 1 and points z of any shape with
-    |z| < 1 (the result has z's shape); |z| >= 1 raises DomainError.
+    |z| < 1 (the result has z's shape); |z| >= 1 or nan raises DomainError.
 
     The quadrature equals its Fourier series exactly,
 
         S(z) = Re(c_0 + 2 sum_{j >= 1} c_{j mod n} z^j),   c = fft(v) / n,
 
     because summing the kernel's series over the grid folds frequency j onto
-    j mod n.  The points are sorted by radius and taken in blocks of
-    ``_POISSON_BLOCK``.  A block whose outermost radius is r keeps the terms
-    j <= J = ceil(log(2**-60 (1 - r)) / log r), which drops a tail of at most
-    2 max|c| r**(J+1) / (1 - r) <= 2**-59 max|c|.  With m = isqrt(J) the
-    block evaluates the series by blocked powers (Paterson-Stockmeyer):
-    one cumulative product gives the baby powers z, ..., z**m; one complex
-    matrix product of c_1..c_J, zero-padded to ceil(J/m) rows of m, with
-    them gives each row's polynomial; Horner in z**m combines the rows.
-    Every power is then a product of at most m + J/m factors rather than J,
-    so rounding does not grow with J, and a block holds O(128 sqrt(J))
-    numbers instead of a (J, 128) table of powers.  A block at the origin
-    (J = 0) is c_0.  Where J >= n, the shell 1 - |z| below about 45/n, the
-    block sums the positive kernel directly instead: there the series would
-    need more terms than the grid has samples, and the direct sum keeps its
-    relative accuracy next to the circle, away from the data's mass.
+    j mod n.  The points are sorted by radius and cut into blocks of
+    ``_POISSON_BLOCK``.  A block whose outermost radius is r needs the terms
+    j <= J = ceil(log(2**-60 (1 - r)) / log r), which leave a tail of at most
+    2 max|c| r**(J+1) / (1 - r) <= 2**-59 max|c|.  Three regimes, from the
+    centre out:
+
+    * Series, the blocks with J < n.  Consecutive blocks whose J stays
+      within twice the first block's form a group, cut where its table of
+      baby powers would pass ``_POISSON_ENTRIES`` numbers.  The group keeps
+      the terms up to its largest J, a smaller tail for its inner blocks,
+      and :func:`_power_series` sums them.  A group at the origin (J = 0)
+      is c_0.
+    * Folded shell, the other points with n (1 - |z|) >= ``_POISSON_BAND``.
+      Summing the series over periods of n gives exactly
+
+          S(z) = c_0 + 2 Re(Q(z) / (1 - z**n)),  Q(z) = sum_{k=1..n} c_{k mod n} z**k,
+
+      one polynomial of degree n by :func:`_power_series` and z**n by
+      squaring, in chunks under the same table cap.
+    * Direct band, n (1 - |z|) < ``_POISSON_BAND``: the positive kernel
+      summed over the grid, ``_POISSON_BLOCK`` points at a time, or fewer
+      where a block's product would reach ``_BLAS_SERIAL``.  It keeps
+      its relative accuracy next to the circle, away from the data's mass.
+
+    Rounding, to first order in u = 2**-53, with r = |z| and M = max|c|.
+    A series of J terms is off by at most
+    u sum_{k<=J} |c_k| r**k (sqrt(5) k + m + J/m + 2), m = isqrt(J), since
+    blocked powers give term k a relative error up to sqrt(5) (k - 1) u
+    (see :func:`_power_series`): the error grows linearly with J.  In the
+    folded form Q is such a series with J = n, so it carries no more error
+    than the J >= n terms the series would need there.  The rest comes from
+    z**n, off by at most sqrt(5) n u r**n <= sqrt(5) n u e**-x with
+    x = n (1 - r) >= 8, so |1 - z**n| >= 1 - e**-8.  Dividing Q by
+    1 - z**n then adds at most |Q| sqrt(5) n u e**-x / (1 - e**-8)**2 plus
+    a few u |Q|, and |Q| <= M r / (1 - r) <= M n / x.  So the fold adds at
+    most 1.001 sqrt(5) M u n**2 e**-x / x, about 1.7e-13 M at n = 4096 on
+    the band's edge x = 8, and e**-x shrinks it further in.  Closer to the
+    circle that factor fades, which is why the band sums the kernel.
     """
     v = np.asarray(samples, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DomainError("poisson_sum expects a nonempty 1-d sample array")
     zs = np.asarray(z, dtype=complex)
-    if not np.all(in_open_disk(zs)):
-        raise DomainError("the Poisson integral is defined at interior points only")
     flat = zs.reshape(-1)
     radius = _modulus(flat)
+    if not np.all(radius < 1.0):
+        raise DomainError("the Poisson integral is defined at interior points only")
     n = v.size
     c = np.fft.fft(v) / n
+    order = np.argsort(radius)
+    rs = radius[order]
+    pts = flat[order]
     out = np.empty(flat.shape)
-    order = np.argsort(radius, kind="stable")
-    xi = None
-    for k in range(0, flat.size, _POISSON_BLOCK):
-        idx = order[k : k + _POISSON_BLOCK]
-        r = radius[idx[-1]]
-        terms = 0 if r == 0.0 else math.ceil(math.log(_POISSON_TAIL * (1.0 - r)) / math.log(r))
-        if terms == 0:
-            out[idx] = c[0].real
-        elif terms < n:
-            step = math.isqrt(terms)
-            rows = -(-terms // step)
-            baby = np.cumprod(np.broadcast_to(flat[idx], (step, idx.size)), axis=0)
-            coef = np.zeros(rows * step, dtype=complex)
-            coef[:terms] = c[1 : terms + 1]
-            part = coef.reshape(rows, step) @ baby
-            acc = part[-1]
-            for row in part[-2::-1]:
-                acc *= baby[-1]
-                acc += row
-            out[idx] = c[0].real + 2.0 * acc.real
-        else:
-            if xi is None:
-                xi = np.exp(1j * TAU * np.arange(n) / n)
-            zb = flat[idx, None]
-            kern = (1.0 - radius[idx, None] ** 2) / np.abs(xi[None, :] - zb) ** 2
-            out[idx] = kern @ v / n
-    return out.reshape(zs.shape)
+    size = flat.size
+    # series terms J of each block of _POISSON_BLOCK points, from its outermost radius
+    block_terms = []
+    for hi in range(_POISSON_BLOCK, size + _POISSON_BLOCK, _POISSON_BLOCK):
+        r = rs[min(hi, size) - 1]
+        j = 0 if r == 0.0 else math.ceil(math.log(_POISSON_TAIL * (1.0 - r)) / math.log(r))
+        if j >= n:
+            break
+        block_terms.append(j)
+    # series: consecutive blocks whose J stays within twice the first block's
+    # form one group, evaluated with its last (largest) J
+    b = 0
+    while b < len(block_terms):
+        first = block_terms[b]
+        end = b + 1
+        while end < len(block_terms) and block_terms[end] <= 2 * first:
+            points = min((end + 1) * _POISSON_BLOCK, size) - b * _POISSON_BLOCK
+            if math.isqrt(block_terms[end]) * points > _POISSON_ENTRIES:
+                break
+            end += 1
+        lo, hi = b * _POISSON_BLOCK, min(end * _POISSON_BLOCK, size)
+        top = block_terms[end - 1]
+        out[lo:hi] = c[0].real
+        if top:
+            out[lo:hi] += 2.0 * _power_series(c[1:top + 1], pts[lo:hi]).real
+        b = end
+    # folded shell: c_0 + 2 Re(Q(z) / (1 - z**n)), Q(z) = sum_{k=1..n} c_{k mod n} z**k
+    start = min(len(block_terms) * _POISSON_BLOCK, size)
+    band = start + int(np.count_nonzero(n * (1.0 - rs[start:]) >= _POISSON_BAND))
+    fold = np.roll(c, -1)
+    for lo, hi in _batches(band - start, _POISSON_ENTRIES // math.isqrt(n)):
+        zc = pts[start + lo:start + hi]
+        q = _power_series(fold, zc) / (1.0 - _int_power(zc, n))
+        out[start + lo:start + hi] = c[0].real + 2.0 * q.real
+    # direct band next to the circle: the positive kernel, row block by row block
+    if band < size:
+        xi = np.exp(1j * TAU * np.arange(n) / n)
+        step = max(1, min(_POISSON_BLOCK, (_BLAS_SERIAL - 1) // n))
+        for lo in range(band, size, step):
+            hi = min(lo + step, size)
+            kern = (1.0 - rs[lo:hi, None] ** 2) / np.abs(xi[None, :] - pts[lo:hi, None]) ** 2
+            out[lo:hi] = kern @ v / n
+    result = np.empty(flat.shape)
+    result[order] = out
+    return result.reshape(zs.shape)
 
 
 def outer_log_at(log_modulus: np.ndarray, z) -> complex:

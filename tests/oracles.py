@@ -17,7 +17,8 @@ from carleson_kit.contour import (
     _curve_points,
     _square_primitives,
 )
-from carleson_kit.disk import TAU
+from carleson_kit.disk import TAU, _modulus, in_open_disk
+from carleson_kit.errors import DomainError
 from carleson_kit.riesz import SubspaceSystem
 
 
@@ -256,3 +257,53 @@ def extract_polylines_reference(region):
                                      [refine(t_last, next_t)]))
             polylines.append(_curve_points(kind, payload, run_ts))
     return tuple(polylines)
+
+
+def poisson_sum_reference(samples, z):
+    """The Poisson quadrature of uniform-grid samples block by block.
+
+    Points sorted by radius (stable) in blocks of 128; a block whose
+    outermost radius is r keeps J = ceil(log(2**-60 (1 - r)) / log r) series
+    terms and sums them by blocked powers (a cumulative product of the baby
+    powers, one matrix product, Horner in z**m), unless J >= n, where it sums
+    the positive kernel directly.  The route the library's grouped series,
+    folded shell and narrower direct band must agree with.
+    """
+    v = np.asarray(samples, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise DomainError("poisson_sum expects a nonempty 1-d sample array")
+    zs = np.asarray(z, dtype=complex)
+    if not np.all(in_open_disk(zs)):
+        raise DomainError("the Poisson integral is defined at interior points only")
+    flat = zs.reshape(-1)
+    radius = _modulus(flat)
+    n = v.size
+    c = np.fft.fft(v) / n
+    out = np.empty(flat.shape)
+    order = np.argsort(radius, kind="stable")
+    xi = None
+    for k in range(0, flat.size, 128):
+        idx = order[k : k + 128]
+        r = radius[idx[-1]]
+        terms = 0 if r == 0.0 else math.ceil(math.log(2.0 ** -60 * (1.0 - r)) / math.log(r))
+        if terms == 0:
+            out[idx] = c[0].real
+        elif terms < n:
+            step = math.isqrt(terms)
+            rows = -(-terms // step)
+            baby = np.cumprod(np.broadcast_to(flat[idx], (step, idx.size)), axis=0)
+            coef = np.zeros(rows * step, dtype=complex)
+            coef[:terms] = c[1 : terms + 1]
+            part = coef.reshape(rows, step) @ baby
+            acc = part[-1]
+            for row in part[-2::-1]:
+                acc *= baby[-1]
+                acc += row
+            out[idx] = c[0].real + 2.0 * acc.real
+        else:
+            if xi is None:
+                xi = np.exp(1j * TAU * np.arange(n) / n)
+            zb = flat[idx, None]
+            kern = (1.0 - radius[idx, None] ** 2) / np.abs(xi[None, :] - zb) ** 2
+            out[idx] = kern @ v / n
+    return out.reshape(zs.shape)

@@ -1,9 +1,11 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from carleson_kit import carleson
 from carleson_kit.carleson import (
     CurveMeasure,
     DiscreteMeasure,
@@ -113,6 +115,32 @@ def test_curve_measure_circle_norm_is_radius():
     circle = [r * np.exp(1j * t) for t in ts]
     got = carleson_norm(CurveMeasure([circle]), depth=8)
     assert got == pytest.approx(r, abs=2e-3)
+
+
+def test_curve_norm_is_the_same_in_any_pair_blocks(monkeypatch):
+    # np.add.at adds in pair order, as np.bincount does, so the blocks of
+    # (segment, arc) pairs cannot change a bit of the norm
+    rng = np.random.default_rng(21)
+    chains = [(1.0 - rng.uniform(1e-4, 0.3)) * np.exp(1j * np.cumsum(rng.uniform(0.0, 0.05, 400)))
+              for _ in range(5)]
+    m = CurveMeasure(chains)
+    whole = [carleson_norm(m, depth) for depth in (0, 1, 6, 12)]
+    monkeypatch.setattr(carleson, "_PAIR_BLOCK", 37)
+    assert [carleson_norm(m, depth) for depth in (0, 1, 6, 12)] == whole
+
+
+def test_curve_norm_memory_is_bounded_by_the_pair_blocks():
+    # 200,000 segments next to the circle, one arc each per depth: all pairs
+    # at once took 125 MB in the cut arrays of _lengths_in_squares
+    ts = TAU * np.arange(200_001) / 200_000
+    m = CurveMeasure([(1.0 - 2.0 ** -13) * np.exp(1j * ts)])
+    tracemalloc.start()
+    try:
+        carleson_norm(m, depth=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2 ** 20
 
 
 def _oracle_segment_length(a: complex, b: complex, square: CarlesonSquare) -> float:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from carleson_kit import hardy
 from carleson_kit.errors import DomainError
 from carleson_kit.hardy import (
     BoundaryGrid,
@@ -11,6 +12,7 @@ from carleson_kit.hardy import (
     poisson_sum,
     riesz_project,
 )
+from oracles import poisson_sum_reference
 
 TAU = 2 * math.pi
 
@@ -267,6 +269,150 @@ class TestBlockedSeries:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+
+
+def long_double_power(z, k):
+    """z**k in extended precision by repeated squaring."""
+    base = np.asarray(z, dtype=np.clongdouble)
+    out = np.ones_like(base)
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        base = base * base
+    return out
+
+
+def long_double_poisson(v, zs):
+    """The positive-kernel quadrature in extended precision, point by point."""
+    n = v.size
+    t = np.arange(n, dtype=np.longdouble) * np.longdouble("6.28318530717958647692528676655900577") / n
+    xr, xi = np.cos(t), np.sin(t)
+    vl = v.astype(np.longdouble)
+    out = np.empty(zs.size, dtype=np.longdouble)
+    for i, z in enumerate(zs):
+        zr, zi = np.longdouble(z.real), np.longdouble(z.imag)
+        out[i] = np.mean(vl * (1 - zr * zr - zi * zi) / ((xr - zr) ** 2 + (xi - zi) ** 2))
+    return out
+
+
+def band_edge_points(n, rng):
+    """Points on both sides of n (1 - |z|) = 8, on grid rays, 1e-9 off them
+    and at random angles."""
+    offsets = np.geomspace(1e-12, 0.5, 30)
+    x = np.concatenate([8.0 * (1.0 + offsets), 8.0 * (1.0 - offsets), [8.0]])
+    rays = TAU * rng.integers(0, n, 8) / n
+    angles = np.concatenate([rays, rays - 1e-9, rays + 1e-9, rng.uniform(0.0, TAU, 8)])
+    return ((1.0 - x / n)[:, None] * np.exp(1j * angles)[None, :]).ravel()
+
+
+def construct_style(n, rng):
+    """Clamped log data on the construct grid: radii up to 0.95, 96 angles."""
+    v = poisson_oracle_data(n, rng)["clamped"]
+    radii = np.linspace(0.0, 0.95, 20)[:, None]
+    return v, (radii * np.exp(1j * TAU * np.arange(96) / 96)).ravel()
+
+
+class TestFoldedShell:
+    """The grouped series, the folded shell and the direct band against the
+    block-by-block reference, within 1e-13 max|c|."""
+
+    def assert_matches_reference(self, v, zs):
+        err = np.abs(poisson_sum(v, zs) - poisson_sum_reference(v, zs))
+        bound = 1e-13 * np.max(np.abs(np.fft.fft(v) / v.size))
+        assert np.max(err) <= bound, zs[int(np.argmax(err))]
+
+    @pytest.mark.parametrize("n", [1000, 1024, 2048, 4096])
+    def test_matches_reference_on_contour_inputs(self, n):
+        self.assert_matches_reference(*outer_contour_style(n, np.random.default_rng(n + 1)))
+
+    def test_matches_reference_on_construct_inputs(self):
+        self.assert_matches_reference(*construct_style(2048, np.random.default_rng(17)))
+
+    @pytest.mark.parametrize("n", [64, 1000, 4096])
+    def test_accurate_across_the_band_edge(self, n):
+        # inside the band both sum the kernel and agree with the reference; past
+        # it the reference's own direct sum is off by about 1e-13 max|c| at
+        # n = 4096, so the folded side is held to an extended-precision sum
+        rng = np.random.default_rng(n)
+        zs = band_edge_points(n, rng)
+        v = outer_contour_style(n, rng)[0]
+        bound = 1e-13 * np.max(np.abs(np.fft.fft(v) / n))
+        got = poisson_sum(v, zs)
+        inside = n * (1.0 - np.abs(zs)) < 8.0
+        assert 0 < np.count_nonzero(inside) < zs.size
+        assert np.max(np.abs(got - poisson_sum_reference(v, zs))[inside]) <= bound
+        folded = ~inside
+        err = np.abs(got[folded] - long_double_poisson(v, zs[folded])).astype(float)
+        assert np.max(err) <= bound
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_folded_shell_keeps_rough_data_accurate(self, n):
+        # next to the band the reference's direct sum is off by up to 1.3e-12
+        # max|c| on these data (1 - |z|^2 cancels); the folded form is not.  The
+        # relative term covers the result's own rounding where |S| >> max|c|
+        # (next to its ray the spike gives |S| of about 100/8)
+        rng = np.random.default_rng(n + 2)
+        gaps = np.geomspace(8.0, 40.0, 60) / n
+        zs = (1.0 - gaps) * np.exp(1j * rng.uniform(0.0, TAU, gaps.size))
+        for name, v in poisson_oracle_data(n, rng).items():
+            want = long_double_poisson(v, zs).astype(float)
+            err = np.abs(poisson_sum(v, zs) - want)
+            bound = 1e-13 * np.max(np.abs(np.fft.fft(v) / n)) + 1e-15 * np.abs(want)
+            assert np.all(err <= bound), name
+
+    def test_group_at_the_table_cap(self, monkeypatch):
+        # nine blocks with 1024 <= J <= 1088 < n, so m = 32: eight of them fill
+        # 32 * 1024 = 2**15 baby powers exactly, and the ninth starts a new group
+        n = 2048
+        rng = np.random.default_rng(8)
+        lo, hi = radius_with_terms(1024), radius_with_terms(1089)
+        radii = np.sort(rng.uniform(lo, hi, 9 * 128))
+        radii[-1] = np.nextafter(hi, 0.0)
+        assert series_terms(radii[-1]) == 1088 and series_terms(radii[127]) >= 1024
+        zs = radii * np.exp(1j * rng.uniform(0.0, TAU, radii.size))
+        v = poisson_oracle_data(n, rng)["noise"]
+        seen = []
+        series = hardy._power_series
+
+        def spy(coef, z):
+            seen.append((coef.size, z.size))
+            return series(coef, z)
+
+        monkeypatch.setattr(hardy, "_power_series", spy)
+        got = poisson_sum(v, zs)
+        assert [size for _, size in seen] == [1024, 128]
+        assert math.isqrt(seen[0][0]) * seen[0][1] == 2 ** 15
+        err = np.max(np.abs(got - poisson_sum_reference(v, zs)))
+        assert err <= 1e-13 * np.max(np.abs(np.fft.fft(v) / n))
+
+    def test_folded_shell_memory(self):
+        # 20,000 points with 8 <= n (1 - |z|) <= 40: all in the folded shell; the
+        # direct kernel takes a (128, n) complex block, 8 MB at n = 4096
+        n = 4096
+        rng = np.random.default_rng(12)
+        gaps = rng.uniform(8.0, 40.0, 20_000) / n
+        zs = (1.0 - gaps) * np.exp(1j * rng.uniform(0.0, TAU, gaps.size))
+        v = outer_contour_style(n, rng)[0]
+        tracemalloc.start()
+        try:
+            poisson_sum(v, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("terms", [400, 1000, 4000])
+    def test_blocked_power_error_stays_below_terms_times_u(self, terms):
+        # the computed z**m carries about m u and Horner applies it J/m times, so
+        # the error of z**J grows with J; pinned at J u on the circle |z| = 0.999
+        rng = np.random.default_rng(terms)
+        z = 0.999 * np.exp(1j * rng.uniform(0.0, TAU, 200))
+        unit = np.zeros(terms, dtype=complex)
+        unit[-1] = 1.0
+        want = long_double_power(z, terms)
+        rel = np.abs(hardy._power_series(unit, z) - want) / np.abs(want)
+        assert float(np.max(rel)) <= terms * 2.0 ** -53
 
 
 class TestOuter:
