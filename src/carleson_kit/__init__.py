@@ -11,26 +11,20 @@ from .carleson import (CurveMeasure, DiscreteMeasure, carleson_norm,
                        embedding_constant_empirical, kernel_test_constant)
 from .construction import (ContourNetEntry, PointSystem, build_contour_nets,
                            check_two_eps_margins, condition_sums, epsilon_net_split,
-                           estimate_cv, lemma_10_1_check, measure_c_alpha, n_power_for,
+                           lemma_10_1_check, measure_c_alpha, n_power_for,
                            product_defect_bound, unit_sphere_net, validate_epsilon_choice)
 from .contour import (BoundedFunction, ContourConstants, ContourResult,
                       RepresentingMeasure, bourgain_contour, check_potential_bounds,
                       select_bad_intervals, verify_region)
-from .disk import (Arc, CarlesonSquare, blaschke_factor, dyadic_arc, hyperbolic_distance,
-                   hyperbolic_grid, kernel, kernel_inner, pseudo_hyperbolic,
-                   pseudo_hyperbolic_disk)
+from .disk import (Arc, CarlesonSquare, blaschke_factor, dyadic_arc, hyperbolic_grid,
+                   kernel, kernel_inner, pseudo_hyperbolic, pseudo_hyperbolic_disk)
 from .errors import (ContourBoundError, DomainError, LinearDependenceError,
                      NetValidityError)
-from .hardy import BoundaryGrid, outer_log_at, poisson_sum, riesz_project
-from .model_space import (MatrixFunction, ModelTriple, det_theta_many, distance_analytic,
-                          distance_coanalytic, distance_kernel_datum, kernel_grid,
-                          project_model, residual_norm_coanalytic,
-                          support_cover_count, triple_from_theta,
-                          two_component_project)
+from .hardy import BoundaryGrid, poisson_sum, riesz_project
+from .model_space import MatrixFunction, det_theta_many, kernel_grid, project_model
 from .riesz import (GramFactor, SubspaceSystem, embedding_norm,
                     extract_critical_subset, orthogonalizer_condition,
-                    skew_projection_norm, skew_projection_norms, tensor_bound_check,
-                    uniform_minimality)
+                    skew_projection_norm, tensor_bound_check, uniform_minimality)
 from .weights import Weight, classify_weight, p0_norm_check
 
 __version__ = "0.1.0"

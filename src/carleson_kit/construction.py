@@ -125,42 +125,6 @@ def measure_c_alpha(ps: PointSystem) -> float:
     return worst
 
 
-def estimate_cv(delta_floor: float, rng=None, trials: int = 40) -> dict:
-    """Empirical basis constant at minimality level delta_floor.
-
-    Draws random kernel-group systems (2 to 4 groups of 1 to 3 points),
-    keeps those whose uniform minimality is at least delta_floor, and
-    reports the largest orthogonalizer condition seen among them.  Purely
-    a measurement; there is no formula to check it against.
-    """
-    if not 0.0 < delta_floor < 1.0:
-        raise DomainError("delta_floor must lie in (0, 1)")
-    rng = np.random.default_rng(rng)
-    best = 1.0
-    used = 0
-    for _ in range(trials):
-        groups = []
-        seen = set()
-        for _ in range(int(rng.integers(2, 5))):
-            size = int(rng.integers(1, 4))
-            pts = []
-            while len(pts) < size:
-                z = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
-                if abs(z) < 0.95 and z not in seen:
-                    seen.add(z)
-                    pts.append(z)
-            groups.append(pts)
-        try:
-            system = riesz.SubspaceSystem.from_kernel_groups(groups)
-        except Exception:
-            continue
-        if riesz.uniform_minimality(system) < delta_floor:
-            continue
-        used += 1
-        best = max(best, riesz.orthogonalizer_condition(system))
-    return {"cv": best, "samples_used": used, "trials": trials}
-
-
 def _det_as_bounded_function(theta: MatrixFunction) -> BoundedFunction:
     """Zeros plus boundary outer log of det theta, as a bounded function.
 
@@ -186,6 +150,12 @@ def build_contour_nets(theta_family, eps: float, alpha: float,
     pseudo-hyperbolic mesh alpha, and the attached vector at a net point is
     the left singular vector of the smallest singular value there, so the
     adjoint value has norm below eps at every net point.
+
+    That norm is the kernel datum's distance in the functional model: with
+    K the orthogonal complement of M = (Theta; Delta) H^2(E_1) in
+    H^2(E) (+) L^2(E_*), the distance of (k_lam e, 0) from K is the norm of
+    its projection onto M, ||P_+(Theta* k_lam e)|| = ||Theta(lam)* e||, which
+    is the ``star_norms`` entry at lam.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
@@ -492,8 +462,7 @@ def n_power_for(alpha: float, log_eps_prime: float, dim: int) -> int:
 
 
 def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
-                     z_grid, n_power: int | None = None,
-                     alpha: float | None = None) -> dict:
+                     z_grid, alpha: float) -> dict:
     """Replay of the outer-comparison bound chain on a grid.
 
     h_n is outer with boundary modulus max(|det theta_n|, eps'**d), kept in
@@ -505,6 +474,7 @@ def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
     wherever |det theta_n| >= eps**d; and the assembled bound
     sum (1 - |det|^2) <= sum (1 - |h|^2) + N sum (1 - |B|^2) + d together
     with the covering count of {|det| < eps**d} staying at most d.
+    N = n_power_for(alpha, log_eps_prime, d).
     """
     family = list(theta_family)
     products = list(b_family)
@@ -516,14 +486,8 @@ def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
     d = dims.pop()
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
-    if log_eps_prime >= 0.0:
-        raise DomainError("log_eps_prime must be negative")
-    if n_power is None:
-        if alpha is None:
-            raise DomainError("give n_power or alpha to derive it")
-        n_power = n_power_for(alpha, log_eps_prime, d)
-    if n_power < 1:
-        raise DomainError("n_power must be at least 1")
+    # refuses alpha outside (0, 1) and log_eps_prime >= 0
+    n_power = n_power_for(alpha, log_eps_prime, d)
 
     zs = np.asarray(z_grid, dtype=complex).reshape(-1)
     n_funcs = len(family)

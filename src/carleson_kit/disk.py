@@ -1,8 +1,8 @@
 """Geometry of the unit disk.
 
-Blaschke factors, the pseudo-hyperbolic and hyperbolic metrics, normalized
-reproducing kernels of the Hardy space, Carleson squares over boundary arcs,
-dyadic arcs and the dyadic radial layers of the disk.
+Blaschke factors, the pseudo-hyperbolic metric, normalized reproducing
+kernels of the Hardy space, Carleson squares over boundary arcs, dyadic arcs
+and the dyadic radial layers of the disk.
 
 Conventions used throughout the package:
 
@@ -14,12 +14,12 @@ Conventions used throughout the package:
 * |z| is ``hypot(Re z, Im z)``, and :func:`in_open_disk` tests |z| < 1;
 * arcs are kept in turns (fractions of the full circle).
 
-The metric and kernel primitives (:func:`pseudo_hyperbolic`,
-:func:`hyperbolic_distance`, :func:`kernel`, :func:`kernel_inner`) broadcast
-over numpy arrays like ufuncs, so ``pseudo_hyperbolic(p[:, None], p[None, :])``
-is a distance matrix and ``kernel_inner(p[:, None], p[None, :])`` a kernel
-Gram matrix; scalar arguments give a float or a complex.  Each of them is the
-package's one implementation of its formula.  Every entry that must be an
+The metric and kernel primitives (:func:`pseudo_hyperbolic`, :func:`kernel`,
+:func:`kernel_inner`) broadcast over numpy arrays like ufuncs, so
+``pseudo_hyperbolic(p[:, None], p[None, :])`` is a distance matrix and
+``kernel_inner(p[:, None], p[None, :])`` a kernel Gram matrix; scalar
+arguments give a float or a complex.  Each of them is the package's one
+implementation of its formula.  Every entry that must be an
 interior point is checked: |z| >= 1 or nan raises :class:`DomainError`.
 
 Membership in a Carleson square is :func:`in_square` of the turn and
@@ -92,11 +92,6 @@ def pseudo_hyperbolic(lam, mu):
     mu_a = _interior(mu)
     out = np.abs(lam_a - mu_a) / np.abs(1.0 - np.conj(lam_a) * mu_a)
     return float(out) if np.isscalar(lam) and np.isscalar(mu) else out
-
-
-def hyperbolic_distance(lam, mu):
-    """Hyperbolic distance rho = (1/2) log((1+p)/(1-p)) with p pseudo-hyperbolic."""
-    return np.arctanh(pseudo_hyperbolic(lam, mu))
 
 
 def kernel(lam, z):

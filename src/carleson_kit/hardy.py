@@ -2,10 +2,10 @@
 
 A circle function is held by its samples at the 2**m roots of unity.  The
 FFT gives the Fourier-coefficient view; analytic means no negative
-coefficients.  On top of that sit the Riesz projections, the one Poisson
-quadrature of uniform-grid samples (:func:`poisson_sum`, which also gives
-log|h| of an outer function h from its boundary log modulus) and the
-Herglotz quadrature :func:`outer_log_at` for log h at one point.
+coefficients.  On top of that sit the Riesz projection onto the analytic
+part and the one Poisson quadrature of uniform-grid samples
+(:func:`poisson_sum`, which also gives log|h| of an outer function h from
+its boundary log modulus).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .disk import TAU, _modulus, require_interior
+from .disk import TAU, _modulus
 from .errors import DomainError
 
 #: points per block of poisson_sum, and the relative Fourier tail it drops
@@ -82,21 +82,11 @@ class BoundaryGrid:
         return float(np.sqrt(np.mean(np.sum(np.abs(v) ** 2, axis=1))))
 
 
-def riesz_project(grid: BoundaryGrid, sign: str) -> BoundaryGrid:
-    """Riesz projection onto analytic ('plus') or strictly co-analytic ('minus') part.
-
-    'plus' keeps frequencies 0..N/2-1, 'minus' keeps -N/2..-1; the two parts
-    sum back to the input exactly.
-    """
+def riesz_project(grid: BoundaryGrid) -> BoundaryGrid:
+    """Riesz projection onto the analytic part: keeps frequencies 0..N/2-1."""
     c = grid.coefficients()
-    n = grid.size
     out = np.zeros_like(c)
-    if sign == "plus":
-        out[: n // 2] = c[: n // 2]
-    elif sign == "minus":
-        out[n // 2:] = c[n // 2:]
-    else:
-        raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    out[: grid.size // 2] = c[: grid.size // 2]
     return BoundaryGrid.from_coefficients(out)
 
 
@@ -279,16 +269,3 @@ def poisson_sum(samples, z) -> np.ndarray:
     result[order] = out
     return result.reshape(zs.shape)
 
-
-def outer_log_at(log_modulus: np.ndarray, z) -> complex:
-    """log h(z) of the outer function via the Herglotz quadrature, at one point.
-
-    mean_j log_modulus_j * (xi_j + z) / (xi_j - z).  Only its real part, the
-    Poisson extension of the log modulus, is needed by the library, which
-    evaluates it at many points at once with :func:`poisson_sum`.
-    """
-    z = require_interior(z, "evaluation point")
-    v = np.asarray(log_modulus, dtype=float)
-    n = v.shape[0]
-    xi = np.exp(1j * TAU * np.arange(n) / n)
-    return complex(np.mean(v * (xi + z) / (xi - z)))

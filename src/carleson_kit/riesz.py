@@ -269,11 +269,6 @@ def skew_projection_norm(system: SubspaceSystem, onto) -> float:
     return GramFactor(system).skew_norms([onto])[0]
 
 
-def skew_projection_norms(system: SubspaceSystem) -> list[float]:
-    """Entry n is ``skew_projection_norm(system, [n])``, all off one factor of G."""
-    return GramFactor(system).singleton_skew_norms()
-
-
 def embedding_norm(system: SubspaceSystem) -> float:
     """Norm of f -> (P_n f)_n, lmax of S = sum F_n F_n^H = V V^H.
 

@@ -17,7 +17,7 @@ from carleson_kit.contour import (
     _curve_points,
     _square_primitives,
 )
-from carleson_kit.disk import TAU, _modulus, in_open_disk
+from carleson_kit.disk import TAU, _modulus, in_open_disk, require_interior
 from carleson_kit.errors import DomainError
 from carleson_kit.riesz import SubspaceSystem
 
@@ -307,3 +307,31 @@ def poisson_sum_reference(samples, z):
             kern = (1.0 - radius[idx, None] ** 2) / np.abs(xi[None, :] - zb) ** 2
             out[idx] = kern @ v / n
     return out.reshape(zs.shape)
+
+
+def outer_log_at(log_modulus, z):
+    """log h(z) of the outer function via the Herglotz quadrature, at one point.
+
+    mean_j log_modulus_j * (xi_j + z) / (xi_j - z); its real part is the
+    Poisson extension that ``hardy.poisson_sum`` evaluates.
+    """
+    z = require_interior(z, "evaluation point")
+    v = np.asarray(log_modulus, dtype=float)
+    n = v.shape[0]
+    xi = np.exp(1j * TAU * np.arange(n) / n)
+    return complex(np.mean(v * (xi + z) / (xi - z)))
+
+
+def kernel_datum_distance(theta, lam, e, size):
+    """||P_+(Theta* k_lam e)|| from ``size`` boundary samples.
+
+    The distance of the kernel datum (k_lam e, 0) from the model subspace K:
+    Theta* k_lam e is sampled at the roots of unity, and P_+ keeps its
+    Fourier coefficients at frequencies 0..size/2-1, whose l2 norm is the
+    answer by Parseval.
+    """
+    xi = np.exp(1j * TAU * np.arange(size) / size)
+    k = math.sqrt(1.0 - abs(lam) ** 2) / (1.0 - np.conj(lam) * xi)
+    u = np.einsum("nij,ni->nj", np.conj(theta(xi)), k[:, None] * np.asarray(e)[None, :])
+    c = np.fft.fft(u, axis=0)[: size // 2] / size
+    return float(np.sqrt(np.sum(np.abs(c) ** 2)))

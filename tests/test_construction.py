@@ -13,7 +13,6 @@ from carleson_kit.construction import (
     check_two_eps_margins,
     condition_sums,
     epsilon_net_split,
-    estimate_cv,
     lemma_10_1_check,
     measure_c_alpha,
     n_power_for,
@@ -24,7 +23,7 @@ from carleson_kit.construction import (
 from carleson_kit.contour import ContourConstants
 from carleson_kit.errors import DomainError, NetValidityError
 from carleson_kit.model_space import MatrixFunction
-from oracles import unit_sphere_net_reference
+from oracles import kernel_datum_distance, unit_sphere_net_reference
 
 TAU = 2 * math.pi
 
@@ -108,6 +107,18 @@ class TestBuildContourNets:
             val = np.linalg.norm(entry.theta(lam).conj().T @ e)
             assert val == pytest.approx(smin, abs=1e-12)
             assert smin < 0.1
+
+    @pytest.mark.parametrize("constants", [None, wide_constants(eps=0.09)])
+    def test_star_norms_are_kernel_datum_distances(self, constants):
+        # dist{(k_lam e, 0), K} = ||P_+(Theta* k_lam e)|| = ||Theta(lam)* e||;
+        # the wide level eps**2 puts 75 points on the contour with norms 0.3
+        theta = MatrixFunction.diagonal([MatrixFunction.from_scalar_blaschke([0.4 + 0.2j]),
+                                         MatrixFunction.from_scalar_blaschke([-0.3])])
+        entry = build_contour_nets([theta], eps=0.3, alpha=0.05,
+                                   constants=constants).entries[0]
+        assert len(entry.sigma) >= 2
+        for lam, e, smin in zip(entry.sigma, entry.vectors, entry.star_norms):
+            assert kernel_datum_distance(theta, lam, e, 2048) == pytest.approx(smin, abs=1e-12)
 
     def test_multi_point_net_with_wide_constants(self):
         consts = wide_constants()
@@ -414,9 +425,6 @@ class TestLemmaChain:
         with pytest.raises(DomainError):
             lemma_10_1_check(theta, [], eps=0.1, log_eps_prime=-5.0,
                              z_grid=np.array([0.0]), alpha=0.5)
-        with pytest.raises(DomainError):
-            lemma_10_1_check(theta, [BlaschkeProduct(())], eps=0.1,
-                             log_eps_prime=-5.0, z_grid=np.array([0.0]))
 
     @pytest.mark.parametrize("eps", [0.0, -0.1, 1.0])
     def test_eps_outside_the_unit_interval_rejected(self, eps):
@@ -460,11 +468,3 @@ def test_measure_c_alpha_two_point_net():
     ps = PointSystem(epsilon=0.1, alpha=0.05, entries=(synthetic,))
     g = math.sqrt(3) / 2
     assert measure_c_alpha(ps) == pytest.approx(math.sqrt((1 + g) / (1 - g)), rel=1e-10)
-
-
-def test_estimate_cv_measurement():
-    out = estimate_cv(0.1, rng=42, trials=12)
-    assert out["cv"] >= 1.0
-    assert 0 <= out["samples_used"] <= out["trials"] == 12
-    with pytest.raises(DomainError):
-        estimate_cv(1.5)

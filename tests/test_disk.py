@@ -9,7 +9,6 @@ from carleson_kit.disk import (
     blaschke_factor,
     dyadic_arc,
     dyadic_index,
-    hyperbolic_distance,
     hyperbolic_grid,
     in_layer,
     in_square,
@@ -63,12 +62,6 @@ def test_pseudo_hyperbolic_symmetry_and_moebius_invariance():
         assert 0.0 <= rho < 1.0
         moved = pseudo_hyperbolic(blaschke_factor(a, lam), blaschke_factor(a, mu))
         assert moved == pytest.approx(rho, rel=1e-10)
-
-
-def test_hyperbolic_distance_agrees_with_rho():
-    lam, mu = 0.5, -0.25 + 0.1j
-    rho, h = pseudo_hyperbolic(lam, mu), hyperbolic_distance(lam, mu)
-    assert h == pytest.approx(0.5 * math.log((1 + rho) / (1 - rho)))
 
 
 def test_kernel_values_and_inner_product():

@@ -6,13 +6,8 @@ import pytest
 
 from carleson_kit import hardy
 from carleson_kit.errors import DomainError
-from carleson_kit.hardy import (
-    BoundaryGrid,
-    outer_log_at,
-    poisson_sum,
-    riesz_project,
-)
-from oracles import poisson_sum_reference
+from carleson_kit.hardy import BoundaryGrid, poisson_sum, riesz_project
+from oracles import outer_log_at, poisson_sum_reference
 
 TAU = 2 * math.pi
 
@@ -58,15 +53,16 @@ class TestBoundaryGrid:
 
 
 def test_riesz_projection_splits_frequencies():
-    xi = unit_samples(64)
-    f = np.conj(xi) ** 2 + 3.0 + 0.5 * xi
-    g = BoundaryGrid(f)
-    plus = riesz_project(g, "plus")
-    minus = riesz_project(g, "minus")
+    # frequencies 0..N/2-1 are kept, the rest (FFT order N/2..N-1) zeroed
+    rng = np.random.default_rng(5)
+    n = 64
+    coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    plus = riesz_project(BoundaryGrid.from_coefficients(coeffs)).coefficients()
+    assert np.allclose(plus[: n // 2], coeffs[: n // 2], atol=1e-12)
+    assert np.all(np.abs(plus[n // 2:]) <= 1e-12)
+    xi = unit_samples(n)
+    plus = riesz_project(BoundaryGrid(np.conj(xi) ** 2 + 3.0 + 0.5 * xi))
     assert np.allclose(plus.values, 3.0 + 0.5 * xi, atol=1e-12)
-    assert np.allclose(plus.values + minus.values, f, atol=1e-12)
-    with pytest.raises(DomainError):
-        riesz_project(g, "up")
 
 
 def test_riesz_projection_is_norm_decreasing():
@@ -74,9 +70,9 @@ def test_riesz_projection_is_norm_decreasing():
     for _ in range(10):
         vals = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         g = BoundaryGrid(vals)
-        p = riesz_project(g, "plus")
+        p = riesz_project(g)
         assert p.norm() <= g.norm() + 1e-12
-        assert riesz_project(p, "plus").values == pytest.approx(p.values)
+        assert riesz_project(p).values == pytest.approx(p.values)
 
 
 class TestPoisson:

@@ -6,21 +6,7 @@ import pytest
 from carleson_kit.blaschke import BlaschkeProduct
 from carleson_kit.construction import lemma_10_1_check
 from carleson_kit.errors import DomainError
-from carleson_kit.hardy import BoundaryGrid
-from carleson_kit.model_space import (
-    MatrixFunction,
-    ModelTriple,
-    det_theta_many,
-    distance_analytic,
-    distance_coanalytic,
-    distance_kernel_datum,
-    kernel_grid,
-    project_model,
-    residual_norm_coanalytic,
-    support_cover_count,
-    triple_from_theta,
-    two_component_project,
-)
+from carleson_kit.model_space import MatrixFunction, det_theta_many, kernel_grid, project_model
 from carleson_kit.riesz import SubspaceSystem
 
 TAU = 2 * math.pi
@@ -117,91 +103,19 @@ def test_project_model_is_idempotent_and_analytic():
     assert p1.norm() <= f.norm() + 1e-12
 
 
-def test_triple_from_theta_zero_projection():
-    th = MatrixFunction.constant(np.array([[0.5]]))
-    triple = triple_from_theta(th, size=256)
-    assert triple.dim_range == 1
-    assert triple.dim_star == 1
-    # Delta carries the defect (1 - 0.25)^(1/2)
-    assert np.allclose(np.abs(triple.delta.values), math.sqrt(0.75), atol=1e-12)
-
-
-def test_triple_identity_projection_requires_inner():
-    inner = MatrixFunction.from_scalar_blaschke([0.3])
-    triple = triple_from_theta(inner, proj="identity", size=256)
-    assert np.allclose(triple.proj.values, np.eye(1), atol=1e-12)
-    with pytest.raises(DomainError):
-        triple_from_theta(MatrixFunction.constant(np.array([[0.5]])), proj="identity")
-
-
-def test_triple_rejects_inconsistent_data():
-    th = MatrixFunction.constant(np.array([[0.5]]))
-    size = 64
-    delta = BoundaryGrid(np.zeros((size, 1, 1), dtype=complex))  # defect missing
-    proj = BoundaryGrid(np.zeros((size, 1, 1), dtype=complex))
-    with pytest.raises(DomainError):
-        ModelTriple(th, delta, proj)
-
-
-def test_two_component_projection_is_idempotent():
-    rng = np.random.default_rng(30)
-    th = MatrixFunction.from_scalar_blaschke([0.5, -0.2j])
-    triple = triple_from_theta(th, size=512)
-    f = BoundaryGrid(kernel_grid(0.3, 512).values[:, None])
-    g = BoundaryGrid((rng.standard_normal(512) + 1j * rng.standard_normal(512))[:, None])
-    top, bottom = two_component_project(triple, f, g)
-    top2, bottom2 = two_component_project(triple, BoundaryGrid(top.values), BoundaryGrid(bottom.values))
-    assert np.allclose(top2.values, top.values, atol=1e-8)
-    assert np.allclose(bottom2.values, bottom.values, atol=1e-8)
-
-
-def test_distance_formulas_for_inner_theta():
-    # for inner theta the distance of (k_lam e, 0) to the subspace is |theta(lam)|
-    zeros = [0.5, 0.1 + 0.2j]
-    th = MatrixFunction.from_scalar_blaschke(zeros)
-    b = BlaschkeProduct(zeros)
-    triple = triple_from_theta(th, size=1024)
-    lam = 0.35 - 0.1j
-    d = distance_kernel_datum(triple, lam, np.array([1.0 + 0j]))
-    assert d == pytest.approx(abs(b(lam)), abs=1e-12)
-    # the grid route agrees with the pointwise formula
-    f = BoundaryGrid(kernel_grid(lam, 1024).values[:, None])
-    assert distance_analytic(triple, f) == pytest.approx(d, abs=1e-8)
-
-
-def test_coanalytic_distances_zero_projection():
-    # with P = 0 and theta inner, Delta = 0: every (0, g) is orthogonal to K
-    th = MatrixFunction.from_scalar_blaschke([0.4])
-    triple = triple_from_theta(th, size=256)
-    g = BoundaryGrid(np.exp(1j * TAU * np.arange(256) / 256)[:, None])
-    # the numeric defect root of an inner theta is sqrt(roundoff) ~ 1e-8
-    assert distance_coanalytic(triple, g) == pytest.approx(0.0, abs=1e-7)
-    assert residual_norm_coanalytic(triple, g) == pytest.approx(g.norm(), abs=1e-7)
-
-
 def test_covering_count_scalar_family():
     rng = np.random.default_rng(44)
     zeros = random_zeros(rng, 4, rmax=0.6)
     fam = [MatrixFunction.from_scalar_blaschke([z]) for z in zeros]
     grid = random_zeros(rng, 200, rmax=0.95)
     out = lemma_10_1_check(fam, [BlaschkeProduct([z]) for z in zeros], eps=0.3,
-                           log_eps_prime=-5.0, z_grid=grid, n_power=1)
+                           log_eps_prime=-5.0, z_grid=grid, alpha=0.5)
     # direct recount
     best = 0
     for z in grid:
         c = sum(abs(BlaschkeProduct([f.det_zeros_in_disk()[0]])(complex(z))) < 0.3 for f in fam)
         best = max(best, c)
     assert out["covering_max"] == best
-
-
-def test_support_cover_count_inner_vs_defective():
-    inner = triple_from_theta(MatrixFunction.from_scalar_blaschke([0.3]), size=128)
-    lossy = triple_from_theta(MatrixFunction.constant(np.array([[0.5]])), size=128)
-    # tol above sqrt(roundoff) so the inner member's numeric defect is ignored
-    sigma, tau = support_cover_count([inner, lossy], tol=1e-6)
-    assert sigma == 1  # only the defective member carries Delta mass
-    assert tau >= 1  # the inner member has P = 0 and Delta = 0
-    assert support_cover_count([]) == (0, 0)
 
 
 def test_model_subspace_frame_is_orthonormal():

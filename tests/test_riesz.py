@@ -12,7 +12,6 @@ from carleson_kit.riesz import (
     extract_critical_subset,
     orthogonalizer_condition,
     skew_projection_norm,
-    skew_projection_norms,
     tensor_bound_check,
     uniform_minimality,
 )
@@ -239,7 +238,7 @@ def test_skew_norms_of_members_invert_their_minimality():
     for rho in np.geomspace(0.5, 1e-2, 20):
         system = near_duplicate_system(rng, int(rng.integers(3, 8)), rho)
         assert orthogonalizer_condition(system) <= 1e3
-        skew = skew_projection_norms(system)
+        skew = GramFactor(system).singleton_skew_norms()
         for n, s in enumerate(skew):
             assert s * member_minimality(system, n) == pytest.approx(1.0, abs=1e-10)
         assert uniform_minimality(system) * max(skew) == pytest.approx(1.0, abs=1e-10)
@@ -253,7 +252,7 @@ def assert_skew_norms_match_pencil(system, rng):
     condition.
     """
     tol = 16.0 * orthogonalizer_condition(system) ** 2 * np.finfo(float).eps
-    got = skew_projection_norms(system)
+    got = GramFactor(system).singleton_skew_norms()
     assert got == pytest.approx([skew_norm_oracle(system, [n]) for n in range(len(system))],
                                 rel=tol)
     assert [skew_projection_norm(system, [n]) for n in range(len(system))] == got
@@ -302,7 +301,7 @@ def test_skew_norms_refuse_a_dependent_system():
     v = np.array([1.0, 0.0])
     dependent = SubspaceSystem.from_vectors([v, [0.0, 1.0], v])
     with pytest.raises(LinearDependenceError):
-        skew_projection_norms(dependent)
+        GramFactor(dependent).singleton_skew_norms()
     with pytest.raises(LinearDependenceError):
         skew_projection_norm(dependent, [1])
 
