@@ -1,17 +1,50 @@
 """Finite Blaschke products, interpolation-type constants of finite
 sequences, and greedy nets on curves with pseudo-hyperbolic mesh.
+log|B| has one implementation, :func:`blaschke_log_abs`, also the Blaschke
+part of ``contour.BoundedFunction.log_abs``; |B| is ``abs(B(z))``, faster
+for few zeros than exp of the blocked sum.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import carleson as carleson_mod
-from .disk import blaschke_factor, layer_index, pseudo_hyperbolic, require_interior
+from .disk import _modulus, blaschke_factor, layer_index, pseudo_hyperbolic, require_interior
 from .errors import DomainError
+
+# largest (points x zeros) block of the sum in blaschke_log_abs
+_LOG_BLOCK = 2 ** 15
+
+
+def blaschke_log_abs(zeros, zs: np.ndarray) -> np.ndarray:
+    """log|B| at each entry of ``zs``, B the product over ``zeros`` (with
+    multiplicity); DomainError for |z| > 1 + 1e-12 unless ``zeros`` is empty."""
+    out = np.zeros(zs.shape, dtype=float)
+    if not zeros:
+        return out
+    # |b_lam| = 1 on the circle, so only interior points add to the sum;
+    # points off the closed disk are refused.  One modulus gives both tests
+    # (in_open_disk is modulus < 1).
+    modulus = _modulus(zs)
+    if not np.all(modulus <= 1.0 + 1e-12):
+        raise DomainError("the Blaschke part is defined on the closed disk only")
+    inner = modulus < 1.0
+    pts = zs[inner][:, None]
+    zeros = np.array(zeros)[None, :]
+    # row blocks of at most _LOG_BLOCK entries stay in cache and bound the
+    # memory; each row is still summed along one contiguous axis, so every
+    # sum has the bits of the one-shot (points, zeros) array
+    rows = max(1, _LOG_BLOCK // zeros.size)
+    sums = np.empty(pts.shape[0])
+    with np.errstate(divide="ignore"):
+        for start in range(0, pts.shape[0], rows):
+            rho = pseudo_hyperbolic(zeros, pts[start : start + rows])
+            sums[start : start + rows] = np.sum(np.log(rho, out=rho), axis=1)
+    out[inner] = sums
+    return out
 
 
 class BlaschkeProduct:
@@ -43,12 +76,8 @@ class BlaschkeProduct:
         return out
 
     def log_abs(self, z):
-        """log |B(z)|, elementwise; -inf at the zeros."""
-        zs = np.asarray(z, dtype=complex)
-        with np.errstate(divide="ignore"):
-            out = np.zeros(zs.shape, dtype=float)
-            for lam in self.zeros:
-                out = out + np.log(np.abs(blaschke_factor(lam, zs)))
+        """log |B(z)|, elementwise, by :func:`blaschke_log_abs`."""
+        out = blaschke_log_abs(self.zeros, np.asarray(z, dtype=complex))
         if np.isscalar(z) or isinstance(z, (complex, float, int)):
             return float(out)
         return out

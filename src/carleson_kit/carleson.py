@@ -21,6 +21,7 @@ import numpy as np
 from .disk import (
     TAU,
     CarlesonSquare,
+    _modulus,
     dyadic_index,
     grid_layers,
     in_layer,
@@ -252,7 +253,8 @@ def kernel_test_constant(measure: DiscreteMeasure) -> float:
     interior = points[radius[order] < 1.0 - 1e-12]
     for k in range(0, interior.size, _KERNEL_ROWS):
         lam = interior[k : k + _KERNEL_ROWS, None]
-        kern = (1.0 - np.abs(lam) ** 2) / np.abs(1.0 - np.conj(lam) * points) ** 2
+        # |lam| by hypot, as throughout the package (1 - |lam|^2 cancels)
+        kern = (1.0 - _modulus(lam) ** 2) / np.abs(1.0 - np.conj(lam) * points) ** 2
         best = max(best, float(np.einsum("ij,j->i", kern, masses).max()))
     for r, n in grid_layers():
         best = max(best, float(_kernel_layer(points, masses, r, n).max()))

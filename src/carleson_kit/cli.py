@@ -15,9 +15,7 @@ import hashlib
 import json
 import math
 import operator
-import os
 import sys
-import tempfile
 from itertools import chain, compress, repeat
 
 import numpy as np
@@ -101,16 +99,7 @@ def write_report(path: str | None, report: dict) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".json.tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    rendering.write_atomic(path, text)
 
 
 def _check(name: str, passed: bool, detail=None) -> dict:
@@ -262,7 +251,7 @@ def run_sequence(args: argparse.Namespace) -> dict:
         },
     }
     if args.svg:
-        rendering.write_svg(args.svg, rendering.render_points(points))
+        rendering.write_atomic(args.svg, rendering.render_points(points))
     return _finish(report, checks)
 
 
@@ -301,7 +290,7 @@ def run_carleson(args: argparse.Namespace) -> dict:
         },
     }
     if args.svg:
-        rendering.write_svg(args.svg, rendering.render_points([], measure_atoms=atoms))
+        rendering.write_atomic(args.svg, rendering.render_points([], measure_atoms=atoms))
     return _finish(report, checks)
 
 
@@ -375,7 +364,7 @@ def run_contour(args: argparse.Namespace) -> dict:
                 "slack": CONTOUR_NORM_BOUND - norm}),
     ])
     if args.svg:
-        rendering.write_svg(args.svg, rendering.render_contour(result, zeros))
+        rendering.write_atomic(args.svg, rendering.render_contour(result, zeros))
     return _finish(report, checks)
 
 
@@ -546,7 +535,7 @@ def run_construct(args: argparse.Namespace) -> dict:
         checks.append(_check("epsilon-choice", choice["ok"], choice))
     if args.svg:
         pts = [z for e in ps.entries for z in e.sigma]
-        rendering.write_svg(args.svg, rendering.render_points(pts))
+        rendering.write_atomic(args.svg, rendering.render_points(pts))
     return _finish(report, checks)
 
 

@@ -356,27 +356,20 @@ def check_two_eps_margins(ps: PointSystem, eps: float) -> dict:
             "worst_total_margin": worst_total, "passed": bool(passed)}
 
 
-def _scalar_values(functions, zs: np.ndarray) -> np.ndarray:
-    """abs values, shape (len(functions), len(zs))."""
-    out = np.zeros((len(functions), zs.shape[0]))
-    for i, fn in enumerate(functions):
-        if isinstance(fn, BlaschkeProduct):
-            out[i] = np.abs(fn(zs))
-        elif isinstance(fn, MatrixFunction):
-            out[i] = np.abs(det_theta_many(fn, zs))
-        else:
-            out[i] = np.abs(np.asarray(fn(zs), dtype=complex))
-    return out
+def _scalar_values(products, zs: np.ndarray) -> np.ndarray:
+    """|B| of each Blaschke product at each point, shape (len(products), len(zs))."""
+    return np.array([np.abs(b(zs)) for b in products]).reshape(len(products), zs.shape[0])
 
 
 def condition_sums(b_family=None, theta_family=None, lam_grid=None,
                    b_parts=None) -> dict:
     """Suprema of the basis condition sums over a grid.
 
-    Scalar families feed the sum of (1 - |B_n|^2); matrix families feed the
-    operator sum of (I - theta theta*) whose top eigenvalue is compared
-    pointwise against the determinant sum (the determinant sum dominates,
-    since each |det| is at most each singular value for contractions).
+    Blaschke products (b_family, b_parts) feed the sum of (1 - |B_n|^2);
+    matrix families, each evaluated once on the grid, feed the operator
+    sum of (I - theta theta*) whose top eigenvalue is compared pointwise
+    against the determinant sum (the determinant sum dominates, since each
+    |det| is at most each singular value for contractions).
     delta_prime is the infimum of min_n (|theta_n| + prod_{k != n}
     |theta_k|).  With b_parts the split domination is checked pointwise.
     """
@@ -399,8 +392,7 @@ def condition_sums(b_family=None, theta_family=None, lam_grid=None,
         if len(dims) != 1:
             raise DomainError("matrix family members must share a square shape")
         d = dims.pop()
-        values = np.stack([
-            np.stack([t(z) for z in zs]) for t in family])  # (n, z, d, d)
+        values = np.stack([t(zs) for t in family])  # (n, z, d, d)
         gaps = np.eye(d)[None, None] - values @ np.conj(np.swapaxes(values, 2, 3))
         eig_sums = np.linalg.eigvalsh(np.sum(gaps, axis=0))[:, -1]
         dets = np.abs(np.linalg.det(values))

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blaschke import blaschke_log_abs
 from .carleson import CurveMeasure, carleson_norm
 from .disk import (
     TAU,
     Arc,
     CarlesonSquare,
-    _modulus,
     dyadic_arc,
     in_layer,
     in_open_disk,
@@ -53,8 +53,6 @@ _PROBE_OFFSET = 2.0 ** -12
 # absolute pad of the extraction's disk culling, far above the rounding
 # (about 1e-15) of a probe point and of its distance to a disk center
 _CULL_PAD = 1e-12
-# largest (points x zeros) block of the Blaschke part of log|phi|
-_LOG_BLOCK = 2 ** 15
 # largest Carleson norm of the boundary curve that verify_region accepts
 CONTOUR_NORM_BOUND = 10.0
 
@@ -90,27 +88,7 @@ class BoundedFunction:
 
     def log_abs(self, z) -> np.ndarray:
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.zeros(zs.shape, dtype=float)
-        if self.zeros:
-            # |b_lam| = 1 on the circle, so only interior points add to the
-            # Blaschke part; points off the closed disk are refused.  One
-            # modulus gives both tests (in_open_disk is modulus < 1).
-            modulus = _modulus(zs)
-            if not np.all(modulus <= 1.0 + 1e-12):
-                raise DomainError("the Blaschke part is defined on the closed disk only")
-            inner = modulus < 1.0
-            pts = zs[inner][:, None]
-            zeros = np.array(self.zeros)[None, :]
-            # row blocks of at most _LOG_BLOCK entries stay in cache and bound
-            # the memory; each row is still summed along one contiguous axis,
-            # so every sum has the bits of the one-shot (points, zeros) array
-            rows = max(1, _LOG_BLOCK // zeros.size)
-            sums = np.empty(pts.shape[0])
-            with np.errstate(divide="ignore"):
-                for start in range(0, pts.shape[0], rows):
-                    rho = pseudo_hyperbolic(zeros, pts[start : start + rows])
-                    sums[start : start + rows] = np.sum(np.log(rho, out=rho), axis=1)
-            out[inner] += sums
+        out = blaschke_log_abs(self.zeros, zs)
         for ang, mass in self.singular_atoms:
             # the boundary Poisson kernel at xi is |k_z(xi)|^2; disk.kernel
             # refuses z off the open disk

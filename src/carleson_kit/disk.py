@@ -21,6 +21,7 @@ The metric and kernel primitives (:func:`pseudo_hyperbolic`, :func:`kernel`,
 arguments give a float or a complex.  Each of them is the package's one
 implementation of its formula.  Every entry that must be an
 interior point is checked: |z| >= 1 or nan raises :class:`DomainError`.
+log|B| is ``blaschke.blaschke_log_abs``, a sum of log :func:`pseudo_hyperbolic`.
 
 Membership in a Carleson square is :func:`in_square` of the turn and
 modulus that :func:`polar` gives a point; it is exact for dyadic arcs.

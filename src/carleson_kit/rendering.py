@@ -1,4 +1,5 @@
-"""Minimal SVG output: unit circle, Carleson squares, zeros, contours.
+"""Minimal SVG output: unit circle, Carleson squares, zeros, contours,
+and :func:`write_atomic`, which writes both figures and reports.
 
 Everything is emitted as plain strings; coordinates map the closed unit
 disk into a fixed viewport with the imaginary axis pointing up.
@@ -107,12 +108,14 @@ def render_points(points, measure_atoms=()) -> str:
     return svg_document(parts)
 
 
-def write_svg(path: str, content: str) -> None:
+def write_atomic(path: str, text: str) -> None:
+    """The one writer of reports and figures: a temporary file in the same
+    directory, then ``os.replace``, so readers never see a partial file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".svg.tmp")
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(content)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -36,6 +36,16 @@ def _block_slices(ranks) -> list[slice]:
     return [slice(end - k, end) for k, end in zip(ranks, accumulate(ranks))]
 
 
+def _embedding(gram: np.ndarray) -> np.ndarray:
+    """C^H for G = C C^H: its columns realize the spanning elements in C^n.
+    LinearDependenceError when G is not numerically positive definite."""
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise LinearDependenceError("kernel elements are numerically dependent") from exc
+    return np.conj(chol).T
+
+
 class SubspaceSystem:
     """Finite family of subspaces given by orthonormal frames.
 
@@ -136,11 +146,7 @@ class SubspaceSystem:
         if vectors is not None:
             d = np.array(dirs)
             gram *= d @ np.conj(d).T  # np.vdot(e_j, e_i) at (i, j)
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise LinearDependenceError("kernel elements are numerically dependent") from exc
-        emb = np.conj(chol).T
+        emb = _embedding(gram)
         return cls([np.linalg.qr(emb[:, sl])[0] for sl in _block_slices(sizes)],
                    labels=labels)
 
@@ -323,8 +329,7 @@ def tensor_bound_check(points, e_dim: int, trials: int, rng) -> dict:
     gram = kernel_inner(p[:, None], p[None, :])
     w = np.linalg.eigvalsh(gram)
     lo, hi = float(w[0]), float(w[-1])
-    chol = np.linalg.cholesky(gram)
-    emb = np.conj(chol).T  # columns realize the kernels in C^n
+    emb = _embedding(gram)
     worst_lo = math.inf
     worst_hi = math.inf
     for _ in range(trials):

@@ -8,6 +8,7 @@ from carleson_kit.blaschke import (
     place_net_on_curve,
     projection_norm_formula,
 )
+from carleson_kit.contour import BoundedFunction
 from carleson_kit.disk import blaschke_factor, pseudo_hyperbolic
 from carleson_kit.errors import DomainError
 
@@ -49,6 +50,25 @@ def test_product_vanishes_at_zeros_and_is_contractive():
         # modulus one on the circle
         ring = np.exp(1j * rng.uniform(0, 2 * np.pi, 16))
         assert np.allclose(np.abs(b(ring)), 1.0, atol=1e-10)
+
+
+def test_log_abs_is_the_contour_log_abs_bit_for_bit():
+    # one log|B| routine serves both classes, so construct's log|B| and the
+    # contour's agree in every bit, at the zeros (-inf) and on the circle (0)
+    rng = np.random.default_rng(20)
+    zeros = random_interior(rng, 20, rmax=0.95)
+    zs = np.concatenate([random_interior(rng, 500, rmax=0.999), zeros[:2], [1.0, -1j]])
+    got = BlaschkeProduct(zeros).log_abs(zs)
+    assert np.array_equal(got, BoundedFunction(zeros=zeros).log_abs(zs))
+    assert (got[500:502] == -np.inf).all() and (got[502:] == 0.0).all()
+
+
+def test_log_abs_refuses_points_off_the_closed_disk():
+    b = BlaschkeProduct([0.3])
+    assert b.log_abs(1.0 + 1e-13) == 0.0
+    for z in (1.5, [0.5, 1.1j], complex("nan")):
+        with pytest.raises(DomainError):
+            b.log_abs(z)
 
 
 def test_product_factors_multiply():

@@ -21,6 +21,7 @@ from carleson_kit.construction import (
     validate_epsilon_choice,
 )
 from carleson_kit.contour import ContourConstants
+from carleson_kit.disk import hyperbolic_grid
 from carleson_kit.errors import DomainError, NetValidityError
 from carleson_kit.model_space import MatrixFunction
 from oracles import kernel_datum_distance, unit_sphere_net_reference
@@ -345,6 +346,24 @@ class TestConditionSums:
         assert out["implication_ok"]
         # dets are b^2, so the det sum uses fourth powers and dominates
         assert out["sum_5_5_sup"] >= out["sum_5_4_sup"] - 1e-10
+
+    def test_each_member_is_evaluated_once_on_the_grid(self, monkeypatch):
+        # one vectorized call per member on the whole grid, as
+        # det_theta_many makes
+        sizes = []
+        call = MatrixFunction.__call__
+
+        def counted(theta, z):
+            sizes.append(np.size(z))
+            return call(theta, z)
+
+        monkeypatch.setattr(MatrixFunction, "__call__", counted)
+        family = [MatrixFunction.diagonal([MatrixFunction.from_scalar_blaschke([a])] * 2)
+                  for a in (0.3, -0.4j)]
+        grid = hyperbolic_grid(4, 8)
+        out = condition_sums(theta_family=family, lam_grid=grid)
+        assert sizes == [grid.size] * 2
+        assert out["implication_ok"]
 
     def test_delta_prime_vanishes_for_shared_zero(self):
         grid = np.linspace(-0.9, 0.9, 41).astype(complex)

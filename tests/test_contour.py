@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from oracles import extract_polylines_reference
 
-from carleson_kit import contour, disk
+from carleson_kit import blaschke as blaschke_mod
+from carleson_kit import disk
 from carleson_kit.contour import (
     BadIntervals,
     BoundedFunction,
@@ -214,7 +215,7 @@ class TestLogAbsBlocks:
         zs = random_blaschke_zeros(rng, n_points, rmax=0.999)
         # a point at a zero (-inf) and points on the circle (0)
         zs[:5] = [zeros[0], 1.0, -1.0, 1j, -1j]
-        rows = max(1, contour._LOG_BLOCK // n_zeros)
+        rows = max(1, blaschke_mod._LOG_BLOCK // n_zeros)
         assert n_points > rows and n_points % rows or rows == 1
         got = BoundedFunction(zeros=zeros).log_abs(zs)
         want = one_shot_log_abs(zeros, zs)
@@ -249,7 +250,7 @@ class TestLogAbsBlocks:
             return np.hypot(z.real, z.imag)
 
         monkeypatch.setattr(disk, "_modulus", counted)
-        monkeypatch.setattr(contour, "_modulus", counted)
+        monkeypatch.setattr(blaschke_mod, "_modulus", counted)
         # blocks of 655 rows: only the whole-array modulus has 1000 entries
         assert np.array_equal(phi.log_abs(zs), want)
         assert sizes.count(zs.size) == 1

@@ -10,7 +10,7 @@ from carleson_kit.rendering import (
     render_points,
     square_element,
     svg_document,
-    write_svg,
+    write_atomic,
 )
 
 TAU = 2 * math.pi
@@ -81,9 +81,9 @@ def test_render_points_scales_atom_dots():
 def test_write_svg_is_atomic(tmp_path):
     target = tmp_path / "out.svg"
     doc = svg_document([dot_element(0j)])
-    write_svg(str(target), doc)
+    write_atomic(str(target), doc)
     assert target.read_text() == doc
-    write_svg(str(target), svg_document([]))
+    write_atomic(str(target), svg_document([]))
     assert "<circle" not in target.read_text()
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []

@@ -372,3 +372,13 @@ def test_tensor_bound_check_margins():
     assert out["lower_eigenvalue"] > 0
     with pytest.raises(DomainError):
         tensor_bound_check(pts, e_dim=0, trials=10, rng=rng)
+
+
+def test_coincident_points_are_a_linear_dependence_everywhere():
+    # both kernel embeddings refuse a singular Gram matrix with the
+    # package's DomainError, not numpy's LinAlgError
+    rng = np.random.default_rng(5)
+    with pytest.raises(LinearDependenceError):
+        tensor_bound_check([0.5, 0.5], 2, 3, rng)
+    with pytest.raises(LinearDependenceError):
+        SubspaceSystem.from_kernel_groups([[0.5], [0.5]])
