@@ -21,7 +21,7 @@ from .disk import (Arc, CarlesonSquare, blaschke_factor, dyadic_arc, hyperbolic_
 from .errors import (ContourBoundError, DomainError, LinearDependenceError,
                      NetValidityError)
 from .hardy import BoundaryGrid, poisson_sum, riesz_project
-from .model_space import MatrixFunction, det_theta_many, kernel_grid, project_model
+from .model_space import MatrixFunction, kernel_grid, project_model
 from .riesz import (GramFactor, SubspaceSystem, embedding_norm,
                     extract_critical_subset, orthogonalizer_condition,
                     skew_projection_norm, tensor_bound_check, uniform_minimality)

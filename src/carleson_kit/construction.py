@@ -20,12 +20,10 @@ from .blaschke import BlaschkeProduct, net_is_valid, place_net_on_curve
 from .contour import ContourConstants, ContourResult, BoundedFunction, bourgain_contour
 from .errors import DomainError, NetValidityError
 from .hardy import poisson_sum
-from .model_space import MatrixFunction, det_theta_many
+from .model_space import BOUNDARY_SIZE, MatrixFunction
 from . import riesz
 
 _EXACT = 1e-12
-# boundary samples of det theta, for its outer part and its support
-_DET_BOUNDARY_SIZE = 2048
 # random unit vectors per draw of the sphere net, and in all to certify it
 _PROBE_BATCH = 2048
 _CERTIFY_SAMPLES = 10_000
@@ -131,8 +129,7 @@ def _det_as_bounded_function(theta: MatrixFunction) -> BoundedFunction:
     The boundary log modulus is clipped to [-60, 0].
     """
     zeros = theta.det_zeros_in_disk()
-    boundary = theta.boundary(_DET_BOUNDARY_SIZE)
-    dets = np.linalg.det(boundary)
+    dets = np.linalg.det(theta.boundary())
     with np.errstate(divide="ignore"):
         log_mod = np.log(np.abs(dets))
     log_mod = np.clip(log_mod, -60.0, 0.0)
@@ -486,9 +483,9 @@ def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
 
     # boundary data: support multiplicity and log of the comparison modulus
     log_h_boundary = []
-    support = np.zeros((n_funcs, _DET_BOUNDARY_SIZE), dtype=bool)
+    support = np.zeros((n_funcs, BOUNDARY_SIZE), dtype=bool)
     for i, theta in enumerate(family):
-        dets = np.linalg.det(theta.boundary(_DET_BOUNDARY_SIZE))
+        dets = np.linalg.det(theta.boundary())
         absdet = np.abs(dets)
         support[i] = absdet < 1.0 - 1e-8
         with np.errstate(divide="ignore"):
@@ -505,7 +502,7 @@ def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
 
     log_b = np.stack([p.log_abs(zs) for p in products])
     with np.errstate(divide="ignore"):
-        log_det = np.log(np.abs(np.stack([det_theta_many(t, zs) for t in family])))
+        log_det = np.log(np.abs(np.stack([np.linalg.det(t(zs)) for t in family])))
 
     h_sq = np.exp(2.0 * log_h)
     b_sq = np.exp(2.0 * log_b)

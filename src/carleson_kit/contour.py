@@ -7,10 +7,12 @@ an open region O with
 
 where eps' is an explicit (astronomically small) second level, together
 with a polyline description of the boundary of O whose arclength measure
-has bounded Carleson intensity.  The region is assembled generation by
-generation: squares whose representing measure is too heavy are split off
-as "bad intervals" and handled one scale down; everything else is covered
-by pseudo-hyperbolic disks of radius gamma around the zeros.
+has bounded Carleson intensity.  The region is built in one generation:
+when no dyadic square of the representing measure is too heavy, O is the
+union of the pseudo-hyperbolic disks of radius gamma around the zeros.
+A heavy square ends the construction with :class:`ContourBoundError`;
+:func:`bourgain_contour` proves that a second generation, which would
+split such squares off as "bad intervals", could not complete either.
 
 eps' only enters through its logarithm; it underflows double precision by
 design, so all comparisons against it are carried out in log space.
@@ -46,9 +48,9 @@ from .hardy import poisson_sum
 # relative pad of the bad-interval scan's descent bound, for the rounding of
 # sums taken in different orders
 _BOUND_PAD = 1e-9
-# dyadic depth below which the scan stops and the construction is truncated
+# dyadic depth below which the bad-interval scan stops
 _DEPTH_FLOOR = 20
-# probe offset of the boundary extraction, relative to a primitive's length
+# probe offset of the boundary extraction, relative to a circle's radius
 _PROBE_OFFSET = 2.0 ** -12
 # absolute pad of the extraction's disk culling, far above the rounding
 # (about 1e-15) of a probe point and of its distance to a disk center
@@ -241,58 +243,14 @@ class ContourConstants:
         return cls(eps, c1, c2, c3, m, gamma, log_eps_prime)
 
 
-def _clip_arc(a: Arc, window: Arc) -> list[Arc]:
-    """Intersection of two arcs, as a list of zero, one or two arcs."""
-    if window.normalized_length >= 1.0:
-        return [a]
-    if a.normalized_length >= 1.0:
-        return [window]
-    # in the window's frame of turns, a covers [rel, end) and, past turn 1,
-    # [0, end - 1)
-    rel = (a.start_turn - window.start_turn) % 1.0
-    end = rel + a.normalized_length
-    pieces = ((rel, min(end, window.normalized_length)),
-              (0.0, min(end - 1.0, window.normalized_length)))
-    return [Arc.from_turns((window.start_turn + s) % 1.0, e - s)
-            for s, e in pieces if e - s > 1e-15 / TAU]
-
-
-def _merge_arcs(arcs) -> list[Arc]:
-    """Connected components of a union of arcs on the circle."""
-    tol = 1e-12 / TAU
-    merged = []
-    for s, ln in sorted((a.start_turn, a.normalized_length) for a in arcs):
-        if merged and s <= merged[-1][1] + tol:
-            merged[-1][1] = max(merged[-1][1], s + ln)
-        else:
-            merged.append([s, s + ln])
-    # wrap: the last component may continue into the first
-    if len(merged) > 1 and merged[-1][1] >= 1.0 + merged[0][0] - tol:
-        first = merged.pop(0)
-        merged[-1][1] = max(merged[-1][1], first[1] + 1.0)
-    if any(e - s >= 1.0 - tol for s, e in merged):
-        return [Arc(center_angle=0.0, length=TAU)]
-    return [Arc.from_turns(s, e - s) for s, e in merged]
-
-
-@dataclass(frozen=True)
-class BadIntervals:
-    """Result of the heavy-square scan below a base interval."""
-
-    witnesses: tuple  # maximal dyadic arcs J with nu(Q(J)) > M |J|
-    intervals: tuple  # components of union(5J), clipped to the window 5I
-    length_ratio: float  # sum |I_k| / |I|
-
-
-def select_bad_intervals(measure: RepresentingMeasure, base: Arc,
-                         m_threshold: float, depth_floor: int = _DEPTH_FLOOR) -> BadIntervals:
-    """Find the maximal dyadic arcs under 5*base whose square is too heavy.
+def select_bad_intervals(measure: RepresentingMeasure, m_threshold: float,
+                         depth_floor: int = _DEPTH_FLOOR) -> tuple:
+    """The maximal dyadic arcs of the circle whose square is too heavy.
 
     An arc J triggers when nu(Q(J)) > m_threshold * |J| (normalized
-    length).  Triggered arcs are not subdivided further, so the witnesses
-    are maximal and pairwise disjoint.  The returned intervals are the
-    connected components of the union of the dilated witnesses 5J,
-    clipped to the window 5*base.
+    length).  The scan starts at the whole circle and does not subdivide a
+    triggered arc, so the returned witnesses are maximal and pairwise
+    disjoint.
 
     A visited arc J of depth d that does not trigger is subdivided only if
     some dyadic J' under J, of depth d' in (d, depth_floor], could:
@@ -310,7 +268,6 @@ def select_bad_intervals(measure: RepresentingMeasure, base: Arc,
     visited arc is measured and tested as in the unpruned recursion, so the
     result is the same.
     """
-    window = base.dilate(5.0)
     floor_threshold = m_threshold * (2.0 ** -depth_floor)
     # normalized lengths of the depths 1..depth_floor and their thresholds
     scales = 2.0 ** -np.arange(1, depth_floor + 1)
@@ -337,10 +294,8 @@ def select_bad_intervals(measure: RepresentingMeasure, base: Arc,
 
     def scan(depth: int, index: int) -> None:
         arc = dyadic_arc(depth, index)
-        if not window.intersects(arc):
-            return
         mass = measure.mass_in_square(CarlesonSquare(arc, closed=True))
-        if window.contains_arc(arc) and mass > m_threshold * arc.normalized_length:
+        if mass > m_threshold * arc.normalized_length:
             witnesses.append(arc)
             return
         if depth < depth_floor and may_trigger(depth, index, mass):
@@ -348,12 +303,7 @@ def select_bad_intervals(measure: RepresentingMeasure, base: Arc,
             scan(depth + 1, 2 * index + 1)
 
     scan(0, 0)
-    dilated = [w.dilate(5.0) for w in witnesses]
-    components = []
-    for comp in _merge_arcs(dilated):
-        components.extend(_clip_arc(comp, window))
-    ratio = sum(c.length for c in components) / base.length
-    return BadIntervals(tuple(witnesses), tuple(components), ratio)
+    return tuple(witnesses)
 
 
 @dataclass(frozen=True)
@@ -376,16 +326,13 @@ class DiskSpec:
 
 @dataclass(frozen=True)
 class RegionPiece:
-    """One generation's contribution: (Q(I) minus child squares) meet disks."""
+    """A Carleson square met with the union of pseudo-hyperbolic disks."""
 
     square: CarlesonSquare
-    holes: tuple
     disks: tuple
 
     def contains_many(self, z: np.ndarray) -> np.ndarray:
         inside = self.square.contains(z)
-        for hole in self.holes:
-            inside &= ~hole.contains(z)
         in_disk = np.zeros(z.shape, dtype=bool)
         for d in self.disks:
             in_disk |= d.contains_many(z)
@@ -393,7 +340,7 @@ class RegionPiece:
 
 
 class Region:
-    """Union of generation pieces; membership plus boundary extraction."""
+    """Union of pieces; membership plus boundary extraction."""
 
     def __init__(self, pieces):
         self.pieces = tuple(pieces)
@@ -423,64 +370,6 @@ class ContourResult:
     truncated: bool
 
 
-def _square_primitives(square: CarlesonSquare):
-    """Primitive curves of a Carleson square boundary interior to the disk."""
-    prims = []
-    arc = square.base
-    r0 = square.inner_radius
-    if arc.length < TAU:
-        for ang in (arc.start % TAU, arc.end % TAU):
-            prims.append(("segment", (round(ang, 12), round(r0, 12)),
-                          (r0 * np.exp(1j * ang), np.exp(1j * ang))))
-    if r0 > 0:
-        prims.append(("inner_arc", (round(r0, 12), round(arc.start % TAU, 12),
-                                    round(arc.length, 12)), (r0, arc)))
-    return prims
-
-
-def _curve_points(kind, payload, ts):
-    if kind == "circle":
-        c, r = payload
-        return c + r * np.exp(1j * ts)
-    if kind == "segment":
-        a, b = payload
-        return a + ts * (b - a)
-    r0, arc = payload
-    return r0 * np.exp(1j * (arc.start + ts * arc.length))
-
-
-def _curve_normals(kind, payload, ts):
-    if kind == "circle":
-        return np.exp(1j * ts)
-    if kind == "segment":
-        a, b = payload
-        d = (b - a) / abs(b - a)
-        return np.full(ts.shape, 1j * d)
-    r0, arc = payload
-    return np.exp(1j * (arc.start + ts * arc.length))
-
-
-def _curve_box(kind, payload) -> np.ndarray:
-    """Bounding box [[x0, y0], [x1, y1]] of a primitive curve."""
-    if kind == "circle":
-        c, r = payload
-        pts = np.array([c - r - 1j * r, c + r + 1j * r])
-    elif kind == "segment":
-        pts = np.array(payload)
-    else:
-        # an inner arc reaches its box at its ends and at the quarter turns
-        # k pi/2 it passes
-        r0, arc = payload
-        quarter = 0.5 * math.pi
-        first = math.ceil(arc.start / quarter)
-        last = math.floor((arc.start + arc.length) / quarter)
-        angles = [arc.start, arc.start + arc.length]
-        angles += [k * quarter for k in range(first, last + 1)]
-        pts = r0 * np.exp(1j * np.array(angles))
-    xy = np.stack((pts.real, pts.imag), axis=1)
-    return np.stack((xy.min(axis=0), xy.max(axis=0)))
-
-
 def _disk_boxes(region: Region) -> list:
     """Each piece with the bounding boxes of its disks, as (K, 2) arrays of
     lower and of upper corners."""
@@ -502,60 +391,51 @@ def _near_region(tables, box: np.ndarray, reach: float) -> Region:
     for piece, disk_lo, disk_hi in tables:
         near = np.flatnonzero(((disk_lo < hi) & (disk_hi > lo)).all(axis=1))
         if near.size:
-            disks = tuple(piece.disks[i] for i in near)
-            pieces.append(RegionPiece(piece.square, piece.holes, disks))
+            pieces.append(RegionPiece(piece.square, tuple(piece.disks[i] for i in near)))
     return Region(pieces)
 
 
 def _extract_polylines(region: Region):
-    """Boundary of the region as polylines along the primitive curves.
+    """Boundary of the region as polylines along the circles of its disks.
 
-    Every boundary point of a piece lies on a disk circle, a radial edge or
-    an inner arc of some square.  Each primitive is sampled; a sample stays
-    when probes offset to either side disagree about membership; transition
-    parameters are refined by bisection.  Both sides of a batch of samples
-    go through one membership call.
+    The disks are compact in the open disk, inside the closed disk's
+    square, so every boundary point of the region lies on a disk circle.
+    Each circle is sampled; a sample stays when probes offset to either
+    side disagree about membership; transition parameters are refined by
+    bisection.  Both sides of a batch of samples go through one membership
+    call.
 
-    Each primitive's probes are tested against the region near it only: a
-    piece keeps just the disks whose bounding boxes meet the primitive's
-    box grown by the probe offset h plus ``_CULL_PAD`` (see
+    Each circle's probes are tested against the region near it only: a
+    piece keeps just the disks whose bounding boxes meet the circle's box
+    grown by the probe offset h plus ``_CULL_PAD`` (see
     :func:`_near_region`).  The membership is unchanged.  The box of a
     dropped disk (center c, radius r) lies, along one axis, at least h + pad
-    beyond the primitive's box, while every probe point p lies within h of
-    the primitive, so |p - c| exceeds r by at least the pad.  The rounding
+    beyond the circle's box, while every probe point p lies within h of
+    the circle, so |p - c| exceeds r by at least the pad.  The rounding
     of p, of the boxes and of |p - c| is about 1e-15, far below the pad, so
-    ``abs(p - c) < r`` would have been False for that disk at every probe;
-    and a piece left without disks contains none of the probes.
+    ``abs(p - c) < r`` would have been False for that disk at every probe.
     """
-    prims = {}
+    circles = {}
     for piece in region.pieces:
         for d in piece.disks:
-            key = ("circle", (round(d.eu_center.real, 14), round(d.eu_center.imag, 14),
-                              round(d.eu_radius, 14)))
-            prims[key] = ("circle", (d.eu_center, d.eu_radius), d.eu_radius, True)
-        for sq in (piece.square,) + piece.holes:
-            for kind, kid, payload in _square_primitives(sq):
-                if kind == "segment":
-                    a, b = payload
-                    prims[(kind, kid)] = (kind, payload, abs(b - a), False)
-                else:
-                    r0, arc = payload
-                    prims[(kind, kid)] = (kind, payload, r0 * arc.length, False)
+            key = (round(d.eu_center.real, 14), round(d.eu_center.imag, 14),
+                   round(d.eu_radius, 14))
+            circles[key] = (d.eu_center, d.eu_radius)
 
     tables = _disk_boxes(region)
+    n = 256
+    ts = TAU * (np.arange(n) + 0.5) / n
     polylines = []
-    for kind, payload, scale, closed in prims.values():
-        if scale <= 0:
-            continue
-        h = max(scale * _PROBE_OFFSET, 1e-13)
-        near = _near_region(tables, _curve_box(kind, payload), h + _CULL_PAD)
-        if not near.pieces:
-            continue
+    for c, r in circles.values():
+        h = max(r * _PROBE_OFFSET, 1e-13)
+        box = np.array([[c.real - r, c.imag - r], [c.real + r, c.imag + r]])
+        near = _near_region(tables, box, h + _CULL_PAD)
 
         def crosses(t):
             # the samples at parameters t whose two probes disagree
-            p = _curve_points(kind, payload, t)
-            off = h * _curve_normals(kind, payload, t)
+            normal = np.exp(1j * t)
+            p = c + r * normal
+            off = h * normal
             sides = near.contains_many(np.concatenate((p + off, p - off)))
             return sides[: t.size] ^ sides[t.size :]
 
@@ -568,21 +448,16 @@ def _extract_polylines(region: Region):
                     t_bad = mid
             return t_good
 
-        n = 256 if kind == "circle" else 512
-        span = TAU if kind == "circle" else 1.0
-        ts = span * (np.arange(n) + 0.5) / n
         on_boundary = crosses(ts)
         if not np.any(on_boundary):
             continue
         if np.all(on_boundary):
-            verts = _curve_points(kind, payload, np.append(ts, ts[0] if closed else ts[-1]))
-            if closed:
-                verts[-1] = verts[0]
+            verts = c + r * np.exp(1j * np.append(ts, ts[0]))
+            verts[-1] = verts[0]
             polylines.append(verts)
             continue
         runs, run = [], []
-        order = np.arange(n) if not closed else np.roll(np.arange(n), -int(np.argmin(on_boundary)))
-        for i in order:
+        for i in np.roll(np.arange(n), -int(np.argmin(on_boundary))):
             if on_boundary[i]:
                 run.append(i)
             elif run:
@@ -592,74 +467,66 @@ def _extract_polylines(region: Region):
             runs.append(run)
         for run in runs:
             t_first, t_last = ts[run[0]], ts[run[-1]]
-            prev_t = ts[(run[0] - 1) % n] if closed else max(t_first - span / n, 0.0)
-            next_t = ts[(run[-1] + 1) % n] if closed else min(t_last + span / n, span)
-            if closed and prev_t > t_first:
-                prev_t -= span
-            if closed and next_t < t_last:
-                next_t += span
+            prev_t, next_t = ts[(run[0] - 1) % n], ts[(run[-1] + 1) % n]
+            if prev_t > t_first:
+                prev_t -= TAU
+            if next_t < t_last:
+                next_t += TAU
             run_ts = np.concatenate(([refine(t_first, prev_t)], ts[run],
                                      [refine(t_last, next_t)]))
-            polylines.append(_curve_points(kind, payload, run_ts))
+            polylines.append(c + r * np.exp(1j * run_ts))
     return tuple(polylines)
 
 
 def bourgain_contour(phi: BoundedFunction, eps: float,
-                     constants: ContourConstants | None = None,
-                     max_generations: int = 64) -> ContourResult:
-    """Build the two-level region and its boundary polylines.
+                     constants: ContourConstants | None = None) -> ContourResult:
+    """Build the two-level region and its boundary polylines, in one generation.
 
-    Each generation interval I contributes (Q(I) minus the bad child
-    squares) intersected with the union of pseudo-hyperbolic gamma-disks
-    around the zeros in Q(2I).  Bad children recurse; recursion below
-    dyadic depth 20 (or past max_generations) is cut off and flagged, in
-    which case the inner inclusion {|phi| < eps'} subset O is no longer
-    certified.
+    :func:`select_bad_intervals` scans the whole circle.  Any witness J, a
+    maximal dyadic arc with nu(Q(J)) > M |J|, raises
+    :class:`ContourBoundError`, whose message gives the number of
+    witnesses and, for the heaviest, its depth, nu(Q(J)) and M |J|.
+    Otherwise the region is the closed disk's square met with the union of
+    the pseudo-hyperbolic gamma-disks around the distinct zeros, in sorted
+    order.  The result records the one generation as
+    ``GenerationStats(0, 1, 0, 0.0)``, and ``truncated`` is False.
+
+    Why a witness ends the construction.  The generation-by-generation
+    recursion would take each component I_1 of the union of the 5J as the
+    interval of a second generation, rescan the same measure with the
+    window 5 I_1, and require the dilated witnesses found there to cover at
+    most 0.01 |I_1|.  That scan visits arcs from the root exactly as the
+    first one did: each arc has the same mass, so each ``may_trigger``
+    choice is the same, and no ancestor of a generation-0 witness J
+    triggers, since it did not at generation 0 and a trigger also needs
+    containment in the window.  So the scan reaches every generation-0
+    witness J with 5J in I_1.  Such a J lies in I_1, inside the window
+    5 I_1, so it still triggers.  The union of those 5J is I_1, since I_1
+    is a component of the union of all the 5J.  The second generation's
+    bad intervals therefore cover I_1: their length ratio is at least
+    1 > 0.01, and the construction fails there.  When the union of the 5J
+    is the whole circle, the ratio is 1 already at generation 0.  Either
+    way no input with a witness completes, and the recursion is not run.
     """
     if constants is None:
         constants = ContourConstants.for_epsilon(eps)
     measure = phi.representing_measure()
-    zeros = np.array(phi.zeros, dtype=complex)
-    gamma = constants.gamma
-    full = Arc(center_angle=0.0, length=TAU)
-    active = [full]
-    pieces = []
-    stats = []
-    truncated = False
-    generation = 0
-    while active and generation < max_generations:
-        next_active = []
-        gen_bad = 0
-        worst_ratio = 0.0
-        for interval in active:
-            bad = select_bad_intervals(measure, interval, constants.m_threshold)
-            if bad.length_ratio > 0.01 + 1e-12:
-                raise ContourBoundError(
-                    f"bad intervals cover {bad.length_ratio:.4f} of their parent"
-                )
-            worst_ratio = max(worst_ratio, bad.length_ratio)
-            gen_bad += len(bad.intervals)
-            parent_square = CarlesonSquare(interval, closed=True)
-            double = CarlesonSquare(interval.dilate(2.0), closed=True)
-            disk_centers = set(zeros[double.contains(zeros)].tolist())
-            disks = tuple(DiskSpec.around(z, gamma) for z in sorted(
-                disk_centers, key=lambda w: (w.real, w.imag)))
-            holes = tuple(CarlesonSquare(c, closed=True) for c in bad.intervals)
-            if disks:
-                pieces.append(RegionPiece(parent_square, holes, disks))
-            for child in bad.intervals:
-                if child.normalized_length <= 2.0 ** -_DEPTH_FLOOR:
-                    truncated = True
-                else:
-                    next_active.append(child)
-        stats.append(GenerationStats(generation, len(active), gen_bad, worst_ratio))
-        active = next_active
-        generation += 1
-    if active:
-        truncated = True
-    region = Region(pieces)
+    witnesses = select_bad_intervals(measure, constants.m_threshold)
+    if witnesses:
+        masses = [measure.mass_in_square(CarlesonSquare(j, closed=True)) for j in witnesses]
+        k = int(np.argmax(masses))
+        length = witnesses[k].normalized_length
+        raise ContourBoundError(
+            f"{len(witnesses)} heavy dyadic square(s) nu(Q(J)) > M|J|; the heaviest, "
+            f"at depth {round(-math.log2(length))}, has nu(Q(J)) = {masses[k]:.6g} "
+            f"against M|J| = {constants.m_threshold * length:.6g}")
+    zeros = sorted(set(phi.zeros), key=lambda w: (w.real, w.imag))
+    disks = tuple(DiskSpec.around(z, constants.gamma) for z in zeros)
+    square = CarlesonSquare(Arc(center_angle=0.0, length=TAU), closed=True)
+    region = Region([RegionPiece(square, disks)] if disks else [])
     polylines = _extract_polylines(region)
-    return ContourResult(region, polylines, constants, tuple(stats), truncated)
+    return ContourResult(region, polylines, constants,
+                         (GenerationStats(0, 1, 0, 0.0),), False)
 
 
 def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,

@@ -205,34 +205,6 @@ class Arc:
     def start(self) -> float:
         return self.start_turn * TAU
 
-    @property
-    def end(self) -> float:
-        return (self.start_turn + self.normalized_length) * TAU
-
-    @property
-    def center_angle(self) -> float:
-        return (self.start_turn + 0.5 * self.normalized_length) * TAU
-
-    def dilate(self, factor: float) -> "Arc":
-        """The concentric arc of ``factor`` times the length, capped at 2*pi."""
-        length = min(self.normalized_length * factor, 1.0)
-        start = (self.start_turn + 0.5 * (self.normalized_length - length)) % 1.0
-        return Arc.from_turns(start if start < 1.0 else 0.0, length)
-
-    def intersects(self, other: "Arc") -> bool:
-        if self.length >= TAU - 1e-15 or other.length >= TAU - 1e-15:
-            return True
-        gap = (other.start - self.start) % TAU
-        return gap < self.length or gap > TAU - other.length
-
-    def contains_arc(self, other: "Arc") -> bool:
-        if self.length >= TAU - 1e-15:
-            return True
-        if other.length > self.length + 1e-15:
-            return False
-        off = (other.start - self.start) % TAU
-        return off + other.length <= self.length + 1e-12
-
 
 @dataclass(frozen=True)
 class CarlesonSquare:

@@ -2,9 +2,10 @@
 
 Scalar side: the projection onto K_theta = H^2 - theta H^2 for a finite
 Blaschke product theta.  Matrix side: bounded analytic matrix functions
-Theta and their determinants with the rectangular conventions
-(:func:`det_theta_many`).  The span of the kernels at a finite zero set is
-built by ``riesz.SubspaceSystem.from_kernel_groups``; the covering count of
+Theta, their boundary samples (:meth:`MatrixFunction.boundary`, computed
+once per function) and the coefficients and zeros of det Theta.  The span
+of the kernels at a finite zero set is built by
+``riesz.SubspaceSystem.from_kernel_groups``; the covering count of
 {|det Theta_n| < eps**d} is computed by ``construction.lemma_10_1_check``;
 the distance of a kernel datum from the model subspace, ||Theta(lam)* e||,
 is the ``star_norms`` entry of ``construction.build_contour_nets``.
@@ -25,7 +26,8 @@ from .disk import TAU, kernel, require_interior
 from .errors import DomainError
 from .hardy import BoundaryGrid, riesz_project
 
-DEFAULT_BOUNDARY_SIZE = 512
+# boundary samples of a matrix function: the roots of unity of this order
+BOUNDARY_SIZE = 2048
 
 
 def _trim(coeffs: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -44,7 +46,7 @@ class MatrixFunction:
     is a scalar polynomial with no zeros in the closed unit disk.
     """
 
-    __slots__ = ("numer", "denom", "_det_coeffs")
+    __slots__ = ("numer", "denom", "_det_coeffs", "_boundary")
 
     def __init__(self, numer, denom=(1.0,)):
         numer = np.asarray(numer, dtype=complex)
@@ -60,6 +62,7 @@ class MatrixFunction:
         self.numer = numer
         self.denom = denom
         self._det_coeffs = None
+        self._boundary = None
 
     @property
     def rows(self) -> int:
@@ -83,14 +86,20 @@ class MatrixFunction:
             return out.reshape(self.rows, self.cols)
         return out
 
-    def boundary(self, size: int = DEFAULT_BOUNDARY_SIZE) -> np.ndarray:
-        pts = np.exp(1j * TAU * np.arange(size) / size)
-        return self(pts)
+    def boundary(self) -> np.ndarray:
+        """Values at the ``BOUNDARY_SIZE`` roots of unity, shape (size, rows,
+        cols); computed on the first call and kept read-only."""
+        if self._boundary is None:
+            pts = np.exp(1j * TAU * np.arange(BOUNDARY_SIZE) / BOUNDARY_SIZE)
+            vals = self(pts)
+            vals.flags.writeable = False
+            self._boundary = vals
+        return self._boundary
 
-    def is_contractive(self, size: int = DEFAULT_BOUNDARY_SIZE) -> bool:
-        """Largest boundary singular value at most 1 + 1e-8 on ``size`` samples."""
-        vals = self.boundary(size)
-        s = np.linalg.svd(vals, compute_uv=False)
+    def is_contractive(self) -> bool:
+        """Largest boundary singular value at most 1 + 1e-8 on every 4th
+        boundary sample, the roots of unity of order ``BOUNDARY_SIZE / 4``."""
+        s = np.linalg.svd(self.boundary()[::4], compute_uv=False)
         return bool(np.max(s) <= 1.0 + 1e-8)
 
     def det_coefficients(self) -> np.ndarray:
@@ -171,21 +180,6 @@ class MatrixFunction:
         for i, p in enumerate(pieces):
             numer[: p.shape[0], i, i] = p
         return cls(numer, den)
-
-
-def det_theta_many(theta: MatrixFunction, zs: np.ndarray) -> np.ndarray:
-    """Determinant of theta at each point of ``zs``, with the rectangular conventions.
-
-    For square theta this is the determinant of the evaluated matrix; when
-    the domain space is smaller than the range (cols < rows) the result is
-    identically 0, and when it is larger (cols > rows) identically 1.
-    """
-    zs = np.asarray(zs, dtype=complex)
-    if theta.cols < theta.rows:
-        return np.zeros(zs.shape, dtype=complex)
-    if theta.cols > theta.rows:
-        return np.ones(zs.shape, dtype=complex)
-    return np.linalg.det(theta(zs))
 
 
 def project_model(theta, f: BoundaryGrid) -> BoundaryGrid:

@@ -82,12 +82,10 @@ def svg_document(elements) -> str:
 
 
 def render_contour(result, zeros=()) -> str:
-    """Unit circle, generation squares, zeros and the contour polylines."""
+    """Unit circle, the region's square, zeros and the contour polylines."""
     parts = [circle_element()]
     for piece in result.region.pieces:
         parts.append(square_element(piece.square))
-        for hole in piece.holes:
-            parts.append(square_element(hole, stroke="#b80", width=0.8))
     for z in zeros:
         parts.append(dot_element(complex(z)))
     for poly in result.polylines:

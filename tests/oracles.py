@@ -11,12 +11,6 @@ import numpy as np
 import scipy.linalg
 
 from carleson_kit.construction import canonical_phase
-from carleson_kit.contour import (
-    _PROBE_OFFSET,
-    _curve_normals,
-    _curve_points,
-    _square_primitives,
-)
 from carleson_kit.disk import TAU, _modulus, in_open_disk, require_interior
 from carleson_kit.errors import DomainError
 from carleson_kit.riesz import SubspaceSystem
@@ -181,63 +175,60 @@ def unit_sphere_net_reference(dim, eps, rng=None):
 
 
 def extract_polylines_reference(region):
-    """Boundary polylines of a region with every probe tested against every disk.
+    """Boundary polylines of a region of disks with every probe tested
+    against every disk.
 
-    The unculled route the library's extraction must reproduce bit for bit:
-    each primitive is sampled, both probe sides go through the whole region
-    in two membership calls, and each end of a partial run is bisected 30
-    times with two more calls per step.
+    The unculled route the library's extraction must reproduce bit for bit,
+    written out for circles: the circle |z - c| = r of each distinct disk
+    is sampled at the angles 2 pi (k + 1/2) / 256, and a sample is on the
+    boundary when the probes c + (r +- h) e^{it}, h = max(r 2**-12, 1e-13),
+    disagree about membership in the whole region (two membership calls).
+    Each end of a partial run is bisected 30 times in angle, with two more
+    calls per step.
     """
-    prims = {}
+    circles = {}
     for piece in region.pieces:
         for d in piece.disks:
-            key = ("circle", (round(d.eu_center.real, 14), round(d.eu_center.imag, 14),
-                              round(d.eu_radius, 14)))
-            prims[key] = ("circle", (d.eu_center, d.eu_radius), d.eu_radius, True)
-        for sq in (piece.square,) + piece.holes:
-            for kind, kid, payload in _square_primitives(sq):
-                if kind == "segment":
-                    a, b = payload
-                    prims[(kind, kid)] = (kind, payload, abs(b - a), False)
-                else:
-                    r0, arc = payload
-                    prims[(kind, kid)] = (kind, payload, r0 * arc.length, False)
+            key = (round(d.eu_center.real, 14), round(d.eu_center.imag, 14),
+                   round(d.eu_radius, 14))
+            circles[key] = (d.eu_center, d.eu_radius)
 
+    n = 256
+    ts = TAU * (np.arange(n) + 0.5) / n
     polylines = []
-    for kind, payload, scale, closed in prims.values():
-        if scale <= 0:
-            continue
-        n = 256 if kind == "circle" else 512
-        span = TAU if kind == "circle" else 1.0
-        ts = span * (np.arange(n) + 0.5) / n
-        pts = _curve_points(kind, payload, ts)
-        normals = _curve_normals(kind, payload, ts)
-        h = max(scale * _PROBE_OFFSET, 1e-13)
-        on_boundary = (region.contains_many(pts + h * normals)
-                       ^ region.contains_many(pts - h * normals))
+    for c, r in circles.values():
+        h = max(r * 2.0**-12, 1e-13)
+
+        def on_circle(t):
+            return c + r * np.exp(1j * t)
+
+        def crosses(t):
+            unit = np.exp(1j * t)
+            p = c + r * unit
+            return region.contains_many(p + h * unit) ^ region.contains_many(p - h * unit)
 
         def refine(t_good, t_bad):
             for _ in range(30):
                 mid = 0.5 * (t_good + t_bad)
-                p = _curve_points(kind, payload, np.array([mid]))
-                nrm = _curve_normals(kind, payload, np.array([mid]))
-                if region.contains_many(p + h * nrm)[0] ^ region.contains_many(p - h * nrm)[0]:
+                if crosses(np.array([mid]))[0]:
                     t_good = mid
                 else:
                     t_bad = mid
             return t_good
 
+        on_boundary = crosses(ts)
         if not np.any(on_boundary):
             continue
         if np.all(on_boundary):
-            verts = _curve_points(kind, payload, np.append(ts, ts[0] if closed else ts[-1]))
-            if closed:
-                verts[-1] = verts[0]
+            verts = on_circle(np.append(ts, ts[0]))
+            verts[-1] = verts[0]
             polylines.append(verts)
             continue
+        # runs of boundary samples, read around the circle from a sample
+        # that is not on the boundary
+        first = int(np.argmin(on_boundary))
         runs, run = [], []
-        order = np.arange(n) if not closed else np.roll(np.arange(n), -int(np.argmin(on_boundary)))
-        for i in order:
+        for i in [(first + k) % n for k in range(n)]:
             if on_boundary[i]:
                 run.append(i)
             elif run:
@@ -247,15 +238,12 @@ def extract_polylines_reference(region):
             runs.append(run)
         for run in runs:
             t_first, t_last = ts[run[0]], ts[run[-1]]
-            prev_t = ts[(run[0] - 1) % n] if closed else max(t_first - span / n, 0.0)
-            next_t = ts[(run[-1] + 1) % n] if closed else min(t_last + span / n, span)
-            if closed and prev_t > t_first:
-                prev_t -= span
-            if closed and next_t < t_last:
-                next_t += span
+            # the neighbouring samples off the boundary, unwrapped past 0
+            prev_t = ts[run[0] - 1] if run[0] > 0 else ts[-1] - TAU
+            next_t = ts[run[-1] + 1] if run[-1] < n - 1 else ts[0] + TAU
             run_ts = np.concatenate(([refine(t_first, prev_t)], ts[run],
                                      [refine(t_last, next_t)]))
-            polylines.append(_curve_points(kind, payload, run_ts))
+            polylines.append(on_circle(run_ts))
     return tuple(polylines)
 
 

@@ -163,8 +163,9 @@ def _oracle_segment_length(a: complex, b: complex, square: CarlesonSquare) -> fl
         if disc > 0.0:
             sq = math.sqrt(disc)
             ts += [t for t in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)) if 0.0 < t < 1.0]
-    if square.base.length < TAU - 1e-15:
-        for theta in (square.base.start, square.base.end):
+    base = square.base
+    if base.length < TAU - 1e-15:
+        for theta in (base.start, (base.start_turn + base.normalized_length) * TAU):
             e = complex(math.cos(theta), math.sin(theta))
             denom = (e.conjugate() * d).imag
             if denom != 0.0:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from carleson_kit.cli import InputError, _complex_list, _frame_in, build_parser, main
+from carleson_kit.contour import BoundedFunction, ContourConstants, select_bad_intervals
 from carleson_kit.riesz import SubspaceSystem
 
 REPO = Path(__file__).resolve().parents[1]
@@ -136,7 +137,7 @@ class TestReports:
 
     def test_contour_interval_ratio_fails_for_a_persistent_atom(self, tmp_path):
         # c1 = 0.1 / log 10 makes M = 10 at eps = 0.1; the atom of mass 0.004
-        # stays heavy under recursion until a dilated witness fills its parent
+        # makes one heavy square of depth 12, which ends the construction
         inp = write_json(tmp_path, "atom.json",
                          {"zeros": [[0.0, 0.0]], "singular_atoms": [[1.0, 0.004]]})
         code, rep = run_to_file(tmp_path, [
@@ -146,7 +147,36 @@ class TestReports:
         assert rep["constants"]["m_threshold"] == pytest.approx(10.0, rel=1e-12)
         failed = {c["name"]: c for c in rep["checks"] if not c["passed"]}
         assert set(failed) == {"child-interval-ratio"}
-        assert "bad intervals cover" in failed["child-interval-ratio"]["detail"]
+        assert failed["child-interval-ratio"]["detail"] == (
+            "1 heavy dyadic square(s) nu(Q(J)) > M|J|; the heaviest, at depth 12, "
+            "has nu(Q(J)) = 0.004 against M|J| = 0.00244141")
+
+    @pytest.mark.parametrize("payload", [
+        # 30 zeros at radius 1 - 2^-10 within 0.002 of the angle 1.0
+        {"zeros": [[(1.0 - 2.0**-10) * math.cos(t), (1.0 - 2.0**-10) * math.sin(t)]
+                   for t in np.linspace(0.998, 1.002, 30)]},
+        # |phi*| = e^-30 on 4 of 4096 boundary cells, 1 elsewhere
+        {"zeros": [[0.3, 0.2]],
+         "outer_log": [-30.0 if 1000 <= k < 1004 else 0.0 for k in range(4096)]},
+    ], ids=["zero-cluster", "outer-dip"])
+    def test_contour_fails_for_a_heavy_square_on_a_short_arc(self, tmp_path, payload):
+        # M = 10: the witnesses have depth 9, so their dilations cover
+        # 5 * 2^-9 < 0.01 of the circle, yet the construction ends
+        c1 = 0.1 / math.log(10.0)
+        phi = BoundedFunction(zeros=[complex(*z) for z in payload["zeros"]],
+                              outer_log=payload.get("outer_log"))
+        m_threshold = ContourConstants.for_epsilon(0.1, c1=c1).m_threshold
+        witnesses = select_bad_intervals(phi.representing_measure(), m_threshold)
+        assert [w.normalized_length for w in witnesses] == [2.0**-9]
+        assert 5 * sum(w.normalized_length for w in witnesses) <= 0.01
+        inp = write_json(tmp_path, "heavy.json", payload)
+        code, rep = run_to_file(tmp_path, [
+            "contour", "--input", inp, "--epsilon", "0.1", "--seed", "3", "--c1", repr(c1)])
+        assert code == 1
+        failed = {c["name"]: c for c in rep["checks"] if not c["passed"]}
+        assert set(failed) == {"child-interval-ratio"}
+        assert "at depth 9," in failed["child-interval-ratio"]["detail"]
+        assert rep["quantities"] == {}
 
     def test_system_independence_fails_for_a_repeated_frame(self, tmp_path):
         # the first two one-dimensional frames span the same line of C^2

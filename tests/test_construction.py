@@ -348,8 +348,7 @@ class TestConditionSums:
         assert out["sum_5_5_sup"] >= out["sum_5_4_sup"] - 1e-10
 
     def test_each_member_is_evaluated_once_on_the_grid(self, monkeypatch):
-        # one vectorized call per member on the whole grid, as
-        # det_theta_many makes
+        # one vectorized call per member on the whole grid
         sizes = []
         call = MatrixFunction.__call__
 

@@ -9,17 +9,15 @@ from oracles import extract_polylines_reference
 from carleson_kit import blaschke as blaschke_mod
 from carleson_kit import disk
 from carleson_kit.contour import (
-    BadIntervals,
     BoundedFunction,
     ContourConstants,
     ContourResult,
     DiskSpec,
+    GenerationStats,
     Region,
     RegionPiece,
     RepresentingMeasure,
-    _clip_arc,
     _extract_polylines,
-    _merge_arcs,
     bourgain_contour,
     check_potential_bounds,
     select_bad_intervals,
@@ -293,30 +291,24 @@ class TestPotentialBounds:
 class TestBadIntervals:
     def test_planted_atom_witness_and_ratio(self):
         nu = RepresentingMeasure(boundary_atoms=[(1.0, 0.004)])
-        full = Arc(center_angle=0.0, length=TAU)
-        bad = select_bad_intervals(nu, full, m_threshold=10.0)
-        assert len(bad.witnesses) == 1
-        j = bad.witnesses[0]
+        (j,) = select_bad_intervals(nu, m_threshold=10.0)
         # smallest depth with 0.004 > 10 * 2^-d is d = 12
         assert j.normalized_length == pytest.approx(2.0**-12)
         assert j == dyadic_arc(12, int(dyadic_index(turns(1.0), 12)))
-        assert bad.length_ratio == pytest.approx(5 * 2.0**-12, rel=1e-12)
-        assert bad.length_ratio <= 0.01
+        # 5J covers 5 * 2^-12 of the circle, within the ratio bound 0.01;
+        # bourgain_contour refuses the atom all the same (TestContour)
+        assert 5 * j.normalized_length <= 0.01
 
     def test_witness_is_maximal(self):
         nu = RepresentingMeasure(boundary_atoms=[(1.0, 0.004)])
-        full = Arc(center_angle=0.0, length=TAU)
-        bad = select_bad_intervals(nu, full, m_threshold=10.0)
-        j = bad.witnesses[0]
+        (j,) = select_bad_intervals(nu, m_threshold=10.0)
         # the dyadic parent is not heavy
         parent_mass = 0.004
         assert parent_mass <= 10.0 * (2 * j.normalized_length)
 
     def test_uniform_density_produces_no_witnesses(self):
         nu = RepresentingMeasure(density=np.full(256, 0.5))
-        bad = select_bad_intervals(nu, Arc(0.0, TAU), m_threshold=10.0)
-        assert bad.witnesses == ()
-        assert bad.length_ratio == 0.0
+        assert select_bad_intervals(nu, m_threshold=10.0) == ()
 
     def test_atoms_next_to_dyadic_rays_reach_their_witness(self):
         # one atom within three ulps of a dyadic ray, heavy at depth d only:
@@ -333,31 +325,28 @@ class TestBadIntervals:
                 z = (1.0 - 2.0**-depth * rng.uniform(0.5, 1.0)) * cmath.exp(1j * angle)
                 nu = RepresentingMeasure(interior_atoms=[(z, mass)])
                 u = polar(z)[0]
-            bad = select_bad_intervals(nu, Arc(0.0, TAU), m_threshold=10.0)
-            assert bad.witnesses == (dyadic_arc(depth, int(dyadic_index(u, depth))),)
+            witnesses = select_bad_intervals(nu, m_threshold=10.0)
+            assert witnesses == (dyadic_arc(depth, int(dyadic_index(u, depth))),)
 
     def test_deep_interior_atom_is_light(self):
         # an atom at radius 1/2 only enters squares of depth 0 and 1
         nu = RepresentingMeasure(interior_atoms=[(0.5, 1.0)])
-        bad = select_bad_intervals(nu, Arc(0.0, TAU), m_threshold=10.0)
-        assert bad.witnesses == ()
+        assert select_bad_intervals(nu, m_threshold=10.0) == ()
 
 
-def unpruned_bad_intervals(measure, base, m_threshold, depth_floor=20):
-    """The scan without its descent bound: every arc above the mass floor
-    m_threshold * 2**-depth_floor is subdivided down to depth_floor."""
-    window = base.dilate(5.0)
+def unpruned_bad_intervals(measure, m_threshold, depth_floor=20):
+    """The scan of the whole circle without its descent bound: every arc
+    above the mass floor m_threshold * 2**-depth_floor is subdivided down
+    to depth_floor."""
     floor_threshold = m_threshold * (2.0 ** -depth_floor)
     witnesses = []
 
     def scan(depth, index):
         arc = dyadic_arc(depth, index)
-        if not window.intersects(arc):
-            return
         mass = measure.mass_in_square(CarlesonSquare(arc, closed=True))
         if mass <= min(floor_threshold, m_threshold * arc.normalized_length):
             return
-        if window.contains_arc(arc) and mass > m_threshold * arc.normalized_length:
+        if mass > m_threshold * arc.normalized_length:
             witnesses.append(arc)
             return
         if depth < depth_floor:
@@ -365,11 +354,7 @@ def unpruned_bad_intervals(measure, base, m_threshold, depth_floor=20):
             scan(depth + 1, 2 * index + 1)
 
     scan(0, 0)
-    components = []
-    for comp in _merge_arcs([w.dilate(5.0) for w in witnesses]):
-        components.extend(_clip_arc(comp, window))
-    ratio = sum(c.length for c in components) / base.length
-    return BadIntervals(tuple(witnesses), tuple(components), ratio)
+    return tuple(witnesses)
 
 
 def _ray_angle(rng, base_depth, base_index, depth, ulps=2):
@@ -378,7 +363,8 @@ def _ray_angle(rng, base_depth, base_index, depth, ulps=2):
     next to it."""
     sub = 1 << (depth - base_depth)
     arc = dyadic_arc(depth, base_index * sub + int(rng.integers(sub)))
-    angle = (arc.start, arc.end, arc.center_angle)[int(rng.integers(3))]
+    start, length = arc.start_turn, arc.normalized_length
+    angle = TAU * (start, start + length, start + 0.5 * length)[int(rng.integers(3))]
     steps = int(rng.integers(-ulps, ulps + 1))
     for _ in range(abs(steps)):
         angle = math.nextafter(angle, math.inf if steps > 0 else -math.inf)
@@ -417,17 +403,18 @@ class TestBadIntervalOracle:
     @pytest.mark.parametrize("depth_floor", [8, 12, 16])
     @pytest.mark.parametrize("base_depth", [0, 2])
     def test_fuzzed_measures_match_unpruned_scan(self, depth_floor, base_depth):
+        # the measure sits under a dyadic arc of depth base_depth (the whole
+        # circle for 0); the scan always covers the whole circle
         rng = np.random.default_rng(1000 * depth_floor + base_depth)
         found = 0
         for trial in range(12):
             n = (64, 256, 1000, 1024)[trial % 4]
             m_threshold = (10.0, 23.0)[trial % 2]
             base_index = int(rng.integers(1 << base_depth))
-            base = Arc(0.0, TAU) if base_depth == 0 else dyadic_arc(base_depth, base_index)
             nu = _fuzzed_measure(rng, m_threshold, depth_floor, n, base_depth, base_index)
-            want = unpruned_bad_intervals(nu, base, m_threshold, depth_floor)
-            assert select_bad_intervals(nu, base, m_threshold, depth_floor) == want
-            found += len(want.witnesses)
+            want = unpruned_bad_intervals(nu, m_threshold, depth_floor)
+            assert select_bad_intervals(nu, m_threshold, depth_floor) == want
+            found += len(want)
         assert found >= 12
 
     def test_atoms_on_dyadic_rays_match_unpruned_scan(self):
@@ -452,9 +439,9 @@ class TestBadIntervalOracle:
                 k = int(angle % TAU / TAU * 1024)
                 density[np.arange(k - 2, k + 3) % 1024] = 3.0
             nu = RepresentingMeasure(interior, boundary, density)
-            want = unpruned_bad_intervals(nu, Arc(0.0, TAU), 10.0, 12)
-            assert select_bad_intervals(nu, Arc(0.0, TAU), 10.0, 12) == want
-            found += len(want.witnesses)
+            want = unpruned_bad_intervals(nu, 10.0, 12)
+            assert select_bad_intervals(nu, 10.0, 12) == want
+            found += len(want)
         assert found >= 40
 
 
@@ -474,7 +461,7 @@ class TestBadIntervalPruning:
     def test_uniform_density_stops_at_the_root(self, monkeypatch):
         calls = _count_nodes(monkeypatch)
         nu = RepresentingMeasure(density=np.full(256, 0.5))
-        assert select_bad_intervals(nu, Arc(0.0, TAU), m_threshold=10.0).witnesses == ()
+        assert select_bad_intervals(nu, m_threshold=10.0) == ()
         assert len(calls) <= 4
 
     def test_smooth_outer_measure_stops_at_the_root(self, monkeypatch):
@@ -489,15 +476,14 @@ class TestBadIntervalPruning:
             outer_log=-0.06 * (1.0 + 0.5 * np.cos(3 * grid + 1.0)),
         )
         m_threshold = ContourConstants.for_epsilon(0.1, c1=0.1).m_threshold
-        bad = select_bad_intervals(phi.representing_measure(), Arc(0.0, TAU), m_threshold)
-        assert bad.witnesses == ()
+        assert select_bad_intervals(phi.representing_measure(), m_threshold) == ()
         assert len(calls) <= 4
 
     def test_planted_atom_still_reaches_its_witness(self, monkeypatch):
         calls = _count_nodes(monkeypatch)
         nu = RepresentingMeasure(boundary_atoms=[(1.0, 0.004)])
-        bad = select_bad_intervals(nu, Arc(0.0, TAU), m_threshold=10.0)
-        assert [w.normalized_length for w in bad.witnesses] == [2.0**-12]
+        witnesses = select_bad_intervals(nu, m_threshold=10.0)
+        assert [w.normalized_length for w in witnesses] == [2.0**-12]
         # the path to depth 12 and the empty sibling at every level
         assert len(calls) == 1 + 2 * 12
 
@@ -550,7 +536,7 @@ class TestContour:
         bad_pieces = []
         for piece in result.region.pieces:
             disks = tuple(DiskSpec.around(d.center, 2 * d.gamma) for d in piece.disks)
-            bad_pieces.append(RegionPiece(piece.square, piece.holes, disks))
+            bad_pieces.append(RegionPiece(piece.square, disks))
         corrupted = ContourResult(
             region=Region(bad_pieces),
             polylines=result.polylines,
@@ -566,29 +552,42 @@ class TestContour:
         assert not bad["passed"]
 
     def test_persistent_atom_trips_the_interval_bound(self):
-        # a singular atom stays heavy under recursion: by the second
-        # generation its dilated witness fills the parent interval
+        # the atom's witness J has depth 12 and 5J covers 5 * 2^-12 of the
+        # circle; a second generation would find J again below 5J
         phi = BoundedFunction(zeros=[0.0], singular_atoms=[(1.0, 0.004)])
         consts = wide_constants(m_threshold=10.0)
-        with pytest.raises(ContourBoundError):
+        with pytest.raises(ContourBoundError) as info:
             bourgain_contour(phi, consts.epsilon, constants=consts)
+        message = str(info.value)
+        assert message.startswith("1 heavy dyadic square")
+        assert "at depth 12," in message
+        assert "nu(Q(J)) = 0.004 " in message
+        assert f"M|J| = {10.0 * 2.0**-12:.6g}" in message
 
-    def test_generation_cap_sets_truncated_flag(self):
-        phi = BoundedFunction(zeros=[0.0], singular_atoms=[(1.0, 0.004)])
+    def test_heaviest_witness_is_named(self):
+        # two atoms heavy at depths 5 and 9, in opposite half turns
+        phi = BoundedFunction(singular_atoms=[(1.0, 0.5), (4.0, 0.03)])
         consts = wide_constants(m_threshold=10.0)
-        result = bourgain_contour(phi, consts.epsilon, constants=consts, max_generations=1)
-        assert result.truncated
-        assert len(result.generations) == 1
-        assert result.generations[0].bad_intervals == 1
+        with pytest.raises(ContourBoundError) as info:
+            bourgain_contour(phi, consts.epsilon, constants=consts)
+        message = str(info.value)
+        assert message.startswith("2 heavy dyadic square")
+        assert "at depth 5, has nu(Q(J)) = 0.5 against M|J| = 0.3125" in message
+
+    def test_heavy_root_fails_at_depth_zero(self):
+        # nu(D) = 50 * (1 - 0.5^2) / 2 = 18.75 > M = 10: the root square is
+        # its own witness
+        phi = BoundedFunction(zeros=[0.5] * 50)
+        consts = wide_constants(m_threshold=10.0)
+        with pytest.raises(ContourBoundError, match=r"^1 heavy .* at depth 0, "
+                                                    r"has nu\(Q\(J\)\) = 18.75 "):
+            bourgain_contour(phi, consts.epsilon, constants=consts)
 
     def test_generation_stats_are_recorded(self):
         phi = BoundedFunction(zeros=[0.0])
         result = bourgain_contour(phi, 0.1)
-        assert len(result.generations) >= 1
-        g0 = result.generations[0]
-        assert g0.generation == 0
-        assert g0.active_intervals == 1
-        assert g0.length_ratio <= 0.01
+        assert result.generations == (GenerationStats(0, 1, 0, 0.0),)
+        assert not result.truncated
 
 
 def circle_crossings(c1, r1, c2, r2):
@@ -604,14 +603,9 @@ class TestBoundaryExtraction:
     """Partial boundary runs and their bisected ends, against the unculled
     reference extraction and the closed-form crossings."""
 
-    FULL = CarlesonSquare(Arc(0.0, TAU), closed=True)
-    # hole over the first quarter turn: radial edges at angles 0 and pi/2
-    # from radius 0.75 to 1, inner arc of radius 0.75 between them
-    HOLE = CarlesonSquare(Arc.from_turns(0.0, 0.25), closed=True)
-
     def check_partial_runs(self, region, crossings, h_of):
         """Match the reference, and put every bisected end within 4h of a
-        crossing, h the probe offset of the end's own primitive; returns the
+        crossing, h the probe offset of the end's own circle; returns the
         number of partial runs."""
         got = _extract_polylines(region)
         want = extract_polylines_reference(region)
@@ -661,60 +655,41 @@ class TestBoundaryExtraction:
         assert calls.count(2) == 4 * 30
         assert len(calls) == 2 + 4 * 30
 
-    def test_disk_across_a_radial_edge(self):
-        far = DiskSpec.around(-0.5, 0.2)
-        d = DiskSpec.around(0.9, 0.2)
-        region = Region([RegionPiece(self.FULL, (self.HOLE,), (d, far))])
-        # the edge is the real axis; the disk's center lies on it
-        c, r = d.eu_center, d.eu_radius
-        crossings = [c - r, c + r]
-        assert abs(c.imag) < 1e-15 and 0.75 < c.real - r < c.real + r < 1.0
-        h_of = self.circle_h(d, 0.25 * 2.0**-12)
-        assert self.check_partial_runs(region, crossings, h_of) == 2
-
-    def test_disk_cut_by_an_inner_arc(self):
-        far = DiskSpec.around(-0.5, 0.2)
-        d = DiskSpec.around(0.75 * cmath.exp(0.25j * math.pi), 0.2)
-        region = Region([RegionPiece(self.FULL, (self.HOLE,), (d, far))])
-        crossings = circle_crossings(0.0, 0.75, d.eu_center, d.eu_radius)
-        h_of = self.circle_h(d, 0.75 * 0.5 * math.pi * 2.0**-12)
-        assert self.check_partial_runs(region, crossings, h_of) == 2
-
-    def test_disk_within_the_probe_offset_of_an_edge_is_kept(self):
-        # a disk (given by its Euclidean realization) 3e-5 below the radial
-        # edge on the real axis, whose probe offset is h = 0.25 * 2**-12 =
-        # 6.1e-5: it misses the edge's box but catches the lower probes, so
-        # the edge shows a boundary run that culling by the pad alone loses
-        r = 0.01
-        c = 0.9 - (r + 3e-5) * 1j
-        d = DiskSpec(center=c, gamma=0.05, eu_center=c, eu_radius=r)
-        region = Region([RegionPiece(self.FULL, (self.HOLE,), (d,))])
+    def test_disk_within_the_probe_offset_of_a_circle_is_kept(self):
+        # two disks of radius 0.3 (given by their Euclidean realizations)
+        # 1e-5 apart on the real axis, each circle with probe offset
+        # h = 0.3 * 2**-12 = 7.3e-5: each disk's box misses the other
+        # circle's box but catches the outer probes of its two samples next
+        # to the gap, so each circle shows a boundary run that culling by
+        # the pad alone loses
+        r, gap = 0.3, 1e-5
+        left = DiskSpec(center=-r, gamma=0.5, eu_center=complex(-r), eu_radius=r)
+        right = DiskSpec(center=r + gap, gamma=0.5, eu_center=complex(r + gap), eu_radius=r)
+        h = r * 2.0**-12
+        assert 1e-12 < (right.eu_center.real - r) - (left.eu_center.real + r) < h
+        square = CarlesonSquare(Arc(0.0, TAU), closed=True)
+        region = Region([RegionPiece(square, (left, right))])
         got = _extract_polylines(region)
         want = extract_polylines_reference(region)
-        assert len(got) == len(want)
+        assert len(got) == len(want) == 2
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        assert any(np.all(p.imag == 0.0) for p in got)
+        # both runs are open, and each leaves out the samples at the gap
+        for p in got:
+            assert p[0] != p[-1]
+            assert np.min(np.abs(p - gap / 2)) > 1e-3
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_fuzzed_regions_with_holes_match_the_reference(self, seed):
-        # zeros clustered at a heavy singular atom: the bad interval's hole
-        # cuts the disks; a piece over each hole, as the next generation
-        # would add, gives disks of two pieces
+    def test_fuzzed_clustered_regions_match_the_reference(self, seed):
+        # seeded clusters of zeros near one boundary point: overlapping disks
+        # of several sizes, whose circles cut one another
         rng = np.random.default_rng(seed)
         ang = 1.0 + rng.uniform(-0.2, 0.2, 12)
         rad = 1.0 - 10.0 ** rng.uniform(-2.5, -0.5, 12)
-        phi = BoundedFunction(zeros=rad * np.exp(1j * ang), singular_atoms=[(1.0, 0.004)])
-        consts = wide_constants(gamma=rng.uniform(0.05, 0.3), m_threshold=10.0)
-        result = bourgain_contour(phi, consts.epsilon, constants=consts, max_generations=1)
-        (piece,) = result.region.pieces
-        assert piece.holes
-        pieces = [piece]
-        for hole in piece.holes:
-            inside = [d for d in piece.disks if hole.contains(d.center)]
-            pieces.append(RegionPiece(hole, (), tuple(inside)))
-        region = Region(pieces)
-        want = extract_polylines_reference(region)
-        got = _extract_polylines(region)
+        phi = BoundedFunction(zeros=rad * np.exp(1j * ang))
+        consts = wide_constants(gamma=rng.uniform(0.05, 0.3))
+        result = bourgain_contour(phi, consts.epsilon, constants=consts)
+        want = extract_polylines_reference(result.region)
+        got = _extract_polylines(result.region)
         assert any(p[0] != p[-1] for p in got)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))

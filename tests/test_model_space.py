@@ -6,7 +6,7 @@ import pytest
 from carleson_kit.blaschke import BlaschkeProduct
 from carleson_kit.construction import lemma_10_1_check
 from carleson_kit.errors import DomainError
-from carleson_kit.model_space import MatrixFunction, det_theta_many, kernel_grid, project_model
+from carleson_kit.model_space import BOUNDARY_SIZE, MatrixFunction, kernel_grid, project_model
 from carleson_kit.riesz import SubspaceSystem
 
 TAU = 2 * math.pi
@@ -37,10 +37,37 @@ class TestMatrixFunction:
 
     def test_boundary_matches_pointwise_call(self):
         th = MatrixFunction.from_scalar_blaschke([0.3, -0.4j])
-        vals = th.boundary(64)
-        pts = np.exp(1j * TAU * np.arange(64) / 64)
-        for k in (0, 10, 33):
+        vals = th.boundary()
+        assert vals.shape == (BOUNDARY_SIZE, 1, 1)
+        pts = np.exp(1j * TAU * np.arange(BOUNDARY_SIZE) / BOUNDARY_SIZE)
+        for k in (0, 10, 33, 2047):
             assert np.allclose(vals[k], th(pts[k]))
+
+    def test_boundary_is_computed_once_and_read_only(self, monkeypatch):
+        th = MatrixFunction.diagonal([MatrixFunction.from_scalar_blaschke([0.3])] * 2)
+        sizes = []
+        call = MatrixFunction.__call__
+
+        def counted(theta, z):
+            sizes.append(np.size(z))
+            return call(theta, z)
+
+        monkeypatch.setattr(MatrixFunction, "__call__", counted)
+        first = th.boundary()
+        assert th.is_contractive()
+        assert th.boundary() is first
+        assert sizes == [BOUNDARY_SIZE]
+        with pytest.raises(ValueError):
+            first[0, 0, 0] = 2.0
+
+    def test_contractive_check_reads_the_512_roots_of_unity(self):
+        # every 4th of the 2048 samples is, bit for bit, the evaluation at
+        # the 512 roots of unity that the check sampled on its own before
+        rng = np.random.default_rng(6)
+        th = MatrixFunction.diagonal([MatrixFunction.from_scalar_blaschke(random_zeros(rng, 3)),
+                                      MatrixFunction.from_scalar_blaschke(random_zeros(rng, 2))])
+        pts = np.exp(1j * TAU * np.arange(512) / 512)
+        assert np.array_equal(th.boundary()[::4], th(pts))
 
     def test_contractive_flags(self):
         assert MatrixFunction.from_scalar_blaschke([0.5, 0.1j]).is_contractive()
@@ -60,10 +87,10 @@ class TestMatrixFunction:
         assert th.shape == (2, 2)
         ba, bb = BlaschkeProduct(za), BlaschkeProduct(zb)
         probes = random_zeros(rng, 12)
-        dets = det_theta_many(th, probes)
+        dets = np.linalg.det(th(probes))
         for z, d in zip(probes, dets):
             assert d == pytest.approx(ba(complex(z)) * bb(complex(z)), abs=1e-10)
-        assert det_theta_many(th, 0.1) == pytest.approx(ba(0.1) * bb(0.1), abs=1e-12)
+        assert np.linalg.det(th(0.1)) == pytest.approx(ba(0.1) * bb(0.1), abs=1e-12)
 
     def test_det_zeros_recovered(self):
         zeros = [0.3, -0.5j, 0.2 + 0.4j]
