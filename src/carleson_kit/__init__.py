@@ -16,8 +16,8 @@ from .construction import (ContourNetEntry, PointSystem, build_contour_nets,
 from .contour import (BoundedFunction, ContourConstants, ContourResult,
                       RepresentingMeasure, bourgain_contour, check_potential_bounds,
                       select_bad_intervals, verify_region)
-from .disk import (Arc, CarlesonSquare, blaschke_factor, dyadic_arc, hyperbolic_grid,
-                   kernel, kernel_inner, pseudo_hyperbolic, pseudo_hyperbolic_disk)
+from .disk import (Arc, blaschke_factor, dyadic_arc, hyperbolic_grid, kernel,
+                   kernel_inner, pseudo_hyperbolic, pseudo_hyperbolic_disk)
 from .errors import (ContourBoundError, DomainError, LinearDependenceError,
                      NetValidityError)
 from .hardy import BoundaryGrid, poisson_sum, riesz_project

@@ -62,10 +62,6 @@ class BlaschkeProduct:
             raise DomainError("Blaschke zeros must be pairwise distinct (simple zeros)")
         self.zeros = tuple(zs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.zeros)
-
     def __call__(self, z):
         zs = np.asarray(z, dtype=complex)
         out = np.ones_like(zs)

@@ -5,10 +5,10 @@ on polynomials.
 All ratios use Euclidean units: arc lengths in radians, curve mass as
 Euclidean arc length.  Suprema over arcs run over the dyadic arcs of depth
 up to a requested bound, so every reported norm is a lower bound for the
-true supremum and is nondecreasing in the depth.  Squares are evaluated
-closed at the boundary circle so that measures with unimodular atoms are
-handled; for measures supported inside the open disk this agrees with the
-open square.
+true supremum and is nondecreasing in the depth.  Square membership is
+``disk.in_square``, closed at the boundary circle so that measures with
+unimodular atoms are handled; for measures supported inside the open disk
+this agrees with the open square.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from .disk import (
     TAU,
-    CarlesonSquare,
     _modulus,
     dyadic_index,
     grid_layers,
@@ -65,11 +64,8 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def mass_in_square(self, square: CarlesonSquare) -> float:
-        return float(self.masses[square.contains(self.points)].sum())
 
-
-def _lengths_in_squares(a, d, start, length: float, closed: bool = True) -> np.ndarray:
+def _lengths_in_squares(a, d, start, length: float) -> np.ndarray:
     """Exact length of each segment [a, a + d] inside a Carleson square.
 
     The square's base is the arc [start, start + length) of turns; ``start``
@@ -101,7 +97,7 @@ def _lengths_in_squares(a, d, start, length: float, closed: bool = True) -> np.n
     ts = np.sort(np.clip(np.column_stack(cuts), 0.0, 1.0), axis=1)
     t0, t1 = ts[:, :-1], ts[:, 1:]
     u, r = polar(a[:, None] + 0.5 * (t0 + t1) * d[:, None])
-    inside = (t1 > t0) & in_square(u, r, np.reshape(start, (-1, 1)), length, closed)
+    inside = (t1 > t0) & in_square(u, r, np.reshape(start, (-1, 1)), length)
     return (np.where(inside, t1 - t0, 0.0) * seg_len[:, None]).sum(axis=1)
 
 
@@ -131,20 +127,13 @@ class CurveMeasure:
         return (np.concatenate([c[:-1] for c in self.polylines]),
                 np.concatenate([c[1:] for c in self.polylines]))
 
-    def mass_in_square(self, square: CarlesonSquare) -> float:
-        a, b = self._endpoints()
-        lengths = _lengths_in_squares(a, b - a, square.base.start_turn,
-                                      square.base.normalized_length, square.closed)
-        return float(lengths.sum())
-
 
 def carleson_norm(measure, depth: int = 12) -> float:
     """sup over dyadic arcs of depth <= depth of mass(S(I)) / |I| (Euclidean).
 
-    Membership in S(I) is ``disk.in_square``, as in ``mass_in_square``, so
-    this is the brute-force supremum over the same arcs, up to the order in
-    which masses are summed.  Only arcs whose square can receive mass are
-    evaluated.
+    Membership in S(I) is ``disk.in_square``, so this is the brute-force
+    supremum over the dyadic arcs, up to the order in which masses are
+    summed.  Only arcs whose square can receive mass are evaluated.
 
     A ``DiscreteMeasure`` takes one ``np.bincount`` per depth: the atoms in
     the depth's radial layer, binned by ``dyadic_index`` of their turns.

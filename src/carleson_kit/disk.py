@@ -1,8 +1,8 @@
 """Geometry of the unit disk.
 
 Blaschke factors, the pseudo-hyperbolic metric, normalized reproducing
-kernels of the Hardy space, Carleson squares over boundary arcs, dyadic arcs
-and the dyadic radial layers of the disk.
+kernels of the Hardy space, membership in Carleson squares, dyadic arcs and
+the dyadic radial layers of the disk.
 
 Conventions used throughout the package:
 
@@ -23,8 +23,10 @@ implementation of its formula.  Every entry that must be an
 interior point is checked: |z| >= 1 or nan raises :class:`DomainError`.
 log|B| is ``blaschke.blaschke_log_abs``, a sum of log :func:`pseudo_hyperbolic`.
 
-Membership in a Carleson square is :func:`in_square` of the turn and
-modulus that :func:`polar` gives a point; it is exact for dyadic arcs.
+A Carleson square exists only as its membership test: :func:`in_square` of
+the turn and modulus that :func:`polar` gives a point, over an arc of turns.
+The square is closed at the boundary circle, so that atoms on the circle
+count; it is exact for dyadic arcs.
 """
 
 from __future__ import annotations
@@ -143,14 +145,13 @@ def polar(z) -> tuple[np.ndarray, np.ndarray]:
     return turns(np.arctan2(zs.imag, zs.real)), _modulus(zs)
 
 
-def in_layer(r, length, closed: bool = True) -> np.ndarray:
-    """The radial half of :func:`in_square`: 1 - length <= r, and r <= 1
-    (up to 1e-12) if ``closed``, r < 1 otherwise."""
-    outer = r <= 1.0 + 1e-12 if closed else r < 1.0
-    return (r >= 1.0 - length) & outer
+def in_layer(r, length) -> np.ndarray:
+    """The radial half of :func:`in_square`: 1 - length <= r <= 1 (up to
+    1e-12), so the square is taken inside the closed disk."""
+    return (r >= 1.0 - length) & (r <= 1.0 + 1e-12)
 
 
-def in_square(u, r, start, length: float, closed: bool = True) -> np.ndarray:
+def in_square(u, r, start, length: float) -> np.ndarray:
     """The package's one test of membership in a Carleson square.
 
     The point with turn ``u`` and modulus ``r`` (see :func:`polar`) is in
@@ -160,7 +161,7 @@ def in_square(u, r, start, length: float, closed: bool = True) -> np.ndarray:
     every step is exact: the angle test is ``dyadic_index(u, d) == j``, so
     squares of depth d + 1 nest in their parents.
     """
-    inside = in_layer(r, length, closed)
+    inside = in_layer(r, length)
     if length >= 1.0:
         return inside
     w = u - start
@@ -173,64 +174,14 @@ def dyadic_index(u, depth: int) -> np.ndarray:
     return (np.asarray(u) * float(1 << depth)).astype(np.int64)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Arc:
     """The half-open boundary arc [start_turn, start_turn + normalized_length)
     of turns modulo 1, so that equal-depth dyadic arcs partition the circle
-    exactly.  ``Arc(center_angle, length)`` takes radians, with length in
-    (0, 2*pi]; :meth:`from_turns` takes turns.
-    """
+    exactly."""
 
     start_turn: float
     normalized_length: float
-
-    def __init__(self, center_angle: float, length: float):
-        if not (0.0 < length <= TAU + 1e-12):
-            raise DomainError(f"arc length must lie in (0, 2*pi], got {length}")
-        object.__setattr__(self, "start_turn", float(turns(center_angle - 0.5 * length)))
-        object.__setattr__(self, "normalized_length", length / TAU)
-
-    @classmethod
-    def from_turns(cls, start: float, length: float) -> "Arc":
-        arc = object.__new__(cls)
-        object.__setattr__(arc, "start_turn", start)
-        object.__setattr__(arc, "normalized_length", length)
-        return arc
-
-    @property
-    def length(self) -> float:
-        return self.normalized_length * TAU
-
-    @property
-    def start(self) -> float:
-        return self.start_turn * TAU
-
-
-@dataclass(frozen=True)
-class CarlesonSquare:
-    """Carleson square over a boundary arc.
-
-    Membership (:func:`in_square`): the point's turn lies in the base arc
-    and |z| >= 1 - normalized length.  With ``closed=False`` the square is
-    open at the boundary circle (|z| < 1); with ``closed=True`` it is taken
-    inside the closed disk.
-    """
-
-    base: Arc
-    closed: bool = False
-
-    @property
-    def inner_radius(self) -> float:
-        return max(0.0, 1.0 - self.base.normalized_length)
-
-    def contains(self, z):
-        """Membership of ``z``: a bool for a scalar, a bool array for an array."""
-        zs = np.asarray(z, dtype=complex)
-        base = self.base
-        # a full circle's angle test passes every turn: skip computing them
-        u, r = polar(zs) if base.normalized_length < 1.0 else (0.0, _modulus(zs))
-        inside = in_square(u, r, base.start_turn, base.normalized_length, self.closed)
-        return bool(inside) if inside.ndim == 0 else inside
 
 
 def dyadic_arc(depth: int, index: int) -> Arc:
@@ -239,7 +190,7 @@ def dyadic_arc(depth: int, index: int) -> Arc:
     if depth < 0:
         raise DomainError("dyadic depth must be nonnegative")
     n = 1 << depth
-    return Arc.from_turns((index % n) / n, 1.0 / n)
+    return Arc((index % n) / n, 1.0 / n)
 
 
 def pseudo_hyperbolic_disk(a, gamma: float) -> tuple[complex, float]:

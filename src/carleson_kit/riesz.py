@@ -105,18 +105,6 @@ class SubspaceSystem:
         )
 
     @classmethod
-    def from_vectors(cls, vectors) -> "SubspaceSystem":
-        """One-dimensional subspaces spanned by the given nonzero vectors."""
-        frames = []
-        for v in vectors:
-            v = np.asarray(v, dtype=complex).reshape(-1)
-            nv = np.linalg.norm(v)
-            if nv == 0:
-                raise DomainError("zero vector spans no subspace")
-            frames.append((v / nv)[:, None])
-        return cls(frames)
-
-    @classmethod
     def from_kernel_groups(cls, groups, vectors=None, labels=None) -> "SubspaceSystem":
         """Subspaces spanned by reproducing kernels at groups of disk points.
 

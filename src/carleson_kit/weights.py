@@ -68,10 +68,6 @@ class Weight:
         self.tag = tag
 
     @classmethod
-    def from_function(cls, fn) -> "Weight":
-        return cls(fn=fn)
-
-    @classmethod
     def from_samples(cls, values, tag=None) -> "Weight":
         return cls(values=values, tag=tag)
 

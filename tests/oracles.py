@@ -187,11 +187,10 @@ def extract_polylines_reference(region):
     calls per step.
     """
     circles = {}
-    for piece in region.pieces:
-        for d in piece.disks:
-            key = (round(d.eu_center.real, 14), round(d.eu_center.imag, 14),
-                   round(d.eu_radius, 14))
-            circles[key] = (d.eu_center, d.eu_radius)
+    for d in region.disks:
+        key = (round(d.eu_center.real, 14), round(d.eu_center.imag, 14),
+               round(d.eu_radius, 14))
+        circles[key] = (d.eu_center, d.eu_radius)
 
     n = 256
     ts = TAU * (np.arange(n) + 0.5) / n

@@ -15,11 +15,11 @@ from carleson_kit.carleson import (
     kernel_test_constant,
 )
 from carleson_kit.disk import (
-    Arc,
-    CarlesonSquare,
     dyadic_arc,
     grid_layers,
     hyperbolic_grid,
+    in_square,
+    polar,
 )
 from carleson_kit.errors import DomainError
 
@@ -143,18 +143,19 @@ def test_curve_norm_memory_is_bounded_by_the_pair_blocks():
     assert peak < 80 * 2 ** 20
 
 
-def _oracle_segment_length(a: complex, b: complex, square: CarlesonSquare) -> float:
-    """Length of [a, b] inside the square, one segment at a time in scalars.
+def _oracle_segment_length(a: complex, b: complex, start: float, length: float) -> float:
+    """Length of [a, b] inside the closed square over the arc [start, start +
+    length) of turns, one segment at a time in scalars.
 
     Cuts the segment at its crossings with the inner circle and the two
-    boundary rays and tests each piece's midpoint with ``square.contains``.
+    boundary rays and tests each piece's midpoint with ``in_square``.
     """
     d = b - a
     seg_len = abs(d)
     if seg_len == 0.0:
         return 0.0
     ts = [0.0, 1.0]
-    r0 = square.inner_radius
+    r0 = max(0.0, 1.0 - length)
     if r0 > 0.0:
         qa = abs(d) ** 2
         qb = 2.0 * (d.conjugate() * a).real
@@ -163,9 +164,8 @@ def _oracle_segment_length(a: complex, b: complex, square: CarlesonSquare) -> fl
         if disc > 0.0:
             sq = math.sqrt(disc)
             ts += [t for t in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)) if 0.0 < t < 1.0]
-    base = square.base
-    if base.length < TAU - 1e-15:
-        for theta in (base.start, (base.start_turn + base.normalized_length) * TAU):
+    if length < 1.0:
+        for theta in (start * TAU, (start + length) * TAU):
             e = complex(math.cos(theta), math.sin(theta))
             denom = (e.conjugate() * d).imag
             if denom != 0.0:
@@ -175,13 +175,13 @@ def _oracle_segment_length(a: complex, b: complex, square: CarlesonSquare) -> fl
     ts.sort()
     total = 0.0
     for t0, t1 in zip(ts, ts[1:]):
-        if t1 > t0 and square.contains(a + 0.5 * (t0 + t1) * d):
+        if t1 > t0 and in_square(*polar(a + 0.5 * (t0 + t1) * d), start, length):
             total += (t1 - t0) * seg_len
     return total
 
 
-def _oracle_mass(polylines, square) -> float:
-    return sum(_oracle_segment_length(complex(p), complex(q), square)
+def _oracle_mass(polylines, start: float, length: float) -> float:
+    return sum(_oracle_segment_length(complex(p), complex(q), start, length)
                for chain in polylines for p, q in zip(chain, chain[1:]))
 
 
@@ -218,7 +218,8 @@ def _awkward_polylines(rng):
 
 
 def _oracle_norm(chains, depth: int) -> float:
-    return max(_oracle_mass(chains, CarlesonSquare(arc, closed=True)) / arc.length
+    return max(_oracle_mass(chains, arc.start_turn, arc.normalized_length)
+               / (arc.normalized_length * TAU)
                for level in range(depth + 1)
                for arc in (dyadic_arc(level, j) for j in range(1 << level)))
 
@@ -233,21 +234,27 @@ def test_curve_norm_matches_brute_force_oracle(seed):
 
 
 def test_curve_mass_in_square_matches_oracle():
+    # the curve's length in each square by the norm's own routine, on random
+    # arcs of turns, lengths near 1 and the whole circle among them
     rng = np.random.default_rng(77)
     chains = _awkward_polylines(rng)
-    measure = CurveMeasure(chains)
-    for _ in range(40):
-        square = CarlesonSquare(Arc(rng.uniform(-1, 8), rng.uniform(0.01, TAU)),
-                                closed=bool(rng.integers(2)))
-        expect = _oracle_mass(chains, square)
-        assert measure.mass_in_square(square) == pytest.approx(expect, rel=1e-12, abs=1e-15)
+    a = np.concatenate([np.asarray(c[:-1], dtype=complex) for c in chains])
+    d = np.concatenate([np.asarray(c[1:], dtype=complex) for c in chains]) - a
+    lengths = np.concatenate([rng.uniform(0.002, 1.0, 40),
+                              [1.0 - 1e-3, 1.0 - 1e-9, 1.0 - 2.0**-40, 1.0]])
+    for length in lengths:
+        start = rng.uniform(0.0, 1.0)
+        got = float(carleson._lengths_in_squares(a, d, start, length).sum())
+        expect = _oracle_mass(chains, start, length)
+        assert got == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
 
 def test_curve_norm_counts_a_segment_once_per_arc():
     # the chord crosses angle 0, so its angular window meets both depth-0
     # indices 0 and 1, which name the same arc
-    chord = CurveMeasure([[0.5 * cmath.exp(-0.1j), 0.5 * cmath.exp(0.1j)]])
-    whole = chord.mass_in_square(CarlesonSquare(dyadic_arc(0, 0), closed=True))
+    ends = np.array([0.5 * cmath.exp(-0.1j), 0.5 * cmath.exp(0.1j)])
+    chord = CurveMeasure([ends])
+    whole = float(carleson._lengths_in_squares(ends[:1], ends[1:] - ends[:1], 0.0, 1.0)[0])
     assert whole == pytest.approx(math.sin(0.1), rel=1e-12)
     assert carleson_norm(chord, depth=0) == pytest.approx(whole / TAU, rel=1e-12)
     assert carleson_norm(chord, depth=1) == pytest.approx(whole / TAU, rel=1e-12)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from itertools import chain
 from pathlib import Path
+from xml.etree import ElementTree
 
 import jsonschema
 import numpy as np
@@ -770,6 +771,23 @@ def test_svg_output(tmp_path):
         "sequence", "--input", inp, "--svg", str(svg)])
     assert code == 0
     assert svg.read_text().startswith("<svg ")
+
+
+def test_contour_svg_draws_one_curve_per_polyline(tmp_path):
+    # two zeros: the figure holds the unit circle, one dot per zero and one
+    # curve per boundary polyline of the report, and no circle of radius 0
+    inp = write_json(tmp_path, "zeros.json", {"zeros": [[0.0, 0.0], [0.6, 0.3]]})
+    svg = tmp_path / "contour.svg"
+    code, rep = run_to_file(tmp_path, [
+        "contour", "--input", inp, "--epsilon", "0.1", "--seed", "3", "--svg", str(svg)])
+    assert code == 0
+    ns = "{http://www.w3.org/2000/svg}"
+    root = ElementTree.parse(svg).getroot()
+    curves = [e for e in root if e.tag in (ns + "polygon", ns + "polyline")]
+    assert len(curves) == rep["quantities"]["polylines"] == 2
+    radii = [float(e.get("r")) for e in root.iter(ns + "circle")]
+    assert len(radii) == 3
+    assert min(radii) > 0.0
 
 
 def test_weight_report_needs_numpy_alone(tmp_path):

@@ -92,7 +92,7 @@ class TestBuildContourNets:
         entry = ps.entries[0]
         assert entry.sigma == ()
         assert entry.star_norms == ()
-        assert entry.blaschke.degree == 0
+        assert len(entry.blaschke.zeros) == 0
 
     def test_adjoint_vector_selects_small_singular_direction(self):
         mu = 0.4
@@ -287,7 +287,7 @@ class TestNetSplit:
         assert merged == sorted(entry.sigma, key=lambda z: (z.real, z.imag))
         # empty parts carry the constant product
         for k, pts in entry.parts.items():
-            assert entry.part_products[k].degree == len(pts)
+            assert len(entry.part_products[k].zeros) == len(pts)
 
     def test_sparse_net_vectors_rejected(self):
         theta = MatrixFunction.diagonal(

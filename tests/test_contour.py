@@ -13,9 +13,7 @@ from carleson_kit.contour import (
     ContourConstants,
     ContourResult,
     DiskSpec,
-    GenerationStats,
     Region,
-    RegionPiece,
     RepresentingMeasure,
     _extract_polylines,
     bourgain_contour,
@@ -24,8 +22,6 @@ from carleson_kit.contour import (
     verify_region,
 )
 from carleson_kit.disk import (
-    Arc,
-    CarlesonSquare,
     blaschke_factor,
     dyadic_arc,
     dyadic_index,
@@ -119,9 +115,8 @@ class TestBoundedFunction:
         )
         nu = phi.representing_measure()
         want = 0.03 + np.mean(-outer) + 0.5 * ((1 - 0.5**2) + (1 - 0.2**2))
-        assert nu.total_mass() == pytest.approx(want, rel=1e-12)
         # the potential at the origin is exactly the total mass
-        assert nu.potential(0.0) == pytest.approx(nu.total_mass(), rel=1e-12)
+        assert nu.potential(0.0) == pytest.approx(want, rel=1e-12)
 
     def test_outer_part_rejects_points_off_the_open_disk(self):
         # the Poisson integral of outer_log gave nan at 1.0 and a positive
@@ -156,7 +151,8 @@ class TestBoundedFunction:
             for z in ([1.1, 2.0], [0.5, 1.0], [0.5, complex("nan")], -1.0):
                 with pytest.raises(DomainError):
                     nu.potential(z)
-            assert nu.potential(0.0) == pytest.approx(nu.total_mass(), rel=1e-12)
+            total = sum(m for _, m in nu.interior_atoms + nu.boundary_atoms)
+            assert nu.potential(0.0) == pytest.approx(total, rel=1e-12)
             assert np.all(nu.potential([0.5, 0.9j]) > 0.0)
 
     def test_blaschke_only_log_abs_on_the_circle(self):
@@ -343,7 +339,7 @@ def unpruned_bad_intervals(measure, m_threshold, depth_floor=20):
 
     def scan(depth, index):
         arc = dyadic_arc(depth, index)
-        mass = measure.mass_in_square(CarlesonSquare(arc, closed=True))
+        mass = measure.mass_in_square(arc)
         if mass <= min(floor_threshold, m_threshold * arc.normalized_length):
             return
         if mass > m_threshold * arc.normalized_length:
@@ -377,7 +373,8 @@ def _fuzzed_measure(rng, m_threshold, depth_floor, n, base_depth, base_index):
     def angle(depth):
         if rng.uniform() < 0.7:
             return _ray_angle(rng, base_depth, base_index, depth)
-        return dyadic_arc(base_depth, base_index).start + rng.uniform() * TAU / (1 << base_depth)
+        start = dyadic_arc(base_depth, base_index).start_turn * TAU
+        return start + rng.uniform() * TAU / (1 << base_depth)
 
     boundary = [(angle(int(rng.integers(base_depth + 1, depth_floor + 1))),
                  m_threshold * 2.0 ** -rng.uniform(1.0, depth_floor + 2.0))
@@ -449,9 +446,9 @@ def _count_nodes(monkeypatch):
     calls = []
     inner = RepresentingMeasure.mass_in_square
 
-    def counted(self, square):
-        calls.append(square)
-        return inner(self, square)
+    def counted(self, arc):
+        calls.append(arc)
+        return inner(self, arc)
 
     monkeypatch.setattr(RepresentingMeasure, "mass_in_square", counted)
     return calls
@@ -493,7 +490,7 @@ class TestContour:
         phi = BoundedFunction(outer_log=np.full(256, math.log(0.5)))
         result = bourgain_contour(phi, 0.1)
         assert result.polylines == ()
-        assert not result.truncated
+        assert result.region.disks == ()
         zs = np.array([0.0, 0.3 + 0.2j, -0.8j])
         assert not result.region.contains_many(zs).any()
 
@@ -533,16 +530,10 @@ class TestContour:
         consts = wide_constants()
         phi = BoundedFunction(zeros=[0.0])
         result = bourgain_contour(phi, consts.epsilon, constants=consts)
-        bad_pieces = []
-        for piece in result.region.pieces:
-            disks = tuple(DiskSpec.around(d.center, 2 * d.gamma) for d in piece.disks)
-            bad_pieces.append(RegionPiece(piece.square, disks))
         corrupted = ContourResult(
-            region=Region(bad_pieces),
+            region=Region(DiskSpec.around(d.center, 2 * d.gamma) for d in result.region.disks),
             polylines=result.polylines,
             constants=consts,
-            generations=result.generations,
-            truncated=False,
         )
         rng = np.random.default_rng(5)
         good = verify_region(phi, result, 1.5 * consts.gamma, samples=4000, rng=rng)
@@ -582,12 +573,6 @@ class TestContour:
         with pytest.raises(ContourBoundError, match=r"^1 heavy .* at depth 0, "
                                                     r"has nu\(Q\(J\)\) = 18.75 "):
             bourgain_contour(phi, consts.epsilon, constants=consts)
-
-    def test_generation_stats_are_recorded(self):
-        phi = BoundedFunction(zeros=[0.0])
-        result = bourgain_contour(phi, 0.1)
-        assert result.generations == (GenerationStats(0, 1, 0, 0.0),)
-        assert not result.truncated
 
 
 def circle_crossings(c1, r1, c2, r2):
@@ -629,8 +614,7 @@ class TestBoundaryExtraction:
     def test_two_overlapping_disks(self):
         phi = BoundedFunction(zeros=[0.0, 0.1 + 0.05j])
         result = bourgain_contour(phi, 0.3, constants=wide_constants())
-        (piece,) = result.region.pieces
-        d0, d1 = piece.disks
+        d0, d1 = result.region.disks
         crossings = circle_crossings(d0.eu_center, d0.eu_radius, d1.eu_center, d1.eu_radius)
         h_of = self.circle_h(d0, d1.eu_radius * 2.0**-12)
         # h = 0.3 * 2**-12 = 7.3e-5 on the circle around 0; its ends were
@@ -667,8 +651,7 @@ class TestBoundaryExtraction:
         right = DiskSpec(center=r + gap, gamma=0.5, eu_center=complex(r + gap), eu_radius=r)
         h = r * 2.0**-12
         assert 1e-12 < (right.eu_center.real - r) - (left.eu_center.real + r) < h
-        square = CarlesonSquare(Arc(0.0, TAU), closed=True)
-        region = Region([RegionPiece(square, (left, right))])
+        region = Region((left, right))
         got = _extract_polylines(region)
         want = extract_polylines_reference(region)
         assert len(got) == len(want) == 2

@@ -5,7 +5,6 @@ import pytest
 
 from carleson_kit.disk import (
     Arc,
-    CarlesonSquare,
     blaschke_factor,
     dyadic_arc,
     dyadic_index,
@@ -102,6 +101,24 @@ def test_pseudo_hyperbolic_disk_is_euclidean():
         assert pseudo_hyperbolic(a, c) < gamma
 
 
+def test_pseudo_hyperbolic_disk_lies_in_the_closed_disks_square():
+    # |c| + r = (|a| + gamma) / (1 + gamma |a|) < 1, so a contour region
+    # needs no Carleson square met with its disks (contour.Region); centers
+    # as close to the circle as 1 - 2**-45
+    rng = np.random.default_rng(29)
+    for k in range(1, 46):
+        for gamma in (1e-6, 1e-3, 0.1, 0.5, 0.9):
+            for angle in (0.0, 1.0, math.pi / 4, math.pi, -2.5):
+                a = (1.0 - 2.0**-k) * complex(math.cos(angle), math.sin(angle))
+                c, r = pseudo_hyperbolic_disk(a, gamma)
+                assert abs(c) + r <= 1.0 + 1e-12
+                # points of the open disk |z - c| < r, its rim included
+                t = rng.uniform(0.0, 2 * math.pi, 64)
+                z = c + r * np.sqrt(rng.uniform(0.0, 1.0, 64)) * np.exp(1j * t)
+                z = np.append(z, c + r * np.exp(1j * t))
+                assert in_layer(polar(z)[1], 1.0).all()
+
+
 def _in_arc(arc, u):
     """Whether the turns u lie in the arc: its closed square at radius 1."""
     return in_square(u, 1.0, arc.start_turn, arc.normalized_length)
@@ -112,7 +129,6 @@ def test_dyadic_arcs_are_half_open_and_nest():
     assert (arc.start_turn, arc.normalized_length) == (0.0, 0.125)
     assert _in_arc(arc, arc.start_turn)
     assert not _in_arc(arc, arc.start_turn + arc.normalized_length)
-    assert arc.length == pytest.approx(2 * math.pi / 8)
     parent = dyadic_arc(2, 0)
     assert parent.start_turn <= arc.start_turn
     assert arc.start_turn + arc.normalized_length <= parent.start_turn + parent.normalized_length
@@ -124,7 +140,7 @@ def test_dyadic_grid_children_partition_parent():
         for i in range(2**d):
             arc = dyadic_arc(d, i)
             kids = [dyadic_arc(d + 1, 2 * i), dyadic_arc(d + 1, 2 * i + 1)]
-            assert sum(k.length for k in kids) == pytest.approx(arc.length)
+            assert sum(k.normalized_length for k in kids) == arc.normalized_length
             u = arc.start_turn + arc.normalized_length * np.arange(33) / 33
             assert (sum(_in_arc(k, u).astype(int) for k in kids) == 1).all()
 
@@ -178,44 +194,57 @@ def test_dyadic_squares_nest_exactly():
         child_sq = in_square(u, r, child / 2.0 ** (d + 1), 2.0 ** -(d + 1))
         assert not (child_sq & ~parent_sq).any()
         assert (parent_sq == in_layer(r, 2.0**-d)).all()
-    # the square objects give the same answers
+    # the points one by one give the same answers, each in its own square
     for k in range(0, 20000, 97):
         d = k % 31
         j = int(dyadic_index(u[k], d))
-        for closed in (False, True):
-            sq = CarlesonSquare(dyadic_arc(d, j), closed=closed)
-            assert sq.contains(z[k]) == bool(in_layer(r[k], 2.0**-d, closed))
-            assert sq.contains(z[k : k + 1])[0] == sq.contains(z[k])
+        arc = dyadic_arc(d, j)
+        uk, rk = polar(z[k])
+        inside = in_square(uk, rk, arc.start_turn, arc.normalized_length)
+        assert bool(inside) == bool(in_layer(r[k], 2.0**-d))
+        assert bool(in_square(u[k : k + 1], r[k : k + 1], arc.start_turn,
+                              arc.normalized_length)[0]) == bool(inside)
 
 
 def test_square_membership_matches_geometry():
     arc = dyadic_arc(2, 1)
-    sq = CarlesonSquare(arc)
-    inner = sq.inner_radius
-    assert inner == pytest.approx(1 - arc.length / (2 * math.pi))
+    inner = 1.0 - arc.normalized_length
     mid = (arc.start_turn + 0.5 * arc.normalized_length) * 2 * math.pi
-    assert sq.contains((inner + 1) / 2 * np.exp(1j * mid))
-    assert not sq.contains(0.5 * inner * np.exp(1j * mid))
-    # open at the unit circle, closed variant accepts it
-    assert not sq.contains(np.exp(1j * mid))
-    assert CarlesonSquare(arc, closed=True).contains(np.exp(1j * mid))
+
+    def inside(radius, angle):
+        u, r = polar(radius * np.exp(1j * angle))
+        return bool(in_square(u, r, arc.start_turn, arc.normalized_length))
+
+    assert inside((inner + 1) / 2, mid)
+    assert inside(inner, mid)
+    assert not inside(0.5 * inner, mid)
+    # closed at the unit circle, up to 1e-12
+    assert inside(1.0, mid)
+    assert inside(1.0 + 1e-12, mid)
+    assert not inside(1.0 + 3e-12, mid)
     # angle outside the base arc
-    end = arc.start + arc.length
-    assert not sq.contains((inner + 1) / 2 * np.exp(1j * (end + 0.3)))
+    end = (arc.start_turn + arc.normalized_length) * 2 * math.pi
+    assert not inside((inner + 1) / 2, end + 0.3)
+    assert not inside(1.0, end)
 
 
 def test_square_membership_broadcasts_like_scalar_calls():
     rng = np.random.default_rng(19)
     pts = rng.uniform(-1, 1, (200, 2)) @ np.array([1, 1j])
-    for sq in (CarlesonSquare(dyadic_arc(3, 5)), CarlesonSquare(Arc(-2.0, 0.7), closed=True),
-               CarlesonSquare(Arc(0.0, 2 * math.pi))):
-        mask = sq.contains(pts)
+    pts[:3] = [1.0, 1j * (1.0 + 1e-12), -(1.0 + 1e-12)]
+    for arc in (dyadic_arc(3, 5), Arc(float(turns(-2.35)), 0.7 / (2 * math.pi)), Arc(0.0, 1.0)):
+        u, r = polar(pts)
+        mask = in_square(u, r, arc.start_turn, arc.normalized_length)
         assert mask.shape == pts.shape
         for z, m in zip(pts, mask):
-            if abs(z) >= 1:
+            if abs(z) > 1.0 + 1e-12:
                 assert not m
             else:
-                assert m == sq.contains(complex(z))
+                assert m == in_square(*polar(complex(z)), arc.start_turn, arc.normalized_length)
+    # the full circle's square is the closed disk
+    full = in_square(*polar(pts), 0.0, 1.0)
+    assert (full == (np.abs(pts) <= 1.0 + 1e-12)).all()
+    assert full[:3].all()
 
 
 def test_hyperbolic_grid_layers():

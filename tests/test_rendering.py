@@ -1,19 +1,15 @@
-import math
 import re
 
 from carleson_kit.contour import BoundedFunction, ContourConstants, bourgain_contour
-from carleson_kit.disk import Arc, CarlesonSquare
 from carleson_kit.rendering import (
+    circle_element,
     dot_element,
     polyline_element,
     render_contour,
     render_points,
-    square_element,
     svg_document,
     write_atomic,
 )
-
-TAU = 2 * math.pi
 
 
 def _attr(tag, name):
@@ -46,25 +42,21 @@ def test_polyline_closure_switches_tag():
     assert polyline_element(pts, closed=True).startswith("<polygon ")
 
 
-def test_square_element_shapes():
-    full = square_element(CarlesonSquare(Arc(0.0, TAU)))
-    assert full.startswith("<circle ")
-    partial = square_element(CarlesonSquare(Arc(0.25, 0.5)))
-    assert partial.startswith("<path ")
-    assert "M " in _attr(partial, "d")
-
-
 def test_render_contour_draws_region_and_zeros():
     consts = ContourConstants(
         epsilon=0.3, c1=8.0, c2=8.0, c3=8.0,
         m_threshold=1000.0, gamma=0.3, log_eps_prime=-50.0,
     )
-    phi = BoundedFunction(zeros=[0.0])
+    zeros = [0.0, 0.6 + 0.3j]
+    phi = BoundedFunction(zeros=zeros)
     result = bourgain_contour(phi, consts.epsilon, constants=consts)
-    doc = render_contour(result, zeros=[0.0])
-    # the gamma disk boundary comes out as one closed polyline
-    assert doc.count("<polygon ") == 1
-    assert "<circle " in doc
+    doc = render_contour(result, zeros=zeros)
+    # each gamma disk's boundary comes out as one closed polyline
+    assert doc.count("<polygon ") == 2
+    # the unit circle and one dot per zero, and no circle of radius 0
+    circles = [line for line in doc.splitlines() if line.startswith("<circle ")]
+    assert circles == [circle_element()] + [dot_element(z) for z in zeros]
+    assert 'r="0.00"' not in doc
     assert doc.count("</svg>") == 1
 
 

@@ -32,6 +32,15 @@ def separated_points(rng, n, min_rho=0.3, rmax=0.85):
     return pts
 
 
+def lines(vectors):
+    """The system of the one-dimensional subspaces spanned by the vectors."""
+    frames = []
+    for v in vectors:
+        v = np.asarray(v, dtype=complex)
+        frames.append((v / np.linalg.norm(v))[:, None])
+    return SubspaceSystem(frames)
+
+
 def random_frames(rng, dim, ranks):
     frames = []
     for k in ranks:
@@ -42,14 +51,12 @@ def random_frames(rng, dim, ranks):
 
 
 def test_system_construction_and_validation():
-    sys2 = SubspaceSystem.from_vectors([[1, 0, 0], [0, 1, 0]])
+    sys2 = lines([[1, 0, 0], [0, 1, 0]])
     assert len(sys2) == 2
     assert sys2.ranks == [1, 1]
     assert sys2.gram().shape == (2, 2)
     with pytest.raises(DomainError):
         SubspaceSystem([])
-    with pytest.raises(DomainError):
-        SubspaceSystem.from_vectors([[0, 0]])
     # non-orthonormal frame rejected
     with pytest.raises(DomainError):
         SubspaceSystem([np.array([[1.0, 1.0], [0.0, 1.0]])])
@@ -60,7 +67,7 @@ def test_system_construction_and_validation():
 
 
 def test_orthonormal_system_is_perfectly_conditioned():
-    sys3 = SubspaceSystem.from_vectors(np.eye(4)[:, :3].T)
+    sys3 = lines(np.eye(4)[:, :3].T)
     assert orthogonalizer_condition(sys3) == pytest.approx(1.0)
     assert uniform_minimality(sys3) == pytest.approx(1.0)
     assert embedding_norm(sys3) == pytest.approx(1.0)
@@ -72,7 +79,7 @@ def test_two_vector_condition_closed_form():
     c = 0.6
     v1 = np.array([1.0, 0.0])
     v2 = np.array([c, math.sqrt(1 - c * c)])
-    sys2 = SubspaceSystem.from_vectors([v1, v2])
+    sys2 = lines([v1, v2])
     assert orthogonalizer_condition(sys2) == pytest.approx(math.sqrt((1 + c) / (1 - c)))
     # minimality for two unit vectors is their sine distance
     assert uniform_minimality(sys2) == pytest.approx(math.sqrt(1 - c * c))
@@ -80,7 +87,7 @@ def test_two_vector_condition_closed_form():
 
 def test_dependent_systems_are_rejected_where_it_matters():
     v = np.array([1.0, 0.0])
-    sys_dep = SubspaceSystem.from_vectors([v, v])
+    sys_dep = lines([v, v])
     with pytest.raises(LinearDependenceError):
         orthogonalizer_condition(sys_dep)
     # the embedding constant is defined regardless of independence
@@ -88,7 +95,7 @@ def test_dependent_systems_are_rejected_where_it_matters():
     # R has a zero pivot
     assert uniform_minimality(sys_dep) == 0.0
     # three lines in C^2: R has fewer rows than columns
-    crowd = SubspaceSystem.from_vectors([[1, 0], [0, 1], [1, 1]])
+    crowd = lines([[1, 0], [0, 1], [1, 1]])
     assert uniform_minimality(crowd) == 0.0
     assert extract_critical_subset(crowd, 0.1) is not None
 
@@ -149,7 +156,7 @@ def test_dual_system_biorthogonality():
 
 
 def test_single_subspace_has_zero_dual_residual():
-    system = SubspaceSystem.from_vectors([[1.0, 0.0]])
+    system = lines([[1.0, 0.0]])
     assert GramFactor(system).dual_residual() == 0.0
 
 
@@ -299,7 +306,7 @@ def test_skew_norms_match_pencil_on_near_duplicate_kernels():
 
 def test_skew_norms_refuse_a_dependent_system():
     v = np.array([1.0, 0.0])
-    dependent = SubspaceSystem.from_vectors([v, [0.0, 1.0], v])
+    dependent = lines([v, [0.0, 1.0], v])
     with pytest.raises(LinearDependenceError):
         GramFactor(dependent).singleton_skew_norms()
     with pytest.raises(LinearDependenceError):

@@ -45,7 +45,7 @@ def test_untagged_boundary_zero_is_misjudged_by_sampling():
     # reciprocal integral grow like log n, too slowly for the doubling
     # rule, so the numeric verdict overshoots to level 4.  this is the
     # documented limit of sampling and the reason the tags exist.
-    w = Weight.from_function(lambda t: np.abs(1 - np.exp(1j * t)))
+    w = Weight(fn=lambda t: np.abs(1 - np.exp(1j * t)))
     out = classify_weight(w)
     assert not out["tag_override"]
     assert out["level"] == 4
@@ -61,7 +61,7 @@ def test_sqrt_boundary_zero_reaches_a2():
 
 
 def test_untagged_sqrt_zero_also_lands_on_level_four():
-    w = Weight.from_function(lambda t: np.sqrt(np.abs(1 - np.exp(1j * t))))
+    w = Weight(fn=lambda t: np.sqrt(np.abs(1 - np.exp(1j * t))))
     out = classify_weight(w)
     assert out["level"] == 4
     assert not out["inv_bounded"]
@@ -76,7 +76,7 @@ def test_zero_weight_is_level_zero():
 
 def test_power_singularity_divergence_detected():
     # 1/w ~ t^-1.5 has a genuinely divergent integral: doubling catches it
-    w = Weight.from_function(lambda t: np.minimum(1.0, np.abs(np.exp(1j * t) - 1) ** 1.5))
+    w = Weight(fn=lambda t: np.minimum(1.0, np.abs(np.exp(1j * t) - 1) ** 1.5))
     out = classify_weight(w)
     assert out["level"] == 2
     assert not out["inv_integrable"]
@@ -118,7 +118,7 @@ def test_classification_evaluates_each_grid_once():
         evaluations[t.size, t[0] > 0.0] += 1
         return 2.0 + np.cos(t)
 
-    w = Weight.from_function(fn)
+    w = Weight(fn=fn)
     classify_weight(w)
     p0_norm_check(w, section_size=16)
     assert len(evaluations) > 1
@@ -135,7 +135,7 @@ def test_samples_power_of_two_guard():
 class TestP0Norm:
     def test_constant_weights_are_exact(self):
         for c in (1.0, 3.7):
-            out = p0_norm_check(Weight.from_function(lambda t, c=c: np.full_like(t, c)),
+            out = p0_norm_check(Weight(fn=lambda t, c=c: np.full_like(t, c)),
                                 section_size=16)
             assert out["lhs"] == pytest.approx(1.0, abs=1e-10)
             assert out["rhs"] == pytest.approx(1.0, abs=1e-10)
@@ -150,7 +150,7 @@ class TestP0Norm:
             assert out["ok"]
 
     def test_section_norm_grows_toward_the_product_bound(self):
-        w = Weight.from_function(lambda t: 1.0 + 0.9 * np.cos(t))
+        w = Weight(fn=lambda t: 1.0 + 0.9 * np.cos(t))
         small = p0_norm_check(w, section_size=4)
         large = p0_norm_check(w, section_size=64)
         assert small["lhs"] <= large["lhs"] + 1e-10
@@ -210,9 +210,8 @@ def _zero_runs(t):
 
 A2_WEIGHTS = {
     "callable-two-plus-cos": lambda: Weight.from_tag("two_plus_cos"),
-    "callable-power-zero": lambda: Weight.from_function(
-        lambda t: np.abs(np.sin(t / 2.0)) ** 0.7),
-    "callable-zero-runs": lambda: Weight.from_function(_zero_runs),
+    "callable-power-zero": lambda: Weight(fn=lambda t: np.abs(np.sin(t / 2.0)) ** 0.7),
+    "callable-zero-runs": lambda: Weight(fn=_zero_runs),
     "stored-random": lambda: Weight.from_samples(
         np.random.default_rng(3).uniform(0.01, 5.0, 1 << 14)),
     "stored-zero-runs": lambda: Weight.from_samples(
