@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,10 @@ from .errors import DomainError
 _KERNEL_BLOCK = 32
 _KERNEL_TAIL = 2.0 ** -60
 _KERNEL_ROWS = 512
-# (segment, arc) pairs per block of the curve norm: (2**16, 6) cut arrays
+# segments per block of the curve norm, and (segment, arc) pairs per chunk
+# of one depth within a block: the block bounds the per-segment arrays
+# (about 20 numbers a segment) and the depth's pair index arrays, the chunk
+# the (4, pairs) cut arrays
 _PAIR_BLOCK = 2 ** 16
 
 
@@ -65,40 +69,91 @@ class DiscreteMeasure:
         return self.points.shape[0]
 
 
-def _lengths_in_squares(a, d, start, length: float) -> np.ndarray:
-    """Exact length of each segment [a, a + d] inside a Carleson square.
+def _midpoint(a, d, t0, t1):
+    """a + (t0 + t1)/2 d, the point whose square membership decides the
+    piece [t0, t1] of the segment [a, a + d]."""
+    return a + 0.5 * (t0 + t1) * d
 
-    The square's base is the arc [start, start + length) of turns; ``start``
-    is a scalar (one square for every segment) or an array aligned with the
-    segments (one square each).  Each segment is cut at its at most four
-    crossings with the inner circle |z| = 1 - length and the two boundary
-    rays; every piece between consecutive cuts lies wholly inside or outside
-    the square, so its midpoint decides it, by ``in_square``.
+
+class _Segments(NamedTuple):
+    """Segments [a, a + d] with what their lengths in all squares share:
+    the length |d|, the modulus |a|, and the turn and modulus (``polar``)
+    of the midpoint of the whole segment, t = 1/2."""
+
+    a: np.ndarray
+    d: np.ndarray
+    length: np.ndarray
+    modulus: np.ndarray
+    mid_turn: np.ndarray
+    mid_modulus: np.ndarray
+
+    @classmethod
+    def between(cls, a, b, modulus) -> "_Segments":
+        """The segments from ``a`` to ``b``; ``modulus`` is |a|, ``polar(a)[1]``."""
+        d = b - a
+        return cls(a, d, np.hypot(d.real, d.imag), modulus,
+                   *polar(_midpoint(a, d, 0.0, 1.0)))
+
+    def take(self, index) -> "_Segments":
+        return _Segments(*(field[index] for field in self))
+
+
+def _lengths_in_squares(seg: _Segments, start, length: float, rays) -> np.ndarray:
+    """Exact length of each segment inside its Carleson square.
+
+    Segment k's square is over the arc [start[k], start[k] + length) of
+    turns; ``rays`` holds the cosines and the sines of the angles of the
+    arcs' two ends, 2 pi start and 2 pi (start + length), as two arrays of
+    shape (2, segments).
+
+    Each segment a + t d, 0 <= t <= 1, is cut at its at most four crossings
+    with the inner circle |z| = 1 - length and the two rays; a cut that does
+    not exist is t = 1.  The pieces between consecutive cuts lie wholly
+    inside or outside the square, so each piece's midpoint decides it, by
+    ``in_square``.  No cut crosses most segments: when every cut has t <= 0
+    or t >= 1 (nan fails both tests), the segment is one piece, and its
+    length in the square is |d| if its own midpoint is in the square, else
+    0.  Only the other segments sort their cuts (:func:`_lengths_of_pieces`).
+    Both give the same bits: such a segment's sorted cuts, clipped to
+    [0, 1], are 0, ..., 0, 1, ..., 1, so its one nonempty piece is (0, 1),
+    its midpoint is the same expression at t0 = 0, t1 = 1, its length is
+    (1 - 0) |d|, and the empty pieces add exact zeros.
     """
-    seg_len = np.hypot(d.real, d.imag)
+    a, d, seg_len = seg.a, seg.d, seg.length
     r0 = max(0.0, 1.0 - length)
-    cuts = [np.zeros_like(seg_len), np.ones_like(seg_len)]
+    cuts = []  # (2, segments) arrays: the inner circle's two roots, the two rays
     with np.errstate(divide="ignore", invalid="ignore"):
         if r0 > 0.0:
             qa = seg_len ** 2
             qb = 2.0 * (d.real * a.real + d.imag * a.imag)
-            qc = np.hypot(a.real, a.imag) ** 2 - r0 * r0
+            qc = seg.modulus ** 2 - r0 * r0
             disc = qb * qb - 4.0 * qa * qc
             sq = np.sqrt(disc)
-            for t in ((-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)):
-                cuts.append(np.where(disc > 0.0, t, 1.0))
+            cuts.append(np.where(disc > 0.0, np.stack((-qb - sq, -qb + sq)) / (2.0 * qa), 1.0))
         if length < 1.0:
-            for turn in (start, start + length):
-                c, s = np.cos(TAU * turn), np.sin(TAU * turn)
-                denom = c * d.imag - s * d.real
-                t = -(c * a.imag - s * a.real) / denom
-                cuts.append(np.where(denom != 0.0, t, 1.0))
+            c, s = rays
+            denom = c * d.imag - s * d.real
+            cuts.append(np.where(denom != 0.0, -(c * a.imag - s * a.real) / denom, 1.0))
+    out = np.where(in_square(seg.mid_turn, seg.mid_modulus, start, length), seg_len, 0.0)
+    if cuts:
+        cuts = np.concatenate(cuts)
+        rows = np.flatnonzero(~((cuts <= 0.0) | (cuts >= 1.0)).all(axis=0))
+        if rows.size:
+            out[rows] = _lengths_of_pieces(seg.take(rows), cuts[:, rows], start[rows], length)
+    return out
+
+
+def _lengths_of_pieces(seg: _Segments, cuts: np.ndarray, start, length: float) -> np.ndarray:
+    """Length in the square of each segment that a cut crosses: the pieces
+    between its sorted cuts (one row of ``cuts`` per cut), by their
+    midpoints; see :func:`_lengths_in_squares`."""
+    ends = [np.zeros_like(seg.length), np.ones_like(seg.length)]
     # cuts outside (0, 1) collapse onto an end point and give empty pieces
-    ts = np.sort(np.clip(np.column_stack(cuts), 0.0, 1.0), axis=1)
+    ts = np.sort(np.clip(np.column_stack(ends + list(cuts)), 0.0, 1.0), axis=1)
     t0, t1 = ts[:, :-1], ts[:, 1:]
-    u, r = polar(a[:, None] + 0.5 * (t0 + t1) * d[:, None])
-    inside = (t1 > t0) & in_square(u, r, np.reshape(start, (-1, 1)), length)
-    return (np.where(inside, t1 - t0, 0.0) * seg_len[:, None]).sum(axis=1)
+    u, r = polar(_midpoint(seg.a[:, None], seg.d[:, None], t0, t1))
+    inside = (t1 > t0) & in_square(u, r, start[:, None], length)
+    return (np.where(inside, t1 - t0, 0.0) * seg.length[:, None]).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -120,12 +175,15 @@ class CurveMeasure:
             chains.append(pts)
         object.__setattr__(self, "polylines", tuple(chains))
 
-    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start and end points of every segment, polyline after polyline."""
+    def _vertices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every vertex, polyline after polyline, and the index of each
+        segment's first vertex; the segment ends at the next vertex."""
         if not self.polylines:
-            return np.empty(0, dtype=complex), np.empty(0, dtype=complex)
-        return (np.concatenate([c[:-1] for c in self.polylines]),
-                np.concatenate([c[1:] for c in self.polylines]))
+            return np.empty(0, dtype=complex), np.empty(0, dtype=np.int64)
+        vertices = np.concatenate(self.polylines)
+        first = np.ones(vertices.size, dtype=bool)
+        first[np.cumsum([c.size for c in self.polylines]) - 1] = False
+        return vertices, np.flatnonzero(first)
 
 
 def carleson_norm(measure, depth: int = 12) -> float:
@@ -138,16 +196,23 @@ def carleson_norm(measure, depth: int = 12) -> float:
     A ``DiscreteMeasure`` takes one ``np.bincount`` per depth: the atoms in
     the depth's radial layer, binned by ``dyadic_index`` of their turns.
 
-    A ``CurveMeasure`` takes one vectorized pass per depth.  Each segment
+    A ``CurveMeasure`` runs over blocks of ``_PAIR_BLOCK`` segments, and
+    within a block over the depths.  At a depth, each segment of the block
     that reaches radius 1 - 2**-depth is paired with the arcs of that depth
     whose indices run over floor(w0 2**depth) .. floor(w1 2**depth)
     mod 2**depth, where [w0, w1] is the shorter window of turns between its
     end points.  At depths 0 and 1 a window crossing turn 0 can span more
     than 2**depth indices, which then repeat an arc; each (arc, segment)
-    pair is kept once.  The pairs' lengths inside their squares are summed
-    per arc by ``np.add.at``, in blocks of ``_PAIR_BLOCK`` pairs, so the
-    cut arrays of ``_lengths_in_squares`` stay bounded; its adds run in pair
-    order, as ``np.bincount``'s do, whatever the blocks.
+    pair is kept once.  The cosines and sines of the arc ends are computed
+    once per depth that has pairs, and gathered per pair.
+    ``_lengths_in_squares`` gives each pair's length inside its square, in
+    chunks of ``_PAIR_BLOCK`` pairs.  A pair that no cut crosses takes the
+    segment's length or 0, as the midpoint of the segment says; only the
+    others sort their cuts.  Its docstring shows why both give the bits
+    that sorting every pair gave.  ``np.add.at`` adds the lengths into the
+    depth's arc masses in pair order, block after block, which is the order
+    of the pairs of all segments at once: each arc's sum rounds as it would
+    in one pass, whatever the blocks.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative")
@@ -165,36 +230,48 @@ def carleson_norm(measure, depth: int = 12) -> float:
             best = max(best, float(mass.max()) / (TAU / n))
         return best
     if isinstance(measure, CurveMeasure):
-        a, b = measure._endpoints()
-        if a.size == 0:
-            return 0.0
-        d = b - a
-        # the shorter window [w_start, w_end] of turns holding each segment
-        ta, ra = polar(a)
-        tb, rb = polar(b)
-        fwd = (tb - ta) % 1.0
-        short = fwd <= 1.0 - fwd
-        w_start = np.where(short, ta, tb)
-        w_end = w_start + np.where(short, fwd, 1.0 - fwd)
-        max_radius = np.maximum(ra, rb)
-        for level in range(depth + 1):
-            n = 1 << level
-            alive = np.flatnonzero(max_radius >= 1.0 - 1.0 / n)
-            if alive.size == 0:
-                continue
-            j0 = dyadic_index(w_start[alive], level)
-            j1 = dyadic_index(w_end[alive], level)
-            # more than n consecutive indices repeat an arc (depths 0 and 1)
-            count = np.minimum(j1 - j0 + 1, n)
-            seg = np.repeat(alive, count)
-            offset = np.arange(seg.size) - np.repeat(np.cumsum(count) - count, count)
-            j = (np.repeat(j0, count) + offset) % n
-            mass = np.zeros(n)
-            for lo in range(0, seg.size, _PAIR_BLOCK):
-                s, jb = seg[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
-                np.add.at(mass, jb, _lengths_in_squares(a[s], d[s], jb / n, 1.0 / n))
-            best = max(best, float(mass.max()) / (TAU / n))
-        return best
+        vertices, first = measure._vertices()
+        arcs = {}  # depth: its arcs' masses, and the turns, cosines and sines of their ends
+        for lo in range(0, first.size, _PAIR_BLOCK):
+            # a block of segments, by the polar coordinates of their vertices
+            block = first[lo:lo + _PAIR_BLOCK]
+            verts = vertices[block[0]:block[-1] + 2]
+            ia = block - block[0]
+            ib = ia + 1
+            turn, modulus = polar(verts)
+            ta, ra, tb, rb = turn[ia], modulus[ia], turn[ib], modulus[ib]
+            segs = _Segments.between(verts[ia], verts[ib], ra)
+            # the shorter window [w_start, w_end] of turns holding each segment
+            fwd = (tb - ta) % 1.0
+            short = fwd <= 1.0 - fwd
+            w_start = np.where(short, ta, tb)
+            w_end = w_start + np.where(short, fwd, 1.0 - fwd)
+            max_radius = np.maximum(ra, rb)
+            alive = np.arange(block.size)
+            for level in range(depth + 1):
+                n = 1 << level
+                # the layers shrink as the depth grows, and so does alive
+                alive = alive[max_radius[alive] >= 1.0 - 1.0 / n]
+                if alive.size == 0:
+                    break
+                j0 = dyadic_index(w_start[alive], level)
+                j1 = dyadic_index(w_end[alive], level)
+                # more than n consecutive indices repeat an arc (depths 0 and 1)
+                count = np.minimum(j1 - j0 + 1, n)
+                seg = np.repeat(alive, count)
+                offset = np.arange(seg.size) - np.repeat(np.cumsum(count) - count, count)
+                j = (np.repeat(j0, count) + offset) % n
+                if level not in arcs:
+                    ends = np.arange(n + 1) / n
+                    arcs[level] = np.zeros(n), ends, np.cos(TAU * ends), np.sin(TAU * ends)
+                mass, ends, cos, sin = arcs[level]
+                for plo in range(0, seg.size, _PAIR_BLOCK):
+                    sb, jb = seg[plo:plo + _PAIR_BLOCK], j[plo:plo + _PAIR_BLOCK]
+                    rays = np.stack((jb, jb + 1))  # each pair's arc: its start and end
+                    np.add.at(mass, jb, _lengths_in_squares(
+                        segs.take(sb), ends[jb], 1.0 / n, (cos[rays], sin[rays])))
+        return max((float(mass.max()) / (TAU / mass.size) for mass, *_ in arcs.values()),
+                   default=0.0)
     raise DomainError(f"unsupported measure type: {type(measure).__name__}")
 
 

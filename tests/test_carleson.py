@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,10 @@ from carleson_kit.carleson import (
     embedding_constant_empirical,
     kernel_test_constant,
 )
+from carleson_kit.contour import BoundedFunction, bourgain_contour
 from carleson_kit.disk import (
     dyadic_arc,
+    dyadic_index,
     grid_layers,
     hyperbolic_grid,
     in_square,
@@ -244,7 +247,10 @@ def test_curve_mass_in_square_matches_oracle():
                               [1.0 - 1e-3, 1.0 - 1e-9, 1.0 - 2.0**-40, 1.0]])
     for length in lengths:
         start = rng.uniform(0.0, 1.0)
-        got = float(carleson._lengths_in_squares(a, d, start, length).sum())
+        segs = _segments(a, a + d)
+        starts = np.full(a.size, start)
+        got = float(carleson._lengths_in_squares(segs, starts, length,
+                                                 _rays(starts, length)).sum())
         expect = _oracle_mass(chains, start, length)
         assert got == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
@@ -254,10 +260,167 @@ def test_curve_norm_counts_a_segment_once_per_arc():
     # indices 0 and 1, which name the same arc
     ends = np.array([0.5 * cmath.exp(-0.1j), 0.5 * cmath.exp(0.1j)])
     chord = CurveMeasure([ends])
-    whole = float(carleson._lengths_in_squares(ends[:1], ends[1:] - ends[:1], 0.0, 1.0)[0])
+    whole = float(carleson._lengths_in_squares(_segments(ends[:1], ends[1:]), np.zeros(1), 1.0,
+                                               _rays(np.zeros(1), 1.0))[0])
     assert whole == pytest.approx(math.sin(0.1), rel=1e-12)
     assert carleson_norm(chord, depth=0) == pytest.approx(whole / TAU, rel=1e-12)
     assert carleson_norm(chord, depth=1) == pytest.approx(whole / TAU, rel=1e-12)
+
+
+def _segments(a, b):
+    """The segments from ``a`` to ``b`` as ``carleson_norm`` hands them on."""
+    return carleson._Segments.between(a, b, polar(a)[1])
+
+
+def _rays(start, length):
+    """Cosines and sines of the angles of the ends of the arcs [start, start + length)."""
+    angles = TAU * np.stack((start, start + length))
+    return np.cos(angles), np.sin(angles)
+
+
+def _sorted_lengths(a, d, start, length):
+    """The curve norm's kernel as it was before the no-cut rule: every
+    segment sorts its cuts.  Kept here as the bit-for-bit reference."""
+    seg_len = np.hypot(d.real, d.imag)
+    r0 = max(0.0, 1.0 - length)
+    cuts = [np.zeros_like(seg_len), np.ones_like(seg_len)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if r0 > 0.0:
+            qa = seg_len ** 2
+            qb = 2.0 * (d.real * a.real + d.imag * a.imag)
+            qc = np.hypot(a.real, a.imag) ** 2 - r0 * r0
+            disc = qb * qb - 4.0 * qa * qc
+            sq = np.sqrt(disc)
+            for t in ((-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)):
+                cuts.append(np.where(disc > 0.0, t, 1.0))
+        if length < 1.0:
+            for turn in (start, start + length):
+                c, s = np.cos(TAU * turn), np.sin(TAU * turn)
+                denom = c * d.imag - s * d.real
+                t = -(c * a.imag - s * a.real) / denom
+                cuts.append(np.where(denom != 0.0, t, 1.0))
+    ts = np.sort(np.clip(np.column_stack(cuts), 0.0, 1.0), axis=1)
+    t0, t1 = ts[:, :-1], ts[:, 1:]
+    u, r = polar(a[:, None] + 0.5 * (t0 + t1) * d[:, None])
+    inside = (t1 > t0) & in_square(u, r, np.reshape(start, (-1, 1)), length)
+    return (np.where(inside, t1 - t0, 0.0) * seg_len[:, None]).sum(axis=1)
+
+
+def _all_pairs_norm(measure: CurveMeasure, depth: int) -> tuple[float, int]:
+    """The curve norm as it was before the segment blocks: all (segment,
+    arc) pairs of a depth at once through ``_sorted_lengths``, added by
+    ``np.add.at`` in pair order.  Returns the norm and the number of pairs."""
+    a = np.concatenate([c[:-1] for c in measure.polylines])
+    b = np.concatenate([c[1:] for c in measure.polylines])
+    d = b - a
+    ta, ra = polar(a)
+    tb, rb = polar(b)
+    fwd = (tb - ta) % 1.0
+    short = fwd <= 1.0 - fwd
+    w_start = np.where(short, ta, tb)
+    w_end = w_start + np.where(short, fwd, 1.0 - fwd)
+    max_radius = np.maximum(ra, rb)
+    best, pairs = 0.0, 0
+    for level in range(depth + 1):
+        n = 1 << level
+        alive = np.flatnonzero(max_radius >= 1.0 - 1.0 / n)
+        if alive.size == 0:
+            continue
+        j0 = dyadic_index(w_start[alive], level)
+        j1 = dyadic_index(w_end[alive], level)
+        count = np.minimum(j1 - j0 + 1, n)
+        seg = np.repeat(alive, count)
+        offset = np.arange(seg.size) - np.repeat(np.cumsum(count) - count, count)
+        j = (np.repeat(j0, count) + offset) % n
+        mass = np.zeros(n)
+        np.add.at(mass, j, _sorted_lengths(a[seg], d[seg], j / n, 1.0 / n))
+        best = max(best, float(mass.max()) / (TAU / n))
+        pairs += seg.size
+    return best, pairs
+
+
+@pytest.fixture
+def sorted_rows(monkeypatch):
+    """Counts the segments that sort their cuts, in ``carleson._lengths_of_pieces``."""
+    rows = []
+    pieces = carleson._lengths_of_pieces
+
+    def counted(seg, *args):
+        rows.append(seg.a.size)
+        return pieces(seg, *args)
+
+    monkeypatch.setattr(carleson, "_lengths_of_pieces", counted)
+    return rows
+
+
+# (a, b, depth, arc index, whether its cuts are sorted): rows where the
+# cut structure degenerates
+_PLANTED = [
+    # an end exactly on the ray at turn 0, which cuts it at t = -0.0: as
+    # the start of arc 0, and as the end, turn 1, of arc 3
+    (0.9 + 0j, 0.85 + 0.2j, 2, 0, False),
+    (0.9 + 0j, 0.85 + 0.2j, 2, 3, False),
+    # a chord whose ends lie above the inner circle |z| = 7/8 while its
+    # middle dips below it to |z| = 0.9 cos(1/2)
+    (0.9 * cmath.exp(0.2j), 0.9 * cmath.exp(1.2j), 3, 0, True),
+    (0.9 * cmath.exp(0.2j), 0.9 * cmath.exp(1.2j), 3, 1, True),
+    # a zero-length segment: no cut exists
+    (0.9 * cmath.exp(0.3j), 0.9 * cmath.exp(0.3j), 2, 0, False),
+    # a segment along the ray at turn 0, parallel to its cut line
+    (0.8 + 0j, 0.95 + 0j, 2, 0, False),
+    (0.8 + 0j, 0.95 + 0j, 2, 3, False),
+]
+
+
+@pytest.mark.parametrize("a, b, depth, j, sorts", _PLANTED)
+def test_planted_segments_take_their_path_bit_for_bit(sorted_rows, a, b, depth, j, sorts):
+    a, b = np.array([a]), np.array([b])
+    start, length = np.array([j / 2 ** depth]), 1.0 / 2 ** depth
+    got = carleson._lengths_in_squares(_segments(a, b), start, length, _rays(start, length))
+    want = _sorted_lengths(a, b - a, start, length)
+    assert got.tobytes() == want.tobytes()
+    assert sum(sorted_rows) == int(sorts)
+    expect = _oracle_segment_length(complex(a[0]), complex(b[0]), float(start[0]), length)
+    assert got[0] == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("block", [None, 37])
+def test_curve_norm_is_the_all_pairs_norm_bit_for_bit(monkeypatch, sorted_rows, block):
+    # the no-cut rule, the per-arc rays and the segment blocks change no
+    # bit of the norm, in the default blocks and in blocks of 37
+    if block is not None:
+        monkeypatch.setattr(carleson, "_PAIR_BLOCK", block)
+    planted = [[a, b] for a, b, *_ in _PLANTED]
+    pairs = 0
+    for seed in range(8):
+        measure = CurveMeasure(_awkward_polylines(np.random.default_rng(seed)) + planted)
+        for depth in (0, 1, 6, 12):
+            want, count = _all_pairs_norm(measure, depth)
+            assert carleson_norm(measure, depth) == want
+            pairs += count
+    # both paths ran: pairs that no cut crosses, and pairs that sort their cuts
+    assert 0 < sum(sorted_rows) < pairs
+
+
+def test_curve_norm_memory_on_the_large_contour_input():
+    # the boundary of the 2,000-zero contour input of CI's large-input
+    # step: the segment blocks bound the per-segment arrays and the pair
+    # index arrays, which for all 512,000 segments at once peaked at 105 MB
+    rng = random.Random(2000)
+    zeros = []
+    for _ in range(2000):
+        r, t = 0.985 * math.sqrt(rng.random()), TAU * rng.random()
+        zeros.append(complex(r * math.cos(t), r * math.sin(t)))
+    result = bourgain_contour(BoundedFunction(zeros=zeros), 0.1)
+    curve = CurveMeasure([np.asarray(p) for p in result.polylines])
+    assert sum(c.size - 1 for c in curve.polylines) == 512_000
+    tracemalloc.start()
+    try:
+        carleson_norm(curve, depth=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2 ** 20
 
 
 def test_curve_measure_requires_interior_vertices():
