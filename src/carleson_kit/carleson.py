@@ -25,7 +25,6 @@ from .disk import (
     dyadic_index,
     grid_layers,
     in_layer,
-    in_open_disk,
     in_square,
     polar,
 )
@@ -158,32 +157,36 @@ def _lengths_of_pieces(seg: _Segments, cuts: np.ndarray, start, length: float) -
 
 @dataclass(frozen=True)
 class CurveMeasure:
-    """Arc length carried by one or more polylines inside the open disk."""
+    """Arc length carried by one or more polylines inside the open disk.
+
+    The vertices are held once, polyline after polyline, with their polar
+    coordinates (``polar``); the modulus is also the open-disk test of
+    ``disk.in_open_disk``.  ``polylines`` are views into those vertices.
+    """
 
     polylines: tuple
 
     def __init__(self, polylines):
         chains = []
         for chain in polylines:
-            pts = np.array(chain, dtype=complex)  # a copy, never a view of the caller's array
+            pts = np.asarray(chain, dtype=complex)
             if pts.ndim != 1:
                 raise DomainError("each polyline must be a 1-d sequence of vertices")
-            if pts.shape[0] < 2:
-                continue
-            if not in_open_disk(pts).all():
-                raise DomainError("polyline vertices must lie inside the open disk")
-            chains.append(pts)
-        object.__setattr__(self, "polylines", tuple(chains))
-
-    def _vertices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every vertex, polyline after polyline, and the index of each
-        segment's first vertex; the segment ends at the next vertex."""
-        if not self.polylines:
-            return np.empty(0, dtype=complex), np.empty(0, dtype=np.int64)
-        vertices = np.concatenate(self.polylines)
+            if pts.shape[0] >= 2:
+                chains.append(pts)
+        # a copy, never a view of the caller's arrays
+        vertices = np.concatenate(chains) if chains else np.empty(0, dtype=complex)
+        turn, modulus = polar(vertices)
+        if not (modulus < 1.0).all():
+            raise DomainError("polyline vertices must lie inside the open disk")
+        ends = np.cumsum([c.size for c in chains], dtype=np.int64)
         first = np.ones(vertices.size, dtype=bool)
-        first[np.cumsum([c.size for c in self.polylines]) - 1] = False
-        return vertices, np.flatnonzero(first)
+        first[ends - 1] = False
+        object.__setattr__(self, "polylines", tuple(np.split(vertices, ends)[:-1]))
+        object.__setattr__(self, "_vertices", vertices)
+        object.__setattr__(self, "_polar", (turn, modulus))
+        # the index of each segment's first vertex; the segment ends at the next vertex
+        object.__setattr__(self, "_first", np.flatnonzero(first))
 
 
 def carleson_norm(measure, depth: int = 12) -> float:
@@ -230,24 +233,22 @@ def carleson_norm(measure, depth: int = 12) -> float:
             best = max(best, float(mass.max()) / (TAU / n))
         return best
     if isinstance(measure, CurveMeasure):
-        vertices, first = measure._vertices()
+        vertices, first = measure._vertices, measure._first
+        turn, modulus = measure._polar
         arcs = {}  # depth: its arcs' masses, and the turns, cosines and sines of their ends
         for lo in range(0, first.size, _PAIR_BLOCK):
-            # a block of segments, by the polar coordinates of their vertices
-            block = first[lo:lo + _PAIR_BLOCK]
-            verts = vertices[block[0]:block[-1] + 2]
-            ia = block - block[0]
+            # a block of segments, by the indices and polar coordinates of their vertices
+            ia = first[lo:lo + _PAIR_BLOCK]
             ib = ia + 1
-            turn, modulus = polar(verts)
             ta, ra, tb, rb = turn[ia], modulus[ia], turn[ib], modulus[ib]
-            segs = _Segments.between(verts[ia], verts[ib], ra)
+            segs = _Segments.between(vertices[ia], vertices[ib], ra)
             # the shorter window [w_start, w_end] of turns holding each segment
             fwd = (tb - ta) % 1.0
             short = fwd <= 1.0 - fwd
             w_start = np.where(short, ta, tb)
             w_end = w_start + np.where(short, fwd, 1.0 - fwd)
             max_radius = np.maximum(ra, rb)
-            alive = np.arange(block.size)
+            alive = np.arange(ia.size)
             for level in range(depth + 1):
                 n = 1 << level
                 # the layers shrink as the depth grows, and so does alive

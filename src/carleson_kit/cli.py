@@ -539,6 +539,8 @@ def run_construct(args: argparse.Namespace) -> dict:
 def run_weight(args: argparse.Namespace) -> dict:
     data, _ = _load_input(args.input)
     tag = data.get("tag")
+    if not (tag is None or isinstance(tag, str)):
+        raise InputError("weight tag must be a string")
     samples = data.get("samples")
     if samples is not None:
         w = Weight.from_samples(_real_array(samples, "samples"), tag=tag)

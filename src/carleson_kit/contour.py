@@ -50,11 +50,6 @@ from .hardy import poisson_sum
 _BOUND_PAD = 1e-9
 # dyadic depth below which the bad-interval scan stops
 _DEPTH_FLOOR = 20
-# probe offset of the boundary extraction, relative to a circle's radius
-_PROBE_OFFSET = 2.0 ** -12
-# absolute pad of the extraction's disk culling, far above the rounding
-# (about 1e-15) of a probe point and of its distance to a disk center
-_CULL_PAD = 1e-12
 # largest Carleson norm of the boundary curve that verify_region accepts
 CONTOUR_NORM_BOUND = 10.0
 
@@ -356,90 +351,79 @@ class ContourResult:
     constants: ContourConstants
 
 
+def _uncovered(lo, hi):
+    """The complement, on the circle of angles, of the union of the open
+    intervals (lo[i], hi[i]), each at most 2 pi long, as pairs (a, b) with
+    a < b <= a + 2 pi and b < 4 pi.
+
+    The intervals are swept in the order of their starts taken mod 2 pi;
+    ``reach`` is the end of the covered run so far, and a start beyond it
+    opens a gap.  The last run may wrap past the first start plus 2 pi: the
+    part of it past 2 pi covers the starts of the earlier gaps, which are
+    cut back to it.  Gaps of length 0, single points, are dropped.
+    """
+    start = lo % TAU
+    order = np.argsort(start)
+    start, end = start[order], (start + (hi - lo))[order]
+    gaps = []
+    reach = end[0]
+    for s, e in zip(start[1:], end[1:]):
+        if s > reach:
+            gaps.append((reach, s))
+        reach = max(reach, e)
+    gaps.append((reach, start[0] + TAU))
+    wrap = reach - TAU
+    return [(max(a, wrap), b) for a, b in gaps if b > max(a, wrap)]
+
+
 def _extract_polylines(region: Region):
     """Boundary of the region as polylines along the circles of its disks.
 
-    The region is a union of open disks, so every boundary point of it
-    lies on a disk circle.  Each circle is sampled; a sample stays when
-    probes offset to either side disagree about membership; transition
-    parameters are refined by bisection.  Both sides of a batch of samples
-    go through one membership call.
+    The region is a union of open disks, so its boundary is the part of
+    each disk circle that no other open disk covers.  Circles that round to
+    the same center and radius are drawn once.  For circle k (center c_k,
+    radius r_k) and another disk j at distance d = |c_j - c_k|:
 
-    Each circle's probes are tested against the disks near it only: those
-    whose bounding boxes meet the circle's box grown by the probe offset h
-    plus ``_CULL_PAD``.  The membership is unchanged.  The box of a dropped
-    disk (center c, radius r) lies, along one axis, at least h + pad
-    beyond the circle's box, while every probe point p lies within h of
-    the circle, so |p - c| exceeds r by at least the pad.  The rounding
-    of p, of the boxes and of |p - c| is about 1e-15, far below the pad, so
-    ``abs(p - c) < r`` would have been False for that disk at every probe.
+    - d + r_k < r_j: disk j covers the whole circle, which draws nothing;
+    - d >= r_k + r_j or d + r_j <= r_k: disk j covers none of it;
+    - otherwise disk j covers the open arc of the angles within
+      arccos((r_k^2 + d^2 - r_j^2) / (2 r_k d)) of arg(c_j - c_k), the
+      argument clipped to [-1, 1] against rounding.
+
+    The circle's boundary pieces are the gaps between those arcs
+    (:func:`_uncovered`).  Each piece is drawn through its two end points,
+    where it meets other circles, and the sample angles 2 pi (i + 1/2)/256
+    strictly between them.  A circle that no other disk meets is drawn
+    closed through the 256 samples, the first repeated at the end.
     """
     circles = {}
     for d in region.disks:
         key = (round(d.eu_center.real, 14), round(d.eu_center.imag, 14),
                round(d.eu_radius, 14))
         circles[key] = (d.eu_center, d.eu_radius)
-
-    # lower and upper corners of each disk's bounding box, as (K, 2) arrays
-    centers = np.array([d.eu_center for d in region.disks], dtype=complex)
-    radii = np.array([d.eu_radius for d in region.disks])
-    xy = np.stack((centers.real, centers.imag), axis=1)
-    disk_lo, disk_hi = xy - radii[:, None], xy + radii[:, None]
+    centers = np.array([c for c, _ in circles.values()], dtype=complex)
+    radii = np.array([r for _, r in circles.values()])
     n = 256
     ts = TAU * (np.arange(n) + 0.5) / n
+    samples = np.concatenate((ts, ts + TAU))  # a piece's angles run below 4 pi
     polylines = []
     for c, r in circles.values():
-        h = max(r * _PROBE_OFFSET, 1e-13)
-        reach = h + _CULL_PAD
-        lo = np.array([c.real - r, c.imag - r]) - reach
-        hi = np.array([c.real + r, c.imag + r]) + reach
-        near = Region(region.disks[i] for i in
-                      np.flatnonzero(((disk_lo < hi) & (disk_hi > lo)).all(axis=1)))
-
-        def crosses(t):
-            # the samples at parameters t whose two probes disagree
-            normal = np.exp(1j * t)
-            p = c + r * normal
-            off = h * normal
-            sides = near.contains_many(np.concatenate((p + off, p - off)))
-            return sides[: t.size] ^ sides[t.size :]
-
-        def refine(t_good, t_bad):
-            for _ in range(30):
-                mid = 0.5 * (t_good + t_bad)
-                if crosses(np.array([mid]))[0]:
-                    t_good = mid
-                else:
-                    t_bad = mid
-            return t_good
-
-        on_boundary = crosses(ts)
-        if not np.any(on_boundary):
+        dist = np.abs(centers - c)
+        if np.any(dist + r < radii):
             continue
-        if np.all(on_boundary):
+        # the circle itself has dist 0 and equal radius, so it never meets itself
+        meet = (dist < r + radii) & (dist + radii > r)
+        if not np.any(meet):
             verts = c + r * np.exp(1j * np.append(ts, ts[0]))
             verts[-1] = verts[0]
             polylines.append(verts)
             continue
-        runs, run = [], []
-        for i in np.roll(np.arange(n), -int(np.argmin(on_boundary))):
-            if on_boundary[i]:
-                run.append(i)
-            elif run:
-                runs.append(run)
-                run = []
-        if run:
-            runs.append(run)
-        for run in runs:
-            t_first, t_last = ts[run[0]], ts[run[-1]]
-            prev_t, next_t = ts[(run[0] - 1) % n], ts[(run[-1] + 1) % n]
-            if prev_t > t_first:
-                prev_t -= TAU
-            if next_t < t_last:
-                next_t += TAU
-            run_ts = np.concatenate(([refine(t_first, prev_t)], ts[run],
-                                     [refine(t_last, next_t)]))
-            polylines.append(c + r * np.exp(1j * run_ts))
+        d, rj = dist[meet], radii[meet]
+        mid = np.angle(centers[meet] - c)
+        half = np.arccos(np.clip((r * r + d * d - rj * rj) / (2.0 * r * d), -1.0, 1.0))
+        for a, b in _uncovered(mid - half, mid + half):
+            inner = samples[(samples > a) & (samples < b)]
+            polylines.append(c + r * np.exp(1j * np.concatenate(([a], inner, [b]))))
     return tuple(polylines)
 
 

@@ -174,78 +174,6 @@ def unit_sphere_net_reference(dim, eps, rng=None):
             return net
 
 
-def extract_polylines_reference(region):
-    """Boundary polylines of a region of disks with every probe tested
-    against every disk.
-
-    The unculled route the library's extraction must reproduce bit for bit,
-    written out for circles: the circle |z - c| = r of each distinct disk
-    is sampled at the angles 2 pi (k + 1/2) / 256, and a sample is on the
-    boundary when the probes c + (r +- h) e^{it}, h = max(r 2**-12, 1e-13),
-    disagree about membership in the whole region (two membership calls).
-    Each end of a partial run is bisected 30 times in angle, with two more
-    calls per step.
-    """
-    circles = {}
-    for d in region.disks:
-        key = (round(d.eu_center.real, 14), round(d.eu_center.imag, 14),
-               round(d.eu_radius, 14))
-        circles[key] = (d.eu_center, d.eu_radius)
-
-    n = 256
-    ts = TAU * (np.arange(n) + 0.5) / n
-    polylines = []
-    for c, r in circles.values():
-        h = max(r * 2.0**-12, 1e-13)
-
-        def on_circle(t):
-            return c + r * np.exp(1j * t)
-
-        def crosses(t):
-            unit = np.exp(1j * t)
-            p = c + r * unit
-            return region.contains_many(p + h * unit) ^ region.contains_many(p - h * unit)
-
-        def refine(t_good, t_bad):
-            for _ in range(30):
-                mid = 0.5 * (t_good + t_bad)
-                if crosses(np.array([mid]))[0]:
-                    t_good = mid
-                else:
-                    t_bad = mid
-            return t_good
-
-        on_boundary = crosses(ts)
-        if not np.any(on_boundary):
-            continue
-        if np.all(on_boundary):
-            verts = on_circle(np.append(ts, ts[0]))
-            verts[-1] = verts[0]
-            polylines.append(verts)
-            continue
-        # runs of boundary samples, read around the circle from a sample
-        # that is not on the boundary
-        first = int(np.argmin(on_boundary))
-        runs, run = [], []
-        for i in [(first + k) % n for k in range(n)]:
-            if on_boundary[i]:
-                run.append(i)
-            elif run:
-                runs.append(run)
-                run = []
-        if run:
-            runs.append(run)
-        for run in runs:
-            t_first, t_last = ts[run[0]], ts[run[-1]]
-            # the neighbouring samples off the boundary, unwrapped past 0
-            prev_t = ts[run[0] - 1] if run[0] > 0 else ts[-1] - TAU
-            next_t = ts[run[-1] + 1] if run[-1] < n - 1 else ts[0] + TAU
-            run_ts = np.concatenate(([refine(t_first, prev_t)], ts[run],
-                                     [refine(t_last, next_t)]))
-            polylines.append(on_circle(run_ts))
-    return tuple(polylines)
-
-
 def poisson_sum_reference(samples, z):
     """The Poisson quadrature of uniform-grid samples block by block.
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from carleson_kit import carleson
+from carleson_kit import carleson, disk
 from carleson_kit.carleson import (
     CurveMeasure,
     DiscreteMeasure,
@@ -432,6 +432,21 @@ def test_curve_measure_requires_interior_vertices():
         CurveMeasure([np.zeros((3, 2))])
 
 
+def test_curve_vertex_modulus_is_taken_once(monkeypatch):
+    # the open-disk refusal and the norm's polar coordinates share it
+    circle = 0.9 * np.exp(1j * TAU * np.arange(257) / 256)
+    want = carleson_norm(CurveMeasure([circle]), depth=8)
+    sizes = []
+
+    def counted(z):
+        sizes.append(np.size(z))
+        return np.hypot(z.real, z.imag)
+
+    monkeypatch.setattr(disk, "_modulus", counted)
+    assert carleson_norm(CurveMeasure([circle]), depth=8) == want
+    assert sizes.count(circle.size) == 1
+
+
 def test_curve_measure_array_and_vertex_paths_agree():
     # arrays and plain sequences of vertices go through the same conversion
     chains = _awkward_polylines(np.random.default_rng(5))
@@ -447,6 +462,8 @@ def test_curve_measure_array_and_vertex_paths_agree():
     # the measure keeps its own copy of an array chain
     arrays[1][0] = 0.0
     assert fast.polylines[1].tobytes() == slow.polylines[1].tobytes()
+    # chains of fewer than two vertices carry no length and are dropped
+    assert CurveMeasure([]).polylines == CurveMeasure([[0.5j], []]).polylines == ()
 
 
 def test_kernel_test_constant_single_atom():

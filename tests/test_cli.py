@@ -334,6 +334,9 @@ class TestExitCodes:
          "family members must be contractive in the disk"),
         ("weight", {"samples": [-1.0] * 16}, [],
          "weight samples must be finite and nonnegative"),
+        ("weight", {"tag": [1]}, [], "weight tag must be a string"),
+        ("weight", {"tag": {"a": 1}, "samples": [1.0] * 16}, [],
+         "weight tag must be a string"),
     ])
     def test_library_domain_error_exits_2(self, tmp_path, capsys, command, payload,
                                           flags, message):

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import extract_polylines_reference
 
 from carleson_kit import blaschke as blaschke_mod
 from carleson_kit import disk
@@ -584,95 +583,187 @@ def circle_crossings(c1, r1, c2, r2):
     return [c1 + (along + 1j * s * across) * unit for s in (1.0, -1.0)]
 
 
+def euclidean_disk(center, radius):
+    """A region disk given by its Euclidean center and radius."""
+    return DiskSpec(center=complex(center), gamma=0.5, eu_center=complex(center),
+                    eu_radius=radius)
+
+
+def clustered_disks(seed):
+    """Seeded gamma-disks around a cluster of zeros near one boundary point:
+    overlapping disks of several sizes, whose circles cut one another."""
+    rng = np.random.default_rng(seed)
+    ang = 1.0 + rng.uniform(-0.2, 0.2, 12)
+    rad = 1.0 - 10.0 ** rng.uniform(-2.5, -0.5, 12)
+    gamma = rng.uniform(0.05, 0.3)
+    return [DiskSpec.around(z, gamma) for z in rad * np.exp(1j * ang)]
+
+
+def own_circle(piece, disks):
+    """The index of the disk whose circle the piece runs along."""
+    return min(range(len(disks)), key=lambda i: np.max(
+        np.abs(np.abs(piece - disks[i].eu_center) - disks[i].eu_radius)))
+
+
 class TestBoundaryExtraction:
-    """Partial boundary runs and their bisected ends, against the unculled
-    reference extraction and the closed-form crossings."""
+    """The boundary pieces against closed-form crossings and arc lengths."""
 
-    def check_partial_runs(self, region, crossings, h_of):
-        """Match the reference, and put every bisected end within 4h of a
-        crossing, h the probe offset of the end's own circle; returns the
-        number of partial runs."""
-        got = _extract_polylines(region)
-        want = extract_polylines_reference(region)
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        partial = [p for p in got if p[0] != p[-1]]
-        for p in partial:
-            h = h_of(p)
-            for end in (p[0], p[-1]):
-                assert min(abs(end - x) for x in crossings) < 4.0 * h
-        return len(partial)
+    ts = TAU * (np.arange(256) + 0.5) / 256
 
-    @staticmethod
-    def circle_h(disk_spec, other_h):
-        def h_of(polyline):
-            on_circle = abs(abs(polyline[len(polyline) // 2] - disk_spec.eu_center)
-                            - disk_spec.eu_radius) < 1e-9
-            return disk_spec.eu_radius * 2.0**-12 if on_circle else other_h
-        return h_of
+    def closed_circle(self, c, r):
+        verts = c + r * np.exp(1j * np.append(self.ts, self.ts[0]))
+        verts[-1] = verts[0]
+        return verts
+
+    def check_pieces(self, disks):
+        """Every open piece ends within 1e-12 r of a crossing of its circle
+        with another, every crossing outside the other disks is the end of
+        a piece on each of its two circles, and no vertex lies inside another
+        disk; returns the pieces."""
+        pieces = _extract_polylines(Region(disks))
+        ends = []
+        for p in pieces:
+            k = own_circle(p, disks)
+            for j, dj in enumerate(disks):
+                if j != k:
+                    assert np.all(np.abs(p - dj.eu_center) > dj.eu_radius - 1e-15)
+            if p[0] != p[-1]:
+                ends += [(k, p[0]), (k, p[-1])]
+        crossings = []
+        for k, dk in enumerate(disks):
+            for j, dj in enumerate(disks):
+                dist = abs(dj.eu_center - dk.eu_center)
+                if j != k and abs(dk.eu_radius - dj.eu_radius) < dist < dk.eu_radius + dj.eu_radius:
+                    crossings += [(k, x) for x in circle_crossings(
+                        dk.eu_center, dk.eu_radius, dj.eu_center, dj.eu_radius)]
+        for k, end in ends:
+            assert min(abs(end - x) for i, x in crossings if i == k) < 1e-12 * disks[k].eu_radius
+        for k, x in crossings:
+            if all(abs(x - d.eu_center) > d.eu_radius + 1e-9 for d in disks
+                   if abs(abs(x - d.eu_center) - d.eu_radius) > 1e-9):
+                assert min(abs(end - x) for i, end in ends if i == k) < 1e-12 * disks[k].eu_radius
+        return pieces
 
     def test_two_overlapping_disks(self):
         phi = BoundedFunction(zeros=[0.0, 0.1 + 0.05j])
         result = bourgain_contour(phi, 0.3, constants=wide_constants())
-        d0, d1 = result.region.disks
-        crossings = circle_crossings(d0.eu_center, d0.eu_radius, d1.eu_center, d1.eu_radius)
-        h_of = self.circle_h(d0, d1.eu_radius * 2.0**-12)
-        # h = 0.3 * 2**-12 = 7.3e-5 on the circle around 0; its ends were
-        # 2.8h from the crossings before the culling, and must not move
-        assert self.check_partial_runs(result.region, crossings, h_of) == 2
+        pieces = self.check_pieces(result.region.disks)
+        assert all(np.array_equal(a, b) for a, b in zip(result.polylines, pieces))
+        assert len(pieces) == 2 and all(p[0] != p[-1] for p in pieces)
 
-    def test_one_membership_call_per_sample_pass_and_bisection_step(self, monkeypatch):
-        phi = BoundedFunction(zeros=[0.0, 0.1 + 0.05j])
-        result = bourgain_contour(phi, 0.3, constants=wide_constants())
-        calls = []
-        original = Region.contains_many
+    @pytest.mark.parametrize("depth", [1e-3, 1e-5, 1e-7, 1e-9])
+    def test_caps_match_the_closed_form_arc_length(self, depth):
+        # the disk j of radius 0.2 reaches `depth` into the disk of radius 0.3
+        # around 0, along the angle 0.7
+        r, rj, angle = 0.3, 0.2, 0.7
+        cj = (r + rj - depth) * cmath.exp(1j * angle)
+        d = abs(cj)
+        pieces = _extract_polylines(Region([euclidean_disk(0.0, r), euclidean_disk(cj, rj)]))
+        assert len(pieces) == 2
+        piece = next(p for p in pieces if abs(abs(p[1]) - r) < 1e-12)
+        # the half-angle at 0 of the covered arc (of length 2 r half), by the
+        # half-angle formula of the triangle (0, cj, crossing), whose factors
+        # carry no cancellation
+        half = 2.0 * math.atan(math.sqrt((d + rj - r) * (r + rj - d)
+                                         / ((r + d + rj) * (r + d - rj))))
+        got = (cmath.phase(piece[0]) - angle, angle - cmath.phase(piece[-1]))
+        # arccos at an argument within a few ulps of 1 is off by about
+        # 1e-16 / half: 2.9e-12 here at depth 1e-9
+        for g in got:
+            assert abs(g - half) * half < 1e-15
+        # the drawn arc is the rest of the circle, through every sample off the cap
+        assert len(piece) == 2 + np.sum(np.abs((self.ts - angle + math.pi) % TAU - math.pi) > half)
 
-        def counted(self, z):
-            calls.append(np.size(z))
-            return original(self, z)
+    def test_covered_arcs_across_angle_zero(self):
+        # on the circle of radius 0.3 around 0, disk A covers the angles
+        # within 0.505 of 0, across angle 0, disk B (inside A) those within
+        # 0.1 of 0.2, disk C those within 0.336 of 2 and disk D (inside C)
+        # those within 0.1 of 2.1; B's arc comes first by its start, the gap
+        # after it begins inside A, and D's arc ends before C's
+        disks = [euclidean_disk(0.0, 0.3), euclidean_disk(0.3, 0.15),
+                 euclidean_disk(0.3 * cmath.exp(0.2j), 0.03),
+                 euclidean_disk(0.3 * cmath.exp(2j), 0.1),
+                 euclidean_disk(0.3 * cmath.exp(2.1j), 0.03)]
+        pieces = self.check_pieces(disks)
+        assert sorted(own_circle(p, disks) for p in pieces) == [0, 0, 1, 3]
 
-        monkeypatch.setattr(Region, "contains_many", counted)
-        _extract_polylines(result.region)
-        # two circles sampled once each (both sides of 256 samples stacked),
-        # then 30 steps at each of 4 run ends, both probes in one call
-        assert calls.count(512) == 2
-        assert calls.count(2) == 4 * 30
-        assert len(calls) == 2 + 4 * 30
+    def test_external_and_internal_tangency(self):
+        # externally tangent: neither open disk covers any of the other circle
+        pieces = _extract_polylines(Region([euclidean_disk(-0.25, 0.25),
+                                            euclidean_disk(0.25, 0.25)]))
+        assert len(pieces) == 2
+        for p, c in zip(pieces, (-0.25, 0.25)):
+            assert np.array_equal(p, self.closed_circle(c, 0.25))
+        # internally tangent: the small circle is covered up to the tangent point
+        pieces = _extract_polylines(Region([euclidean_disk(0.0, 0.5),
+                                            euclidean_disk(0.25, 0.25)]))
+        assert len(pieces) == 1
+        assert np.array_equal(pieces[0], self.closed_circle(0.0, 0.5))
 
-    def test_disk_within_the_probe_offset_of_a_circle_is_kept(self):
-        # two disks of radius 0.3 (given by their Euclidean realizations)
-        # 1e-5 apart on the real axis, each circle with probe offset
-        # h = 0.3 * 2**-12 = 7.3e-5: each disk's box misses the other
-        # circle's box but catches the outer probes of its two samples next
-        # to the gap, so each circle shows a boundary run that culling by
-        # the pad alone loses
+    def test_circle_inside_another_disk_draws_nothing(self):
+        pieces = _extract_polylines(Region([euclidean_disk(0.1 + 0.1j, 0.1),
+                                            euclidean_disk(0.0, 0.5)]))
+        assert len(pieces) == 1
+        assert np.array_equal(pieces[0], self.closed_circle(0.0, 0.5))
+
+    def test_coincident_and_nearly_coincident_circles(self):
+        r = 0.3
+        # the same circle twice, or rounding to the same key: drawn once
+        for shift in (0.0, 1e-17):
+            pieces = _extract_polylines(Region([euclidean_disk(0.2, r),
+                                                euclidean_disk(0.2 + shift, r)]))
+            assert len(pieces) == 1
+            assert np.array_equal(pieces[0], self.closed_circle(0.2, r))
+        # one center, radii 1e-13 apart: the larger circle covers the smaller
+        pieces = _extract_polylines(Region([euclidean_disk(0.2, r),
+                                            euclidean_disk(0.2, r + 1e-13)]))
+        assert len(pieces) == 1
+        assert np.array_equal(pieces[0], self.closed_circle(0.2, r + 1e-13))
+        # one radius, centers 1e-13 apart: each circle keeps the half away
+        # from the other center, between the crossings on the bisector
+        disks = [euclidean_disk(0.2, r), euclidean_disk(0.2 + 1e-13j, r)]
+        pieces = self.check_pieces(disks)
+        assert len(pieces) == 2
+        for p, away in zip(pieces, (-1.0, 1.0)):
+            assert abs(p[0].real - 0.2) == pytest.approx(r, rel=1e-12)
+            assert abs(p[-1].real - 0.2) == pytest.approx(r, rel=1e-12)
+            assert away * p[len(p) // 2].imag == pytest.approx(r, rel=1e-3)
+
+    def test_disks_a_gap_apart_are_closed_circles(self):
+        # two disks of radius 0.3, 1e-5 apart on the real axis: neither
+        # meets the other, so both are drawn whole, the samples next to the
+        # gap included
         r, gap = 0.3, 1e-5
-        left = DiskSpec(center=-r, gamma=0.5, eu_center=complex(-r), eu_radius=r)
-        right = DiskSpec(center=r + gap, gamma=0.5, eu_center=complex(r + gap), eu_radius=r)
-        h = r * 2.0**-12
-        assert 1e-12 < (right.eu_center.real - r) - (left.eu_center.real + r) < h
-        region = Region((left, right))
-        got = _extract_polylines(region)
-        want = extract_polylines_reference(region)
-        assert len(got) == len(want) == 2
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        # both runs are open, and each leaves out the samples at the gap
-        for p in got:
-            assert p[0] != p[-1]
-            assert np.min(np.abs(p - gap / 2)) > 1e-3
+        pieces = _extract_polylines(Region([euclidean_disk(-r, r),
+                                            euclidean_disk(r + gap, r)]))
+        assert len(pieces) == 2
+        for p, c in zip(pieces, (-r, r + gap)):
+            assert np.array_equal(p, self.closed_circle(c, r))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_fuzzed_clustered_regions_match_the_reference(self, seed):
-        # seeded clusters of zeros near one boundary point: overlapping disks
-        # of several sizes, whose circles cut one another
-        rng = np.random.default_rng(seed)
-        ang = 1.0 + rng.uniform(-0.2, 0.2, 12)
-        rad = 1.0 - 10.0 ** rng.uniform(-2.5, -0.5, 12)
-        phi = BoundedFunction(zeros=rad * np.exp(1j * ang))
-        consts = wide_constants(gamma=rng.uniform(0.05, 0.3))
-        result = bourgain_contour(phi, consts.epsilon, constants=consts)
-        want = extract_polylines_reference(result.region)
-        got = _extract_polylines(result.region)
-        assert any(p[0] != p[-1] for p in got)
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    def test_fuzzed_clusters_end_at_the_crossings(self, seed):
+        pieces = self.check_pieces(clustered_disks(seed))
+        assert any(p[0] != p[-1] for p in pieces)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pieces_map_onto_themselves_under_the_dyadic_symmetries(self, seed):
+        def pieces(disks):
+            """Each piece as its circle's radius and the points (center,
+            first end, last end), or (center,) when it is closed."""
+            out = []
+            for p in _extract_polylines(Region(disks)):
+                k = own_circle(p, disks)
+                ends = () if p[0] == p[-1] else (p[0], p[-1])
+                out.append((disks[k].eu_radius, np.array((disks[k].eu_center,) + ends)))
+            return out
+
+        disks = clustered_disks(seed)
+        want = pieces(disks)
+        # z -> -z keeps the orientation of each piece, z -> conj(z) reverses it
+        for mapped, order in ((np.negative, [0, 1, 2]), (np.conj, [0, 2, 1])):
+            got = pieces([DiskSpec.around(mapped(d.center), d.gamma) for d in disks])
+            assert len(got) == len(want)
+            for r, points in want:
+                image = mapped(points)[order[:points.size]]
+                assert any(g_r == r and g.size == image.size
+                           and np.max(np.abs(g - image)) < 1e-12 for g_r, g in got)
