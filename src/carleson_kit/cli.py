@@ -338,7 +338,7 @@ def run_contour(args: argparse.Namespace) -> dict:
     norm = verification["contour_norm"]
     # one-generation constants, kept for the report's shape until bench/refs is regenerated
     report["quantities"] = {
-        "pieces": 1 if result.region.disks else 0,
+        "pieces": 1 if result.region.radii.size else 0,
         "polylines": len(result.polylines),
         "truncated": False,
         "generations": [{"generation": 0, "active_intervals": 1,
@@ -488,11 +488,13 @@ def run_construct(args: argparse.Namespace) -> dict:
         "inputs": {"members": len(family),
                    "dims": sorted({t.rows for t in family})},
         "constants": {"epsilon": args.epsilon, "alpha": args.alpha,
-                      "seed": args.seed, "cv": args.cv, "delta": args.delta},
+                      "seed": args.seed, "cv": args.cv, "delta": args.delta,
+                      "c1": args.c1, "c2": args.c2, "c3": args.c3},
         "quantities": {},
     }
     try:
-        ps = build_contour_nets(family, args.epsilon, args.alpha)
+        ps = build_contour_nets(family, args.epsilon, args.alpha,
+                                c1=args.c1, c2=args.c2, c3=args.c3)
         ps = epsilon_net_split(ps, args.epsilon,
                                rng=np.random.default_rng(args.seed))
     except (NetValidityError, ContourBoundError) as exc:

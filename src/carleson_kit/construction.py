@@ -139,14 +139,16 @@ def _det_as_bounded_function(theta: MatrixFunction) -> BoundedFunction:
 
 
 def build_contour_nets(theta_family, eps: float, alpha: float,
-                       constants: ContourConstants | None = None) -> PointSystem:
+                       c1: float = 8.0, c2: float = 8.0, c3: float = 8.0) -> PointSystem:
     """Contour, net, unit vectors and Blaschke product for every member.
 
     Each member must be square and boundary-contractive.  Its determinant
-    contour is taken at level eps**d, the net on the contour vertices has
-    pseudo-hyperbolic mesh alpha, and the attached vector at a net point is
-    the left singular vector of the smallest singular value there, so the
-    adjoint value has norm below eps at every net point.
+    contour is taken at level eps**d with the constants
+    ``ContourConstants.for_epsilon(eps**d, c1, c2, c3)``, the net on the
+    contour vertices has pseudo-hyperbolic mesh alpha, and the attached
+    vector at a net point is the left singular vector of the smallest
+    singular value there, so the adjoint value has norm below eps at every
+    net point.
 
     That norm is the kernel datum's distance in the functional model: with
     K the orthogonal complement of M = (Theta; Delta) H^2(E_1) in
@@ -165,11 +167,8 @@ def build_contour_nets(theta_family, eps: float, alpha: float,
         d = theta.rows
         phi = _det_as_bounded_function(theta)
         level = eps ** d
-        if constants is None:
-            consts = ContourConstants.for_epsilon(level)
-        else:
-            consts = constants
-        contour = bourgain_contour(phi, level, constants=consts)
+        contour = bourgain_contour(phi, level, constants=ContourConstants.for_epsilon(
+            level, c1=c1, c2=c2, c3=c3))
         vertices = (np.concatenate(contour.polylines)
                     if contour.polylines else np.zeros(0, dtype=complex))
         sigma = place_net_on_curve(vertices, alpha)

@@ -10,7 +10,8 @@ with a polyline description of the boundary of O whose arclength measure
 has bounded Carleson intensity.  The region is built in one generation:
 when no dyadic square of the representing measure is too heavy, O is the
 union of the pseudo-hyperbolic disks of radius gamma around the zeros,
-and a :class:`Region` is just those disks.
+and a :class:`Region` is just their circles: one array of Euclidean
+centers and one of radii, each circle once.
 A heavy square ends the construction with :class:`ContourBoundError`;
 :func:`bourgain_contour` proves that a second generation, which would
 split such squares off as "bad intervals", could not complete either.
@@ -295,30 +296,17 @@ def select_bad_intervals(measure: RepresentingMeasure, m_threshold: float,
     return tuple(witnesses)
 
 
-@dataclass(frozen=True)
-class DiskSpec:
-    """Pseudo-hyperbolic disk around a zero, with its Euclidean realization."""
-
-    center: complex
-    gamma: float
-    eu_center: complex
-    eu_radius: float
-
-    @classmethod
-    def around(cls, center: complex, gamma: float) -> "DiskSpec":
-        c, r = pseudo_hyperbolic_disk(center, gamma)
-        return cls(center=center, gamma=gamma, eu_center=c, eu_radius=r)
-
-    def contains_many(self, z: np.ndarray) -> np.ndarray:
-        return np.abs(z - self.eu_center) < self.eu_radius
-
-
 class Region:
-    """Union of the pseudo-hyperbolic disks of :func:`bourgain_contour`.
+    """Union of the open pseudo-hyperbolic disks of :func:`bourgain_contour`,
+    held as the Euclidean ``centers`` (complex) and ``radii`` (float) of
+    their circles.
 
-    Membership is the OR of ``DiskSpec.contains_many`` over the disks, one
-    disk at a time: a broadcast of every point against every disk was
-    measured 3.3 times slower.
+    ``circles`` yields (center, radius) pairs.  Circles whose center and
+    radius round to the same 14 digits are kept once, the first in the
+    order given, so extraction, membership and verification all read the
+    same circles.  Membership is the OR of |z - c| < r over the circles,
+    one disk at a time over Python scalars: a broadcast of every point
+    against every disk was measured 3.3 times slower.
 
     No Carleson square is met with the disks, because the closed disk's
     square already holds each of them.  The disk {|b_a| < gamma} has
@@ -333,14 +321,20 @@ class Region:
     ``disk.in_layer(|z|, 1)``, whose tolerance is 1e-12.
     """
 
-    def __init__(self, disks):
-        self.disks = tuple(disks)
+    __slots__ = ("centers", "radii")
+
+    def __init__(self, circles):
+        kept = {}
+        for c, r in circles:
+            kept.setdefault((round(c.real, 14), round(c.imag, 14), round(r, 14)), (c, r))
+        self.centers = np.array([c for c, _ in kept.values()], dtype=complex)
+        self.radii = np.array([r for _, r in kept.values()], dtype=float)
 
     def contains_many(self, z) -> np.ndarray:
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         out = np.zeros(zs.shape, dtype=bool)
-        for d in self.disks:
-            out |= d.contains_many(zs)
+        for c, r in zip(self.centers.tolist(), self.radii.tolist()):
+            out |= np.abs(zs - c) < r
         return out
 
 
@@ -380,9 +374,8 @@ def _extract_polylines(region: Region):
     """Boundary of the region as polylines along the circles of its disks.
 
     The region is a union of open disks, so its boundary is the part of
-    each disk circle that no other open disk covers.  Circles that round to
-    the same center and radius are drawn once.  For circle k (center c_k,
-    radius r_k) and another disk j at distance d = |c_j - c_k|:
+    each disk circle that no other open disk covers.  For circle k (center
+    c_k, radius r_k) and another disk j at distance d = |c_j - c_k|:
 
     - d + r_k < r_j: disk j covers the whole circle, which draws nothing;
     - d >= r_k + r_j or d + r_j <= r_k: disk j covers none of it;
@@ -396,18 +389,12 @@ def _extract_polylines(region: Region):
     strictly between them.  A circle that no other disk meets is drawn
     closed through the 256 samples, the first repeated at the end.
     """
-    circles = {}
-    for d in region.disks:
-        key = (round(d.eu_center.real, 14), round(d.eu_center.imag, 14),
-               round(d.eu_radius, 14))
-        circles[key] = (d.eu_center, d.eu_radius)
-    centers = np.array([c for c, _ in circles.values()], dtype=complex)
-    radii = np.array([r for _, r in circles.values()])
+    centers, radii = region.centers, region.radii
     n = 256
     ts = TAU * (np.arange(n) + 0.5) / n
     samples = np.concatenate((ts, ts + TAU))  # a piece's angles run below 4 pi
     polylines = []
-    for c, r in circles.values():
+    for c, r in zip(centers.tolist(), radii.tolist()):
         dist = np.abs(centers - c)
         if np.any(dist + r < radii):
             continue
@@ -436,7 +423,8 @@ def bourgain_contour(phi: BoundedFunction, eps: float,
     :class:`ContourBoundError`, whose message gives the number of
     witnesses and, for the heaviest, its depth, nu(Q(J)) and M |J|.
     Otherwise the region is the union of the pseudo-hyperbolic gamma-disks
-    around the distinct zeros, in sorted order (:class:`Region`).
+    around the zeros, in sorted order; equal zeros give one circle
+    (:class:`Region`).
 
     Why a witness ends the construction.  The generation-by-generation
     recursion would take each component I_1 of the union of the 5J as the
@@ -467,9 +455,8 @@ def bourgain_contour(phi: BoundedFunction, eps: float,
             f"{len(witnesses)} heavy dyadic square(s) nu(Q(J)) > M|J|; the heaviest, "
             f"at depth {round(-math.log2(length))}, has nu(Q(J)) = {masses[k]:.6g} "
             f"against M|J| = {constants.m_threshold * length:.6g}")
-    zeros = sorted(set(phi.zeros), key=lambda w: (w.real, w.imag))
-    disks = tuple(DiskSpec.around(z, constants.gamma) for z in zeros)
-    region = Region(disks)
+    zeros = sorted(phi.zeros, key=lambda w: (w.real, w.imag))
+    region = Region(pseudo_hyperbolic_disk(z, constants.gamma) for z in zeros)
     return ContourResult(region, _extract_polylines(region), constants)
 
 
@@ -495,15 +482,16 @@ def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
         bulk.append(pts[in_open_disk(pts)])
     zs = np.concatenate(bulk)[:half]
     near = []
-    per_disk = max(1, (samples - half) // max(1, len(result.region.disks)))
-    for d in result.region.disks:
+    region = result.region
+    per_disk = max(1, (samples - half) // max(1, region.radii.size))
+    for c, r in zip(region.centers.tolist(), region.radii.tolist()):
         ang = rng.uniform(0.0, TAU, per_disk)
-        rad = d.eu_radius * np.sqrt(rng.uniform(0.0, 4.0, per_disk))
-        cand = d.eu_center + rad * np.exp(1j * ang)
+        rad = r * np.sqrt(rng.uniform(0.0, 4.0, per_disk))
+        cand = c + rad * np.exp(1j * ang)
         near.append(cand[in_open_disk(cand)])
     if near:
         zs = np.concatenate([zs] + near)
-    inside = result.region.contains_many(zs)
+    inside = region.contains_many(zs)
     log_abs = phi.log_abs(zs)
     upper_level = math.log(eps) + 1e-9
     lower_level = result.constants.log_eps_prime

@@ -16,6 +16,8 @@ on G for as long as reports must reproduce those made on G.
 Kernel-based systems (groups of reproducing kernels, optionally tensored
 with direction vectors) are embedded isometrically into C^n through the
 Cholesky factor of their Gram matrix before the same diagnostics apply.
+A subspace is known by its index in the system: the critical-subset
+extraction returns indices, which ``SubspaceSystem.subsystem`` takes.
 """
 
 from __future__ import annotations
@@ -54,9 +56,9 @@ class SubspaceSystem:
     operations that need an invertible block Gram check it themselves.
     """
 
-    __slots__ = ("frames", "dim", "labels")
+    __slots__ = ("frames", "dim")
 
-    def __init__(self, frames, labels=None):
+    def __init__(self, frames):
         frames = [np.asarray(f, dtype=complex) for f in frames]
         if not frames:
             raise DomainError("system needs at least one subspace")
@@ -73,11 +75,6 @@ class SubspaceSystem:
             if err > 1e-10:
                 raise DomainError("frame columns must be orthonormal")
         self.frames = frames
-        if labels is None:
-            labels = list(range(len(frames)))
-        if len(labels) != len(frames):
-            raise DomainError("one label per subspace")
-        self.labels = list(labels)
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -100,12 +97,10 @@ class SubspaceSystem:
         indices = list(indices)
         if not indices:
             raise DomainError("subsystem needs at least one index")
-        return SubspaceSystem(
-            [self.frames[i] for i in indices], labels=[self.labels[i] for i in indices]
-        )
+        return SubspaceSystem([self.frames[i] for i in indices])
 
     @classmethod
-    def from_kernel_groups(cls, groups, vectors=None, labels=None) -> "SubspaceSystem":
+    def from_kernel_groups(cls, groups, vectors=None) -> "SubspaceSystem":
         """Subspaces spanned by reproducing kernels at groups of disk points.
 
         ``groups`` is a list of point lists.  With ``vectors`` (matching
@@ -135,8 +130,7 @@ class SubspaceSystem:
             d = np.array(dirs)
             gram *= d @ np.conj(d).T  # np.vdot(e_j, e_i) at (i, j)
         emb = _embedding(gram)
-        return cls([np.linalg.qr(emb[:, sl])[0] for sl in _block_slices(sizes)],
-                   labels=labels)
+        return cls([np.linalg.qr(emb[:, sl])[0] for sl in _block_slices(sizes)])
 
 
 class GramFactor:
@@ -276,7 +270,7 @@ def extract_critical_subset(system: SubspaceSystem, delta: float):
     """Minimal sub-family witnessing uniform minimality below ``delta``.
 
     Returns None when the whole system already has minimality >= delta.
-    Otherwise indices (labels) of a subsystem S with minimality < delta such
+    Otherwise the indices of a subsystem S with minimality < delta such
     that dropping any single member of S pushes minimality to >= delta.
     Removal can only increase minimality, so the greedy descent terminates.
     """
@@ -300,7 +294,7 @@ def extract_critical_subset(system: SubspaceSystem, delta: float):
                 break
         else:
             break
-    return [system.labels[i] for i in current]
+    return current
 
 
 def tensor_bound_check(points, e_dim: int, trials: int, rng) -> dict:

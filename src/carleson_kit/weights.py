@@ -170,17 +170,16 @@ def _dyadic_a2(w: np.ndarray, inv: np.ndarray) -> float:
         return float(np.max(np.nan_to_num(products, copy=False, nan=np.inf, posinf=np.inf)))
 
 
-def classify_weight(w: Weight, base_depth: int = 8, max_depth: int = 14) -> dict:
+def classify_weight(w: Weight) -> dict:
     """Highest satisfied level of the five-step hierarchy, with quantities.
 
     Levels: 1 not identically zero, 2 integrable log, 3 integrable
     reciprocal, 4 finite dyadic Muckenhoupt constant, 5 both w and 1/w
-    essentially bounded.  Numeric verdicts come from refinement doubling;
-    a known tag overrides them.
+    essentially bounded.  Numeric verdicts come from refinement doubling
+    on grids of 2**8 to 2**14 samples, or as many of them as stored
+    samples allow; a known tag overrides them.
     """
-    if base_depth < 3 or max_depth < base_depth + 2:
-        raise DomainError("need at least three refinement levels")
-    sizes = [1 << d for d in range(base_depth, max_depth + 1)]
+    sizes = [1 << d for d in range(8, 15)]
     if w.max_size is not None:
         sizes = [s for s in sizes if s <= w.max_size]
         if len(sizes) < 3:

@@ -57,7 +57,7 @@ def extraction_oracle(system, delta):
     """The greedy critical subset, each trial rebuilt and scored by the oracle.
 
     Drops the first member whose removal keeps minimality below ``delta``,
-    and stops when no removal does; labels of what is left, or None.
+    and stops when no removal does; the indices of what is left, or None.
     """
     if minimality_oracle(system) >= delta:
         return None
@@ -70,7 +70,7 @@ def extraction_oracle(system, delta):
                 break
         else:
             break
-    return [system.labels[i] for i in current]
+    return current
 
 
 def dual_system(system):
@@ -82,7 +82,7 @@ def dual_system(system):
     """
     all_dual = system.stacked() @ np.linalg.inv(system.gram())
     frames = [np.linalg.qr(all_dual[:, sl])[0] for sl in system.block_slices()]
-    return SubspaceSystem(frames, labels=list(system.labels))
+    return SubspaceSystem(frames)
 
 
 def dual_residual(system, dual):

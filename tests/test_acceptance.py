@@ -299,7 +299,7 @@ def test_c09_critical_subset_extraction_sound():
             subset = extract_critical_subset(system, delta)
             assert subset is not None
             assert len(subset) <= len(pts)
-            sub = system.subsystem([system.labels.index(s) for s in subset])
+            sub = system.subsystem(subset)
             # the witness is below delta and every proper part is not,
             # both recomputed independently of the library routine
             assert minimality_oracle(sub) < delta

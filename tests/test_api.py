@@ -1,10 +1,14 @@
-"""Every exported name and every public method has a caller.
+"""Every exported name, every public method and every default has a caller.
 
 A name in ``carleson_kit.__all__`` must be loaded somewhere in the library
 outside ``__init__`` or be imported by the acceptance suite.  A public
 method or property of a class of the package must be read as an attribute
-(``obj.name``) somewhere in the library or in the acceptance suite.  Public
-surface that no command, guarantee or library routine needs should go.
+(``obj.name``) somewhere in the library or in the acceptance suite.  A
+defaulted parameter of a function or method of the package must be passed
+by some call in the library or the acceptance suite, unless
+``TEST_ONLY_DEFAULTS`` names it with the reason a test sets it.  Public
+surface and knobs that no command, guarantee or library routine needs
+should go.
 """
 
 import ast
@@ -75,3 +79,100 @@ def test_every_public_method_has_a_caller():
     methods = _public_methods()
     assert len(methods) > 30
     assert sorted(f"{cls}.{name}" for cls, name in methods if name not in used) == []
+
+
+#: defaulted parameters that only tests pass, with the reason they do
+TEST_ONLY_DEFAULTS = {
+    "epsilon_net_split(net_vectors)": "a test plants a far net",
+    "select_bad_intervals(depth_floor)": "the unpruned oracle runs at floors 8 to 16",
+    "from_kernel_groups(vectors)": "tensored families, ROADMAP item 2",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+def _defaulted_parameters() -> list:
+    """(callee, parameter, position) of every defaulted parameter.
+
+    The callee is the name a call uses: the function's or method's name,
+    or the class name for ``__init__`` and for the fields of a dataclass.
+    The position counts the positional arguments a call writes before the
+    parameter (``self`` and ``cls`` excluded); it is None for keyword-only
+    parameters.  A dataclass field is also set by ``dataclasses.replace``,
+    whose calls count for every dataclass (see :func:`_calls`).
+    """
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defs = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            defs += [(cls, node) for node in cls.body if isinstance(node, ast.FunctionDef)]
+            if _is_dataclass(cls):
+                fields = [node for node in cls.body if isinstance(node, ast.AnnAssign)]
+                found += [(cls.name, f.target.id, i) for i, f in enumerate(fields)
+                          if f.value is not None]
+        for cls, fn in defs:
+            args = fn.args.posonlyargs + fn.args.args
+            if cls is not None and not any(ast.unparse(d) == "staticmethod"
+                                           for d in fn.decorator_list):
+                args = args[1:]
+            callee = cls.name if fn.name == "__init__" else fn.name
+            first = len(args) - len(fn.args.defaults)
+            found += [(callee, a.arg, i) for i, a in enumerate(args) if i >= first]
+            found += [(callee, a.arg, None)
+                      for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return found
+
+
+def _calls(paths) -> list:
+    """(callee, positional count, keyword names) of every call.
+
+    ``cls(...)`` inside a class is resolved to the class.  A call that
+    unpacks ``*`` or ``**`` has keyword names None: it counts as passing
+    everything.  A call of
+    ``replace(obj, name=...)`` is entered once for every dataclass, with
+    only its keywords, since it sets those fields of whichever it copies.
+    """
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+        if not isinstance(node, ast.Call):
+            return
+        func = node.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if callee == "cls":
+            callee = cls
+        splat = (any(isinstance(a, ast.Starred) for a in node.args)
+                 or any(k.arg is None for k in node.keywords))
+        keywords = None if splat else {k.arg for k in node.keywords}
+        if callee == "replace":
+            found.extend((name, 0, keywords) for name in dataclass_names)
+        else:
+            found.append((callee, len(node.args), keywords))
+
+    trees = [ast.parse(path.read_text(), str(path)) for path in paths]
+    dataclass_names = {node.name for tree in trees for node in ast.walk(tree)
+                       if isinstance(node, ast.ClassDef) and _is_dataclass(node)}
+    for tree in trees:
+        visit(tree, None)
+    return found
+
+
+def test_every_default_is_passed_by_a_caller():
+    library = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    calls = _calls(library + [ACCEPTANCE])
+    params = _defaulted_parameters()
+    assert len(params) > 20
+
+    def passed(callee, name, position):
+        return any(c == callee and ((position is not None and count > position)
+                                    or keywords is None or name in keywords)
+                   for c, count, keywords in calls)
+
+    unpassed = sorted(f"{callee}({name})" for callee, name, position in params
+                      if not passed(callee, name, position))
+    assert unpassed == sorted(TEST_ONLY_DEFAULTS)

@@ -504,6 +504,22 @@ class TestExitCodes:
         failed = {c["name"] for c in rep["checks"] if not c["passed"]}
         assert failed == {"epsilon-choice"}
 
+    def test_construct_c_flags_reach_the_determinant_contours(self, tmp_path):
+        # c1 = 1e-4 lowers the bad-square cutoff M = 100 c1 log(1/eps) to
+        # 0.012, below the mass 0.81 of the whole disk: the determinant
+        # contour ends on its root square
+        inp = write_json(tmp_path, "family.json", {"families": [[[0.5, 0], [-0.3, 0.2]]]})
+        code, rep = run_to_file(tmp_path, [
+            "construct", "--input", inp, "--epsilon", "0.3", "--alpha", "0.05",
+            "--depth", "4", "--seed", "1", "--c1", "1e-4"])
+        assert code == 1
+        assert [(c["name"], c["passed"]) for c in rep["checks"]] == [
+            ("point-system-valid", False)]
+        assert rep["checks"][0]["detail"].startswith(
+            "1 heavy dyadic square(s) nu(Q(J)) > M|J|; the heaviest, at depth 0,")
+        assert (rep["constants"]["c1"], rep["constants"]["c2"], rep["constants"]["c3"]) == (
+            1e-4, 8.0, 8.0)
+
 
     def test_boolean_point_is_refused(self, tmp_path, capsys):
         # JSON false is a Python int; it must not read as the origin

@@ -20,20 +20,12 @@ from carleson_kit.construction import (
     unit_sphere_net,
     validate_epsilon_choice,
 )
-from carleson_kit.contour import ContourConstants
 from carleson_kit.disk import hyperbolic_grid
 from carleson_kit.errors import DomainError, NetValidityError
 from carleson_kit.model_space import MatrixFunction
 from oracles import kernel_datum_distance, unit_sphere_net_reference
 
 TAU = 2 * math.pi
-
-
-def wide_constants(eps=0.3, gamma=0.3):
-    return ContourConstants(
-        epsilon=eps, c1=8.0, c2=8.0, c3=8.0,
-        m_threshold=1000.0, gamma=gamma, log_eps_prime=-50.0,
-    )
 
 
 def interior_points(rng, n, rmax=0.8):
@@ -109,22 +101,22 @@ class TestBuildContourNets:
             assert val == pytest.approx(smin, abs=1e-12)
             assert smin < 0.1
 
-    @pytest.mark.parametrize("constants", [None, wide_constants(eps=0.09)])
+    @pytest.mark.parametrize("constants", [None, {"c3": 1e-6}])
     def test_star_norms_are_kernel_datum_distances(self, constants):
         # dist{(k_lam e, 0), K} = ||P_+(Theta* k_lam e)|| = ||Theta(lam)* e||;
-        # the wide level eps**2 puts 75 points on the contour with norms 0.3
+        # the small c3 widens the disks to gamma = eps**2 = 0.09
         theta = MatrixFunction.diagonal([MatrixFunction.from_scalar_blaschke([0.4 + 0.2j]),
                                          MatrixFunction.from_scalar_blaschke([-0.3])])
         entry = build_contour_nets([theta], eps=0.3, alpha=0.05,
-                                   constants=constants).entries[0]
+                                   **(constants or {})).entries[0]
         assert len(entry.sigma) >= 2
         for lam, e, smin in zip(entry.sigma, entry.vectors, entry.star_norms):
             assert kernel_datum_distance(theta, lam, e, 2048) == pytest.approx(smin, abs=1e-12)
 
     def test_multi_point_net_with_wide_constants(self):
-        consts = wide_constants()
+        # the small c3 makes gamma = eps = 0.3
         fam = [MatrixFunction.from_scalar_blaschke([0.0])]
-        ps = build_contour_nets(fam, eps=consts.epsilon, alpha=0.05, constants=consts)
+        ps = build_contour_nets(fam, eps=0.3, alpha=0.05, c3=1e-6)
         entry = ps.entries[0]
         assert len(entry.sigma) > 3
         # net points live on the contour |z| = 0.3 and stay alpha-separated
@@ -275,10 +267,9 @@ class TestNetSplit:
             assert entry.part_products[0].zeros == entry.blaschke.zeros
 
     def test_split_recombines_multi_point_net(self):
-        consts = wide_constants()
         fam = [MatrixFunction.from_scalar_blaschke([0.0])]
-        ps = build_contour_nets(fam, eps=consts.epsilon, alpha=0.05, constants=consts)
-        split = epsilon_net_split(ps, eps=consts.epsilon)
+        ps = build_contour_nets(fam, eps=0.3, alpha=0.05, c3=1e-6)
+        split = epsilon_net_split(ps, eps=0.3)
         entry = split.entries[0]
         merged = sorted(
             (z for pts in entry.parts.values() for z in pts),

@@ -11,7 +11,6 @@ from carleson_kit.contour import (
     BoundedFunction,
     ContourConstants,
     ContourResult,
-    DiskSpec,
     Region,
     RepresentingMeasure,
     _extract_polylines,
@@ -27,6 +26,7 @@ from carleson_kit.disk import (
     kernel,
     polar,
     pseudo_hyperbolic,
+    pseudo_hyperbolic_disk,
     require_interior,
     turns,
 )
@@ -489,7 +489,7 @@ class TestContour:
         phi = BoundedFunction(outer_log=np.full(256, math.log(0.5)))
         result = bourgain_contour(phi, 0.1)
         assert result.polylines == ()
-        assert result.region.disks == ()
+        assert result.region.centers.size == result.region.radii.size == 0
         zs = np.array([0.0, 0.3 + 0.2j, -0.8j])
         assert not result.region.contains_many(zs).any()
 
@@ -513,6 +513,33 @@ class TestContour:
         assert result.region.contains_many(np.array([0.5 * gamma + 0j]))[0]
         assert not result.region.contains_many(np.array([1.5 * gamma + 0j]))[0]
 
+    def test_zeros_with_round_equal_circles_give_one_circle(self):
+        # two distinct zeros one ulp apart: their gamma-circles agree to 14
+        # digits, so the region keeps one circle, draws one polyline and
+        # takes the near samples around one disk, while membership is still
+        # the union of both disks
+        consts = wide_constants()
+        a = 0.5 + 0.25j
+        b = complex(np.nextafter(0.5, 1.0), 0.25)
+        phi = BoundedFunction(zeros=[b, a])
+        result = bourgain_contour(phi, consts.epsilon, constants=consts)
+        region = result.region
+        assert region.centers.tolist() == [pseudo_hyperbolic_disk(a, consts.gamma)[0]]
+        assert region.radii.tolist() == [pseudo_hyperbolic_disk(a, consts.gamma)[1]]
+        assert len(result.polylines) == 1
+        zs = np.random.default_rng(3).uniform(-0.7, 0.7, (4000, 2)) @ [1.0, 1j]
+        both = np.zeros(zs.shape, dtype=bool)
+        for z in (a, b):
+            c, r = pseudo_hyperbolic_disk(z, consts.gamma)
+            both |= np.abs(zs - c) < r
+        assert np.array_equal(region.contains_many(zs), both)
+        assert both.any() and not both.all()
+        # 2000 bulk samples and all 2001 near samples around the one disk,
+        # which lies well inside the unit disk
+        report = verify_region(phi, result, consts.epsilon, samples=4001,
+                               rng=np.random.default_rng(4))
+        assert report["samples"] == 4001
+
     def test_random_product_verifies(self):
         rng = np.random.default_rng(100)
         zeros = random_blaschke_zeros(rng, 12)
@@ -530,7 +557,7 @@ class TestContour:
         phi = BoundedFunction(zeros=[0.0])
         result = bourgain_contour(phi, consts.epsilon, constants=consts)
         corrupted = ContourResult(
-            region=Region(DiskSpec.around(d.center, 2 * d.gamma) for d in result.region.disks),
+            region=Region([pseudo_hyperbolic_disk(0.0, 2 * consts.gamma)]),
             polylines=result.polylines,
             constants=consts,
         )
@@ -583,26 +610,21 @@ def circle_crossings(c1, r1, c2, r2):
     return [c1 + (along + 1j * s * across) * unit for s in (1.0, -1.0)]
 
 
-def euclidean_disk(center, radius):
-    """A region disk given by its Euclidean center and radius."""
-    return DiskSpec(center=complex(center), gamma=0.5, eu_center=complex(center),
-                    eu_radius=radius)
-
-
 def clustered_disks(seed):
-    """Seeded gamma-disks around a cluster of zeros near one boundary point:
-    overlapping disks of several sizes, whose circles cut one another."""
+    """(center, radius) of seeded gamma-disks around a cluster of zeros near
+    one boundary point: overlapping disks of several sizes, whose circles
+    cut one another."""
     rng = np.random.default_rng(seed)
     ang = 1.0 + rng.uniform(-0.2, 0.2, 12)
     rad = 1.0 - 10.0 ** rng.uniform(-2.5, -0.5, 12)
     gamma = rng.uniform(0.05, 0.3)
-    return [DiskSpec.around(z, gamma) for z in rad * np.exp(1j * ang)]
+    return [pseudo_hyperbolic_disk(z, gamma) for z in rad * np.exp(1j * ang)]
 
 
 def own_circle(piece, disks):
-    """The index of the disk whose circle the piece runs along."""
+    """The index of the (center, radius) pair whose circle the piece runs along."""
     return min(range(len(disks)), key=lambda i: np.max(
-        np.abs(np.abs(piece - disks[i].eu_center) - disks[i].eu_radius)))
+        np.abs(np.abs(piece - disks[i][0]) - disks[i][1])))
 
 
 class TestBoundaryExtraction:
@@ -624,30 +646,28 @@ class TestBoundaryExtraction:
         ends = []
         for p in pieces:
             k = own_circle(p, disks)
-            for j, dj in enumerate(disks):
+            for j, (cj, rj) in enumerate(disks):
                 if j != k:
-                    assert np.all(np.abs(p - dj.eu_center) > dj.eu_radius - 1e-15)
+                    assert np.all(np.abs(p - cj) > rj - 1e-15)
             if p[0] != p[-1]:
                 ends += [(k, p[0]), (k, p[-1])]
         crossings = []
-        for k, dk in enumerate(disks):
-            for j, dj in enumerate(disks):
-                dist = abs(dj.eu_center - dk.eu_center)
-                if j != k and abs(dk.eu_radius - dj.eu_radius) < dist < dk.eu_radius + dj.eu_radius:
-                    crossings += [(k, x) for x in circle_crossings(
-                        dk.eu_center, dk.eu_radius, dj.eu_center, dj.eu_radius)]
+        for k, (ck, rk) in enumerate(disks):
+            for j, (cj, rj) in enumerate(disks):
+                if j != k and abs(rk - rj) < abs(cj - ck) < rk + rj:
+                    crossings += [(k, x) for x in circle_crossings(ck, rk, cj, rj)]
         for k, end in ends:
-            assert min(abs(end - x) for i, x in crossings if i == k) < 1e-12 * disks[k].eu_radius
+            assert min(abs(end - x) for i, x in crossings if i == k) < 1e-12 * disks[k][1]
         for k, x in crossings:
-            if all(abs(x - d.eu_center) > d.eu_radius + 1e-9 for d in disks
-                   if abs(abs(x - d.eu_center) - d.eu_radius) > 1e-9):
-                assert min(abs(end - x) for i, end in ends if i == k) < 1e-12 * disks[k].eu_radius
+            if all(abs(x - c) > r + 1e-9 for c, r in disks if abs(abs(x - c) - r) > 1e-9):
+                assert min(abs(end - x) for i, end in ends if i == k) < 1e-12 * disks[k][1]
         return pieces
 
     def test_two_overlapping_disks(self):
         phi = BoundedFunction(zeros=[0.0, 0.1 + 0.05j])
         result = bourgain_contour(phi, 0.3, constants=wide_constants())
-        pieces = self.check_pieces(result.region.disks)
+        disks = list(zip(result.region.centers.tolist(), result.region.radii.tolist()))
+        pieces = self.check_pieces(disks)
         assert all(np.array_equal(a, b) for a, b in zip(result.polylines, pieces))
         assert len(pieces) == 2 and all(p[0] != p[-1] for p in pieces)
 
@@ -658,7 +678,7 @@ class TestBoundaryExtraction:
         r, rj, angle = 0.3, 0.2, 0.7
         cj = (r + rj - depth) * cmath.exp(1j * angle)
         d = abs(cj)
-        pieces = _extract_polylines(Region([euclidean_disk(0.0, r), euclidean_disk(cj, rj)]))
+        pieces = _extract_polylines(Region([(0.0, r), (cj, rj)]))
         assert len(pieces) == 2
         piece = next(p for p in pieces if abs(abs(p[1]) - r) < 1e-12)
         # the half-angle at 0 of the covered arc (of length 2 r half), by the
@@ -680,29 +700,24 @@ class TestBoundaryExtraction:
         # 0.1 of 0.2, disk C those within 0.336 of 2 and disk D (inside C)
         # those within 0.1 of 2.1; B's arc comes first by its start, the gap
         # after it begins inside A, and D's arc ends before C's
-        disks = [euclidean_disk(0.0, 0.3), euclidean_disk(0.3, 0.15),
-                 euclidean_disk(0.3 * cmath.exp(0.2j), 0.03),
-                 euclidean_disk(0.3 * cmath.exp(2j), 0.1),
-                 euclidean_disk(0.3 * cmath.exp(2.1j), 0.03)]
+        disks = [(0.0, 0.3), (0.3, 0.15), (0.3 * cmath.exp(0.2j), 0.03),
+                 (0.3 * cmath.exp(2j), 0.1), (0.3 * cmath.exp(2.1j), 0.03)]
         pieces = self.check_pieces(disks)
         assert sorted(own_circle(p, disks) for p in pieces) == [0, 0, 1, 3]
 
     def test_external_and_internal_tangency(self):
         # externally tangent: neither open disk covers any of the other circle
-        pieces = _extract_polylines(Region([euclidean_disk(-0.25, 0.25),
-                                            euclidean_disk(0.25, 0.25)]))
+        pieces = _extract_polylines(Region([(-0.25, 0.25), (0.25, 0.25)]))
         assert len(pieces) == 2
         for p, c in zip(pieces, (-0.25, 0.25)):
             assert np.array_equal(p, self.closed_circle(c, 0.25))
         # internally tangent: the small circle is covered up to the tangent point
-        pieces = _extract_polylines(Region([euclidean_disk(0.0, 0.5),
-                                            euclidean_disk(0.25, 0.25)]))
+        pieces = _extract_polylines(Region([(0.0, 0.5), (0.25, 0.25)]))
         assert len(pieces) == 1
         assert np.array_equal(pieces[0], self.closed_circle(0.0, 0.5))
 
     def test_circle_inside_another_disk_draws_nothing(self):
-        pieces = _extract_polylines(Region([euclidean_disk(0.1 + 0.1j, 0.1),
-                                            euclidean_disk(0.0, 0.5)]))
+        pieces = _extract_polylines(Region([(0.1 + 0.1j, 0.1), (0.0, 0.5)]))
         assert len(pieces) == 1
         assert np.array_equal(pieces[0], self.closed_circle(0.0, 0.5))
 
@@ -710,18 +725,16 @@ class TestBoundaryExtraction:
         r = 0.3
         # the same circle twice, or rounding to the same key: drawn once
         for shift in (0.0, 1e-17):
-            pieces = _extract_polylines(Region([euclidean_disk(0.2, r),
-                                                euclidean_disk(0.2 + shift, r)]))
+            pieces = _extract_polylines(Region([(0.2, r), (0.2 + shift, r)]))
             assert len(pieces) == 1
             assert np.array_equal(pieces[0], self.closed_circle(0.2, r))
         # one center, radii 1e-13 apart: the larger circle covers the smaller
-        pieces = _extract_polylines(Region([euclidean_disk(0.2, r),
-                                            euclidean_disk(0.2, r + 1e-13)]))
+        pieces = _extract_polylines(Region([(0.2, r), (0.2, r + 1e-13)]))
         assert len(pieces) == 1
         assert np.array_equal(pieces[0], self.closed_circle(0.2, r + 1e-13))
         # one radius, centers 1e-13 apart: each circle keeps the half away
         # from the other center, between the crossings on the bisector
-        disks = [euclidean_disk(0.2, r), euclidean_disk(0.2 + 1e-13j, r)]
+        disks = [(0.2, r), (0.2 + 1e-13j, r)]
         pieces = self.check_pieces(disks)
         assert len(pieces) == 2
         for p, away in zip(pieces, (-1.0, 1.0)):
@@ -734,8 +747,7 @@ class TestBoundaryExtraction:
         # meets the other, so both are drawn whole, the samples next to the
         # gap included
         r, gap = 0.3, 1e-5
-        pieces = _extract_polylines(Region([euclidean_disk(-r, r),
-                                            euclidean_disk(r + gap, r)]))
+        pieces = _extract_polylines(Region([(-r, r), (r + gap, r)]))
         assert len(pieces) == 2
         for p, c in zip(pieces, (-r, r + gap)):
             assert np.array_equal(p, self.closed_circle(c, r))
@@ -754,14 +766,15 @@ class TestBoundaryExtraction:
             for p in _extract_polylines(Region(disks)):
                 k = own_circle(p, disks)
                 ends = () if p[0] == p[-1] else (p[0], p[-1])
-                out.append((disks[k].eu_radius, np.array((disks[k].eu_center,) + ends)))
+                out.append((disks[k][1], np.array((disks[k][0],) + ends)))
             return out
 
         disks = clustered_disks(seed)
         want = pieces(disks)
         # z -> -z keeps the orientation of each piece, z -> conj(z) reverses it
         for mapped, order in ((np.negative, [0, 1, 2]), (np.conj, [0, 2, 1])):
-            got = pieces([DiskSpec.around(mapped(d.center), d.gamma) for d in disks])
+            # the pseudo-hyperbolic disk of the mapped zero is the mapped disk
+            got = pieces([(mapped(c), r) for c, r in disks])
             assert len(got) == len(want)
             for r, points in want:
                 image = mapped(points)[order[:points.size]]

@@ -328,8 +328,7 @@ def test_extract_critical_subset_matches_reference_greedy():
             groups = [[pts[i] for i in order[j:j + 2]] for j in range(0, len(pts), 2)]
         else:
             groups = [[pts[i]] for i in order]
-        labels = [f"m{i}" for i in range(len(groups))]
-        system = SubspaceSystem.from_kernel_groups(groups, labels=labels)
+        system = SubspaceSystem.from_kernel_groups(groups)
         delta = float(rng.uniform(1.0, 3.0)) * uniform_minimality(system)
         want = extraction_oracle(system, delta)
         assert extract_critical_subset(system, delta) == want
@@ -348,7 +347,7 @@ def test_extract_critical_subset_on_planted_cluster():
     delta = 2.0 * m0
     subset = extract_critical_subset(system, delta)
     assert subset is not None
-    sub = system.subsystem([system.labels.index(s) for s in subset])
+    sub = system.subsystem(subset)
     # the witness is genuinely below delta and minimal for that property
     assert uniform_minimality(sub) < delta
     for k in range(len(subset)):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from carleson_kit.errors import DomainError
-from carleson_kit.weights import Weight, classify_weight, p0_norm_check
+from carleson_kit.weights import Weight, _dyadic_a2, classify_weight, p0_norm_check
 from oracles import dyadic_a2_oracle, toeplitz_centre_oracles
 
 TAU = 2 * math.pi
@@ -87,10 +87,13 @@ def test_stored_samples_and_max_size():
     vals = 1.0 + 0.5 * np.cos(TAU * np.arange(1 << 12) / (1 << 12))
     w = Weight.from_samples(vals)
     assert w.max_size == 1 << 12
-    out = classify_weight(w, base_depth=8, max_depth=12)
+    # grids of 2^8 to 2^12 samples
+    out = classify_weight(w)
     assert out["level"] == 5
-    with pytest.raises(DomainError):
-        classify_weight(w, base_depth=11, max_depth=14)
+    assert len(out["a2_trace"]) == 5
+    # 2^9 stored samples allow only the grids 2^8 and 2^9
+    with pytest.raises(DomainError, match="fewer than three refinements"):
+        classify_weight(Weight.from_samples(vals[::8]))
 
 
 @pytest.mark.parametrize("weight", [
@@ -222,12 +225,13 @@ A2_WEIGHTS = {
 @pytest.mark.parametrize("name", sorted(A2_WEIGHTS))
 def test_a2_pyramid_matches_the_per_level_oracle(name):
     # grids of 8 to 16384 samples; the pyramid sums in another order than
-    # the per-level means, so agreement is to rounding, and exact for inf
+    # the per-level means, so agreement is to rounding, and exact for inf.
+    # classify_weight reads the grids from 256 samples up
     w = A2_WEIGHTS[name]()
-    out = classify_weight(w, base_depth=3, max_depth=14)
     sizes = [1 << d for d in range(3, 15)]
-    assert len(out["a2_trace"]) == len(sizes)
-    for size, a2 in zip(sizes, out["a2_trace"]):
+    trace = [_dyadic_a2(w.samples(size), w.reciprocal(size)) for size in sizes]
+    assert classify_weight(w)["a2_trace"] == trace[5:]
+    for size, a2 in zip(sizes, trace):
         expected = dyadic_a2_oracle(w.samples(size), w.reciprocal(size))
         if math.isinf(expected):
             assert a2 == expected
