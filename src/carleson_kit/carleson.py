@@ -30,11 +30,16 @@ from .disk import (
 )
 from .errors import DomainError
 
-# the kernel test's layer series: atoms per block, relative tail, and rows
-# per chunk of the direct sum at the interior atoms
-_KERNEL_BLOCK = 32
+# the kernel test's layer series: atoms per power table, and the relative
+# tail at which a layer's series stops; kernel values per chunk of the
+# direct sum at the interior atoms, which bounds its temporaries whatever the
+# number of atoms (a measure of up to 512 atoms takes one chunk)
+_KERNEL_BLOCK = 64
 _KERNEL_TAIL = 2.0 ** -60
-_KERNEL_ROWS = 512
+_KERNEL_CHUNK = 2 ** 18
+# per layer (r, n) of the grid, the scales r^n, r^1, ..., r^(n-1) that turn
+# the sums of p^s into those of w^s, at frequency s mod n
+_KERNEL_SCALES = [r ** np.r_[n, 1:n] for r, n in grid_layers()]
 # segments per block of the curve norm, and (segment, arc) pairs per chunk
 # of one depth within a block: the block bounds the per-segment arrays
 # (about 20 numbers a segment) and the depth's pair index arrays, the chunk
@@ -282,7 +287,8 @@ def kernel_test_constant(measure: DiscreteMeasure) -> float:
 
     The grid is ``hyperbolic_grid()`` plus the interior atoms of the measure
     themselves, which is where the supremum concentrates.  The origin gives
-    the total mass, and the interior atoms are summed directly (N x N).
+    the total mass, and the interior atoms are summed directly (N x N), in
+    chunks of about ``_KERNEL_CHUNK`` kernel values.
 
     Layer m of the grid (radius r, n angles theta_k = 2 pi k / n; see
     ``grid_layers``) is summed by its Fourier series.  With w_i = r p_i its
@@ -300,14 +306,21 @@ def kernel_test_constant(measure: DiscreteMeasure) -> float:
 
     This is well conditioned: |w|^n <= (1 - 0.75 * 2**-m)^(8 * 2**m) < e^-6.
     The atoms are sorted by radius and taken in blocks of ``_KERNEL_BLOCK``.
-    A block whose largest |w| is rho keeps the powers s <= J =
+    In a layer, a block whose largest |w| is rho keeps the powers s <= J =
     ceil(log(2**-60 (1 - rho)) / log rho).  Where J < n it also drops
     B_0 and the factor 1/(1 - w^n), since |w|^n < rho^J: each of the three
     cuts moves S by at most 2 sum_i c_i rho^J / ((1 - rho)(1 - e^-6)), so
     the error is below 2**-57 C, and C is the layer's mean value.  Where
-    J >= n the block takes all n powers in the closed form.  The powers come
-    from a cumulative product and are contracted with ``np.einsum``: a
-    threaded BLAS matrix-vector product of this shape can stall.
+    J >= n the block takes all n powers in the closed form.
+
+    Since w^s = r^s p^s, one table of p^s per block serves all the layers:
+    it is built once, by repeated doubling, up to the most powers any layer
+    keeps, min(J, n).  Each layer contracts its first min(J, n) columns with
+    its own coefficients, c_i or c_i / (1 - r^n p_i^n), and scales the sums
+    by r^s once all blocks are in.  The contractions run on the table's real
+    and imaginary parts with ``np.einsum``: a threaded BLAS
+    matrix-vector product of this shape stalls when another process holds
+    the other cores.
     """
     if not isinstance(measure, DiscreteMeasure):
         raise DomainError("kernel test is defined for discrete measures")
@@ -318,37 +331,71 @@ def kernel_test_constant(measure: DiscreteMeasure) -> float:
     points, masses = measure.points[order], measure.masses[order]
     best = float(masses.sum())  # lam = 0
     interior = points[radius[order] < 1.0 - 1e-12]
-    for k in range(0, interior.size, _KERNEL_ROWS):
-        lam = interior[k : k + _KERNEL_ROWS, None]
+    rows = max(1, _KERNEL_CHUNK // points.size)
+    for k in range(0, interior.size, rows):
+        lam = interior[k : k + rows, None]
         # |lam| by hypot, as throughout the package (1 - |lam|^2 cancels)
         kern = (1.0 - _modulus(lam) ** 2) / np.abs(1.0 - np.conj(lam) * points) ** 2
         best = max(best, float(np.einsum("ij,j->i", kern, masses).max()))
-    for r, n in grid_layers():
-        best = max(best, float(_kernel_layer(points, masses, r, n).max()))
+    for values in _kernel_layers(points, masses):
+        best = max(best, float(values.max()))
     return best
 
 
-def _kernel_layer(points: np.ndarray, masses: np.ndarray, r: float, n: int) -> np.ndarray:
-    """Kernel-test values at r exp(2 pi i k / n), k = 0 .. n-1, by the layer
-    series of :func:`kernel_test_constant`; ``points`` sorted by modulus."""
-    w = r * points
-    radius = r * np.abs(points)
-    c = masses * (1.0 - r * r) / (1.0 - radius ** 2)
-    b = np.zeros(n, dtype=complex)
-    for k in range(0, w.size, _KERNEL_BLOCK):
-        wb, cb = w[k : k + _KERNEL_BLOCK], c[k : k + _KERNEL_BLOCK]
-        rho = radius[k + wb.size - 1]
-        if rho == 0.0:
+def _kernel_layers(points: np.ndarray, masses: np.ndarray) -> list:
+    """Kernel-test values at r exp(2 pi i k / n), k = 0 .. n-1, on each layer
+    (r, n) of ``grid_layers()``, by the layer series of
+    :func:`kernel_test_constant`; ``points`` sorted by modulus."""
+    modulus = np.abs(points)
+    radii, angles = map(np.array, zip(*grid_layers()))
+    ends = radii ** angles  # r^n
+    # c_i, one row a layer
+    c = masses * (1.0 - radii * radii)[:, None] / (1.0 - (radii[:, None] * modulus) ** 2)
+    # per layer, sum_i coefficient_i p_i^s over the blocks at index s = 1 .. n
+    sums = [np.zeros(n + 1, dtype=complex) for n in angles]
+    for k in range(0, points.size, _KERNEL_BLOCK):
+        block = slice(k, k + _KERNEL_BLOCK)
+        largest = modulus[block][-1]
+        if largest == 0.0:  # atoms at the origin add nothing to the series
             continue
-        terms = math.ceil(math.log(_KERNEL_TAIL * (1.0 - rho)) / math.log(rho))
-        powers = np.cumprod(np.broadcast_to(wb, (min(terms, n), wb.size)), axis=0)
-        if terms < n:
-            b[1 : terms + 1] += np.einsum("sj,j->s", powers, cb)
-        else:
-            g = cb / (1.0 - powers[-1])
-            b[1:] += np.einsum("sj,j->s", powers[:-1], g)
-            b[0] += np.einsum("j,j->", powers[-1], g)
-    return c.sum() + 2.0 * np.fft.fft(b).real
+        rho = radii * largest
+        terms = np.ceil(np.log(_KERNEL_TAIL * (1.0 - rho)) / np.log(rho))
+        keep = np.minimum(terms, angles).astype(int)
+        table = _powers(points[block], int(keep.max()))
+        parts = table.view(float)  # columns 2s - 2 and 2s - 1: p^s's real and imaginary parts
+        cb = c[:, block]
+        truncated = terms < angles
+        for m in np.flatnonzero(truncated).tolist():
+            j = keep[m]
+            sums[m][1 : j + 1] += np.einsum("j,js->s", cb[m], parts[:, : 2 * j]).view(complex)
+        closed = np.flatnonzero(~truncated)
+        if closed.size:
+            # c_i / (1 - w_i^n), its real and imaginary parts stacked
+            g = cb[closed] / (1.0 - ends[closed, None] * table[:, angles[closed] - 1].T)
+            g = np.stack((g.real, g.imag), axis=1)
+            for m, gm in zip(closed.tolist(), g):
+                n = angles[m]
+                u = np.einsum("tj,js->ts", gm, parts[:, : 2 * n])
+                sums[m][1:] += u[0].view(complex) + 1j * u[1].view(complex)
+    out = []
+    for n, scale, coef, acc in zip(angles, _KERNEL_SCALES, c, sums):
+        acc[0] = acc[n]  # p^n aliases onto frequency 0
+        out.append(coef.sum() + 2.0 * np.fft.fft(scale * acc[:n]).real)
+    return out
+
+
+def _powers(p: np.ndarray, count: int) -> np.ndarray:
+    """The table p^s, s = 1 .. count, of shape (p.size, count): column s - 1
+    holds p^s.  Each pass doubles the columns, p^(k + s) = p^s p^k, so a
+    power takes at most about log2(s) rounded products."""
+    out = np.empty((p.size, count), dtype=complex)
+    out[:, 0] = p
+    k = 1
+    while k < count:
+        m = min(k, count - k)
+        np.multiply(out[:, :m], out[:, k - 1 : k], out=out[:, k : k + m])
+        k += m
+    return out
 
 
 def embedding_constant_empirical(measure: DiscreteMeasure, test_degree: int) -> float:

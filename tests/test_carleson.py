@@ -10,7 +10,7 @@ from carleson_kit import carleson, disk
 from carleson_kit.carleson import (
     CurveMeasure,
     DiscreteMeasure,
-    _kernel_layer,
+    _kernel_layers,
     carleson_norm,
     embedding_constant_empirical,
     kernel_test_constant,
@@ -523,12 +523,29 @@ def _kernel_oracle_measures():
     cases["grid-rays"] = rays
     pts = rng.uniform(0.0, 1.0, 150) ** 0.25 * np.exp(1j * rng.uniform(0.0, TAU, 150))
     cases["six-decades"] = list(zip(pts, 10.0 ** rng.uniform(-6.0, 0.0, 150)))
-    for n in (1, 31, 32, 33, 400):  # one, and either side of a block edge
+    for n in (1, 31, 32, 33, 400):  # one atom, part of a block, and many blocks
         atoms = _disk_atoms(rng, n)
         if n > 1:
             atoms[0] = (cmath.exp(1j * rng.uniform(0.0, TAU)), atoms[0][1])
         cases[f"disk-{n}"] = atoms
     cases["inner-33"] = _disk_atoms(rng, 33, r_max=0.6)
+    block = carleson._KERNEL_BLOCK
+    for n in (block - 1, block, block + 1):  # either side of a power table's edge
+        atoms = _disk_atoms(rng, n)
+        atoms[0] = (cmath.exp(1j * rng.uniform(0.0, TAU)), atoms[0][1])
+        cases[f"disk-{n}"] = atoms
+    # a whole block at the origin, which the layer series skips, then atoms
+    # at the origin that share a block with nonzero ones
+    cases["origin-block"] = [(0.0, 0.5)] * (block + 5) + _disk_atoms(rng, 2 * block, 0.9)
+    # a block at radius 0.995 keeps the closed form up to layer 9 and
+    # truncates layer 10's series; a block at 0.999 takes every layer in the
+    # closed form, up to n = 8192
+    for radius in (0.995, 0.999):
+        theta = rng.uniform(0.0, TAU, block)
+        cases[f"radius-{radius}"] = list(zip(radius * np.exp(1j * theta),
+                                             rng.uniform(0.1, 2.0, block)))
+    cases["radius-0.995"] += _disk_atoms(rng, block, 0.5)
+    cases["radius-0.999"] += cases["radius-0.995"]
     return cases
 
 
@@ -542,13 +559,59 @@ def test_kernel_test_constant_matches_direct_sum(name):
     points, masses = measure.points[order], measure.masses[order]
     # each layer within 1e-11 of its largest value: far from the mass the
     # values are small differences of the series' terms
-    for r, n in grid_layers():
+    layers = grid_layers()
+    values = _kernel_layers(points, masses)
+    assert len(values) == len(layers)
+    for (r, n), got in zip(layers, values):
         want = _direct_kernel_sums(measure, r * np.exp(1j * TAU * np.arange(n) / n))
-        got = _kernel_layer(points, masses, r, n)
+        assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-11 * want.max(), (r, n)
     interior = measure.points[np.abs(measure.points) < 1.0 - 1e-12]
     want = _direct_kernel_sums(measure, np.concatenate([hyperbolic_grid(), interior])).max()
     assert abs(kernel_test_constant(measure) - want) <= 1e-12 * want
+
+
+def test_kernel_layers_cover_both_series_forms():
+    # the layer series keeps the powers s <= J of a block whose largest |w|
+    # is rho, and takes the closed form where J >= n: the radius cases of
+    # the oracle above hold a block of each kind named there
+    def forms(radius):
+        rho = np.array([r for r, _ in grid_layers()]) * radius
+        terms = np.ceil(np.log(carleson._KERNEL_TAIL * (1.0 - rho)) / np.log(rho))
+        return (terms >= [n for _, n in grid_layers()]).tolist()
+
+    assert forms(0.995) == [True] * 10 + [False]
+    assert forms(0.999) == [True] * 11
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 63, 64, 65, 150, 400])
+def test_kernel_test_constant_symmetry(size):
+    # the grid maps onto itself under z -> -z (every layer's n is even) and
+    # z -> conj(z), and so do the interior atoms: the constant must not move.
+    # Inside the disk the supremum falls on an interior atom; an atom on the
+    # circle moves it onto the grid's outermost layer.
+    rng = np.random.default_rng(1000 + size)
+    inner = _disk_atoms(rng, size, r_max=0.99)
+    rim = [(cmath.exp(1j * rng.uniform(0.0, TAU)), 1.0)] + inner[1:]
+    for atoms in (inner, rim):
+        want = kernel_test_constant(DiscreteMeasure(atoms))
+        for image in (lambda z: -z, np.conj):
+            got = kernel_test_constant(DiscreteMeasure([(image(p), m) for p, m in atoms]))
+            assert abs(got - want) <= 1e-13 * want
+
+
+def test_kernel_test_constant_memory_is_bounded():
+    # the direct sum at the interior atoms takes chunks of _KERNEL_CHUNK
+    # kernel values (4 MiB a complex temporary), whatever the number of atoms
+    rng = np.random.default_rng(4000)
+    measure = DiscreteMeasure(_disk_atoms(rng, 4000, r_max=0.99))
+    tracemalloc.start()
+    try:
+        kernel_test_constant(measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
 
 
 def test_embedding_constant_small_cases():
