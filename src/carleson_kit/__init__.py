@@ -12,7 +12,7 @@ from .carleson import (CurveMeasure, DiscreteMeasure, carleson_norm,
 from .construction import (ContourNetEntry, PointSystem, build_contour_nets,
                            check_two_eps_margins, condition_sums, epsilon_net_split,
                            lemma_10_1_check, measure_c_alpha, n_power_for,
-                           product_defect_bound, unit_sphere_net, validate_epsilon_choice)
+                           unit_sphere_net, validate_epsilon_choice)
 from .contour import (BoundedFunction, ContourConstants, ContourResult,
                       RepresentingMeasure, bourgain_contour, check_potential_bounds,
                       select_bad_intervals, verify_region)
@@ -23,8 +23,7 @@ from .errors import (ContourBoundError, DomainError, LinearDependenceError,
 from .hardy import BoundaryGrid, poisson_sum, riesz_project
 from .model_space import MatrixFunction, kernel_grid, project_model
 from .riesz import (GramFactor, SubspaceSystem, embedding_norm,
-                    extract_critical_subset, orthogonalizer_condition,
-                    skew_projection_norm, tensor_bound_check, uniform_minimality)
+                    extract_critical_subset, uniform_minimality)
 from .weights import Weight, classify_weight, p0_norm_check
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, net_is_valid, place_net_on_curve
 from .contour import ContourConstants, ContourResult, BoundedFunction, bourgain_contour
-from .errors import DomainError, NetValidityError
+from .errors import DomainError, LinearDependenceError, NetValidityError
 from .hardy import poisson_sum
 from .model_space import BOUNDARY_SIZE, MatrixFunction
 from . import riesz
@@ -52,13 +52,6 @@ def canonical_phase(v) -> np.ndarray:
     if abs(piv) <= 0:
         raise DomainError("zero vector has no canonical phase")
     return arr * (np.conj(piv) / abs(piv))
-
-
-def product_defect_bound(alphas) -> tuple[float, float]:
-    """(1 - prod alphas, sum (1 - alpha)): the left never exceeds the right
-    for values in [0, 1]."""
-    arr = np.asarray(alphas, dtype=float)
-    return float(1.0 - np.prod(arr)), float(np.sum(1.0 - arr))
 
 
 @dataclass(frozen=True)
@@ -112,14 +105,20 @@ def measure_c_alpha(ps: PointSystem) -> float:
     """Observed orthogonalizer condition of the kernel families over the nets.
 
     Empty and singleton nets contribute 1.  This is the measured stand-in
-    for the separation-only constant of the net points.
+    for the separation-only constant of the net points.  A net whose
+    kernels are numerically dependent (``from_kernel_groups`` or
+    ``GramFactor`` raises LinearDependenceError) has no finite condition:
+    the result is then math.inf, which a report writes as null.
     """
     worst = 1.0
     for entry in ps.entries:
         if len(entry.sigma) < 2:
             continue
-        system = riesz.SubspaceSystem.from_kernel_groups([[p] for p in entry.sigma])
-        worst = max(worst, riesz.orthogonalizer_condition(system))
+        try:
+            system = riesz.SubspaceSystem.from_kernel_groups([[p] for p in entry.sigma])
+            worst = max(worst, riesz.GramFactor(system).condition())
+        except LinearDependenceError:
+            return math.inf
     return worst
 
 

@@ -38,16 +38,6 @@ def _block_slices(ranks) -> list[slice]:
     return [slice(end - k, end) for k, end in zip(ranks, accumulate(ranks))]
 
 
-def _embedding(gram: np.ndarray) -> np.ndarray:
-    """C^H for G = C C^H: its columns realize the spanning elements in C^n.
-    LinearDependenceError when G is not numerically positive definite."""
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise LinearDependenceError("kernel elements are numerically dependent") from exc
-    return np.conj(chol).T
-
-
 class SubspaceSystem:
     """Finite family of subspaces given by orthonormal frames.
 
@@ -104,16 +94,20 @@ class SubspaceSystem:
         """Subspaces spanned by reproducing kernels at groups of disk points.
 
         ``groups`` is a list of point lists.  With ``vectors`` (matching
-        nested lists of direction vectors e) the spanning elements are the
-        tensors k_lambda (x) e.  The joint Gram matrix is factored as
-        G = C C^H and the columns of C^H realize the elements in C^n.
+        nested lists of direction vectors e, all of one length) the spanning
+        elements are the tensors k_lambda (x) e.  The joint Gram matrix is
+        factored as G = C C^H and the columns of C^H realize the elements in
+        C^n; LinearDependenceError when G is not numerically positive
+        definite.
         """
-        pts, dirs, sizes = [], [], []
+        groups = [list(grp) for grp in groups]
+        sizes = [len(grp) for grp in groups]
+        if vectors is not None and [len(v) for v in vectors] != sizes:
+            raise DomainError("vectors must hold one direction per point of each group")
+        pts, dirs = [], []
         for gi, grp in enumerate(groups):
-            grp = list(grp)
             if not grp:
                 raise DomainError("empty kernel group")
-            sizes.append(len(grp))
             for pi, p in enumerate(grp):
                 pts.append(require_interior(p))
                 if vectors is not None:
@@ -127,9 +121,15 @@ class SubspaceSystem:
         # change of G to ~1e-8 relative
         gram = kernel_inner(p[:, None], p[None, :])
         if vectors is not None:
+            if len({e.size for e in dirs}) != 1:
+                raise DomainError("direction vectors must share one length")
             d = np.array(dirs)
-            gram *= d @ np.conj(d).T  # np.vdot(e_j, e_i) at (i, j)
-        emb = _embedding(gram)
+            gram *= np.conj(d) @ d.T  # np.vdot(e_i, e_j) at (i, j), as kernel_inner
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError as exc:
+            raise LinearDependenceError("kernel elements are numerically dependent") from exc
+        emb = np.conj(chol).T
         return cls([np.linalg.qr(emb[:, sl])[0] for sl in _block_slices(sizes)])
 
 
@@ -206,11 +206,6 @@ class GramFactor:
         return residual
 
 
-def orthogonalizer_condition(system: SubspaceSystem) -> float:
-    """Condition number sqrt(lmax(G)/lmin(G)) of the joint Gram matrix."""
-    return GramFactor(system).condition()
-
-
 def _minimality_from_r(r: np.ndarray, slices: list[slice]) -> float:
     """Uniform minimality of the frames whose stack V has QR factor ``r``.
 
@@ -247,14 +242,6 @@ def uniform_minimality(system: SubspaceSystem) -> float:
     """
     r = np.linalg.qr(system.stacked(), mode="r")
     return _minimality_from_r(r, system.block_slices())
-
-
-def skew_projection_norm(system: SubspaceSystem, onto) -> float:
-    """Norm of the skew projection onto the subspaces ``onto`` along the rest."""
-    onto = sorted(set(onto))
-    if not onto or any(i < 0 or i >= len(system) for i in onto):
-        raise DomainError("selection must be a nonempty subset of subspace indices")
-    return GramFactor(system).skew_norms([onto])[0]
 
 
 def embedding_norm(system: SubspaceSystem) -> float:
@@ -295,36 +282,3 @@ def extract_critical_subset(system: SubspaceSystem, delta: float):
         else:
             break
     return current
-
-
-def tensor_bound_check(points, e_dim: int, trials: int, rng) -> dict:
-    """Frame bounds for sums of kernel tensors sum k_lambda (x) f_lambda.
-
-    For random coefficient vectors f_lambda in C^e_dim the squared norm of
-    the sum must lie between lmin(G) and lmax(G) times sum ||f_lambda||^2,
-    G the kernel Gram matrix.  Returns the worst margins over the draws.
-    """
-    p = np.array([require_interior(z) for z in points], dtype=complex)
-    n = len(p)
-    if n == 0 or e_dim <= 0 or trials <= 0:
-        raise DomainError("need points, a positive dimension and trials")
-    gram = kernel_inner(p[:, None], p[None, :])
-    w = np.linalg.eigvalsh(gram)
-    lo, hi = float(w[0]), float(w[-1])
-    emb = _embedding(gram)
-    worst_lo = math.inf
-    worst_hi = math.inf
-    for _ in range(trials):
-        coeff = rng.standard_normal((n, e_dim)) + 1j * rng.standard_normal((n, e_dim))
-        total = emb @ coeff  # (n, e_dim), rows of C^n tensored against C^e
-        norm_sq = float(np.sum(np.abs(total) ** 2))
-        coeff_sq = float(np.sum(np.abs(coeff) ** 2))
-        worst_lo = min(worst_lo, norm_sq - lo * coeff_sq)
-        worst_hi = min(worst_hi, hi * coeff_sq - norm_sq)
-    return {
-        "lower_eigenvalue": lo,
-        "upper_eigenvalue": hi,
-        "worst_lower_margin": worst_lo,
-        "worst_upper_margin": worst_hi,
-        "passed": worst_lo >= -1e-10 and worst_hi >= -1e-10,
-    }

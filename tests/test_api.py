@@ -85,7 +85,6 @@ def test_every_public_method_has_a_caller():
 TEST_ONLY_DEFAULTS = {
     "epsilon_net_split(net_vectors)": "a test plants a far net",
     "select_bad_intervals(depth_floor)": "the unpruned oracle runs at floors 8 to 16",
-    "from_kernel_groups(vectors)": "tensored families, ROADMAP item 2",
 }
 
 

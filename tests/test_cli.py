@@ -520,6 +520,20 @@ class TestExitCodes:
         assert (rep["constants"]["c1"], rep["constants"]["c2"], rep["constants"]["c3"]) == (
             1e-4, 8.0, 8.0)
 
+    @pytest.mark.parametrize("choice_flags", [[], ["--cv", "2", "--delta", "0.5"]])
+    def test_construct_dependent_net_is_a_result(self, tmp_path, choice_flags):
+        # c3 = 1e-6 widens the determinant contour's disks until the net has
+        # 74 points whose kernel Gram fails its Cholesky: c_alpha has no
+        # finite value and reads null, and only the level choice can fail
+        inp = write_json(tmp_path, "family.json", {"families": [[[0.5, 0], [-0.3, 0.2]]]})
+        code, rep = run_to_file(tmp_path, [
+            "construct", "--input", inp, "--epsilon", "0.3", "--alpha", "0.05",
+            "--depth", "4", "--seed", "1", "--c3", "1e-6"] + choice_flags)
+        assert rep["quantities"]["sigma_sizes"] == [74]
+        assert rep["quantities"]["c_alpha"] is None
+        failed = [c["name"] for c in rep["checks"] if not c["passed"]]
+        assert (code, failed) == ((1, ["epsilon-choice"]) if choice_flags else (0, []))
+
 
     def test_boolean_point_is_refused(self, tmp_path, capsys):
         # JSON false is a Python int; it must not read as the origin

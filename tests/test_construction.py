@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from carleson_kit.construction import (
     lemma_10_1_check,
     measure_c_alpha,
     n_power_for,
-    product_defect_bound,
     unit_sphere_net,
     validate_epsilon_choice,
 )
@@ -45,17 +45,6 @@ def test_canonical_phase_pins_the_largest_component():
         assert np.allclose(rotated, w, atol=1e-12)
     with pytest.raises(DomainError):
         canonical_phase(np.zeros(3))
-
-
-def test_product_defect_bound_inequality():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        alphas = rng.uniform(0, 1, int(rng.integers(1, 9)))
-        left, right = product_defect_bound(alphas)
-        assert left <= right + 1e-12
-        assert left == pytest.approx(1 - np.prod(alphas))
-    left, right = product_defect_bound([0.7])
-    assert left == pytest.approx(right)
 
 
 class TestBuildContourNets:
@@ -477,3 +466,9 @@ def test_measure_c_alpha_two_point_net():
     ps = PointSystem(epsilon=0.1, alpha=0.05, entries=(synthetic,))
     g = math.sqrt(3) / 2
     assert measure_c_alpha(ps) == pytest.approx(math.sqrt((1 + g) / (1 - g)), rel=1e-10)
+    # a dependent net has no finite condition: the Cholesky of the kernel
+    # Gram and the spectrum test of GramFactor each refuse one
+    for sigma in ((0.5 + 0j, 0.5 + 0j), (0.5 + 0j, 0.5 + 1e-7j)):
+        dependent = replace(synthetic, sigma=sigma)
+        ps = PointSystem(epsilon=0.1, alpha=0.05, entries=(synthetic, dependent))
+        assert measure_c_alpha(ps) == math.inf

@@ -10,9 +10,6 @@ from carleson_kit.riesz import (
     SubspaceSystem,
     embedding_norm,
     extract_critical_subset,
-    orthogonalizer_condition,
-    skew_projection_norm,
-    tensor_bound_check,
     uniform_minimality,
 )
 from oracles import (dual_residual, dual_system, extraction_oracle, member_minimality,
@@ -68,7 +65,7 @@ def test_system_construction_and_validation():
 
 def test_orthonormal_system_is_perfectly_conditioned():
     sys3 = lines(np.eye(4)[:, :3].T)
-    assert orthogonalizer_condition(sys3) == pytest.approx(1.0)
+    assert GramFactor(sys3).condition() == pytest.approx(1.0)
     assert uniform_minimality(sys3) == pytest.approx(1.0)
     assert embedding_norm(sys3) == pytest.approx(1.0)
 
@@ -80,7 +77,7 @@ def test_two_vector_condition_closed_form():
     v1 = np.array([1.0, 0.0])
     v2 = np.array([c, math.sqrt(1 - c * c)])
     sys2 = lines([v1, v2])
-    assert orthogonalizer_condition(sys2) == pytest.approx(math.sqrt((1 + c) / (1 - c)))
+    assert GramFactor(sys2).condition() == pytest.approx(math.sqrt((1 + c) / (1 - c)))
     # minimality for two unit vectors is their sine distance
     assert uniform_minimality(sys2) == pytest.approx(math.sqrt(1 - c * c))
 
@@ -89,7 +86,7 @@ def test_dependent_systems_are_rejected_where_it_matters():
     v = np.array([1.0, 0.0])
     sys_dep = lines([v, v])
     with pytest.raises(LinearDependenceError):
-        orthogonalizer_condition(sys_dep)
+        GramFactor(sys_dep)
     # the embedding constant is defined regardless of independence
     assert embedding_norm(sys_dep) == pytest.approx(2.0)
     # R has a zero pivot
@@ -116,17 +113,15 @@ def test_skew_projection_matches_blaschke_formula():
     for _ in range(15):
         pts = separated_points(rng, int(rng.integers(2, 6)))
         system = SubspaceSystem.from_kernel_groups([[p] for p in pts])
-        for i, lam in enumerate(pts):
-            got = skew_projection_norm(system, [i])
-            want = projection_norm_formula(pts, lam)
-            assert got == pytest.approx(want, rel=1e-8)
+        want = [projection_norm_formula(pts, lam) for lam in pts]
+        assert GramFactor(system).singleton_skew_norms() == pytest.approx(want, rel=1e-8)
 
 
 def test_skew_projection_of_whole_system_is_identity():
     rng = np.random.default_rng(25)
     pts = separated_points(rng, 3)
     system = SubspaceSystem.from_kernel_groups([[p] for p in pts])
-    assert skew_projection_norm(system, [0, 1, 2]) == pytest.approx(1.0, abs=1e-10)
+    assert GramFactor(system).skew_norms([[0, 1, 2]]) == pytest.approx([1.0], abs=1e-10)
 
 
 def test_dual_system_biorthogonality():
@@ -244,8 +239,9 @@ def test_skew_norms_of_members_invert_their_minimality():
     rng = np.random.default_rng(56)
     for rho in np.geomspace(0.5, 1e-2, 20):
         system = near_duplicate_system(rng, int(rng.integers(3, 8)), rho)
-        assert orthogonalizer_condition(system) <= 1e3
-        skew = GramFactor(system).singleton_skew_norms()
+        factor = GramFactor(system)
+        assert factor.condition() <= 1e3
+        skew = factor.singleton_skew_norms()
         for n, s in enumerate(skew):
             assert s * member_minimality(system, n) == pytest.approx(1.0, abs=1e-10)
         assert uniform_minimality(system) * max(skew) == pytest.approx(1.0, abs=1e-10)
@@ -258,15 +254,15 @@ def assert_skew_norms_match_pencil(system, rng):
     to a multiple of cond(G) eps = cond^2 eps, cond the orthogonalizer
     condition.
     """
-    tol = 16.0 * orthogonalizer_condition(system) ** 2 * np.finfo(float).eps
-    got = GramFactor(system).singleton_skew_norms()
+    factor = GramFactor(system)
+    tol = 16.0 * factor.condition() ** 2 * np.finfo(float).eps
+    got = factor.singleton_skew_norms()
     assert got == pytest.approx([skew_norm_oracle(system, [n]) for n in range(len(system))],
                                 rel=tol)
-    assert [skew_projection_norm(system, [n]) for n in range(len(system))] == got
     onto = sorted(rng.choice(len(system), int(rng.integers(1, len(system) + 1)),
                              replace=False).tolist())
-    assert skew_projection_norm(system, onto) == pytest.approx(
-        skew_norm_oracle(system, onto), rel=tol)
+    assert factor.skew_norms([onto]) == pytest.approx([skew_norm_oracle(system, onto)],
+                                                      rel=tol)
 
 
 def test_skew_norms_match_pencil_on_mixed_ranks():
@@ -299,7 +295,7 @@ def test_skew_norms_match_pencil_on_near_duplicate_kernels():
     worst_cond = 0.0
     for rho in np.geomspace(1e-1, 3e-5, 30):
         system = near_duplicate_system(rng, int(rng.integers(3, 9)), rho)
-        worst_cond = max(worst_cond, orthogonalizer_condition(system))
+        worst_cond = max(worst_cond, GramFactor(system).condition())
         assert_skew_norms_match_pencil(system, rng)
     assert worst_cond > 1e5
 
@@ -309,8 +305,6 @@ def test_skew_norms_refuse_a_dependent_system():
     dependent = lines([v, [0.0, 1.0], v])
     with pytest.raises(LinearDependenceError):
         GramFactor(dependent).singleton_skew_norms()
-    with pytest.raises(LinearDependenceError):
-        skew_projection_norm(dependent, [1])
 
 
 def test_extract_critical_subset_matches_reference_greedy():
@@ -368,23 +362,62 @@ def test_extract_critical_subset_none_when_separated():
         extract_critical_subset(system, 0.0)
 
 
-def test_tensor_bound_check_margins():
-    rng = np.random.default_rng(77)
-    pts = separated_points(rng, 4)
-    out = tensor_bound_check(pts, e_dim=3, trials=200, rng=rng)
-    assert out["passed"]
-    assert out["worst_lower_margin"] >= -1e-10
-    assert out["worst_upper_margin"] >= -1e-10
-    assert out["lower_eigenvalue"] > 0
-    with pytest.raises(DomainError):
-        tensor_bound_check(pts, e_dim=0, trials=10, rng=rng)
-
-
 def test_coincident_points_are_a_linear_dependence_everywhere():
-    # both kernel embeddings refuse a singular Gram matrix with the
-    # package's DomainError, not numpy's LinAlgError
-    rng = np.random.default_rng(5)
-    with pytest.raises(LinearDependenceError):
-        tensor_bound_check([0.5, 0.5], 2, 3, rng)
+    # the kernel embedding refuses a singular Gram matrix with the
+    # package's DomainError, not numpy's LinAlgError, with or without
+    # directions
     with pytest.raises(LinearDependenceError):
         SubspaceSystem.from_kernel_groups([[0.5], [0.5]])
+    with pytest.raises(LinearDependenceError):
+        SubspaceSystem.from_kernel_groups([[0.5], [0.5]], [[[1j, 0]], [[1j, 0]]])
+
+
+def test_kernel_directions_must_match_the_groups():
+    # a mismatch is the package's DomainError, not numpy's ValueError
+    # ("inhomogeneous shape") or IndexError
+    groups = [[0.1, 0.5j], [-0.4]]
+    with pytest.raises(DomainError, match="one length"):
+        SubspaceSystem.from_kernel_groups(groups, [[[1, 0], [0, 1]], [[1, 1, 0]]])
+    with pytest.raises(DomainError, match="one direction per point"):
+        SubspaceSystem.from_kernel_groups(groups, [[[1, 0], [0, 1]]])
+    with pytest.raises(DomainError, match="one direction per point"):
+        SubspaceSystem.from_kernel_groups(groups, [[[1, 0]], [[0, 1]]])
+    with pytest.raises(DomainError, match="zero direction"):
+        SubspaceSystem.from_kernel_groups(groups, [[[1, 0], [0, 1]], [[0, 0]]])
+
+
+def kernel_family(rng, tensored):
+    """Seeded groups of 1-3 separated points, with directions in C^2..C^4 or None."""
+    sizes = [int(k) for k in rng.integers(1, 4, int(rng.integers(2, 6)))]
+    pts = separated_points(rng, sum(sizes), min_rho=0.25)
+    e_dim = int(rng.integers(2, 5))
+    groups, vectors, start = [], [], 0
+    for k in sizes:
+        groups.append(pts[start:start + k])
+        vectors.append([rng.standard_normal(e_dim) + 1j * rng.standard_normal(e_dim)
+                        for _ in range(k)])
+        start += k
+    return groups, vectors if tensored else None
+
+
+def test_kernel_systems_are_moebius_invariant():
+    # phi(z) = e^{it}(a - z)/(1 - conj(a) z) sends each normalized kernel to
+    # a unimodular multiple of a normalized kernel, so the Gram of the
+    # tensors k_lambda (x) e is conjugated by a diagonal unitary and every
+    # subspace diagnostic stays.  Each route forms a Gram matrix, which
+    # costs cond^2 u: agreement within 16 cond^2 u relative
+    rng = np.random.default_rng(63)
+    u = np.finfo(float).eps
+    for k in range(40):
+        groups, vectors = kernel_family(rng, tensored=k % 2 == 1)
+        a = 0.5 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, TAU))
+        rot = np.exp(1j * rng.uniform(0, TAU))
+        moved = [[complex(rot * (a - z) / (1 - np.conj(a) * z)) for z in g] for g in groups]
+        before = SubspaceSystem.from_kernel_groups(groups, vectors)
+        after = SubspaceSystem.from_kernel_groups(moved, vectors)
+        f_before, f_after = GramFactor(before), GramFactor(after)
+        tol = 16.0 * f_before.condition() ** 2 * u
+        assert f_after.condition() == pytest.approx(f_before.condition(), rel=tol)
+        assert uniform_minimality(after) == pytest.approx(uniform_minimality(before), rel=tol)
+        assert f_after.singleton_skew_norms() == pytest.approx(
+            f_before.singleton_skew_norms(), rel=tol)
