@@ -2,7 +2,11 @@
 sequences, and greedy nets on curves with pseudo-hyperbolic mesh.
 log|B| has one implementation, :func:`blaschke_log_abs`, also the Blaschke
 part of ``contour.BoundedFunction.log_abs``; |B| is ``abs(B(z))``, faster
-for few zeros than exp of the blocked sum.
+for few zeros than exp of the chunked sum.  The sum takes the
+pseudo-hyperbolic distances in chunks of zeros, each zero's row running
+along all the points in reused buffers (:func:`_rho_chunks`); the nearest
+zero of a point set (``contour.check_potential_bounds``,
+:func:`net_is_valid`) is the minimum over the same chunks.
 """
 
 from __future__ import annotations
@@ -12,19 +16,65 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import carleson as carleson_mod
-from .disk import _modulus, blaschke_factor, layer_index, pseudo_hyperbolic, require_interior
+from .disk import (
+    _interior,
+    _modulus,
+    _pseudo_hyperbolic_into,
+    blaschke_factor,
+    layer_index,
+    pseudo_hyperbolic,
+    require_interior,
+)
 from .errors import DomainError
 
-# largest (points x zeros) block of the sum in blaschke_log_abs
+# distances per chunk of _rho_chunks (at least one row of all the points)
 _LOG_BLOCK = 2 ** 15
+
+
+def _rho_chunks(zeros: np.ndarray, pts: np.ndarray):
+    """pseudo_hyperbolic(zeros[:, None], pts[None, :]) in chunks of
+    max(1, _LOG_BLOCK // pts.size) rows, one row per zero, each row along
+    all of the 1-d ``pts``.  The chunks are views of buffers that are
+    reused for the next chunk; both arrays must be checked interior."""
+    rows = max(1, _LOG_BLOCK // max(1, pts.size))
+    shape = (min(rows, zeros.size), pts.size)
+    rho, den, work = np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex)
+    for start in range(0, zeros.size, rows):
+        lam = zeros[start : start + rows, None]
+        k = lam.shape[0]
+        yield _pseudo_hyperbolic_into(lam, pts, rho[:k], den[:k], work[:k])
+
+
+def _min_pseudo_hyperbolic(zeros, points) -> np.ndarray:
+    """min over ``zeros`` of pseudo_hyperbolic(zero, p) at each p of the 1-d
+    ``points``, in the chunks of :func:`blaschke_log_abs`; DomainError unless
+    all of them are interior.  ``zeros`` must be nonempty."""
+    zeros = _interior(zeros, "Blaschke zero")
+    pts = _interior(points)
+    out = np.full(pts.shape, np.inf)
+    for rho in _rho_chunks(zeros, pts):
+        np.minimum(out, rho.min(axis=0), out=out)
+    return out
 
 
 def blaschke_log_abs(zeros, zs: np.ndarray) -> np.ndarray:
     """log|B| at each entry of ``zs``, B the product over ``zeros`` (with
-    multiplicity); DomainError for |z| > 1 + 1e-12 unless ``zeros`` is empty."""
+    multiplicity); DomainError for |z| > 1 + 1e-12 unless ``zeros`` is empty.
+
+    The sum of log pseudo_hyperbolic runs over chunks of zeros, each row
+    along all the interior points (see :func:`_rho_chunks`), so every numpy
+    loop is as long as the points and at most max(_LOG_BLOCK, points)
+    distances are held at once.  Each distance has the bits of
+    :func:`pseudo_hyperbolic`; the sum over the zeros runs down each chunk
+    and then over the chunks in turn.  For n zeros a, the result is within
+    16 n u sum_a (|log rho_a| + 1 / |1 - conj(a) z|) of a ``math.fsum`` of
+    the terms (u = 2^-53): each log rho is rounded by an absolute amount,
+    which cancellation in 1 - conj(a) z can amplify.
+    """
     out = np.zeros(zs.shape, dtype=float)
     if not zeros:
         return out
+    zeros = _interior(zeros, "Blaschke zero")
     # |b_lam| = 1 on the circle, so only interior points add to the sum;
     # points off the closed disk are refused.  One modulus gives both tests
     # (in_open_disk is modulus < 1).
@@ -32,17 +82,11 @@ def blaschke_log_abs(zeros, zs: np.ndarray) -> np.ndarray:
     if not np.all(modulus <= 1.0 + 1e-12):
         raise DomainError("the Blaschke part is defined on the closed disk only")
     inner = modulus < 1.0
-    pts = zs[inner][:, None]
-    zeros = np.array(zeros)[None, :]
-    # row blocks of at most _LOG_BLOCK entries stay in cache and bound the
-    # memory; each row is still summed along one contiguous axis, so every
-    # sum has the bits of the one-shot (points, zeros) array
-    rows = max(1, _LOG_BLOCK // zeros.size)
-    sums = np.empty(pts.shape[0])
+    pts = zs[inner]
+    sums = np.zeros(pts.shape)
     with np.errstate(divide="ignore"):
-        for start in range(0, pts.shape[0], rows):
-            rho = pseudo_hyperbolic(zeros, pts[start : start + rows])
-            sums[start : start + rows] = np.sum(np.log(rho, out=rho), axis=1)
+        for rho in _rho_chunks(zeros, pts):
+            sums += np.log(rho, out=rho).sum(axis=0)
     out[inner] = sums
     return out
 
@@ -179,8 +223,7 @@ def net_is_valid(vertices, net, alpha: float) -> tuple[bool, bool, bool]:
         d = pseudo_hyperbolic(arr[:, None], arr[None, :])
         np.fill_diagonal(d, np.inf)
         separated = bool(d.min() > alpha)
-    dv = pseudo_hyperbolic(arr[None, :], verts[:, None])
-    dense = bool(np.all(dv.min(axis=1) < alpha))
+    dense = bool(np.all(_min_pseudo_hyperbolic(arr, verts) < alpha))
     product = BlaschkeProduct(arr)
     product_small = bool(np.all(np.abs(product(verts)) < alpha))
     return separated, dense, product_small

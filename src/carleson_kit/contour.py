@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import blaschke_log_abs
+from .blaschke import _min_pseudo_hyperbolic, blaschke_log_abs
 from .carleson import CurveMeasure, carleson_norm
 from .disk import (
     TAU,
@@ -38,7 +38,6 @@ from .disk import (
     in_square,
     kernel,
     polar,
-    pseudo_hyperbolic,
     pseudo_hyperbolic_disk,
     require_interior,
     turns,
@@ -186,7 +185,7 @@ def check_potential_bounds(phi: BoundedFunction, eps: float, points) -> dict:
     neglog = -phi.log_abs(zs)
     pot = phi.representing_measure().potential(zs)
     if phi.zeros:
-        min_b = np.min(pseudo_hyperbolic(np.array(phi.zeros)[None, :], zs[:, None]), axis=1)
+        min_b = _min_pseudo_hyperbolic(phi.zeros, zs)
     else:
         min_b = np.ones(zs.shape)
     lower_margin = neglog - pot

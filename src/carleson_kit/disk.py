@@ -21,7 +21,10 @@ The metric and kernel primitives (:func:`pseudo_hyperbolic`, :func:`kernel`,
 arguments give a float or a complex.  Each of them is the package's one
 implementation of its formula.  Every entry that must be an
 interior point is checked: |z| >= 1 or nan raises :class:`DomainError`.
-log|B| is ``blaschke.blaschke_log_abs``, a sum of log :func:`pseudo_hyperbolic`.
+The arithmetic of :func:`pseudo_hyperbolic` is ``_pseudo_hyperbolic_into``,
+unchecked and writing into buffers the caller owns; log|B|
+(``blaschke.blaschke_log_abs``) runs it over chunks of zeros, so each
+distance has the bits :func:`pseudo_hyperbolic` gives it.
 
 A Carleson square exists only as its membership test: :func:`in_square` of
 the turn and modulus that :func:`polar` gives a point, over an arc of turns.
@@ -85,6 +88,16 @@ def blaschke_factor(lam, z):
     return complex(out) if np.isscalar(z) else out
 
 
+def _pseudo_hyperbolic_into(lam, mu, out, den, work):
+    """The arithmetic of :func:`pseudo_hyperbolic`, unchecked: writes
+    |lam - mu| / |1 - conj(lam) mu| into the float array ``out``, with the
+    float array ``den`` and the complex array ``work`` (both of ``out``'s
+    shape, the broadcast shape) as scratch, and returns ``out``."""
+    np.abs(np.subtract(lam, mu, out=work), out=out)
+    np.subtract(1.0, np.multiply(np.conj(lam), mu, out=work), out=work)
+    return np.divide(out, np.abs(work, out=den), out=out)
+
+
 def pseudo_hyperbolic(lam, mu):
     """Pseudo-hyperbolic distance |b_lam(mu)| = |lam - mu| / |1 - conj(lam) mu|.
 
@@ -93,7 +106,9 @@ def pseudo_hyperbolic(lam, mu):
     """
     lam_a = _interior(lam)
     mu_a = _interior(mu)
-    out = np.abs(lam_a - mu_a) / np.abs(1.0 - np.conj(lam_a) * mu_a)
+    shape = np.broadcast(lam_a, mu_a).shape
+    out = _pseudo_hyperbolic_into(lam_a, mu_a, np.empty(shape), np.empty(shape),
+                                  np.empty(shape, dtype=complex))
     return float(out) if np.isscalar(lam) and np.isscalar(mu) else out
 
 

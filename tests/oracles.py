@@ -224,6 +224,32 @@ def poisson_sum_reference(samples, z):
     return out.reshape(zs.shape)
 
 
+def log_abs_oracle(zeros, z):
+    """(log|B(z)|, its rounding scale) for B the product over ``zeros``, at
+    one point, in pure Python with no library code.
+
+    log|B(z)| is the ``math.fsum`` of math.log(|z - a| / |1 - conj(a) z|)
+    over the zeros a: -inf at a zero, and 0 for |z| >= 1, where |B| = 1 on
+    the circle (the library refuses points beyond it).  The scale is
+    sum_a (|log rho_a| + 1 / |1 - conj(a) z|): each log rho is rounded
+    relative to rho, so by an absolute amount that cancellation in
+    1 - conj(a) z can amplify, not relative to |log rho|.
+    """
+    z = complex(z)
+    if not abs(z) < 1.0:
+        return 0.0, 0.0
+    logs, scale = [], []
+    for a in zeros:
+        a = complex(a)
+        den = abs(1 - a.conjugate() * z)
+        rho = abs(z - a) / den
+        if rho == 0.0:
+            return -math.inf, math.inf
+        logs.append(math.log(rho))
+        scale.append(abs(logs[-1]) + 1.0 / den)
+    return math.fsum(logs), math.fsum(scale)
+
+
 def outer_log_at(log_modulus, z):
     """log h(z) of the outer function via the Herglotz quadrature, at one point.
 

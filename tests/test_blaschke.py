@@ -153,6 +153,20 @@ def test_net_is_valid_flags_sparse_net():
     assert not product_small
 
 
+def test_net_density_is_the_one_shot_minimum_bit_for_bit():
+    # 50 net points in chunks of 32 over 1001 vertices: the dense flag flips
+    # exactly at the largest vertex-to-net distance of one (vertices, net)
+    # array, as a minimum taken in any order must
+    rng = np.random.default_rng(12)
+    net = random_interior(rng, 50)
+    verts = random_interior(rng, 1001)
+    worst = np.min(pseudo_hyperbolic(net[None, :], verts[:, None]), axis=1).max()
+    assert not net_is_valid(verts, net, worst)[1]
+    assert net_is_valid(verts, net, np.nextafter(worst, 1.0))[1]
+    with pytest.raises(DomainError):
+        net_is_valid(np.append(verts, 1.0), net, 0.05)
+
+
 def test_net_separation_flag():
     a, b = 0.0, 0.01
     assert pseudo_hyperbolic(a, b) < 0.05

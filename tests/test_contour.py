@@ -32,6 +32,7 @@ from carleson_kit.disk import (
 )
 from carleson_kit.errors import ContourBoundError, DomainError
 from carleson_kit.hardy import poisson_sum
+from oracles import log_abs_oracle
 
 TAU = 2 * math.pi
 
@@ -186,35 +187,85 @@ class TestBoundedFunction:
                 phi.log_abs(z)
 
 
-def one_shot_log_abs(zeros, zs):
-    """The Blaschke part of log|phi| from one (points, zeros) array."""
+def chunked_log_abs(zeros, zs):
+    """The Blaschke part of log|phi| in blaschke_log_abs's order, from one
+    (zeros, points) distance array: each chunk of rows summed down its
+    columns, the chunks added in turn."""
     out = np.zeros(zs.shape)
     inner = np.hypot(zs.real, zs.imag) < 1.0
-    rho = pseudo_hyperbolic(np.asarray(zeros)[None, :], zs[inner][:, None])
+    rho = pseudo_hyperbolic(np.asarray(zeros)[:, None], zs[inner][None, :])
+    rows = max(1, blaschke_mod._LOG_BLOCK // rho.shape[1])
+    sums = np.zeros(rho.shape[1])
     with np.errstate(divide="ignore"):
-        out[inner] = np.sum(np.log(rho), axis=1)
+        for start in range(0, rho.shape[0], rows):
+            sums += np.log(rho[start : start + rows]).sum(axis=0)
+    out[inner] = sums
     return out
+
+
+def assert_within_the_oracle_bound(zeros, zs, got):
+    """|got - log|B|| <= C n u scale at every point, against the fsum oracle.
+
+    Each side's log rho is off by up to about 2 ulp of the log plus rho's
+    relative rounding, (4 + sqrt(5) / |1 - conj(a) z|) u, and the sum adds
+    at most (n - 1) u sum |log rho| in any order; C = 16 covers both
+    sides.  The worst seen is 6.5, at one zero.
+    """
+    n = len(zeros)
+    for value, z in zip(got, zs):
+        want, scale = log_abs_oracle(zeros, z)
+        if math.isinf(want):
+            assert value == want
+        else:
+            assert abs(value - want) <= 16 * n * 2.0 ** -53 * scale
 
 
 class TestLogAbsBlocks:
     @pytest.mark.parametrize("n_zeros, n_points", [
         (1, 40_000), (7, 10_001), (50, 10_001), (2**15 + 1, 5),
     ])
-    def test_blocks_match_the_one_shot_sum_bit_for_bit(self, n_zeros, n_points):
-        # point counts that no block size divides, except for 2**15 + 1
-        # zeros, where every block is one row
+    def test_chunks_match_the_chunk_order_bit_for_bit(self, n_zeros, n_points):
+        # zero counts that the chunk size does not divide, so the last
+        # chunk is short, except for one zero, where every chunk is one row
         rng = np.random.default_rng(n_zeros)
         zeros = random_blaschke_zeros(rng, n_zeros, rmax=0.95)
         zs = random_blaschke_zeros(rng, n_points, rmax=0.999)
         # a point at a zero (-inf) and points on the circle (0)
         zs[:5] = [zeros[0], 1.0, -1.0, 1j, -1j]
-        rows = max(1, blaschke_mod._LOG_BLOCK // n_zeros)
-        assert n_points > rows and n_points % rows or rows == 1
+        # the four circle points drop out of the sum
+        rows = max(1, blaschke_mod._LOG_BLOCK // (n_points - 4))
+        assert n_zeros > rows and n_zeros % rows or rows == 1
         got = BoundedFunction(zeros=zeros).log_abs(zs)
-        want = one_shot_log_abs(zeros, zs)
         assert got[0] == -math.inf
         assert (got[1:5] == 0.0).all()
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, chunked_log_abs(zeros, zs))
+
+    @pytest.mark.parametrize("n_zeros, n_points", [
+        (1, 3001), (2, 3001), (7, 3001), (50, 1001), (2**15 + 1, 5), (1000, 1),
+    ])
+    def test_sum_matches_the_fsum_oracle(self, n_zeros, n_points):
+        rng = np.random.default_rng(n_zeros)
+        zeros = random_blaschke_zeros(rng, n_zeros, rmax=0.95)
+        # a point at a zero (-inf) and points on the circle (0) come first
+        zs = np.concatenate([[zeros[0], 1.0, -1j], random_blaschke_zeros(rng, n_points, rmax=0.999)])
+        got = blaschke_mod.blaschke_log_abs(tuple(zeros), zs)
+        assert got[0] == -math.inf
+        assert (got[1:3] == 0.0).all()
+        assert_within_the_oracle_bound(zeros, zs, got)
+
+    def test_repeated_zero_next_to_the_point_stays_finite(self):
+        # a product of the 50 distances (1.5e-9 each) underflows to 0
+        a = 0.5 + 0.3j
+        zs = np.array([a + 1e-9])
+        got = blaschke_mod.blaschke_log_abs((a,) * 50, zs)
+        assert np.isfinite(got).all()
+        assert_within_the_oracle_bound([a] * 50, zs, got)
+        assert got[0] == pytest.approx(-1015.3875210254553, rel=1e-14)
+
+    def test_tiny_distance_does_not_underflow(self):
+        # rho = 1e-190: its square, 1e-380, underflows to 0 and gives -inf
+        got = blaschke_mod.blaschke_log_abs((1e-190,), np.array([2e-190 + 0j]))
+        assert got[0] == math.log(1e-190) == -437.4911676688687
 
     def test_memory_stays_in_blocks(self):
         # 10,000 points x 1,000 zeros: one (points, zeros) complex array
@@ -231,7 +282,8 @@ class TestLogAbsBlocks:
         assert peak < 16e6
 
     def test_modulus_of_the_points_is_taken_once(self, monkeypatch):
-        # both the closed-disk refusal and the open-disk mask read it
+        # both the closed-disk refusal and the open-disk mask read it; the
+        # zeros are checked once too
         rng = np.random.default_rng(8)
         phi = BoundedFunction(zeros=random_blaschke_zeros(rng, 50))
         zs = random_blaschke_zeros(rng, 1000)
@@ -244,9 +296,10 @@ class TestLogAbsBlocks:
 
         monkeypatch.setattr(disk, "_modulus", counted)
         monkeypatch.setattr(blaschke_mod, "_modulus", counted)
-        # blocks of 655 rows: only the whole-array modulus has 1000 entries
+        # chunks of 32 zeros: one modulus of the 1000 points and one of the
+        # 50 zeros, none per chunk
         assert np.array_equal(phi.log_abs(zs), want)
-        assert sizes.count(zs.size) == 1
+        assert sorted(sizes) == [50, zs.size]
 
 
 class TestPotentialBounds:
@@ -276,6 +329,16 @@ class TestPotentialBounds:
         out = check_potential_bounds(phi, 0.1, pts)
         assert not out["hypothesis_ok"]
         assert out["worst_lower"] >= -1e-12
+
+    @pytest.mark.parametrize("n_zeros, n_points", [(50, 10_001), (2**15 + 1, 5)])
+    def test_min_blaschke_is_the_one_shot_minimum_bit_for_bit(self, n_zeros, n_points):
+        # taken in chunks of zeros; a minimum does not depend on the order
+        rng = np.random.default_rng(n_zeros)
+        zeros = random_blaschke_zeros(rng, n_zeros, rmax=0.95)
+        zs = random_blaschke_zeros(rng, n_points, rmax=0.95)
+        out = check_potential_bounds(BoundedFunction(zeros=zeros), 0.1, zs)
+        want = np.min(pseudo_hyperbolic(zeros[None, :], zs[:, None]), axis=1)
+        assert np.array_equal(out["min_blaschke"], want)
 
     def test_eps_domain_guard(self):
         phi = BoundedFunction(zeros=[0.1])
