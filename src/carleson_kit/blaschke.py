@@ -4,9 +4,10 @@ log|B| has one implementation, :func:`blaschke_log_abs`, also the Blaschke
 part of ``contour.BoundedFunction.log_abs``; |B| is ``abs(B(z))``, faster
 for few zeros than exp of the chunked sum.  The sum takes the
 pseudo-hyperbolic distances in chunks of zeros, each zero's row running
-along all the points in reused buffers (:func:`_rho_chunks`); the nearest
-zero of a point set (``contour.check_potential_bounds``,
-:func:`net_is_valid`) is the minimum over the same chunks.
+along all the points in reused buffers (:func:`_rho_chunks`), from
+1 - |a|^2 of the zeros alone; the nearest zero of a point set
+(``contour.check_potential_bounds``, :func:`net_is_valid`) is the minimum
+over the same chunks.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .disk import (
     _pseudo_hyperbolic_into,
     blaschke_factor,
     layer_index,
+    one_minus_sq,
     pseudo_hyperbolic,
     require_interior,
 )
@@ -34,15 +36,18 @@ _LOG_BLOCK = 2 ** 15
 def _rho_chunks(zeros: np.ndarray, pts: np.ndarray):
     """pseudo_hyperbolic(zeros[:, None], pts[None, :]) in chunks of
     max(1, _LOG_BLOCK // pts.size) rows, one row per zero, each row along
-    all of the 1-d ``pts``.  The chunks are views of buffers that are
-    reused for the next chunk; both arrays must be checked interior."""
+    all of the 1-d ``pts``, from one_minus_sq of the zeros alone.  The
+    chunks are views of buffers that are reused for the next chunk; both
+    arrays must be checked interior."""
     rows = max(1, _LOG_BLOCK // max(1, pts.size))
     shape = (min(rows, zeros.size), pts.size)
+    defects = one_minus_sq(zeros)[:, None]
     rho, den, work = np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex)
     for start in range(0, zeros.size, rows):
         lam = zeros[start : start + rows, None]
         k = lam.shape[0]
-        yield _pseudo_hyperbolic_into(lam, pts, rho[:k], den[:k], work[:k])
+        yield _pseudo_hyperbolic_into(lam, pts, defects[start : start + k], rho[:k], den[:k],
+                                      work[:k])
 
 
 def _min_pseudo_hyperbolic(zeros, points) -> np.ndarray:
@@ -65,11 +70,10 @@ def blaschke_log_abs(zeros, zs: np.ndarray) -> np.ndarray:
     along all the interior points (see :func:`_rho_chunks`), so every numpy
     loop is as long as the points and at most max(_LOG_BLOCK, points)
     distances are held at once.  Each distance has the bits of
-    :func:`pseudo_hyperbolic`; the sum over the zeros runs down each chunk
-    and then over the chunks in turn.  For n zeros a, the result is within
-    16 n u sum_a (|log rho_a| + 1 / |1 - conj(a) z|) of a ``math.fsum`` of
-    the terms (u = 2^-53): each log rho is rounded by an absolute amount,
-    which cancellation in 1 - conj(a) z can amplify.
+    :func:`pseudo_hyperbolic`, a few u (u = 2^-53) from rho anywhere in the
+    disk; the sum over the zeros runs down each chunk and then over the
+    chunks in turn.  For n zeros a, the result is within
+    16 n u sum_a (|log rho_a| + 1) of a ``math.fsum`` of the exact terms.
     """
     out = np.zeros(zs.shape, dtype=float)
     if not zeros:
@@ -150,35 +154,38 @@ def interpolation_constants(points, depth: int = 12) -> InterpolationReport:
     """delta, separation alpha and the Carleson norm of the point-mass measure."""
     pts = _check_distinct(points)
     n = len(pts)
+    arr = np.asarray(pts, dtype=complex)
     if n == 1:
         delta = 1.0
         alpha = 1.0
     else:
-        arr = np.asarray(pts, dtype=complex)
-        dist = pseudo_hyperbolic(arr[:, None], arr[None, :])
-        np.fill_diagonal(dist, 1.0)
+        dist = _distances(arr)
         alpha = float(dist.min())
         delta = float(np.exp(np.log(dist).sum(axis=1).min()))
-    measure = carleson_mod.DiscreteMeasure([(p, 1.0 - abs(p) ** 2) for p in pts])
+    measure = carleson_mod.DiscreteMeasure(zip(pts, one_minus_sq(arr).tolist()))
     norm = carleson_mod.carleson_norm(measure, depth)
     return InterpolationReport(delta=delta, alpha=alpha, carleson_norm=norm)
 
 
-def projection_norm_formula(points, lam) -> float:
-    """Norm of the skew projection onto the kernel at lam along the others.
+def _distances(arr: np.ndarray) -> np.ndarray:
+    """The pseudo-hyperbolic distance matrix of the 1-d ``arr``, with ones on
+    its diagonal."""
+    dist = pseudo_hyperbolic(arr[:, None], arr[None, :])
+    np.fill_diagonal(dist, 1.0)
+    return dist
 
-    Equals (prod_{mu != lam} |b_mu(lam)|)^{-1}; lam must belong to the
-    sequence.
+
+def projection_norm_formula(points) -> list[float]:
+    """Norm of the skew projection onto the kernel at each point lam of the
+    sequence along the others, in the order of ``points``.
+
+    Equals (prod_{mu != lam} |b_mu(lam)|)^{-1}, a column product of one
+    distance matrix.
     """
-    pts = _check_distinct(points)
-    lam = complex(lam)
-    if lam not in pts:
-        raise DomainError("lam must be one of the sequence points")
-    others = np.array([mu for mu in pts if mu != lam], dtype=complex)
-    prod = float(np.prod(pseudo_hyperbolic(others, lam)))
-    if prod == 0.0:
+    prod = _distances(np.asarray(_check_distinct(points), dtype=complex)).prod(axis=0)
+    if not prod.all():
         raise DomainError("degenerate sequence: coinciding points")
-    return 1.0 / prod
+    return (1.0 / prod).tolist()
 
 
 def place_net_on_curve(vertices, alpha: float) -> list[complex]:

@@ -21,22 +21,20 @@ import numpy as np
 
 from .disk import (
     TAU,
-    _modulus,
+    _kernel_sums,
     dyadic_index,
     grid_layers,
     in_layer,
     in_square,
+    one_minus_sq,
     polar,
 )
 from .errors import DomainError
 
 # the kernel test's layer series: atoms per power table, and the relative
-# tail at which a layer's series stops; kernel values per chunk of the
-# direct sum at the interior atoms, which bounds its temporaries whatever the
-# number of atoms (a measure of up to 512 atoms takes one chunk)
+# tail at which a layer's series stops
 _KERNEL_BLOCK = 64
 _KERNEL_TAIL = 2.0 ** -60
-_KERNEL_CHUNK = 2 ** 18
 # per layer (r, n) of the grid, the scales r^n, r^1, ..., r^(n-1) that turn
 # the sums of p^s into those of w^s, at frequency s mod n
 _KERNEL_SCALES = [r ** np.r_[n, 1:n] for r, n in grid_layers()]
@@ -287,8 +285,8 @@ def kernel_test_constant(measure: DiscreteMeasure) -> float:
 
     The grid is ``hyperbolic_grid()`` plus the interior atoms of the measure
     themselves, which is where the supremum concentrates.  The origin gives
-    the total mass, and the interior atoms are summed directly (N x N), in
-    chunks of about ``_KERNEL_CHUNK`` kernel values.
+    the total mass, and the interior atoms are summed directly (N x N) by
+    ``disk._kernel_sums``, in chunks that bound its temporaries.
 
     Layer m of the grid (radius r, n angles theta_k = 2 pi k / n; see
     ``grid_layers``) is summed by its Fourier series.  With w_i = r p_i its
@@ -329,28 +327,28 @@ def kernel_test_constant(measure: DiscreteMeasure) -> float:
     radius = np.abs(measure.points)
     order = np.argsort(radius, kind="stable")
     points, masses = measure.points[order], measure.masses[order]
+    defects = one_minus_sq(points)
     best = float(masses.sum())  # lam = 0
-    interior = points[radius[order] < 1.0 - 1e-12]
-    rows = max(1, _KERNEL_CHUNK // points.size)
-    for k in range(0, interior.size, rows):
-        lam = interior[k : k + rows, None]
-        # |lam| by hypot, as throughout the package (1 - |lam|^2 cancels)
-        kern = (1.0 - _modulus(lam) ** 2) / np.abs(1.0 - np.conj(lam) * points) ** 2
-        best = max(best, float(np.einsum("ij,j->i", kern, masses).max()))
-    for values in _kernel_layers(points, masses):
+    inner = int(np.count_nonzero(radius < 1.0 - 1e-12))  # sorted first
+    if inner:
+        best = max(best, float(_kernel_sums(points[:inner], defects[:inner], points, defects,
+                                            masses).max()))
+    for values in _kernel_layers(points, defects, masses):
         best = max(best, float(values.max()))
     return best
 
 
-def _kernel_layers(points: np.ndarray, masses: np.ndarray) -> list:
+def _kernel_layers(points: np.ndarray, defects: np.ndarray, masses: np.ndarray) -> list:
     """Kernel-test values at r exp(2 pi i k / n), k = 0 .. n-1, on each layer
     (r, n) of ``grid_layers()``, by the layer series of
-    :func:`kernel_test_constant`; ``points`` sorted by modulus."""
+    :func:`kernel_test_constant`; ``points`` sorted by modulus, and
+    ``defects`` their one_minus_sq."""
     modulus = np.abs(points)
     radii, angles = map(np.array, zip(*grid_layers()))
     ends = radii ** angles  # r^n
-    # c_i, one row a layer
-    c = masses * (1.0 - radii * radii)[:, None] / (1.0 - (radii[:, None] * modulus) ** 2)
+    # c_i, one row a layer, with 1 - |w|^2 = (1 - r^2) + r^2 (1 - |p|^2)
+    d_radii = one_minus_sq(radii)[:, None]
+    c = masses * d_radii / (d_radii + (radii * radii)[:, None] * defects)
     # per layer, sum_i coefficient_i p_i^s over the blocks at index s = 1 .. n
     sums = [np.zeros(n + 1, dtype=complex) for n in angles]
     for k in range(0, points.size, _KERNEL_BLOCK):

@@ -227,7 +227,7 @@ def run_sequence(args: argparse.Namespace) -> dict:
     data, digest = _load_json_digest(args.input)
     points = _complex_list(data.get("points"), "points")
     rep = interpolation_constants(points, depth=args.depth)
-    norms = [projection_norm_formula(points, p) for p in points]
+    norms = projection_norm_formula(points)
     system = riesz.SubspaceSystem.from_kernel_groups([[p] for p in points])
     factor = riesz.GramFactor(system)
     gram_norms = factor.singleton_skew_norms()

@@ -32,11 +32,13 @@ from .carleson import CurveMeasure, carleson_norm
 from .disk import (
     TAU,
     Arc,
+    _interior,
+    _kernel_sums,
     dyadic_arc,
     in_layer,
     in_open_disk,
     in_square,
-    kernel,
+    one_minus_sq,
     polar,
     pseudo_hyperbolic_disk,
     require_interior,
@@ -86,11 +88,11 @@ class BoundedFunction:
     def log_abs(self, z) -> np.ndarray:
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         out = blaschke_log_abs(self.zeros, zs)
-        for ang, mass in self.singular_atoms:
-            # the boundary Poisson kernel at xi is |k_z(xi)|^2; disk.kernel
-            # refuses z off the open disk
-            xi = complex(math.cos(ang), math.sin(ang))
-            out -= mass * np.abs(kernel(zs, xi)) ** 2
+        if self.singular_atoms:
+            # the boundary Poisson kernel at xi is |k_z(xi)|^2, defined for
+            # z in the open disk only
+            circle, masses = _on_circle(self.singular_atoms)
+            out -= _poisson_mass(zs, circle, 0.0, masses)
         if self.outer_log is not None:
             out += poisson_sum(self.outer_log, zs)
         if np.isscalar(z) or isinstance(z, (complex, float, int)):
@@ -98,7 +100,7 @@ class BoundedFunction:
         return out
 
     def representing_measure(self) -> "RepresentingMeasure":
-        interior = tuple((lam, 0.5 * (1.0 - abs(lam) ** 2)) for lam in self.zeros)
+        interior = zip(self.zeros, (0.5 * one_minus_sq(self.zeros)).tolist())
         density = None if self.outer_log is None else np.clip(-self.outer_log, 0.0, None)
         return RepresentingMeasure(interior, self.singular_atoms, density)
 
@@ -154,20 +156,35 @@ class RepresentingMeasure:
 
         An atom at a takes |k_z(a)|^2 = (1 - |z|^2)/|1 - conj(z) a|^2, the
         boundary Poisson kernel when |a| = 1; for an interior atom of mass
-        (1 - |a|^2)/2 it equals (1 - |b_a(z)|^2)/2.  ``disk.kernel`` refuses
-        z off the open disk.
+        (1 - |a|^2)/2 it equals (1 - |b_a(z)|^2)/2.  z must lie in the open
+        disk.
         """
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.zeros(zs.shape, dtype=float)
-        for lam, m in self.interior_atoms:
-            out += m * np.abs(kernel(zs, lam)) ** 2
-        for ang, m in self.boundary_atoms:
-            out += m * np.abs(kernel(zs, complex(math.cos(ang), math.sin(ang)))) ** 2
+        inner = np.array([p for p, _ in self.interior_atoms], dtype=complex)
+        circle, masses = _on_circle(self.boundary_atoms)
+        atoms = np.concatenate([inner, circle])
+        defects = np.concatenate([one_minus_sq(inner), np.zeros(circle.size)])
+        masses = np.concatenate([[m for _, m in self.interior_atoms], masses])
+        out = _poisson_mass(zs, atoms, defects, masses)
         if self.density is not None:
             out += poisson_sum(self.density, zs)
         if np.isscalar(z) or isinstance(z, (complex, float, int)):
             return out[0]
         return out
+
+
+def _on_circle(atoms) -> tuple[np.ndarray, np.ndarray]:
+    """The points exp(i angle) and the masses of (angle, mass) atoms."""
+    angles = np.array([a for a, _ in atoms], dtype=float)
+    return np.exp(1j * angles), np.array([m for _, m in atoms], dtype=float)
+
+
+def _poisson_mass(zs: np.ndarray, atoms: np.ndarray, defects, masses: np.ndarray) -> np.ndarray:
+    """sum_j masses_j |k_z(atoms_j)|^2 at each z of ``zs``, which must lie in
+    the open disk (DomainError), with ``defects`` the atoms' 1 - |a|^2: 0
+    for atoms on the circle."""
+    flat = _interior(zs.reshape(-1))
+    return _kernel_sums(flat, one_minus_sq(flat), atoms, defects, masses).reshape(zs.shape)
 
 
 def check_potential_bounds(phi: BoundedFunction, eps: float, points) -> dict:
@@ -455,7 +472,8 @@ def bourgain_contour(phi: BoundedFunction, eps: float,
             f"at depth {round(-math.log2(length))}, has nu(Q(J)) = {masses[k]:.6g} "
             f"against M|J| = {constants.m_threshold * length:.6g}")
     zeros = sorted(phi.zeros, key=lambda w: (w.real, w.imag))
-    region = Region(pseudo_hyperbolic_disk(z, constants.gamma) for z in zeros)
+    centers, radii = pseudo_hyperbolic_disk(np.array(zeros, dtype=complex), constants.gamma)
+    region = Region(zip(centers.tolist(), radii.tolist()))
     return ContourResult(region, _extract_polylines(region), constants)
 
 

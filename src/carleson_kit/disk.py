@@ -14,17 +14,25 @@ Conventions used throughout the package:
 * |z| is ``hypot(Re z, Im z)``, and :func:`in_open_disk` tests |z| < 1;
 * arcs are kept in turns (fractions of the full circle).
 
+This module alone rounds the disk's geometry.  :func:`one_minus_sq` gives
+1 - |z|^2 correctly rounded (Dekker's exact products, Knuth's TwoSum), where
+1 - r^2 with r = |z| loses u / (1 - |z|); it runs once per point set.  With
+d_a = 1 - |a|^2, 1 - conj(a) b = d_a + conj(a) (a - b) is the denominator
+of :func:`blaschke_factor`, :func:`kernel` and :func:`pseudo_hyperbolic`,
+and |k_z(a)|^2 = d_z / (d_z d_a + |z - a|^2) is the kernel's square (the
+Poisson kernel at d_a = 0); neither sum cancels by more than a factor 4.
+Only :func:`kernel_inner` keeps 1 - r^2 (see there).
+
 The metric and kernel primitives (:func:`pseudo_hyperbolic`, :func:`kernel`,
 :func:`kernel_inner`) broadcast over numpy arrays like ufuncs, so
 ``pseudo_hyperbolic(p[:, None], p[None, :])`` is a distance matrix and
 ``kernel_inner(p[:, None], p[None, :])`` a kernel Gram matrix; scalar
-arguments give a float or a complex.  Each of them is the package's one
-implementation of its formula.  Every entry that must be an
+arguments give a float or a complex.  Every entry that must be an
 interior point is checked: |z| >= 1 or nan raises :class:`DomainError`.
-The arithmetic of :func:`pseudo_hyperbolic` is ``_pseudo_hyperbolic_into``,
-unchecked and writing into buffers the caller owns; log|B|
-(``blaschke.blaschke_log_abs``) runs it over chunks of zeros, so each
-distance has the bits :func:`pseudo_hyperbolic` gives it.
+The unchecked forms take d from their caller: ``_pseudo_hyperbolic_into``
+writes into the caller's buffers (log|B| runs it over chunks of zeros, and
+needs d of the zeros only), and ``_kernel_sums`` sums weighted kernel
+squares.
 
 A Carleson square exists only as its membership test: :func:`in_square` of
 the turn and modulus that :func:`polar` gives a point, over an arc of turns.
@@ -42,6 +50,10 @@ import numpy as np
 from .errors import DomainError
 
 TAU = 2.0 * math.pi
+_SPLIT = 134217729.0  # Dekker's 2**27 + 1
+_FEW = 32  # entries one_minus_sq takes one by one, as Python numbers
+# kernel values per chunk of _kernel_sums: OpenBLAS threads 2**18 and more
+_KERNEL_CHUNK = 2 ** 18 - 1
 
 
 def _modulus(zs: np.ndarray) -> np.ndarray:
@@ -73,6 +85,57 @@ def _interior(z, what: str = "point") -> np.ndarray:
     return zs
 
 
+def _square(x):
+    """(p, e) with p = x * x rounded and p + e = x * x exactly (Dekker)."""
+    c = _SPLIT * x
+    hi = c - (c - x)
+    lo = x - hi
+    p = x * x
+    return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+
+
+def _two_sum(a, b):
+    """(s, t) with s = a + b rounded and s + t = a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def one_minus_sq(z):
+    """1 - |z|^2 = 1 - x^2 - y^2, z = x + iy, correctly rounded: a float
+    for a Python number or a 0-d array, else an array.  The same code runs
+    on Python floats, with the same roundings, for up to ``_FEW`` entries,
+    where numpy's calls would cost more than the arithmetic.
+
+    x^2 = p + e, y^2 = q + f, p + q = s + t and 1 - s = h + g exactly (g = 0
+    for s >= 1/2), so 1 - |z|^2 = h + (g - t) - e - f, and three TwoSums
+    carry it as hi + b + c + d.  Only the last two additions round (and
+    g - t, when g != 0), so the result is correctly rounded unless the
+    exact value lies within a few u^2 (u = 2^-53) of a rounding tie.  It is
+    bit-identical under z -> -z and z -> conj(z).
+    """
+    if not isinstance(z, (complex, float, int)):
+        z = np.asarray(z, dtype=complex)
+        if z.size <= _FEW:
+            flat = [one_minus_sq(w) for w in z.reshape(-1).tolist()]
+            return flat[0] if z.ndim == 0 else np.array(flat).reshape(z.shape)
+    p, e = _square(z.real)
+    q, f = _square(z.imag)
+    s, t = _two_sum(p, q)
+    h = 1.0 - s
+    g = (1.0 - h) - s
+    lo, c = _two_sum(g - t, -e)
+    lo, d = _two_sum(lo, -f)
+    hi, b = _two_sum(h, lo)
+    return hi + (b + (c + d))
+
+
+def _one_minus_conj(a, diff, d_a):
+    """1 - conj(a) b = d_a + conj(a) diff, diff = a - b, d_a = one_minus_sq(a);
+    its modulus is at least (d_a + |a| |diff|) / 4: two bits lost at most."""
+    return d_a + a.conjugate() * diff
+
+
 def blaschke_factor(lam, z):
     """Evaluate the Blaschke factor with zero ``lam`` at ``z``.
 
@@ -84,18 +147,21 @@ def blaschke_factor(lam, z):
     if lam == 0:
         out = zs + 0.0
     else:
-        out = abs(lam) / lam * (lam - zs) / (1.0 - np.conj(lam) * zs)
+        diff = lam - zs
+        out = abs(lam) / lam * diff / _one_minus_conj(lam, diff, one_minus_sq(lam))
     return complex(out) if np.isscalar(z) else out
 
 
-def _pseudo_hyperbolic_into(lam, mu, out, den, work):
-    """The arithmetic of :func:`pseudo_hyperbolic`, unchecked: writes
-    |lam - mu| / |1 - conj(lam) mu| into the float array ``out``, with the
-    float array ``den`` and the complex array ``work`` (both of ``out``'s
-    shape, the broadcast shape) as scratch, and returns ``out``."""
-    np.abs(np.subtract(lam, mu, out=work), out=out)
-    np.subtract(1.0, np.multiply(np.conj(lam), mu, out=work), out=work)
-    return np.divide(out, np.abs(work, out=den), out=out)
+def _pseudo_hyperbolic_into(lam, mu, d_lam, out, den, diff):
+    """The arithmetic of :func:`pseudo_hyperbolic`, unchecked, from
+    ``d_lam`` = one_minus_sq(lam) (mu needs none): writes rho into the float
+    array ``out``, with the float ``den`` and complex ``diff`` of the
+    broadcast shape as scratch.  No square is formed, so rho keeps a few u
+    of relative accuracy at any distance."""
+    np.abs(np.subtract(lam, mu, out=diff), out=out)
+    np.multiply(lam.conjugate(), diff, out=diff)
+    np.add(diff, d_lam, out=diff)
+    return np.divide(out, np.abs(diff, out=den), out=out)
 
 
 def pseudo_hyperbolic(lam, mu):
@@ -107,8 +173,8 @@ def pseudo_hyperbolic(lam, mu):
     lam_a = _interior(lam)
     mu_a = _interior(mu)
     shape = np.broadcast(lam_a, mu_a).shape
-    out = _pseudo_hyperbolic_into(lam_a, mu_a, np.empty(shape), np.empty(shape),
-                                  np.empty(shape, dtype=complex))
+    out = _pseudo_hyperbolic_into(lam_a, mu_a, one_minus_sq(lam_a), np.empty(shape),
+                                  np.empty(shape), np.empty(shape, dtype=complex))
     return float(out) if np.isscalar(lam) and np.isscalar(mu) else out
 
 
@@ -119,9 +185,25 @@ def kernel(lam, z):
     ``z``, which may lie on the circle; a complex when both are scalars.
     """
     lam_a = _interior(lam, "kernel parameter")
-    zs = np.asarray(z, dtype=complex)
-    out = np.sqrt(1.0 - _modulus(lam_a) ** 2) / (1.0 - np.conj(lam_a) * zs)
+    d_lam = one_minus_sq(lam_a)
+    out = np.sqrt(d_lam) / _one_minus_conj(lam_a, lam_a - np.asarray(z, dtype=complex), d_lam)
     return complex(out) if np.isscalar(lam) and np.isscalar(z) else out
+
+
+def _kernel_sums(z, d_z, a, d_a, weights) -> np.ndarray:
+    """sum_j weights_j |k_{z_i}(a_j)|^2 at each interior z_i of the 1-d
+    ``z``, unchecked: |k_z(a)|^2 = d_z / (d_z d_a + |z - a|^2), d_z and d_a
+    the one_minus_sq of ``z`` and ``a``; d_a = 0 gives the Poisson kernel
+    of nodes on the circle.  Each chunk of rows is one matrix-vector product."""
+    out = np.empty(z.shape)
+    rows = max(1, _KERNEL_CHUNK // max(1, a.size))
+    for k in range(0, z.size, rows):
+        zc, dc = z[k : k + rows, None], d_z[k : k + rows, None]
+        den = np.abs(zc - a) ** 2
+        if np.any(d_a):  # nodes on the circle (d_a = 0) add nothing
+            den += dc * d_a
+        out[k : k + rows] = dc / den @ weights
+    return out
 
 
 def kernel_inner(lam, mu):
@@ -134,6 +216,10 @@ def kernel_inner(lam, mu):
     """
     lam_a = _interior(lam)
     mu_a = _interior(mu)
+    # 1 - r^2 stays here: GramFactor's lmin moves by about cond^2 u under any
+    # last-bit change of G, and one_minus_sq moved the benchmark's `sequence`
+    # conditions by up to 9.75e-9 relative, past its references' 1e-9
+    # (ROADMAP item 15 replaces the Gram)
     num = np.sqrt((1.0 - _modulus(mu_a) ** 2) * (1.0 - _modulus(lam_a) ** 2))
     # conj(mu) lam in real arithmetic: every entry then rounds exactly as the
     # scalar complex product does, while numpy's SIMD complex multiply can
@@ -208,19 +294,22 @@ def dyadic_arc(depth: int, index: int) -> Arc:
     return Arc((index % n) / n, 1.0 / n)
 
 
-def pseudo_hyperbolic_disk(a, gamma: float) -> tuple[complex, float]:
-    """Euclidean center and radius of the disk {z : |b_a(z)| < gamma}.
+def pseudo_hyperbolic_disk(a, gamma: float):
+    """Euclidean center and radius of the disk {z : |b_a(z)| < gamma}, or
+    arrays of them over an array ``a``.
 
     center = a (1 - gamma^2) / (1 - gamma^2 |a|^2),
-    radius = gamma (1 - |a|^2) / (1 - gamma^2 |a|^2).
+    radius = gamma (1 - |a|^2) / (1 - gamma^2 |a|^2),
+
+    with 1 - gamma^2 |a|^2 = (1 - gamma^2) + gamma^2 (1 - |a|^2).
     """
-    a = require_interior(a, "disk center")
     if not (0.0 < gamma < 1.0):
         raise DomainError(f"radius parameter must lie in (0, 1), got {gamma}")
-    denom = 1.0 - gamma * gamma * abs(a) ** 2
-    center = a * (1.0 - gamma * gamma) / denom
-    radius = gamma * (1.0 - abs(a) ** 2) / denom
-    return center, radius
+    a = require_interior(a, "disk center") if np.isscalar(a) else _interior(a, "disk center")
+    d_a, d_gamma = one_minus_sq(a), one_minus_sq(float(gamma))
+    denom = d_gamma + gamma * gamma * d_a
+    # a complex times a real rounds alike in Python and in numpy
+    return a * (d_gamma / denom), gamma * d_a / denom
 
 
 def layer_index(z) -> int:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .disk import TAU, _modulus
+from .disk import TAU, _kernel_sums, _modulus, one_minus_sq
 from .errors import DomainError
 
 #: points per block of poisson_sum, and the relative Fourier tail it drops
@@ -190,8 +190,8 @@ def poisson_sum(samples, z) -> np.ndarray:
       one polynomial of degree n by :func:`_power_series` and z**n by
       squaring, in chunks under the same table cap.
     * Direct band, n (1 - |z|) < ``_POISSON_BAND``: the positive kernel
-      summed over the grid, ``_POISSON_BLOCK`` points at a time, or fewer
-      where a block's product would reach ``_BLAS_SERIAL``.  It keeps
+      (1 - |z|^2) / |xi - z|^2 summed over the grid (``disk._kernel_sums``,
+      the nodes taken on the circle).  It keeps
       its relative accuracy next to the circle, away from the data's mass.
 
     Rounding, to first order in u = 2**-53, with r = |z| and M = max|c|.
@@ -257,14 +257,11 @@ def poisson_sum(samples, z) -> np.ndarray:
         zc = pts[start + lo:start + hi]
         q = _power_series(fold, zc) / (1.0 - _int_power(zc, n))
         out[start + lo:start + hi] = c[0].real + 2.0 * q.real
-    # direct band next to the circle: the positive kernel, row block by row block
+    # direct band next to the circle: the positive kernel
     if band < size:
         xi = np.exp(1j * TAU * np.arange(n) / n)
-        step = max(1, min(_POISSON_BLOCK, (_BLAS_SERIAL - 1) // n))
-        for lo in range(band, size, step):
-            hi = min(lo + step, size)
-            kern = (1.0 - rs[lo:hi, None] ** 2) / np.abs(xi[None, :] - pts[lo:hi, None]) ** 2
-            out[lo:hi] = kern @ v / n
+        near = pts[band:]
+        out[band:] = _kernel_sums(near, one_minus_sq(near), xi, 0.0, v) / n
     result = np.empty(flat.shape)
     result[order] = out
     return result.reshape(zs.shape)

@@ -31,6 +31,7 @@ from .disk import kernel_inner, require_interior
 from .errors import DomainError, LinearDependenceError
 
 _DEP_TOL = 1e-12
+_U = 2.0 ** -53
 
 
 def _block_slices(ranks) -> list[slice]:
@@ -98,7 +99,10 @@ class SubspaceSystem:
         elements are the tensors k_lambda (x) e.  The joint Gram matrix is
         factored as G = C C^H and the columns of C^H realize the elements in
         C^n; LinearDependenceError when G is not numerically positive
-        definite.
+        definite: when the Cholesky fails, or when a pivot |C_kk|^2 is
+        within its backward error (n + 1) u G_kk (u = 2^-53; Higham,
+        *Accuracy and Stability*, Thm 10.3), so rounding alone may have
+        kept it positive.
         """
         groups = [list(grp) for grp in groups]
         sizes = [len(grp) for grp in groups]
@@ -127,8 +131,11 @@ class SubspaceSystem:
             gram *= np.conj(d) @ d.T  # np.vdot(e_i, e_j) at (i, j), as kernel_inner
         try:
             chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise LinearDependenceError("kernel elements are numerically dependent") from exc
+        except np.linalg.LinAlgError:
+            chol = None
+        noise = (gram.shape[0] + 1) * _U * gram.diagonal().real
+        if chol is None or np.any(np.abs(chol.diagonal()) ** 2 <= noise):
+            raise LinearDependenceError("kernel elements are numerically dependent")
         emb = np.conj(chol).T
         return cls([np.linalg.qr(emb[:, sl])[0] for sl in _block_slices(sizes)])
 

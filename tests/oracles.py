@@ -6,6 +6,7 @@ against them.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -14,6 +15,67 @@ from carleson_kit.construction import canonical_phase
 from carleson_kit.disk import TAU, _modulus, in_open_disk, require_interior
 from carleson_kit.errors import DomainError
 from carleson_kit.riesz import SubspaceSystem
+
+
+def exact_one_minus_sq(z) -> np.ndarray:
+    """1 - |z|^2 of each entry of ``z``, exact in rationals and rounded once
+    (a Fraction converts to the nearest float): the reference for the
+    library's ``disk.one_minus_sq``, which shares no code with it."""
+    zs = np.asarray(z, dtype=complex)
+    exact = [float(1 - Fraction(w.real) ** 2 - Fraction(w.imag) ** 2)
+             for w in zs.reshape(-1).tolist()]
+    return np.array(exact, dtype=float).reshape(zs.shape)
+
+
+def exact_rho_sq(a, b) -> Fraction:
+    """rho(a, b)^2 = |a - b|^2 / |1 - conj(a) b|^2 of two floats' complex
+    values, in exact rationals."""
+    ax, ay, bx, by = map(Fraction, (a.real, a.imag, b.real, b.imag))
+    re, im = 1 - (ax * bx + ay * by), ax * by - ay * bx
+    return ((ax - bx) ** 2 + (ay - by) ** 2) / (re * re + im * im)
+
+
+def exact_log_abs(zeros, z) -> float:
+    """log|B(z)| for B the product over ``zeros``: each log rho from
+    exact-rational rho^2 = N / D as (log N - log D) / 2 of the integers
+    (each log within an ulp), summed by ``math.fsum``."""
+    logs = []
+    for a in zeros:
+        rho_sq = exact_rho_sq(complex(a), complex(z))
+        logs.append(0.5 * (math.log(rho_sq.numerator) - math.log(rho_sq.denominator)))
+    return math.fsum(logs)
+
+
+def exact_kernel_sq(z, a) -> Fraction:
+    """|k_z(a)|^2 = (1 - |z|^2) / |1 - conj(z) a|^2 in exact rationals."""
+    zx, zy, ax, ay = map(Fraction, (z.real, z.imag, a.real, a.imag))
+    re, im = 1 - (zx * ax + zy * ay), zx * ay - zy * ax
+    return (1 - zx * zx - zy * zy) / (re * re + im * im)
+
+
+def _dyadic(z) -> tuple[int, int, int]:
+    """(X, Y, s) with z = (X + iY) / 2**s exactly."""
+    (a, b), (c, d) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    s = max(b, d).bit_length() - 1
+    return a * ((1 << s) // b), c * ((1 << s) // d), s
+
+
+def kernel_sum_oracle(lam, points, masses) -> float:
+    """sum_i masses_i |k_lam(points_i)|^2 with each term exact in rationals
+    and rounded once, summed by ``math.fsum``: the terms are positive, so
+    the result is within u = 2^-53 of the exact sum.  The rationals are
+    dyadic, so each term is one integer quotient, which Python rounds
+    correctly (a Fraction per term would take ten times as long)."""
+    lx, ly, s = _dyadic(complex(lam))
+    d = (1 << 2 * s) - lx * lx - ly * ly  # (1 - |lam|^2) 2^(2s)
+    terms = []
+    for p, m in zip(points, masses):
+        px, py, t = _dyadic(complex(p))
+        re = (1 << (s + t)) - (lx * px + ly * py)  # 1 - conj(lam) p, times 2^(s + t)
+        im = lx * py - ly * px
+        num, den = float(m).as_integer_ratio()
+        terms.append(num * d * (1 << 2 * t) / (den * (re * re + im * im)))
+    return math.fsum(terms)
 
 
 def member_minimality(system, n):
@@ -219,7 +281,7 @@ def poisson_sum_reference(samples, z):
             if xi is None:
                 xi = np.exp(1j * TAU * np.arange(n) / n)
             zb = flat[idx, None]
-            kern = (1.0 - radius[idx, None] ** 2) / np.abs(xi[None, :] - zb) ** 2
+            kern = exact_one_minus_sq(zb) / np.abs(xi[None, :] - zb) ** 2
             out[idx] = kern @ v / n
     return out.reshape(zs.shape)
 

@@ -105,19 +105,18 @@ def test_interpolation_constants_singleton():
 def test_projection_norm_formula_two_points():
     pts = [0.0, 0.5]
     # only the other point contributes: 1/|b_0.5(0)| = 1/0.5
-    assert projection_norm_formula(pts, 0.0) == pytest.approx(2.0)
-    assert projection_norm_formula(pts, 0.5) == pytest.approx(2.0)
+    assert projection_norm_formula(pts) == pytest.approx([2.0, 2.0])
     with pytest.raises(DomainError):
-        projection_norm_formula(pts, 0.25)
+        projection_norm_formula([0.25, 0.5, 0.25])
 
 
 def test_projection_norm_formula_matches_direct_product():
     rng = np.random.default_rng(31)
     for _ in range(20):
         pts = list(random_interior(rng, 5))
-        lam = pts[2]
-        prod = np.prod([abs(blaschke_factor(mu, lam)) for mu in pts if mu != lam])
-        assert projection_norm_formula(pts, lam) == pytest.approx(1.0 / prod)
+        want = [1.0 / np.prod([abs(blaschke_factor(mu, lam)) for mu in pts if mu != lam])
+                for lam in pts]
+        assert projection_norm_formula(pts) == pytest.approx(want)
 
 
 def test_place_net_on_curve_postconditions():

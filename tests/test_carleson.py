@@ -22,9 +22,11 @@ from carleson_kit.disk import (
     grid_layers,
     hyperbolic_grid,
     in_square,
+    one_minus_sq,
     polar,
 )
 from carleson_kit.errors import DomainError
+from oracles import exact_one_minus_sq, kernel_sum_oracle
 
 TAU = 2 * math.pi
 
@@ -483,16 +485,18 @@ def test_kernel_test_constant_single_atom():
 
 
 def _direct_kernel_sums(measure, lam):
-    """The kernel test's former direct sum, in chunks of 4096 grid points:
-    sum_i mass_i (1 - |lam|^2) / |1 - conj(lam) point_i|^2 at each lam.
-    |lam| is taken by hypot, as the library takes it: 1 - |lam|^2 cancels
-    near the circle, so numpy's SIMD abs (a last bit off) would move the sum
-    at lam 1e-6 from the circle by about 1e-10 relative."""
+    """The kernel test's direct sum, in chunks of 4096 grid points:
+    sum_i mass_i (1 - |lam|^2) / |1 - conj(lam) point_i|^2 at each lam,
+    with |1 - conj(a) b|^2 = (1 - |a|^2)(1 - |b|^2) + |a - b|^2 and every
+    1 - |z|^2 exact (``oracles.exact_one_minus_sq``): the complex product
+    1 - conj(lam) p would cancel at lam = p 1e-6 from the circle, and move
+    the sum there by about 1e-10 relative."""
     out = np.empty(lam.size)
+    d_points = exact_one_minus_sq(measure.points)
     for i in range(0, lam.size, 4096):
         chunk = lam[i : i + 4096, None]
-        radius = np.hypot(chunk.real, chunk.imag)
-        kern = (1.0 - radius ** 2) / np.abs(1.0 - np.conj(chunk) * measure.points) ** 2
+        d_chunk = exact_one_minus_sq(chunk)
+        kern = d_chunk / (d_chunk * d_points + np.abs(chunk - measure.points) ** 2)
         out[i : i + 4096] = kern @ measure.masses
     return out
 
@@ -560,7 +564,7 @@ def test_kernel_test_constant_matches_direct_sum(name):
     # each layer within 1e-11 of its largest value: far from the mass the
     # values are small differences of the series' terms
     layers = grid_layers()
-    values = _kernel_layers(points, masses)
+    values = _kernel_layers(points, one_minus_sq(points), masses)
     assert len(values) == len(layers)
     for (r, n), got in zip(layers, values):
         want = _direct_kernel_sums(measure, r * np.exp(1j * TAU * np.arange(n) / n))
@@ -582,6 +586,18 @@ def test_kernel_layers_cover_both_series_forms():
 
     assert forms(0.995) == [True] * 10 + [False]
     assert forms(0.999) == [True] * 11
+
+
+def test_kernel_test_constant_is_exact_on_the_boundary_cluster():
+    # 200 atoms 1e-6 from the circle: 1 - r^2 put the constant 2.9e-11
+    # relative from the exact 1724437.43994892...; the supremum is at an
+    # atom, where the exact-rational sums (each term rounded once, then
+    # math.fsum) are within u of the exact ones
+    measure = DiscreteMeasure(_KERNEL_ORACLE["boundary-cluster"])
+    exact = max(kernel_sum_oracle(lam, measure.points, measure.masses)
+                for lam in measure.points)
+    assert _direct_kernel_sums(measure, hyperbolic_grid()).max() < exact / 2
+    assert abs(kernel_test_constant(measure) - exact) <= 1e-15 * exact
 
 
 @pytest.mark.parametrize("size", [1, 2, 7, 63, 64, 65, 150, 400])

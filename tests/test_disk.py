@@ -1,8 +1,12 @@
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from carleson_kit import disk
+from carleson_kit.blaschke import blaschke_log_abs
 from carleson_kit.disk import (
     Arc,
     blaschke_factor,
@@ -14,6 +18,7 @@ from carleson_kit.disk import (
     kernel,
     kernel_inner,
     layer_index,
+    one_minus_sq,
     polar,
     pseudo_hyperbolic,
     pseudo_hyperbolic_disk,
@@ -21,6 +26,9 @@ from carleson_kit.disk import (
     turns,
 )
 from carleson_kit.errors import DomainError
+from oracles import exact_kernel_sq, exact_log_abs, exact_one_minus_sq, exact_rho_sq
+
+U = 2.0 ** -53
 
 
 def test_require_interior_rejects_boundary_and_outside():
@@ -324,3 +332,151 @@ def test_broadcast_primitives_reject_points_off_the_open_disk(bad):
                  lambda: require_interior(bad)):
         with pytest.raises(DomainError):
             call()
+
+
+# Exact-rational oracles for the primitives: every reference below is
+# computed in fractions.Fraction from the points' float values, sharing no
+# arithmetic with the library.
+
+
+def unimodular(rng, n):
+    """n points on the circle at seeded angles."""
+    return np.exp(2j * math.pi * rng.uniform(size=n))
+
+
+def near_circle_points():
+    """1 - |z| = 2^-k for k = 1 .. 52, on the four half-axes and at eight
+    seeded angles per k."""
+    rng = np.random.default_rng(52)
+    pts = []
+    for k in range(1, 53):
+        r = 1.0 - 2.0 ** -k
+        pts += [r, -r, 1j * r, -1j * r, *(r * unimodular(rng, 8))]
+    return np.array(pts, dtype=complex)
+
+
+def relative_error(value, exact_sq):
+    """|value - sqrt(exact_sq)| / sqrt(exact_sq), to first order, from
+    squares compared in exact rationals."""
+    return float(abs(Fraction(float(value)) ** 2 - exact_sq) / exact_sq) / 2
+
+
+def test_one_minus_sq_is_correctly_rounded_near_the_circle():
+    # 1 - r^2 with r = hypot loses u / (1 - |z|) here: 1.0e-4 relative at
+    # 1 - |z| = 2^-40
+    pts = near_circle_points()
+    want = exact_one_minus_sq(pts)
+    assert np.array_equal(one_minus_sq(pts), want)
+    # Python numbers, 0-d arrays and short arrays take the scalar route
+    assert [one_minus_sq(complex(z)) for z in pts] == want.tolist()
+    assert [one_minus_sq(np.array(z)) for z in pts] == want.tolist()
+    assert np.array_equal(one_minus_sq(pts[:5]), want[:5])
+
+
+def test_one_minus_sq_is_correctly_rounded_across_the_disk():
+    rng = np.random.default_rng(54)
+    pts = np.concatenate([
+        np.sqrt(rng.uniform(0.0, 1.0, 2000)) * unimodular(rng, 2000),
+        rng.uniform(-1.0, 1.0, 500) + 1e-9j * rng.uniform(-1.0, 1.0, 500),
+        [0.0, 0.5, 0.5j, 1.0, -1.0j, 0.6 + 0.8j],
+    ])
+    assert np.array_equal(one_minus_sq(pts), exact_one_minus_sq(pts))
+
+
+def test_one_minus_sq_is_bit_symmetric():
+    pts = near_circle_points()
+    d = one_minus_sq(pts)
+    assert np.array_equal(one_minus_sq(-pts), d)
+    assert np.array_equal(one_minus_sq(pts.conj()), d)
+
+
+def one_ulp_pairs():
+    """(a, b) with b one ulp from a in each nonzero coordinate, for a at
+    1 - |a| = 2^-k, k = 1 .. 52, plus a seeded partner anywhere in the disk."""
+    rng = np.random.default_rng(55)
+    pairs = []
+    for k in range(1, 53):
+        r = 1.0 - 2.0 ** -k
+        for a in [r, 1j * r, *(r * unimodular(rng, 3))]:
+            a = complex(a)
+            if a.real:
+                pairs.append((a, complex(np.nextafter(a.real, 0.0), a.imag)))
+            if a.imag:
+                pairs.append((a, complex(a.real, np.nextafter(a.imag, 0.0))))
+            pairs.append((a, complex(0.999 * unimodular(rng, 1)[0])))
+    return pairs
+
+
+def test_pseudo_hyperbolic_matches_exact_rationals_down_to_one_ulp():
+    worst = 0.0
+    for a, b in one_ulp_pairs():
+        for rho, exact in ((pseudo_hyperbolic(a, b), exact_rho_sq(a, b)),
+                           (pseudo_hyperbolic(b, a), exact_rho_sq(b, a))):
+            worst = max(worst, relative_error(rho, exact))
+    assert worst <= 6 * U
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 20])
+def test_pseudo_hyperbolic_of_the_near_circle_pairs(n):
+    # the pairs of the "Near the circle" CI step; 1 - r^2 was off by 1.7e-13,
+    # 1.0e-11 and 2.1e-9 relative at n = 8, 12 and 16
+    a = 1.0 - 0.3 ** n
+    b = a * cmath.exp(0.3j * 0.3 ** n)
+    assert relative_error(pseudo_hyperbolic(a, b), exact_rho_sq(complex(a), b)) <= 4 * U
+
+
+def test_kernel_squares_match_exact_rationals_down_to_one_ulp():
+    # d_z / (d_z d_a + |z - a|^2): |z - a| is within an ulp, its square
+    # within 2.5 u, and the rest adds a few half-ulp roundings
+    worst_sum, worst_kernel = 0.0, 0.0
+    for z, a in one_ulp_pairs():
+        exact = exact_kernel_sq(z, a)
+        zs, pts = np.array([z]), np.array([a])
+        got = disk._kernel_sums(zs, one_minus_sq(zs), pts, one_minus_sq(pts), np.ones(1))[0]
+        worst_sum = max(worst_sum, float(abs(Fraction(got) - exact) / exact))
+        worst_kernel = max(worst_kernel, 2 * relative_error(abs(kernel(z, a)), exact))
+    assert worst_sum <= 6 * U
+    assert worst_kernel <= 8 * U
+
+
+def test_log_abs_matches_exact_rationals_near_the_circle():
+    # zeros and points within 2^-40 .. 2^-8 of the circle, points near the
+    # zeros: the stated bound 16 n u sum (|log rho| + 1), where the complex
+    # product 1 - conj(a) z missed by up to u / |1 - conj(a) z|
+    rng = np.random.default_rng(58)
+    gaps = 2.0 ** -rng.uniform(8, 40, 12)
+    zeros = (1.0 - gaps) * unimodular(rng, 12)
+    near = zeros + gaps * rng.uniform(0.1, 2.0, 12) * unimodular(rng, 12)
+    pts = np.concatenate([near[np.abs(near) < 1.0], (1.0 - gaps[::-1]) * unimodular(rng, 12)])
+    got = blaschke_log_abs(tuple(zeros), pts)
+    for value, z in zip(got, pts):
+        want = exact_log_abs(zeros, z)
+        rhos = [math.sqrt(float(exact_rho_sq(complex(a), complex(z)))) for a in zeros]
+        scale = sum(abs(math.log(r)) + 1.0 for r in rhos)
+        assert abs(value - want) <= 16 * zeros.size * U * scale
+
+
+def test_pairwise_primitives_are_bit_symmetric():
+    rng = np.random.default_rng(56)
+    pts = np.concatenate([near_circle_points()[::7],
+                          0.9 * np.sqrt(rng.uniform(0.0, 1.0, 40)) * unimodular(rng, 40)])
+    rho = pseudo_hyperbolic(pts[:, None], pts[None, :])
+    logs = blaschke_log_abs(tuple(pts[:30]), pts[30:])
+    d = one_minus_sq(pts)
+    weights = np.linspace(0.5, 1.5, pts[::3].size)
+    kern = disk._kernel_sums(pts, d, pts[::3], d[::3], weights)
+    for image in (-pts, pts.conj()):
+        assert np.array_equal(pseudo_hyperbolic(image[:, None], image[None, :]), rho)
+        assert np.array_equal(blaschke_log_abs(tuple(image[:30]), image[30:]), logs)
+        d = one_minus_sq(image)
+        assert np.array_equal(disk._kernel_sums(image, d, image[::3], d[::3], weights), kern)
+
+
+def test_pseudo_hyperbolic_disk_vectorized_matches_scalar():
+    rng = np.random.default_rng(57)
+    a = np.concatenate([near_circle_points()[::5], 0.9 * unimodular(rng, 20)])
+    centers, radii = pseudo_hyperbolic_disk(a, 0.3)
+    assert centers.tolist() == [pseudo_hyperbolic_disk(complex(z), 0.3)[0] for z in a]
+    assert radii.tolist() == [pseudo_hyperbolic_disk(complex(z), 0.3)[1] for z in a]
+    with pytest.raises(DomainError):
+        pseudo_hyperbolic_disk(np.array([0.5, 1.0]), 0.3)

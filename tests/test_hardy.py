@@ -7,7 +7,7 @@ import pytest
 from carleson_kit import hardy
 from carleson_kit.errors import DomainError
 from carleson_kit.hardy import BoundaryGrid, poisson_sum, riesz_project
-from oracles import outer_log_at, poisson_sum_reference
+from oracles import exact_one_minus_sq, outer_log_at, poisson_sum_reference
 
 TAU = 2 * math.pi
 
@@ -94,10 +94,12 @@ class TestPoisson:
 
 
 def direct_poisson_sum(v, zs):
-    """Test oracle: the positive-kernel quadrature, summed point by point."""
+    """Test oracle: the positive-kernel quadrature, summed point by point,
+    with an exact 1 - |z|^2."""
     n = v.size
     xi = np.exp(1j * TAU * np.arange(n) / n)
-    return np.array([np.mean(v * (1.0 - abs(z) ** 2) / np.abs(xi - z) ** 2) for z in zs])
+    return np.array([np.mean(v * d / np.abs(xi - z) ** 2)
+                     for z, d in zip(zs, exact_one_minus_sq(zs))])
 
 
 def poisson_oracle_data(n, rng):
@@ -189,7 +191,7 @@ def table_poisson_sum(v, zs):
             powers = np.cumprod(np.broadcast_to(zs[idx], (terms, idx.size)), axis=0)
             out[idx] = c[0].real + 2.0 * (c[1 : terms + 1] @ powers).real
         else:
-            kern = (1.0 - radius[idx, None] ** 2) / np.abs(xi[None, :] - zs[idx, None]) ** 2
+            kern = exact_one_minus_sq(zs[idx, None]) / np.abs(xi[None, :] - zs[idx, None]) ** 2
             out[idx] = kern @ v / n
     return out
 

@@ -113,7 +113,7 @@ def test_skew_projection_matches_blaschke_formula():
     for _ in range(15):
         pts = separated_points(rng, int(rng.integers(2, 6)))
         system = SubspaceSystem.from_kernel_groups([[p] for p in pts])
-        want = [projection_norm_formula(pts, lam) for lam in pts]
+        want = projection_norm_formula(pts)
         assert GramFactor(system).singleton_skew_norms() == pytest.approx(want, rel=1e-8)
 
 
@@ -370,6 +370,14 @@ def test_coincident_points_are_a_linear_dependence_everywhere():
         SubspaceSystem.from_kernel_groups([[0.5], [0.5]])
     with pytest.raises(LinearDependenceError):
         SubspaceSystem.from_kernel_groups([[0.5], [0.5]], [[[1j, 0]], [[1j, 0]]])
+
+
+def test_a_pivot_left_by_rounding_is_a_linear_dependence():
+    # (2, 2j) = 2 (1, 1j), so the pair is exactly dependent, but the
+    # Cholesky's last pivot rounds to 4.2e-8 instead of failing, and the
+    # system used to come back with a minimality of 1.5e-8
+    with pytest.raises(LinearDependenceError):
+        SubspaceSystem.from_kernel_groups([[0.5], [0.5]], [[[1, 1j]], [[2, 2j]]])
 
 
 def test_kernel_directions_must_match_the_groups():
