@@ -22,6 +22,7 @@ from .disk import (
     _modulus,
     _pseudo_hyperbolic_into,
     blaschke_factor,
+    in_open_disk,
     layer_index,
     one_minus_sq,
     pseudo_hyperbolic,
@@ -80,12 +81,10 @@ def blaschke_log_abs(zeros, zs: np.ndarray) -> np.ndarray:
         return out
     zeros = _interior(zeros, "Blaschke zero")
     # |b_lam| = 1 on the circle, so only interior points add to the sum;
-    # points off the closed disk are refused.  One modulus gives both tests
-    # (in_open_disk is modulus < 1).
-    modulus = _modulus(zs)
-    if not np.all(modulus <= 1.0 + 1e-12):
+    # points off the closed disk are refused
+    inner = in_open_disk(zs)
+    if not np.all(_modulus(zs[~inner]) <= 1.0 + 1e-12):
         raise DomainError("the Blaschke part is defined on the closed disk only")
-    inner = modulus < 1.0
     pts = zs[inner]
     sums = np.zeros(pts.shape)
     with np.errstate(divide="ignore"):
@@ -205,12 +204,16 @@ def place_net_on_curve(vertices, alpha: float) -> list[complex]:
         return []
     order = sorted(range(len(pts)), key=lambda i: (layer_index(pts[i]), i))
     visit = np.array([pts[i] for i in order], dtype=complex)
+    defects = one_minus_sq(visit)
     free = np.ones(visit.size, dtype=bool)  # farther than alpha from the net so far
+    rho, den, work = np.empty(visit.size), np.empty(visit.size), np.empty(visit.size, dtype=complex)
     selected: list[complex] = []
     for k, i in enumerate(order):
         if free[k]:
             selected.append(pts[i])
-            free[k + 1:] &= pseudo_hyperbolic(visit[k], visit[k + 1:]) > alpha
+            rest = slice(k + 1, None)  # pseudo_hyperbolic(visit[k], visit[rest]), its bits
+            free[rest] &= _pseudo_hyperbolic_into(visit[k], visit[rest], defects[k], rho[rest],
+                                                  den[rest], work[rest]) > alpha
     return selected
 
 

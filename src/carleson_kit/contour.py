@@ -88,19 +88,22 @@ class BoundedFunction:
     def log_abs(self, z) -> np.ndarray:
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         out = blaschke_log_abs(self.zeros, zs)
+        defects = None
         if self.singular_atoms:
             # the boundary Poisson kernel at xi is |k_z(xi)|^2, defined for
             # z in the open disk only
             circle, masses = _on_circle(self.singular_atoms)
-            out -= _poisson_mass(zs, circle, 0.0, masses)
+            defects, sums = _poisson_mass(zs, circle, 0.0, masses)
+            out -= sums
         if self.outer_log is not None:
-            out += poisson_sum(self.outer_log, zs)
+            out += poisson_sum(self.outer_log, zs, defects)
         if np.isscalar(z) or isinstance(z, (complex, float, int)):
             return out[0]
         return out
 
     def representing_measure(self) -> "RepresentingMeasure":
-        interior = zip(self.zeros, (0.5 * one_minus_sq(self.zeros)).tolist())
+        halves = 0.5 * one_minus_sq(np.array(self.zeros, dtype=complex))
+        interior = zip(self.zeros, halves.tolist())
         density = None if self.outer_log is None else np.clip(-self.outer_log, 0.0, None)
         return RepresentingMeasure(interior, self.singular_atoms, density)
 
@@ -163,11 +166,11 @@ class RepresentingMeasure:
         inner = np.array([p for p, _ in self.interior_atoms], dtype=complex)
         circle, masses = _on_circle(self.boundary_atoms)
         atoms = np.concatenate([inner, circle])
-        defects = np.concatenate([one_minus_sq(inner), np.zeros(circle.size)])
+        d_atoms = np.concatenate([one_minus_sq(inner), np.zeros(circle.size)])
         masses = np.concatenate([[m for _, m in self.interior_atoms], masses])
-        out = _poisson_mass(zs, atoms, defects, masses)
+        defects, out = _poisson_mass(zs, atoms, d_atoms, masses)
         if self.density is not None:
-            out += poisson_sum(self.density, zs)
+            out += poisson_sum(self.density, zs, defects)
         if np.isscalar(z) or isinstance(z, (complex, float, int)):
             return out[0]
         return out
@@ -179,12 +182,13 @@ def _on_circle(atoms) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(1j * angles), np.array([m for _, m in atoms], dtype=float)
 
 
-def _poisson_mass(zs: np.ndarray, atoms: np.ndarray, defects, masses: np.ndarray) -> np.ndarray:
-    """sum_j masses_j |k_z(atoms_j)|^2 at each z of ``zs``, which must lie in
-    the open disk (DomainError), with ``defects`` the atoms' 1 - |a|^2: 0
-    for atoms on the circle."""
+def _poisson_mass(zs: np.ndarray, atoms: np.ndarray, defects, masses: np.ndarray):
+    """one_minus_sq(zs) and sum_j masses_j |k_z(atoms_j)|^2 at each z of
+    ``zs``, which must lie in the open disk (DomainError), with ``defects``
+    the atoms' 1 - |a|^2: 0 for atoms on the circle."""
     flat = _interior(zs.reshape(-1))
-    return _kernel_sums(flat, one_minus_sq(flat), atoms, defects, masses).reshape(zs.shape)
+    d = one_minus_sq(flat)
+    return d, _kernel_sums(flat, d, atoms, defects, masses).reshape(zs.shape)
 
 
 def check_potential_bounds(phi: BoundedFunction, eps: float, points) -> dict:

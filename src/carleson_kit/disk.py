@@ -51,9 +51,10 @@ from .errors import DomainError
 
 TAU = 2.0 * math.pi
 _SPLIT = 134217729.0  # Dekker's 2**27 + 1
-_FEW = 32  # entries one_minus_sq takes one by one, as Python numbers
-# kernel values per chunk of _kernel_sums: OpenBLAS threads 2**18 and more
-_KERNEL_CHUNK = 2 ** 18 - 1
+#: real multiply-adds (a complex one counts 4) below which OpenBLAS runs a
+#: matrix product on one thread whatever OPENBLAS_NUM_THREADS says; threaded
+#: products stalled poisson_sum for up to 0.1 s on a loaded 2-vCPU host
+_BLAS_SERIAL = 2 ** 18
 
 
 def _modulus(zs: np.ndarray) -> np.ndarray:
@@ -63,8 +64,12 @@ def _modulus(zs: np.ndarray) -> np.ndarray:
 
 
 def in_open_disk(z) -> np.ndarray:
-    """The package's one test of |z| < 1, entrywise (nan fails)."""
-    return _modulus(np.asarray(z, dtype=complex)) < 1.0
+    """The package's one test of |z| < 1 by hypot, entrywise (nan fails).
+    numpy's abs is within 3 u of hypot, so where it puts every point at
+    least 2**-50 inside the circle, hypot does too."""
+    zs = np.asarray(z, dtype=complex)
+    inside = np.abs(zs) < 1.0 - 2.0 ** -50
+    return inside if inside.all() else _modulus(zs) < 1.0
 
 
 def require_interior(p, what: str = "point") -> complex:
@@ -86,26 +91,38 @@ def _interior(z, what: str = "point") -> np.ndarray:
 
 
 def _square(x):
-    """(p, e) with p = x * x rounded and p + e = x * x exactly (Dekker)."""
-    c = _SPLIT * x
-    hi = c - (c - x)
+    """(p, e) with p = x * x rounded and p + e = x * x exactly (Dekker).
+    Like :func:`_two_sum`, it updates its own temporaries in place, so an
+    array costs few allocations, and Python floats run the same steps."""
+    hi = _SPLIT * x
+    hi -= hi - x
     lo = x - hi
     p = x * x
-    return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+    e = hi * hi
+    e -= p
+    hi += hi
+    hi *= lo
+    e += hi  # ((hi^2 - p) + 2 hi lo) + lo^2
+    lo *= lo
+    e += lo
+    return p, e
 
 
 def _two_sum(a, b):
-    """(s, t) with s = a + b rounded and s + t = a + b exactly (Knuth)."""
+    """(s, t) with s = a + b rounded and s + t = a + b exactly (Knuth);
+    overwrites arrays ``a`` and ``b``."""
     s = a + b
     v = s - a
-    return s, (a - (s - v)) + (b - v)
+    b -= v
+    v -= s
+    a += v  # (a - (s - v)) + (b - v)
+    a += b
+    return s, a
 
 
 def one_minus_sq(z):
-    """1 - |z|^2 = 1 - x^2 - y^2, z = x + iy, correctly rounded: a float
-    for a Python number or a 0-d array, else an array.  The same code runs
-    on Python floats, with the same roundings, for up to ``_FEW`` entries,
-    where numpy's calls would cost more than the arithmetic.
+    """1 - |z|^2 = 1 - x^2 - y^2, z = x + iy, correctly rounded, for a numpy
+    array ``z`` (complex or real) or a Python number.
 
     x^2 = p + e, y^2 = q + f, p + q = s + t and 1 - s = h + g exactly (g = 0
     for s >= 1/2), so 1 - |z|^2 = h + (g - t) - e - f, and three TwoSums
@@ -114,26 +131,26 @@ def one_minus_sq(z):
     exact value lies within a few u^2 (u = 2^-53) of a rounding tie.  It is
     bit-identical under z -> -z and z -> conj(z).
     """
-    if not isinstance(z, (complex, float, int)):
-        z = np.asarray(z, dtype=complex)
-        if z.size <= _FEW:
-            flat = [one_minus_sq(w) for w in z.reshape(-1).tolist()]
-            return flat[0] if z.ndim == 0 else np.array(flat).reshape(z.shape)
     p, e = _square(z.real)
     q, f = _square(z.imag)
     s, t = _two_sum(p, q)
     h = 1.0 - s
-    g = (1.0 - h) - s
-    lo, c = _two_sum(g - t, -e)
+    g = 1.0 - h
+    g -= s
+    g -= t
+    lo, c = _two_sum(g, -e)
     lo, d = _two_sum(lo, -f)
     hi, b = _two_sum(h, lo)
-    return hi + (b + (c + d))
+    c += d
+    b += c
+    return hi + b
 
 
-def _one_minus_conj(a, diff, d_a):
-    """1 - conj(a) b = d_a + conj(a) diff, diff = a - b, d_a = one_minus_sq(a);
-    its modulus is at least (d_a + |a| |diff|) / 4: two bits lost at most."""
-    return d_a + a.conjugate() * diff
+def _one_minus_conj(a, diff, d_a, out=None):
+    """1 - conj(a) b = d_a + conj(a) diff, diff = a - b, d_a = one_minus_sq(a),
+    into ``out`` if given; its modulus is at least (d_a + |a| |diff|) / 4:
+    two bits lost at most."""
+    return np.add(np.multiply(a.conjugate(), diff, out=out), d_a, out=out)
 
 
 def blaschke_factor(lam, z):
@@ -159,9 +176,7 @@ def _pseudo_hyperbolic_into(lam, mu, d_lam, out, den, diff):
     broadcast shape as scratch.  No square is formed, so rho keeps a few u
     of relative accuracy at any distance."""
     np.abs(np.subtract(lam, mu, out=diff), out=out)
-    np.multiply(lam.conjugate(), diff, out=diff)
-    np.add(diff, d_lam, out=diff)
-    return np.divide(out, np.abs(diff, out=den), out=out)
+    return np.divide(out, np.abs(_one_minus_conj(lam, diff, d_lam, diff), out=den), out=out)
 
 
 def pseudo_hyperbolic(lam, mu):
@@ -196,7 +211,7 @@ def _kernel_sums(z, d_z, a, d_a, weights) -> np.ndarray:
     the one_minus_sq of ``z`` and ``a``; d_a = 0 gives the Poisson kernel
     of nodes on the circle.  Each chunk of rows is one matrix-vector product."""
     out = np.empty(z.shape)
-    rows = max(1, _KERNEL_CHUNK // max(1, a.size))
+    rows = max(1, (_BLAS_SERIAL - 1) // max(1, a.size))
     for k in range(0, z.size, rows):
         zc, dc = z[k : k + rows, None], d_z[k : k + rows, None]
         den = np.abs(zc - a) ** 2

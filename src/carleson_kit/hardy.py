@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .disk import TAU, _kernel_sums, _modulus, one_minus_sq
+from .disk import _BLAS_SERIAL, TAU, _kernel_sums, _modulus, one_minus_sq
 from .errors import DomainError
 
 #: points per block of poisson_sum, and the relative Fourier tail it drops
@@ -24,10 +24,6 @@ _POISSON_TAIL = 2.0 ** -60
 _POISSON_BAND = 8.0
 #: most complex entries in one table of baby powers of poisson_sum
 _POISSON_ENTRIES = 2 ** 15
-#: real multiply-adds (a complex one counts 4) below which OpenBLAS runs a
-#: matrix product on one thread whatever OPENBLAS_NUM_THREADS says; threaded
-#: products stalled poisson_sum for up to 0.1 s on a loaded 2-vCPU host
-_BLAS_SERIAL = 2 ** 18
 
 
 def _check_power_of_two(n: int):
@@ -158,12 +154,14 @@ def _int_power(z: np.ndarray, n: int) -> np.ndarray:
         z = z * z
 
 
-def poisson_sum(samples, z) -> np.ndarray:
+def poisson_sum(samples, z, defects=None) -> np.ndarray:
     """Poisson integral of uniform-grid samples, vectorized over ``z``.
 
     Returns  mean_j v_j (1 - |z|^2) / |xi_j - z|^2  with xi_j = exp(2 pi i j/n),
     for real samples v of any length n >= 1 and points z of any shape with
     |z| < 1 (the result has z's shape); |z| >= 1 or nan raises DomainError.
+    A caller that holds ``defects`` = one_minus_sq(z) passes it on, so that
+    the band need not compute it again.
 
     The quadrature equals its Fourier series exactly,
 
@@ -260,8 +258,9 @@ def poisson_sum(samples, z) -> np.ndarray:
     # direct band next to the circle: the positive kernel
     if band < size:
         xi = np.exp(1j * TAU * np.arange(n) / n)
-        near = pts[band:]
-        out[band:] = _kernel_sums(near, one_minus_sq(near), xi, 0.0, v) / n
+        near = order[band:]
+        d = one_minus_sq(flat[near]) if defects is None else defects.reshape(-1)[near]
+        out[band:] = _kernel_sums(flat[near], d, xi, 0.0, v) / n
     result = np.empty(flat.shape)
     result[order] = out
     return result.reshape(zs.shape)

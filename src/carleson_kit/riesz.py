@@ -31,7 +31,6 @@ from .disk import kernel_inner, require_interior
 from .errors import DomainError, LinearDependenceError
 
 _DEP_TOL = 1e-12
-_U = 2.0 ** -53
 
 
 def _block_slices(ranks) -> list[slice]:
@@ -133,7 +132,7 @@ class SubspaceSystem:
             chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             chol = None
-        noise = (gram.shape[0] + 1) * _U * gram.diagonal().real
+        noise = (gram.shape[0] + 1) * 2.0 ** -53 * gram.diagonal().real
         if chol is None or np.any(np.abs(chol.diagonal()) ** 2 <= noise):
             raise LinearDependenceError("kernel elements are numerically dependent")
         emb = np.conj(chol).T

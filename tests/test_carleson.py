@@ -617,8 +617,9 @@ def test_kernel_test_constant_symmetry(size):
 
 
 def test_kernel_test_constant_memory_is_bounded():
-    # the direct sum at the interior atoms takes chunks of _KERNEL_CHUNK
-    # kernel values (4 MiB a complex temporary), whatever the number of atoms
+    # the direct sum at the interior atoms takes chunks of under
+    # disk._BLAS_SERIAL kernel values (4 MiB a complex temporary), whatever
+    # the number of atoms
     rng = np.random.default_rng(4000)
     measure = DiscreteMeasure(_disk_atoms(rng, 4000, r_max=0.99))
     tracemalloc.start()

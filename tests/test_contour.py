@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from carleson_kit import blaschke as blaschke_mod
+from carleson_kit import contour as contour_mod
 from carleson_kit import disk
+from carleson_kit import hardy as hardy_mod
 from carleson_kit.contour import (
     BoundedFunction,
     ContourConstants,
@@ -155,6 +157,33 @@ class TestBoundedFunction:
             assert nu.potential(0.0) == pytest.approx(total, rel=1e-12)
             assert np.all(nu.potential([0.5, 0.9j]) > 0.0)
 
+    def test_one_minus_sq_of_the_points_is_taken_once(self, monkeypatch):
+        # the singular atoms and the outer part's Poisson band share it, with
+        # the bits poisson_sum gives on its own; half the points lie in the band
+        rng = np.random.default_rng(9)
+        outer = -0.1 * (1.0 + np.cos(TAU * np.arange(256) / 256))
+        phi = BoundedFunction(zeros=[0.3], singular_atoms=[(1.0, 0.1), (4.0, 0.2)],
+                              outer_log=outer)
+        band = (1.0 - rng.uniform(0.0, 0.02, 500)) * np.exp(TAU * 1j * rng.uniform(size=500))
+        zs = np.concatenate([random_blaschke_zeros(rng, 500), band])
+        want_log, want_pot = phi.log_abs(zs), phi.representing_measure().potential(zs)
+        d = disk.one_minus_sq(zs)
+        assert np.array_equal(poisson_sum(outer, zs, d), poisson_sum(outer, zs))
+        sizes = []
+
+        def counted(z):
+            sizes.append(np.size(z))
+            return disk.one_minus_sq(z)
+
+        monkeypatch.setattr(contour_mod, "one_minus_sq", counted)
+        monkeypatch.setattr(hardy_mod, "one_minus_sq", counted)
+        assert np.array_equal(phi.log_abs(zs), want_log)
+        assert sizes == [zs.size]
+        nu = phi.representing_measure()
+        sizes.clear()
+        assert np.array_equal(nu.potential(zs), want_pot)
+        assert sorted(sizes) == [1, zs.size]  # the zero, then the points
+
     def test_blaschke_only_log_abs_on_the_circle(self):
         # without an outer part the circle stays allowed: |B| = 1 there
         phi = BoundedFunction(zeros=[0.3, -0.5j])
@@ -282,24 +311,32 @@ class TestLogAbsBlocks:
         assert peak < 16e6
 
     def test_modulus_of_the_points_is_taken_once(self, monkeypatch):
-        # both the closed-disk refusal and the open-disk mask read it; the
-        # zeros are checked once too
+        # the open-disk mask is taken once, and the closed-disk refusal reads
+        # hypot of the points off it only; the zeros are checked once too
         rng = np.random.default_rng(8)
         phi = BoundedFunction(zeros=random_blaschke_zeros(rng, 50))
         zs = random_blaschke_zeros(rng, 1000)
         want = phi.log_abs(zs)
-        sizes = []
+        tests, hypots = [], []
+        in_open_disk = disk.in_open_disk
 
         def counted(z):
-            sizes.append(np.size(z))
+            tests.append(np.size(z))
+            return in_open_disk(z)
+
+        def hypot(z):
+            hypots.append(np.size(z))
             return np.hypot(z.real, z.imag)
 
-        monkeypatch.setattr(disk, "_modulus", counted)
-        monkeypatch.setattr(blaschke_mod, "_modulus", counted)
-        # chunks of 32 zeros: one modulus of the 1000 points and one of the
-        # 50 zeros, none per chunk
+        monkeypatch.setattr(disk, "in_open_disk", counted)
+        monkeypatch.setattr(blaschke_mod, "in_open_disk", counted)
+        monkeypatch.setattr(disk, "_modulus", hypot)
+        monkeypatch.setattr(blaschke_mod, "_modulus", hypot)
+        # chunks of 32 zeros: one test of the 1000 points and one of the
+        # 50 zeros, none per chunk; every point lies well inside
         assert np.array_equal(phi.log_abs(zs), want)
-        assert sorted(sizes) == [50, zs.size]
+        assert sorted(tests) == [50, zs.size]
+        assert sum(hypots) == 0
 
 
 class TestPotentialBounds:

@@ -367,7 +367,7 @@ def test_one_minus_sq_is_correctly_rounded_near_the_circle():
     pts = near_circle_points()
     want = exact_one_minus_sq(pts)
     assert np.array_equal(one_minus_sq(pts), want)
-    # Python numbers, 0-d arrays and short arrays take the scalar route
+    # Python numbers run the same steps on Python floats
     assert [one_minus_sq(complex(z)) for z in pts] == want.tolist()
     assert [one_minus_sq(np.array(z)) for z in pts] == want.tolist()
     assert np.array_equal(one_minus_sq(pts[:5]), want[:5])
@@ -381,6 +381,17 @@ def test_one_minus_sq_is_correctly_rounded_across_the_disk():
         [0.0, 0.5, 0.5j, 1.0, -1.0j, 0.6 + 0.8j],
     ])
     assert np.array_equal(one_minus_sq(pts), exact_one_minus_sq(pts))
+
+
+def test_in_open_disk_is_the_hypot_test_next_to_the_circle():
+    # numpy's abs and hypot disagree on < 1 for about 3% of these points
+    rng = np.random.default_rng(58)
+    pts = (1.0 - 2.0 ** -rng.integers(40, 56, 20000)) * unimodular(rng, 20000)
+    pts = np.concatenate([pts, 0.5 * pts, [1.0, 1j, np.nan, np.inf]])
+    want = np.hypot(pts.real, pts.imag) < 1.0
+    assert np.array_equal(disk.in_open_disk(pts), want)
+    assert np.array_equal(disk.in_open_disk(pts[:20000:4] * 0.999), np.ones(5000, dtype=bool))
+    assert [bool(disk.in_open_disk(z)) for z in pts[:50]] == [abs(complex(z)) < 1 for z in pts[:50]]
 
 
 def test_one_minus_sq_is_bit_symmetric():
