@@ -92,8 +92,8 @@ class BoundedFunction:
         if self.singular_atoms:
             # the boundary Poisson kernel at xi is |k_z(xi)|^2, defined for
             # z in the open disk only
-            circle, masses = _on_circle(self.singular_atoms)
-            defects, sums = _poisson_mass(zs, circle, 0.0, masses)
+            angles, masses = np.array(self.singular_atoms).T
+            defects, sums = _poisson_mass(zs, np.exp(1j * angles), 0.0, masses)
             out -= sums
         if self.outer_log is not None:
             out += poisson_sum(self.outer_log, zs, defects)
@@ -164,22 +164,15 @@ class RepresentingMeasure:
         """
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         inner = np.array([p for p, _ in self.interior_atoms], dtype=complex)
-        circle, masses = _on_circle(self.boundary_atoms)
-        atoms = np.concatenate([inner, circle])
+        circle = np.exp(1j * np.array([a for a, _ in self.boundary_atoms], dtype=float))
         d_atoms = np.concatenate([one_minus_sq(inner), np.zeros(circle.size)])
-        masses = np.concatenate([[m for _, m in self.interior_atoms], masses])
-        defects, out = _poisson_mass(zs, atoms, d_atoms, masses)
+        # self._atoms[2] holds the masses in the same order
+        defects, out = _poisson_mass(zs, np.concatenate([inner, circle]), d_atoms, self._atoms[2])
         if self.density is not None:
             out += poisson_sum(self.density, zs, defects)
         if np.isscalar(z) or isinstance(z, (complex, float, int)):
             return out[0]
         return out
-
-
-def _on_circle(atoms) -> tuple[np.ndarray, np.ndarray]:
-    """The points exp(i angle) and the masses of (angle, mass) atoms."""
-    angles = np.array([a for a, _ in atoms], dtype=float)
-    return np.exp(1j * angles), np.array([m for _, m in atoms], dtype=float)
 
 
 def _poisson_mass(zs: np.ndarray, atoms: np.ndarray, defects, masses: np.ndarray):
@@ -508,10 +501,10 @@ def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
     for c, r in zip(region.centers.tolist(), region.radii.tolist()):
         ang = rng.uniform(0.0, TAU, per_disk)
         rad = r * np.sqrt(rng.uniform(0.0, 4.0, per_disk))
-        cand = c + rad * np.exp(1j * ang)
-        near.append(cand[in_open_disk(cand)])
+        near.append(c + rad * np.exp(1j * ang))
     if near:
-        zs = np.concatenate([zs] + near)
+        cand = np.concatenate(near)  # one open-disk test for every disk
+        zs = np.concatenate([zs, cand[in_open_disk(cand)]])
     inside = region.contains_many(zs)
     log_abs = phi.log_abs(zs)
     upper_level = math.log(eps) + 1e-9
