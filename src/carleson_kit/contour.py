@@ -503,8 +503,8 @@ def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
         rad = r * np.sqrt(rng.uniform(0.0, 4.0, per_disk))
         near.append(c + rad * np.exp(1j * ang))
     if near:
-        cand = np.concatenate(near)  # one open-disk test for every disk
-        zs = np.concatenate([zs, cand[in_open_disk(cand)]])
+        near = np.concatenate(near)  # one open-disk test for every disk
+        zs = np.concatenate([zs, near[in_open_disk(near)]])
     inside = region.contains_many(zs)
     log_abs = phi.log_abs(zs)
     upper_level = math.log(eps) + 1e-9

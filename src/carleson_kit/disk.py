@@ -65,11 +65,11 @@ def _modulus(zs: np.ndarray) -> np.ndarray:
 
 def in_open_disk(z) -> np.ndarray:
     """The package's one test of |z| < 1 by hypot, entrywise (nan fails).
-    numpy's abs is within 3 u of hypot, so it gives hypot's answer unless
-    a point lies within 2**-50 of the circle; then hypot decides."""
+    numpy's abs is within 3 u of hypot, so it gives hypot's answer for
+    every point farther than 2**-50 from the circle; hypot decides the rest."""
     zs = np.asarray(z, dtype=complex)
     r = np.abs(zs)
-    near = np.abs(r - 1.0) <= 2.0 ** -50
+    near = (r >= 1.0 - 2.0 ** -50) & (r <= 1.0 + 2.0 ** -50)
     return r < 1.0 if not near.any() else np.where(near, _modulus(zs) < 1.0, r < 1.0)
 
 
