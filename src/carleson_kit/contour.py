@@ -501,10 +501,10 @@ def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
     for c, r in zip(region.centers.tolist(), region.radii.tolist()):
         ang = rng.uniform(0.0, TAU, per_disk)
         rad = r * np.sqrt(rng.uniform(0.0, 4.0, per_disk))
-        near.append(c + rad * np.exp(1j * ang))
+        cand = c + rad * np.exp(1j * ang)
+        near.append(cand[in_open_disk(cand)])
     if near:
-        near = np.concatenate(near)  # one open-disk test for every disk
-        zs = np.concatenate([zs, near[in_open_disk(near)]])
+        zs = np.concatenate([zs] + near)
     inside = region.contains_many(zs)
     log_abs = phi.log_abs(zs)
     upper_level = math.log(eps) + 1e-9
