@@ -92,9 +92,10 @@ class BoundedFunction:
         if self.singular_atoms:
             # the boundary Poisson kernel at xi is |k_z(xi)|^2, defined for
             # z in the open disk only
+            flat = _interior(zs.reshape(-1))
+            defects = one_minus_sq(flat)
             angles, masses = np.array(self.singular_atoms).T
-            defects, sums = _poisson_mass(zs, np.exp(1j * angles), 0.0, masses)
-            out -= sums
+            out -= _kernel_sums(flat, defects, np.exp(1j * angles), 0.0, masses).reshape(zs.shape)
         if self.outer_log is not None:
             out += poisson_sum(self.outer_log, zs, defects)
         if np.isscalar(z) or isinstance(z, (complex, float, int)):
@@ -163,25 +164,19 @@ class RepresentingMeasure:
         disk.
         """
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
+        flat = _interior(zs.reshape(-1))
+        defects = one_minus_sq(flat)
         inner = np.array([p for p, _ in self.interior_atoms], dtype=complex)
         circle = np.exp(1j * np.array([a for a, _ in self.boundary_atoms], dtype=float))
         d_atoms = np.concatenate([one_minus_sq(inner), np.zeros(circle.size)])
         # self._atoms[2] holds the masses in the same order
-        defects, out = _poisson_mass(zs, np.concatenate([inner, circle]), d_atoms, self._atoms[2])
+        out = _kernel_sums(flat, defects, np.concatenate([inner, circle]), d_atoms,
+                           self._atoms[2]).reshape(zs.shape)
         if self.density is not None:
             out += poisson_sum(self.density, zs, defects)
         if np.isscalar(z) or isinstance(z, (complex, float, int)):
             return out[0]
         return out
-
-
-def _poisson_mass(zs: np.ndarray, atoms: np.ndarray, defects, masses: np.ndarray):
-    """one_minus_sq(zs) and sum_j masses_j |k_z(atoms_j)|^2 at each z of
-    ``zs``, which must lie in the open disk (DomainError), with ``defects``
-    the atoms' 1 - |a|^2: 0 for atoms on the circle."""
-    flat = _interior(zs.reshape(-1))
-    d = one_minus_sq(flat)
-    return d, _kernel_sums(flat, d, atoms, defects, masses).reshape(zs.shape)
 
 
 def check_potential_bounds(phi: BoundedFunction, eps: float, points) -> dict:
