@@ -18,15 +18,14 @@ import numpy as np
 
 from . import carleson as carleson_mod
 from .disk import (
+    _blaschke_factor,
     _interior,
-    _modulus,
     _pseudo_hyperbolic_into,
-    blaschke_factor,
+    in_closed_disk,
     in_open_disk,
     layer_index,
     one_minus_sq,
     pseudo_hyperbolic,
-    require_interior,
 )
 from .errors import DomainError
 
@@ -65,7 +64,8 @@ def _min_pseudo_hyperbolic(zeros, points) -> np.ndarray:
 
 def blaschke_log_abs(zeros, zs: np.ndarray) -> np.ndarray:
     """log|B| at each entry of ``zs``, B the product over ``zeros`` (with
-    multiplicity); DomainError for |z| > 1 + 1e-12 unless ``zeros`` is empty.
+    multiplicity); DomainError for |z| > ``disk.CLOSED_RADIUS`` unless
+    ``zeros`` is empty.
 
     The sum of log pseudo_hyperbolic runs over chunks of zeros, each row
     along all the interior points (see :func:`_rho_chunks`), so every numpy
@@ -77,13 +77,13 @@ def blaschke_log_abs(zeros, zs: np.ndarray) -> np.ndarray:
     16 n u sum_a (|log rho_a| + 1) of a ``math.fsum`` of the exact terms.
     """
     out = np.zeros(zs.shape, dtype=float)
-    if not zeros:
-        return out
     zeros = _interior(zeros, "Blaschke zero")
+    if zeros.size == 0:
+        return out
     # |b_lam| = 1 on the circle, so only interior points add to the sum;
     # points off the closed disk are refused
     inner = in_open_disk(zs)
-    if not np.all(_modulus(zs[~inner]) <= 1.0 + 1e-12):
+    if not in_closed_disk(zs[~inner]).all():
         raise DomainError("the Blaschke part is defined on the closed disk only")
     pts = zs[inner]
     sums = np.zeros(pts.shape)
@@ -94,36 +94,41 @@ def blaschke_log_abs(zeros, zs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _distinct_interior(points, what: str) -> np.ndarray:
+    """``points`` as a checked 1-d complex array (``disk._interior``);
+    DomainError unless they are pairwise distinct.  Distinctness is counted
+    on a set of Python complexes: the first ``np.unique`` of a process adds
+    about 0.6 MB resident."""
+    arr = _interior(points, what).reshape(-1)
+    if len(set(arr.tolist())) != arr.size:
+        raise DomainError(f"{what}s must be pairwise distinct")
+    return arr
+
+
 class BlaschkeProduct:
     """Product of Blaschke factors over a finite list of simple interior zeros.
 
-    The empty product is the constant 1.  Repeated zeros are rejected;
-    degenerate inputs should model multiplicity by perturbation.
+    ``zeros`` is the checked complex array of them.  The empty product is
+    the constant 1.  Repeated zeros are rejected; degenerate inputs should
+    model multiplicity by perturbation.
     """
 
     __slots__ = ("zeros",)
 
     def __init__(self, zeros=()):
-        zs = [require_interior(z, "Blaschke zero") for z in zeros]
-        if len(set(zs)) != len(zs):
-            raise DomainError("Blaschke zeros must be pairwise distinct (simple zeros)")
-        self.zeros = tuple(zs)
+        self.zeros = _distinct_interior(zeros, "Blaschke zero")
 
     def __call__(self, z):
         zs = np.asarray(z, dtype=complex)
         out = np.ones_like(zs)
-        for lam in self.zeros:
-            out = out * blaschke_factor(lam, zs)
-        if np.isscalar(z) or isinstance(z, (complex, float, int)):
-            return complex(out)
-        return out
+        for lam in self.zeros.tolist():
+            out = out * _blaschke_factor(lam, zs)
+        return complex(out) if np.isscalar(z) else out
 
     def log_abs(self, z):
         """log |B(z)|, elementwise, by :func:`blaschke_log_abs`."""
         out = blaschke_log_abs(self.zeros, np.asarray(z, dtype=complex))
-        if np.isscalar(z) or isinstance(z, (complex, float, int)):
-            return float(out)
-        return out
+        return float(out) if np.isscalar(z) else out
 
 
 @dataclass(frozen=True)
@@ -133,58 +138,40 @@ class InterpolationReport:
     delta   = min over lam of prod_{mu != lam} |b_mu(lam)|
     alpha   = min pairwise pseudo-hyperbolic distance (1.0 for singletons)
     carleson_norm = Carleson norm of sum (1 - |lam|^2) delta_lam
+    projection_norms = norm of the skew projection onto the kernel at each
+        point lam along the others, (prod_{mu != lam} |b_mu(lam)|)^{-1},
+        in the order of the points
     """
 
     delta: float
     alpha: float
     carleson_norm: float
-
-
-def _check_distinct(points) -> list[complex]:
-    pts = [require_interior(p, "sequence point") for p in points]
-    if not pts:
-        raise DomainError("the sequence must be nonempty")
-    if len(set(pts)) != len(pts):
-        raise DomainError("sequence points must be pairwise distinct")
-    return pts
+    projection_norms: list[float]
 
 
 def interpolation_constants(points, depth: int = 12) -> InterpolationReport:
-    """delta, separation alpha and the Carleson norm of the point-mass measure."""
-    pts = _check_distinct(points)
-    n = len(pts)
-    arr = np.asarray(pts, dtype=complex)
-    if n == 1:
+    """delta, separation alpha, the Carleson norm of the point-mass measure
+    and the projection norms, all from one distance matrix (ones on its
+    diagonal): delta from its row sums of logs, the projection norms from
+    its column products."""
+    arr = _distinct_interior(points, "sequence point")
+    if arr.size == 0:
+        raise DomainError("the sequence must be nonempty")
+    dist = pseudo_hyperbolic(arr[:, None], arr[None, :])
+    np.fill_diagonal(dist, 1.0)
+    prod = dist.prod(axis=0)
+    if not prod.all():
+        raise DomainError("degenerate sequence: coinciding points")
+    if arr.size == 1:
         delta = 1.0
         alpha = 1.0
     else:
-        dist = _distances(arr)
         alpha = float(dist.min())
         delta = float(np.exp(np.log(dist).sum(axis=1).min()))
-    measure = carleson_mod.DiscreteMeasure(zip(pts, one_minus_sq(arr).tolist()))
+    measure = carleson_mod.DiscreteMeasure(np.column_stack((arr, one_minus_sq(arr))))
     norm = carleson_mod.carleson_norm(measure, depth)
-    return InterpolationReport(delta=delta, alpha=alpha, carleson_norm=norm)
-
-
-def _distances(arr: np.ndarray) -> np.ndarray:
-    """The pseudo-hyperbolic distance matrix of the 1-d ``arr``, with ones on
-    its diagonal."""
-    dist = pseudo_hyperbolic(arr[:, None], arr[None, :])
-    np.fill_diagonal(dist, 1.0)
-    return dist
-
-
-def projection_norm_formula(points) -> list[float]:
-    """Norm of the skew projection onto the kernel at each point lam of the
-    sequence along the others, in the order of ``points``.
-
-    Equals (prod_{mu != lam} |b_mu(lam)|)^{-1}, a column product of one
-    distance matrix.
-    """
-    prod = _distances(np.asarray(_check_distinct(points), dtype=complex)).prod(axis=0)
-    if not prod.all():
-        raise DomainError("degenerate sequence: coinciding points")
-    return (1.0 / prod).tolist()
+    return InterpolationReport(delta=delta, alpha=alpha, carleson_norm=norm,
+                               projection_norms=(1.0 / prod).tolist())
 
 
 def place_net_on_curve(vertices, alpha: float) -> list[complex]:
@@ -199,22 +186,19 @@ def place_net_on_curve(vertices, alpha: float) -> list[complex]:
     """
     if not (0.0 < alpha < 0.1):
         raise DomainError(f"net mesh must lie in (0, 0.1), got {alpha}")
-    pts = [require_interior(v, "curve vertex") for v in vertices]
-    if not pts:
-        return []
-    order = sorted(range(len(pts)), key=lambda i: (layer_index(pts[i]), i))
-    visit = np.array([pts[i] for i in order], dtype=complex)
+    pts = _interior(vertices, "curve vertex").reshape(-1)
+    visit = pts[np.argsort(layer_index(pts), kind="stable")]
     defects = one_minus_sq(visit)
     free = np.ones(visit.size, dtype=bool)  # farther than alpha from the net so far
     rho, den, work = np.empty(visit.size), np.empty(visit.size), np.empty(visit.size, dtype=complex)
-    selected: list[complex] = []
-    for k, i in enumerate(order):
+    selected = []
+    for k in range(visit.size):
         if free[k]:
-            selected.append(pts[i])
+            selected.append(k)
             rest = slice(k + 1, None)  # pseudo_hyperbolic(visit[k], visit[rest]), its bits
             free[rest] &= _pseudo_hyperbolic_into(visit[k], visit[rest], defects[k], rho[rest],
                                                   den[rest], work[rest]) > alpha
-    return selected
+    return visit[selected].tolist()
 
 
 def net_is_valid(vertices, net, alpha: float) -> tuple[bool, bool, bool]:

@@ -13,7 +13,6 @@ this agrees with the open square.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,9 +20,12 @@ import numpy as np
 
 from .disk import (
     TAU,
+    _atoms,
     _kernel_sums,
+    _modulus,
     dyadic_index,
     grid_layers,
+    in_closed_disk,
     in_layer,
     in_square,
     one_minus_sq,
@@ -47,25 +49,20 @@ _PAIR_BLOCK = 2 ** 16
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finite positive measure sum_i mass_i * delta(point_i), |point_i| <= 1."""
+    """Finite positive measure sum_i mass_i * delta(point_i), |point_i| <= 1,
+    from (point, mass) pairs or a (k, 2) array, checked as arrays."""
 
     points: np.ndarray
     masses: np.ndarray
 
     def __init__(self, atoms):
-        pts = []
-        ms = []
-        for p, m in atoms:
-            p = complex(p)
-            m = float(m)
-            if not abs(p) <= 1.0 + 1e-12:  # nan fails
-                raise DomainError(f"atom outside the closed disk: |z| = {abs(p):.6g}")
-            if not 0.0 < m < math.inf:
-                raise DomainError(f"atom masses must be positive and finite, got {m}")
-            pts.append(p)
-            ms.append(m)
-        object.__setattr__(self, "points", np.asarray(pts, dtype=complex))
-        object.__setattr__(self, "masses", np.asarray(ms, dtype=float))
+        points, masses = _atoms(atoms, complex)
+        inside = in_closed_disk(points)  # nan fails
+        if not inside.all():
+            raise DomainError(f"atom outside the closed disk: |z| = "
+                              f"{_modulus(points[~inside])[0]:.6g}")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "masses", masses)
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -21,7 +21,7 @@ from itertools import chain, compress, repeat
 import numpy as np
 
 from . import rendering, riesz
-from .blaschke import BlaschkeProduct, interpolation_constants, projection_norm_formula
+from .blaschke import BlaschkeProduct, interpolation_constants
 from .carleson import (DiscreteMeasure, carleson_norm, embedding_constant_empirical,
                        kernel_test_constant)
 from .construction import (build_contour_nets, check_two_eps_margins, condition_sums,
@@ -227,7 +227,7 @@ def run_sequence(args: argparse.Namespace) -> dict:
     data, digest = _load_json_digest(args.input)
     points = _complex_list(data.get("points"), "points")
     rep = interpolation_constants(points, depth=args.depth)
-    norms = projection_norm_formula(points)
+    norms = rep.projection_norms
     system = riesz.SubspaceSystem.from_kernel_groups([[p] for p in points])
     factor = riesz.GramFactor(system)
     gram_norms = factor.singleton_skew_norms()
@@ -260,15 +260,15 @@ def run_carleson(args: argparse.Namespace) -> dict:
     atoms_raw = data.get("atoms")
     if not isinstance(atoms_raw, list) or not atoms_raw:
         raise InputError("atoms must be a nonempty list of [[re, im], mass]")
-    for entry in atoms_raw:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise InputError("each atom is [[re, im], mass]")
-        if type(entry[1]) not in _NUMBER_TYPES or entry[1] <= 0:
-            raise InputError("atom masses must be positive numbers")
-    masses = _float_array([entry[1] for entry in atoms_raw], "atom masses").tolist()
-    positions = _complex_list([entry[0] for entry in atoms_raw], "atom position")
-    atoms = list(zip(positions, masses))
-    measure = DiscreteMeasure(atoms)
+    # checked by the sets of types and lengths, as in _complex_array
+    if not set(map(type, atoms_raw)) <= {list} or not set(map(len, atoms_raw)) <= {2}:
+        raise InputError("each atom is [[re, im], mass]")
+    masses_raw = list(map(operator.itemgetter(1), atoms_raw))
+    if not set(map(type, masses_raw)) <= _NUMBER_TYPES or min(masses_raw) <= 0:
+        raise InputError("atom masses must be positive numbers")
+    masses = _float_array(masses_raw, "atom masses")
+    positions = _complex_array(list(map(operator.itemgetter(0), atoms_raw)), "atom position")
+    measure = DiscreteMeasure(np.column_stack((positions, masses)))
     norm = carleson_norm(measure, depth=args.depth)
     kernel_const = kernel_test_constant(measure)
     embed_const = embedding_constant_empirical(measure, test_degree=64)
@@ -281,7 +281,7 @@ def run_carleson(args: argparse.Namespace) -> dict:
     ]
     report = {
         "command": "carleson",
-        "inputs": {"input_sha256": digest, "count": len(atoms)},
+        "inputs": {"input_sha256": digest, "count": len(measure)},
         "constants": {"depth": args.depth, "test_degree": 64},
         "quantities": {
             "carleson_norm": norm,
@@ -290,6 +290,7 @@ def run_carleson(args: argparse.Namespace) -> dict:
         },
     }
     if args.svg:
+        atoms = zip(positions.tolist(), masses.tolist())
         rendering.write_atomic(args.svg, rendering.render_points([], measure_atoms=atoms))
     return _finish(report, checks)
 
@@ -303,10 +304,9 @@ def run_contour(args: argparse.Namespace) -> dict:
     atoms_raw = data.get("singular_atoms", [])
     if not isinstance(atoms_raw, list):
         raise InputError("singular_atoms must be a list of [angle, mass]")
-    for entry in atoms_raw:
-        if not (isinstance(entry, list) and len(entry) == 2
-                and set(map(type, entry)) <= _NUMBER_TYPES):
-            raise InputError("each singular atom is [angle, mass] with numbers")
+    if (not set(map(type, atoms_raw)) <= {list} or not set(map(len, atoms_raw)) <= {2}
+            or not set(map(type, chain.from_iterable(atoms_raw))) <= _NUMBER_TYPES):
+        raise InputError("each singular atom is [angle, mass] with numbers")
     atoms = _float_array(atoms_raw, "singular atoms").tolist()
     outer = data.get("outer_log")
     outer_arr = None if outer is None else _real_array(outer, "outer_log")

@@ -32,6 +32,7 @@ from .carleson import CurveMeasure, carleson_norm
 from .disk import (
     TAU,
     Arc,
+    _atoms,
     _interior,
     _kernel_sums,
     dyadic_arc,
@@ -41,7 +42,6 @@ from .disk import (
     one_minus_sq,
     polar,
     pseudo_hyperbolic_disk,
-    require_interior,
     turns,
 )
 from .errors import ContourBoundError, DomainError
@@ -59,22 +59,21 @@ CONTOUR_NORM_BOUND = 10.0
 class BoundedFunction:
     """phi = (Blaschke part) * (singular part) * (outer part), ||phi|| <= 1.
 
-    zeros: interior zeros with multiplicity.  singular_atoms: (angle, mass)
-    pairs, masses in normalized boundary units.  outer_log: samples of
-    log|phi*| on a uniform boundary grid, required <= 0 (tolerance 1e-8);
-    None means the outer part is constant 1.
+    zeros: interior zeros with multiplicity, kept as a checked complex
+    array.  singular_atoms: (angle, mass) pairs, kept as a (k, 2) float
+    array of angles mod 2 pi and masses in normalized boundary units.
+    outer_log: samples of log|phi*| on a uniform boundary grid, required
+    <= 0 (tolerance 1e-8); None means the outer part is constant 1.
     """
 
     __slots__ = ("zeros", "singular_atoms", "outer_log")
 
     def __init__(self, zeros=(), singular_atoms=(), outer_log=None):
-        self.zeros = tuple(require_interior(z, "zero") for z in zeros)
-        atoms = []
-        for ang, mass in singular_atoms:
-            if not (math.isfinite(ang) and 0 < mass < math.inf):
-                raise DomainError("singular atoms need a finite angle and a positive finite mass")
-            atoms.append((float(ang) % TAU, float(mass)))
-        self.singular_atoms = tuple(atoms)
+        self.zeros = _interior(zeros, "zero").reshape(-1)
+        angles, masses = _atoms(singular_atoms, float)
+        if not np.isfinite(angles).all():
+            raise DomainError("singular atoms need finite angles")
+        self.singular_atoms = np.column_stack((angles % TAU, masses))
         if outer_log is not None:
             outer_log = np.asarray(outer_log, dtype=float)
             if outer_log.ndim != 1 or outer_log.size == 0:
@@ -89,59 +88,59 @@ class BoundedFunction:
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         out = blaschke_log_abs(self.zeros, zs)
         defects = None
-        if self.singular_atoms:
+        if self.singular_atoms.size:
             # the boundary Poisson kernel at xi is |k_z(xi)|^2, defined for
             # z in the open disk only
             flat = _interior(zs.reshape(-1))
             defects = one_minus_sq(flat)
-            angles, masses = np.array(self.singular_atoms).T
+            angles, masses = self.singular_atoms.T
             out -= _kernel_sums(flat, defects, np.exp(1j * angles), 0.0, masses).reshape(zs.shape)
         if self.outer_log is not None:
             out += poisson_sum(self.outer_log, zs, defects)
-        if np.isscalar(z) or isinstance(z, (complex, float, int)):
-            return out[0]
-        return out
+        return out[0] if np.isscalar(z) else out
 
     def representing_measure(self) -> "RepresentingMeasure":
-        halves = 0.5 * one_minus_sq(np.array(self.zeros, dtype=complex))
-        interior = zip(self.zeros, halves.tolist())
+        halves = 0.5 * one_minus_sq(self.zeros)
         density = None if self.outer_log is None else np.clip(-self.outer_log, 0.0, None)
-        return RepresentingMeasure(interior, self.singular_atoms, density)
+        return RepresentingMeasure(np.column_stack((self.zeros, halves)), self.singular_atoms,
+                                   density)
 
 
 class RepresentingMeasure:
     """nu = mu_singular + (-log|phi*|) dm + (1/2) sum (1 - |lam|^2) delta_lam.
 
-    All masses are in normalized boundary units (the full circle has
-    measure 1 under dm).
+    From (point, mass) and (angle, mass) pairs it keeps three checked
+    arrays: ``points`` in the open disk, finite ``angles`` mod 2 pi, and
+    the positive finite ``masses`` of both, points first.  The ``density``
+    samples must be finite and nonnegative.  All masses are in normalized
+    boundary units (the full circle has measure 1 under dm).
     """
 
-    __slots__ = ("interior_atoms", "boundary_atoms", "density", "_atoms")
+    __slots__ = ("points", "angles", "masses", "density", "_polar")
 
     def __init__(self, interior_atoms=(), boundary_atoms=(), density=None):
-        self.interior_atoms = tuple(
-            (require_interior(p), float(m)) for p, m in interior_atoms
-        )
-        self.boundary_atoms = tuple((float(a) % TAU, float(m)) for a, m in boundary_atoms)
-        if any(m <= 0 for _, m in self.interior_atoms + self.boundary_atoms):
-            raise DomainError("masses must be positive")
+        points, inner_masses = _atoms(interior_atoms, complex)
+        angles, boundary_masses = _atoms(boundary_atoms, float)
+        self.points = _interior(points)
+        if not np.isfinite(angles).all():
+            raise DomainError("boundary atoms need finite angles")
+        self.angles = angles % TAU
+        self.masses = np.concatenate([inner_masses, boundary_masses])
         if density is not None:
             density = np.asarray(density, dtype=float)
-            if np.min(density) < 0:
-                raise DomainError("density must be nonnegative")
+            if not np.isfinite(density).all() or np.min(density) < 0:
+                raise DomainError("density must be finite and nonnegative")
         self.density = density
-        # every atom once as (turn, radius, mass); boundary atoms sit at radius 1
-        u, r = polar([p for p, _ in self.interior_atoms])
-        self._atoms = (
-            np.concatenate([u, turns([a for a, _ in self.boundary_atoms])]),
-            np.concatenate([r, np.ones(len(self.boundary_atoms))]),
-            np.array([m for _, m in self.interior_atoms + self.boundary_atoms], dtype=float),
-        )
+        # the turn and radius of every atom, in the order of the masses;
+        # boundary atoms sit at radius 1
+        u, r = polar(self.points)
+        self._polar = (np.concatenate([u, turns(self.angles)]),
+                       np.concatenate([r, np.ones(self.angles.size)]))
 
     def mass_in_square(self, arc: Arc) -> float:
         """nu of the closed Carleson square over ``arc`` (``disk.in_square``)."""
-        u, r, w = self._atoms
-        m = float(w @ in_square(u, r, arc.start_turn, arc.normalized_length))
+        u, r = self._polar
+        m = float(self.masses @ in_square(u, r, arc.start_turn, arc.normalized_length))
         if self.density is not None:
             # each sample carries mass density[k]/n spread over its cell of
             # 1/n turns; integrate the overlap so that arcs shorter than
@@ -166,17 +165,13 @@ class RepresentingMeasure:
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         flat = _interior(zs.reshape(-1))
         defects = one_minus_sq(flat)
-        inner = np.array([p for p, _ in self.interior_atoms], dtype=complex)
-        circle = np.exp(1j * np.array([a for a, _ in self.boundary_atoms], dtype=float))
-        d_atoms = np.concatenate([one_minus_sq(inner), np.zeros(circle.size)])
-        # self._atoms[2] holds the masses in the same order
-        out = _kernel_sums(flat, defects, np.concatenate([inner, circle]), d_atoms,
-                           self._atoms[2]).reshape(zs.shape)
+        circle = np.exp(1j * self.angles)
+        d_atoms = np.concatenate([one_minus_sq(self.points), np.zeros(circle.size)])
+        out = _kernel_sums(flat, defects, np.concatenate([self.points, circle]), d_atoms,
+                           self.masses).reshape(zs.shape)
         if self.density is not None:
             out += poisson_sum(self.density, zs, defects)
-        if np.isscalar(z) or isinstance(z, (complex, float, int)):
-            return out[0]
-        return out
+        return out[0] if np.isscalar(z) else out
 
 
 def check_potential_bounds(phi: BoundedFunction, eps: float, points) -> dict:
@@ -193,7 +188,7 @@ def check_potential_bounds(phi: BoundedFunction, eps: float, points) -> dict:
     zs = np.atleast_1d(np.asarray(points, dtype=complex))
     neglog = -phi.log_abs(zs)
     pot = phi.representing_measure().potential(zs)
-    if phi.zeros:
+    if phi.zeros.size:
         min_b = _min_pseudo_hyperbolic(phi.zeros, zs)
     else:
         min_b = np.ones(zs.shape)
@@ -270,7 +265,8 @@ def select_bad_intervals(measure: RepresentingMeasure, m_threshold: float,
     # normalized lengths of the depths 1..depth_floor and their thresholds
     scales = 2.0 ** -np.arange(1, depth_floor + 1)
     thresholds = m_threshold * scales
-    u, r, atom_mass = measure._atoms
+    u, r = measure._polar
+    atom_mass = measure.masses
     # reach[k, j]: atom k lies in the radial layer of the squares of depth j + 1
     reach = in_layer(r[:, None], scales[None, :])
     density = measure.density
@@ -463,7 +459,7 @@ def bourgain_contour(phi: BoundedFunction, eps: float,
             f"{len(witnesses)} heavy dyadic square(s) nu(Q(J)) > M|J|; the heaviest, "
             f"at depth {round(-math.log2(length))}, has nu(Q(J)) = {masses[k]:.6g} "
             f"against M|J| = {constants.m_threshold * length:.6g}")
-    zeros = sorted(phi.zeros, key=lambda w: (w.real, w.imag))
+    zeros = sorted(phi.zeros.tolist(), key=lambda w: (w.real, w.imag))
     centers, radii = pseudo_hyperbolic_disk(np.array(zeros, dtype=complex), constants.gamma)
     region = Region(zip(centers.tolist(), radii.tolist()))
     return ContourResult(region, _extract_polylines(region), constants)

@@ -11,7 +11,8 @@ Conventions used throughout the package:
   with ``b_0(z) = z`` when ``lam = 0``;
 * the normalized reproducing kernel at ``lam`` is
   ``k_lam(z) = sqrt(1 - |lam|^2) / (1 - conj(lam) * z)``;
-* |z| is ``hypot(Re z, Im z)``, and :func:`in_open_disk` tests |z| < 1;
+* |z| is ``hypot(Re z, Im z)``: :func:`in_open_disk` tests |z| < 1,
+  :func:`in_closed_disk` |z| <= ``CLOSED_RADIUS`` = 1 + 1e-12;
 * arcs are kept in turns (fractions of the full circle).
 
 This module alone rounds the disk's geometry.  :func:`one_minus_sq` gives
@@ -27,12 +28,12 @@ The metric and kernel primitives (:func:`pseudo_hyperbolic`, :func:`kernel`,
 :func:`kernel_inner`) broadcast over numpy arrays like ufuncs, so
 ``pseudo_hyperbolic(p[:, None], p[None, :])`` is a distance matrix and
 ``kernel_inner(p[:, None], p[None, :])`` a kernel Gram matrix; scalar
-arguments give a float or a complex.  Every entry that must be an
-interior point is checked: |z| >= 1 or nan raises :class:`DomainError`.
-The unchecked forms take d from their caller: ``_pseudo_hyperbolic_into``
-writes into the caller's buffers (log|B| runs it over chunks of zeros, and
-needs d of the zeros only), and ``_kernel_sums`` sums weighted kernel
-squares.
+arguments give a float or a complex.  A point set is checked once, as a
+complex array, by ``_interior`` (|z| >= 1 or nan raises :class:`DomainError`),
+and constructors keep that array.  The unchecked forms take d from their
+caller: ``_pseudo_hyperbolic_into`` writes into the caller's buffers (log|B|
+runs it over chunks of zeros, and needs d of the zeros only), and
+``_kernel_sums`` sums weighted kernel squares.
 
 A Carleson square exists only as its membership test: :func:`in_square` of
 the turn and modulus that :func:`polar` gives a point, over an arc of turns.
@@ -50,6 +51,7 @@ import numpy as np
 from .errors import DomainError
 
 TAU = 2.0 * math.pi
+CLOSED_RADIUS = 1.0 + 1e-12  # the closed disk, up to rounding
 _SPLIT = 134217729.0  # Dekker's 2**27 + 1
 #: real multiply-adds (a complex one counts 4) below which OpenBLAS runs a
 #: matrix product on one thread whatever OPENBLAS_NUM_THREADS says; threaded
@@ -73,11 +75,9 @@ def in_open_disk(z) -> np.ndarray:
     return r < 1.0 if not near.any() else np.where(near, _modulus(zs) < 1.0, r < 1.0)
 
 
-def require_interior(p, what: str = "point") -> complex:
-    z = complex(p)  # Python's abs is the hypot of in_open_disk, without numpy's call cost
-    if not abs(z) < 1.0:
-        raise DomainError(f"{what} must lie strictly inside the unit disk, got |z| = {abs(z):.6g}")
-    return z
+def in_closed_disk(z) -> np.ndarray:
+    """|z| <= CLOSED_RADIUS by hypot, entrywise (nan fails)."""
+    return _modulus(np.asarray(z, dtype=complex)) <= CLOSED_RADIUS
 
 
 def _interior(z, what: str = "point") -> np.ndarray:
@@ -89,6 +89,21 @@ def _interior(z, what: str = "point") -> np.ndarray:
         bad = _modulus(zs[~inside]).flat[0]
         raise DomainError(f"{what} must lie strictly inside the unit disk, got |z| = {bad:.6g}")
     return zs
+
+
+def _atoms(pairs, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """New contiguous arrays of the places (of ``dtype``) and the masses of
+    (place, mass) pairs or a (k, 2) array; DomainError unless each mass is
+    real, positive and finite (nan fails)."""
+    arr = np.asarray(pairs, dtype=dtype)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise DomainError("atoms must be given as pairs")
+    masses = arr[:, 1]
+    if not np.all((masses.real > 0.0) & (masses.real < math.inf) & (masses.imag == 0.0)):
+        raise DomainError("atom masses must be positive finite reals")
+    return arr[:, 0].copy(), masses.real.copy()
 
 
 def _square(x):
@@ -154,19 +169,21 @@ def _one_minus_conj(a, diff, d_a, out=None):
     return np.add(np.multiply(a.conjugate(), diff, out=out), d_a, out=out)
 
 
+def _blaschke_factor(lam: complex, zs: np.ndarray) -> np.ndarray:
+    """:func:`blaschke_factor`, unchecked, of a Python complex ``lam``."""
+    if lam == 0:
+        return zs + 0.0
+    diff = lam - zs
+    return abs(lam) / lam * diff / _one_minus_conj(lam, diff, one_minus_sq(lam))
+
+
 def blaschke_factor(lam, z):
     """Evaluate the Blaschke factor with zero ``lam`` at ``z``.
 
     b_lam(z) = (|lam|/lam) (lam - z) / (1 - conj(lam) z), and b_0(z) = z.
     ``z`` may be a scalar or an ndarray; |z| <= 1 is allowed.
     """
-    lam = require_interior(lam, "Blaschke zero")
-    zs = np.asarray(z, dtype=complex)
-    if lam == 0:
-        out = zs + 0.0
-    else:
-        diff = lam - zs
-        out = abs(lam) / lam * diff / _one_minus_conj(lam, diff, one_minus_sq(lam))
+    out = _blaschke_factor(complex(_interior(lam, "Blaschke zero")), np.asarray(z, dtype=complex))
     return complex(out) if np.isscalar(z) else out
 
 
@@ -264,8 +281,8 @@ def polar(z) -> tuple[np.ndarray, np.ndarray]:
 
 def in_layer(r, length) -> np.ndarray:
     """The radial half of :func:`in_square`: 1 - length <= r <= 1 (up to
-    1e-12), so the square is taken inside the closed disk."""
-    return (r >= 1.0 - length) & (r <= 1.0 + 1e-12)
+    ``CLOSED_RADIUS``), so the square is taken inside the closed disk."""
+    return (r >= 1.0 - length) & (r <= CLOSED_RADIUS)
 
 
 def in_square(u, r, start, length: float) -> np.ndarray:
@@ -321,28 +338,27 @@ def pseudo_hyperbolic_disk(a, gamma: float):
     """
     if not (0.0 < gamma < 1.0):
         raise DomainError(f"radius parameter must lie in (0, 1), got {gamma}")
-    a = require_interior(a, "disk center") if np.isscalar(a) else _interior(a, "disk center")
-    d_a, d_gamma = one_minus_sq(a), one_minus_sq(float(gamma))
+    centers = _interior(a, "disk center")
+    d_a, d_gamma = one_minus_sq(centers), one_minus_sq(float(gamma))
     denom = d_gamma + gamma * gamma * d_a
-    # a complex times a real rounds alike in Python and in numpy
-    return a * (d_gamma / denom), gamma * d_a / denom
+    center, radius = centers * (d_gamma / denom), gamma * d_a / denom
+    return (complex(center), float(radius)) if np.isscalar(a) else (center, radius)
 
 
-def layer_index(z) -> int:
-    """Index m of the dyadic layer 1 - 2^-m <= |z| < 1 - 2^-(m+1).
+def layer_index(z):
+    """Index m of the dyadic layer 1 - 2^-m <= |z| < 1 - 2^-(m+1) of each
+    entry of ``z`` (an int for a scalar).
 
     The layers partition the disk; a point on the shared circle
-    |z| = 1 - 2^-(m+1) belongs to layer m + 1.
-    """
-    r = abs(require_interior(z))
-    if r == 0.0:
-        return 0
-    m = max(0, int(math.floor(-math.log2(1.0 - r))))
-    while 1.0 - 2.0 ** (-m) > r:
-        m -= 1
-    while r >= 1.0 - 2.0 ** (-(m + 1)):
-        m += 1
-    return m
+    |z| = 1 - 2^-(m+1) belongs to layer m + 1.  Exact comparisons correct
+    the guess from log2."""
+    r = _modulus(_interior(z))
+    m = np.maximum(0.0, np.floor(-np.log2(1.0 - r))).astype(np.int64)
+    while (low := 1.0 - np.ldexp(1.0, -m) > r).any():
+        m -= low
+    while (high := r >= 1.0 - np.ldexp(1.0, -(m + 1))).any():
+        m += high
+    return int(m) if np.isscalar(z) else m
 
 
 def grid_layers(max_layer: int = 10, base_angles: int = 8) -> list[tuple[float, int]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .disk import TAU, kernel, require_interior
+from .disk import TAU, _interior, kernel
 from .errors import DomainError
 from .hardy import BoundaryGrid, riesz_project
 
@@ -82,9 +82,7 @@ class MatrixFunction:
         num = np.tensordot(powers, self.numer, axes=(-1, 0))
         den = npoly.polyval(zs, self.denom)
         out = num / den[..., None, None]
-        if np.isscalar(z) or isinstance(z, (complex, float, int)):
-            return out.reshape(self.rows, self.cols)
-        return out
+        return out.reshape(self.rows, self.cols) if np.isscalar(z) else out
 
     def boundary(self) -> np.ndarray:
         """Values at the ``BOUNDARY_SIZE`` roots of unity, shape (size, rows,
@@ -145,8 +143,7 @@ class MatrixFunction:
         """The 1x1 matrix function equal to the Blaschke product over ``zeros``."""
         num = np.array([1.0 + 0j])
         den = np.array([1.0 + 0j])
-        for lam in zeros:
-            lam = require_interior(lam, "Blaschke zero")
+        for lam in _interior(zeros, "Blaschke zero").reshape(-1).tolist():
             if lam == 0:
                 num = npoly.polymul(num, [0.0, 1.0])
             else:

@@ -23,11 +23,11 @@ extraction returns indices, which ``SubspaceSystem.subsystem`` takes.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
-from .disk import kernel_inner, require_interior
+from .disk import _interior, kernel_inner
 from .errors import DomainError, LinearDependenceError
 
 _DEP_TOL = 1e-12
@@ -107,26 +107,21 @@ class SubspaceSystem:
         sizes = [len(grp) for grp in groups]
         if vectors is not None and [len(v) for v in vectors] != sizes:
             raise DomainError("vectors must hold one direction per point of each group")
-        pts, dirs = [], []
-        for gi, grp in enumerate(groups):
-            if not grp:
-                raise DomainError("empty kernel group")
-            for pi, p in enumerate(grp):
-                pts.append(require_interior(p))
-                if vectors is not None:
-                    e = np.asarray(vectors[gi][pi], dtype=complex).reshape(-1)
-                    if np.linalg.norm(e) == 0:
-                        raise DomainError("zero direction vector")
-                    dirs.append(e)
-        p = np.array(pts)
+        if 0 in sizes:
+            raise DomainError("empty kernel group")
+        p = _interior(list(chain.from_iterable(groups)))
         # kernel_inner rounds each entry exactly as a scalar call does; the
         # condition numbers of near-dependent systems amplify a last-bit
         # change of G to ~1e-8 relative
         gram = kernel_inner(p[:, None], p[None, :])
         if vectors is not None:
+            dirs = [np.asarray(e, dtype=complex).reshape(-1)
+                    for e in chain.from_iterable(vectors)]
             if len({e.size for e in dirs}) != 1:
                 raise DomainError("direction vectors must share one length")
             d = np.array(dirs)
+            if not np.linalg.norm(d, axis=1).all():
+                raise DomainError("zero direction vector")
             gram *= np.conj(d) @ d.T  # np.vdot(e_i, e_j) at (i, j), as kernel_inner
         try:
             chol = np.linalg.cholesky(gram)

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from carleson_kit.construction import canonical_phase
-from carleson_kit.disk import TAU, _modulus, in_open_disk, require_interior
+from carleson_kit.disk import TAU, _modulus, in_open_disk
 from carleson_kit.errors import DomainError
 from carleson_kit.riesz import SubspaceSystem
 
@@ -318,7 +318,9 @@ def outer_log_at(log_modulus, z):
     mean_j log_modulus_j * (xi_j + z) / (xi_j - z); its real part is the
     Poisson extension that ``hardy.poisson_sum`` evaluates.
     """
-    z = require_interior(z, "evaluation point")
+    z = complex(z)
+    if not abs(z) < 1.0:  # Python's abs is hypot; nan fails
+        raise DomainError(f"evaluation point must lie in the open disk, got |z| = {abs(z):.6g}")
     v = np.asarray(log_modulus, dtype=float)
     n = v.shape[0]
     xi = np.exp(1j * TAU * np.arange(n) / n)

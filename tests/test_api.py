@@ -1,4 +1,5 @@
-"""Every exported name, every public method and every default has a caller.
+"""Every exported name, every public method and every default has a caller,
+and every imported name a use.
 
 A name in ``carleson_kit.__all__`` must be loaded somewhere in the library
 outside ``__init__`` or be imported by the acceptance suite.  A public
@@ -8,7 +9,8 @@ defaulted parameter of a function or method of the package must be passed
 by some call in the library or the acceptance suite, unless
 ``TEST_ONLY_DEFAULTS`` names it with the reason a test sets it.  Public
 surface and knobs that no command, guarantee or library routine needs
-should go.
+should go.  A module of the package other than ``__init__`` (which imports
+to export) must load every name it imports.
 """
 
 import ast
@@ -175,3 +177,26 @@ def test_every_default_is_passed_by_a_caller():
     unpassed = sorted(f"{callee}({name})" for callee, name, position in params
                       if not passed(callee, name, position))
     assert unpassed == sorted(TEST_ONLY_DEFAULTS)
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """Names that the module's imports bind and that no expression loads."""
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    bound += [alias.asname or alias.name
+              for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+              for alias in node.names]
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in loaded]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert _unused_imports(ast.parse("import math\nfrom .disk import TAU, kernel\nkernel(TAU)")) \
+        == ["math"]
+    unused = sorted(f"{path.name}: {name}" for path in PACKAGE.glob("*.py")
+                    if path.name != "__init__.py"
+                    for name in _unused_imports(ast.parse(path.read_text(), str(path))))
+    assert unused == []

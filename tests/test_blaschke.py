@@ -6,7 +6,6 @@ from carleson_kit.blaschke import (
     interpolation_constants,
     net_is_valid,
     place_net_on_curve,
-    projection_norm_formula,
 )
 from carleson_kit.contour import BoundedFunction
 from carleson_kit.disk import blaschke_factor, pseudo_hyperbolic
@@ -102,21 +101,26 @@ def test_interpolation_constants_singleton():
     assert rep.alpha == 1.0
 
 
-def test_projection_norm_formula_two_points():
+def test_projection_norms_two_points():
     pts = [0.0, 0.5]
     # only the other point contributes: 1/|b_0.5(0)| = 1/0.5
-    assert projection_norm_formula(pts) == pytest.approx([2.0, 2.0])
-    with pytest.raises(DomainError):
-        projection_norm_formula([0.25, 0.5, 0.25])
+    assert interpolation_constants(pts).projection_norms == pytest.approx([2.0, 2.0])
+    assert interpolation_constants([0.5]).projection_norms == [1.0]
+    with pytest.raises(DomainError, match="distinct"):
+        interpolation_constants([0.25, 0.5, 0.25])
+    # 400 distinct points 1e-6 apart: every column product of distances
+    # underflows to 0, as for coinciding points
+    with pytest.raises(DomainError, match="coinciding"):
+        interpolation_constants(0.5 + 1e-6 * np.arange(400))
 
 
-def test_projection_norm_formula_matches_direct_product():
+def test_projection_norms_match_direct_product():
     rng = np.random.default_rng(31)
     for _ in range(20):
         pts = list(random_interior(rng, 5))
         want = [1.0 / np.prod([abs(blaschke_factor(mu, lam)) for mu in pts if mu != lam])
                 for lam in pts]
-        assert projection_norm_formula(pts) == pytest.approx(want)
+        assert interpolation_constants(pts).projection_norms == pytest.approx(want)
 
 
 def test_place_net_on_curve_postconditions():

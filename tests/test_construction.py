@@ -65,7 +65,7 @@ class TestBuildContourNets:
         # the star norm is |b(sigma0)|, below the level
         assert entry.star_norms[0] == pytest.approx(rho, rel=1e-9)
         assert entry.star_norms[0] < 0.1
-        assert entry.blaschke.zeros == entry.sigma
+        assert entry.blaschke.zeros.tolist() == list(entry.sigma)
 
     def test_large_determinant_gives_empty_net(self):
         fam = [MatrixFunction.constant(0.5 * np.eye(2))]
@@ -253,7 +253,7 @@ class TestNetSplit:
         for entry in split.entries:
             assert set(entry.parts.keys()) == {0}
             assert entry.parts[0] == entry.sigma
-            assert entry.part_products[0].zeros == entry.blaschke.zeros
+            assert np.array_equal(entry.part_products[0].zeros, entry.blaschke.zeros)
 
     def test_split_recombines_multi_point_net(self):
         fam = [MatrixFunction.from_scalar_blaschke([0.0])]

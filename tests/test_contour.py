@@ -9,6 +9,7 @@ from carleson_kit import blaschke as blaschke_mod
 from carleson_kit import contour as contour_mod
 from carleson_kit import disk
 from carleson_kit import hardy as hardy_mod
+from carleson_kit.blaschke import BlaschkeProduct, interpolation_constants, place_net_on_curve
 from carleson_kit.contour import (
     BoundedFunction,
     ContourConstants,
@@ -29,11 +30,12 @@ from carleson_kit.disk import (
     polar,
     pseudo_hyperbolic,
     pseudo_hyperbolic_disk,
-    require_interior,
     turns,
 )
 from carleson_kit.errors import ContourBoundError, DomainError
 from carleson_kit.hardy import poisson_sum
+from carleson_kit.model_space import MatrixFunction
+from carleson_kit.riesz import SubspaceSystem
 from oracles import log_abs_oracle
 
 TAU = 2 * math.pi
@@ -153,9 +155,22 @@ class TestBoundedFunction:
             for z in ([1.1, 2.0], [0.5, 1.0], [0.5, complex("nan")], -1.0):
                 with pytest.raises(DomainError):
                     nu.potential(z)
-            total = sum(m for _, m in nu.interior_atoms + nu.boundary_atoms)
+            total = nu.masses.sum()
             assert nu.potential(0.0) == pytest.approx(total, rel=1e-12)
             assert np.all(nu.potential([0.5, 0.9j]) > 0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"interior_atoms": [(0.5, math.nan)]},
+        {"boundary_atoms": [(math.nan, 0.1)]},
+        {"boundary_atoms": [(1.0, math.inf)]},
+        {"density": [math.nan] * 8},
+        {"density": [math.inf] * 8},
+    ])
+    def test_representing_measure_refuses_non_finite_input(self, kwargs):
+        # each was accepted: the bad-interval scan then found no witness, and
+        # the potential at the origin was nan or inf
+        with pytest.raises(DomainError, match="finite"):
+            RepresentingMeasure(**kwargs)
 
     def test_one_minus_sq_of_the_points_is_taken_once(self, monkeypatch):
         # the singular atoms and the outer part's Poisson band share it, with
@@ -193,17 +208,25 @@ class TestBoundedFunction:
     def test_circle_points_get_one_open_disk_verdict(self):
         # computed circle points with hypot(z) == 1, of which numpy's SIMD
         # np.abs puts about a quarter inside: every open-disk test takes them
-        # as on the circle, none as interior
+        # as on the circle, none as interior, and so does every constructor
+        # that checks a point set
         z = np.exp(1j * np.random.default_rng(4).uniform(0.0, TAU, 2000))
         z = z[np.hypot(z.real, z.imag) == 1.0][:200]
         assert z.size == 200
         blaschke = BoundedFunction(zeros=[0.3, -0.5j])
         singular = BoundedFunction(singular_atoms=[(1.0, 0.1)])
         for p in z:
-            for call in (lambda: require_interior(p), lambda: pseudo_hyperbolic(p, 0.0),
+            for call in (lambda: disk._interior(p), lambda: pseudo_hyperbolic(p, 0.0),
                          lambda: kernel(p, 0.5), lambda: poisson_sum(np.ones(8), p),
                          lambda: singular.log_abs([0.5, p]),
-                         lambda: singular.representing_measure().potential([0.5, p])):
+                         lambda: singular.representing_measure().potential([0.5, p]),
+                         lambda: BoundedFunction(zeros=[0.5, p]),
+                         lambda: RepresentingMeasure(interior_atoms=[(0.5, 0.1), (p, 0.1)]),
+                         lambda: BlaschkeProduct([0.5, p]),
+                         lambda: interpolation_constants([0.5, p]),
+                         lambda: place_net_on_curve([0.5, p], 0.05),
+                         lambda: SubspaceSystem.from_kernel_groups([[0.5], [p]]),
+                         lambda: MatrixFunction.from_scalar_blaschke([0.5, p])):
                 with pytest.raises(DomainError):
                     call()
         assert (blaschke.log_abs(z) == 0.0).all()
@@ -330,8 +353,7 @@ class TestLogAbsBlocks:
 
         monkeypatch.setattr(disk, "in_open_disk", counted)
         monkeypatch.setattr(blaschke_mod, "in_open_disk", counted)
-        monkeypatch.setattr(disk, "_modulus", hypot)
-        monkeypatch.setattr(blaschke_mod, "_modulus", hypot)
+        monkeypatch.setattr(disk, "_modulus", hypot)  # in_closed_disk's hypot
         # chunks of 32 zeros: one test of the 1000 points and one of the
         # 50 zeros, none per chunk; every point lies well inside
         assert np.array_equal(phi.log_abs(zs), want)

@@ -22,7 +22,6 @@ from carleson_kit.disk import (
     polar,
     pseudo_hyperbolic,
     pseudo_hyperbolic_disk,
-    require_interior,
     turns,
 )
 from carleson_kit.errors import DomainError
@@ -31,12 +30,14 @@ from oracles import exact_kernel_sq, exact_log_abs, exact_one_minus_sq, exact_rh
 U = 2.0 ** -53
 
 
-def test_require_interior_rejects_boundary_and_outside():
-    assert require_interior(0.5) == 0.5
-    with pytest.raises(DomainError):
-        require_interior(1.0)
-    with pytest.raises(DomainError):
-        require_interior(1.2 + 0.1j)
+def test_interior_rejects_boundary_and_outside():
+    # the one check of a point set: a complex array, refused as a whole
+    pts = disk._interior([0.5, -0.3j, 0])
+    assert pts.dtype == complex and pts.tolist() == [0.5, -0.3j, 0j]
+    assert complex(disk._interior(0.5)) == 0.5
+    for bad in (1.0, 1.2 + 0.1j, [0.5, 1.0], [0.5, complex("nan")]):
+        with pytest.raises(DomainError, match="strictly inside"):
+            disk._interior(bad)
 
 
 def test_blaschke_factor_basics():
@@ -265,6 +266,35 @@ def test_hyperbolic_grid_layers():
         assert 0 <= layer_index(z) <= 6
 
 
+def _exact_layer(x: float) -> int:
+    """The m with 1 - 2^-m <= |x| < 1 - 2^-(m+1), in exact rationals."""
+    d = 1 - abs(Fraction(x))  # in (0, 1]: 2^-(m+1) < d <= 2^-m
+    m = 0
+    while d * 2 ** (m + 1) <= 1:
+        m += 1
+    return m
+
+
+def test_layer_index_of_arrays_is_exact_on_the_layer_circles():
+    # |z| = 1 - 2^-(m+1) lies on the circle shared by layers m and m + 1,
+    # and one ulp either side of it lies in one of them; the points are
+    # real, negative and imaginary, so |z| is exact
+    circles = [1.0 - 2.0 ** -(m + 1) for m in range(52)]
+    radii = np.array([f(r) for r in circles
+                      for f in (lambda r: np.nextafter(r, 0.0), float,
+                                lambda r: np.nextafter(r, 1.0))] + [0.0])
+    want = [_exact_layer(r) for r in radii.tolist()]
+    assert want[1::3] == [m + 1 for m in range(52)]
+    assert want[0::3][:52] == list(range(52))
+    for pts in (radii, -radii, 1j * radii):
+        got = layer_index(pts)
+        assert got.dtype == np.int64 and got.tolist() == want
+    assert [layer_index(r) for r in radii.tolist()] == want  # scalars give ints
+    assert isinstance(layer_index(0.5), int)
+    with pytest.raises(DomainError):
+        layer_index(np.array([0.5, 1.0]))
+
+
 def _random_interior(rng, n, rmax=0.999):
     pts = rmax * np.sqrt(rng.uniform(0, 1, n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     pts[:4] = [0.0, 0.5, -0.3j, rmax]  # the origin, real and imaginary points
@@ -329,7 +359,7 @@ def test_broadcast_primitives_reject_points_off_the_open_disk(bad):
                  lambda: kernel(pts, 0.5),
                  lambda: pseudo_hyperbolic(bad, 0.0),
                  lambda: kernel_inner(0.0, bad),
-                 lambda: require_interior(bad)):
+                 lambda: disk._interior(bad)):
         with pytest.raises(DomainError):
             call()
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from carleson_kit.blaschke import projection_norm_formula
+from carleson_kit.blaschke import interpolation_constants
 from carleson_kit.errors import DomainError, LinearDependenceError
 from carleson_kit.riesz import (
     GramFactor,
@@ -113,7 +113,7 @@ def test_skew_projection_matches_blaschke_formula():
     for _ in range(15):
         pts = separated_points(rng, int(rng.integers(2, 6)))
         system = SubspaceSystem.from_kernel_groups([[p] for p in pts])
-        want = projection_norm_formula(pts)
+        want = interpolation_constants(pts).projection_norms
         assert GramFactor(system).singleton_skew_norms() == pytest.approx(want, rel=1e-8)
 
 
