@@ -27,6 +27,7 @@ from .disk import (
     grid_layers,
     in_closed_disk,
     in_layer,
+    in_open_disk,
     in_square,
     one_minus_sq,
     polar,
@@ -40,11 +41,17 @@ _KERNEL_TAIL = 2.0 ** -60
 # per layer (r, n) of the grid, the scales r^n, r^1, ..., r^(n-1) that turn
 # the sums of p^s into those of w^s, at frequency s mod n
 _KERNEL_SCALES = [r ** np.r_[n, 1:n] for r, n in grid_layers()]
-# segments per block of the curve norm, and (segment, arc) pairs per chunk
-# of one depth within a block: the block bounds the per-segment arrays
-# (about 20 numbers a segment) and the depth's pair index arrays, the chunk
-# the (4, pairs) cut arrays
+# segments per block of the curve norm, straddling segments per block of
+# one depth, and (segment, arc) pairs per chunk: the blocks bound the
+# per-segment arrays (about 20 numbers a straddling segment) and the pair
+# index arrays, the chunk the (4, pairs) cut arrays
 _PAIR_BLOCK = 2 ** 16
+# polylines per block of the curve norm: the tests of their bounding disks
+# hold about 20 numbers per polyline and depth
+_POLYLINE_BLOCK = 2 ** 10
+# the margin by which a polyline's bounding disk clears the inner circle and
+# the rays of an arc for its segments to be measured whole
+_PAD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,9 @@ def _lengths_in_squares(seg: _Segments, start, length: float, rays) -> np.ndarra
     a, d, seg_len = seg.a, seg.d, seg.length
     r0 = max(0.0, 1.0 - length)
     cuts = []  # (2, segments) arrays: the inner circle's two roots, the two rays
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a tiny denominator can overflow a ray cut to +-inf: it lies outside
+    # (0, 1), which is the right answer
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if r0 > 0.0:
             qa = seg_len ** 2
             qb = 2.0 * (d.real * a.real + d.imag * a.imag)
@@ -159,9 +168,8 @@ def _lengths_of_pieces(seg: _Segments, cuts: np.ndarray, start, length: float) -
 class CurveMeasure:
     """Arc length carried by one or more polylines inside the open disk.
 
-    The vertices are held once, polyline after polyline, with their polar
-    coordinates (``polar``); the modulus is also the open-disk test of
-    ``disk.in_open_disk``.  ``polylines`` are views into those vertices.
+    The vertices are held once, polyline after polyline, and checked by
+    ``disk.in_open_disk``; ``polylines`` are views into them.
     """
 
     polylines: tuple
@@ -176,17 +184,22 @@ class CurveMeasure:
                 chains.append(pts)
         # a copy, never a view of the caller's arrays
         vertices = np.concatenate(chains) if chains else np.empty(0, dtype=complex)
-        turn, modulus = polar(vertices)
-        if not (modulus < 1.0).all():
+        if not in_open_disk(vertices).all():
             raise DomainError("polyline vertices must lie inside the open disk")
-        ends = np.cumsum([c.size for c in chains], dtype=np.int64)
-        first = np.ones(vertices.size, dtype=bool)
-        first[ends - 1] = False
-        object.__setattr__(self, "polylines", tuple(np.split(vertices, ends)[:-1]))
+        sizes = np.array([c.size for c in chains], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        object.__setattr__(self, "polylines", tuple(
+            vertices[a:b] for a, b in zip((ends - sizes).tolist(), ends.tolist())))
         object.__setattr__(self, "_vertices", vertices)
-        object.__setattr__(self, "_polar", (turn, modulus))
-        # the index of each segment's first vertex; the segment ends at the next vertex
-        object.__setattr__(self, "_first", np.flatnonzero(first))
+        # each polyline's first vertex and its number of segments; segment i
+        # runs from vertex i to vertex i + 1
+        object.__setattr__(self, "_chains", (ends - sizes, sizes - 1))
+
+
+def _ranges(starts, counts) -> np.ndarray:
+    """starts[k], starts[k] + 1, ..., starts[k] + counts[k] - 1, for k in order."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - counts), counts)
 
 
 def carleson_norm(measure, depth: int = 12) -> float:
@@ -199,23 +212,7 @@ def carleson_norm(measure, depth: int = 12) -> float:
     A ``DiscreteMeasure`` takes one ``np.bincount`` per depth: the atoms in
     the depth's radial layer, binned by ``dyadic_index`` of their turns.
 
-    A ``CurveMeasure`` runs over blocks of ``_PAIR_BLOCK`` segments, and
-    within a block over the depths.  At a depth, each segment of the block
-    that reaches radius 1 - 2**-depth is paired with the arcs of that depth
-    whose indices run over floor(w0 2**depth) .. floor(w1 2**depth)
-    mod 2**depth, where [w0, w1] is the shorter window of turns between its
-    end points.  At depths 0 and 1 a window crossing turn 0 can span more
-    than 2**depth indices, which then repeat an arc; each (arc, segment)
-    pair is kept once.  The cosines and sines of the arc ends are computed
-    once per depth that has pairs, and gathered per pair.
-    ``_lengths_in_squares`` gives each pair's length inside its square, in
-    chunks of ``_PAIR_BLOCK`` pairs.  A pair that no cut crosses takes the
-    segment's length or 0, as the midpoint of the segment says; only the
-    others sort their cuts.  Its docstring shows why both give the bits
-    that sorting every pair gave.  ``np.add.at`` adds the lengths into the
-    depth's arc masses in pair order, block after block, which is the order
-    of the pairs of all segments at once: each arc's sum rounds as it would
-    in one pass, whatever the blocks.
+    A ``CurveMeasure`` is measured by :func:`_curve_norm`.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative")
@@ -233,47 +230,215 @@ def carleson_norm(measure, depth: int = 12) -> float:
             best = max(best, float(mass.max()) / (TAU / n))
         return best
     if isinstance(measure, CurveMeasure):
-        vertices, first = measure._vertices, measure._first
-        turn, modulus = measure._polar
-        arcs = {}  # depth: its arcs' masses, and the turns, cosines and sines of their ends
-        for lo in range(0, first.size, _PAIR_BLOCK):
-            # a block of segments, by the indices and polar coordinates of their vertices
-            ia = first[lo:lo + _PAIR_BLOCK]
-            ib = ia + 1
-            ta, ra, tb, rb = turn[ia], modulus[ia], turn[ib], modulus[ib]
-            segs = _Segments.between(vertices[ia], vertices[ib], ra)
-            # the shorter window [w_start, w_end] of turns holding each segment
-            fwd = (tb - ta) % 1.0
-            short = fwd <= 1.0 - fwd
-            w_start = np.where(short, ta, tb)
-            w_end = w_start + np.where(short, fwd, 1.0 - fwd)
-            max_radius = np.maximum(ra, rb)
-            alive = np.arange(ia.size)
-            for level in range(depth + 1):
-                n = 1 << level
-                # the layers shrink as the depth grows, and so does alive
-                alive = alive[max_radius[alive] >= 1.0 - 1.0 / n]
-                if alive.size == 0:
-                    break
-                j0 = dyadic_index(w_start[alive], level)
-                j1 = dyadic_index(w_end[alive], level)
-                # more than n consecutive indices repeat an arc (depths 0 and 1)
-                count = np.minimum(j1 - j0 + 1, n)
-                seg = np.repeat(alive, count)
-                offset = np.arange(seg.size) - np.repeat(np.cumsum(count) - count, count)
-                j = (np.repeat(j0, count) + offset) % n
-                if level not in arcs:
-                    ends = np.arange(n + 1) / n
-                    arcs[level] = np.zeros(n), ends, np.cos(TAU * ends), np.sin(TAU * ends)
-                mass, ends, cos, sin = arcs[level]
-                for plo in range(0, seg.size, _PAIR_BLOCK):
-                    sb, jb = seg[plo:plo + _PAIR_BLOCK], j[plo:plo + _PAIR_BLOCK]
-                    rays = np.stack((jb, jb + 1))  # each pair's arc: its start and end
-                    np.add.at(mass, jb, _lengths_in_squares(
-                        segs.take(sb), ends[jb], 1.0 / n, (cos[rays], sin[rays])))
-        return max((float(mass.max()) / (TAU / mass.size) for mass, *_ in arcs.values()),
-                   default=0.0)
+        return _curve_norm(measure, depth)
     raise DomainError(f"unsupported measure type: {type(measure).__name__}")
+
+
+def _curve_norm(measure: CurveMeasure, depth: int) -> float:
+    """The Carleson norm of a ``CurveMeasure``: at each depth d, the length
+    of the polylines in the square over each arc of depth d, by
+    ``in_square`` of the pieces between their cuts
+    (:func:`_lengths_in_squares`), in two phases.
+
+    Broad phase.  Each polyline has a bounding disk: its centre v0 is the
+    first vertex, and its radius R is the polyline's length, halved when
+    the polyline closes (its last vertex is its first), so that every point
+    of the polyline lies within R of v0 along it.  With r0 = 1 - 2**-d, the
+    inner circle of the depth's squares, and the pad ``_PAD`` = 1e-9:
+
+    - a polyline with |v0| + R < r0 - pad is dropped for good, since r0
+      grows with d;
+    - a polyline is *whole* when its disk lies in the layer, |v0| - R >
+      r0 + pad, and inside the wedge of the arc j of depth d that holds the
+      turn of v0: with e and e' the (cosine, sine) of the arc's two end
+      angles, the cross products e x v0 and v0 x e' both exceed R + pad.
+      At depth 0 the one square is the closed disk, and every polyline is
+      whole.  Each segment of a whole polyline adds its length |d| to arc j;
+    - every other polyline *straddles*.  Each of its segments that reaches
+      r0 at an end point is paired with the arcs of depth d whose indices
+      run over floor(w0 2**d) .. floor(w1 2**d) mod 2**d, where [w0, w1] is
+      the shorter window of turns between its end points (at depth 1 a
+      window across turn 0 can span more than 2 indices, which then repeat
+      an arc: each pair is kept once), and :func:`_lengths_in_squares`
+      gives each pair's length.
+
+    Every segment took that last path before the broad phase, and the other
+    two give the same bits.  A dropped polyline has no vertex of modulus r0
+    or more, so none of its segments was paired.  A segment of a whole
+    polyline was paired with arc j only, and had length |d| there, because
+    the pad dominates every rounding on the way (u = 2**-53; moduli are at
+    most 1, and d >= 1, so r0 >= 1/2):
+
+    - modulus: |v0| and the segment lengths are hypots, within u of exact,
+      and R, their sum, is within (log2 k + 2) u R of exact for k segments:
+      below 1e-14, as R < 1 (a disk with R >= 1 is never whole).  So every
+      point of the segment has modulus above r0 + pad - 1e-14, and its end
+      points reach r0;
+    - turn: e and e' are within 2u of the unit vectors at the arc's ends,
+      as are the rays the cuts use, so the disk keeps a distance above
+      pad - 1e-14 from the lines through the origin along both.  Each end
+      point's turn lies in arc j, more than (pad - 1e-14) / 2 pi from its
+      ends; a computed turn is within 2u of exact, so it has
+      ``dyadic_index`` j, and so do both ends of the window.  The midpoint,
+      computed within 2u, lies in the square over arc j;
+    - cut: a ray cut t = -(e x a) / (e x d) lies outside (0, 1), as a and
+      a + d lie on one side of the line by more than pad - 1e-14 while
+      e x a and e x d are computed within 3u; a tiny e x d can overflow t
+      to +-inf, outside too.  A computed root t of the inner circle's
+      quadratic has | |a + t d|^2 - r0^2 | below about 30 u (its
+      coefficients are within a few u of exact, and rounding the root
+      moves |a + t d|^2 by a few u more, near tangency too), while every
+      point of the segment has |z|^2 - r0^2 > 2 r0 (pad - 1e-14) > 1e-10.
+
+    So no cut fell inside the segment, and :func:`_lengths_in_squares` took
+    its one-piece path: the length in the square over arc j is |d|, the
+    same hypot of the same difference.
+
+    Keep the bits: at each depth, one ``np.add.at`` adds the lengths into
+    the arc masses in segment order (the whole polylines' segments, each
+    polyline ending in a 0 that changes no sum, and the straddling pairs,
+    merged by their places in polyline order), so each arc's sum rounds as
+    when every segment was paired.  The polylines go in
+    blocks of about ``_PAIR_BLOCK`` segments and at most ``_POLYLINE_BLOCK``
+    polylines, block after block, which bounds the arrays and keeps that
+    order.  Turns are taken for the polyline centres, and for the vertices
+    of a polyline when it first straddles.
+    """
+    vertices = measure._vertices
+    start, count = measure._chains
+    if start.size == 0:
+        return 0.0
+    masses = {}  # per depth that has pairs, the masses of its arcs
+    # blocks of about _PAIR_BLOCK segments and at most _POLYLINE_BLOCK polylines
+    block = count.cumsum() // _PAIR_BLOCK + np.arange(start.size) // _POLYLINE_BLOCK
+    cuts = [0, *((block[1:] != block[:-1]).nonzero()[0] + 1).tolist(), start.size]
+    for lo, hi in zip(cuts, cuts[1:]):
+        first, last = start[lo], start[hi - 1] + count[hi - 1]
+        _add_block(masses, vertices[first:last + 1], start[lo:hi] - first, count[lo:hi], depth)
+    return max((float(mass.max()) / (TAU / mass.size) for mass in masses.values()),
+               default=0.0)
+
+
+def _add_block(masses: dict, vertices, start, count, depth: int) -> None:
+    """Add the lengths of a block of polylines to the arc masses of each
+    depth, ``masses[d]``, made at the first pair of the depth; ``start``
+    holds each polyline's first vertex and ``count`` its number of
+    segments.  See :func:`_curve_norm`."""
+    # the length of segment i, from vertex i to vertex i + 1, and 0 at each
+    # polyline's last vertex: so a polyline holds one entry per vertex, and
+    # its 0 adds nothing to the arc it is added to
+    step = vertices[1:] - vertices[:-1]
+    lengths = np.empty(vertices.size)
+    lengths[:-1] = np.hypot(step.real, step.imag)
+    lengths[start + count] = 0.0
+    centre = vertices[start]
+    u, r = polar(centre)
+    # the polyline's length, halved when it closes: every vertex lies
+    # within it of the first one along the polyline
+    last = vertices[start + count]
+    reach = np.add.reduceat(lengths, start)
+    reach[(last.real == centre.real) & (last.imag == centre.imag)] *= 0.5
+    # a row per depth, a column per polyline: whether it reaches the layer,
+    # the arc holding its centre's turn, and whether it lies whole in that
+    # arc's square
+    levels = np.arange(depth + 1)[:, None]
+    r0 = 1.0 - 1.0 / 2.0 ** levels
+    reaches = r + reach >= r0 - _PAD
+    arc = dyadic_index(u, levels)
+    angle = TAU * (np.array((arc, arc + 1)) / 2.0 ** levels)  # the arc's ends
+    cross = np.cos(angle) * centre.imag - np.sin(angle) * centre.real  # e x v0, -(v0 x e')
+    whole = (r - reach > r0 + _PAD) & (np.minimum(cross[0], -cross[1]) > reach + _PAD)
+    whole[0] = True  # the one square of depth 0 is the closed disk
+    # polar coordinates of the vertices, taken when their polyline first straddles
+    turn, modulus = np.empty(vertices.size), np.empty(vertices.size)
+    ready = np.zeros(start.size, dtype=bool)
+    # a polyline that reaches a depth reaches all the shallower ones, and a
+    # whole one reaches its depth: the polylines live at each depth, and the
+    # whole ones among them, by count
+    live_count, whole_count = reaches.sum(axis=1).tolist(), whole.sum(axis=1).tolist()
+    live = np.arange(start.size)
+    for level in range(depth + 1):
+        if live_count[level] < live.size:
+            if live_count[level] == 0:
+                return
+            keep = reaches[level, live]
+            lengths = lengths[keep.repeat(count[live] + 1)]
+            live = live[keep]
+        sizes, j = count[live] + 1, arc[level, live]
+        if whole_count[level] == live.size:
+            index, values = j.repeat(sizes), lengths
+        else:
+            inside = whole[level, live]
+            index, values = j[inside].repeat(sizes[inside]), lengths[inside.repeat(sizes)]
+            straddle = live[~inside]
+            new = straddle[~ready[straddle]]
+            if new.size:
+                at = _ranges(start[new], count[new] + 1)
+                turn[at], modulus[at] = polar(vertices[at])
+                ready[new] = True
+            segs = _ranges(start[straddle], count[straddle])
+            # the whole polylines' entries ahead of each straddling segment
+            ahead = np.repeat(np.cumsum(np.where(inside, sizes, 0))[~inside], count[straddle])
+            paired = np.maximum(modulus[segs], modulus[segs + 1]) >= r0[level]
+            if paired.any():
+                place, pair_index, pair_length = _straddling_pairs(
+                    vertices, turn, modulus, segs[paired], ahead[paired], level)
+                merged = np.zeros(values.size + place.size, dtype=bool)
+                merged[place] = True
+                index = _merge(merged, index, pair_index)
+                values = _merge(merged, values, pair_length)
+        if index.size:
+            if level not in masses:
+                masses[level] = np.zeros(1 << level)
+            np.add.at(masses[level], index, values)
+
+
+def _merge(straddling, whole, pairs) -> np.ndarray:
+    """One array in stream order from the whole polylines' entries and the
+    straddling pairs', which take the places ``straddling`` marks."""
+    out = np.empty(straddling.size, dtype=whole.dtype)
+    out[straddling] = pairs
+    out[~straddling] = whole
+    return out
+
+
+def _straddling_pairs(vertices, turn, modulus, segs, ahead, level: int):
+    """The (arc, segment) pairs of depth ``level`` of the straddling
+    segments ``segs`` (their first vertices, in order, at least one): each
+    pair's place in the depth's stream, its arc, and its length in the
+    arc's square.  ``ahead`` counts, per segment, the whole polylines'
+    entries ahead of it in the stream; see :func:`_curve_norm`."""
+    n = 1 << level
+    ends = np.arange(n + 1) / n  # the arcs' ends, in turns
+    cos, sin = np.cos(TAU * ends), np.sin(TAU * ends)
+    places, arcs, lengths = [], [], []
+    done = 0  # pairs so far
+    for lo in range(0, segs.size, _PAIR_BLOCK):
+        ia = segs[lo:lo + _PAIR_BLOCK]
+        ib = ia + 1
+        ta, tb = turn[ia], turn[ib]
+        seg = _Segments.between(vertices[ia], vertices[ib], modulus[ia])
+        # the shorter window [w_start, w_end] of turns holding each segment
+        fwd = (tb - ta) % 1.0
+        short = fwd <= 1.0 - fwd
+        w_start = np.where(short, ta, tb)
+        w_end = w_start + np.where(short, fwd, 1.0 - fwd)
+        j0 = dyadic_index(w_start, level)
+        j1 = dyadic_index(w_end, level)
+        # more than n consecutive indices repeat an arc (depth 1)
+        count = np.minimum(j1 - j0 + 1, n)
+        which = np.repeat(np.arange(ia.size), count)
+        offset = np.arange(which.size) - np.repeat(np.cumsum(count) - count, count)
+        j = (np.repeat(j0, count) + offset) % n
+        places.append(done + np.arange(which.size) + ahead[lo:lo + _PAIR_BLOCK][which])
+        done += which.size
+        arcs.append(j)
+        for plo in range(0, which.size, _PAIR_BLOCK):
+            sb, jb = which[plo:plo + _PAIR_BLOCK], j[plo:plo + _PAIR_BLOCK]
+            rays = np.stack((jb, jb + 1))  # each pair's arc: its start and end
+            lengths.append(_lengths_in_squares(seg.take(sb), ends[jb], 1.0 / n,
+                                               (cos[rays], sin[rays])))
+    return np.concatenate(places), np.concatenate(arcs), np.concatenate(lengths)
 
 
 def kernel_test_constant(measure: DiscreteMeasure) -> float:

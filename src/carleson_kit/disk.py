@@ -302,10 +302,11 @@ def in_square(u, r, start, length: float) -> np.ndarray:
     return inside & (w - np.floor(w) < length)
 
 
-def dyadic_index(u, depth: int) -> np.ndarray:
+def dyadic_index(u, depth) -> np.ndarray:
     """Index floor(u 2**depth) of the dyadic arc of the given depth holding
-    turn u; ``dyadic_index(u, d + 1) >> 1 == dyadic_index(u, d)`` exactly."""
-    return (np.asarray(u) * float(1 << depth)).astype(np.int64)
+    turn u, broadcast over arrays of turns and of depths;
+    ``dyadic_index(u, d + 1) >> 1 == dyadic_index(u, d)`` exactly."""
+    return (np.asarray(u) * 2.0 ** depth).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -59,10 +59,12 @@ class SubspaceSystem:
         for f in frames:
             if f.ndim != 2 or f.shape[1] == 0 or f.shape[1] > self.dim:
                 raise DomainError("each frame needs shape (dim, rank)")
-            if not np.isfinite(f).all():
-                raise DomainError("frame entries must be finite")
-            err = np.max(np.abs(np.conj(f).T @ f - np.eye(f.shape[1])))
-            if err > 1e-10:
+            # no orthonormal column has an entry above 1 in modulus, and a
+            # larger one can overflow f^H f; nan and inf fail this test too
+            if not np.abs(f).max() <= 2.0:
+                raise DomainError("frame entries must be finite" if not np.isfinite(f).all()
+                                  else "frame columns must be orthonormal")
+            if np.max(np.abs(np.conj(f).T @ f - np.eye(f.shape[1]))) > 1e-10:
                 raise DomainError("frame columns must be orthonormal")
         self.frames = frames
 

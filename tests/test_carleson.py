@@ -15,7 +15,7 @@ from carleson_kit.carleson import (
     embedding_constant_empirical,
     kernel_test_constant,
 )
-from carleson_kit.contour import BoundedFunction, bourgain_contour
+from carleson_kit.contour import BoundedFunction, ContourConstants, bourgain_contour
 from carleson_kit.disk import (
     dyadic_arc,
     dyadic_index,
@@ -661,3 +661,208 @@ def test_empty_measure_constants_vanish():
     assert kernel_test_constant(m) == 0.0
     assert embedding_constant_empirical(m, 8) == 0.0
     assert carleson_norm(m) == 0.0
+
+
+def _polygon(centre, radius):
+    """A closed 256-gon around ``centre``, as the contour draws a circle
+    that no other disk meets: the first vertex repeated at the end."""
+    angles = TAU * (np.arange(256) + 0.5) / 256
+    verts = centre + radius * np.exp(1j * np.append(angles, angles[0]))
+    verts[-1] = verts[0]
+    return verts
+
+
+def _cross(e, z):
+    """e x z: the signed distance of z from the line along the unit vector e."""
+    return (e.conjugate() * z).imag
+
+
+#: the radius of the planted polygons; the corpus's are about 3e-5 across
+_RHO = 1.5e-5
+#: gaps, from the ray or the circle, at and around the pad
+_GAPS = [sign * gap for gap in (1e-13, 1e-9, 1e-6) for sign in (1, -1)]
+
+
+def _planted_polygons():
+    """Closed 256-gons planted at each of ``_GAPS`` against the ray at turn
+    1/8 and the inner circle |z| = 7/8 of depth 3, on the side of the
+    square over arc 1 (gap > 0) or across (gap < 0):
+
+    - ray: from the left of the ray, in arc 1, and its mirror image across
+      the ray, in arc 0;
+    - circle: the least modulus is 7/8 + gap;
+    - inside: the greatest modulus is 7/8 + gap, so at gap < 0 the polygon
+      never reaches the layer of depth 3.
+
+    The gap is measured from the polygon's bounding disk of
+    ``_curve_norm`` (centre the first vertex, radius half the perimeter),
+    which decides whole, straddling or dropped, or from the polygon itself,
+    whose cuts then nearly touch its vertices.  Returns (kind, gap,
+    polygon) triples, kind such as "ray-disk" or "inside-polygon"."""
+    base = _polygon(0.0, _RHO)
+    half = float(np.hypot(np.diff(base).real, np.diff(base).imag).sum()) / 2
+    v0 = base[0]
+    ray = cmath.exp(1j * TAU / 8)  # arc 1 of depth 3 lies on its left
+    mid = cmath.exp(1j * TAU * 3 / 16)  # the middle of arc 1
+    r0 = 7.0 / 8.0
+
+    def shifted(poly, target, extreme):
+        # the extreme vertex modulus moves with a radial shift to second order
+        for _ in range(3):
+            poly = poly + (target - extreme(np.abs(poly))) * mid
+        return poly
+
+    out = []
+    for gap in _GAPS:
+        for kind, offset in (("disk", half + gap - _cross(ray, v0)),
+                             ("polygon", gap - _cross(ray, base).min())):
+            poly = 0.95 * ray + 1j * ray * offset + base
+            out.append((f"ray-{kind}", gap, poly))
+            out.append((f"mirror-{kind}", gap, ray * ray * poly.conjugate()))
+        out.append(("circle-disk", gap, (r0 + half + gap) * mid - v0 + base))
+        out.append(("circle-polygon", gap, shifted((r0 + _RHO) * mid + base, r0 + gap, np.min)))
+        out.append(("inside-disk", gap, (r0 - half + gap) * mid - v0 + base))
+        out.append(("inside-polygon", gap, shifted((r0 - _RHO) * mid + base, r0 + gap, np.max)))
+    out.append(("around the origin", None, _polygon(0.0, 0.5)))
+    out.append(("across turn 0", None, _polygon(0.97, 1e-5)))
+    return out
+
+
+@pytest.fixture
+def straddling(monkeypatch):
+    """Records (depth, segments) of each straddling phase of the curve norm."""
+    calls = []
+    pairs = carleson._straddling_pairs
+
+    def counted(vertices, turn, modulus, segs, ahead, level):
+        calls.append((level, segs.size))
+        return pairs(vertices, turn, modulus, segs, ahead, level)
+
+    monkeypatch.setattr(carleson, "_straddling_pairs", counted)
+    return calls
+
+
+def test_planted_polygons_keep_their_bits_at_the_pad(straddling):
+    # each polygon alone, and the groups in arc 1 and in arc 0, where
+    # whole and straddling polygons add to one arc in turn, and all at
+    # once; at depths 0 and 1 (every polygon is whole at 0, and the one
+    # across turn 0 repeats an arc at 1), at the planted depth 3, whose arc
+    # then holds the norm, and at 12: the broad phase changes no bit
+    planted = _planted_polygons()
+    groups = [("arc 1", [p for kind, _, p in planted if kind.split("-")[0] in
+                         ("ray", "circle", "inside")]),
+              ("arc 0", [p for kind, _, p in planted if kind.startswith("mirror")]),
+              ("all", [p for *_, p in planted])]
+    pairs = straddled = 0
+    for kind, gap, polylines in [(k, g, [p]) for k, g, p in planted] + [
+            (name, None, ps) for name, ps in groups]:
+        measure = CurveMeasure(polylines)
+        for depth in (0, 1, 3, 12):
+            straddling.clear()
+            want, count = _all_pairs_norm(measure, depth)
+            assert carleson_norm(measure, depth) == want, (kind, gap, depth)
+            pairs += count
+            straddled += sum(size for _, size in straddling)
+        # the depth-12 run: whether a segment straddled at depth 3
+        at_3 = any(level == 3 and size for level, size in straddling)
+        if kind.endswith("-disk") and abs(gap) == 1e-6 and (gap > 0) != kind.startswith("inside"):
+            assert not at_3, (kind, gap)  # whole, or dropped: the disk clears the pad
+        if kind.endswith("-polygon") and (gap > 0 or not kind.startswith("inside")):
+            assert at_3, (kind, gap)  # its disk crosses the ray or the circle
+        if gap is not None and gap < 0 and not kind.startswith("inside"):
+            assert at_3, (kind, gap)  # the polygon itself crosses
+        if kind == "around the origin":
+            # its disk holds the origin; from depth 2 on no segment reaches 3/4
+            assert [level for level, _ in straddling] == [1]
+    # both phases ran: some pairs were measured whole, and some straddled
+    assert 0 < straddled < pairs
+
+
+@pytest.mark.parametrize("gap", _GAPS)
+def test_planted_polygons_lie_where_they_were_put(gap):
+    # the planting itself: the gap is the one asked for, to rounding
+    base = _polygon(0.0, _RHO)
+    half = float(np.hypot(np.diff(base).real, np.diff(base).imag).sum()) / 2
+    ray = cmath.exp(1j * TAU / 8)
+    polygons = {(kind, g): p for kind, g, p in _planted_polygons()}
+    assert _cross(ray, polygons["ray-disk", gap][0]) - half == pytest.approx(gap, abs=1e-15)
+    assert _cross(ray, polygons["ray-polygon", gap]).min() == pytest.approx(gap, abs=1e-15)
+    assert -_cross(ray, polygons["mirror-disk", gap][0]) - half == pytest.approx(gap, abs=1e-15)
+    assert -_cross(ray, polygons["mirror-polygon", gap]).max() == pytest.approx(gap, abs=1e-15)
+    assert abs(polygons["circle-disk", gap][0]) - half - 7 / 8 == pytest.approx(gap, abs=1e-15)
+    assert np.abs(polygons["circle-polygon", gap]).min() - 7 / 8 == pytest.approx(gap, abs=1e-15)
+    assert abs(polygons["inside-disk", gap][0]) + half - 7 / 8 == pytest.approx(gap, abs=1e-15)
+    assert np.abs(polygons["inside-polygon", gap]).max() - 7 / 8 == pytest.approx(gap, abs=1e-15)
+
+
+#: z -> -z and z -> conj(z), on points, on angles (singular atoms) and on
+#: the outer log's samples at the angles 2 pi i / size: both are exact in
+#: floating point and map the dyadic arcs of every depth onto themselves
+_DYADIC_SYMMETRIES = [
+    (np.negative, lambda a: (a + math.pi) % TAU, lambda v: np.roll(v, v.size // 2)),
+    (np.conj, lambda a: -a % TAU, lambda v: np.roll(v[::-1], 1)),
+]
+#: the relative deviation allowed under them, c u with c = 2**10: each arc
+#: mass sums the same lengths in another order, from vertices that can
+#: round one ulp apart; the seeds below reach 167 u (1.9e-14)
+_SYMMETRY_TOLERANCE = 2.0 ** 10 * 2.0 ** -53
+
+
+def _disk_point(rng, r_max):
+    r, t = r_max * math.sqrt(rng.random()), TAU * rng.random()
+    return complex(r * math.cos(t), r * math.sin(t))
+
+
+def _contour_stratum_inputs(seed):
+    """(zeros, singular atoms, outer log, epsilon, c1), one per contour
+    stratum of the benchmark, seeded: Blaschke products of 1 to 50 zeros
+    at radius <= 0.985, and outer functions of 1024 to 4096 samples with
+    1-3 zeros and 1-2 light singular atoms at c1 = 0.1 and 0.2."""
+    out = []
+    for k, n in enumerate((1, 5, 9, 13, 17, 21, 25, 29, 33, 37, 42, 46, 50)):
+        rng = random.Random(f"symmetry/{seed}/{n}")
+        out.append(([_disk_point(rng, 0.985) for _ in range(n)], [], None,
+                    (0.1, 0.05, 0.01)[k % 3], 8.0))
+    for size in (1024, 2048, 4096):
+        for c1 in (0.1, 0.2):
+            rng = random.Random(f"symmetry/{seed}/{size}/{c1}")
+            k, phase = rng.randrange(1, 6), TAU * rng.random()
+            outer = -0.06 * (1.0 + 0.5 * np.cos(k * TAU * np.arange(size) / size + phase))
+            zeros = [_disk_point(rng, 0.9) for _ in range(rng.randrange(1, 4))]
+            atoms = [(TAU * rng.random(), rng.uniform(1e-6, 4e-6))
+                     for _ in range(rng.randrange(1, 3))]
+            out.append((zeros, atoms, outer, 0.1, c1))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_curve_norm_under_the_dyadic_symmetries(seed):
+    # the contour of the mapped function is the mapped contour, so its
+    # curve norm is the same up to the order of the sums
+    for zeros, atoms, outer, eps, c1 in _contour_stratum_inputs(seed):
+        constants = ContourConstants.for_epsilon(eps, c1=c1)
+        phi = BoundedFunction(zeros=zeros, singular_atoms=atoms, outer_log=outer)
+        polylines = bourgain_contour(phi, eps, constants).polylines
+        want = carleson_norm(CurveMeasure(polylines))
+        assert want > 0.0
+        for point, angle, samples in _DYADIC_SYMMETRIES:
+            image = BoundedFunction(zeros=point(np.array(zeros)),
+                                    singular_atoms=[(angle(a), m) for a, m in atoms],
+                                    outer_log=None if outer is None else samples(outer))
+            mapped = bourgain_contour(image, eps, constants).polylines
+            assert [p.size for p in mapped] == [p.size for p in polylines]
+            got = carleson_norm(CurveMeasure(mapped))
+            assert abs(got - want) <= _SYMMETRY_TOLERANCE * want, (len(zeros), eps)
+
+
+@pytest.mark.parametrize("size", [100, 200, 400])
+def test_discrete_norm_under_the_dyadic_symmetries(size):
+    # atoms as the carleson inputs of the benchmark: radius <= 0.99, mass 1 - |z|
+    for seed in range(4):
+        rng = random.Random(f"symmetry/discrete/{seed}/{size}")
+        points = np.array([_disk_point(rng, 0.99) for _ in range(size)])
+        masses = 1.0 - np.abs(points)
+        want = carleson_norm(DiscreteMeasure(np.column_stack((points, masses))))
+        for point, _, _ in _DYADIC_SYMMETRIES:
+            got = carleson_norm(DiscreteMeasure(np.column_stack((point(points), masses))))
+            assert abs(got - want) <= _SYMMETRY_TOLERANCE * want

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from itertools import chain
 from pathlib import Path
 from xml.etree import ElementTree
@@ -541,6 +542,30 @@ class TestExitCodes:
                          {"points": [[False, False], [0.5, 0.0], [0.0, 0.4]]})
         assert main(["sequence", "--input", inp]) == 2
         assert "points must be a number or an [re, im] pair" in capsys.readouterr().err
+
+    def test_contour_with_an_overflowing_ray_cut_warns_nothing(self, tmp_path, capsys):
+        # epsilon 1e-300 shrinks the zero's disk to radius 2e-303, next to
+        # the ray at turn 0: the boundary segments' components are
+        # subnormal, and a ray cut -(e x a) / (e x d) overflowed to inf with
+        # a RuntimeWarning, a traceback and exit 1 under warnings as errors
+        inp = write_json(tmp_path, "edge.json", {"zeros": [[0.9990234375, 0]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run_to_file(tmp_path, ["contour", "--input", inp, "--epsilon",
+                                                  "1e-300", "--seed", "1"])
+        assert code == 0
+        assert all(check["passed"] for check in report["checks"])
+        assert capsys.readouterr().err == ""
+
+    def test_system_refuses_a_huge_frame_entry_before_its_gram(self, tmp_path, capsys):
+        # an entry of 1e200 overflowed f^H f, with a RuntimeWarning (an
+        # error here), before the orthonormality test refused the frame
+        inp = write_json(tmp_path, "edge.json", {"groups": [
+            [[[1e200, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [1.0, 0.0]]]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["system", "--input", inp]) == 2
+        assert capsys.readouterr().err == "input error: frame columns must be orthonormal\n"
 
     def test_boolean_frame_entry_is_refused(self, tmp_path, capsys):
         inp = write_json(tmp_path, "bool.json", {

@@ -203,6 +203,9 @@ def test_dyadic_squares_nest_exactly():
         child_sq = in_square(u, r, child / 2.0 ** (d + 1), 2.0 ** -(d + 1))
         assert not (child_sq & ~parent_sq).any()
         assert (parent_sq == in_layer(r, 2.0**-d)).all()
+    # an array of depths broadcasts, row d the indices of depth d
+    rows = dyadic_index(u, np.arange(32)[:, None])
+    assert all((rows[d] == dyadic_index(u, d)).all() for d in range(32))
     # the points one by one give the same answers, each in its own square
     for k in range(0, 20000, 97):
         d = k % 31

@@ -63,6 +63,15 @@ def test_system_construction_and_validation():
             SubspaceSystem([np.array([[bad], [0.0]])])
 
 
+def test_frame_entries_past_two_are_refused_before_the_gram():
+    # no orthonormal column has an entry above 1 in modulus; an entry of
+    # 1e200 overflowed f^H f, with a RuntimeWarning, before it was refused
+    for big in (2.5, 1e200, 1e200j):
+        with pytest.raises(DomainError, match="frame columns must be orthonormal"):
+            SubspaceSystem([np.array([[big], [0.0]])])
+    assert SubspaceSystem([np.array([[1.0], [0.0]]), np.array([[0.0], [-1j]])]).ranks == [1, 1]
+
+
 def test_orthonormal_system_is_perfectly_conditioned():
     sys3 = lines(np.eye(4)[:, :3].T)
     assert GramFactor(sys3).condition() == pytest.approx(1.0)
