@@ -52,6 +52,9 @@ _POLYLINE_BLOCK = 2 ** 10
 # the margin by which a polyline's bounding disk clears the inner circle and
 # the rays of an arc for its segments to be measured whole
 _PAD = 1e-9
+# the deepest dyadic depth of a Carleson norm: the arcs of each depth d up
+# to it take arrays of 2**d numbers
+MAX_DEPTH = 24
 
 
 @dataclass(frozen=True)
@@ -213,9 +216,12 @@ def carleson_norm(measure, depth: int = 12) -> float:
     the depth's radial layer, binned by ``dyadic_index`` of their turns.
 
     A ``CurveMeasure`` is measured by :func:`_curve_norm`.
+
+    ``depth`` must lie in 0..``MAX_DEPTH``: either kind of measure takes
+    arrays of up to 2**depth arc masses per depth.
     """
-    if depth < 0:
-        raise DomainError("depth must be nonnegative")
+    if not 0 <= depth <= MAX_DEPTH:
+        raise DomainError(f"depth must lie in 0..{MAX_DEPTH}")
     best = 0.0
     if isinstance(measure, DiscreteMeasure):
         if len(measure) == 0:

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import rendering, riesz
 from .blaschke import BlaschkeProduct, interpolation_constants
-from .carleson import (DiscreteMeasure, carleson_norm, embedding_constant_empirical,
-                       kernel_test_constant)
+from .carleson import (MAX_DEPTH, DiscreteMeasure, carleson_norm,
+                       embedding_constant_empirical, kernel_test_constant)
 from .construction import (build_contour_nets, check_two_eps_margins, condition_sums,
                            epsilon_net_split, lemma_10_1_check, measure_c_alpha,
                            validate_epsilon_choice)
@@ -56,8 +56,8 @@ def validate(args) -> None:
         raise InputError("--epsilon must lie in (0, 1)")
     if flags.get("alpha") is not None and not 0.0 < flags["alpha"] < 0.1:
         raise InputError("--alpha must lie in (0, 0.1)")
-    if "depth" in flags and not 1 <= flags["depth"] <= 24:
-        raise InputError("--depth must lie in 1..24")
+    if "depth" in flags and not 1 <= flags["depth"] <= MAX_DEPTH:
+        raise InputError(f"--depth must lie in 1..{MAX_DEPTH}")
     if "section" in flags and flags["section"] < 1:
         raise InputError("--section must be positive")
     for name in ("cv", "c1", "c2", "c3"):

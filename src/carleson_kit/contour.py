@@ -52,6 +52,8 @@ from .hardy import poisson_sum
 _BOUND_PAD = 1e-9
 # dyadic depth below which the bad-interval scan stops
 _DEPTH_FLOOR = 20
+# (circle, disk) pairs per row block of the boundary extraction's tests
+_PAIR_BLOCK = 2 ** 15
 # largest Carleson norm of the boundary curve that verify_region accepts
 CONTOUR_NORM_BOUND = 10.0
 
@@ -392,23 +394,43 @@ def _extract_polylines(region: Region):
     where it meets other circles, and the sample angles 2 pi (i + 1/2)/256
     strictly between them.  A circle that no other disk meets is drawn
     closed through the 256 samples, the first repeated at the end.
+
+    The two tests run for all circles at once, over rows of circles that
+    hold about ``_PAIR_BLOCK`` (circle, disk) pairs, so the distances never
+    form the whole N x N matrix.  The closed circles are drawn as one
+    block, c_k + r_k e^(i t) with the angles' e^(i t) taken once (the sum
+    is formed in place as r_k e^(i t) + c_k, which rounds alike); the
+    circles that meet another disk take the per-circle path above.  Rows
+    go out in circle order.  Every test and vertex is the same elementwise
+    operation on the same operands as one circle at a time, so the
+    polylines keep their bits.
     """
     centers, radii = region.centers, region.radii
     n = 256
     ts = TAU * (np.arange(n) + 0.5) / n
     samples = np.concatenate((ts, ts + TAU))  # a piece's angles run below 4 pi
+    covered = np.zeros(radii.size, dtype=bool)
+    meets = np.zeros(radii.size, dtype=bool)
+    rows = max(1, _PAIR_BLOCK // max(1, radii.size))
+    for lo in range(0, radii.size, rows):
+        dist = np.abs(centers - centers[lo:lo + rows, None])
+        covered[lo:lo + rows], meet = _relations(dist, radii[lo:lo + rows, None], radii)
+        meets[lo:lo + rows] = meet.any(axis=1)
+    closed = ~covered & ~meets
+    ring = np.exp(1j * np.append(ts, ts[0]))
+    block = radii[closed, None] * ring
+    block += centers[closed, None]
+    block[:, -1] = block[:, 0]
+    drawn = iter(block)
     polylines = []
-    for c, r in zip(centers.tolist(), radii.tolist()):
+    for k in np.flatnonzero(~covered).tolist():
+        if not meets[k]:
+            polylines.append(next(drawn))
+            continue
+        c, r = complex(centers[k]), float(radii[k])
         dist = np.abs(centers - c)
-        if np.any(dist + r < radii):
-            continue
         # the circle itself has dist 0 and equal radius, so it never meets itself
-        meet = (dist < r + radii) & (dist + radii > r)
-        if not np.any(meet):
-            verts = c + r * np.exp(1j * np.append(ts, ts[0]))
-            verts[-1] = verts[0]
-            polylines.append(verts)
-            continue
+        meet = _relations(dist, r, radii)[1]
         d, rj = dist[meet], radii[meet]
         mid = np.angle(centers[meet] - c)
         half = np.arccos(np.clip((r * r + d * d - rj * rj) / (2.0 * r * d), -1.0, 1.0))
@@ -416,6 +438,13 @@ def _extract_polylines(region: Region):
             inner = samples[(samples > a) & (samples < b)]
             polylines.append(c + r * np.exp(1j * np.concatenate(([a], inner, [b]))))
     return tuple(polylines)
+
+
+def _relations(dist, r, radii):
+    """For circles of radius ``r`` at distances ``dist`` from the disks of
+    ``radii`` (along the last axis): whether some disk covers the circle,
+    and which disks cut it."""
+    return np.any(dist + r < radii, axis=-1), (dist < r + radii) & (dist + radii > r)
 
 
 def bourgain_contour(phi: BoundedFunction, eps: float,
@@ -476,6 +505,15 @@ def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
     outside (-inf and inf when a side has no sample).  The boundary
     polylines are measured as a curve and their Carleson norm must not
     exceed ``CONTOUR_NORM_BOUND``.
+
+    Half the samples are uniform on the disk.  The other half lie near the
+    region: each disk (center c, radius r) takes the same number of points
+    c + r sqrt(4 v) e^(i 2 pi w), uniform on the disk of radius 2r, and
+    keeps those in the open unit disk.  All of them come from one draw of
+    (angle, radius) rows, disk after disk.  That reads the doubles of the
+    generator in the order of one ``uniform(0, 2 pi)`` and one
+    ``uniform(0, 4)`` per disk, and ``uniform(0, h)`` is h times the
+    double, so the points are the same bits as drawn disk by disk.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -486,16 +524,13 @@ def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
         pts = cand[:, 0] + 1j * cand[:, 1]
         bulk.append(pts[in_open_disk(pts)])
     zs = np.concatenate(bulk)[:half]
-    near = []
     region = result.region
-    per_disk = max(1, (samples - half) // max(1, region.radii.size))
-    for c, r in zip(region.centers.tolist(), region.radii.tolist()):
-        ang = rng.uniform(0.0, TAU, per_disk)
-        rad = r * np.sqrt(rng.uniform(0.0, 4.0, per_disk))
-        cand = c + rad * np.exp(1j * ang)
-        near.append(cand[in_open_disk(cand)])
-    if near:
-        zs = np.concatenate([zs] + near)
+    if region.radii.size:
+        per_disk = max(1, (samples - half) // region.radii.size)
+        u = rng.random((region.radii.size, 2, per_disk))
+        rad = region.radii[:, None] * np.sqrt(4.0 * u[:, 1])
+        cand = region.centers[:, None] + rad * np.exp(1j * (TAU * u[:, 0]))
+        zs = np.concatenate([zs, cand[in_open_disk(cand)]])
     inside = region.contains_many(zs)
     log_abs = phi.log_abs(zs)
     upper_level = math.log(eps) + 1e-9

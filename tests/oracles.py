@@ -2,16 +2,20 @@
 
 They recompute a library quantity by the plain textbook route, one
 factorization per member, so a test can compare the library's faster route
-against them.
+against them.  :func:`ci_zeros` rebuilds the seeded input of CI's large
+contour steps.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 
+from carleson_kit.carleson import CurveMeasure, carleson_norm
 from carleson_kit.construction import canonical_phase
+from carleson_kit.contour import CONTOUR_NORM_BOUND, _uncovered
 from carleson_kit.disk import TAU, _modulus, in_open_disk
 from carleson_kit.errors import DomainError
 from carleson_kit.riesz import SubspaceSystem
@@ -340,3 +344,92 @@ def kernel_datum_distance(theta, lam, e, size):
     u = np.einsum("nij,ni->nj", np.conj(theta(xi)), k[:, None] * np.asarray(e)[None, :])
     c = np.fft.fft(u, axis=0)[: size // 2] / size
     return float(np.sqrt(np.sum(np.abs(c) ** 2)))
+
+
+def extract_polylines_reference(region):
+    """The boundary polylines of a contour region, one circle at a time:
+    the distances of each circle to every disk, its covered and cut tests,
+    and the vertices of a closed circle drawn from its own angles.  The
+    reference for ``contour._extract_polylines``, which takes the tests in
+    row blocks and draws the closed circles as one block."""
+    centers, radii = region.centers, region.radii
+    n = 256
+    ts = TAU * (np.arange(n) + 0.5) / n
+    samples = np.concatenate((ts, ts + TAU))
+    polylines = []
+    for c, r in zip(centers.tolist(), radii.tolist()):
+        dist = np.abs(centers - c)
+        if np.any(dist + r < radii):
+            continue
+        meet = (dist < r + radii) & (dist + radii > r)
+        if not np.any(meet):
+            verts = c + r * np.exp(1j * np.append(ts, ts[0]))
+            verts[-1] = verts[0]
+            polylines.append(verts)
+            continue
+        d, rj = dist[meet], radii[meet]
+        mid = np.angle(centers[meet] - c)
+        half = np.arccos(np.clip((r * r + d * d - rj * rj) / (2.0 * r * d), -1.0, 1.0))
+        for a, b in _uncovered(mid - half, mid + half):
+            inner = samples[(samples > a) & (samples < b)]
+            polylines.append(c + r * np.exp(1j * np.concatenate(([a], inner, [b]))))
+    return tuple(polylines)
+
+
+def region_samples_reference(region, samples, rng):
+    """The points at which ``contour.verify_region`` checks the levels,
+    drawn disk by disk: half uniform on the disk, then per disk the same
+    number of points uniform on the disk of twice its radius, each from its
+    own ``rng.uniform`` calls, kept inside the open unit disk."""
+    half = samples // 2
+    bulk = []
+    while sum(b.size for b in bulk) < half:
+        cand = rng.uniform(-1, 1, (half, 2))
+        pts = cand[:, 0] + 1j * cand[:, 1]
+        bulk.append(pts[in_open_disk(pts)])
+    zs = np.concatenate(bulk)[:half]
+    near = []
+    per_disk = max(1, (samples - half) // max(1, region.radii.size))
+    for c, r in zip(region.centers.tolist(), region.radii.tolist()):
+        ang = rng.uniform(0.0, TAU, per_disk)
+        rad = r * np.sqrt(rng.uniform(0.0, 4.0, per_disk))
+        cand = c + rad * np.exp(1j * ang)
+        near.append(cand[in_open_disk(cand)])
+    return np.concatenate([zs] + near) if near else zs
+
+
+def verify_region_reference(phi, result, eps, samples, rng, depth=12):
+    """``contour.verify_region`` at the points of
+    :func:`region_samples_reference`, with its report."""
+    zs = region_samples_reference(result.region, samples, rng)
+    inside = result.region.contains_many(zs)
+    log_abs = phi.log_abs(zs)
+    upper_level = math.log(eps) + 1e-9
+    lower_level = result.constants.log_eps_prime
+    inside_vals, outside_vals = log_abs[inside], log_abs[~inside]
+    upper_viol = int(np.sum(inside_vals > upper_level))
+    lower_viol = int(np.sum(outside_vals < lower_level))
+    norm = (carleson_norm(CurveMeasure([np.asarray(p) for p in result.polylines]), depth)
+            if result.polylines else 0.0)
+    return {
+        "samples": int(zs.size),
+        "upper_violations": upper_viol,
+        "lower_violations": lower_viol,
+        "upper_level": upper_level,
+        "lower_level": lower_level,
+        "max_log_abs_inside": float(np.max(inside_vals)) if inside_vals.size else -math.inf,
+        "min_log_abs_outside": float(np.min(outside_vals)) if outside_vals.size else math.inf,
+        "contour_norm": norm,
+        "passed": upper_viol == 0 and lower_viol == 0 and norm <= CONTOUR_NORM_BOUND,
+    }
+
+
+def ci_zeros(count):
+    """The seeded zeros of CI's large contour inputs: ``count`` points at
+    radius <= 0.985, area-uniform, from ``random.Random(count)``."""
+    rng = random.Random(count)
+    zeros = []
+    for _ in range(count):
+        r, t = 0.985 * math.sqrt(rng.random()), TAU * rng.random()
+        zeros.append(complex(r * math.cos(t), r * math.sin(t)))
+    return zeros

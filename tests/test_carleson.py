@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from carleson_kit import carleson, disk
+from carleson_kit.blaschke import interpolation_constants
 from carleson_kit.carleson import (
+    MAX_DEPTH,
     CurveMeasure,
     DiscreteMeasure,
     _kernel_layers,
@@ -26,7 +28,7 @@ from carleson_kit.disk import (
     polar,
 )
 from carleson_kit.errors import DomainError
-from oracles import exact_one_minus_sq, kernel_sum_oracle
+from oracles import ci_zeros, exact_one_minus_sq, kernel_sum_oracle
 
 TAU = 2 * math.pi
 
@@ -408,12 +410,7 @@ def test_curve_norm_memory_on_the_large_contour_input():
     # the boundary of the 2,000-zero contour input of CI's large-input
     # step: the segment blocks bound the per-segment arrays and the pair
     # index arrays, which for all 512,000 segments at once peaked at 105 MB
-    rng = random.Random(2000)
-    zeros = []
-    for _ in range(2000):
-        r, t = 0.985 * math.sqrt(rng.random()), TAU * rng.random()
-        zeros.append(complex(r * math.cos(t), r * math.sin(t)))
-    result = bourgain_contour(BoundedFunction(zeros=zeros), 0.1)
+    result = bourgain_contour(BoundedFunction(zeros=ci_zeros(2000)), 0.1)
     curve = CurveMeasure([np.asarray(p) for p in result.polylines])
     assert sum(c.size - 1 for c in curve.polylines) == 512_000
     tracemalloc.start()
@@ -865,4 +862,63 @@ def test_discrete_norm_under_the_dyadic_symmetries(size):
         want = carleson_norm(DiscreteMeasure(np.column_stack((points, masses))))
         for point, _, _ in _DYADIC_SYMMETRIES:
             got = carleson_norm(DiscreteMeasure(np.column_stack((point(points), masses))))
+            assert abs(got - want) <= _SYMMETRY_TOLERANCE * want
+
+
+def _closed_polygon(center, radius, n=256):
+    verts = center + radius * np.exp(1j * TAU * np.arange(n + 1) / n)
+    verts[-1] = verts[0]
+    return verts
+
+
+def test_depth_past_the_cap_is_refused_before_any_work():
+    # a 256-gon of radius 1e-12 at 1 - 3e-12 reaches the squares of every
+    # depth up to 38, so at depth 40 its arc masses would take 2**38
+    # numbers at depth 38 alone; an atom there, just below turn 1, fills a
+    # bincount as long
+    curve = CurveMeasure([_closed_polygon(1.0 - 3e-12, 1e-12)])
+    atoms = DiscreteMeasure([((1.0 - 3e-12) * cmath.exp(-1e-3j), 1.0)])
+    tracemalloc.start()
+    try:
+        for measure in (curve, atoms):
+            for depth in (40, MAX_DEPTH + 1, -1):
+                with pytest.raises(DomainError, match=rf"^depth must lie in 0\.\.{MAX_DEPTH}$"):
+                    carleson_norm(measure, depth)
+        with pytest.raises(DomainError, match="depth must lie in"):
+            interpolation_constants([0.5, -0.5j], depth=MAX_DEPTH + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_depth_at_the_cap_is_measured():
+    # neither measure reaches a square deeper than depth 3, so depth 24
+    # finds the norm of depth 12
+    curve = CurveMeasure([_closed_polygon(0.9j, 0.01)])
+    atoms = DiscreteMeasure([(0.9j, 0.1), (-0.5, 0.75)])
+    for measure in (curve, atoms):
+        assert carleson_norm(measure, MAX_DEPTH) == carleson_norm(measure, 12) > 0.0
+    points = [0.9j, -0.5, 0.3 + 0.3j]
+    assert (interpolation_constants(points, depth=MAX_DEPTH).carleson_norm
+            == interpolation_constants(points, depth=12).carleson_norm > 0.0)
+
+
+@pytest.mark.parametrize("size", [6, 12, 20])
+def test_sequence_norm_under_the_dyadic_symmetries(size):
+    # points as the sequence inputs of the benchmark: radius <= 0.9, pairwise
+    # pseudo-hyperbolic distance >= 0.3; the measure sum (1 - |lam|^2)
+    # delta_lam of the mapped points is the mapped measure
+    for seed in range(8):
+        rng = random.Random(f"symmetry/sequence/{seed}/{size}")
+        points = []
+        while len(points) < size:
+            z = _disk_point(rng, 0.9)
+            if all(abs(z - p) >= 0.3 * abs(1.0 - p.conjugate() * z) for p in points):
+                points.append(z)
+        points = np.array(points)
+        want = interpolation_constants(points).carleson_norm
+        assert want > 0.0
+        for point, _, _ in _DYADIC_SYMMETRIES:
+            got = interpolation_constants(point(points)).carleson_norm
             assert abs(got - want) <= _SYMMETRY_TOLERANCE * want

@@ -18,6 +18,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from carleson_kit.carleson import MAX_DEPTH
 from carleson_kit.cli import InputError, _complex_list, _frame_in, build_parser, main
 from carleson_kit.contour import BoundedFunction, ContourConstants, select_bad_intervals
 from carleson_kit.riesz import SubspaceSystem
@@ -454,6 +455,11 @@ class TestExitCodes:
     def test_flag_ranges(self, tmp_path, capsys):
         inp = points_input(tmp_path)
         assert main(["sequence", "--input", inp, "--depth", "0"]) == 2
+        # the library's depth cap, read by the flag check
+        assert MAX_DEPTH == 24
+        assert main(["sequence", "--input", inp, "--depth", "25"]) == 2
+        assert "--depth must lie in 1..24" in capsys.readouterr().err
+        assert main(["sequence", "--input", inp, "--depth", "24"]) == 0
         zeros = write_json(tmp_path, "z.json", {"zeros": []})
         assert main(["contour", "--input", zeros, "--epsilon", "1.5",
                      "--seed", "1"]) == 2

@@ -36,7 +36,13 @@ from carleson_kit.errors import ContourBoundError, DomainError
 from carleson_kit.hardy import poisson_sum
 from carleson_kit.model_space import MatrixFunction
 from carleson_kit.riesz import SubspaceSystem
-from oracles import log_abs_oracle
+from oracles import (
+    ci_zeros,
+    extract_polylines_reference,
+    log_abs_oracle,
+    region_samples_reference,
+    verify_region_reference,
+)
 
 TAU = 2 * math.pi
 
@@ -902,3 +908,106 @@ class TestBoundaryExtraction:
                 image = mapped(points)[order[:points.size]]
                 assert any(g_r == r and g.size == image.size
                            and np.max(np.abs(g - image)) < 1e-12 for g_r, g in got)
+
+
+def _contour_case(name):
+    """(phi, contour result, eps) of one seeded region of the sampler and
+    drawing oracle tests."""
+    if name == "no disk":
+        phi = BoundedFunction(outer_log=np.full(256, math.log(0.5)))
+        return phi, bourgain_contour(phi, 0.1), 0.1
+    if name == "covered":
+        # the first disk lies inside the second; a far closed circle between
+        # two overlapping ones puts a row of the block between the open arcs
+        region = Region([(0.1 + 0.1j, 0.1), (0.0, 0.3), (0.6, 0.2), (-0.6j, 0.05),
+                         (0.75, 0.1)])
+        consts = wide_constants()
+        phi = BoundedFunction(zeros=[0.0])
+        return phi, ContourResult(region, _extract_polylines(region), consts), consts.epsilon
+    if name == "2000 disks":
+        zeros, consts = ci_zeros(2000), ContourConstants.for_epsilon(0.1)
+    else:
+        zeros, consts = {
+            "one disk": ([0.3 + 0.2j], wide_constants()),
+            "round-equal circles": ([complex(np.nextafter(0.5, 1.0), 0.25), 0.5 + 0.25j],
+                                    wide_constants()),
+            # c3 = 1e-6 makes gamma = eps = 0.3: each circle keeps one open arc
+            "overlapping at gamma = eps": ([0.0, 0.1 + 0.05j],
+                                           ContourConstants.for_epsilon(0.3, c3=1e-6)),
+        }[name]
+    phi = BoundedFunction(zeros=zeros)
+    return phi, bourgain_contour(phi, consts.epsilon, constants=consts), consts.epsilon
+
+
+class TestBlockedSamplerAndDrawing:
+    """The near samples come from one draw and the closed circles from one
+    block: the samples, their order, every polyline and the whole report
+    equal the disk-by-disk references of ``oracles``."""
+
+    CASES = ["no disk", "one disk", "round-equal circles", "overlapping at gamma = eps",
+             "covered", "2000 disks"]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_polylines_are_the_per_circle_drawing(self, name):
+        _, result, _ = _contour_case(name)
+        want = extract_polylines_reference(result.region)
+        assert len(result.polylines) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(result.polylines, want))
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_samples_and_report_are_the_per_disk_draw(self, name, monkeypatch):
+        phi, result, eps = _contour_case(name)
+        seen = []
+        log_abs = BoundedFunction.log_abs
+
+        def recorded(self, z):
+            seen.append(np.array(z))
+            return log_abs(self, z)
+        monkeypatch.setattr(BoundedFunction, "log_abs", recorded)
+        for samples, seed in ((10000, 0), (4001, 7)):
+            seen.clear()
+            got = verify_region(phi, result, eps, samples=samples,
+                                rng=np.random.default_rng(seed))
+            want_zs = region_samples_reference(result.region, samples,
+                                               np.random.default_rng(seed))
+            assert len(seen) == 1 and np.array_equal(seen[0], want_zs)
+            want = verify_region_reference(phi, result, eps, samples,
+                                           np.random.default_rng(seed))
+            assert got == want
+
+    def test_the_cases_reach_every_path(self):
+        kinds = {}
+        for name in self.CASES:
+            _, result, _ = _contour_case(name)
+            region = result.region
+            closed = sum(p[0] == p[-1] for p in result.polylines)
+            kinds[name] = (region.radii.size, closed, len(result.polylines) - closed)
+        assert kinds["no disk"] == (0, 0, 0)
+        assert kinds["one disk"] == (1, 1, 0)
+        assert kinds["round-equal circles"] == (1, 1, 0)
+        assert kinds["overlapping at gamma = eps"] == (2, 0, 2)
+        # one circle covered, two closed, and one open arc on each of two
+        assert kinds["covered"] == (5, 2, 2)
+        assert kinds["2000 disks"] == (2000, 2000, 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fuzzed_clusters_are_the_per_circle_drawing(self, seed):
+        region = Region(clustered_disks(seed) + [(-0.5, 0.05), (-0.5 + 0.01j, 0.01)])
+        got, want = _extract_polylines(region), extract_polylines_reference(region)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_distance_tests_stay_in_row_blocks(self):
+        # 4,000 circles: the whole (circle, disk) distance matrix would take
+        # 256 MB as complex differences; the polylines take 16.4 MB
+        region = Region(zip(*(a.tolist() for a in pseudo_hyperbolic_disk(
+            np.array(ci_zeros(4000)), ContourConstants.for_epsilon(0.1).gamma))))
+        tracemalloc.start()
+        try:
+            polylines = _extract_polylines(region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        drawn = sum(p.nbytes for p in polylines)
+        assert len(polylines) == 4000
+        assert peak < drawn + 4e6

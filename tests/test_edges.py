@@ -1,0 +1,100 @@
+"""Edge inputs as a pinned contract: each either works or is refused.
+
+One table of (command, flags, document, required exit, required failed
+checks or refusal text, required quantities).  Every row runs the command
+line front end in process, with warnings as errors.  A report's failed
+checks must be exactly the listed ones; a refusal (exit 2) writes no report
+and prints exactly its line to stderr.  A quantity is named by its dotted
+path in the report's ``quantities`` and must equal the given value, None
+meaning null.
+
+A row whose outcome is wrong today is a strict expected failure naming the
+ROADMAP item that mends it, so the mend flips it.
+"""
+
+import json
+import warnings
+from typing import NamedTuple
+
+import pytest
+
+from carleson_kit.cli import main
+
+CONTOUR = ["--epsilon", "0.1", "--seed", "1"]
+
+
+class Edge(NamedTuple):
+    command: str
+    flags: list
+    document: dict
+    exit: int
+    failed: object  # the failed check names, or the refusal line for exit 2
+    quantities: dict = {}
+
+
+EDGES = {
+    # equal zeros are one circle
+    "contour-equal-zeros": Edge("contour", CONTOUR, {"zeros": [[0.3, 0.2], [0.3, 0.2]]}, 0, [],
+                                {"polylines": 1}),
+    # a zero next to the ray at turn 0 with a disk of radius 2e-303
+    "contour-epsilon-1e-300": Edge("contour", ["--epsilon", "1e-300", "--seed", "1"],
+                                   {"zeros": [[0.9990234375, 0.0]]}, 0, [], {"polylines": 1}),
+    "sequence-coincident": Edge("sequence", [], {"points": [[0.5, 0.0], [0.5, 0.0]]}, 2,
+                                "input error: sequence points must be pairwise distinct"),
+    "sequence-1e-15-apart": Edge("sequence", [], {"points": [[0.5, 0.0], [0.5 + 1e-15, 0.0]]},
+                                 2, "input error: kernel elements are numerically dependent"),
+    "weight-all-zero": Edge("weight", [], {"samples": [0.0] * 8192}, 0, [],
+                            {"classification.level": 0, "classification.a2_constant": None}),
+    "weight-1e-300": Edge("weight", [], {"samples": [1e-300] * 8192}, 0, [],
+                          {"classification.level": 5}),
+    "weight-1e300": Edge("weight", [], {"samples": [1e300] * 8192}, 0, [],
+                         {"classification.level": 5}),
+    # a textbook interpolating sequence (delta 0.01468): the Gram route's
+    # projection norms are 4.29e-6 off, past the check's 1e-6
+    "sequence-geometric-29": Edge("sequence", [],
+                                  {"points": [[1.0 - 2.0 ** -k, 0.0] for k in range(1, 30)]},
+                                  0, []),
+    # one atom on the circle: every one of the three constants is infinite
+    "carleson-atom-on-circle": Edge("carleson", [], {"atoms": [[[1.0, 0.0], 1.0]]}, 0, [],
+                                    {"carleson_norm": None, "kernel_test_constant": None,
+                                     "embedding_constant": None}),
+}
+
+#: rows whose outcome is wrong today, with the ROADMAP items that mend them
+WRONG_TODAY = {
+    "sequence-geometric-29": "ROADMAP item 15: exits 1 on projection-norms-match-gram",
+    "carleson-atom-on-circle": "ROADMAP items 4 and 11: exits 0 with finite constants",
+}
+
+
+def _quantity(quantities: dict, path: str):
+    for key in path.split("."):
+        quantities = quantities[key]
+    return quantities
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=WRONG_TODAY[name]))
+    if name in WRONG_TODAY else name for name in EDGES])
+def test_edge_input(name, tmp_path, capsys):
+    edge = EDGES[name]
+    inp, out = tmp_path / "input.json", tmp_path / "report.json"
+    inp.write_text(json.dumps(edge.document))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([edge.command, "--input", str(inp), *edge.flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == edge.exit, err
+    if code == 2:
+        assert not out.exists()
+        assert err == edge.failed + "\n"
+        return
+    assert err == ""
+    report = json.loads(out.read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == edge.failed
+    for path, value in edge.quantities.items():
+        assert _quantity(report["quantities"], path) == value, path
+
+
+def test_every_expected_failure_names_its_row():
+    assert set(WRONG_TODAY) <= set(EDGES)
