@@ -1,6 +1,6 @@
 """Finite Blaschke products, interpolation-type constants of finite
 sequences, and greedy nets on curves with pseudo-hyperbolic mesh.
-log|B| has one implementation, :func:`blaschke_log_abs`, also the Blaschke
+log|B| has one implementation, :func:`_blaschke_log_abs`, also the Blaschke
 part of ``contour.BoundedFunction.log_abs``; |B| is ``abs(B(z))``, faster
 for few zeros than exp of the chunked sum.  The sum takes the
 pseudo-hyperbolic distances in chunks of zeros, each zero's row running
@@ -20,12 +20,11 @@ from . import carleson as carleson_mod
 from .disk import (
     _blaschke_factor,
     _interior,
-    _pseudo_hyperbolic_into,
+    _layer_index,
+    _pseudo_hyperbolic,
     in_closed_disk,
     in_open_disk,
-    layer_index,
     one_minus_sq,
-    pseudo_hyperbolic,
 )
 from .errors import DomainError
 
@@ -33,39 +32,38 @@ from .errors import DomainError
 _LOG_BLOCK = 2 ** 15
 
 
-def _rho_chunks(zeros: np.ndarray, pts: np.ndarray):
+def _rho_chunks(zeros: np.ndarray, defects: np.ndarray, pts: np.ndarray):
     """pseudo_hyperbolic(zeros[:, None], pts[None, :]) in chunks of
     max(1, _LOG_BLOCK // pts.size) rows, one row per zero, each row along
-    all of the 1-d ``pts``, from one_minus_sq of the zeros alone.  The
-    chunks are views of buffers that are reused for the next chunk; both
-    arrays must be checked interior."""
+    all of the 1-d ``pts``, from the zeros' ``defects`` = one_minus_sq
+    alone.  The chunks are views of buffers that are reused for the next
+    chunk; both arrays must be checked interior."""
     rows = max(1, _LOG_BLOCK // max(1, pts.size))
     shape = (min(rows, zeros.size), pts.size)
-    defects = one_minus_sq(zeros)[:, None]
+    defects = defects[:, None]
     rho, den, work = np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex)
     for start in range(0, zeros.size, rows):
         lam = zeros[start : start + rows, None]
         k = lam.shape[0]
-        yield _pseudo_hyperbolic_into(lam, pts, defects[start : start + k], rho[:k], den[:k],
-                                      work[:k])
+        yield _pseudo_hyperbolic(lam, pts, defects[start : start + k], rho[:k], den[:k],
+                                 work[:k])
 
 
-def _min_pseudo_hyperbolic(zeros, points) -> np.ndarray:
+def _min_pseudo_hyperbolic(zeros, defects, pts) -> np.ndarray:
     """min over ``zeros`` of pseudo_hyperbolic(zero, p) at each p of the 1-d
-    ``points``, in the chunks of :func:`blaschke_log_abs`; DomainError unless
-    all of them are interior.  ``zeros`` must be nonempty."""
-    zeros = _interior(zeros, "Blaschke zero")
-    pts = _interior(points)
+    ``pts``, in the chunks of :func:`_blaschke_log_abs`, unchecked: the
+    nonempty ``zeros`` with their ``defects`` and the points are interior."""
     out = np.full(pts.shape, np.inf)
-    for rho in _rho_chunks(zeros, pts):
+    for rho in _rho_chunks(zeros, defects, pts):
         np.minimum(out, rho.min(axis=0), out=out)
     return out
 
 
-def blaschke_log_abs(zeros, zs: np.ndarray) -> np.ndarray:
-    """log|B| at each entry of ``zs``, B the product over ``zeros`` (with
-    multiplicity); DomainError for |z| > ``disk.CLOSED_RADIUS`` unless
-    ``zeros`` is empty.
+def _blaschke_log_abs(zeros, defects, zs: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """log|B| at each entry of ``zs``, B the product over the checked
+    ``zeros`` (with multiplicity), from their ``defects`` = one_minus_sq and
+    ``inner`` = ``disk.in_open_disk(zs)``; DomainError for
+    |z| > ``disk.CLOSED_RADIUS`` unless ``zeros`` is empty.
 
     The sum of log pseudo_hyperbolic runs over chunks of zeros, each row
     along all the interior points (see :func:`_rho_chunks`), so every numpy
@@ -77,18 +75,16 @@ def blaschke_log_abs(zeros, zs: np.ndarray) -> np.ndarray:
     16 n u sum_a (|log rho_a| + 1) of a ``math.fsum`` of the exact terms.
     """
     out = np.zeros(zs.shape, dtype=float)
-    zeros = _interior(zeros, "Blaschke zero")
     if zeros.size == 0:
         return out
     # |b_lam| = 1 on the circle, so only interior points add to the sum;
     # points off the closed disk are refused
-    inner = in_open_disk(zs)
     if not in_closed_disk(zs[~inner]).all():
         raise DomainError("the Blaschke part is defined on the closed disk only")
     pts = zs[inner]
     sums = np.zeros(pts.shape)
     with np.errstate(divide="ignore"):
-        for rho in _rho_chunks(zeros, pts):
+        for rho in _rho_chunks(zeros, defects, pts):
             sums += np.log(rho, out=rho).sum(axis=0)
     out[inner] = sums
     return out
@@ -108,26 +104,30 @@ def _distinct_interior(points, what: str) -> np.ndarray:
 class BlaschkeProduct:
     """Product of Blaschke factors over a finite list of simple interior zeros.
 
-    ``zeros`` is the checked complex array of them.  The empty product is
-    the constant 1.  Repeated zeros are rejected; degenerate inputs should
-    model multiplicity by perturbation.
+    ``zeros`` is the checked complex array of them, kept with their
+    one_minus_sq.  The empty product is the constant 1.  Repeated zeros are
+    rejected; degenerate inputs should model multiplicity by perturbation.
     """
 
-    __slots__ = ("zeros",)
+    __slots__ = ("zeros", "_defects")
 
     def __init__(self, zeros=()):
         self.zeros = _distinct_interior(zeros, "Blaschke zero")
+        # zero by zero, with the bits of the array form: one_minus_sq of a
+        # short array costs about 25 us, of a Python complex about 1.2 us
+        self._defects = np.array([one_minus_sq(lam) for lam in self.zeros.tolist()])
 
     def __call__(self, z):
         zs = np.asarray(z, dtype=complex)
         out = np.ones_like(zs)
-        for lam in self.zeros.tolist():
-            out = out * _blaschke_factor(lam, zs)
+        for lam, d_lam in zip(self.zeros.tolist(), self._defects.tolist()):
+            out = out * _blaschke_factor(lam, d_lam, zs)
         return complex(out) if np.isscalar(z) else out
 
     def log_abs(self, z):
-        """log |B(z)|, elementwise, by :func:`blaschke_log_abs`."""
-        out = blaschke_log_abs(self.zeros, np.asarray(z, dtype=complex))
+        """log |B(z)|, elementwise, by :func:`_blaschke_log_abs`."""
+        zs = np.asarray(z, dtype=complex)
+        out = _blaschke_log_abs(self.zeros, self._defects, zs, in_open_disk(zs))
         return float(out) if np.isscalar(z) else out
 
 
@@ -157,18 +157,16 @@ def interpolation_constants(points, depth: int = 12) -> InterpolationReport:
     arr = _distinct_interior(points, "sequence point")
     if arr.size == 0:
         raise DomainError("the sequence must be nonempty")
-    dist = pseudo_hyperbolic(arr[:, None], arr[None, :])
+    defects = one_minus_sq(arr)
+    dist = _pseudo_hyperbolic(arr[:, None], arr[None, :], defects[:, None])
     np.fill_diagonal(dist, 1.0)
     prod = dist.prod(axis=0)
     if not prod.all():
         raise DomainError("degenerate sequence: coinciding points")
-    if arr.size == 1:
-        delta = 1.0
-        alpha = 1.0
-    else:
-        alpha = float(dist.min())
-        delta = float(np.exp(np.log(dist).sum(axis=1).min()))
-    measure = carleson_mod.DiscreteMeasure(np.column_stack((arr, one_minus_sq(arr))))
+    # a single point's matrix is [[1]]: alpha = delta = 1
+    alpha = float(dist.min())
+    delta = float(np.exp(np.log(dist).sum(axis=1).min()))
+    measure = carleson_mod.DiscreteMeasure(np.column_stack((arr, defects)))
     norm = carleson_mod.carleson_norm(measure, depth)
     return InterpolationReport(delta=delta, alpha=alpha, carleson_norm=norm,
                                projection_norms=(1.0 / prod).tolist())
@@ -187,7 +185,7 @@ def place_net_on_curve(vertices, alpha: float) -> list[complex]:
     if not (0.0 < alpha < 0.1):
         raise DomainError(f"net mesh must lie in (0, 0.1), got {alpha}")
     pts = _interior(vertices, "curve vertex").reshape(-1)
-    visit = pts[np.argsort(layer_index(pts), kind="stable")]
+    visit = pts[np.argsort(_layer_index(pts), kind="stable")]
     defects = one_minus_sq(visit)
     free = np.ones(visit.size, dtype=bool)  # farther than alpha from the net so far
     rho, den, work = np.empty(visit.size), np.empty(visit.size), np.empty(visit.size, dtype=complex)
@@ -196,8 +194,8 @@ def place_net_on_curve(vertices, alpha: float) -> list[complex]:
         if free[k]:
             selected.append(k)
             rest = slice(k + 1, None)  # pseudo_hyperbolic(visit[k], visit[rest]), its bits
-            free[rest] &= _pseudo_hyperbolic_into(visit[k], visit[rest], defects[k], rho[rest],
-                                                  den[rest], work[rest]) > alpha
+            free[rest] &= _pseudo_hyperbolic(visit[k], visit[rest], defects[k], rho[rest],
+                                             den[rest], work[rest]) > alpha
     return visit[selected].tolist()
 
 
@@ -208,16 +206,13 @@ def net_is_valid(vertices, net, alpha: float) -> tuple[bool, bool, bool]:
     dense: every vertex has a net point with |b_lam(z)| < alpha;
     product_small: |B(z)| < alpha at every vertex for B the net's product.
     """
-    arr = np.asarray(net, dtype=complex)
-    verts = np.asarray(vertices, dtype=complex)
-    if arr.size == 0:
-        return (True, verts.size == 0, verts.size == 0)
-    separated = True
-    if arr.size > 1:
-        d = pseudo_hyperbolic(arr[:, None], arr[None, :])
-        np.fill_diagonal(d, np.inf)
-        separated = bool(d.min() > alpha)
-    dense = bool(np.all(_min_pseudo_hyperbolic(arr, verts) < alpha))
-    product = BlaschkeProduct(arr)
+    if np.size(net) == 0:
+        return (True, np.size(vertices) == 0, np.size(vertices) == 0)
+    product = BlaschkeProduct(net)
+    arr, defects, verts = product.zeros, product._defects, _interior(vertices)
+    d = _pseudo_hyperbolic(arr[:, None], arr[None, :], defects[:, None])
+    np.fill_diagonal(d, np.inf)  # a single point is separated
+    separated = bool(d.min() > alpha)
+    dense = bool(np.all(_min_pseudo_hyperbolic(arr, defects, verts) < alpha))
     product_small = bool(np.all(np.abs(product(verts)) < alpha))
     return separated, dense, product_small

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import _min_pseudo_hyperbolic, blaschke_log_abs
+from .blaschke import _blaschke_log_abs, _min_pseudo_hyperbolic
 from .carleson import CurveMeasure, carleson_norm
 from .disk import (
     TAU,
@@ -35,17 +35,18 @@ from .disk import (
     _atoms,
     _interior,
     _kernel_sums,
+    _modulus,
+    _pseudo_hyperbolic_disk,
     dyadic_arc,
     in_layer,
     in_open_disk,
     in_square,
     one_minus_sq,
     polar,
-    pseudo_hyperbolic_disk,
     turns,
 )
 from .errors import ContourBoundError, DomainError
-from .hardy import poisson_sum
+from .hardy import _poisson_sum
 
 # relative pad of the bad-interval scan's descent bound, for the rounding of
 # sums taken in different orders
@@ -62,16 +63,18 @@ class BoundedFunction:
     """phi = (Blaschke part) * (singular part) * (outer part), ||phi|| <= 1.
 
     zeros: interior zeros with multiplicity, kept as a checked complex
-    array.  singular_atoms: (angle, mass) pairs, kept as a (k, 2) float
-    array of angles mod 2 pi and masses in normalized boundary units.
+    array with their one_minus_sq.  singular_atoms: (angle, mass) pairs,
+    kept as a (k, 2) float array of angles mod 2 pi and masses in
+    normalized boundary units.
     outer_log: samples of log|phi*| on a uniform boundary grid, required
     <= 0 (tolerance 1e-8); None means the outer part is constant 1.
     """
 
-    __slots__ = ("zeros", "singular_atoms", "outer_log")
+    __slots__ = ("zeros", "singular_atoms", "outer_log", "_defects")
 
     def __init__(self, zeros=(), singular_atoms=(), outer_log=None):
         self.zeros = _interior(zeros, "zero").reshape(-1)
+        self._defects = one_minus_sq(self.zeros)
         angles, masses = _atoms(singular_atoms, float)
         if not np.isfinite(angles).all():
             raise DomainError("singular atoms need finite angles")
@@ -88,56 +91,69 @@ class BoundedFunction:
 
     def log_abs(self, z) -> np.ndarray:
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = blaschke_log_abs(self.zeros, zs)
+        flat = zs.reshape(-1)
+        # the modulus of the points is taken once: by hypot where the
+        # Poisson sum sorts by it, else by the open-disk test
+        radius = None if self.outer_log is None else _modulus(flat)
+        inner = in_open_disk(flat) if radius is None else radius < 1.0
+        out = _blaschke_log_abs(self.zeros, self._defects, flat, inner)
         defects = None
         if self.singular_atoms.size:
             # the boundary Poisson kernel at xi is |k_z(xi)|^2, defined for
             # z in the open disk only
-            flat = _interior(zs.reshape(-1))
+            _interior(flat, inside=inner)
             defects = one_minus_sq(flat)
             angles, masses = self.singular_atoms.T
-            out -= _kernel_sums(flat, defects, np.exp(1j * angles), 0.0, masses).reshape(zs.shape)
-        if self.outer_log is not None:
-            out += poisson_sum(self.outer_log, zs, defects)
+            out -= _kernel_sums(flat, defects, np.exp(1j * angles), 0.0, masses)
+        if radius is not None:
+            out += _poisson_sum(self.outer_log, flat, radius, defects)
+        out = out.reshape(zs.shape)
         return out[0] if np.isscalar(z) else out
 
     def representing_measure(self) -> "RepresentingMeasure":
-        halves = 0.5 * one_minus_sq(self.zeros)
         density = None if self.outer_log is None else np.clip(-self.outer_log, 0.0, None)
-        return RepresentingMeasure(np.column_stack((self.zeros, halves)), self.singular_atoms,
-                                   density)
+        return RepresentingMeasure.__new__(RepresentingMeasure)._keep(
+            self.zeros, self._defects, 0.5 * self._defects, *self.singular_atoms.T, density)
 
 
 class RepresentingMeasure:
     """nu = mu_singular + (-log|phi*|) dm + (1/2) sum (1 - |lam|^2) delta_lam.
 
     From (point, mass) and (angle, mass) pairs it keeps three checked
-    arrays: ``points`` in the open disk, finite ``angles`` mod 2 pi, and
-    the positive finite ``masses`` of both, points first.  The ``density``
-    samples must be finite and nonnegative.  All masses are in normalized
-    boundary units (the full circle has measure 1 under dm).
+    arrays: ``points`` in the open disk (with their one_minus_sq), finite
+    ``angles`` mod 2 pi, and the positive finite ``masses`` of both, points
+    first.  The ``density`` samples must be finite and nonnegative.  All
+    masses are in normalized boundary units (the full circle has measure 1
+    under dm).
     """
 
-    __slots__ = ("points", "angles", "masses", "density", "_polar")
+    __slots__ = ("points", "angles", "masses", "density", "_defects", "_polar")
 
     def __init__(self, interior_atoms=(), boundary_atoms=(), density=None):
         points, inner_masses = _atoms(interior_atoms, complex)
         angles, boundary_masses = _atoms(boundary_atoms, float)
-        self.points = _interior(points)
+        points = _interior(points)
         if not np.isfinite(angles).all():
             raise DomainError("boundary atoms need finite angles")
-        self.angles = angles % TAU
-        self.masses = np.concatenate([inner_masses, boundary_masses])
         if density is not None:
             density = np.asarray(density, dtype=float)
             if not np.isfinite(density).all() or np.min(density) < 0:
                 raise DomainError("density must be finite and nonnegative")
+        self._keep(points, one_minus_sq(points), inner_masses, angles, boundary_masses, density)
+
+    def _keep(self, points, defects, inner_masses, angles, boundary_masses, density):
+        """Keep checked parts: interior ``points`` with their ``defects``,
+        finite ``angles`` and positive finite masses; returns the measure."""
+        self.points, self._defects = points, defects
+        self.angles = angles % TAU
+        self.masses = np.concatenate([inner_masses, boundary_masses])
         self.density = density
         # the turn and radius of every atom, in the order of the masses;
         # boundary atoms sit at radius 1
         u, r = polar(self.points)
         self._polar = (np.concatenate([u, turns(self.angles)]),
                        np.concatenate([r, np.ones(self.angles.size)]))
+        return self
 
     def mass_in_square(self, arc: Arc) -> float:
         """nu of the closed Carleson square over ``arc`` (``disk.in_square``)."""
@@ -168,11 +184,11 @@ class RepresentingMeasure:
         flat = _interior(zs.reshape(-1))
         defects = one_minus_sq(flat)
         circle = np.exp(1j * self.angles)
-        d_atoms = np.concatenate([one_minus_sq(self.points), np.zeros(circle.size)])
+        d_atoms = np.concatenate([self._defects, np.zeros(circle.size)])
         out = _kernel_sums(flat, defects, np.concatenate([self.points, circle]), d_atoms,
                            self.masses).reshape(zs.shape)
         if self.density is not None:
-            out += poisson_sum(self.density, zs, defects)
+            out += _poisson_sum(self.density, flat, _modulus(flat), defects).reshape(zs.shape)
         return out[0] if np.isscalar(z) else out
 
 
@@ -191,7 +207,7 @@ def check_potential_bounds(phi: BoundedFunction, eps: float, points) -> dict:
     neglog = -phi.log_abs(zs)
     pot = phi.representing_measure().potential(zs)
     if phi.zeros.size:
-        min_b = _min_pseudo_hyperbolic(phi.zeros, zs)
+        min_b = _min_pseudo_hyperbolic(phi.zeros, phi._defects, zs)
     else:
         min_b = np.ones(zs.shape)
     lower_margin = neglog - pot
@@ -488,8 +504,10 @@ def bourgain_contour(phi: BoundedFunction, eps: float,
             f"{len(witnesses)} heavy dyadic square(s) nu(Q(J)) > M|J|; the heaviest, "
             f"at depth {round(-math.log2(length))}, has nu(Q(J)) = {masses[k]:.6g} "
             f"against M|J| = {constants.m_threshold * length:.6g}")
-    zeros = sorted(phi.zeros.tolist(), key=lambda w: (w.real, w.imag))
-    centers, radii = pseudo_hyperbolic_disk(np.array(zeros, dtype=complex), constants.gamma)
+    zeros = phi.zeros.tolist()
+    order = sorted(range(len(zeros)), key=lambda i: (zeros[i].real, zeros[i].imag))
+    centers, radii = _pseudo_hyperbolic_disk(phi.zeros[order], phi._defects[order],
+                                             constants.gamma)
     region = Region(zip(centers.tolist(), radii.tolist()))
     return ContourResult(region, _extract_polylines(region), constants)
 

@@ -30,9 +30,12 @@ The metric and kernel primitives (:func:`pseudo_hyperbolic`, :func:`kernel`,
 ``kernel_inner(p[:, None], p[None, :])`` a kernel Gram matrix; scalar
 arguments give a float or a complex.  A point set is checked once, as a
 complex array, by ``_interior`` (|z| >= 1 or nan raises :class:`DomainError`),
-and constructors keep that array.  The unchecked forms take d from their
-caller: ``_pseudo_hyperbolic_into`` writes into the caller's buffers (log|B|
-runs it over chunks of zeros, and needs d of the zeros only), and
+at the public entry that receives it, and travels with its d as a plain
+pair (z, d); objects that keep a point set keep both.  Each public
+primitive checks, then runs an unchecked form that the library calls on
+its checked arrays: ``_blaschke_factor``, ``_pseudo_hyperbolic`` (log|B|
+runs it into reused buffers) and ``_pseudo_hyperbolic_disk`` take d from
+their caller, ``_kernel_inner`` and ``_layer_index`` need none.
 ``_kernel_sums`` sums weighted kernel squares.
 
 A Carleson square exists only as its membership test: :func:`in_square` of
@@ -80,11 +83,12 @@ def in_closed_disk(z) -> np.ndarray:
     return _modulus(np.asarray(z, dtype=complex)) <= CLOSED_RADIUS
 
 
-def _interior(z, what: str = "point") -> np.ndarray:
+def _interior(z, what: str = "point", inside=None) -> np.ndarray:
     """``z`` as a complex array; DomainError unless every entry lies in the
-    open disk (nan fails)."""
+    open disk (nan fails).  A caller that took ``inside`` = in_open_disk(z)
+    passes it on."""
     zs = np.asarray(z, dtype=complex)
-    inside = in_open_disk(zs)
+    inside = in_open_disk(zs) if inside is None else inside
     if not inside.all():
         bad = _modulus(zs[~inside]).flat[0]
         raise DomainError(f"{what} must lie strictly inside the unit disk, got |z| = {bad:.6g}")
@@ -169,12 +173,13 @@ def _one_minus_conj(a, diff, d_a, out=None):
     return np.add(np.multiply(a.conjugate(), diff, out=out), d_a, out=out)
 
 
-def _blaschke_factor(lam: complex, zs: np.ndarray) -> np.ndarray:
-    """:func:`blaschke_factor`, unchecked, of a Python complex ``lam``."""
+def _blaschke_factor(lam: complex, d_lam: float, zs: np.ndarray) -> np.ndarray:
+    """:func:`blaschke_factor`, unchecked, of a Python complex ``lam`` with
+    ``d_lam`` = one_minus_sq(lam)."""
     if lam == 0:
         return zs + 0.0
     diff = lam - zs
-    return abs(lam) / lam * diff / _one_minus_conj(lam, diff, one_minus_sq(lam))
+    return abs(lam) / lam * diff / _one_minus_conj(lam, diff, d_lam)
 
 
 def blaschke_factor(lam, z):
@@ -183,16 +188,20 @@ def blaschke_factor(lam, z):
     b_lam(z) = (|lam|/lam) (lam - z) / (1 - conj(lam) z), and b_0(z) = z.
     ``z`` may be a scalar or an ndarray; |z| <= 1 is allowed.
     """
-    out = _blaschke_factor(complex(_interior(lam, "Blaschke zero")), np.asarray(z, dtype=complex))
+    lam = complex(_interior(lam, "Blaschke zero"))
+    out = _blaschke_factor(lam, one_minus_sq(lam), np.asarray(z, dtype=complex))
     return complex(out) if np.isscalar(z) else out
 
 
-def _pseudo_hyperbolic_into(lam, mu, d_lam, out, den, diff):
+def _pseudo_hyperbolic(lam, mu, d_lam, out=None, den=None, diff=None):
     """The arithmetic of :func:`pseudo_hyperbolic`, unchecked, from
-    ``d_lam`` = one_minus_sq(lam) (mu needs none): writes rho into the float
-    array ``out``, with the float ``den`` and complex ``diff`` of the
-    broadcast shape as scratch.  No square is formed, so rho keeps a few u
-    of relative accuracy at any distance."""
+    ``d_lam`` = one_minus_sq(lam) (mu needs none): rho goes into the float
+    array ``out``, with the float ``den`` and complex ``diff`` as scratch,
+    all of the broadcast shape, where the caller gives them.  No square is
+    formed, so rho keeps a few u of relative accuracy at any distance."""
+    if out is None:
+        shape = np.broadcast(lam, mu).shape
+        out, den, diff = np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex)
     np.abs(np.subtract(lam, mu, out=diff), out=out)
     return np.divide(out, np.abs(_one_minus_conj(lam, diff, d_lam, diff), out=den), out=out)
 
@@ -204,10 +213,7 @@ def pseudo_hyperbolic(lam, mu):
     are scalars.
     """
     lam_a = _interior(lam)
-    mu_a = _interior(mu)
-    shape = np.broadcast(lam_a, mu_a).shape
-    out = _pseudo_hyperbolic_into(lam_a, mu_a, one_minus_sq(lam_a), np.empty(shape),
-                                  np.empty(shape), np.empty(shape, dtype=complex))
+    out = _pseudo_hyperbolic(lam_a, _interior(mu), one_minus_sq(lam_a))
     return float(out) if np.isscalar(lam) and np.isscalar(mu) else out
 
 
@@ -247,8 +253,12 @@ def kernel_inner(lam, mu):
     so ``kernel_inner(p[:, None], p[None, :])`` is the Gram matrix of the
     kernels at ``p``; a complex when both arguments are scalars.
     """
-    lam_a = _interior(lam)
-    mu_a = _interior(mu)
+    out = _kernel_inner(_interior(lam), _interior(mu))
+    return complex(out) if np.isscalar(lam) and np.isscalar(mu) else out
+
+
+def _kernel_inner(lam_a: np.ndarray, mu_a: np.ndarray) -> np.ndarray:
+    """:func:`kernel_inner`, unchecked, of interior arrays."""
     # 1 - r^2 stays here: GramFactor's lmin moves by about cond^2 u under any
     # last-bit change of G, and one_minus_sq moved the benchmark's `sequence`
     # conditions by up to 9.75e-9 relative, past its references' 1e-9
@@ -260,8 +270,7 @@ def kernel_inner(lam, mu):
     den = np.empty(num.shape, dtype=complex)
     den.real = 1.0 - (mu_a.real * lam_a.real + mu_a.imag * lam_a.imag)
     den.imag = 0.0 - (mu_a.real * lam_a.imag - mu_a.imag * lam_a.real)
-    out = num / den
-    return complex(out) if np.isscalar(lam) and np.isscalar(mu) else out
+    return num / den
 
 
 def turns(theta) -> np.ndarray:
@@ -337,13 +346,19 @@ def pseudo_hyperbolic_disk(a, gamma: float):
 
     with 1 - gamma^2 |a|^2 = (1 - gamma^2) + gamma^2 (1 - |a|^2).
     """
+    centers = _interior(a, "disk center")
+    center, radius = _pseudo_hyperbolic_disk(centers, one_minus_sq(centers), gamma)
+    return (complex(center), float(radius)) if np.isscalar(a) else (center, radius)
+
+
+def _pseudo_hyperbolic_disk(centers: np.ndarray, d_a: np.ndarray, gamma: float):
+    """:func:`pseudo_hyperbolic_disk`, unchecked in the centers, from their
+    ``d_a`` = one_minus_sq(centers); ``gamma`` is still checked."""
     if not (0.0 < gamma < 1.0):
         raise DomainError(f"radius parameter must lie in (0, 1), got {gamma}")
-    centers = _interior(a, "disk center")
-    d_a, d_gamma = one_minus_sq(centers), one_minus_sq(float(gamma))
+    d_gamma = one_minus_sq(float(gamma))
     denom = d_gamma + gamma * gamma * d_a
-    center, radius = centers * (d_gamma / denom), gamma * d_a / denom
-    return (complex(center), float(radius)) if np.isscalar(a) else (center, radius)
+    return centers * (d_gamma / denom), gamma * d_a / denom
 
 
 def layer_index(z):
@@ -353,13 +368,19 @@ def layer_index(z):
     The layers partition the disk; a point on the shared circle
     |z| = 1 - 2^-(m+1) belongs to layer m + 1.  Exact comparisons correct
     the guess from log2."""
-    r = _modulus(_interior(z))
+    m = _layer_index(_interior(z))
+    return int(m) if np.isscalar(z) else m
+
+
+def _layer_index(zs: np.ndarray) -> np.ndarray:
+    """:func:`layer_index`, unchecked, of an interior array."""
+    r = _modulus(zs)
     m = np.maximum(0.0, np.floor(-np.log2(1.0 - r))).astype(np.int64)
     while (low := 1.0 - np.ldexp(1.0, -m) > r).any():
         m -= low
     while (high := r >= 1.0 - np.ldexp(1.0, -(m + 1))).any():
         m += high
-    return int(m) if np.isscalar(z) else m
+    return m
 
 
 def grid_layers(max_layer: int = 10, base_angles: int = 8) -> list[tuple[float, int]]:

@@ -27,7 +27,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .disk import _interior, kernel_inner
+from .disk import _interior, _kernel_inner
 from .errors import DomainError, LinearDependenceError
 
 _DEP_TOL = 1e-12
@@ -115,7 +115,7 @@ class SubspaceSystem:
         # kernel_inner rounds each entry exactly as a scalar call does; the
         # condition numbers of near-dependent systems amplify a last-bit
         # change of G to ~1e-8 relative
-        gram = kernel_inner(p[:, None], p[None, :])
+        gram = _kernel_inner(p[:, None], p[None, :])
         if vectors is not None:
             dirs = [np.asarray(e, dtype=complex).reshape(-1)
                     for e in chain.from_iterable(vectors)]

@@ -10,7 +10,9 @@ by some call in the library or the acceptance suite, unless
 ``TEST_ONLY_DEFAULTS`` names it with the reason a test sets it.  Public
 surface and knobs that no command, guarantee or library routine needs
 should go.  A module of the package other than ``__init__`` (which imports
-to export) must load every name it imports.
+to export) must load every name it imports, and every private
+module-level function, class or constant of the package must be loaded
+somewhere in the library: a helper that only tests load is dead code.
 """
 
 import ast
@@ -86,6 +88,11 @@ def test_every_public_method_has_a_caller():
 #: defaulted parameters that only tests pass, with the reason they do
 TEST_ONLY_DEFAULTS = {
     "epsilon_net_split(net_vectors)": "a test plants a far net",
+    # the library builds its measures from the checked zeros of a
+    # BoundedFunction (representing_measure), not from atom lists
+    "RepresentingMeasure(interior_atoms)": "tests build measures from interior atoms",
+    "RepresentingMeasure(boundary_atoms)": "tests build measures from boundary atoms",
+    "RepresentingMeasure(density)": "tests build measures with a density",
     "select_bad_intervals(depth_floor)": "the unpruned oracle runs at floors 8 to 16",
 }
 
@@ -200,3 +207,28 @@ def test_no_module_imports_a_name_it_never_uses():
                     if path.name != "__init__.py"
                     for name in _unused_imports(ast.parse(path.read_text(), str(path))))
     assert unused == []
+
+
+def _private_definitions() -> list:
+    """(module, name) of every private module-level function, class and
+    constant of the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [(path.stem, name) for name in names
+                      if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def test_every_private_name_is_loaded_in_the_library():
+    privates = _private_definitions()
+    assert len(privates) > 40
+    loaded = _loaded_names()
+    assert sorted(f"{module}.{name}" for module, name in privates if name not in loaded) == []

@@ -189,7 +189,8 @@ class TestBoundedFunction:
         zs = np.concatenate([random_blaschke_zeros(rng, 500), band])
         want_log, want_pot = phi.log_abs(zs), phi.representing_measure().potential(zs)
         d = disk.one_minus_sq(zs)
-        assert np.array_equal(poisson_sum(outer, zs, d), poisson_sum(outer, zs))
+        assert np.array_equal(hardy_mod._poisson_sum(outer, zs, disk._modulus(zs), d),
+                              poisson_sum(outer, zs))
         sizes = []
 
         def counted(z):
@@ -203,7 +204,7 @@ class TestBoundedFunction:
         nu = phi.representing_measure()
         sizes.clear()
         assert np.array_equal(nu.potential(zs), want_pot)
-        assert sorted(sizes) == [1, zs.size]  # the zero, then the points
+        assert sizes == [zs.size]  # the measure keeps the zero's d from phi
 
     def test_blaschke_only_log_abs_on_the_circle(self):
         # without an outer part the circle stays allowed: |B| = 1 there
@@ -246,8 +247,8 @@ class TestBoundedFunction:
 
 
 def chunked_log_abs(zeros, zs):
-    """The Blaschke part of log|phi| in blaschke_log_abs's order, from one
-    (zeros, points) distance array: each chunk of rows summed down its
+    """The Blaschke part of log|phi| in the order of the library's sum, from
+    one (zeros, points) distance array: each chunk of rows summed down its
     columns, the chunks added in turn."""
     out = np.zeros(zs.shape)
     inner = np.hypot(zs.real, zs.imag) < 1.0
@@ -306,7 +307,7 @@ class TestLogAbsBlocks:
         zeros = random_blaschke_zeros(rng, n_zeros, rmax=0.95)
         # a point at a zero (-inf) and points on the circle (0) come first
         zs = np.concatenate([[zeros[0], 1.0, -1j], random_blaschke_zeros(rng, n_points, rmax=0.999)])
-        got = blaschke_mod.blaschke_log_abs(tuple(zeros), zs)
+        got = BoundedFunction(zeros=tuple(zeros)).log_abs(zs)
         assert got[0] == -math.inf
         assert (got[1:3] == 0.0).all()
         assert_within_the_oracle_bound(zeros, zs, got)
@@ -315,14 +316,14 @@ class TestLogAbsBlocks:
         # a product of the 50 distances (1.5e-9 each) underflows to 0
         a = 0.5 + 0.3j
         zs = np.array([a + 1e-9])
-        got = blaschke_mod.blaschke_log_abs((a,) * 50, zs)
+        got = BoundedFunction(zeros=(a,) * 50).log_abs(zs)
         assert np.isfinite(got).all()
         assert_within_the_oracle_bound([a] * 50, zs, got)
         assert got[0] == pytest.approx(-1015.3875210254553, rel=1e-14)
 
     def test_tiny_distance_does_not_underflow(self):
         # rho = 1e-190: its square, 1e-380, underflows to 0 and gives -inf
-        got = blaschke_mod.blaschke_log_abs((1e-190,), np.array([2e-190 + 0j]))
+        got = BoundedFunction(zeros=(1e-190,)).log_abs(np.array([2e-190 + 0j]))
         assert got[0] == math.log(1e-190) == -437.4911676688687
 
     def test_memory_stays_in_blocks(self):
@@ -341,7 +342,8 @@ class TestLogAbsBlocks:
 
     def test_modulus_of_the_points_is_taken_once(self, monkeypatch):
         # the open-disk mask is taken once, and the closed-disk refusal reads
-        # hypot of the points off it only; the zeros are checked once too
+        # hypot of the points off it only; the zeros, checked by the
+        # constructor, are not checked again
         rng = np.random.default_rng(8)
         phi = BoundedFunction(zeros=random_blaschke_zeros(rng, 50))
         zs = random_blaschke_zeros(rng, 1000)
@@ -359,11 +361,12 @@ class TestLogAbsBlocks:
 
         monkeypatch.setattr(disk, "in_open_disk", counted)
         monkeypatch.setattr(blaschke_mod, "in_open_disk", counted)
+        monkeypatch.setattr(contour_mod, "in_open_disk", counted)
         monkeypatch.setattr(disk, "_modulus", hypot)  # in_closed_disk's hypot
-        # chunks of 32 zeros: one test of the 1000 points and one of the
-        # 50 zeros, none per chunk; every point lies well inside
+        # chunks of 32 zeros: one test of the 1000 points, none of the
+        # zeros and none per chunk; every point lies well inside
         assert np.array_equal(phi.log_abs(zs), want)
-        assert sorted(tests) == [50, zs.size]
+        assert tests == [zs.size]
         assert sum(hypots) == 0
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from carleson_kit import disk
-from carleson_kit.blaschke import blaschke_log_abs
+from carleson_kit.contour import BoundedFunction
 from carleson_kit.disk import (
     Arc,
     blaschke_factor,
@@ -492,7 +492,7 @@ def test_log_abs_matches_exact_rationals_near_the_circle():
     zeros = (1.0 - gaps) * unimodular(rng, 12)
     near = zeros + gaps * rng.uniform(0.1, 2.0, 12) * unimodular(rng, 12)
     pts = np.concatenate([near[np.abs(near) < 1.0], (1.0 - gaps[::-1]) * unimodular(rng, 12)])
-    got = blaschke_log_abs(tuple(zeros), pts)
+    got = BoundedFunction(zeros=zeros).log_abs(pts)
     for value, z in zip(got, pts):
         want = exact_log_abs(zeros, z)
         rhos = [math.sqrt(float(exact_rho_sq(complex(a), complex(z)))) for a in zeros]
@@ -505,13 +505,13 @@ def test_pairwise_primitives_are_bit_symmetric():
     pts = np.concatenate([near_circle_points()[::7],
                           0.9 * np.sqrt(rng.uniform(0.0, 1.0, 40)) * unimodular(rng, 40)])
     rho = pseudo_hyperbolic(pts[:, None], pts[None, :])
-    logs = blaschke_log_abs(tuple(pts[:30]), pts[30:])
+    logs = BoundedFunction(zeros=pts[:30]).log_abs(pts[30:])
     d = one_minus_sq(pts)
     weights = np.linspace(0.5, 1.5, pts[::3].size)
     kern = disk._kernel_sums(pts, d, pts[::3], d[::3], weights)
     for image in (-pts, pts.conj()):
         assert np.array_equal(pseudo_hyperbolic(image[:, None], image[None, :]), rho)
-        assert np.array_equal(blaschke_log_abs(tuple(image[:30]), image[30:]), logs)
+        assert np.array_equal(BoundedFunction(zeros=image[:30]).log_abs(image[30:]), logs)
         d = one_minus_sq(image)
         assert np.array_equal(disk._kernel_sums(image, d, image[::3], d[::3], weights), kern)
 

@@ -1,18 +1,25 @@
 """Edge inputs as a pinned contract: each either works or is refused.
 
 One table of (command, flags, document, required exit, required failed
-checks or refusal text, required quantities).  Every row runs the command
-line front end in process, with warnings as errors.  A report's failed
-checks must be exactly the listed ones; a refusal (exit 2) writes no report
-and prints exactly its line to stderr.  A quantity is named by its dotted
-path in the report's ``quantities`` and must equal the given value, None
-meaning null.
+checks or refusal text, required quantities, required lower bounds).  Every
+row runs the command line front end in process, with warnings as errors.
+A report's failed checks must be exactly the listed ones; a refusal (exit
+2) writes no report and prints exactly its line to stderr.  A quantity is
+named by its dotted path in the report's ``quantities`` and must equal the
+given value, None meaning null, or be at least the given bound.
+
+Besides the hand-made rows, generated classes move seeded points to within
+2^-k of the circle, k = 10, 20, 30, 40 and 50, and put pairs of sequence
+points 2^-k apart.  They are generated in pure Python, from one
+``random.Random`` stream per row.
 
 A row whose outcome is wrong today is a strict expected failure naming the
 ROADMAP item that mends it, so the mend flips it.
 """
 
 import json
+import math
+import random
 import warnings
 from typing import NamedTuple
 
@@ -30,6 +37,7 @@ class Edge(NamedTuple):
     exit: int
     failed: object  # the failed check names, or the refusal line for exit 2
     quantities: dict = {}
+    at_least: dict = {}  # lower bounds of quantities
 
 
 EDGES = {
@@ -60,10 +68,51 @@ EDGES = {
                                      "embedding_constant": None}),
 }
 
+GAPS = (10, 20, 30, 40, 50)
+
+
+def near_circle(row: str, count: int, k: int) -> list:
+    """``count`` seeded points at radius 1 - 2^-k, as [re, im] pairs."""
+    rng = random.Random(f"edges/{row}")
+    r = 1.0 - 2.0 ** -k
+    return [[r * math.cos(t), r * math.sin(t)]
+            for t in (2.0 * math.pi * rng.random() for _ in range(count))]
+
+
+for k in GAPS:
+    # six separated points: the dyadic square of depth k over one of them
+    # gives the norm 2^-k (2 - 2^-k) / (2 pi 2^-k) > 1 / pi
+    EDGES[f"sequence-near-circle-{k}"] = Edge(
+        "sequence", [], {"points": near_circle(f"sequence-{k}", 6, k)}, 0, [],
+        at_least={"carleson_norm": 0.3})
+    # the measure sum (1 - |a|^2) delta_a of 20 points: its kernel test at
+    # an atom, and so its embedding constant, is at least 1
+    mass = 2.0 ** -k * (2.0 - 2.0 ** -k)
+    EDGES[f"carleson-near-circle-{k}"] = Edge(
+        "carleson", [], {"atoms": [[p, mass] for p in near_circle(f"carleson-{k}", 20, k)]},
+        0, [], at_least={"carleson_norm": 0.3, "kernel_test_constant": 1.0,
+                         "embedding_constant": 1.0})
+    EDGES[f"contour-near-circle-{k}"] = Edge(
+        "contour", CONTOUR, {"zeros": near_circle(f"contour-{k}", 4, k)}, 0, [],
+        {"polylines": 4})
+    # two points 2^-k apart: their kernels are numerically dependent from
+    # k = 20 on, which is a refusal
+    EDGES[f"sequence-pair-{k}"] = Edge(
+        "sequence", [], {"points": [[0.5, 0.2], [0.5 + 2.0 ** -k, 0.2], [-0.3, -0.4]]},
+        *((0, []) if k == 10 else
+          (2, "input error: subspaces are not jointly independent") if k == 20 else
+          (2, "input error: kernel elements are numerically dependent")))
+
 #: rows whose outcome is wrong today, with the ROADMAP items that mend them
 WRONG_TODAY = {
     "sequence-geometric-29": "ROADMAP item 15: exits 1 on projection-norms-match-gram",
     "carleson-atom-on-circle": "ROADMAP items 4 and 11: exits 0 with finite constants",
+    **{f"sequence-near-circle-{k}": "ROADMAP item 4: the depth-12 dyadic norm misses "
+       "squares below 2^-12" for k in GAPS if k > 12},
+    **{f"carleson-near-circle-{k}": "ROADMAP items 4 and 11: the depth-12 norm and the "
+       "degree-64 embedding constant miss the circle"
+       + ("; the kernel test evaluates no atom past 1 - 1e-12" if k >= 40 else "")
+       for k in GAPS},
 }
 
 
@@ -94,6 +143,8 @@ def test_edge_input(name, tmp_path, capsys):
     assert [c["name"] for c in report["checks"] if not c["passed"]] == edge.failed
     for path, value in edge.quantities.items():
         assert _quantity(report["quantities"], path) == value, path
+    for path, bound in edge.at_least.items():
+        assert _quantity(report["quantities"], path) >= bound, path
 
 
 def test_every_expected_failure_names_its_row():
