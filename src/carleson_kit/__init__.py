@@ -16,7 +16,7 @@ from .construction import (ContourNetEntry, PointSystem, build_contour_nets,
 from .contour import (BoundedFunction, ContourConstants, ContourResult,
                       RepresentingMeasure, bourgain_contour, check_potential_bounds,
                       select_bad_intervals, verify_region)
-from .disk import Arc, dyadic_arc, hyperbolic_grid, kernel
+from .disk import Arc, dyadic_arc, hyperbolic_grid, kernel, kernel_inner
 from .errors import (ContourBoundError, DomainError, LinearDependenceError,
                      NetValidityError)
 from .hardy import BoundaryGrid, poisson_sum, riesz_project

@@ -20,10 +20,10 @@ from . import carleson as carleson_mod
 from .disk import (
     _blaschke_factor,
     _interior,
-    _layer_index,
     _pseudo_hyperbolic,
     in_closed_disk,
     in_open_disk,
+    layer_index,
     one_minus_sq,
 )
 from .errors import DomainError
@@ -50,20 +50,19 @@ def _rho_chunks(zeros: np.ndarray, defects: np.ndarray, pts: np.ndarray):
 
 
 def _min_pseudo_hyperbolic(zeros, defects, pts) -> np.ndarray:
-    """min over ``zeros`` of pseudo_hyperbolic(zero, p) at each p of the 1-d
-    ``pts``, in the chunks of :func:`_blaschke_log_abs`, unchecked: the
-    nonempty ``zeros`` with their ``defects`` and the points are interior."""
-    out = np.full(pts.shape, np.inf)
+    """min over ``zeros`` of pseudo_hyperbolic(zero, p), and 1, at each p of
+    the 1-d ``pts``, in the chunks of :func:`_blaschke_log_abs`; unchecked:
+    the ``zeros`` with their ``defects`` and the points are interior."""
+    out = np.ones(pts.shape)
     for rho in _rho_chunks(zeros, defects, pts):
         np.minimum(out, rho.min(axis=0), out=out)
     return out
 
 
-def _blaschke_log_abs(zeros, defects, zs: np.ndarray, inner: np.ndarray) -> np.ndarray:
+def _blaschke_log_abs(zeros, defects, zs: np.ndarray) -> np.ndarray:
     """log|B| at each entry of ``zs``, B the product over the checked
-    ``zeros`` (with multiplicity), from their ``defects`` = one_minus_sq and
-    ``inner`` = ``disk.in_open_disk(zs)``; DomainError for
-    |z| > ``disk.CLOSED_RADIUS`` unless ``zeros`` is empty.
+    ``zeros`` (with multiplicity), from their ``defects`` = one_minus_sq;
+    DomainError for |z| > ``disk.CLOSED_RADIUS`` unless ``zeros`` is empty.
 
     The sum of log pseudo_hyperbolic runs over chunks of zeros, each row
     along all the interior points (see :func:`_rho_chunks`), so every numpy
@@ -79,6 +78,7 @@ def _blaschke_log_abs(zeros, defects, zs: np.ndarray, inner: np.ndarray) -> np.n
         return out
     # |b_lam| = 1 on the circle, so only interior points add to the sum;
     # points off the closed disk are refused
+    inner = in_open_disk(zs)
     if not in_closed_disk(zs[~inner]).all():
         raise DomainError("the Blaschke part is defined on the closed disk only")
     pts = zs[inner]
@@ -126,8 +126,7 @@ class BlaschkeProduct:
 
     def log_abs(self, z):
         """log |B(z)|, elementwise, by :func:`_blaschke_log_abs`."""
-        zs = np.asarray(z, dtype=complex)
-        out = _blaschke_log_abs(self.zeros, self._defects, zs, in_open_disk(zs))
+        out = _blaschke_log_abs(self.zeros, self._defects, np.asarray(z, dtype=complex))
         return float(out) if np.isscalar(z) else out
 
 
@@ -185,7 +184,7 @@ def place_net_on_curve(vertices, alpha: float) -> list[complex]:
     if not (0.0 < alpha < 0.1):
         raise DomainError(f"net mesh must lie in (0, 0.1), got {alpha}")
     pts = _interior(vertices, "curve vertex").reshape(-1)
-    visit = pts[np.argsort(_layer_index(pts), kind="stable")]
+    visit = pts[np.argsort(layer_index(pts), kind="stable")]
     defects = one_minus_sq(visit)
     free = np.ones(visit.size, dtype=bool)  # farther than alpha from the net so far
     rho, den, work = np.empty(visit.size), np.empty(visit.size), np.empty(visit.size, dtype=complex)

@@ -35,7 +35,6 @@ from .disk import (
     _atoms,
     _interior,
     _kernel_sums,
-    _modulus,
     _pseudo_hyperbolic_disk,
     dyadic_arc,
     in_layer,
@@ -46,7 +45,7 @@ from .disk import (
     turns,
 )
 from .errors import ContourBoundError, DomainError
-from .hardy import _poisson_sum
+from .hardy import poisson_sum
 
 # relative pad of the bad-interval scan's descent bound, for the rounding of
 # sums taken in different orders
@@ -63,9 +62,8 @@ class BoundedFunction:
     """phi = (Blaschke part) * (singular part) * (outer part), ||phi|| <= 1.
 
     zeros: interior zeros with multiplicity, kept as a checked complex
-    array with their one_minus_sq.  singular_atoms: (angle, mass) pairs,
-    kept as a (k, 2) float array of angles mod 2 pi and masses in
-    normalized boundary units.
+    array.  singular_atoms: (angle, mass) pairs, kept as a (k, 2) float
+    array of angles mod 2 pi and masses in normalized boundary units.
     outer_log: samples of log|phi*| on a uniform boundary grid, required
     <= 0 (tolerance 1e-8); None means the outer part is constant 1.
     """
@@ -91,69 +89,58 @@ class BoundedFunction:
 
     def log_abs(self, z) -> np.ndarray:
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        flat = zs.reshape(-1)
-        # the modulus of the points is taken once: by hypot where the
-        # Poisson sum sorts by it, else by the open-disk test
-        radius = None if self.outer_log is None else _modulus(flat)
-        inner = in_open_disk(flat) if radius is None else radius < 1.0
-        out = _blaschke_log_abs(self.zeros, self._defects, flat, inner)
+        out = _blaschke_log_abs(self.zeros, self._defects, zs)
         defects = None
         if self.singular_atoms.size:
             # the boundary Poisson kernel at xi is |k_z(xi)|^2, defined for
             # z in the open disk only
-            _interior(flat, inside=inner)
+            flat = _interior(zs.reshape(-1))
             defects = one_minus_sq(flat)
             angles, masses = self.singular_atoms.T
-            out -= _kernel_sums(flat, defects, np.exp(1j * angles), 0.0, masses)
-        if radius is not None:
-            out += _poisson_sum(self.outer_log, flat, radius, defects)
-        out = out.reshape(zs.shape)
+            out -= _kernel_sums(flat, defects, np.exp(1j * angles), 0.0, masses).reshape(zs.shape)
+        if self.outer_log is not None:
+            out += poisson_sum(self.outer_log, zs, defects)
         return out[0] if np.isscalar(z) else out
 
     def representing_measure(self) -> "RepresentingMeasure":
+        halves = 0.5 * self._defects
         density = None if self.outer_log is None else np.clip(-self.outer_log, 0.0, None)
-        return RepresentingMeasure.__new__(RepresentingMeasure)._keep(
-            self.zeros, self._defects, 0.5 * self._defects, *self.singular_atoms.T, density)
+        return RepresentingMeasure(np.column_stack((self.zeros, halves)), self.singular_atoms,
+                                   density, _defects=self._defects)
 
 
 class RepresentingMeasure:
     """nu = mu_singular + (-log|phi*|) dm + (1/2) sum (1 - |lam|^2) delta_lam.
 
     From (point, mass) and (angle, mass) pairs it keeps three checked
-    arrays: ``points`` in the open disk (with their one_minus_sq), finite
-    ``angles`` mod 2 pi, and the positive finite ``masses`` of both, points
-    first.  The ``density`` samples must be finite and nonnegative.  All
-    masses are in normalized boundary units (the full circle has measure 1
-    under dm).
+    arrays: ``points`` in the open disk, finite ``angles`` mod 2 pi, and
+    the positive finite ``masses`` of both, points first.  The ``density``
+    samples must be finite and nonnegative.  All masses are in normalized
+    boundary units (the full circle has measure 1 under dm).
     """
 
     __slots__ = ("points", "angles", "masses", "density", "_defects", "_polar")
 
-    def __init__(self, interior_atoms=(), boundary_atoms=(), density=None):
+    def __init__(self, interior_atoms=(), boundary_atoms=(), density=None, *, _defects=None):
         points, inner_masses = _atoms(interior_atoms, complex)
         angles, boundary_masses = _atoms(boundary_atoms, float)
-        points = _interior(points)
+        # a BoundedFunction passes its checked zeros with their one_minus_sq
+        self.points = _interior(points) if _defects is None else points
+        self._defects = one_minus_sq(self.points) if _defects is None else _defects
         if not np.isfinite(angles).all():
             raise DomainError("boundary atoms need finite angles")
+        self.angles = angles % TAU
+        self.masses = np.concatenate([inner_masses, boundary_masses])
         if density is not None:
             density = np.asarray(density, dtype=float)
             if not np.isfinite(density).all() or np.min(density) < 0:
                 raise DomainError("density must be finite and nonnegative")
-        self._keep(points, one_minus_sq(points), inner_masses, angles, boundary_masses, density)
-
-    def _keep(self, points, defects, inner_masses, angles, boundary_masses, density):
-        """Keep checked parts: interior ``points`` with their ``defects``,
-        finite ``angles`` and positive finite masses; returns the measure."""
-        self.points, self._defects = points, defects
-        self.angles = angles % TAU
-        self.masses = np.concatenate([inner_masses, boundary_masses])
         self.density = density
         # the turn and radius of every atom, in the order of the masses;
         # boundary atoms sit at radius 1
         u, r = polar(self.points)
         self._polar = (np.concatenate([u, turns(self.angles)]),
                        np.concatenate([r, np.ones(self.angles.size)]))
-        return self
 
     def mass_in_square(self, arc: Arc) -> float:
         """nu of the closed Carleson square over ``arc`` (``disk.in_square``)."""
@@ -188,7 +175,7 @@ class RepresentingMeasure:
         out = _kernel_sums(flat, defects, np.concatenate([self.points, circle]), d_atoms,
                            self.masses).reshape(zs.shape)
         if self.density is not None:
-            out += _poisson_sum(self.density, flat, _modulus(flat), defects).reshape(zs.shape)
+            out += poisson_sum(self.density, zs, defects)
         return out[0] if np.isscalar(z) else out
 
 
@@ -206,10 +193,7 @@ def check_potential_bounds(phi: BoundedFunction, eps: float, points) -> dict:
     zs = np.atleast_1d(np.asarray(points, dtype=complex))
     neglog = -phi.log_abs(zs)
     pot = phi.representing_measure().potential(zs)
-    if phi.zeros.size:
-        min_b = _min_pseudo_hyperbolic(phi.zeros, phi._defects, zs)
-    else:
-        min_b = np.ones(zs.shape)
+    min_b = _min_pseudo_hyperbolic(phi.zeros, phi._defects, zs)
     lower_margin = neglog - pot
     upper_margin = 2.0 * math.log(1.0 / eps) * pot - neglog
     ok = min_b >= eps
@@ -504,10 +488,8 @@ def bourgain_contour(phi: BoundedFunction, eps: float,
             f"{len(witnesses)} heavy dyadic square(s) nu(Q(J)) > M|J|; the heaviest, "
             f"at depth {round(-math.log2(length))}, has nu(Q(J)) = {masses[k]:.6g} "
             f"against M|J| = {constants.m_threshold * length:.6g}")
-    zeros = phi.zeros.tolist()
-    order = sorted(range(len(zeros)), key=lambda i: (zeros[i].real, zeros[i].imag))
-    centers, radii = _pseudo_hyperbolic_disk(phi.zeros[order], phi._defects[order],
-                                             constants.gamma)
+    order = np.argsort(phi.zeros, kind="stable")  # by real part, then imaginary part
+    centers, radii = _pseudo_hyperbolic_disk(phi.zeros[order], phi._defects[order], constants.gamma)
     region = Region(zip(centers.tolist(), radii.tolist()))
     return ContourResult(region, _extract_polylines(region), constants)
 

@@ -30,13 +30,10 @@ The metric and kernel primitives (:func:`pseudo_hyperbolic`, :func:`kernel`,
 ``kernel_inner(p[:, None], p[None, :])`` a kernel Gram matrix; scalar
 arguments give a float or a complex.  A point set is checked once, as a
 complex array, by ``_interior`` (|z| >= 1 or nan raises :class:`DomainError`),
-at the public entry that receives it, and travels with its d as a plain
-pair (z, d); objects that keep a point set keep both.  Each public
-primitive checks, then runs an unchecked form that the library calls on
-its checked arrays: ``_blaschke_factor``, ``_pseudo_hyperbolic`` (log|B|
-runs it into reused buffers) and ``_pseudo_hyperbolic_disk`` take d from
-their caller, ``_kernel_inner`` and ``_layer_index`` need none.
-``_kernel_sums`` sums weighted kernel squares.
+at the public entry that receives it, and then travels with its d as a
+plain pair (z, d).  The unchecked forms take d from their caller:
+``_blaschke_factor``, ``_pseudo_hyperbolic`` (into reused buffers, if
+given), ``_pseudo_hyperbolic_disk`` and ``_kernel_sums``.
 
 A Carleson square exists only as its membership test: :func:`in_square` of
 the turn and modulus that :func:`polar` gives a point, over an arc of turns.
@@ -83,12 +80,11 @@ def in_closed_disk(z) -> np.ndarray:
     return _modulus(np.asarray(z, dtype=complex)) <= CLOSED_RADIUS
 
 
-def _interior(z, what: str = "point", inside=None) -> np.ndarray:
+def _interior(z, what: str = "point") -> np.ndarray:
     """``z`` as a complex array; DomainError unless every entry lies in the
-    open disk (nan fails).  A caller that took ``inside`` = in_open_disk(z)
-    passes it on."""
+    open disk (nan fails)."""
     zs = np.asarray(z, dtype=complex)
-    inside = in_open_disk(zs) if inside is None else inside
+    inside = in_open_disk(zs)
     if not inside.all():
         bad = _modulus(zs[~inside]).flat[0]
         raise DomainError(f"{what} must lie strictly inside the unit disk, got |z| = {bad:.6g}")
@@ -174,8 +170,7 @@ def _one_minus_conj(a, diff, d_a, out=None):
 
 
 def _blaschke_factor(lam: complex, d_lam: float, zs: np.ndarray) -> np.ndarray:
-    """:func:`blaschke_factor`, unchecked, of a Python complex ``lam`` with
-    ``d_lam`` = one_minus_sq(lam)."""
+    """:func:`blaschke_factor`, unchecked, of a Python complex ``lam`` and its d."""
     if lam == 0:
         return zs + 0.0
     diff = lam - zs
@@ -253,12 +248,8 @@ def kernel_inner(lam, mu):
     so ``kernel_inner(p[:, None], p[None, :])`` is the Gram matrix of the
     kernels at ``p``; a complex when both arguments are scalars.
     """
-    out = _kernel_inner(_interior(lam), _interior(mu))
-    return complex(out) if np.isscalar(lam) and np.isscalar(mu) else out
-
-
-def _kernel_inner(lam_a: np.ndarray, mu_a: np.ndarray) -> np.ndarray:
-    """:func:`kernel_inner`, unchecked, of interior arrays."""
+    lam_a = _interior(lam)
+    mu_a = _interior(mu)
     # 1 - r^2 stays here: GramFactor's lmin moves by about cond^2 u under any
     # last-bit change of G, and one_minus_sq moved the benchmark's `sequence`
     # conditions by up to 9.75e-9 relative, past its references' 1e-9
@@ -270,7 +261,8 @@ def _kernel_inner(lam_a: np.ndarray, mu_a: np.ndarray) -> np.ndarray:
     den = np.empty(num.shape, dtype=complex)
     den.real = 1.0 - (mu_a.real * lam_a.real + mu_a.imag * lam_a.imag)
     den.imag = 0.0 - (mu_a.real * lam_a.imag - mu_a.imag * lam_a.real)
-    return num / den
+    out = num / den
+    return complex(out) if np.isscalar(lam) and np.isscalar(mu) else out
 
 
 def turns(theta) -> np.ndarray:
@@ -352,8 +344,7 @@ def pseudo_hyperbolic_disk(a, gamma: float):
 
 
 def _pseudo_hyperbolic_disk(centers: np.ndarray, d_a: np.ndarray, gamma: float):
-    """:func:`pseudo_hyperbolic_disk`, unchecked in the centers, from their
-    ``d_a`` = one_minus_sq(centers); ``gamma`` is still checked."""
+    """:func:`pseudo_hyperbolic_disk`, unchecked in the centers and their d."""
     if not (0.0 < gamma < 1.0):
         raise DomainError(f"radius parameter must lie in (0, 1), got {gamma}")
     d_gamma = one_minus_sq(float(gamma))
@@ -368,19 +359,13 @@ def layer_index(z):
     The layers partition the disk; a point on the shared circle
     |z| = 1 - 2^-(m+1) belongs to layer m + 1.  Exact comparisons correct
     the guess from log2."""
-    m = _layer_index(_interior(z))
-    return int(m) if np.isscalar(z) else m
-
-
-def _layer_index(zs: np.ndarray) -> np.ndarray:
-    """:func:`layer_index`, unchecked, of an interior array."""
-    r = _modulus(zs)
+    r = _modulus(_interior(z))
     m = np.maximum(0.0, np.floor(-np.log2(1.0 - r))).astype(np.int64)
     while (low := 1.0 - np.ldexp(1.0, -m) > r).any():
         m -= low
     while (high := r >= 1.0 - np.ldexp(1.0, -(m + 1))).any():
         m += high
-    return m
+    return int(m) if np.isscalar(z) else m
 
 
 def grid_layers(max_layer: int = 10, base_angles: int = 8) -> list[tuple[float, int]]:

@@ -154,12 +154,14 @@ def _int_power(z: np.ndarray, n: int) -> np.ndarray:
         z = z * z
 
 
-def poisson_sum(samples, z) -> np.ndarray:
+def poisson_sum(samples, z, defects=None) -> np.ndarray:
     """Poisson integral of uniform-grid samples, vectorized over ``z``.
 
     Returns  mean_j v_j (1 - |z|^2) / |xi_j - z|^2  with xi_j = exp(2 pi i j/n),
     for real samples v of any length n >= 1 and points z of any shape with
     |z| < 1 (the result has z's shape); |z| >= 1 or nan raises DomainError.
+    A caller that holds ``defects`` = one_minus_sq(z) passes it on, so that
+    the band need not compute it again.
 
     The quadrature equals its Fourier series exactly,
 
@@ -205,18 +207,12 @@ def poisson_sum(samples, z) -> np.ndarray:
     the band's edge x = 8, and e**-x shrinks it further in.  Closer to the
     circle that factor fades, which is why the band sums the kernel.
     """
-    zs = np.asarray(z, dtype=complex)
-    flat = zs.reshape(-1)
-    return _poisson_sum(samples, flat, _modulus(flat), None).reshape(zs.shape)
-
-
-def _poisson_sum(samples, flat: np.ndarray, radius: np.ndarray, defects) -> np.ndarray:
-    """:func:`poisson_sum` at the 1-d points ``flat`` of modulus ``radius``
-    (by hypot), which it checks, with ``defects`` = one_minus_sq(flat) from
-    a caller that holds it (else None: the band takes its own)."""
     v = np.asarray(samples, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DomainError("poisson_sum expects a nonempty 1-d sample array")
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.reshape(-1)
+    radius = _modulus(flat)
     if not np.all(radius < 1.0):
         raise DomainError("the Poisson integral is defined at interior points only")
     n = v.size
@@ -263,9 +259,9 @@ def _poisson_sum(samples, flat: np.ndarray, radius: np.ndarray, defects) -> np.n
     if band < size:
         xi = np.exp(1j * TAU * np.arange(n) / n)
         near = order[band:]
-        d = one_minus_sq(flat[near]) if defects is None else defects[near]
+        d = one_minus_sq(flat[near]) if defects is None else defects.reshape(-1)[near]
         out[band:] = _kernel_sums(flat[near], d, xi, 0.0, v) / n
     result = np.empty(flat.shape)
     result[order] = out
-    return result
+    return result.reshape(zs.shape)
 

@@ -27,7 +27,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .disk import _interior, _kernel_inner
+from .disk import kernel_inner
 from .errors import DomainError, LinearDependenceError
 
 _DEP_TOL = 1e-12
@@ -111,11 +111,11 @@ class SubspaceSystem:
             raise DomainError("vectors must hold one direction per point of each group")
         if 0 in sizes:
             raise DomainError("empty kernel group")
-        p = _interior(list(chain.from_iterable(groups)))
-        # kernel_inner rounds each entry exactly as a scalar call does; the
-        # condition numbers of near-dependent systems amplify a last-bit
-        # change of G to ~1e-8 relative
-        gram = _kernel_inner(p[:, None], p[None, :])
+        p = np.asarray(list(chain.from_iterable(groups)), dtype=complex)
+        # kernel_inner checks the points, and rounds each entry exactly as a
+        # scalar call does; the condition numbers of near-dependent systems
+        # amplify a last-bit change of G to ~1e-8 relative
+        gram = kernel_inner(p[:, None], p[None, :])
         if vectors is not None:
             dirs = [np.asarray(e, dtype=complex).reshape(-1)
                     for e in chain.from_iterable(vectors)]

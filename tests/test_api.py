@@ -88,11 +88,6 @@ def test_every_public_method_has_a_caller():
 #: defaulted parameters that only tests pass, with the reason they do
 TEST_ONLY_DEFAULTS = {
     "epsilon_net_split(net_vectors)": "a test plants a far net",
-    # the library builds its measures from the checked zeros of a
-    # BoundedFunction (representing_measure), not from atom lists
-    "RepresentingMeasure(interior_atoms)": "tests build measures from interior atoms",
-    "RepresentingMeasure(boundary_atoms)": "tests build measures from boundary atoms",
-    "RepresentingMeasure(density)": "tests build measures with a density",
     "select_bad_intervals(depth_floor)": "the unpruned oracle runs at floors 8 to 16",
 }
 

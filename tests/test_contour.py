@@ -189,8 +189,7 @@ class TestBoundedFunction:
         zs = np.concatenate([random_blaschke_zeros(rng, 500), band])
         want_log, want_pot = phi.log_abs(zs), phi.representing_measure().potential(zs)
         d = disk.one_minus_sq(zs)
-        assert np.array_equal(hardy_mod._poisson_sum(outer, zs, disk._modulus(zs), d),
-                              poisson_sum(outer, zs))
+        assert np.array_equal(poisson_sum(outer, zs, d), poisson_sum(outer, zs))
         sizes = []
 
         def counted(z):
@@ -361,7 +360,6 @@ class TestLogAbsBlocks:
 
         monkeypatch.setattr(disk, "in_open_disk", counted)
         monkeypatch.setattr(blaschke_mod, "in_open_disk", counted)
-        monkeypatch.setattr(contour_mod, "in_open_disk", counted)
         monkeypatch.setattr(disk, "_modulus", hypot)  # in_closed_disk's hypot
         # chunks of 32 zeros: one test of the 1000 points, none of the
         # zeros and none per chunk; every point lies well inside
@@ -407,6 +405,12 @@ class TestPotentialBounds:
         out = check_potential_bounds(BoundedFunction(zeros=zeros), 0.1, zs)
         want = np.min(pseudo_hyperbolic(zeros[None, :], zs[:, None]), axis=1)
         assert np.array_equal(out["min_blaschke"], want)
+
+    def test_min_blaschke_is_one_without_zeros(self):
+        # the empty product has |B| = 1, and no zero lies nearer than that
+        phi = BoundedFunction(singular_atoms=[(1.0, 0.1)])
+        out = check_potential_bounds(phi, 0.1, [0.3, -0.5j])
+        assert out["min_blaschke"].tolist() == [1.0, 1.0]
 
     def test_eps_domain_guard(self):
         phi = BoundedFunction(zeros=[0.1])

@@ -1,5 +1,7 @@
 """Point sets of the disk: each public entry refuses points off its domain,
-and a report checks each input point set once and takes its 1 - |z|^2 once.
+and a report checks each input point set once at each public entry it
+reaches (``kernel_inner`` checks both of its arguments) and takes its
+1 - |z|^2 once.
 
 The refusal table walks every exported function and constructor that takes
 disk points, with one bad point among good ones.  On the circle and one ulp
@@ -152,15 +154,16 @@ def test_construct_report_checks_each_point_set_once(tmp_path, counted):
     assert checks[det_zeros] == 1 and defects[det_zeros] == 1
 
 
-def test_sequence_report_checks_each_point_set_once(tmp_path, counted):
-    # the points go to two public entries, interpolation_constants and
-    # SubspaceSystem.from_kernel_groups, and each checks them once; the
+def test_sequence_report_checks_its_points_at_each_public_entry(tmp_path, counted):
+    # the points go to two public entries: interpolation_constants checks
+    # them once, and SubspaceSystem.from_kernel_groups leaves them to the
+    # public kernel_inner, which checks each of its two arguments; the
     # distance matrix and the Carleson measure share one 1 - |z|^2, and the
     # kernel Gram keeps its 1 - r^2 (ROADMAP item 15)
     points = [[0.5, 0.0], [-0.2, 0.6], [0.1, -0.7], [-0.6, -0.3]]
     assert _run(tmp_path, "sequence", [], {"points": points}) == 0
     key = _key([complex(*p) for p in points])
-    assert counted["_interior"] == Counter({key: 2})
+    assert counted["_interior"] == Counter({key: 3})
     assert counted["one_minus_sq"] == Counter({key: 1})
 
 
