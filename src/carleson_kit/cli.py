@@ -24,9 +24,9 @@ from . import rendering, riesz
 from .blaschke import BlaschkeProduct, interpolation_constants
 from .carleson import (MAX_DEPTH, DiscreteMeasure, carleson_norm,
                        embedding_constant_empirical, kernel_test_constant)
-from .construction import (build_contour_nets, check_two_eps_margins, condition_sums,
-                           epsilon_net_split, lemma_10_1_check, measure_c_alpha,
-                           validate_epsilon_choice)
+from .construction import (_part_products, build_contour_nets, check_two_eps_margins,
+                           condition_sums, epsilon_net_split, lemma_10_1_check,
+                           measure_c_alpha, validate_epsilon_choice)
 from .contour import (CONTOUR_NORM_BOUND, BoundedFunction, ContourBoundError,
                       ContourConstants, bourgain_contour, verify_region)
 from .disk import hyperbolic_grid
@@ -375,7 +375,7 @@ def run_embedding(args: argparse.Namespace) -> dict:
     system = riesz.SubspaceSystem.from_kernel_groups(zero_lists)
     grid = hyperbolic_grid(min(args.depth, 8), 8)
     norm = riesz.embedding_norm(system)
-    rep = condition_sums(b_family=products, lam_grid=grid)
+    rep = condition_sums(products, grid)
     worst = rep["sum_10_2_sup"] - norm
     checks = [
         _check("sums-below-embedding-norm", worst <= 1e-8, {"worst_margin": worst}),
@@ -495,27 +495,25 @@ def run_construct(args: argparse.Namespace) -> dict:
     try:
         ps = build_contour_nets(family, args.epsilon, args.alpha,
                                 c1=args.c1, c2=args.c2, c3=args.c3)
-        ps = epsilon_net_split(ps, args.epsilon,
-                               rng=np.random.default_rng(args.seed))
+        ps = epsilon_net_split(ps, rng=np.random.default_rng(args.seed))
     except (NetValidityError, ContourBoundError) as exc:
         checks.append(_check("point-system-valid", False, str(exc)))
         return _finish(report, checks)
     checks.append(_check("point-system-valid", True))
-    margins = check_two_eps_margins(ps, args.epsilon)
+    margins = check_two_eps_margins(ps)
     checks.append(_check("two-eps-margins", margins["passed"], margins))
 
     grid = hyperbolic_grid(min(args.depth, 8), 8)
+    values = np.stack([t(grid) for t in family])
     b_family = [e.blaschke for e in ps.entries]
-    parts = [[e.part_products[k] for k in sorted(e.part_products)] for e in ps.entries]
-    sums = condition_sums(b_family=b_family, theta_family=family,
-                          lam_grid=grid, b_parts=parts)
+    sums = condition_sums(b_family, grid, theta_values=values, b_parts=_part_products(ps))
     checks.append(_check("det-sum-dominates", sums["implication_ok"],
                          {"margin": sums["implication_margin"]}))
     checks.append(_check("split-domination", sums["split_pointwise_ok"]))
     consts = ContourConstants.for_epsilon(args.epsilon, c1=args.c1, c2=args.c2,
                                           c3=args.c3)
-    lemma = lemma_10_1_check(family, b_family, args.epsilon,
-                             consts.log_eps_prime, z_grid=grid, alpha=args.alpha)
+    lemma = lemma_10_1_check(family, b_family, args.epsilon, consts.log_eps_prime,
+                             z_grid=grid, theta_values=values, alpha=args.alpha)
     checks.append(_check("outer-comparison-chain", lemma["passed"], {
         "assembled_margin": lemma["assembled_margin"],
         "covering_max": lemma["covering_max"]}))
@@ -524,7 +522,7 @@ def run_construct(args: argparse.Namespace) -> dict:
         "sigma_sizes": [len(e.sigma) for e in ps.entries],
         "net_vectors": len(ps.net_vectors),
         "c_alpha": c_alpha,
-        "condition_sums": {k: v for k, v in sums.items() if k != "split_part_sups"},
+        "condition_sums": sums,
         "lemma_10_1": lemma,
         "n_power": lemma["n_power"],
     }

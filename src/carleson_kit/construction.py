@@ -61,24 +61,23 @@ class ContourNetEntry:
     sigma holds the net points on the determinant contour, vectors the unit
     vectors with smallest image under the adjoint value at each net point,
     star_norms those smallest singular values, blaschke the product over
-    sigma.  parts and part_products appear after the sphere-net split.
+    sigma.  parts appears after the sphere-net split: one label per net
+    point, in sigma order, the index of the sphere-net vector its attached
+    vector went to.
     """
 
     theta: MatrixFunction
-    det_function: BoundedFunction
     contour: ContourResult
     sigma: tuple
     vectors: tuple
     star_norms: tuple
     blaschke: BlaschkeProduct
-    parts: dict | None = None
-    part_products: dict | None = None
+    parts: tuple | None = None
 
 
 @dataclass(frozen=True)
 class PointSystem:
     epsilon: float
-    alpha: float
     entries: tuple
     net_vectors: tuple | None = None
 
@@ -154,11 +153,19 @@ def build_contour_nets(theta_family, eps: float, alpha: float,
     H^2(E) (+) L^2(E_*), the distance of (k_lam e, 0) from K is the norm of
     its projection onto M, ||P_+(Theta* k_lam e)|| = ||Theta(lam)* e||, which
     is the ``star_norms`` entry at lam.
+
+    Members with equal coefficient arrays are refused: they give one
+    subspace twice, so the family cannot be a Riesz basis.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
+    family = list(theta_family)
+    for i, theta in enumerate(family):
+        if any(np.array_equal(theta.numer, other.numer)
+               and np.array_equal(theta.denom, other.denom) for other in family[:i]):
+            raise DomainError("family members must be pairwise distinct")
     entries = []
-    for theta in theta_family:
+    for theta in family:
         if theta.rows != theta.cols:
             raise DomainError("family members must be square matrix functions")
         if not theta.is_contractive():
@@ -187,10 +194,10 @@ def build_contour_nets(theta_family, eps: float, alpha: float,
             vectors.append(e)
             star_norms.append(smin)
         entries.append(ContourNetEntry(
-            theta=theta, det_function=phi, contour=contour,
+            theta=theta, contour=contour,
             sigma=tuple(sigma), vectors=tuple(vectors),
             star_norms=tuple(star_norms), blaschke=BlaschkeProduct(sigma)))
-    return PointSystem(epsilon=eps, alpha=alpha, entries=tuple(entries))
+    return PointSystem(epsilon=eps, entries=tuple(entries))
 
 
 def _farthest(probes: np.ndarray, net: np.ndarray) -> tuple[int, np.float64]:
@@ -280,15 +287,15 @@ def unit_sphere_net(dim: int, eps: float, rng=None) -> list[np.ndarray]:
             return net
 
 
-def epsilon_net_split(ps: PointSystem, eps: float, net_vectors=None,
-                      rng=None) -> PointSystem:
-    """Split every net by nearest sphere-net vector.
+def epsilon_net_split(ps: PointSystem, net_vectors=None, rng=None) -> PointSystem:
+    """Label every net point by its nearest sphere-net vector.
 
-    Each contour-net point goes to the part of the closest net vector; the
-    distance must be strictly below eps or the net is declared invalid.
-    Empty parts carry the constant-one Blaschke product, and the part
-    products multiply back to the full product zero for zero.
+    A contour-net point's label is the index of the net vector closest to
+    its attached vector; the distance must be strictly below ps.epsilon or
+    the net is declared invalid.  Part k of a member is its net points
+    labelled k, in sigma order.
     """
+    eps = ps.epsilon
     if net_vectors is None:
         net_vectors = unit_sphere_net(ps.dim, eps, rng=rng)
     net = [
@@ -298,51 +305,37 @@ def epsilon_net_split(ps: PointSystem, eps: float, net_vectors=None,
     arr = np.asarray(net)
     entries = []
     for entry in ps.entries:
-        parts: dict[int, list] = {}
-        for lam, e in zip(entry.sigma, entry.vectors):
+        labels = []
+        for e in entry.vectors:
             dist = np.linalg.norm(arr - np.asarray(e)[None, :], axis=1)
             k = int(np.argmin(dist))
             if dist[k] >= eps:
                 raise NetValidityError(
                     "an attached vector lies farther than eps from every net vector")
-            parts.setdefault(k, []).append(lam)
-        part_points = {k: tuple(parts.get(k, ())) for k in range(len(net))}
-        part_products = {k: BlaschkeProduct(pts) for k, pts in part_points.items()}
-        merged = sorted((z for pts in part_points.values() for z in pts),
-                        key=lambda z: (z.real, z.imag))
-        original = sorted(entry.sigma, key=lambda z: (z.real, z.imag))
-        if merged != original:
-            raise NetValidityError("split parts do not recombine to the net")
-        entries.append(replace(entry, parts=part_points, part_products=part_products))
-    return PointSystem(epsilon=ps.epsilon, alpha=ps.alpha,
-                       entries=tuple(entries), net_vectors=tuple(net))
+            labels.append(k)
+        entries.append(replace(entry, parts=tuple(labels)))
+    return replace(ps, entries=tuple(entries), net_vectors=tuple(net))
 
 
-def check_two_eps_margins(ps: PointSystem, eps: float) -> dict:
+def check_two_eps_margins(ps: PointSystem) -> dict:
     """Adjoint values at net points against the part vectors.
 
-    For every part vector e and net point lam in that part,
+    For every net point lam with label k and part vector e = net vector k,
     ||theta(lam)* e|| <= ||theta(lam)* e_lam|| + eps and the sum stays
-    strictly below 2 eps.  Needs a split system.
+    strictly below 2 eps, with eps = ps.epsilon.  Needs a split system.
     """
+    eps = ps.epsilon
     worst_triangle = -math.inf
     worst_total = -math.inf
     count = 0
     for entry in ps.entries:
         if entry.parts is None:
             raise DomainError("the point system must be split first")
-        index_of = {lam: i for i, lam in enumerate(entry.sigma)}
-        for k, pts in entry.parts.items():
-            if not pts:
-                continue
-            ek = np.asarray(ps.net_vectors[k])
-            for lam in pts:
-                i = index_of[lam]
-                val = float(np.linalg.norm(entry.theta(lam).conj().T @ ek))
-                base = entry.star_norms[i]
-                worst_triangle = max(worst_triangle, val - (base + eps))
-                worst_total = max(worst_total, val - 2.0 * eps)
-                count += 1
+        for lam, k, base in zip(entry.sigma, entry.parts, entry.star_norms):
+            val = float(np.linalg.norm(entry.theta(lam).conj().T @ ps.net_vectors[k]))
+            worst_triangle = max(worst_triangle, val - (base + eps))
+            worst_total = max(worst_total, val - 2.0 * eps)
+            count += 1
     if count == 0:
         return {"points": 0, "worst_triangle_margin": 0.0,
                 "worst_total_margin": -2.0 * eps, "passed": True}
@@ -351,91 +344,77 @@ def check_two_eps_margins(ps: PointSystem, eps: float) -> dict:
             "worst_total_margin": worst_total, "passed": bool(passed)}
 
 
+def _part_products(ps: PointSystem) -> list:
+    """The ``b_parts`` of ``condition_sums`` for a split system: for each
+    label in use, in increasing order, the Blaschke product of each member's
+    points with that label, in sigma order, over the members that have any."""
+    labels = sorted({k for e in ps.entries for k in e.parts})
+    return [[BlaschkeProduct([z for z, j in zip(e.sigma, e.parts) if j == k])
+             for e in ps.entries if k in e.parts] for k in labels]
+
+
 def _scalar_values(products, zs: np.ndarray) -> np.ndarray:
     """|B| of each Blaschke product at each point, shape (len(products), len(zs))."""
     return np.array([np.abs(b(zs)) for b in products]).reshape(len(products), zs.shape[0])
 
 
-def condition_sums(b_family=None, theta_family=None, lam_grid=None,
-                   b_parts=None) -> dict:
+def condition_sums(b_family, lam_grid, theta_values=None, b_parts=None) -> dict:
     """Suprema of the basis condition sums over a grid.
 
-    Blaschke products (b_family, b_parts) feed the sum of (1 - |B_n|^2);
-    matrix families, each evaluated once on the grid, feed the operator
-    sum of (I - theta theta*) whose top eigenvalue is compared pointwise
-    against the determinant sum (the determinant sum dominates, since each
-    |det| is at most each singular value for contractions).
-    delta_prime is the infimum of min_n (|theta_n| + prod_{k != n}
-    |theta_k|).  With b_parts the split domination is checked pointwise.
+    The Blaschke products b_family feed the sum of (1 - |B_n|^2) and
+    delta_prime, the infimum of min_n (|B_n| + prod_{k != n} |B_k|).
+    theta_values, the members of a matrix family on the grid (shape
+    (members, points, d, d)), feed the operator sum of (I - theta theta*)
+    whose top eigenvalue is compared pointwise against the determinant sum
+    (the determinant sum dominates, since each |det| is at most each
+    singular value for contractions).  b_parts holds, for each sphere-net
+    part with points, the products of the members' points in that part;
+    the split domination sum (1 - |B_n|^2) <= sum over parts of
+    sum (1 - |B_nk|^2) is checked pointwise.
     """
-    if lam_grid is None:
-        raise DomainError("a grid of interior points is required")
     zs = np.asarray(lam_grid, dtype=complex).reshape(-1)
     report: dict = {}
 
-    scalars = None
-    if b_family is not None:
-        scalars = _scalar_values(list(b_family), zs)
-        sums = np.sum(1.0 - scalars ** 2, axis=0)
-        top = int(np.argmax(sums))
-        report["sum_10_2_sup"] = float(sums[top])
-        report["sum_10_2_argmax"] = complex(zs[top])
+    scalars = _scalar_values(list(b_family), zs)
+    sums = np.sum(1.0 - scalars ** 2, axis=0)
+    top = int(np.argmax(sums))
+    report["sum_10_2_sup"] = float(sums[top])
+    report["sum_10_2_argmax"] = complex(zs[top])
 
-    if theta_family is not None:
-        family = list(theta_family)
-        dims = {t.rows for t in family} | {t.cols for t in family}
-        if len(dims) != 1:
-            raise DomainError("matrix family members must share a square shape")
-        d = dims.pop()
-        values = np.stack([t(zs) for t in family])  # (n, z, d, d)
-        gaps = np.eye(d)[None, None] - values @ np.conj(np.swapaxes(values, 2, 3))
+    if theta_values is not None:
+        d = theta_values.shape[-1]
+        gaps = np.eye(d)[None, None] - theta_values @ np.conj(np.swapaxes(theta_values, 2, 3))
         eig_sums = np.linalg.eigvalsh(np.sum(gaps, axis=0))[:, -1]
-        dets = np.abs(np.linalg.det(values))
+        dets = np.abs(np.linalg.det(theta_values))
         det_sums = np.sum(1.0 - dets ** 2, axis=0)
         report["sum_5_4_sup"] = float(np.max(eig_sums))
         report["sum_5_5_sup"] = float(np.max(det_sums))
         margin = float(np.max(eig_sums - det_sums))
         report["implication_margin"] = margin
         report["implication_ok"] = bool(margin <= 1e-8)
-        if scalars is None:
-            scalars = dets
 
-    if scalars is not None:
-        n = scalars.shape[0]
-        prods = np.prod(scalars, axis=0, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            others = np.where(scalars > 0.0, prods / scalars, 0.0)
-        if n == 1:
-            others = np.ones_like(scalars)
-        else:
-            # recompute exactly where a factor vanishes
-            for i in range(n):
-                mask = scalars[i] == 0.0
-                if np.any(mask):
-                    others[i, mask] = np.prod(
-                        np.delete(scalars[:, mask], i, axis=0), axis=0)
-        candidate = np.min(scalars + others, axis=0)
-        report["delta_prime"] = float(np.min(candidate))
+    n = scalars.shape[0]
+    prods = np.prod(scalars, axis=0, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        others = np.where(scalars > 0.0, prods / scalars, 0.0)
+    if n == 1:
+        others = np.ones_like(scalars)
+    else:
+        # recompute exactly where a factor vanishes
+        for i in range(n):
+            mask = scalars[i] == 0.0
+            if np.any(mask):
+                others[i, mask] = np.prod(
+                    np.delete(scalars[:, mask], i, axis=0), axis=0)
+    candidate = np.min(scalars + others, axis=0)
+    report["delta_prime"] = float(np.min(candidate))
 
     if b_parts is not None:
-        if scalars is None or b_family is None:
-            raise DomainError("b_parts needs the matching b_family")
-        lhs = np.sum(1.0 - scalars ** 2, axis=0)
-        counts = {len(parts) for parts in b_parts}
-        if len(counts) != 1:
-            raise DomainError("every member needs the same number of parts")
-        k_count = counts.pop()
-        rhs = np.zeros_like(lhs)
-        per_part_sups = []
-        for k in range(k_count):
-            part_vals = _scalar_values([parts[k] for parts in b_parts], zs)
-            part_sum = np.sum(1.0 - part_vals ** 2, axis=0)
-            per_part_sups.append(float(np.max(part_sum)))
-            rhs += part_sum
-        report["split_pointwise_ok"] = bool(np.all(lhs <= rhs + _EXACT))
-        report["split_sup_lhs"] = float(np.max(lhs))
-        report["split_sup_rhs"] = float(sum(per_part_sups))
-        report["split_part_sups"] = per_part_sups
+        part_sums = [np.sum(1.0 - _scalar_values(part, zs) ** 2, axis=0) for part in b_parts]
+        rhs = sum(part_sums, np.zeros_like(sums))
+        report["split_pointwise_ok"] = bool(np.all(sums <= rhs + _EXACT))
+        report["split_sup_lhs"] = float(np.max(sums))
+        report["split_sup_rhs"] = float(sum(float(np.max(s)) for s in part_sums))
     return report
 
 
@@ -449,7 +428,7 @@ def n_power_for(alpha: float, log_eps_prime: float, dim: int) -> int:
 
 
 def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
-                     z_grid, alpha: float) -> dict:
+                     z_grid, theta_values, alpha: float) -> dict:
     """Replay of the outer-comparison bound chain on a grid.
 
     h_n is outer with boundary modulus max(|det theta_n|, eps'**d), kept in
@@ -461,7 +440,9 @@ def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
     wherever |det theta_n| >= eps**d; and the assembled bound
     sum (1 - |det|^2) <= sum (1 - |h|^2) + N sum (1 - |B|^2) + d together
     with the covering count of {|det| < eps**d} staying at most d.
-    N = n_power_for(alpha, log_eps_prime, d).
+    N = n_power_for(alpha, log_eps_prime, d).  theta_values holds the
+    members on z_grid, shape (members, points, d, d), as ``condition_sums``
+    reads them.
     """
     family = list(theta_family)
     products = list(b_family)
@@ -500,7 +481,7 @@ def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
 
     log_b = np.stack([p.log_abs(zs) for p in products])
     with np.errstate(divide="ignore"):
-        log_det = np.log(np.abs(np.stack([np.linalg.det(t(zs)) for t in family])))
+        log_det = np.log(np.abs(np.linalg.det(theta_values)))
 
     h_sq = np.exp(2.0 * log_h)
     b_sq = np.exp(2.0 * log_b)

@@ -186,11 +186,13 @@ def check_potential_bounds(phi: BoundedFunction, eps: float, points) -> dict:
     pseudo-hyperbolic distance at least eps from every zero, also
     -log|phi| <= 2 log(1/eps) * potential; the constant is only valid a
     bit above the level (callers should keep min |b_lam| >= 1.1 eps).
-    Raw margins are reported, nonnegative margins mean the bound holds.
+    Raw margins are reported, nonnegative margins mean the bound holds;
+    min_blaschke and both margins have the shape of the points.
     """
     if not 0 < eps < math.exp(-0.5):
         raise DomainError("eps must lie in (0, exp(-1/2)) for the upper constant")
-    zs = np.atleast_1d(np.asarray(points, dtype=complex))
+    shape = np.shape(points) or (1,)
+    zs = np.asarray(points, dtype=complex).reshape(-1)
     neglog = -phi.log_abs(zs)
     pot = phi.representing_measure().potential(zs)
     min_b = _min_pseudo_hyperbolic(phi.zeros, phi._defects, zs)
@@ -198,9 +200,9 @@ def check_potential_bounds(phi: BoundedFunction, eps: float, points) -> dict:
     upper_margin = 2.0 * math.log(1.0 / eps) * pot - neglog
     ok = min_b >= eps
     return {
-        "min_blaschke": min_b,
-        "lower_margin": lower_margin,
-        "upper_margin": upper_margin,
+        "min_blaschke": min_b.reshape(shape),
+        "lower_margin": lower_margin.reshape(shape),
+        "upper_margin": upper_margin.reshape(shape),
         "hypothesis_ok": bool(np.all(ok)),
         "worst_lower": float(np.min(lower_margin)),
         "worst_upper": float(np.min(upper_margin[ok])) if np.any(ok) else math.inf,

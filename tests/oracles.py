@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
+from carleson_kit.blaschke import BlaschkeProduct
 from carleson_kit.carleson import CurveMeasure, carleson_norm
 from carleson_kit.construction import canonical_phase
 from carleson_kit.contour import CONTOUR_NORM_BOUND, _uncovered
@@ -238,6 +239,96 @@ def unit_sphere_net_reference(dim, eps, rng=None):
                 break
         if certified:
             return net
+
+
+def net_split_reference(ps, net, eps):
+    """The split as dicts: per member, the points of every part and their products.
+
+    A member's part k holds, in sigma order, the net points whose attached
+    vector is nearest to net vector k, for every k of the net, so a part
+    may be empty; each part's product is the Blaschke product of its points,
+    the constant one for an empty part.  An attached vector at distance eps
+    or more from every net vector raises ValueError.
+    """
+    arr = np.asarray(net)
+    parts, products = [], []
+    for entry in ps.entries:
+        points = {k: [] for k in range(len(net))}
+        for lam, e in zip(entry.sigma, entry.vectors):
+            dist = np.linalg.norm(arr - np.asarray(e)[None, :], axis=1)
+            k = int(np.argmin(dist))
+            if dist[k] >= eps:
+                raise ValueError("an attached vector is eps or more from the net")
+            points[k].append(lam)
+        parts.append({k: tuple(pts) for k, pts in points.items()})
+        products.append({k: BlaschkeProduct(pts) for k, pts in points.items()})
+    return parts, products
+
+
+def two_eps_margins_reference(ps, parts, net, eps):
+    """The two-eps margins part by part, each point found in sigma by value."""
+    worst_triangle = worst_total = -math.inf
+    count = 0
+    for entry, member_parts in zip(ps.entries, parts):
+        index_of = {lam: i for i, lam in enumerate(entry.sigma)}
+        for k, pts in member_parts.items():
+            for lam in pts:
+                val = float(np.linalg.norm(entry.theta(lam).conj().T @ np.asarray(net[k])))
+                worst_triangle = max(worst_triangle, val - (entry.star_norms[index_of[lam]] + eps))
+                worst_total = max(worst_total, val - 2.0 * eps)
+                count += 1
+    if count == 0:
+        return {"points": 0, "worst_triangle_margin": 0.0,
+                "worst_total_margin": -2.0 * eps, "passed": True}
+    return {"points": count, "worst_triangle_margin": worst_triangle,
+            "worst_total_margin": worst_total,
+            "passed": bool(worst_triangle <= 1e-12 and worst_total < 0.0)}
+
+
+def condition_sums_reference(b_family, theta_family, lam_grid, b_parts):
+    """The condition sums with every member's product of every part, empty ones too.
+
+    b_parts[n][k] is member n's product of part k; each member is evaluated
+    on the grid here.  Returns the sums and the supremum of each part's sum.
+    """
+    zs = np.asarray(lam_grid, dtype=complex).reshape(-1)
+
+    def values(products):
+        return np.array([np.abs(b(zs)) for b in products]).reshape(len(products), zs.shape[0])
+
+    scalars = values(b_family)
+    sums = np.sum(1.0 - scalars ** 2, axis=0)
+    top = int(np.argmax(sums))
+    report = {"sum_10_2_sup": float(sums[top]), "sum_10_2_argmax": complex(zs[top])}
+    d = theta_family[0].rows
+    thetas = np.stack([t(zs) for t in theta_family])
+    gaps = np.eye(d)[None, None] - thetas @ np.conj(np.swapaxes(thetas, 2, 3))
+    eig_sums = np.linalg.eigvalsh(np.sum(gaps, axis=0))[:, -1]
+    dets = np.abs(np.stack([np.linalg.det(t(zs)) for t in theta_family]))
+    det_sums = np.sum(1.0 - dets ** 2, axis=0)
+    report["sum_5_4_sup"] = float(np.max(eig_sums))
+    report["sum_5_5_sup"] = float(np.max(det_sums))
+    report["implication_margin"] = float(np.max(eig_sums - det_sums))
+    report["implication_ok"] = report["implication_margin"] <= 1e-8
+    n = scalars.shape[0]
+    if n == 1:
+        others = np.ones_like(scalars)
+    else:
+        others = np.array([np.prod(np.delete(scalars, i, axis=0), axis=0) for i in range(n)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quotient = np.prod(scalars, axis=0, keepdims=True) / scalars
+        others = np.where(scalars > 0.0, quotient, others)
+    report["delta_prime"] = float(np.min(np.min(scalars + others, axis=0)))
+    rhs = np.zeros_like(sums)
+    part_sups = []
+    for k in range(len(b_parts[0])):
+        part_sum = np.sum(1.0 - values([parts[k] for parts in b_parts]) ** 2, axis=0)
+        part_sups.append(float(np.max(part_sum)))
+        rhs += part_sum
+    report["split_pointwise_ok"] = bool(np.all(sums <= rhs + 1e-12))
+    report["split_sup_lhs"] = float(np.max(sums))
+    report["split_sup_rhs"] = float(sum(part_sups))
+    return report, part_sups
 
 
 def poisson_sum_reference(samples, z):

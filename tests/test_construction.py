@@ -1,14 +1,17 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from carleson_kit import cli
 from carleson_kit.blaschke import BlaschkeProduct
 from carleson_kit.construction import (
     ContourNetEntry,
     PointSystem,
     _farthest,
+    _part_products,
     build_contour_nets,
     canonical_phase,
     check_two_eps_margins,
@@ -20,16 +23,28 @@ from carleson_kit.construction import (
     unit_sphere_net,
     validate_epsilon_choice,
 )
+from carleson_kit.contour import ContourConstants
 from carleson_kit.disk import hyperbolic_grid
 from carleson_kit.errors import DomainError, NetValidityError
 from carleson_kit.model_space import MatrixFunction
-from oracles import kernel_datum_distance, unit_sphere_net_reference
+from oracles import (
+    condition_sums_reference,
+    kernel_datum_distance,
+    net_split_reference,
+    two_eps_margins_reference,
+    unit_sphere_net_reference,
+)
 
 TAU = 2 * math.pi
 
 
 def interior_points(rng, n, rmax=0.8):
     return np.sqrt(rng.uniform(0, 1, n)) * rmax * np.exp(1j * rng.uniform(0, TAU, n))
+
+
+def on_grid(family, grid):
+    """The members' values on the grid, shape (members, points, d, d)."""
+    return np.stack([t(grid) for t in family])
 
 
 def test_canonical_phase_pins_the_largest_component():
@@ -248,26 +263,30 @@ class TestNetSplit:
         zeros = interior_points(rng, 3, rmax=0.6)
         fam = [MatrixFunction.from_scalar_blaschke([z]) for z in zeros]
         ps = build_contour_nets(fam, eps=0.1, alpha=0.05)
-        split = epsilon_net_split(ps, eps=0.1)
+        split = epsilon_net_split(ps)
         assert len(split.net_vectors) == 1
         for entry in split.entries:
-            assert set(entry.parts.keys()) == {0}
-            assert entry.parts[0] == entry.sigma
-            assert np.array_equal(entry.part_products[0].zeros, entry.blaschke.zeros)
+            assert entry.parts == (0,) * len(entry.sigma)
+        # one part, whose products are the members' own
+        (part,) = _part_products(split)
+        for entry, product in zip(split.entries, part, strict=True):
+            assert np.array_equal(product.zeros, entry.blaschke.zeros)
 
     def test_split_recombines_multi_point_net(self):
         fam = [MatrixFunction.from_scalar_blaschke([0.0])]
         ps = build_contour_nets(fam, eps=0.3, alpha=0.05, c3=1e-6)
-        split = epsilon_net_split(ps, eps=0.3)
+        split = epsilon_net_split(ps)
         entry = split.entries[0]
-        merged = sorted(
-            (z for pts in entry.parts.values() for z in pts),
-            key=lambda z: (z.real, z.imag),
-        )
+        # one label per net point, each naming a sphere-net vector
+        assert len(entry.sigma) > 1
+        assert len(entry.parts) == len(entry.sigma)
+        assert set(entry.parts) <= set(range(len(split.net_vectors)))
+        # the part products hold every net point once, and no part is empty
+        parts = _part_products(split)
+        assert all(len(b.zeros) > 0 for part in parts for b in part)
+        merged = sorted((z for part in parts for b in part for z in b.zeros.tolist()),
+                        key=lambda z: (z.real, z.imag))
         assert merged == sorted(entry.sigma, key=lambda z: (z.real, z.imag))
-        # empty parts carry the constant product
-        for k, pts in entry.parts.items():
-            assert len(entry.part_products[k].zeros) == len(pts)
 
     def test_sparse_net_vectors_rejected(self):
         theta = MatrixFunction.diagonal(
@@ -277,15 +296,15 @@ class TestNetSplit:
         # the lone net vector is far from the attached vector [1, 0]
         far = [np.array([0.0, 1.0])]
         with pytest.raises(NetValidityError):
-            epsilon_net_split(ps, eps=0.5, net_vectors=far)
+            epsilon_net_split(ps, net_vectors=far)
 
 
 def test_two_eps_margins_scalar_family():
     rng = np.random.default_rng(13)
     zeros = interior_points(rng, 3, rmax=0.6)
     fam = [MatrixFunction.from_scalar_blaschke([z]) for z in zeros]
-    split = epsilon_net_split(build_contour_nets(fam, eps=0.1, alpha=0.05), eps=0.1)
-    out = check_two_eps_margins(split, eps=0.1)
+    split = epsilon_net_split(build_contour_nets(fam, eps=0.1, alpha=0.05))
+    out = check_two_eps_margins(split)
     assert out["passed"]
     assert out["points"] == sum(len(e.sigma) for e in split.entries)
     # for scalars the net vector is exactly the attached vector, so the
@@ -298,7 +317,7 @@ def test_two_eps_margins_requires_split():
     fam = [MatrixFunction.from_scalar_blaschke([0.3])]
     ps = build_contour_nets(fam, eps=0.1, alpha=0.05)
     with pytest.raises(DomainError):
-        check_two_eps_margins(ps, eps=0.1)
+        check_two_eps_margins(ps)
 
 
 class TestConditionSums:
@@ -320,29 +339,13 @@ class TestConditionSums:
             for zs in zeros
         ]
         grid = interior_points(rng, 60, rmax=0.9)
-        out = condition_sums(b_family=scalars, theta_family=matrices, lam_grid=grid)
+        out = condition_sums(b_family=scalars, lam_grid=grid,
+                             theta_values=on_grid(matrices, grid))
         # for theta = b I the eigenvalue sum equals the scalar sum exactly
         assert out["sum_5_4_sup"] == pytest.approx(out["sum_10_2_sup"], rel=1e-10)
         assert out["implication_ok"]
         # dets are b^2, so the det sum uses fourth powers and dominates
         assert out["sum_5_5_sup"] >= out["sum_5_4_sup"] - 1e-10
-
-    def test_each_member_is_evaluated_once_on_the_grid(self, monkeypatch):
-        # one vectorized call per member on the whole grid
-        sizes = []
-        call = MatrixFunction.__call__
-
-        def counted(theta, z):
-            sizes.append(np.size(z))
-            return call(theta, z)
-
-        monkeypatch.setattr(MatrixFunction, "__call__", counted)
-        family = [MatrixFunction.diagonal([MatrixFunction.from_scalar_blaschke([a])] * 2)
-                  for a in (0.3, -0.4j)]
-        grid = hyperbolic_grid(4, 8)
-        out = condition_sums(theta_family=family, lam_grid=grid)
-        assert sizes == [grid.size] * 2
-        assert out["implication_ok"]
 
     def test_delta_prime_vanishes_for_shared_zero(self):
         grid = np.linspace(-0.9, 0.9, 41).astype(complex)
@@ -362,14 +365,169 @@ class TestConditionSums:
         full = BlaschkeProduct(zeros)
         parts = [BlaschkeProduct(zeros[:2]), BlaschkeProduct(zeros[2:])]
         grid = interior_points(rng, 80, rmax=0.9)
-        out = condition_sums(b_family=[full], b_parts=[parts], lam_grid=grid)
+        # each part holds the products of the members with points in it
+        out = condition_sums(b_family=[full], b_parts=[[p] for p in parts], lam_grid=grid)
         assert out["split_pointwise_ok"]
         assert out["split_sup_lhs"] <= out["split_sup_rhs"] + 1e-12
-        assert len(out["split_part_sups"]) == 2
 
-    def test_requires_grid(self):
-        with pytest.raises(DomainError):
-            condition_sums(b_family=[BlaschkeProduct([0.1])])
+
+def matrix_member(rng, factors):
+    """Coefficients of U_1 D_1(z) V_1 ... U_m D_m(z) V_m, D(z) = diag((z - a)/(1 + |a|), c).
+
+    Each factor is contractive, with det zero a and a constant outer part c
+    in (0.6, 0.95); U and V are unitary.
+    """
+    coeffs = [np.eye(2, dtype=complex)]
+    for _ in range(factors):
+        a = 0.6 * math.sqrt(rng.random()) * np.exp(1j * TAU * rng.random())
+        c = rng.uniform(0.6, 0.95)
+        u, v = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+                for _ in range(2))
+        factor = (u @ np.diag([-a / (1 + abs(a)), c]) @ v, u @ np.diag([1 / (1 + abs(a)), 0]) @ v)
+        out = [np.zeros((2, 2), dtype=complex) for _ in range(len(coeffs) + 1)]
+        for i, p in enumerate(coeffs):
+            for j, q in enumerate(factor):
+                out[i + j] += p @ q
+        coeffs = out
+    return np.array(coeffs)
+
+
+def multi_member_family(kind, seed):
+    """(input document, family) of 2 or 3 members: 2x2 products of 2 to 4
+    degree-one factors, or scalar Blaschke products of 1 to 3 zeros."""
+    rng = np.random.default_rng(seed)
+    members = int(rng.integers(2, 4))
+    if kind == "matrices":
+        coeffs = [matrix_member(rng, int(rng.integers(2, 5))) for _ in range(members)]
+        document = {"matrices": [{"coefficients": [[[[x.real, x.imag] for x in row.tolist()]
+                                                    for row in m] for m in c]} for c in coeffs]}
+        return document, [MatrixFunction.from_polynomial(c) for c in coeffs]
+    zeros = [interior_points(rng, int(rng.integers(1, 4)), rmax=0.7) for _ in range(members)]
+    document = {"families": [[[z.real, z.imag] for z in zs.tolist()] for zs in zeros]}
+    return document, [MatrixFunction.from_scalar_blaschke(zs) for zs in zeros]
+
+
+def construct_flags(eps, seed):
+    return ["--epsilon", str(eps), "--alpha", "0.05", "--depth", "4", "--seed", str(seed)]
+
+
+def reference_construct_report(family, eps, seed):
+    """The construct report by the dict-of-products split of ``oracles``,
+    every part built, empty ones too, and each member evaluated on the grid
+    by each check that reads it."""
+    report = {"command": "construct",
+              "inputs": {"members": len(family), "dims": sorted({t.rows for t in family})},
+              "constants": {"epsilon": eps, "alpha": 0.05, "seed": seed, "cv": None,
+                            "delta": None, "c1": 8.0, "c2": 8.0, "c3": 8.0}}
+    ps = build_contour_nets(family, eps, 0.05)
+    net = [canonical_phase(v / np.linalg.norm(v))
+           for v in unit_sphere_net(ps.dim, eps, rng=np.random.default_rng(seed))]
+    parts, products = net_split_reference(ps, net, eps)
+    margins = two_eps_margins_reference(ps, parts, net, eps)
+    grid = hyperbolic_grid(4, 8)
+    b_family = [e.blaschke for e in ps.entries]
+    sums, _ = condition_sums_reference(b_family, family, grid,
+                                       [[p[k] for k in sorted(p)] for p in products])
+    lemma = lemma_10_1_check(family, b_family, eps, ContourConstants.for_epsilon(eps).log_eps_prime,
+                             z_grid=grid, theta_values=on_grid(family, grid), alpha=0.05)
+    report["quantities"] = {
+        "sigma_sizes": [len(e.sigma) for e in ps.entries], "net_vectors": len(net),
+        "c_alpha": measure_c_alpha(ps), "condition_sums": sums, "lemma_10_1": lemma,
+        "n_power": lemma["n_power"]}
+    return cli._finish(report, [
+        cli._check("point-system-valid", True),
+        cli._check("two-eps-margins", margins["passed"], margins),
+        cli._check("det-sum-dominates", sums["implication_ok"],
+                   {"margin": sums["implication_margin"]}),
+        cli._check("split-domination", sums["split_pointwise_ok"]),
+        cli._check("outer-comparison-chain", lemma["passed"], {
+            "assembled_margin": lemma["assembled_margin"],
+            "covering_max": lemma["covering_max"]})])
+
+
+MULTI_MEMBER = [("matrices", 1), ("matrices", 2), ("matrices", 3), ("families", 4),
+                ("families", 5)]
+
+
+class TestMultiMemberSplit:
+    """Labels against the dict-of-products split, on families whose members
+    reach several sphere-net parts: bit for bit, at eps 0.3 and 0.1."""
+
+    @pytest.mark.parametrize("eps", [0.3, 0.1])
+    @pytest.mark.parametrize("kind, seed", MULTI_MEMBER)
+    def test_split_sums_and_margins_match_the_reference(self, kind, seed, eps):
+        _, family = multi_member_family(kind, seed)
+        split = epsilon_net_split(build_contour_nets(family, eps, 0.05),
+                                  rng=np.random.default_rng(seed))
+        net = [canonical_phase(v / np.linalg.norm(v))
+               for v in unit_sphere_net(split.dim, eps, rng=np.random.default_rng(seed))]
+        assert all(np.array_equal(a, b) for a, b in zip(split.net_vectors, net, strict=True))
+        parts, products = net_split_reference(split, net, eps)
+        for entry, member_parts in zip(split.entries, parts):
+            assert entry.parts == tuple(
+                next(k for k, pts in member_parts.items() if lam in pts) for lam in entry.sigma)
+        assert check_two_eps_margins(split) == two_eps_margins_reference(split, parts, net, eps)
+
+        grid = hyperbolic_grid(4, 8)
+        b_family = [e.blaschke for e in split.entries]
+        want, part_sups = condition_sums_reference(
+            b_family, family, grid, [[p[k] for k in sorted(p)] for p in products])
+        got = condition_sums(b_family, grid, theta_values=on_grid(family, grid),
+                             b_parts=_part_products(split))
+        assert json.dumps(got, default=repr) == json.dumps(want, default=repr)
+        # a part without points only ever added exact zeros
+        used = {k for e in split.entries for k in e.parts}
+        assert all(sup == 0.0 for k, sup in enumerate(part_sups) if k not in used)
+        if kind == "matrices":
+            # one stacked determinant is the members' determinants bit for bit
+            assert np.array_equal(np.linalg.det(on_grid(family, grid)),
+                                  np.stack([np.linalg.det(t(grid)) for t in family]))
+
+    @pytest.mark.parametrize("eps", [0.3, 0.1])
+    def test_matrix_families_reach_several_parts(self, eps):
+        most = 0
+        for kind, seed in MULTI_MEMBER[:3]:
+            _, family = multi_member_family(kind, seed)
+            split = epsilon_net_split(build_contour_nets(family, eps, 0.05),
+                                      rng=np.random.default_rng(seed))
+            most = max([most] + [len(set(e.parts)) for e in split.entries])
+        assert most >= 3
+
+    @pytest.mark.parametrize("eps", [0.3, 0.1])
+    @pytest.mark.parametrize("kind, seed", MULTI_MEMBER)
+    def test_report_matches_the_reference_byte_for_byte(self, kind, seed, eps, tmp_path):
+        document, family = multi_member_family(kind, seed)
+        inp, out = tmp_path / "input.json", tmp_path / "report.json"
+        inp.write_text(json.dumps(document))
+        code = cli.main(["construct", "--input", str(inp), *construct_flags(eps, seed),
+                         "--out", str(out)])
+        want = reference_construct_report(family, eps, seed)
+        assert code == (0 if want["passed"] else 1)
+        assert out.read_text() == cli.render_report(want)
+
+    def test_each_member_is_evaluated_once_and_no_part_product_is_empty(
+            self, monkeypatch, tmp_path):
+        grid_size = hyperbolic_grid(4, 8).size
+        sizes, zero_counts = [], []
+        call, init = MatrixFunction.__call__, BlaschkeProduct.__init__
+
+        def counted_call(theta, z):
+            sizes.append(np.size(z))
+            return call(theta, z)
+
+        def counted_init(product, zeros=()):
+            init(product, zeros)
+            zero_counts.append(product.zeros.size)
+
+        monkeypatch.setattr(MatrixFunction, "__call__", counted_call)
+        monkeypatch.setattr(BlaschkeProduct, "__init__", counted_init)
+        document, family = multi_member_family("matrices", 1)
+        inp = tmp_path / "input.json"
+        inp.write_text(json.dumps(document))
+        cli.main(["construct", "--input", str(inp), *construct_flags(0.3, 1),
+                  "--out", str(tmp_path / "report.json")])
+        assert sizes.count(grid_size) == len(family)
+        assert zero_counts and min(zero_counts) > 0
 
 
 def test_n_power_bracketing():
@@ -393,7 +551,7 @@ class TestLemmaChain:
         prods = [BlaschkeProduct(zs) for zs in fam_zeros]
         grid = interior_points(rng, 100, rmax=0.9)
         out = lemma_10_1_check(theta, prods, eps=0.1, log_eps_prime=-5.0,
-                               z_grid=grid, alpha=0.5)
+                               z_grid=grid, theta_values=on_grid(theta, grid), alpha=0.5)
         assert out["passed"]
         assert out["n_power"] == 8
         assert out["support_multiplicity"] == 0
@@ -412,7 +570,7 @@ class TestLemmaChain:
         prods = [BlaschkeProduct([0.5]), BlaschkeProduct(())]
         grid = interior_points(rng, 60, rmax=0.8)
         out = lemma_10_1_check(theta, prods, eps=0.1, log_eps_prime=-5.0,
-                               z_grid=grid, alpha=0.5)
+                               z_grid=grid, theta_values=on_grid(theta, grid), alpha=0.5)
         assert out["passed"]
         assert out["support_multiplicity"] == 1
         # the constant member contributes 1 - 0.25^2 to the outer sums
@@ -421,15 +579,16 @@ class TestLemmaChain:
     def test_shape_mismatches_rejected(self):
         theta = [MatrixFunction.from_scalar_blaschke([0.5])]
         with pytest.raises(DomainError):
-            lemma_10_1_check(theta, [], eps=0.1, log_eps_prime=-5.0,
-                             z_grid=np.array([0.0]), alpha=0.5)
+            lemma_10_1_check(theta, [], eps=0.1, log_eps_prime=-5.0, z_grid=np.array([0.0]),
+                             theta_values=on_grid(theta, np.array([0.0])), alpha=0.5)
 
     @pytest.mark.parametrize("eps", [0.0, -0.1, 1.0])
     def test_eps_outside_the_unit_interval_rejected(self, eps):
         theta = [MatrixFunction.from_scalar_blaschke([0.5])]
         with pytest.raises(DomainError, match="eps"):
-            lemma_10_1_check(theta, [BlaschkeProduct([0.5])], eps=eps,
-                             log_eps_prime=-5.0, z_grid=np.array([0.0]), alpha=0.5)
+            lemma_10_1_check(theta, [BlaschkeProduct([0.5])], eps=eps, log_eps_prime=-5.0,
+                             z_grid=np.array([0.0]),
+                             theta_values=on_grid(theta, np.array([0.0])), alpha=0.5)
 
 
 def test_validate_epsilon_choice_branches():
@@ -458,17 +617,17 @@ def test_measure_c_alpha_two_point_net():
     base = build_contour_nets(fam, eps=0.1, alpha=0.05)
     entry = base.entries[0]
     synthetic = ContourNetEntry(
-        theta=entry.theta, det_function=entry.det_function, contour=entry.contour,
+        theta=entry.theta, contour=entry.contour,
         sigma=(0.0 + 0j, 0.5 + 0j),
         vectors=(np.ones(1, dtype=complex),) * 2,
         star_norms=(0.0, 0.5), blaschke=BlaschkeProduct([0.0, 0.5]),
     )
-    ps = PointSystem(epsilon=0.1, alpha=0.05, entries=(synthetic,))
+    ps = PointSystem(epsilon=0.1, entries=(synthetic,))
     g = math.sqrt(3) / 2
     assert measure_c_alpha(ps) == pytest.approx(math.sqrt((1 + g) / (1 - g)), rel=1e-10)
     # a dependent net has no finite condition: the Cholesky of the kernel
     # Gram and the spectrum test of GramFactor each refuse one
     for sigma in ((0.5 + 0j, 0.5 + 0j), (0.5 + 0j, 0.5 + 1e-7j)):
         dependent = replace(synthetic, sigma=sigma)
-        ps = PointSystem(epsilon=0.1, alpha=0.05, entries=(synthetic, dependent))
+        ps = PointSystem(epsilon=0.1, entries=(synthetic, dependent))
         assert measure_c_alpha(ps) == math.inf

@@ -417,6 +417,17 @@ class TestPotentialBounds:
         with pytest.raises(DomainError):
             check_potential_bounds(phi, 0.7, [0.5])
 
+    def test_two_dimensional_points_give_the_flat_result_reshaped(self):
+        phi = BoundedFunction(zeros=[0.1, -0.4 + 0.2j, 0.6j])
+        pts = np.array([[0.3, -0.5j], [0.2 + 0.7j, -0.8]])
+        grid = check_potential_bounds(phi, 0.1, pts)
+        flat = check_potential_bounds(phi, 0.1, pts.reshape(-1))
+        for key in ("min_blaschke", "lower_margin", "upper_margin"):
+            assert grid[key].shape == (2, 2)
+            assert np.array_equal(grid[key], flat[key].reshape(2, 2))
+        for key in ("hypothesis_ok", "worst_lower", "worst_upper"):
+            assert grid[key] == flat[key]
+
 
 class TestBadIntervals:
     def test_planted_atom_witness_and_ratio(self):

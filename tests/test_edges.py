@@ -103,6 +103,17 @@ for k in GAPS:
           (2, "input error: subspaces are not jointly independent") if k == 20 else
           (2, "input error: kernel elements are numerically dependent")))
 
+# two equal members give one subspace twice, so no family holding them is a
+# Riesz basis: refused before any contour is drawn.  Checked on the grid,
+# the outcome would hang on whether a grid point falls in {|B| < eps}
+EQUAL_MATRIX = {"coefficients": [[[0.25, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.25]]]}
+for eps in ("0.3", "0.1"):
+    for kind, members in (("families", [[[0.5, 0]], [[0.5, 0]]]),
+                          ("matrices", [EQUAL_MATRIX, EQUAL_MATRIX])):
+        EDGES[f"construct-equal-{kind}-{eps}"] = Edge(
+            "construct", ["--epsilon", eps, "--alpha", "0.05", "--depth", "4", "--seed", "1"],
+            {kind: members}, 2, "input error: family members must be pairwise distinct")
+
 #: rows whose outcome is wrong today, with the ROADMAP items that mend them
 WRONG_TODAY = {
     "sequence-geometric-29": "ROADMAP item 15: exits 1 on projection-norms-match-gram",

@@ -136,7 +136,8 @@ def test_covering_count_scalar_family():
     fam = [MatrixFunction.from_scalar_blaschke([z]) for z in zeros]
     grid = random_zeros(rng, 200, rmax=0.95)
     out = lemma_10_1_check(fam, [BlaschkeProduct([z]) for z in zeros], eps=0.3,
-                           log_eps_prime=-5.0, z_grid=grid, alpha=0.5)
+                           log_eps_prime=-5.0, z_grid=grid,
+                           theta_values=np.stack([t(grid) for t in fam]), alpha=0.5)
     # direct recount
     best = 0
     for z in grid:
