@@ -2,10 +2,14 @@
 sequences, and greedy nets on curves with pseudo-hyperbolic mesh.
 log|B| has one implementation, :func:`_blaschke_log_abs`, also the Blaschke
 part of ``contour.BoundedFunction.log_abs``; |B| is ``abs(B(z))``, faster
-for few zeros than exp of the chunked sum.  The sum takes the
-pseudo-hyperbolic distances in chunks of zeros, each zero's row running
-along all the points in reused buffers (:func:`_rho_chunks`), from
-1 - |a|^2 of the zeros alone; the nearest zero of a point set
+for few zeros than exp of the log sum.  The sum takes the zeros in blocks
+of 16 (:func:`_block_log_sums`): two complex products per block along all
+the points in reused buffers, prod (a - z) and prod (1 - |a|^2 +
+conj(a) (a - z)), then one abs pair, one divide and one log per block,
+from 1 - |a|^2 of the zeros alone.  A point where a block product falls
+below 2^-960, as at a zero, takes the zero-by-zero sum of log
+pseudo_hyperbolic over chunks of zeros (:func:`_rho_log_sums` over
+:func:`_rho_chunks`); the nearest zero of a point set
 (``contour.check_potential_bounds``, :func:`net_is_valid`) is the minimum
 over the same chunks.
 """
@@ -20,6 +24,7 @@ from . import carleson as carleson_mod
 from .disk import (
     _blaschke_factor,
     _interior,
+    _one_minus_conj,
     _pseudo_hyperbolic,
     in_closed_disk,
     in_open_disk,
@@ -30,6 +35,12 @@ from .errors import DomainError
 
 # distances per chunk of _rho_chunks (at least one row of all the points)
 _LOG_BLOCK = 2 ** 15
+# zeros per product of _block_log_sums, and complex entries per buffer of
+# its products (at least one row of all the points)
+_PRODUCT_ZEROS = 16
+_PRODUCT_BLOCK = 2 ** 14
+# a block product below this modulus may have gone subnormal on the way
+_TINY_PRODUCT = 2.0 ** -960
 
 
 def _rho_chunks(zeros: np.ndarray, defects: np.ndarray, pts: np.ndarray):
@@ -51,12 +62,67 @@ def _rho_chunks(zeros: np.ndarray, defects: np.ndarray, pts: np.ndarray):
 
 def _min_pseudo_hyperbolic(zeros, defects, pts) -> np.ndarray:
     """min over ``zeros`` of pseudo_hyperbolic(zero, p), and 1, at each p of
-    the 1-d ``pts``, in the chunks of :func:`_blaschke_log_abs`; unchecked:
-    the ``zeros`` with their ``defects`` and the points are interior."""
+    the 1-d ``pts``, in the chunks of :func:`_rho_chunks`; unchecked: the
+    ``zeros`` with their ``defects`` and the points are interior."""
     out = np.ones(pts.shape)
     for rho in _rho_chunks(zeros, defects, pts):
         np.minimum(out, rho.min(axis=0), out=out)
     return out
+
+
+def _rho_log_sums(zeros, defects, pts) -> np.ndarray:
+    """sum over ``zeros`` of log pseudo_hyperbolic(zero, p) at each p of the
+    1-d interior ``pts``, zero by zero: down each chunk of
+    :func:`_rho_chunks`, then over the chunks in turn; -inf at a zero."""
+    sums = np.zeros(pts.shape)
+    with np.errstate(divide="ignore"):
+        for rho in _rho_chunks(zeros, defects, pts):
+            sums += np.log(rho, out=rho).sum(axis=0)
+    return sums
+
+
+def _block_log_sums(zeros, defects, pts) -> np.ndarray:
+    """:func:`_rho_log_sums` by products over blocks of _PRODUCT_ZEROS zeros.
+
+    Each block of consecutive zeros keeps two complex products along all
+    the points, num = prod (a - p) and den = prod (d_a + conj(a) (a - p)),
+    and adds log(|num| / |den|) to the sum.  Groups of up to
+    max(1, _PRODUCT_BLOCK // points) blocks share three complex buffers,
+    one row per block, so the Python loop runs _PRODUCT_ZEROS times per
+    group; the logs of a group are summed down its rows, then over the
+    groups in turn.  A point where some |num| or |den| ends below
+    _TINY_PRODUCT is summed again by :func:`_rho_log_sums`.  ``pts`` must be
+    nonempty.
+    """
+    size = _PRODUCT_ZEROS
+    rows = min(-(-zeros.size // size), max(1, _PRODUCT_BLOCK // pts.size))
+    num, den, work = np.empty((3, rows, pts.size), dtype=complex)
+    # |num| and |den| go into the two halves of work, read as floats
+    halves = work.reshape(-1).view(float).reshape(2, rows, pts.size)
+    sums = np.zeros(pts.shape)
+    tiny = np.zeros(pts.shape, dtype=bool)
+    for start in range(0, zeros.size, rows * size):
+        lam = zeros[start : start + rows * size, None]
+        d = defects[start : start + rows * size, None]
+        # lam[j::size] holds the j-th zero of each block of the group; only
+        # the group's last block may be short, so those blocks are a prefix
+        k = lam[::size].shape[0]
+        np.subtract(lam[::size], pts, out=num[:k])
+        _one_minus_conj(lam[::size], num[:k], d[::size], den[:k])
+        for j in range(1, min(size, lam.shape[0])):
+            a, d_a = lam[j::size], d[j::size]
+            r = a.shape[0]
+            diff = np.subtract(a, pts, out=work[:r])
+            num[:r] *= diff
+            den[:r] *= _one_minus_conj(a, diff, d_a, diff)
+        mod_num, mod_den = np.abs(num[:k], out=halves[0, :k]), np.abs(den[:k], out=halves[1, :k])
+        if min(mod_num.min(), mod_den.min()) < _TINY_PRODUCT:
+            tiny |= (np.minimum(mod_num, mod_den) < _TINY_PRODUCT).any(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sums += np.log(np.divide(mod_num, mod_den, out=mod_num), out=mod_num).sum(axis=0)
+    if tiny.any():
+        sums[tiny] = _rho_log_sums(zeros, defects, pts[tiny])
+    return sums
 
 
 def _blaschke_log_abs(zeros, defects, zs: np.ndarray) -> np.ndarray:
@@ -64,14 +130,30 @@ def _blaschke_log_abs(zeros, defects, zs: np.ndarray) -> np.ndarray:
     ``zeros`` (with multiplicity), from their ``defects`` = one_minus_sq;
     DomainError for |z| > ``disk.CLOSED_RADIUS`` unless ``zeros`` is empty.
 
-    The sum of log pseudo_hyperbolic runs over chunks of zeros, each row
-    along all the interior points (see :func:`_rho_chunks`), so every numpy
-    loop is as long as the points and at most max(_LOG_BLOCK, points)
-    distances are held at once.  Each distance has the bits of
-    :func:`pseudo_hyperbolic`, a few u (u = 2^-53) from rho anywhere in the
-    disk; the sum over the zeros runs down each chunk and then over the
-    chunks in turn.  For n zeros a, the result is within
+    The sum runs over the interior points by :func:`_block_log_sums`: one
+    abs pair, one divide and one log per block of _PRODUCT_ZEROS zeros, in
+    three complex buffers of at most max(_PRODUCT_BLOCK, points) entries.
+    Every factor has modulus below 2 (|a - p| < 2, |1 - conj(a) p| < 2), so
+    no product overflows, and a product that ends at or above 2^-960 never
+    went below 2^-975 on the way: its underflows cost at most 2^-98
+    relative.  A
+    product below 2^-960 (a point at a zero gives 0, where the log is
+    -inf) sends its point to the zero-by-zero sum of :func:`_rho_log_sums`,
+    which forms no product: each distance keeps a few u of relative
+    accuracy, however small.
+
+    The bound: for n zeros a and u = 2^-53, the result is within
     16 n u sum_a (|log rho_a| + 1) of a ``math.fsum`` of the exact terms.
+    Each factor a - p is rounded by at most u; d_a + conj(a) (a - p) by at
+    most 11 u, as d_a + |a| |a - p| <= 3 |1 - conj(a) p|; each complex
+    product by sqrt(5) u.  A block's ratio is then within
+    (12 + 2 sqrt(5)) u per zero plus 3 u (the abs pair and the divide) of
+    its exact value, and its log adds u |log| of its own; adding the m <= n
+    block logs in any order adds (m - 1) u sum |log| at most.  In all,
+    (19.5 u + n u |log rho_a|) per zero to first order, inside the bound
+    for n >= 2.  One zero is one block, whose bits are those of
+    log pseudo_hyperbolic; the zero-by-zero sum rounds each log rho_a by a
+    few u and adds (n - 1) u sum |log rho_a| at most, inside it too.
     """
     out = np.zeros(zs.shape, dtype=float)
     if zeros.size == 0:
@@ -82,11 +164,8 @@ def _blaschke_log_abs(zeros, defects, zs: np.ndarray) -> np.ndarray:
     if not in_closed_disk(zs[~inner]).all():
         raise DomainError("the Blaschke part is defined on the closed disk only")
     pts = zs[inner]
-    sums = np.zeros(pts.shape)
-    with np.errstate(divide="ignore"):
-        for rho in _rho_chunks(zeros, defects, pts):
-            sums += np.log(rho, out=rho).sum(axis=0)
-    out[inner] = sums
+    if pts.size:
+        out[inner] = _block_log_sums(zeros, defects, pts)
     return out
 
 

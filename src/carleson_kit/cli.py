@@ -505,15 +505,17 @@ def run_construct(args: argparse.Namespace) -> dict:
 
     grid = hyperbolic_grid(min(args.depth, 8), 8)
     values = np.stack([t(grid) for t in family])
+    abs_dets = np.abs(np.linalg.det(values))
     b_family = [e.blaschke for e in ps.entries]
-    sums = condition_sums(b_family, grid, theta_values=values, b_parts=_part_products(ps))
+    sums = condition_sums(b_family, grid, theta_values=values, abs_dets=abs_dets,
+                          b_parts=_part_products(ps))
     checks.append(_check("det-sum-dominates", sums["implication_ok"],
                          {"margin": sums["implication_margin"]}))
     checks.append(_check("split-domination", sums["split_pointwise_ok"]))
     consts = ContourConstants.for_epsilon(args.epsilon, c1=args.c1, c2=args.c2,
                                           c3=args.c3)
     lemma = lemma_10_1_check(family, b_family, args.epsilon, consts.log_eps_prime,
-                             z_grid=grid, theta_values=values, alpha=args.alpha)
+                             z_grid=grid, abs_dets=abs_dets, alpha=args.alpha)
     checks.append(_check("outer-comparison-chain", lemma["passed"], {
         "assembled_margin": lemma["assembled_margin"],
         "covering_max": lemma["covering_max"]}))

@@ -347,9 +347,11 @@ def check_two_eps_margins(ps: PointSystem) -> dict:
 def _part_products(ps: PointSystem) -> list:
     """The ``b_parts`` of ``condition_sums`` for a split system: for each
     label in use, in increasing order, the Blaschke product of each member's
-    points with that label, in sigma order, over the members that have any."""
+    points with that label, in sigma order, over the members that have any:
+    the member's own product where all its points carry that label."""
     labels = sorted({k for e in ps.entries for k in e.parts})
-    return [[BlaschkeProduct([z for z, j in zip(e.sigma, e.parts) if j == k])
+    return [[e.blaschke if set(e.parts) == {k}
+             else BlaschkeProduct([z for z, j in zip(e.sigma, e.parts) if j == k])
              for e in ps.entries if k in e.parts] for k in labels]
 
 
@@ -358,7 +360,7 @@ def _scalar_values(products, zs: np.ndarray) -> np.ndarray:
     return np.array([np.abs(b(zs)) for b in products]).reshape(len(products), zs.shape[0])
 
 
-def condition_sums(b_family, lam_grid, theta_values=None, b_parts=None) -> dict:
+def condition_sums(b_family, lam_grid, theta_values=None, abs_dets=None, b_parts=None) -> dict:
     """Suprema of the basis condition sums over a grid.
 
     The Blaschke products b_family feed the sum of (1 - |B_n|^2) and
@@ -366,8 +368,9 @@ def condition_sums(b_family, lam_grid, theta_values=None, b_parts=None) -> dict:
     theta_values, the members of a matrix family on the grid (shape
     (members, points, d, d)), feed the operator sum of (I - theta theta*)
     whose top eigenvalue is compared pointwise against the determinant sum
-    (the determinant sum dominates, since each |det| is at most each
-    singular value for contractions).  b_parts holds, for each sphere-net
+    over abs_dets, |det| of theta_values, which comes with them (the
+    determinant sum dominates, since each |det| is at most each singular
+    value for contractions).  b_parts holds, for each sphere-net
     part with points, the products of the members' points in that part;
     the split domination sum (1 - |B_n|^2) <= sum over parts of
     sum (1 - |B_nk|^2) is checked pointwise.
@@ -385,8 +388,7 @@ def condition_sums(b_family, lam_grid, theta_values=None, b_parts=None) -> dict:
         d = theta_values.shape[-1]
         gaps = np.eye(d)[None, None] - theta_values @ np.conj(np.swapaxes(theta_values, 2, 3))
         eig_sums = np.linalg.eigvalsh(np.sum(gaps, axis=0))[:, -1]
-        dets = np.abs(np.linalg.det(theta_values))
-        det_sums = np.sum(1.0 - dets ** 2, axis=0)
+        det_sums = np.sum(1.0 - abs_dets ** 2, axis=0)
         report["sum_5_4_sup"] = float(np.max(eig_sums))
         report["sum_5_5_sup"] = float(np.max(det_sums))
         margin = float(np.max(eig_sums - det_sums))
@@ -428,7 +430,7 @@ def n_power_for(alpha: float, log_eps_prime: float, dim: int) -> int:
 
 
 def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
-                     z_grid, theta_values, alpha: float) -> dict:
+                     z_grid, abs_dets, alpha: float) -> dict:
     """Replay of the outer-comparison bound chain on a grid.
 
     h_n is outer with boundary modulus max(|det theta_n|, eps'**d), kept in
@@ -440,9 +442,8 @@ def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
     wherever |det theta_n| >= eps**d; and the assembled bound
     sum (1 - |det|^2) <= sum (1 - |h|^2) + N sum (1 - |B|^2) + d together
     with the covering count of {|det| < eps**d} staying at most d.
-    N = n_power_for(alpha, log_eps_prime, d).  theta_values holds the
-    members on z_grid, shape (members, points, d, d), as ``condition_sums``
-    reads them.
+    N = n_power_for(alpha, log_eps_prime, d).  abs_dets holds |det theta_n|
+    on z_grid, shape (members, points), as ``condition_sums`` reads it.
     """
     family = list(theta_family)
     products = list(b_family)
@@ -481,7 +482,7 @@ def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
 
     log_b = np.stack([p.log_abs(zs) for p in products])
     with np.errstate(divide="ignore"):
-        log_det = np.log(np.abs(np.linalg.det(theta_values)))
+        log_det = np.log(abs_dets)
 
     h_sq = np.exp(2.0 * log_h)
     b_sq = np.exp(2.0 * log_b)

@@ -13,11 +13,11 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from carleson_kit.blaschke import BlaschkeProduct
+from carleson_kit.blaschke import _LOG_BLOCK, _PRODUCT_BLOCK, BlaschkeProduct
 from carleson_kit.carleson import CurveMeasure, carleson_norm
 from carleson_kit.construction import canonical_phase
 from carleson_kit.contour import CONTOUR_NORM_BOUND, _uncovered
-from carleson_kit.disk import TAU, _modulus, in_open_disk
+from carleson_kit.disk import TAU, _modulus, in_open_disk, pseudo_hyperbolic
 from carleson_kit.errors import DomainError
 from carleson_kit.riesz import SubspaceSystem
 
@@ -405,6 +405,58 @@ def log_abs_oracle(zeros, z):
         logs.append(math.log(rho))
         scale.append(abs(logs[-1]) + 1.0 / den)
     return math.fsum(logs), math.fsum(scale)
+
+
+def rho_log_abs_reference(zeros, zs):
+    """The Blaschke part of log|phi| zero by zero, in the order of the
+    library's fallback sum, from one (zeros, points) distance array: each
+    chunk of max(1, 2^15 // points) rows summed down its columns, the
+    chunks added in turn."""
+    out = np.zeros(zs.shape)
+    inner = np.hypot(zs.real, zs.imag) < 1.0
+    rho = pseudo_hyperbolic(np.asarray(zeros)[:, None], zs[inner][None, :])
+    rows = max(1, _LOG_BLOCK // rho.shape[1])
+    sums = np.zeros(rho.shape[1])
+    with np.errstate(divide="ignore"):
+        for start in range(0, rho.shape[0], rows):
+            sums += np.log(rho[start : start + rows]).sum(axis=0)
+    out[inner] = sums
+    return out
+
+
+def block_log_abs_reference(zeros, zs):
+    """The Blaschke part of log|phi| in the order of the library's block
+    sum, one block of 16 consecutive zeros at a time: num = prod (a - z)
+    and den = prod (1 - |a|^2 + conj(a) (a - z)), factor by factor in the
+    zeros' order; log(|num| / |den|) of each group of max(1, 2^14 //
+    points) blocks summed down its columns, the groups added in turn.  A
+    point where some |num| or |den| ends below 2^-960 takes
+    :func:`rho_log_abs_reference` instead."""
+    zeros = np.asarray(zeros, dtype=complex)
+    defects = exact_one_minus_sq(zeros)
+    out = np.zeros(zs.shape)
+    inner = np.hypot(zs.real, zs.imag) < 1.0
+    pts = zs[inner]
+    logs, tiny = [], np.zeros(pts.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, zeros.size, 16):
+            num = den = None
+            for a, d_a in zip(zeros[start : start + 16], defects[start : start + 16]):
+                diff = a - pts
+                fac = np.conj(a) * diff + d_a
+                num = diff if num is None else num * diff
+                den = fac if den is None else den * fac
+            tiny |= np.minimum(np.abs(num), np.abs(den)) < 2.0 ** -960
+            logs.append(np.log(np.abs(num) / np.abs(den)))
+    logs = np.array(logs)
+    rows = max(1, _PRODUCT_BLOCK // pts.size)
+    sums = np.zeros(pts.shape)
+    for start in range(0, logs.shape[0], rows):
+        sums += logs[start : start + rows].sum(axis=0)
+    if tiny.any():
+        sums[tiny] = rho_log_abs_reference(zeros, pts[tiny])
+    out[inner] = sums
+    return out
 
 
 def outer_log_at(log_modulus, z):

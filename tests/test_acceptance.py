@@ -368,17 +368,17 @@ def test_c10_outer_comparison_chain():
         ps = build_contour_nets(family, eps=0.1, alpha=0.05)
         ps = epsilon_net_split(ps, rng=rng)
         consts = ContourConstants.for_epsilon(0.1)
+        dets = np.abs(np.linalg.det(np.stack([t(grid) for t in family])))
         pipeline = lemma_10_1_check(family, [e.blaschke for e in ps.entries],
                                     eps=0.1, log_eps_prime=consts.log_eps_prime,
-                                    z_grid=grid, theta_values=np.stack([t(grid) for t in family]),
-                                    alpha=0.05)
+                                    z_grid=grid, abs_dets=dets, alpha=0.05)
         # outer-member family against a hand-tightened inner level
         mixed_theta = [MatrixFunction.from_scalar_blaschke([0.5]),
                        MatrixFunction.constant(np.array([[0.25]]))]
         mixed_b = [BlaschkeProduct([0.5]), BlaschkeProduct(())]
+        mixed_dets = np.abs(np.linalg.det(np.stack([t(grid) for t in mixed_theta])))
         mixed = lemma_10_1_check(mixed_theta, mixed_b, eps=0.1, log_eps_prime=-5.0,
-                                 z_grid=grid, theta_values=np.stack([t(grid) for t in mixed_theta]),
-                                 alpha=0.5)
+                                 z_grid=grid, abs_dets=mixed_dets, alpha=0.5)
     for report in (pipeline, mixed):
         assert report["check_a_ok"]
         assert report["check_b_sup"] <= report["check_b_bound"] + 1e-6

@@ -47,6 +47,11 @@ def on_grid(family, grid):
     return np.stack([t(grid) for t in family])
 
 
+def dets_on_grid(family, grid):
+    """|det| of the members on the grid, shape (members, points)."""
+    return np.abs(np.linalg.det(on_grid(family, grid)))
+
+
 def test_canonical_phase_pins_the_largest_component():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -267,10 +272,10 @@ class TestNetSplit:
         assert len(split.net_vectors) == 1
         for entry in split.entries:
             assert entry.parts == (0,) * len(entry.sigma)
-        # one part, whose products are the members' own
+        # one part, whose products are the members' own, not copies
         (part,) = _part_products(split)
         for entry, product in zip(split.entries, part, strict=True):
-            assert np.array_equal(product.zeros, entry.blaschke.zeros)
+            assert product is entry.blaschke
 
     def test_split_recombines_multi_point_net(self):
         fam = [MatrixFunction.from_scalar_blaschke([0.0])]
@@ -340,7 +345,8 @@ class TestConditionSums:
         ]
         grid = interior_points(rng, 60, rmax=0.9)
         out = condition_sums(b_family=scalars, lam_grid=grid,
-                             theta_values=on_grid(matrices, grid))
+                             theta_values=on_grid(matrices, grid),
+                             abs_dets=dets_on_grid(matrices, grid))
         # for theta = b I the eigenvalue sum equals the scalar sum exactly
         assert out["sum_5_4_sup"] == pytest.approx(out["sum_10_2_sup"], rel=1e-10)
         assert out["implication_ok"]
@@ -429,7 +435,7 @@ def reference_construct_report(family, eps, seed):
     sums, _ = condition_sums_reference(b_family, family, grid,
                                        [[p[k] for k in sorted(p)] for p in products])
     lemma = lemma_10_1_check(family, b_family, eps, ContourConstants.for_epsilon(eps).log_eps_prime,
-                             z_grid=grid, theta_values=on_grid(family, grid), alpha=0.05)
+                             z_grid=grid, abs_dets=dets_on_grid(family, grid), alpha=0.05)
     report["quantities"] = {
         "sigma_sizes": [len(e.sigma) for e in ps.entries], "net_vectors": len(net),
         "c_alpha": measure_c_alpha(ps), "condition_sums": sums, "lemma_10_1": lemma,
@@ -473,7 +479,7 @@ class TestMultiMemberSplit:
         want, part_sups = condition_sums_reference(
             b_family, family, grid, [[p[k] for k in sorted(p)] for p in products])
         got = condition_sums(b_family, grid, theta_values=on_grid(family, grid),
-                             b_parts=_part_products(split))
+                             abs_dets=dets_on_grid(family, grid), b_parts=_part_products(split))
         assert json.dumps(got, default=repr) == json.dumps(want, default=repr)
         # a part without points only ever added exact zeros
         used = {k for e in split.entries for k in e.parts}
@@ -529,6 +535,25 @@ class TestMultiMemberSplit:
         assert sizes.count(grid_size) == len(family)
         assert zero_counts and min(zero_counts) > 0
 
+    def test_det_of_the_grid_values_is_taken_once(self, monkeypatch, tmp_path):
+        # condition_sums and lemma_10_1_check share |det theta| on the grid;
+        # the boundary dets of the lemma are 3-d stacks
+        det, grid_dets = np.linalg.det, []
+
+        def counted_det(a):
+            if np.ndim(a) == 4:
+                grid_dets.append(np.shape(a))
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counted_det)
+        document, family = multi_member_family("matrices", 1)
+        inp = tmp_path / "input.json"
+        inp.write_text(json.dumps(document))
+        code = cli.main(["construct", "--input", str(inp), *construct_flags(0.3, 1),
+                         "--out", str(tmp_path / "report.json")])
+        assert code == 0
+        assert grid_dets == [(len(family), hyperbolic_grid(4, 8).size, 2, 2)]
+
 
 def test_n_power_bracketing():
     rng = np.random.default_rng(6)
@@ -551,7 +576,7 @@ class TestLemmaChain:
         prods = [BlaschkeProduct(zs) for zs in fam_zeros]
         grid = interior_points(rng, 100, rmax=0.9)
         out = lemma_10_1_check(theta, prods, eps=0.1, log_eps_prime=-5.0,
-                               z_grid=grid, theta_values=on_grid(theta, grid), alpha=0.5)
+                               z_grid=grid, abs_dets=dets_on_grid(theta, grid), alpha=0.5)
         assert out["passed"]
         assert out["n_power"] == 8
         assert out["support_multiplicity"] == 0
@@ -570,7 +595,7 @@ class TestLemmaChain:
         prods = [BlaschkeProduct([0.5]), BlaschkeProduct(())]
         grid = interior_points(rng, 60, rmax=0.8)
         out = lemma_10_1_check(theta, prods, eps=0.1, log_eps_prime=-5.0,
-                               z_grid=grid, theta_values=on_grid(theta, grid), alpha=0.5)
+                               z_grid=grid, abs_dets=dets_on_grid(theta, grid), alpha=0.5)
         assert out["passed"]
         assert out["support_multiplicity"] == 1
         # the constant member contributes 1 - 0.25^2 to the outer sums
@@ -580,7 +605,7 @@ class TestLemmaChain:
         theta = [MatrixFunction.from_scalar_blaschke([0.5])]
         with pytest.raises(DomainError):
             lemma_10_1_check(theta, [], eps=0.1, log_eps_prime=-5.0, z_grid=np.array([0.0]),
-                             theta_values=on_grid(theta, np.array([0.0])), alpha=0.5)
+                             abs_dets=dets_on_grid(theta, np.array([0.0])), alpha=0.5)
 
     @pytest.mark.parametrize("eps", [0.0, -0.1, 1.0])
     def test_eps_outside_the_unit_interval_rejected(self, eps):
@@ -588,7 +613,7 @@ class TestLemmaChain:
         with pytest.raises(DomainError, match="eps"):
             lemma_10_1_check(theta, [BlaschkeProduct([0.5])], eps=eps, log_eps_prime=-5.0,
                              z_grid=np.array([0.0]),
-                             theta_values=on_grid(theta, np.array([0.0])), alpha=0.5)
+                             abs_dets=dets_on_grid(theta, np.array([0.0])), alpha=0.5)
 
 
 def test_validate_epsilon_choice_branches():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,10 +38,12 @@ from carleson_kit.hardy import poisson_sum
 from carleson_kit.model_space import MatrixFunction
 from carleson_kit.riesz import SubspaceSystem
 from oracles import (
+    block_log_abs_reference,
     ci_zeros,
     extract_polylines_reference,
     log_abs_oracle,
     region_samples_reference,
+    rho_log_abs_reference,
     verify_region_reference,
 )
 
@@ -245,22 +248,6 @@ class TestBoundedFunction:
                 phi.log_abs(z)
 
 
-def chunked_log_abs(zeros, zs):
-    """The Blaschke part of log|phi| in the order of the library's sum, from
-    one (zeros, points) distance array: each chunk of rows summed down its
-    columns, the chunks added in turn."""
-    out = np.zeros(zs.shape)
-    inner = np.hypot(zs.real, zs.imag) < 1.0
-    rho = pseudo_hyperbolic(np.asarray(zeros)[:, None], zs[inner][None, :])
-    rows = max(1, blaschke_mod._LOG_BLOCK // rho.shape[1])
-    sums = np.zeros(rho.shape[1])
-    with np.errstate(divide="ignore"):
-        for start in range(0, rho.shape[0], rows):
-            sums += np.log(rho[start : start + rows]).sum(axis=0)
-    out[inner] = sums
-    return out
-
-
 def assert_within_the_oracle_bound(zeros, zs, got):
     """|got - log|B|| <= C n u scale at every point, against the fsum oracle.
 
@@ -282,21 +269,20 @@ class TestLogAbsBlocks:
     @pytest.mark.parametrize("n_zeros, n_points", [
         (1, 40_000), (7, 10_001), (50, 10_001), (2**15 + 1, 5),
     ])
-    def test_chunks_match_the_chunk_order_bit_for_bit(self, n_zeros, n_points):
-        # zero counts that the chunk size does not divide, so the last
-        # chunk is short, except for one zero, where every chunk is one row
+    def test_blocks_match_the_block_order_bit_for_bit(self, n_zeros, n_points):
+        # blocks of 16 zeros whose last one is short, except for one zero;
+        # a group is one block at 10,001 points and all 2,049 blocks at 5
         rng = np.random.default_rng(n_zeros)
         zeros = random_blaschke_zeros(rng, n_zeros, rmax=0.95)
         zs = random_blaschke_zeros(rng, n_points, rmax=0.999)
-        # a point at a zero (-inf) and points on the circle (0)
-        zs[:5] = [zeros[0], 1.0, -1.0, 1j, -1j]
-        # the four circle points drop out of the sum
-        rows = max(1, blaschke_mod._LOG_BLOCK // (n_points - 4))
-        assert n_zeros > rows and n_zeros % rows or rows == 1
+        # a point at a zero (-inf, by the zero-by-zero sum) and points on
+        # the circle (0); two of five points stay ordinary
+        zs[:3] = [zeros[0], 1.0, -1j]
+        assert n_zeros % blaschke_mod._PRODUCT_ZEROS or n_zeros == 1
         got = BoundedFunction(zeros=zeros).log_abs(zs)
         assert got[0] == -math.inf
-        assert (got[1:5] == 0.0).all()
-        assert np.array_equal(got, chunked_log_abs(zeros, zs))
+        assert (got[1:3] == 0.0).all()
+        assert np.array_equal(got, block_log_abs_reference(zeros, zs))
 
     @pytest.mark.parametrize("n_zeros, n_points", [
         (1, 3001), (2, 3001), (7, 3001), (50, 1001), (2**15 + 1, 5), (1000, 1),
@@ -324,6 +310,44 @@ class TestLogAbsBlocks:
         # rho = 1e-190: its square, 1e-380, underflows to 0 and gives -inf
         got = BoundedFunction(zeros=(1e-190,)).log_abs(np.array([2e-190 + 0j]))
         assert got[0] == math.log(1e-190) == -437.4911676688687
+
+    def test_tiny_block_products_take_the_zero_by_zero_sum(self):
+        # 20 copies of one zero: the first block's num at a point 1e-20 from
+        # it is (1e-20)^16, subnormal, so that point is summed zero by zero,
+        # bit for bit; the ordinary points keep their block sums
+        rng = np.random.default_rng(11)
+        a = 3e-8 - 4e-8j
+        zeros = np.array([a] * 20)
+        zs = np.concatenate([[a + 1e-20, a + 1e-20j], random_blaschke_zeros(rng, 200, rmax=0.99)])
+        assert (zs[:2] != a).all()
+        got = BoundedFunction(zeros=zeros).log_abs(zs)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got[:2], rho_log_abs_reference(zeros, zs[:2]))
+        assert np.array_equal(got, block_log_abs_reference(zeros, zs))
+        assert_within_the_oracle_bound(zeros, zs, got)
+
+    def test_point_at_a_zero_inside_a_block_is_minus_infinity_without_warnings(self):
+        rng = np.random.default_rng(12)
+        zeros = random_blaschke_zeros(rng, 40, rmax=0.95)
+        zs = np.concatenate([zeros[[5, 17, 39]], random_blaschke_zeros(rng, 100, rmax=0.99)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = BoundedFunction(zeros=zeros).log_abs(zs)
+        assert (got[:3] == -math.inf).all()
+        assert np.isfinite(got[3:]).all()
+        assert_within_the_oracle_bound(zeros, zs[3:], got[3:])
+
+    def test_zeros_next_to_the_circle_stay_within_the_oracle_bound(self):
+        # 20 zeros at 1 - 2^-50, points on the same circle and between the
+        # zeros: 1 - conj(a) z is about 2^-50 where a point sits by a zero
+        r = 1.0 - 2.0 ** -50
+        angles = np.linspace(0.0, 0.5, 20)
+        zeros = r * np.exp(1j * angles)
+        zs = np.concatenate([r * np.exp(1j * (angles + 1e-13)), r * np.exp(1j * (angles + 0.01)),
+                             (1.0 - 2.0 ** -40) * np.exp(1j * angles), [0.0, 0.5j]])
+        got = BoundedFunction(zeros=zeros).log_abs(zs)
+        assert not np.isnan(got).any()
+        assert_within_the_oracle_bound(zeros, zs, got)
 
     def test_memory_stays_in_blocks(self):
         # 10,000 points x 1,000 zeros: one (points, zeros) complex array

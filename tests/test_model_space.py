@@ -135,9 +135,9 @@ def test_covering_count_scalar_family():
     zeros = random_zeros(rng, 4, rmax=0.6)
     fam = [MatrixFunction.from_scalar_blaschke([z]) for z in zeros]
     grid = random_zeros(rng, 200, rmax=0.95)
+    dets = np.abs(np.linalg.det(np.stack([t(grid) for t in fam])))
     out = lemma_10_1_check(fam, [BlaschkeProduct([z]) for z in zeros], eps=0.3,
-                           log_eps_prime=-5.0, z_grid=grid,
-                           theta_values=np.stack([t(grid) for t in fam]), alpha=0.5)
+                           log_eps_prime=-5.0, z_grid=grid, abs_dets=dets, alpha=0.5)
     # direct recount
     best = 0
     for z in grid:
