@@ -13,6 +13,11 @@ should go.  A module of the package other than ``__init__`` (which imports
 to export) must load every name it imports, and every private
 module-level function, class or constant of the package must be loaded
 somewhere in the library: a helper that only tests load is dead code.
+
+Every function, class and method of the package is reachable from the
+command line's runners (``cli.main`` and the ``cli.run_*`` functions) in
+the package's name graph, or named in ``UNREACHABLE_FROM_RUNNERS`` with the
+acceptance guarantee or documented public primitive that needs it.
 """
 
 import ast
@@ -227,3 +232,81 @@ def test_every_private_name_is_loaded_in_the_library():
     assert len(privates) > 40
     loaded = _loaded_names()
     assert sorted(f"{module}.{name}" for module, name in privates if name not in loaded) == []
+
+
+#: library definitions that no command-line runner reaches, with the
+#: acceptance guarantee or documented public primitive that needs each
+UNREACHABLE_FROM_RUNNERS = {
+    # the FFT model-space chain (README: carleson_kit.hardy, model_space)
+    "hardy.BoundaryGrid": "acceptance c02 (the FFT model-space chain)",
+    "hardy.BoundaryGrid.from_coefficients": "acceptance c02 (the FFT model-space chain)",
+    "hardy.BoundaryGrid.is_analytic": "acceptance c02 (the FFT model-space chain)",
+    "hardy.riesz_project": "acceptance c02 (the FFT model-space chain)",
+    "model_space.kernel_grid": "acceptance c02 (the FFT model-space chain)",
+    "model_space.project_model": "acceptance c02 (the FFT model-space chain)",
+    # the checked disk primitives; the library calls their unchecked forms
+    "disk.kernel": "documented public primitive (README: carleson_kit.disk)",
+    "disk.pseudo_hyperbolic": "documented public primitive (README: carleson_kit.disk)",
+    "disk.pseudo_hyperbolic_disk": "documented public primitive (README: carleson_kit.disk)",
+    "disk.blaschke_factor": "documented public primitive (disk's module docstring)",
+    # the potential's two-sided bounds
+    "contour.check_potential_bounds": "acceptance c06",
+    "contour.RepresentingMeasure.potential": "acceptance c06",
+    # constant members of matrix families
+    "model_space.MatrixFunction.constant": "acceptance c07 and c10",
+}
+
+
+def _references(nodes) -> set:
+    """Every name and attribute name that the AST ``nodes`` mention."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for root in nodes for node in ast.walk(root)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _name_graph():
+    """({qualified definition: (name, names it mentions)}, the names that
+    import-time code mentions).  A class mentions what its body outside its
+    methods mentions, and its dunder methods, which run unnamed."""
+    definitions, import_time = {}, set()
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, functions):
+                definitions[f"{path.stem}.{node.name}"] = (node.name, _references([node]))
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, functions)]
+                rest = [n for n in node.body if not isinstance(n, functions)]
+                dunders = {m.name for m in methods if m.name.startswith("__")}
+                definitions[f"{path.stem}.{node.name}"] = (
+                    node.name, _references(rest + node.bases + node.decorator_list) | dunders)
+                for m in methods:
+                    definitions[f"{path.stem}.{node.name}.{m.name}"] = (m.name, _references([m]))
+            else:
+                import_time |= _references([node])
+    return definitions, import_time
+
+
+def _reachable_from_runners(definitions, import_time) -> set:
+    """The definitions that the runners and import-time code reach, where a
+    mentioned name reaches every definition of that name."""
+    named = {}
+    for qualified, (name, _) in definitions.items():
+        named.setdefault(name, []).append(qualified)
+    todo = [q for q in definitions if q == "cli.main" or q.startswith("cli.run_")]
+    todo += [q for name in import_time for q in named.get(name, [])]
+    reached = set()
+    while todo:
+        qualified = todo.pop()
+        if qualified not in reached:
+            reached.add(qualified)
+            todo += [q for name in definitions[qualified][1] for q in named.get(name, [])]
+    return reached
+
+
+def test_every_definition_is_reachable_from_a_runner():
+    definitions, import_time = _name_graph()
+    assert len(definitions) > 150
+    reached = _reachable_from_runners(definitions, import_time)
+    assert {"cli.run_carleson", "carleson._layer_bounds", "disk._kernel_sums"} <= reached
+    assert sorted(set(definitions) - reached) == sorted(UNREACHABLE_FROM_RUNNERS)

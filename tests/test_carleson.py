@@ -503,6 +503,20 @@ def _disk_atoms(rng, n, r_max=1.0):
     return list(zip(radius * np.exp(1j * rng.uniform(0.0, TAU, n)), rng.uniform(0.1, 2.0, n)))
 
 
+def _ring_atoms():
+    """8 atoms at pseudo-hyperbolic distance 0.3 around the layer-5 grid
+    point r = 1 - 0.75 * 2^-5 at angle 0, each of mass 0.01 (1 - |p|^2).
+    The kernel test at r reads 0.01 * 8 * (1 - 0.3^2) = 0.0728, above every
+    atom (at most 0.0668) and the origin: the supremum is on the grid."""
+    r = grid_layers()[5][0]
+    atoms = []
+    for k in range(8):
+        z = 0.3 * cmath.exp(1j * TAU * k / 8)
+        p = (r + z) / (1.0 + r * z)
+        atoms.append((p, 0.01 * (1.0 - abs(p) ** 2)))
+    return atoms
+
+
 def _kernel_oracle_measures():
     rng = np.random.default_rng(61)
     cases = {
@@ -547,6 +561,7 @@ def _kernel_oracle_measures():
                                              rng.uniform(0.1, 2.0, block)))
     cases["radius-0.995"] += _disk_atoms(rng, block, 0.5)
     cases["radius-0.999"] += cases["radius-0.995"]
+    cases["ring-layer-5"] = _ring_atoms()
     return cases
 
 
@@ -561,7 +576,7 @@ def test_kernel_test_constant_matches_direct_sum(name):
     # each layer within 1e-11 of its largest value: far from the mass the
     # values are small differences of the series' terms
     layers = grid_layers()
-    values = _kernel_layers(points, one_minus_sq(points), masses)
+    values = _kernel_layers(points, one_minus_sq(points), masses, range(len(layers)))
     assert len(values) == len(layers)
     for (r, n), got in zip(layers, values):
         want = _direct_kernel_sums(measure, r * np.exp(1j * TAU * np.arange(n) / n))
@@ -626,6 +641,133 @@ def test_kernel_test_constant_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2 ** 20
+
+
+def _corpus_like(seed, n):
+    """n atoms area-uniform in |z| <= 0.99 with masses (1 - |z|) U(0.5, 1.5),
+    the law of the benchmark's diagnostics carleson strata."""
+    rng = np.random.default_rng(seed)
+    z = 0.99 * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(1j * rng.uniform(0.0, TAU, n))
+    return list(zip(z, (1.0 - np.abs(z)) * rng.uniform(0.5, 1.5, n)))
+
+
+_PRUNE_CASES = {
+    **{f"oracle-{name}": atoms for name, atoms in _KERNEL_ORACLE.items()},
+    **{f"corpus-{n}-{seed}": _corpus_like(seed, n) for n in (100, 200, 400) for seed in range(3)},
+}
+
+
+def _unpruned_kernel_test(measure):
+    """The kernel test with every grid layer summed: the origin, the interior
+    atoms and all eleven layers of ``_kernel_layers``, in the library's order."""
+    order = np.argsort(np.abs(measure.points), kind="stable")
+    points, masses = measure.points[order], measure.masses[order]
+    defects = one_minus_sq(points)
+    best = float(masses.sum())
+    inner = int(np.count_nonzero(np.abs(points) < 1.0 - 1e-12))
+    if inner:
+        best = max(best, float(disk._kernel_sums(points[:inner], defects[:inner], points,
+                                                 defects, masses).max()))
+    for values in _kernel_layers(points, defects, masses, range(len(grid_layers()))):
+        best = max(best, float(values.max()))
+    return best
+
+
+def _record_layers(monkeypatch):
+    """Patch the kernel test to record the layer indices it sums."""
+    listed = []
+
+    def recording(points, defects, masses, layers):
+        listed.append(np.asarray(layers).tolist())
+        return _kernel_layers(points, defects, masses, layers)
+
+    monkeypatch.setattr(carleson, "_kernel_layers", recording)
+    return listed
+
+
+@pytest.mark.parametrize("name", sorted(_PRUNE_CASES))
+def test_kernel_test_constant_equals_the_unpruned_route(name):
+    # the layer bound only chooses which layers are summed: the constant is
+    # the unpruned route's float, bit for bit
+    measure = DiscreteMeasure(_PRUNE_CASES[name])
+    assert kernel_test_constant(measure).hex() == _unpruned_kernel_test(measure).hex()
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_kernel_test_skips_the_outer_layers_on_corpus_like_measures(n, monkeypatch):
+    # the supremum sits at an atom, and no layer from 5 on can reach it;
+    # layer 4 now and then can (1 of the benchmark's 48 measures)
+    listed = _record_layers(monkeypatch)
+    for seed in range(8):
+        kernel_test_constant(DiscreteMeasure(_corpus_like(100 + seed, n)))
+    assert len(listed) == 8
+    assert all(set(layers) <= {0, 1, 2, 3, 4} for layers in listed), listed
+    assert sum(4 in layers for layers in listed) <= 1, listed
+
+
+def test_kernel_test_sums_a_layer_within_the_pad_of_the_supremum(monkeypatch):
+    # plant the running supremum through the atoms' sum, just above the
+    # largest layer bound U (layer 5's): the layer is summed while
+    # fl(U (1 + pad)) >= best, and skipped once best is one float above that
+    measure = DiscreteMeasure(_ring_atoms())
+    bounds = carleson._layer_bounds(np.abs(measure.points), measure.masses)
+    assert np.argmax(bounds) == 5
+    edge = (1.0 + carleson._LAYER_PAD) * bounds[5]
+    listed = _record_layers(monkeypatch)
+    plants = (bounds[5] * (1.0 + carleson._LAYER_PAD / 2), edge, np.nextafter(edge, np.inf))
+    for best in plants:
+        monkeypatch.setattr(carleson, "_kernel_sums", lambda *args, best=best: np.array([best]))
+        assert kernel_test_constant(measure) == best
+    assert bounds[5] < plants[0] < edge
+    assert listed == [[5], [5], []]
+
+
+def test_kernel_test_keeps_a_layer_that_holds_the_supremum(monkeypatch):
+    # _ring_atoms: the layer-5 grid point beats every atom, so the bound must
+    # keep layer 5 (the direct-sum oracle above checks the constant)
+    measure = DiscreteMeasure(_ring_atoms())
+    at_atoms = _direct_kernel_sums(measure, measure.points).max()
+    at_point = _direct_kernel_sums(measure, np.array([grid_layers()[5][0] + 0j]))[0]
+    grid = _direct_kernel_sums(measure, np.concatenate([hyperbolic_grid(), measure.points]))
+    assert at_atoms < 0.0668 < 0.0728 == pytest.approx(at_point, abs=1e-15)
+    assert grid.max() == at_point
+    listed = _record_layers(monkeypatch)
+    kernel_test_constant(measure)
+    assert 5 in listed[0]
+
+
+def _quarter_turn(atoms):
+    """z -> i z, exact in floating point: x + i y goes to -y + i x."""
+    return [(complex(-complex(p).imag, complex(p).real), m) for p, m in atoms]
+
+
+@pytest.mark.parametrize("name", [
+    "oracle-ring-layer-5", "oracle-disk-31", "oracle-disk-400", "oracle-grid-rays",
+    *(f"corpus-{n}-{seed}" for n in (100, 200, 400) for seed in range(3))])
+def test_kernel_test_constant_is_invariant_under_a_quarter_turn(name):
+    # every layer has 8 * 2^m angles, a multiple of 4, so z -> i z maps the
+    # grid onto itself, and the atoms exactly: the constant moves by at most
+    # 8 u (measured: at most 1.9 u on 60 seeded measures with atoms on the
+    # circle, where a layer holds the supremum, as in the disk and ray cases)
+    atoms = _PRUNE_CASES[name]
+    want = kernel_test_constant(DiscreteMeasure(atoms))
+    got = kernel_test_constant(DiscreteMeasure(_quarter_turn(atoms)))
+    assert abs(got - want) <= 8 * 2.0 ** -53 * want
+
+
+def test_dyadic_norm_is_not_invariant_under_a_quarter_turn():
+    # the baseline of the quarter turn: it maps the dyadic arcs of depth
+    # >= 2 onto dyadic arcs, but not the two half circles, so the dyadic
+    # norm of a sequence measure sum (1 - |z|^2) delta_z moves where a half
+    # circle holds its supremum
+    rng = np.random.default_rng(12)
+    moves = []
+    for _ in range(16):
+        z = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 6)) * np.exp(1j * rng.uniform(0.0, TAU, 6))
+        atoms = list(zip(z, one_minus_sq(z)))
+        want = carleson_norm(DiscreteMeasure(atoms))
+        moves.append(abs(carleson_norm(DiscreteMeasure(_quarter_turn(atoms))) - want) / want)
+    assert max(moves) > 0.1
 
 
 def test_embedding_constant_small_cases():
