@@ -17,8 +17,11 @@ from carleson_kit.blaschke import _LOG_BLOCK, _PRODUCT_BLOCK, BlaschkeProduct
 from carleson_kit.carleson import CurveMeasure, carleson_norm
 from carleson_kit.construction import canonical_phase
 from carleson_kit.contour import CONTOUR_NORM_BOUND, _uncovered
-from carleson_kit.disk import TAU, _modulus, in_open_disk, pseudo_hyperbolic
+from carleson_kit.disk import (TAU, _kernel_sums, _modulus, in_open_disk, one_minus_sq,
+                               pseudo_hyperbolic)
 from carleson_kit.errors import DomainError
+from carleson_kit.hardy import (_POISSON_BAND, _POISSON_BLOCK, _POISSON_ENTRIES, _POISSON_TAIL,
+                                _batches, _int_power, _power_series)
 from carleson_kit.riesz import SubspaceSystem
 
 
@@ -379,6 +382,60 @@ def poisson_sum_reference(samples, z):
             kern = exact_one_minus_sq(zb) / np.abs(xi[None, :] - zb) ** 2
             out[idx] = kern @ v / n
     return out.reshape(zs.shape)
+
+
+def poisson_sum_full_spectrum(samples, z):
+    """``hardy.poisson_sum`` as it was before it dropped the coefficients
+    within the FFT's error: the same grouped series, folded shell and direct
+    band over every coefficient.  Where nothing is dropped the library must
+    agree with it bit for bit."""
+    v = np.asarray(samples, dtype=float)
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.reshape(-1)
+    radius = _modulus(flat)
+    n = v.size
+    c = np.fft.fft(v) / n
+    order = np.argsort(radius)
+    rs = radius[order]
+    pts = flat[order]
+    out = np.empty(flat.shape)
+    size = flat.size
+    block_terms = []
+    for hi in range(_POISSON_BLOCK, size + _POISSON_BLOCK, _POISSON_BLOCK):
+        r = rs[min(hi, size) - 1]
+        j = 0 if r == 0.0 else math.ceil(math.log(_POISSON_TAIL * (1.0 - r)) / math.log(r))
+        if j >= n:
+            break
+        block_terms.append(j)
+    b = 0
+    while b < len(block_terms):
+        first = block_terms[b]
+        end = b + 1
+        while end < len(block_terms) and block_terms[end] <= 2 * first:
+            points = min((end + 1) * _POISSON_BLOCK, size) - b * _POISSON_BLOCK
+            if math.isqrt(block_terms[end]) * points > _POISSON_ENTRIES:
+                break
+            end += 1
+        lo, hi = b * _POISSON_BLOCK, min(end * _POISSON_BLOCK, size)
+        top = block_terms[end - 1]
+        out[lo:hi] = c[0].real
+        if top:
+            out[lo:hi] += 2.0 * _power_series(c[1:top + 1], pts[lo:hi]).real
+        b = end
+    start = min(len(block_terms) * _POISSON_BLOCK, size)
+    band = start + int(np.count_nonzero(n * (1.0 - rs[start:]) >= _POISSON_BAND))
+    fold = np.roll(c, -1)
+    for lo, hi in _batches(band - start, _POISSON_ENTRIES // math.isqrt(n)):
+        zc = pts[start + lo:start + hi]
+        q = _power_series(fold, zc) / (1.0 - _int_power(zc, n))
+        out[start + lo:start + hi] = c[0].real + 2.0 * q.real
+    if band < size:
+        xi = np.exp(1j * TAU * np.arange(n) / n)
+        near = order[band:]
+        out[band:] = _kernel_sums(flat[near], one_minus_sq(flat[near]), xi, 0.0, v) / n
+    result = np.empty(flat.shape)
+    result[order] = out
+    return result.reshape(zs.shape)
 
 
 def log_abs_oracle(zeros, z):

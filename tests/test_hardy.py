@@ -7,9 +7,11 @@ import pytest
 from carleson_kit import hardy
 from carleson_kit.errors import DomainError
 from carleson_kit.hardy import BoundaryGrid, poisson_sum, riesz_project
-from oracles import exact_one_minus_sq, outer_log_at, poisson_sum_reference
+from oracles import (exact_one_minus_sq, outer_log_at, poisson_sum_full_spectrum,
+                     poisson_sum_reference)
 
 TAU = 2 * math.pi
+TAU_LONG = np.longdouble("6.28318530717958647692528676655900577")
 
 
 def unit_samples(size):
@@ -284,13 +286,39 @@ def long_double_power(z, k):
 def long_double_poisson(v, zs):
     """The positive-kernel quadrature in extended precision, point by point."""
     n = v.size
-    t = np.arange(n, dtype=np.longdouble) * np.longdouble("6.28318530717958647692528676655900577") / n
+    t = np.arange(n, dtype=np.longdouble) * TAU_LONG / n
     xr, xi = np.cos(t), np.sin(t)
     vl = v.astype(np.longdouble)
     out = np.empty(zs.size, dtype=np.longdouble)
     for i, z in enumerate(zs):
         zr, zi = np.longdouble(z.real), np.longdouble(z.imag)
         out[i] = np.mean(vl * (1 - zr * zr - zi * zi) / ((xr - zr) ** 2 + (xi - zi) ** 2))
+    return out
+
+
+def band_node_bound(v, zs):
+    """What the direct band may be off at each z, from its nodes.
+
+    The band sums over xi_j = exp(i fl(2 pi j / n)), up to 8 u off the roots
+    of unity, mostly from rounding the angle (up to 2 pi).  A node d_j off
+    changes |xi_j - z|**-2 by at most a factor (1 - d_j / |xi_j - z|)**-2,
+    and |xi_j - z| >= 1 - |z| is about 8/n in the band, so node rounding
+    costs mean_j |v_j| K_j ((1 - d_j / |xi_j - z|)**-2 - 1), K_j the kernel.
+    16 u of mean_j |v_j| K_j more covers the arithmetic of each term and of
+    the sum.  Evaluated in extended precision.
+    """
+    n = v.size
+    t = np.arange(n, dtype=np.longdouble) * TAU_LONG / n
+    xr, xi = np.cos(t), np.sin(t)
+    nodes = np.exp(1j * TAU * np.arange(n) / n)
+    drift = np.hypot(nodes.real - xr, nodes.imag - xi)
+    weight = np.abs(v).astype(np.longdouble)
+    out = np.empty(zs.size)
+    for i, z in enumerate(zs):
+        zr, zi = np.longdouble(z.real), np.longdouble(z.imag)
+        dist = np.hypot(xr - zr, xi - zi)
+        kern = weight * (1 - zr * zr - zi * zi) / dist ** 2
+        out[i] = np.mean(kern * ((1 - drift / dist) ** -2 - 1 + 16 * 2.0 ** -53))
     return out
 
 
@@ -343,6 +371,10 @@ class TestFoldedShell:
         folded = ~inside
         err = np.abs(got[folded] - long_double_poisson(v, zs[folded])).astype(float)
         assert np.max(err) <= bound
+        # the band side against the extended-precision sum: its nodes' rounding
+        # (up to 1.2e-13 max|c| at n = 4096) and a few u per term
+        err = np.abs(got[inside] - long_double_poisson(v, zs[inside])).astype(float)
+        assert np.all(err <= band_node_bound(v, zs[inside]))
 
     @pytest.mark.parametrize("n", [1024, 4096])
     def test_folded_shell_keeps_rough_data_accurate(self, n):
@@ -370,14 +402,7 @@ class TestFoldedShell:
         assert series_terms(radii[-1]) == 1088 and series_terms(radii[127]) >= 1024
         zs = radii * np.exp(1j * rng.uniform(0.0, TAU, radii.size))
         v = poisson_oracle_data(n, rng)["noise"]
-        seen = []
-        series = hardy._power_series
-
-        def spy(coef, z):
-            seen.append((coef.size, z.size))
-            return series(coef, z)
-
-        monkeypatch.setattr(hardy, "_power_series", spy)
+        seen = power_series_sizes(monkeypatch)
         got = poisson_sum(v, zs)
         assert [size for _, size in seen] == [1024, 128]
         assert math.isqrt(seen[0][0]) * seen[0][1] == 2 ** 15
@@ -411,6 +436,153 @@ class TestFoldedShell:
         want = long_double_power(z, terms)
         rel = np.abs(hardy._power_series(unit, z) - want) / np.abs(want)
         assert float(np.max(rel)) <= terms * 2.0 ** -53
+
+
+def higham_tau(c):
+    """tau of poisson_sum for a power-of-two n: Higham's Thm 24.2 with
+    twiddle factors 10 u off, padded by 1.001."""
+    u = 2.0 ** -53
+    mu = 10 * u
+    steps = math.log2(c.size) * (mu + 4 * u / (1 - 4 * u) * (math.sqrt(2) + mu))
+    beta = steps / (1 - steps)
+    return 1.001 * beta / (1 - beta) * float(np.linalg.norm(c))
+
+
+def long_double_dft(vs):
+    """fft(v) / n of each row of ``vs`` by the definition in extended
+    precision, the angles 2 pi jk / n reduced modulo 2 pi exactly."""
+    n = vs.shape[1]
+    t = np.arange(n, dtype=np.longdouble) * TAU_LONG / n
+    cos, sin = np.cos(t), np.sin(t)
+    vl = vs.astype(np.longdouble)
+    j = np.arange(n)
+    out = np.empty(vs.shape, dtype=np.clongdouble)
+    rows = max(1, 2 ** 20 // n)
+    for k in range(0, n, rows):
+        turns = np.outer(np.arange(k, min(n, k + rows)), j) % n
+        out[:, k:k + rows] = vl @ cos[turns].T - 1j * (vl @ sin[turns].T)
+    return out / n
+
+
+def outside_the_band(n, rng):
+    """Points of the series and the folded shell, n (1 - |z|) >= 8."""
+    area = np.sqrt(rng.uniform(0.0, 1.0, 200))
+    gaps = np.geomspace(0.5, 8.001 / n, 200)
+    radii = np.concatenate([area * (1.0 - 8.001 / n), 1.0 - gaps])
+    return radii * np.exp(1j * rng.uniform(0.0, TAU, radii.size))
+
+
+def power_series_sizes(monkeypatch):
+    """Record the (terms, points) of every _power_series call."""
+    seen = []
+    series = hardy._power_series
+
+    def spy(coef, z):
+        seen.append((coef.size, z.size))
+        return series(coef, z)
+
+    monkeypatch.setattr(hardy, "_power_series", spy)
+    return seen
+
+
+class TestKeptSpectrum:
+    """poisson_sum drops the coefficients within tau, the FFT's own error."""
+
+    @pytest.mark.parametrize("n", [8, 64, 1024, 2048, 4096, 8192])
+    def test_fft_error_stays_below_an_eighth_of_tau(self, n):
+        data = poisson_oracle_data(n, np.random.default_rng(n))
+        exact = long_double_dft(np.array(list(data.values())))
+        for (name, v), want in zip(data.items(), exact):
+            c = np.fft.fft(v) / n
+            tau = hardy._fft_error(c)
+            assert tau == pytest.approx(higham_tau(c), rel=1e-12)
+            err = float(np.max(np.abs(c - want)))
+            assert err <= tau / 8, (name, err / tau)
+
+    def test_fft_error_is_zero_off_the_powers_of_two(self):
+        for n in (3, 96, 1000):
+            assert hardy._fft_error(np.fft.fft(np.cos(np.arange(n))) / n) == 0.0
+
+    def test_planted_frequency_kept_at_twice_tau_dropped_at_half(self):
+        n = 4096
+        rng = np.random.default_rng(41)
+        base = outer_contour_style(n, rng)[0]
+        c = np.fft.fft(base) / n
+        k = 1 + int(np.argmax(np.abs(c[1:n // 2])))
+        tau = higham_tau(c)
+        zs = outside_the_band(n, rng)
+        t = TAU * np.arange(n) / n
+        for amplitude, planted in [(2 * tau, [37, n - 37]), (tau / 2, [])]:
+            # c_37 = c_{n-37} = amplitude e^{0.3i}
+            v = base + 2 * amplitude * np.cos(37 * t + 0.3)
+            assert higham_tau(np.fft.fft(v) / n) == pytest.approx(tau, rel=1e-9)
+            kept = hardy._kept_spectrum(v)[1]
+            assert np.flatnonzero(kept).tolist() == sorted([0, k, n - k] + planted)
+            err = np.abs(poisson_sum(v, zs) - long_double_poisson(v, zs)).astype(float)
+            assert np.max(err) <= 1e-13 * np.max(np.abs(c))
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 100, 1000, 1024, 4096])
+    def test_nothing_dropped_is_the_full_spectrum_bit_for_bit(self, n):
+        rng = np.random.default_rng(n + 5)
+        zs = poisson_oracle_points(n, rng)
+        data = poisson_oracle_data(n, rng)
+        data["outer"] = outer_contour_style(n, rng)[0]
+        for name, v in data.items():
+            kept = hardy._kept_spectrum(v)[1]
+            if n & (n - 1):
+                # tau = 0: only exact zeros go
+                assert np.array_equal(kept, np.fft.fft(v) != 0), name
+            elif name in ("noise", "spike", "clamped"):
+                # rough data keep every coefficient
+                assert kept.all(), name
+            if kept.all():
+                assert np.array_equal(poisson_sum(v, zs), poisson_sum_full_spectrum(v, zs)), name
+
+    @pytest.mark.parametrize("n", [1024, 2048, 4096])
+    def test_outer_logs_keep_the_mean_and_one_frequency(self, n, monkeypatch):
+        v, zs = outer_contour_style(n, np.random.default_rng(n))
+        c = np.fft.fft(v) / n
+        k = 1 + int(np.argmax(np.abs(c[1:n // 2])))
+        assert np.flatnonzero(hardy._kept_spectrum(v)[1]).tolist() == [0, k, n - k]
+        seen = power_series_sizes(monkeypatch)
+        got = poisson_sum(v, zs)
+        # the series stops at k and the shell sums k and k + 1 terms
+        assert seen and max(terms for terms, _ in seen) <= k + 1
+        err = np.max(np.abs(got - poisson_sum_full_spectrum(v, zs)))
+        assert err <= 1e-13 * np.max(np.abs(c))
+
+    def test_exact_zeros_go_where_tau_is_zero(self, monkeypatch):
+        # n = 96 is no power of two, so tau = 0: a constant's spectrum is c_0
+        # and exact zeros, which go, and the shell sums c_0 z**n / (1 - z**n)
+        n = 96
+        v = np.full(n, -0.25)
+        c, kept = hardy._kept_spectrum(v)
+        assert np.flatnonzero(kept).tolist() == [0]
+        zs = outside_the_band(n, np.random.default_rng(96))
+        seen = power_series_sizes(monkeypatch)
+        err = np.abs(poisson_sum(v, zs) - long_double_poisson(v, zs)).astype(float)
+        assert seen and all(terms == 1 for terms, _ in seen)
+        assert np.max(err) <= 1e-14
+        # all-zero samples keep nothing, and their sum is exactly 0
+        assert not hardy._kept_spectrum(np.zeros(64))[1].any()
+        assert not np.any(poisson_sum(np.zeros(64), zs))
+
+    def test_split_fold_matches_the_full_spectrum(self, monkeypatch):
+        # a kept frequency on each side of n/2 with a gap between: the shell
+        # sums the two short polynomials, one of them times z**(K'-1)
+        n = 2048
+        rng = np.random.default_rng(23)
+        t = TAU * np.arange(n) / n
+        v = -0.06 * (1.0 + 0.5 * np.cos(3 * t + 0.7)) + 0.01 * np.sin(200 * t)
+        gaps = rng.uniform(8.0, 40.0, 500) / n
+        zs = (1.0 - gaps) * np.exp(1j * rng.uniform(0.0, TAU, gaps.size))
+        seen = power_series_sizes(monkeypatch)
+        got = poisson_sum(v, zs)
+        assert sorted({terms for terms, _ in seen}) == [200, 201]
+        scale = np.max(np.abs(np.fft.fft(v) / n))
+        assert np.max(np.abs(got - poisson_sum_full_spectrum(v, zs))) <= 1e-13 * scale
+        err = np.abs(got - long_double_poisson(v, zs)).astype(float)
+        assert np.max(err) <= 1e-13 * scale
 
 
 class TestOuter:
