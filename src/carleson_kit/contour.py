@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import _blaschke_log_abs, _min_pseudo_hyperbolic
-from .carleson import CurveMeasure, carleson_norm
+from .carleson import CurveMeasure, _ranges, carleson_norm
 from .disk import (
     TAU,
     Arc,
@@ -52,7 +52,8 @@ from .hardy import poisson_sum
 _BOUND_PAD = 1e-9
 # dyadic depth below which the bad-interval scan stops
 _DEPTH_FLOOR = 20
-# (circle, disk) pairs per row block of the boundary extraction's tests
+# (circle, disk) pairs per row block of the boundary extraction's tests, and
+# (sample, circle) pairs per block of Region.contains_many
 _PAIR_BLOCK = 2 ** 15
 # largest Carleson norm of the boundary curve that verify_region accepts
 CONTOUR_NORM_BOUND = 10.0
@@ -313,8 +314,34 @@ class Region:
     radius round to the same 14 digits are kept once, the first in the
     order given, so extraction, membership and verification all read the
     same circles.  Membership is the OR of |z - c| < r over the circles,
-    one disk at a time over Python scalars: a broadcast of every point
-    against every disk was measured 3.3 times slower.
+    tested by windows: the samples are sorted once by real part, two
+    ``np.searchsorted`` calls find each circle's window
+    fl(cx - r) <= x <= fl(cx + r), and the test runs on the (sample,
+    circle) pairs in the windows only, in blocks of about ``_PAIR_BLOCK``
+    pairs, whole circles each.  On the benchmark's corpus, whose radii run
+    from 5.2e-7 to 3.4e-5, the windows hold 2,900-3,300 pairs per report,
+    where testing every sample against every circle takes 10,000 at 1
+    circle and 500,000 at 50.  In process, on about 10,000 samples, the
+    windows take 0.14-0.22 ms per call at any count; a loop over the circles
+    took 0.028 ms at 1 circle and 1.29 ms at 50.
+
+    Why the window loses no sample, so the mask is the per-circle loop's
+    bit for bit (each pair is the same subtraction and abs):
+
+    - numpy's complex abs of a + bi is never below |a|.  Its SIMD route
+      computes larger sqrt(1 + (smaller/larger)^2), where the square root
+      and the product round monotonically from a factor of at least 1; its
+      scalar route is ``hypot``, which is never below |a| either.  So a
+      sample x + iy that passes has |fl(x - cx)| < r.
+    - If x < cx - r exactly, then fl(x - cx) <= -r, since rounding is
+      monotone and -r is a float; likewise on the other side.  So every
+      sample that passes lies in [cx - r, cx + r].
+    - A float x is its own rounding, so x >= cx - r gives
+      x >= fl(cx - r) by monotone rounding, and x <= cx + r gives
+      x <= fl(cx + r).  So the window holds every sample that passes, and
+      needs no widening even where fl(cx - r) rounds above cx - r.
+    - NaN sorts last and lies in no window, so a NaN sample reads False,
+      as in the per-circle loop.
 
     No Carleson square is met with the disks, because the closed disk's
     square already holds each of them.  The disk {|b_a| < gamma} has
@@ -340,10 +367,22 @@ class Region:
 
     def contains_many(self, z) -> np.ndarray:
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.zeros(zs.shape, dtype=bool)
-        for c, r in zip(self.centers.tolist(), self.radii.tolist()):
-            out |= np.abs(zs - c) < r
-        return out
+        flat = zs.reshape(-1)
+        order = np.argsort(flat.real)
+        x = flat.real[order]
+        cx = self.centers.real
+        start = np.searchsorted(x, cx - self.radii)
+        count = np.searchsorted(x, cx + self.radii, side="right") - start
+        out = np.zeros(flat.size, dtype=bool)
+        # blocks of about _PAIR_BLOCK pairs, whole circles each
+        block = count.cumsum() // _PAIR_BLOCK
+        cuts = [0, *((block[1:] != block[:-1]).nonzero()[0] + 1).tolist(), count.size]
+        for lo, hi in zip(cuts, cuts[1:]):
+            at = order[_ranges(start[lo:hi], count[lo:hi])]
+            c = np.repeat(self.centers[lo:hi], count[lo:hi])
+            r = np.repeat(self.radii[lo:hi], count[lo:hi])
+            out[at[np.abs(flat[at] - c) < r]] = True
+        return out.reshape(zs.shape)
 
 
 @dataclass(frozen=True)

@@ -598,11 +598,23 @@ def region_samples_reference(region, samples, rng):
     return np.concatenate([zs] + near) if near else zs
 
 
+def region_contains_reference(region, z) -> np.ndarray:
+    """``contour.Region.contains_many`` one circle at a time: the OR of
+    |z - c| < r over the region's circles, each tested against every entry
+    of ``z``, whose shape the mask keeps."""
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = np.zeros(zs.shape, dtype=bool)
+    for c, r in zip(region.centers.tolist(), region.radii.tolist()):
+        out |= np.abs(zs - c) < r
+    return out
+
+
 def verify_region_reference(phi, result, eps, samples, rng, depth=12):
     """``contour.verify_region`` at the points of
-    :func:`region_samples_reference`, with its report."""
+    :func:`region_samples_reference`, with its report and membership by
+    :func:`region_contains_reference`."""
     zs = region_samples_reference(result.region, samples, rng)
-    inside = result.region.contains_many(zs)
+    inside = region_contains_reference(result.region, zs)
     log_abs = phi.log_abs(zs)
     upper_level = math.log(eps) + 1e-9
     lower_level = result.constants.log_eps_prime

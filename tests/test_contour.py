@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from oracles import (
     ci_zeros,
     extract_polylines_reference,
     log_abs_oracle,
+    region_contains_reference,
     region_samples_reference,
     rho_log_abs_reference,
     verify_region_reference,
@@ -1053,3 +1055,156 @@ class TestBlockedSamplerAndDrawing:
         drawn = sum(p.nbytes for p in polylines)
         assert len(polylines) == 4000
         assert peak < drawn + 4e6
+
+
+def _membership_case(count, seed):
+    """The region of ``count`` seeded zeros at eps = 0.1, as in the
+    blaschke-contour corpus, with the 10,000 points verify_region samples."""
+    rng = np.random.default_rng(seed)
+    result = bourgain_contour(BoundedFunction(zeros=random_blaschke_zeros(rng, count)), 0.1)
+    return result.region, region_samples_reference(result.region, 10000, rng)
+
+
+def _gamma_region(zeros):
+    """The region of the gamma-disks at eps = 0.1 around ``zeros``."""
+    gamma = ContourConstants.for_epsilon(0.1).gamma
+    return Region(zip(*(a.tolist() for a in pseudo_hyperbolic_disk(zeros, gamma))))
+
+
+def _column(count):
+    """``count`` zeros 0.3 + iy, y evenly spaced in (-0.9, 0.9)."""
+    return 0.3 + 1j * (-0.9 + 1.8 * (np.arange(count) + 0.5) / count)
+
+
+def _edge_samples(region, steps=2):
+    """Points at the real parts fl(cx - r) and fl(cx + r) of each circle and
+    up to ``steps`` floats either side, at the circle's imaginary part."""
+    cx, cy = region.centers.real, region.centers.imag
+    xs = []
+    for edge, up in ((cx - region.radii, np.inf), (cx + region.radii, -np.inf)):
+        x = edge.copy()
+        for _ in range(steps):
+            x = np.nextafter(x, up)
+        for _ in range(2 * steps + 1):
+            xs.append(x + 1j * cy)
+            x = np.nextafter(x, -up)
+    return np.concatenate(xs)
+
+
+class TestRegionMembership:
+    """``Region.contains_many`` against the per-circle loop of
+    ``oracles.region_contains_reference``, bit for bit."""
+
+    COUNTS = (1, 8, 9, 25, 50)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_corpus_like_regions_match_the_loop(self, count):
+        region, zs = _membership_case(count, 3800 + count)
+        got = region.contains_many(zs)
+        assert np.array_equal(got, region_contains_reference(region, zs))
+        assert got.any() and not got.all()
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_blocks_of_a_few_pairs_match_the_loop(self, count, monkeypatch):
+        # blocks of at most a few pairs cut the windows between circles
+        monkeypatch.setattr(contour_mod, "_PAIR_BLOCK", 7)
+        region, zs = _membership_case(count, 3900 + count)
+        assert np.array_equal(region.contains_many(zs), region_contains_reference(region, zs))
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_samples_on_the_window_edges(self, count):
+        region, _ = _membership_case(count, 3800 + count)
+        zs = _edge_samples(region)
+        assert np.array_equal(region.contains_many(zs), region_contains_reference(region, zs))
+
+    def test_planted_edges(self):
+        # dyadic circles, whose edge points lie at |z - c| = r exactly and
+        # read outside, and circles at cx = 0.3 whose fl(cx - r) rounds
+        # above the exact cx - r: the point at fl(cx - r) lies inside
+        dyadic = [(complex(k / 16, j / 16), 2.0 ** -m)
+                  for k, j, m in ((2, 2, 4), (-3, 5, 6), (7, -2, 5), (0, 0, 3), (-5, -5, 7))]
+        radii = np.random.default_rng(38).uniform(1e-6, 1e-2, 200)
+        above = [r for r in radii.tolist() if Fraction(0.3 - r) > Fraction(0.3) - Fraction(r)]
+        circles = dyadic + [(complex(0.3, 0.1 * i), r) for i, r in enumerate(above[:6])]
+        region = Region(circles)
+        assert region.radii.size == 11
+        zs = _edge_samples(region, steps=3)
+        got = region.contains_many(zs)
+        assert np.array_equal(got, region_contains_reference(region, zs))
+        # at the center's height, each dyadic disk holds the three points
+        # inside either edge and neither the edge nor the points beyond it
+        edges = got.reshape(2, 7, -1)
+        assert edges[:, :3, :5].all() and not edges[:, 3:, :5].any()
+        # x - cx is exact there (Sterbenz), so fl(cx - r) lies in its disk
+        assert edges[0, 3, 5:].all()
+
+    def test_column_of_circles(self, monkeypatch):
+        # 60 circles sharing one real part to a few ulps: every window holds
+        # the samples of every circle
+        region = _gamma_region(_column(60))
+        zs = np.concatenate([region_samples_reference(region, 10000, np.random.default_rng(5)),
+                             _edge_samples(region)])
+        want = region_contains_reference(region, zs)
+        assert np.array_equal(region.contains_many(zs), want)
+        monkeypatch.setattr(contour_mod, "_PAIR_BLOCK", 1000)
+        assert np.array_equal(region.contains_many(zs), want)
+
+    def test_window_pairs_stay_in_blocks(self):
+        # 2,000 circles of one column and 9,000 samples: 4.9 million
+        # (sample, circle) pairs lie in the windows, whose index, center and
+        # difference arrays would take hundreds of MB in one block
+        region = _gamma_region(_column(2000))
+        zs = region_samples_reference(region, 10000, np.random.default_rng(6))
+        tracemalloc.start()
+        try:
+            got = region.contains_many(zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert np.array_equal(got, region_contains_reference(region, zs))
+
+    @pytest.mark.parametrize("count", (2, 20))
+    def test_radii_below_the_spacing_of_the_centers(self, count):
+        # zeros at 1 - 2^-50 as in contour-near-circle-50: each radius lies
+        # below half a unit in the last place of the center's real part
+        rng = np.random.default_rng(count)
+        region = _gamma_region((1.0 - 2.0 ** -50) * np.exp(1j * rng.uniform(0.0, TAU, count)))
+        assert np.all(region.radii < np.spacing(np.abs(region.centers.real)) / 2)
+        zs = np.concatenate([region.centers, _edge_samples(region),
+                             region_samples_reference(region, 1000, rng)])
+        got = region.contains_many(zs)
+        assert np.array_equal(got, region_contains_reference(region, zs))
+        assert got[:region.radii.size].all()
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_nan_infinite_and_empty_samples(self, count):
+        region, zs = _membership_case(count, 3800 + count)
+        nan, inf = math.nan, math.inf
+        c = complex(region.centers[0])
+        odd = np.array([complex(nan, nan), complex(nan, c.imag), complex(c.real, nan),
+                        complex(inf, c.imag), complex(-inf, c.imag), complex(c.real, inf), c])
+        zs = np.concatenate([odd, zs[:500], odd])
+        got = region.contains_many(zs)
+        assert np.array_equal(got, region_contains_reference(region, zs))
+        assert not got[:6].any() and got[6]
+        empty = region.contains_many(np.array([], dtype=complex))
+        assert empty.shape == (0,) and empty.dtype == bool
+
+    def test_empty_region(self):
+        region = Region([])
+        zs = np.array([0.0, 0.3 + 0.2j, complex(math.nan, 0.0)])
+        assert not region.contains_many(zs).any()
+        assert region.contains_many(np.zeros((0, 3), dtype=complex)).shape == (0, 3)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_two_dimensional_samples_keep_their_shape(self, count):
+        region, zs = _membership_case(count, 3800 + count)
+        grid = zs[:9000].reshape(90, 100)
+        got = region.contains_many(grid)
+        assert got.shape == (90, 100)
+        assert np.array_equal(got, region_contains_reference(region, grid))
+        assert np.array_equal(got.reshape(-1), region.contains_many(zs[:9000]))
+        column = np.asfortranarray(grid)[:, ::3]
+        assert np.array_equal(region.contains_many(column),
+                              region_contains_reference(region, column))

@@ -17,10 +17,11 @@ A row whose outcome is wrong today is a strict expected failure naming the
 ROADMAP item that mends it, so the mend flips it.
 
 The large sizes of ROADMAP item 18 are not rows here: 2,000 and 4,000
-zeros (``contour``) and 8,000 atoms (``carleson``) would take seconds of
-the suite each.  They are left to the CI steps named "Large input" (twice)
-and "Large carleson input" in ``.github/workflows/tests.yml``, which pin
-their exit status, time and peak resident memory.
+zeros (``contour``), 2,000 zeros of one real part and 8,000 atoms
+(``carleson``) would take seconds of the suite each.  They are left to the
+CI steps named "Large input" (twice), "Column of circles" and "Large
+carleson input" in ``.github/workflows/tests.yml``, which pin their exit
+status, time and peak resident memory.
 """
 
 import json
@@ -53,6 +54,11 @@ EDGES = {
     # a zero next to the ray at turn 0 with a disk of radius 2e-303
     "contour-epsilon-1e-300": Edge("contour", ["--epsilon", "1e-300", "--seed", "1"],
                                    {"zeros": [[0.9990234375, 0.0]]}, 0, [], {"polylines": 1}),
+    # 60 circles of one real part: every window of Region.contains_many
+    # holds the samples of every circle
+    "contour-column": Edge("contour", CONTOUR,
+                           {"zeros": [[0.3, -0.9 + 1.8 * (k + 0.5) / 60] for k in range(60)]},
+                           0, [], {"polylines": 60}),
     "sequence-coincident": Edge("sequence", [], {"points": [[0.5, 0.0], [0.5, 0.0]]}, 2,
                                 "input error: sequence points must be pairwise distinct"),
     "sequence-1e-15-apart": Edge("sequence", [], {"points": [[0.5, 0.0], [0.5 + 1e-15, 0.0]]},
