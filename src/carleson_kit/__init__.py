@@ -1,6 +1,6 @@
 """Numerical toolkit for free-interpolation geometry in the unit disk:
-kernels and pseudo-hyperbolic metrics, discrete Hardy-space calculus,
-Carleson measures, model subspaces, Riesz-system diagnostics, level
+kernels and pseudo-hyperbolic metrics, the Poisson quadrature of boundary
+samples, Carleson measures, matrix functions, Riesz-system diagnostics, level
 contours of bounded functions, contour-net constructions, and the
 weighted exponential-system hierarchy.
 """
@@ -16,11 +16,11 @@ from .construction import (ContourNetEntry, PointSystem, build_contour_nets,
 from .contour import (BoundedFunction, ContourConstants, ContourResult,
                       RepresentingMeasure, bourgain_contour, check_potential_bounds,
                       select_bad_intervals, verify_region)
-from .disk import Arc, dyadic_arc, hyperbolic_grid, kernel, kernel_inner
+from .disk import Arc, dyadic_arc, hyperbolic_grid, kernel_inner
 from .errors import (ContourBoundError, DomainError, LinearDependenceError,
                      NetValidityError)
-from .hardy import BoundaryGrid, poisson_sum, riesz_project
-from .model_space import MatrixFunction, kernel_grid, project_model
+from .hardy import poisson_sum
+from .model_space import MatrixFunction
 from .riesz import (GramFactor, SubspaceSystem, embedding_norm,
                     extract_critical_subset, uniform_minimality)
 from .weights import Weight, classify_weight, p0_norm_check

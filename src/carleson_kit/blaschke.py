@@ -277,17 +277,19 @@ def place_net_on_curve(vertices, alpha: float) -> list[complex]:
     return visit[selected].tolist()
 
 
-def net_is_valid(vertices, net, alpha: float) -> tuple[bool, bool, bool]:
-    """(separated, dense, product_small): the three net postconditions.
+def net_is_valid(vertices, product: BlaschkeProduct,
+                 alpha: float) -> tuple[bool, bool, bool]:
+    """(separated, dense, product_small): the three net postconditions of
+    the net of ``product``'s zeros, which the product has checked.
 
     separated: |b_lam(mu)| > alpha for distinct net points;
     dense: every vertex has a net point with |b_lam(z)| < alpha;
-    product_small: |B(z)| < alpha at every vertex for B the net's product.
+    product_small: |B(z)| < alpha at every vertex for B = ``product``.
     """
-    if np.size(net) == 0:
+    arr, defects = product.zeros, product._defects
+    if arr.size == 0:
         return (True, np.size(vertices) == 0, np.size(vertices) == 0)
-    product = BlaschkeProduct(net)
-    arr, defects, verts = product.zeros, product._defects, _interior(vertices)
+    verts = _interior(vertices)
     d = _pseudo_hyperbolic(arr[:, None], arr[None, :], defects[:, None])
     np.fill_diagonal(d, np.inf)  # a single point is separated
     separated = bool(d.min() > alpha)

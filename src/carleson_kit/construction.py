@@ -178,8 +178,9 @@ def build_contour_nets(theta_family, eps: float, alpha: float,
         vertices = (np.concatenate(contour.polylines)
                     if contour.polylines else np.zeros(0, dtype=complex))
         sigma = place_net_on_curve(vertices, alpha)
+        product = BlaschkeProduct(sigma)
         if sigma:
-            separated, dense, product_small = net_is_valid(vertices, sigma, alpha)
+            separated, dense, product_small = net_is_valid(vertices, product, alpha)
             if not (separated and dense and product_small):
                 raise NetValidityError("net on the contour fails its postconditions")
         vectors = []
@@ -196,7 +197,7 @@ def build_contour_nets(theta_family, eps: float, alpha: float,
         entries.append(ContourNetEntry(
             theta=theta, contour=contour,
             sigma=tuple(sigma), vectors=tuple(vectors),
-            star_norms=tuple(star_norms), blaschke=BlaschkeProduct(sigma)))
+            star_norms=tuple(star_norms), blaschke=product))
     return PointSystem(epsilon=eps, entries=tuple(entries))
 
 

@@ -1,11 +1,8 @@
-"""Discrete Hardy-space numerics on a uniform boundary grid.
+"""The Poisson quadrature of samples on a uniform boundary grid.
 
-A circle function is held by its samples at the 2**m roots of unity.  The
-FFT gives the Fourier-coefficient view; analytic means no negative
-coefficients.  On top of that sit the Riesz projection onto the analytic
-part and the one Poisson quadrature of uniform-grid samples
-(:func:`poisson_sum`, which also gives log|h| of an outer function h from
-its boundary log modulus).
+:func:`poisson_sum` is the one Poisson integral of samples at the n roots
+of unity, read through their FFT; it also gives log|h| of an outer
+function h from its boundary log modulus.
 
 The quadrature sums only the Fourier coefficients above the FFT's own
 error.  For a power-of-two n, Higham's Thm 24.2 (*Accuracy and Stability
@@ -42,66 +39,6 @@ _POISSON_ENTRIES = 2 ** 15
 #: numpy's pocketfft (see _fft_error)
 _U = 2.0 ** -53
 _TWIDDLE_ERROR = 10.0 * _U
-
-
-def _check_power_of_two(n: int):
-    if n < 2 or (n & (n - 1)) != 0:
-        raise DomainError(f"grid size must be a power of two >= 2, got {n}")
-
-
-class BoundaryGrid:
-    """Samples of a function on the unit circle at 2**m uniform angles.
-
-    ``values`` has shape (size, ...) with the sample axis first; entries may
-    be scalars, vectors or matrices per sample.  The coefficient view uses
-    the convention  c_k = (1/N) sum_j f(xi_j) xi_j**(-k),  stored in numpy
-    FFT order (index k modulo N), so the round trip with
-    :meth:`from_coefficients` is exact to rounding.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        values = np.asarray(values, dtype=complex)
-        _check_power_of_two(values.shape[0])
-        self.values = values
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.exp(1j * (TAU * np.arange(self.size) / self.size))
-
-    def coefficients(self) -> np.ndarray:
-        """Fourier coefficients in FFT order along the sample axis."""
-        return np.fft.fft(self.values, axis=0) / self.size
-
-    @classmethod
-    def from_coefficients(cls, coeffs) -> "BoundaryGrid":
-        coeffs = np.asarray(coeffs, dtype=complex)
-        _check_power_of_two(coeffs.shape[0])
-        return cls(np.fft.ifft(coeffs * coeffs.shape[0], axis=0))
-
-    def is_analytic(self, tol: float = 1e-10) -> bool:
-        """No coefficient at a negative frequency above ``tol`` times max(1, max|f|)."""
-        scale = max(1.0, float(np.max(np.abs(self.values))))
-        negative = np.abs(self.coefficients()[self.size // 2:])
-        return float(np.max(negative)) <= tol * scale
-
-    def norm(self) -> float:
-        """L2 norm with normalized arc-length measure."""
-        v = self.values.reshape(self.size, -1)
-        return float(np.sqrt(np.mean(np.sum(np.abs(v) ** 2, axis=1))))
-
-
-def riesz_project(grid: BoundaryGrid) -> BoundaryGrid:
-    """Riesz projection onto the analytic part: keeps frequencies 0..N/2-1."""
-    c = grid.coefficients()
-    out = np.zeros_like(c)
-    out[: grid.size // 2] = c[: grid.size // 2]
-    return BoundaryGrid.from_coefficients(out)
 
 
 def _batches(size: int, most: int) -> list[tuple[int, int]]:

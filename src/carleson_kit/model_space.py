@@ -1,14 +1,16 @@
-"""Scalar and matrix model-space computations on the boundary grid.
+"""Matrix functions on the closed disk.
 
-Scalar side: the projection onto K_theta = H^2 - theta H^2 for a finite
-Blaschke product theta.  Matrix side: bounded analytic matrix functions
-Theta, their boundary samples (:meth:`MatrixFunction.boundary`, computed
-once per function) and the coefficients and zeros of det Theta.  The span
-of the kernels at a finite zero set is built by
-``riesz.SubspaceSystem.from_kernel_groups``; the covering count of
-{|det Theta_n| < eps**d} is computed by ``construction.lemma_10_1_check``;
-the distance of a kernel datum from the model subspace, ||Theta(lam)* e||,
-is the ``star_norms`` entry of ``construction.build_contour_nets``.
+Bounded analytic matrix functions Theta, their boundary samples
+(:meth:`MatrixFunction.boundary`, computed once per function) and the
+coefficients and zeros of det Theta.  The span of the kernels at a finite
+zero set is built by ``riesz.SubspaceSystem.from_kernel_groups``; the
+covering count of {|det Theta_n| < eps**d} is computed by
+``construction.lemma_10_1_check``; the distance of a kernel datum from the
+model subspace, ||Theta(lam)* e||, is the ``star_norms`` entry of
+``construction.build_contour_nets``.  For a Blaschke product Theta = B
+that distance is |B(lam)|, the reciprocal of the projection norm at lam
+that ``blaschke.interpolation_constants`` gives for B's zeros and lam: the
+product formula of the ``sequence`` report (acceptance c02).
 
 Matrix functions are held as a polynomial matrix numerator over a scalar
 polynomial denominator with no zeros in the closed disk.  Polynomial
@@ -22,9 +24,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .disk import TAU, _interior, kernel
+from .disk import TAU, _interior
 from .errors import DomainError
-from .hardy import BoundaryGrid, riesz_project
 
 # boundary samples of a matrix function: the roots of unity of this order
 BOUNDARY_SIZE = 2048
@@ -71,10 +72,6 @@ class MatrixFunction:
     @property
     def cols(self) -> int:
         return self.numer.shape[2]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
 
     def __call__(self, z):
         zs = np.asarray(z, dtype=complex)
@@ -132,13 +129,6 @@ class MatrixFunction:
         return cls(np.asarray(coeff_matrices, dtype=complex))
 
     @classmethod
-    def constant(cls, matrix) -> "MatrixFunction":
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2:
-            raise DomainError("constant matrix must be two-dimensional")
-        return cls(m[None, :, :])
-
-    @classmethod
     def from_scalar_blaschke(cls, zeros) -> "MatrixFunction":
         """The 1x1 matrix function equal to the Blaschke product over ``zeros``."""
         num = np.array([1.0 + 0j])
@@ -159,7 +149,7 @@ class MatrixFunction:
         if not entries:
             raise DomainError("diagonal needs at least one entry")
         for e in entries:
-            if e.shape != (1, 1):
+            if (e.rows, e.cols) != (1, 1):
                 raise DomainError("diagonal entries must be 1x1 matrix functions")
         den = np.array([1.0 + 0j])
         for e in entries:
@@ -178,21 +168,3 @@ class MatrixFunction:
             numer[: p.shape[0], i, i] = p
         return cls(numer, den)
 
-
-def project_model(theta, f: BoundaryGrid) -> BoundaryGrid:
-    """Orthogonal projection of analytic f onto K_theta: f - theta P_+(conj(theta) f)."""
-    if not isinstance(f, BoundaryGrid):
-        raise DomainError("project_model expects a BoundaryGrid")
-    if f.values.ndim != 1:
-        raise DomainError("project_model handles scalar functions")
-    if not f.is_analytic(1e-8):
-        raise DomainError("input must be analytic on the grid")
-    theta_b = theta(f.points)
-    inner = BoundaryGrid(np.conj(theta_b) * f.values)
-    plus = riesz_project(inner)
-    return BoundaryGrid(f.values - theta_b * plus.values)
-
-
-def kernel_grid(lam, size: int) -> BoundaryGrid:
-    """Boundary samples of the normalized kernel k_lam."""
-    return BoundaryGrid(kernel(lam, np.exp(1j * TAU * np.arange(size) / size)))

@@ -37,7 +37,7 @@ from carleson_kit.contour import (
     verify_region,
 )
 from carleson_kit.disk import hyperbolic_grid
-from carleson_kit.model_space import MatrixFunction, kernel_grid, project_model
+from carleson_kit.model_space import MatrixFunction
 from carleson_kit.riesz import (
     GramFactor,
     SubspaceSystem,
@@ -46,7 +46,7 @@ from carleson_kit.riesz import (
     uniform_minimality,
 )
 from carleson_kit.weights import Weight, classify_weight, p0_norm_check
-from oracles import minimality_oracle, skew_norm_oracle
+from oracles import kernel_datum_distance, minimality_oracle, skew_norm_oracle
 
 TAU = 2 * math.pi
 ARTIFACT = Path(__file__).parent / "artifacts" / "acceptance_report.json"
@@ -108,14 +108,21 @@ def test_c01_projection_norms_match_inverse_product_formula():
 
 
 def test_c02_model_projection_of_kernel_matches_defect():
+    # ||P_{K_B} k_lam||^2 = 1 - |B(lam)|^2 for the Blaschke product B over
+    # the zeros.  The sequence report's projection norm at lam, with the
+    # zeros as the other points, is 1 / prod rho(lam, a) = 1 / |B(lam)|; the
+    # oracle takes |B(lam)| as the distance of k_lam from K_B, the l2 norm
+    # of P_+(conj(B) k_lam) on a 4096-point boundary grid
     rng = np.random.default_rng(202)
     worst = 0.0
     with Timer() as t:
         for _ in range(100):
-            b = BlaschkeProduct(random_zeros(rng, int(rng.integers(1, 21)), rmax=0.9))
+            zeros = random_zeros(rng, int(rng.integers(1, 21)), rmax=0.9)
             lam = complex(*rng.uniform(-0.6, 0.6, 2))
-            proj = project_model(b, kernel_grid(lam, 4096))
-            worst = max(worst, abs(proj.norm() ** 2 - (1.0 - abs(b(lam)) ** 2)))
+            norm = interpolation_constants([*zeros, lam]).projection_norms[-1]
+            distance = kernel_datum_distance(MatrixFunction.from_scalar_blaschke(zeros), lam,
+                                             [1.0], 4096)
+            worst = max(worst, abs((1.0 - norm ** -2) - (1.0 - distance ** 2)))
     record("c02_kernel_projection_norm", cases=100, worst_absolute_error=worst,
            seconds=t.elapsed)
     assert worst <= 1e-8
@@ -244,7 +251,7 @@ def test_c07_contour_nets_separated_dense_small_product():
     ]
     matrix_family = [MatrixFunction.diagonal([
         MatrixFunction.from_scalar_blaschke([0.4]),
-        MatrixFunction.constant(np.eye(1)),
+        MatrixFunction.from_polynomial([np.eye(1)]),
     ])]
     alpha = 0.05
     net_sizes = []
@@ -254,7 +261,7 @@ def test_c07_contour_nets_separated_dense_small_product():
             for entry in ps.entries:
                 verts = np.concatenate(
                     [np.asarray(p) for p in entry.contour.polylines])
-                separated, dense, small = net_is_valid(verts, entry.sigma, alpha)
+                separated, dense, small = net_is_valid(verts, entry.blaschke, alpha)
                 assert separated
                 assert dense
                 assert small
@@ -374,7 +381,7 @@ def test_c10_outer_comparison_chain():
                                     z_grid=grid, abs_dets=dets, alpha=0.05)
         # outer-member family against a hand-tightened inner level
         mixed_theta = [MatrixFunction.from_scalar_blaschke([0.5]),
-                       MatrixFunction.constant(np.array([[0.25]]))]
+                       MatrixFunction.from_polynomial([np.array([[0.25]])])]
         mixed_b = [BlaschkeProduct([0.5]), BlaschkeProduct(())]
         mixed_dets = np.abs(np.linalg.det(np.stack([t(grid) for t in mixed_theta])))
         mixed = lemma_10_1_check(mixed_theta, mixed_b, eps=0.1, log_eps_prime=-5.0,

@@ -17,7 +17,9 @@ somewhere in the library: a helper that only tests load is dead code.
 Every function, class and method of the package is reachable from the
 command line's runners (``cli.main`` and the ``cli.run_*`` functions) in
 the package's name graph, or named in ``UNREACHABLE_FROM_RUNNERS`` with the
-acceptance guarantee or documented public primitive that needs it.
+acceptance guarantee or documented public primitive that needs it.  A
+mention ``x.name`` of a numpy array attribute's name reaches a method of
+that name only where the scan ties ``x`` to the method's class.
 """
 
 import ast
@@ -25,6 +27,8 @@ import importlib
 import inspect
 import types
 from pathlib import Path
+
+import numpy as np
 
 import carleson_kit
 
@@ -62,7 +66,7 @@ def test_every_export_has_a_caller():
     used = _loaded_names() | _acceptance_imports()
     exports = [name for name in carleson_kit.__all__
                if not isinstance(getattr(carleson_kit, name), types.ModuleType)]
-    assert len(exports) > 50
+    assert len(exports) > 45
     assert sorted(name for name in exports if name not in used) == []
 
 
@@ -237,53 +241,101 @@ def test_every_private_name_is_loaded_in_the_library():
 #: library definitions that no command-line runner reaches, with the
 #: acceptance guarantee or documented public primitive that needs each
 UNREACHABLE_FROM_RUNNERS = {
-    # the FFT model-space chain (README: carleson_kit.hardy, model_space)
-    "hardy.BoundaryGrid": "acceptance c02 (the FFT model-space chain)",
-    "hardy.BoundaryGrid.from_coefficients": "acceptance c02 (the FFT model-space chain)",
-    "hardy.BoundaryGrid.is_analytic": "acceptance c02 (the FFT model-space chain)",
-    "hardy.riesz_project": "acceptance c02 (the FFT model-space chain)",
-    "model_space.kernel_grid": "acceptance c02 (the FFT model-space chain)",
-    "model_space.project_model": "acceptance c02 (the FFT model-space chain)",
     # the checked disk primitives; the library calls their unchecked forms
-    "disk.kernel": "documented public primitive (README: carleson_kit.disk)",
-    "disk.pseudo_hyperbolic": "documented public primitive (README: carleson_kit.disk)",
-    "disk.pseudo_hyperbolic_disk": "documented public primitive (README: carleson_kit.disk)",
-    "disk.blaschke_factor": "documented public primitive (disk's module docstring)",
+    "disk.kernel": "documented public primitive k_lam(z) (README: carleson_kit.disk); "
+                   "the library sums kernels by _kernel_sums",
+    "disk.pseudo_hyperbolic": "documented public primitive rho (README: carleson_kit.disk); "
+                              "the library calls _pseudo_hyperbolic",
+    "disk.pseudo_hyperbolic_disk": "documented public primitive (README: carleson_kit.disk); "
+                                   "the library calls _pseudo_hyperbolic_disk",
+    "disk.blaschke_factor": "documented public primitive b_lam(z) (disk's module docstring); "
+                            "the library calls _blaschke_factor",
     # the potential's two-sided bounds
     "contour.check_potential_bounds": "acceptance c06",
     "contour.RepresentingMeasure.potential": "acceptance c06",
-    # constant members of matrix families
-    "model_space.MatrixFunction.constant": "acceptance c07 and c10",
+    # matrix families with a diagonal inner member
+    "model_space.MatrixFunction.diagonal": "acceptance c07 (diagonal inner members)",
 }
 
+#: attribute names of numpy arrays: a mention ``x.name`` of one reaches a
+#: method of that name only where the scan ties ``x`` to the method's class,
+#: so that ``chol.diagonal()`` on an array does not reach
+#: ``MatrixFunction.diagonal``
+ARRAY_ATTRIBUTES = frozenset(name for name in dir(np.ndarray) if not name.startswith("_"))
 
-def _references(nodes) -> set:
-    """Every name and attribute name that the AST ``nodes`` mention."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for root in nodes for node in ast.walk(root)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+
+def _bound_classes(root, classes) -> dict:
+    """{variable: class} for the variables in ``root`` that a parameter
+    annotation, or an assignment from a call of the class or of one of its
+    methods, ties to one of ``classes``."""
+    bound = {}
+    for node in ast.walk(root):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            name = ast.unparse(node.annotation).strip("'\"")
+            if name in classes:
+                bound[node.arg] = name
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            owner = func.value if isinstance(func, ast.Attribute) else func
+            if isinstance(owner, ast.Name) and owner.id in classes:
+                bound.update((t.id, owner.id) for t in node.targets if isinstance(t, ast.Name))
+    return bound
+
+
+def _references(nodes, classes=frozenset(), owner=None) -> set:
+    """Every name and attribute name that the AST ``nodes`` mention.
+
+    An attribute name in ``ARRAY_ATTRIBUTES`` is entered as
+    ``Class.name``, and only where its object is one of ``classes``,
+    ``self`` or ``cls`` in a method of ``owner``, or a variable that
+    :func:`_bound_classes` ties to a class.
+    """
+    found = set()
+    for root in nodes:
+        bound = {"self": owner, "cls": owner, **{c: c for c in classes},
+                 **_bound_classes(root, classes)}
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                if node.attr not in ARRAY_ATTRIBUTES:
+                    found.add(node.attr)
+                elif isinstance(node.value, ast.Name) and bound.get(node.value.id):
+                    found.add(f"{bound[node.value.id]}.{node.attr}")
+    return found
 
 
 def _name_graph():
-    """({qualified definition: (name, names it mentions)}, the names that
-    import-time code mentions).  A class mentions what its body outside its
-    methods mentions, and its dunder methods, which run unnamed."""
+    """({qualified definition: (the name that reaches it, names it
+    mentions)}, the names that import-time code mentions).  A class
+    mentions what its body outside its methods mentions, and its dunder
+    methods, which run unnamed.  A method named like a numpy array
+    attribute is reached by the name ``Class.name`` (see
+    :func:`_references`)."""
     definitions, import_time = {}, set()
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(), str(path)).body:
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    classes = frozenset(node.name for tree in trees.values() for node in tree.body
+                        if isinstance(node, ast.ClassDef))
+    for stem, tree in trees.items():
+        for node in tree.body:
             if isinstance(node, functions):
-                definitions[f"{path.stem}.{node.name}"] = (node.name, _references([node]))
+                definitions[f"{stem}.{node.name}"] = (node.name, _references([node], classes))
             elif isinstance(node, ast.ClassDef):
                 methods = [m for m in node.body if isinstance(m, functions)]
                 rest = [n for n in node.body if not isinstance(n, functions)]
                 dunders = {m.name for m in methods if m.name.startswith("__")}
-                definitions[f"{path.stem}.{node.name}"] = (
-                    node.name, _references(rest + node.bases + node.decorator_list) | dunders)
+                definitions[f"{stem}.{node.name}"] = (
+                    node.name,
+                    _references(rest + node.bases + node.decorator_list, classes, node.name)
+                    | dunders)
                 for m in methods:
-                    definitions[f"{path.stem}.{node.name}.{m.name}"] = (m.name, _references([m]))
+                    key = f"{node.name}.{m.name}" if m.name in ARRAY_ATTRIBUTES else m.name
+                    definitions[f"{stem}.{node.name}.{m.name}"] = (
+                        key, _references([m], classes, node.name))
             else:
-                import_time |= _references([node])
+                import_time |= _references([node], classes)
     return definitions, import_time
 
 
@@ -304,9 +356,21 @@ def _reachable_from_runners(definitions, import_time) -> set:
     return reached
 
 
+def test_array_attributes_reach_a_method_only_through_its_class():
+    classes = frozenset({"M", "S"})
+    code = ("def f(a, s: S):\n"
+            "    a.diagonal(); a.shape; a.rows\n"
+            "    m = M.build(); m.take(0); s.take(1); M.diagonal([])\n")
+    assert _references([ast.parse(code)], classes) == {
+        "a", "s", "S", "m", "M", "build", "rows", "M.take", "S.take", "M.diagonal"}
+    method = ast.parse("def g(self):\n    self.diagonal(); x.diagonal()\n")
+    assert _references([method], classes, "M") == {"self", "x", "M.diagonal"}
+
+
 def test_every_definition_is_reachable_from_a_runner():
     definitions, import_time = _name_graph()
     assert len(definitions) > 150
     reached = _reachable_from_runners(definitions, import_time)
-    assert {"cli.run_carleson", "carleson._layer_bounds", "disk._kernel_sums"} <= reached
+    assert {"cli.run_carleson", "carleson._layer_bounds", "disk._kernel_sums",
+            "carleson._Segments.take"} <= reached
     assert sorted(set(definitions) - reached) == sorted(UNREACHABLE_FROM_RUNNERS)

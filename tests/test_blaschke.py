@@ -130,7 +130,7 @@ def test_place_net_on_curve_postconditions():
         verts = random_interior(rng, 120, rmax=0.95)
         net = place_net_on_curve(verts, alpha)
         assert set(net) <= {complex(v) for v in verts}
-        separated, dense, product_small = net_is_valid(verts, net, alpha)
+        separated, dense, product_small = net_is_valid(verts, BlaschkeProduct(net), alpha)
         assert separated
         assert dense
         assert product_small
@@ -150,7 +150,7 @@ def test_place_net_rejects_bad_mesh():
 
 def test_net_is_valid_flags_sparse_net():
     verts = [0.0, 0.9]
-    separated, dense, product_small = net_is_valid(verts, [0.0], 0.05)
+    separated, dense, product_small = net_is_valid(verts, BlaschkeProduct([0.0]), 0.05)
     assert separated
     assert not dense
     assert not product_small
@@ -164,14 +164,15 @@ def test_net_density_is_the_one_shot_minimum_bit_for_bit():
     net = random_interior(rng, 50)
     verts = random_interior(rng, 1001)
     worst = np.min(pseudo_hyperbolic(net[None, :], verts[:, None]), axis=1).max()
-    assert not net_is_valid(verts, net, worst)[1]
-    assert net_is_valid(verts, net, np.nextafter(worst, 1.0))[1]
+    product = BlaschkeProduct(net)
+    assert not net_is_valid(verts, product, worst)[1]
+    assert net_is_valid(verts, product, np.nextafter(worst, 1.0))[1]
     with pytest.raises(DomainError):
-        net_is_valid(np.append(verts, 1.0), net, 0.05)
+        net_is_valid(np.append(verts, 1.0), product, 0.05)
 
 
 def test_net_separation_flag():
     a, b = 0.0, 0.01
     assert pseudo_hyperbolic(a, b) < 0.05
-    separated, _, _ = net_is_valid([a, b], [a, b], 0.05)
+    separated, _, _ = net_is_valid([a, b], BlaschkeProduct([a, b]), 0.05)
     assert not separated

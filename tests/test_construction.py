@@ -88,7 +88,7 @@ class TestBuildContourNets:
         assert entry.blaschke.zeros.tolist() == list(entry.sigma)
 
     def test_large_determinant_gives_empty_net(self):
-        fam = [MatrixFunction.constant(0.5 * np.eye(2))]
+        fam = [MatrixFunction.from_polynomial([0.5 * np.eye(2)])]
         ps = build_contour_nets(fam, eps=0.1, alpha=0.05)
         entry = ps.entries[0]
         assert entry.sigma == ()
@@ -97,9 +97,8 @@ class TestBuildContourNets:
 
     def test_adjoint_vector_selects_small_singular_direction(self):
         mu = 0.4
-        theta = MatrixFunction.diagonal(
-            [MatrixFunction.from_scalar_blaschke([mu]), MatrixFunction.constant(np.eye(1))]
-        )
+        theta = MatrixFunction.diagonal([MatrixFunction.from_scalar_blaschke([mu]),
+                                         MatrixFunction.from_polynomial([np.eye(1)])])
         ps = build_contour_nets([theta], eps=0.1, alpha=0.05)
         entry = ps.entries[0]
         assert len(entry.sigma) >= 1
@@ -139,14 +138,14 @@ class TestBuildContourNets:
         rect = MatrixFunction.from_polynomial([np.ones((2, 1))])
         with pytest.raises(DomainError):
             build_contour_nets([rect], eps=0.1, alpha=0.05)
-        big = MatrixFunction.constant(1.5 * np.eye(1))
+        big = MatrixFunction.from_polynomial([1.5 * np.eye(1)])
         with pytest.raises(DomainError):
             build_contour_nets([big], eps=0.1, alpha=0.05)
 
     def test_mixed_dimensions_raise_on_dim(self):
         fam = [
             MatrixFunction.from_scalar_blaschke([0.2]),
-            MatrixFunction.constant(0.5 * np.eye(2)),
+            MatrixFunction.from_polynomial([0.5 * np.eye(2)]),
         ]
         ps = build_contour_nets(fam, eps=0.1, alpha=0.05)
         with pytest.raises(DomainError):
@@ -294,9 +293,8 @@ class TestNetSplit:
         assert merged == sorted(entry.sigma, key=lambda z: (z.real, z.imag))
 
     def test_sparse_net_vectors_rejected(self):
-        theta = MatrixFunction.diagonal(
-            [MatrixFunction.from_scalar_blaschke([0.4]), MatrixFunction.constant(np.eye(1))]
-        )
+        theta = MatrixFunction.diagonal([MatrixFunction.from_scalar_blaschke([0.4]),
+                                         MatrixFunction.from_polynomial([np.eye(1)])])
         ps = build_contour_nets([theta], eps=0.1, alpha=0.05)
         # the lone net vector is far from the attached vector [1, 0]
         far = [np.array([0.0, 1.0])]
@@ -513,8 +511,10 @@ class TestMultiMemberSplit:
 
     def test_each_member_is_evaluated_once_and_no_part_product_is_empty(
             self, monkeypatch, tmp_path):
+        # and no product is built twice over the same zeros: a member's net
+        # product serves its net check, its entry and a single-label part
         grid_size = hyperbolic_grid(4, 8).size
-        sizes, zero_counts = [], []
+        sizes, zero_counts, zero_sets = [], [], []
         call, init = MatrixFunction.__call__, BlaschkeProduct.__init__
 
         def counted_call(theta, z):
@@ -524,6 +524,7 @@ class TestMultiMemberSplit:
         def counted_init(product, zeros=()):
             init(product, zeros)
             zero_counts.append(product.zeros.size)
+            zero_sets.append(product.zeros.tobytes())
 
         monkeypatch.setattr(MatrixFunction, "__call__", counted_call)
         monkeypatch.setattr(BlaschkeProduct, "__init__", counted_init)
@@ -534,6 +535,7 @@ class TestMultiMemberSplit:
                   "--out", str(tmp_path / "report.json")])
         assert sizes.count(grid_size) == len(family)
         assert zero_counts and min(zero_counts) > 0
+        assert len(set(zero_sets)) == len(zero_sets)
 
     def test_det_of_the_grid_values_is_taken_once(self, monkeypatch, tmp_path):
         # condition_sums and lemma_10_1_check share |det theta| on the grid;
@@ -590,7 +592,7 @@ class TestLemmaChain:
         rng = np.random.default_rng(9)
         theta = [
             MatrixFunction.from_scalar_blaschke([0.5]),
-            MatrixFunction.constant(np.array([[0.25]])),
+            MatrixFunction.from_polynomial([np.array([[0.25]])]),
         ]
         prods = [BlaschkeProduct([0.5]), BlaschkeProduct(())]
         grid = interior_points(rng, 60, rmax=0.8)

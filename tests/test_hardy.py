@@ -6,7 +6,7 @@ import pytest
 
 from carleson_kit import hardy
 from carleson_kit.errors import DomainError
-from carleson_kit.hardy import BoundaryGrid, poisson_sum, riesz_project
+from carleson_kit.hardy import poisson_sum
 from oracles import (exact_one_minus_sq, outer_log_at, poisson_sum_full_spectrum,
                      poisson_sum_reference)
 
@@ -16,65 +16,6 @@ TAU_LONG = np.longdouble("6.28318530717958647692528676655900577")
 
 def unit_samples(size):
     return np.exp(1j * TAU * np.arange(size) / size)
-
-
-class TestBoundaryGrid:
-    def test_requires_power_of_two(self):
-        with pytest.raises(DomainError):
-            BoundaryGrid(np.ones(100))
-        BoundaryGrid(np.ones(128))
-
-    def test_coefficient_round_trip(self):
-        rng = np.random.default_rng(2)
-        vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        g = BoundaryGrid(vals)
-        back = BoundaryGrid.from_coefficients(g.coefficients())
-        assert np.allclose(back.values, vals)
-
-    def test_monomial_coefficients(self):
-        xi = unit_samples(32)
-        g = BoundaryGrid(3.0 * xi**5)
-        c = g.coefficients()
-        assert c[5] == pytest.approx(3.0)
-        c[5] = 0
-        assert np.allclose(c, 0, atol=1e-12)
-
-    def test_parseval_norm(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        assert BoundaryGrid(a).norm() ** 2 == pytest.approx(np.mean(np.abs(a) ** 2))
-
-    def test_analytic_detection(self):
-        xi = unit_samples(64)
-        assert BoundaryGrid(1 + xi + xi**2).is_analytic()
-        g = BoundaryGrid(np.conj(xi))
-        assert not g.is_analytic()
-        # the one negative coefficient is 1: a tolerance just above it passes
-        assert g.is_analytic(tol=1.0 + 1e-12)
-        assert not g.is_analytic(tol=1.0 - 1e-12)
-
-
-def test_riesz_projection_splits_frequencies():
-    # frequencies 0..N/2-1 are kept, the rest (FFT order N/2..N-1) zeroed
-    rng = np.random.default_rng(5)
-    n = 64
-    coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    plus = riesz_project(BoundaryGrid.from_coefficients(coeffs)).coefficients()
-    assert np.allclose(plus[: n // 2], coeffs[: n // 2], atol=1e-12)
-    assert np.all(np.abs(plus[n // 2:]) <= 1e-12)
-    xi = unit_samples(n)
-    plus = riesz_project(BoundaryGrid(np.conj(xi) ** 2 + 3.0 + 0.5 * xi))
-    assert np.allclose(plus.values, 3.0 + 0.5 * xi, atol=1e-12)
-
-
-def test_riesz_projection_is_norm_decreasing():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        vals = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        g = BoundaryGrid(vals)
-        p = riesz_project(g)
-        assert p.norm() <= g.norm() + 1e-12
-        assert riesz_project(p).values == pytest.approx(p.values)
 
 
 class TestPoisson:

@@ -6,7 +6,7 @@ import pytest
 from carleson_kit.blaschke import BlaschkeProduct
 from carleson_kit.construction import lemma_10_1_check
 from carleson_kit.errors import DomainError
-from carleson_kit.model_space import BOUNDARY_SIZE, MatrixFunction, kernel_grid, project_model
+from carleson_kit.model_space import BOUNDARY_SIZE, MatrixFunction
 from carleson_kit.riesz import SubspaceSystem
 
 TAU = 2 * math.pi
@@ -22,18 +22,19 @@ class TestMatrixFunction:
         a0 = np.array([[1.0, 0.0], [0.0, 0.0]])
         a1 = np.array([[0.0, 0.0], [0.0, 1.0]])
         th = MatrixFunction.from_polynomial([a0, a1])
-        assert th.shape == (2, 2)
+        assert (th.rows, th.cols) == (2, 2)
         z = 0.3 + 0.1j
         assert np.allclose(th(z), a0 + a1 * z)
 
     def test_rational_evaluation(self):
-        # scalar Blaschke factor as numerator/denominator pair
-        lam = 0.5
-        th = MatrixFunction.from_scalar_blaschke([lam])
-        b = BlaschkeProduct([lam])
+        # scalar Blaschke products as numerator/denominator pairs: one
+        # factor, several zeros, and a zero at the origin
         rng = np.random.default_rng(2)
-        for z in random_zeros(rng, 10):
-            assert complex(th(z)[0, 0]) == pytest.approx(b(complex(z)))
+        for zeros in ([0.5], list(random_zeros(rng, 5)), [0.0, 0.3 - 0.6j]):
+            th = MatrixFunction.from_scalar_blaschke(zeros)
+            b = BlaschkeProduct(zeros)
+            for z in random_zeros(rng, 10):
+                assert complex(th(z)[0, 0]) == pytest.approx(b(complex(z)))
 
     def test_boundary_matches_pointwise_call(self):
         th = MatrixFunction.from_scalar_blaschke([0.3, -0.4j])
@@ -71,7 +72,7 @@ class TestMatrixFunction:
 
     def test_contractive_flags(self):
         assert MatrixFunction.from_scalar_blaschke([0.5, 0.1j]).is_contractive()
-        assert not MatrixFunction.constant(2.0 * np.eye(2)).is_contractive()
+        assert not MatrixFunction.from_polynomial([2.0 * np.eye(2)]).is_contractive()
 
     def test_denominator_must_be_zero_free(self):
         # denominator 1 - 2z vanishes at z = 1/2 inside the disk
@@ -84,7 +85,7 @@ class TestMatrixFunction:
         th = MatrixFunction.diagonal(
             [MatrixFunction.from_scalar_blaschke(za), MatrixFunction.from_scalar_blaschke(zb)]
         )
-        assert th.shape == (2, 2)
+        assert (th.rows, th.cols) == (2, 2)
         ba, bb = BlaschkeProduct(za), BlaschkeProduct(zb)
         probes = random_zeros(rng, 12)
         dets = np.linalg.det(th(probes))
@@ -100,34 +101,6 @@ class TestMatrixFunction:
         assert len(found) == len(want)
         for f, w in zip(found, want):
             assert f == pytest.approx(w, abs=1e-8)
-
-
-def test_projection_onto_model_space_reproduces_kernel_norm():
-    # ||P_theta k_lam||^2 = 1 - |theta(lam)|^2 for scalar inner theta
-    rng = np.random.default_rng(14)
-    size = 2048
-    for _ in range(10):
-        zeros = random_zeros(rng, int(rng.integers(1, 6)))
-        th = MatrixFunction.from_scalar_blaschke(zeros)
-        b = BlaschkeProduct(zeros)
-        lam = complex(random_zeros(rng, 1, rmax=0.7)[0])
-        proj = project_model(lambda pts: b(pts), kernel_grid(lam, size))
-        assert proj.norm() ** 2 == pytest.approx(1 - abs(b(lam)) ** 2, abs=1e-10)
-        # the matrix route agrees
-        proj2 = project_model(lambda pts: th(pts)[..., 0, 0] if np.ndim(pts) else th(pts)[0, 0], kernel_grid(lam, size))
-        assert proj2.norm() == pytest.approx(proj.norm(), abs=1e-12)
-
-
-def test_project_model_is_idempotent_and_analytic():
-    rng = np.random.default_rng(15)
-    b = BlaschkeProduct([0.4, -0.3j])
-    f = kernel_grid(0.2 + 0.1j, 512)
-    p1 = project_model(b, f)
-    assert p1.is_analytic(1e-10)
-    p2 = project_model(b, p1)
-    assert np.allclose(p2.values, p1.values, atol=1e-10)
-    # projection never increases the norm
-    assert p1.norm() <= f.norm() + 1e-12
 
 
 def test_covering_count_scalar_family():

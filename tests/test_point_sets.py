@@ -49,8 +49,10 @@ ENTRIES = {
     "BlaschkeProduct": ("open", lambda p: BlaschkeProduct([0.5, p])),
     "BlaschkeProduct.log_abs": ("closed", lambda p: BlaschkeProduct([0.5]).log_abs([0.3, p])),
     "interpolation_constants": ("open", lambda p: interpolation_constants([0.5, p])),
-    "net_is_valid(net)": ("open", lambda p: net_is_valid([0.3], [0.5, p], 0.05)),
-    "net_is_valid(vertices)": ("open", lambda p: net_is_valid([0.3, p], [0.5], 0.05)),
+    # the net reaches net_is_valid as a BlaschkeProduct, whose refusal checks it
+    "net_is_valid(net)": ("open", lambda p: net_is_valid([0.3], BlaschkeProduct([0.5, p]), 0.05)),
+    "net_is_valid(vertices)": (
+        "open", lambda p: net_is_valid([0.3, p], BlaschkeProduct([0.5]), 0.05)),
     "place_net_on_curve": ("open", lambda p: place_net_on_curve([0.5, p], 0.05)),
     "BoundedFunction": ("open", lambda p: BoundedFunction(zeros=[0.5, p])),
     "BoundedFunction.log_abs": ("closed", lambda p: BoundedFunction([0.5]).log_abs([0.3, p])),
