@@ -171,6 +171,27 @@ def test_net_density_is_the_one_shot_minimum_bit_for_bit():
         net_is_valid(np.append(verts, 1.0), product, 0.05)
 
 
+def test_net_is_valid_on_an_empty_net():
+    # the empty product covers no vertex, and no vertex is covered vacuously
+    empty = BlaschkeProduct(())
+    assert net_is_valid([], empty, 0.05) == (True, True, True)
+    assert net_is_valid([0.3], empty, 0.05) == (True, False, False)
+
+
+def test_net_is_valid_reads_the_given_product(monkeypatch):
+    # the check builds no product of its own: the caller's product supplies
+    # the net, its defects and the values |B(z)| at the vertices
+    rng = np.random.default_rng(17)
+    verts = random_interior(rng, 40, rmax=0.5)
+    product = BlaschkeProduct(random_interior(rng, 6, rmax=0.5))
+    want = net_is_valid(verts, product, 0.6)
+    built = []
+    monkeypatch.setattr(BlaschkeProduct, "__init__",
+                        lambda self, zeros=(): built.append(zeros))
+    assert net_is_valid(verts, product, 0.6) == want
+    assert built == []
+
+
 def test_net_separation_flag():
     a, b = 0.0, 0.01
     assert pseudo_hyperbolic(a, b) < 0.05

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from carleson_kit import cli
+from carleson_kit import cli, construction
 from carleson_kit.blaschke import BlaschkeProduct
 from carleson_kit.construction import (
     ContourNetEntry,
@@ -86,6 +86,24 @@ class TestBuildContourNets:
         assert entry.star_norms[0] == pytest.approx(rho, rel=1e-9)
         assert entry.star_norms[0] < 0.1
         assert entry.blaschke.zeros.tolist() == list(entry.sigma)
+
+    def test_entry_carries_the_product_its_net_was_checked_with(self, monkeypatch):
+        # each member's net product is built once: the product that passed
+        # net_is_valid is the entry's blaschke, the same object
+        checked, check = [], construction.net_is_valid
+
+        def recording(vertices, product, alpha):
+            checked.append(product)
+            return check(vertices, product, alpha)
+
+        monkeypatch.setattr(construction, "net_is_valid", recording)
+        fam = [MatrixFunction.from_scalar_blaschke([0.3 + 0.2j]),
+               MatrixFunction.from_scalar_blaschke([0.0])]
+        ps = build_contour_nets(fam, eps=0.3, alpha=0.05, c3=1e-6)
+        assert len(checked) == len(fam)
+        for product, entry in zip(checked, ps.entries):
+            assert entry.blaschke is product
+            assert product.zeros.tolist() == list(entry.sigma)
 
     def test_large_determinant_gives_empty_net(self):
         fam = [MatrixFunction.from_polynomial([0.5 * np.eye(2)])]

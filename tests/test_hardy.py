@@ -102,6 +102,13 @@ class TestPoissonSum:
         with pytest.raises(DomainError):
             poisson_sum(np.ones(64), np.array([0.2, bad]))
 
+    def test_rejects_samples_that_are_not_a_nonempty_row(self):
+        # any grid length n >= 1 is accepted, but not an empty or 2-d array
+        assert poisson_sum(np.ones(100), 0.3) == pytest.approx(1.0, abs=1e-15)
+        for bad in (np.ones(0), np.ones((8, 8)), np.float64(1.0)):
+            with pytest.raises(DomainError):
+                poisson_sum(bad, 0.3)
+
 
 def series_terms(r):
     """J for a block whose outermost radius is r, as poisson_sum chooses it."""

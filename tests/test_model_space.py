@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from carleson_kit.blaschke import BlaschkeProduct
+from carleson_kit.blaschke import BlaschkeProduct, interpolation_constants
 from carleson_kit.construction import lemma_10_1_check
 from carleson_kit.errors import DomainError
 from carleson_kit.model_space import BOUNDARY_SIZE, MatrixFunction
 from carleson_kit.riesz import SubspaceSystem
+from oracles import kernel_datum_distance
 
 TAU = 2 * math.pi
 
@@ -70,6 +72,47 @@ class TestMatrixFunction:
         pts = np.exp(1j * TAU * np.arange(512) / 512)
         assert np.array_equal(th.boundary()[::4], th(pts))
 
+    def test_single_coefficient_polynomial_is_constant(self):
+        # from_polynomial([m]) is the constant function m, on the disk and
+        # on the circle, with det m as its only determinant coefficient
+        m = np.array([[0.5, 0.25j], [-0.1, 0.3]])
+        th = MatrixFunction.from_polynomial([m])
+        rng = np.random.default_rng(3)
+        assert np.allclose(th(random_zeros(rng, 7, rmax=0.99)), m, rtol=0, atol=1e-15)
+        assert np.allclose(th(0.2j), m, rtol=0, atol=1e-15)
+        assert np.allclose(th.boundary(), m, rtol=0, atol=1e-15)
+        assert th.det_coefficients() == pytest.approx([np.linalg.det(m)], abs=1e-15)
+        assert th.det_zeros_in_disk() == []
+        assert th.is_contractive()
+
+    def test_diagonal_places_the_members_on_the_diagonal(self):
+        # members with different denominators share one common denominator
+        rng = np.random.default_rng(8)
+        members = [MatrixFunction.from_scalar_blaschke(random_zeros(rng, 2)),
+                   MatrixFunction.from_polynomial([np.array([[0.5]]), np.array([[0.25]])]),
+                   MatrixFunction.from_scalar_blaschke([0.0, 0.6j])]
+        th = MatrixFunction.diagonal(members)
+        assert (th.rows, th.cols) == (3, 3)
+        probes = np.concatenate([random_zeros(rng, 10, rmax=0.95), [1.0, -1j]])
+        vals = th(probes)
+        for i, member in enumerate(members):
+            assert np.allclose(vals[:, i, i], member(probes)[:, 0, 0], rtol=0, atol=1e-12)
+        assert np.all(vals[:, ~np.eye(3, dtype=bool)] == 0)
+        with pytest.raises(DomainError):
+            MatrixFunction.diagonal([])
+        with pytest.raises(DomainError):
+            MatrixFunction.diagonal([MatrixFunction.from_polynomial([np.eye(2)])])
+
+    def test_det_coefficients_of_a_polynomial_matrix(self):
+        # the roots-of-unity interpolation returns det N's coefficients:
+        # for 2x2 N of degree 2 the polynomial ad - bc, of degree 4
+        rng = np.random.default_rng(12)
+        coeffs = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        th = MatrixFunction.from_polynomial(coeffs)
+        a, b, c, d = (coeffs[:, i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        want = npoly.polysub(npoly.polymul(a, d), npoly.polymul(b, c))
+        assert th.det_coefficients() == pytest.approx(want, abs=1e-12)
+
     def test_contractive_flags(self):
         assert MatrixFunction.from_scalar_blaschke([0.5, 0.1j]).is_contractive()
         assert not MatrixFunction.from_polynomial([2.0 * np.eye(2)]).is_contractive()
@@ -101,6 +144,21 @@ class TestMatrixFunction:
         assert len(found) == len(want)
         for f, w in zip(found, want):
             assert f == pytest.approx(w, abs=1e-8)
+
+
+def test_kernel_distance_from_the_model_space_is_the_reciprocal_projection_norm():
+    # dist(k_lam, K_B) = ||P_+(conj(B) k_lam)|| = |B(lam)| for the Blaschke
+    # product B over the zeros, and the sequence report's projection norm at
+    # lam, with the zeros as the other points, is 1 / |B(lam)|
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        zeros = random_zeros(rng, int(rng.integers(1, 6)))
+        lam = complex(random_zeros(rng, 1, rmax=0.7)[0])
+        distance = kernel_datum_distance(MatrixFunction.from_scalar_blaschke(zeros), lam,
+                                         [1.0], 2048)
+        assert distance == pytest.approx(abs(BlaschkeProduct(zeros)(lam)), abs=1e-12)
+        norm = interpolation_constants([*zeros, lam]).projection_norms[-1]
+        assert 1.0 - norm ** -2 == pytest.approx(1.0 - distance ** 2, abs=1e-10)
 
 
 def test_covering_count_scalar_family():
