@@ -457,8 +457,12 @@ def kernel_test_constant(measure: DiscreteMeasure) -> float:
     |k_lam(p)|^2 = (1 - |lam|^2) / |1 - conj(lam) p|^2.
 
     The grid is ``hyperbolic_grid()`` plus the interior atoms of the measure
-    themselves, which is where the supremum concentrates.  The origin gives
-    the total mass, and the interior atoms are summed directly (N x N) by
+    themselves, which is where the supremum concentrates: every atom off the
+    circle by more than rounding, 1 - |p|^2 > 2**-52, however close to it.
+    A point put on the circle as (cos t, sin t), each correctly rounded, has
+    |1 - |p|^2| <= 2 u = 2**-52 (1.4 u seen); taken as a grid point, its own
+    term m / (1 - |p|^2) would read about 1e16.  The origin gives the total
+    mass, and the interior atoms are summed directly (N x N) by
     ``disk._kernel_sums``, in chunks that bound its temporaries.
 
     Layer m of the grid (radius r, n angles theta_k = 2 pi k / n; see
@@ -542,11 +546,9 @@ def kernel_test_constant(measure: DiscreteMeasure) -> float:
     order = np.argsort(radius, kind="stable")
     points, masses = measure.points[order], measure.masses[order]
     defects = one_minus_sq(points)
-    best = float(masses.sum())  # lam = 0
-    inner = int(np.count_nonzero(radius < 1.0 - 1e-12))  # sorted first
-    if inner:
-        best = max(best, float(_kernel_sums(points[:inner], defects[:inner], points, defects,
-                                            masses).max()))
+    inner = defects > 2.0 ** -52
+    best = float(_kernel_sums(points[inner], defects[inner], points, defects,
+                              masses).max(initial=masses.sum()))
     reach = (1.0 + _LAYER_PAD) * _layer_bounds(radius[order], masses) >= best
     for values in _kernel_layers(points, defects, masses, np.flatnonzero(reach)):
         best = max(best, float(values.max()))

@@ -339,7 +339,7 @@ def run_contour(args: argparse.Namespace) -> dict:
     # one-generation constants, kept for the report's shape until bench/refs is regenerated
     report["quantities"] = {
         "pieces": 1 if result.region.radii.size else 0,
-        "polylines": len(result.polylines),
+        "polylines": len(result.arcs),
         "truncated": False,
         "generations": [{"generation": 0, "active_intervals": 1,
                          "bad_intervals": 0, "length_ratio": 0.0}],

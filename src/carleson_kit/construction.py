@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blaschke import BlaschkeProduct, net_is_valid, place_net_on_curve
-from .contour import ContourConstants, ContourResult, BoundedFunction, bourgain_contour
+from .contour import ContourConstants, ContourResult, BoundedFunction, _polylines, bourgain_contour
 from .errors import DomainError, LinearDependenceError, NetValidityError
 from .hardy import poisson_sum
 from .model_space import BOUNDARY_SIZE, MatrixFunction
@@ -127,10 +127,8 @@ def _det_as_bounded_function(theta: MatrixFunction) -> BoundedFunction:
     The boundary log modulus is clipped to [-60, 0].
     """
     zeros = theta.det_zeros_in_disk()
-    dets = np.linalg.det(theta.boundary())
     with np.errstate(divide="ignore"):
-        log_mod = np.log(np.abs(dets))
-    log_mod = np.clip(log_mod, -60.0, 0.0)
+        log_mod = np.clip(np.log(theta.boundary_abs_det()), -60.0, 0.0)
     if float(np.min(log_mod)) > -1e-10:
         log_mod = None
     return BoundedFunction(zeros=tuple(zeros), outer_log=log_mod)
@@ -175,8 +173,8 @@ def build_contour_nets(theta_family, eps: float, alpha: float,
         level = eps ** d
         contour = bourgain_contour(phi, level, constants=ContourConstants.for_epsilon(
             level, c1=c1, c2=c2, c3=c3))
-        vertices = (np.concatenate(contour.polylines)
-                    if contour.polylines else np.zeros(0, dtype=complex))
+        polylines = _polylines(contour.region, contour.arcs)
+        vertices = np.concatenate(polylines) if polylines else np.zeros(0, dtype=complex)
         sigma = place_net_on_curve(vertices, alpha)
         product = BlaschkeProduct(sigma)
         if sigma:
@@ -466,8 +464,7 @@ def lemma_10_1_check(theta_family, b_family, eps: float, log_eps_prime: float,
     log_h_boundary = []
     support = np.zeros((n_funcs, BOUNDARY_SIZE), dtype=bool)
     for i, theta in enumerate(family):
-        dets = np.linalg.det(theta.boundary())
-        absdet = np.abs(dets)
+        absdet = theta.boundary_abs_det()
         support[i] = absdet < 1.0 - 1e-8
         with np.errstate(divide="ignore"):
             log_mod = np.log(absdet)

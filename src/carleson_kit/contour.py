@@ -6,12 +6,15 @@ an open region O with
     {|phi| < eps'} subset O subset {|phi| <= eps},
 
 where eps' is an explicit (astronomically small) second level, together
-with a polyline description of the boundary of O whose arclength measure
-has bounded Carleson intensity.  The region is built in one generation:
-when no dyadic square of the representing measure is too heavy, O is the
-union of the pseudo-hyperbolic disks of radius gamma around the zeros,
-and a :class:`Region` is just their circles: one array of Euclidean
-centers and one of radii, each circle once.
+with the boundary of O, whose arclength measure has bounded Carleson
+intensity.  The region is built in one generation: when no dyadic square
+of the representing measure is too heavy, O is the union of the
+pseudo-hyperbolic disks of radius gamma around the zeros, and a
+:class:`Region` is just their circles: one array of Euclidean centers and
+one of radii, each circle once.  Its boundary is a finite set of circle
+arcs, found in closed form and held exactly as ``ContourResult.arcs``
+(circle, start angle, end angle, or the full circle); the polylines that
+the curve norm and the nets read are drawn from those arcs in one place.
 A heavy square ends the construction with :class:`ContourBoundError`;
 :func:`bourgain_contour` proves that a second generation, which would
 split such squares off as "bad intervals", could not complete either.
@@ -52,11 +55,12 @@ from .hardy import poisson_sum
 _BOUND_PAD = 1e-9
 # dyadic depth below which the bad-interval scan stops
 _DEPTH_FLOOR = 20
-# (circle, disk) pairs per row block of the boundary extraction's tests, and
-# (sample, circle) pairs per block of Region.contains_many
+# (circle, disk) pairs per row block of the boundary's tests, (sample, circle)
+# pairs per block of Region.contains_many, 256 times the arcs per drawn block
 _PAIR_BLOCK = 2 ** 15
 # largest Carleson norm of the boundary curve that verify_region accepts
 CONTOUR_NORM_BOUND = 10.0
+ARC = np.dtype([("circle", np.intp), ("start", float), ("end", float), ("full", bool)])
 
 
 class BoundedFunction:
@@ -387,8 +391,18 @@ class Region:
 
 @dataclass(frozen=True)
 class ContourResult:
+    """The region, its boundary and the constants of one contour.
+
+    ``arcs`` is the boundary, exactly: one record of ``ARC`` per piece, in
+    circle order.  Piece k runs counterclockwise along the region's circle
+    ``circle`` from the angle ``start`` to ``end`` (radians about the
+    circle's center, start < end <= start + 2 pi, both below 4 pi), or
+    around the whole circle where ``full`` is set, with the angles 0 and
+    2 pi.  :func:`_polylines` draws them.
+    """
+
     region: Region
-    polylines: tuple
+    arcs: np.ndarray
     constants: ContourConstants
 
 
@@ -417,39 +431,31 @@ def _uncovered(lo, hi):
     return [(max(a, wrap), b) for a, b in gaps if b > max(a, wrap)]
 
 
-def _extract_polylines(region: Region):
-    """Boundary of the region as polylines along the circles of its disks.
+def _boundary_arcs(region: Region) -> np.ndarray:
+    """Boundary of the region as arcs of the circles of its disks, exactly.
 
     The region is a union of open disks, so its boundary is the part of
     each disk circle that no other open disk covers.  For circle k (center
     c_k, radius r_k) and another disk j at distance d = |c_j - c_k|:
 
-    - d + r_k < r_j: disk j covers the whole circle, which draws nothing;
+    - d + r_k < r_j: disk j covers the whole circle, which keeps no arc;
     - d >= r_k + r_j or d + r_j <= r_k: disk j covers none of it;
     - otherwise disk j covers the open arc of the angles within
       arccos((r_k^2 + d^2 - r_j^2) / (2 r_k d)) of arg(c_j - c_k), the
-      argument clipped to [-1, 1] against rounding.
+      argument clipped to [-1, 1] against rounding.  Where that half-angle
+      rounds to 0 (a tangency, or r_j below about 1e-8 r_k), the arc is
+      empty and disk j covers none of the circle.
 
-    The circle's boundary pieces are the gaps between those arcs
-    (:func:`_uncovered`).  Each piece is drawn through its two end points,
-    where it meets other circles, and the sample angles 2 pi (i + 1/2)/256
-    strictly between them.  A circle that no other disk meets is drawn
-    closed through the 256 samples, the first repeated at the end.
-
-    The two tests run for all circles at once, over rows of circles that
-    hold about ``_PAIR_BLOCK`` (circle, disk) pairs, so the distances never
-    form the whole N x N matrix.  The closed circles are drawn as one
-    block, c_k + r_k e^(i t) with the angles' e^(i t) taken once (the sum
-    is formed in place as r_k e^(i t) + c_k, which rounds alike); the
-    circles that meet another disk take the per-circle path above.  Rows
-    go out in circle order.  Every test and vertex is the same elementwise
-    operation on the same operands as one circle at a time, so the
-    polylines keep their bits.
+    The circle's arcs are the gaps between those covered arcs
+    (:func:`_uncovered`), whose ends are where it meets other circles.  A
+    circle of which no disk covers anything is one full arc, never an open
+    arc whose two ends coincide.  The two tests run for all circles at
+    once, over rows of circles that hold about ``_PAIR_BLOCK`` (circle,
+    disk) pairs, so the distances never form the whole N x N matrix; each
+    test is the same elementwise operation on the same operands as one
+    circle at a time.
     """
     centers, radii = region.centers, region.radii
-    n = 256
-    ts = TAU * (np.arange(n) + 0.5) / n
-    samples = np.concatenate((ts, ts + TAU))  # a piece's angles run below 4 pi
     covered = np.zeros(radii.size, dtype=bool)
     meets = np.zeros(radii.size, dtype=bool)
     rows = max(1, _PAIR_BLOCK // max(1, radii.size))
@@ -457,28 +463,21 @@ def _extract_polylines(region: Region):
         dist = np.abs(centers - centers[lo:lo + rows, None])
         covered[lo:lo + rows], meet = _relations(dist, radii[lo:lo + rows, None], radii)
         meets[lo:lo + rows] = meet.any(axis=1)
-    closed = ~covered & ~meets
-    ring = np.exp(1j * np.append(ts, ts[0]))
-    block = radii[closed, None] * ring
-    block += centers[closed, None]
-    block[:, -1] = block[:, 0]
-    drawn = iter(block)
-    polylines = []
+    arcs = []
     for k in np.flatnonzero(~covered).tolist():
-        if not meets[k]:
-            polylines.append(next(drawn))
-            continue
-        c, r = complex(centers[k]), float(radii[k])
-        dist = np.abs(centers - c)
-        # the circle itself has dist 0 and equal radius, so it never meets itself
-        meet = _relations(dist, r, radii)[1]
-        d, rj = dist[meet], radii[meet]
-        mid = np.angle(centers[meet] - c)
-        half = np.arccos(np.clip((r * r + d * d - rj * rj) / (2.0 * r * d), -1.0, 1.0))
-        for a, b in _uncovered(mid - half, mid + half):
-            inner = samples[(samples > a) & (samples < b)]
-            polylines.append(c + r * np.exp(1j * np.concatenate(([a], inner, [b]))))
-    return tuple(polylines)
+        lo = hi = np.zeros(0)
+        if meets[k]:
+            c, r = complex(centers[k]), float(radii[k])
+            dist = np.abs(centers - c)
+            # the circle itself has dist 0 and equal radius, so it never meets itself
+            meet = _relations(dist, r, radii)[1]
+            d, rj = dist[meet], radii[meet]
+            mid = np.angle(centers[meet] - c)
+            half = np.arccos(np.clip((r * r + d * d - rj * rj) / (2.0 * r * d), -1.0, 1.0))
+            lo, hi = (mid - half)[half > 0], (mid + half)[half > 0]
+        gaps = _uncovered(lo, hi) if lo.size else [(0.0, TAU)]
+        arcs += [(k, a, b, not lo.size) for a, b in gaps]
+    return np.array(arcs, dtype=ARC)
 
 
 def _relations(dist, r, radii):
@@ -488,9 +487,46 @@ def _relations(dist, r, radii):
     return np.any(dist + r < radii, axis=-1), (dist < r + radii) & (dist + radii > r)
 
 
+def _polylines(region: Region, arcs: np.ndarray) -> tuple:
+    """The arcs drawn as polylines, one per arc, in order.
+
+    An open arc from a to b on the circle (c, r) is drawn through its two
+    ends and the sample angles 2 pi (i + 1/2)/256 strictly between them, a
+    full circle through the 256 samples with the first repeated at the
+    end: each vertex is r e^(i t) + c.  e^(i t) is taken once per sample
+    angle and once per end.  All arcs are drawn at once, in blocks of
+    ``_PAIR_BLOCK // 256`` arcs (at most 258 vertices each), into one array
+    whose slices are the polylines.  Each vertex is the same elementwise
+    operation on the same operands as one arc at a time, so a polyline's
+    bits do not depend on the others.
+    """
+    ts = TAU * (np.arange(256) + 0.5) / 256
+    samples = np.concatenate((ts, ts + TAU))  # an arc's angles run below 4 pi
+    full, m = arcs["full"], len(arcs)
+    # e^(i t) of the samples, the starts and the ends: an open arc's vertices
+    # are turn[512 + k], turn[lo:lo + n] and turn[512 + m + k], a full
+    # circle's turn[0], turn[1:256] and turn[0] again
+    turn = np.exp(1j * np.concatenate((samples, arcs["start"], arcs["end"])))
+    first = np.where(full, 0, 512 + np.arange(m))
+    last = np.where(full, 0, first + m)
+    lo = np.where(full, 1, np.searchsorted(samples, arcs["start"], side="right"))
+    sizes = np.where(full, 256, np.searchsorted(samples, arcs["end"])) - lo + 2
+    stops = np.cumsum(sizes)
+    heads = stops - sizes
+    verts = np.empty(sizes.sum(), dtype=complex)
+    for p in range(0, m, _PAIR_BLOCK // 256):
+        arc = slice(p, p + _PAIR_BLOCK // 256)
+        at = _ranges(lo[arc] - 1, sizes[arc])
+        at[heads[arc] - heads[p]], at[stops[arc] - 1 - heads[p]] = first[arc], last[arc]
+        block = np.take(turn, at, out=verts[heads[p]:stops[arc][-1]])
+        block *= np.repeat(region.radii[arcs["circle"][arc]], sizes[arc])
+        block += np.repeat(region.centers[arcs["circle"][arc]], sizes[arc])
+    return tuple(verts[a:b] for a, b in zip(heads.tolist(), stops.tolist()))
+
+
 def bourgain_contour(phi: BoundedFunction, eps: float,
                      constants: ContourConstants | None = None) -> ContourResult:
-    """Build the two-level region and its boundary polylines, in one generation.
+    """Build the two-level region and its boundary arcs, in one generation.
 
     :func:`select_bad_intervals` scans the whole circle.  Any witness J, a
     maximal dyadic arc with nu(Q(J)) > M |J|, raises
@@ -532,7 +568,7 @@ def bourgain_contour(phi: BoundedFunction, eps: float,
     order = np.argsort(phi.zeros, kind="stable")  # by real part, then imaginary part
     centers, radii = _pseudo_hyperbolic_disk(phi.zeros[order], phi._defects[order], constants.gamma)
     region = Region(zip(centers.tolist(), radii.tolist()))
-    return ContourResult(region, _extract_polylines(region), constants)
+    return ContourResult(region, _boundary_arcs(region), constants)
 
 
 def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
@@ -580,11 +616,8 @@ def verify_region(phi: BoundedFunction, result: ContourResult, eps: float,
     upper_viol = int(np.sum(inside_vals > upper_level))
     outside_vals = log_abs[~inside]
     lower_viol = int(np.sum(outside_vals < lower_level))
-    if result.polylines:
-        curve = CurveMeasure([np.asarray(p) for p in result.polylines])
-        norm = carleson_norm(curve, depth=depth)
-    else:
-        norm = 0.0
+    polylines = _polylines(region, result.arcs)
+    norm = carleson_norm(CurveMeasure(polylines), depth=depth) if polylines else 0.0
     return {
         "samples": int(zs.size),
         "upper_violations": upper_viol,

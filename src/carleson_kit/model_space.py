@@ -1,7 +1,8 @@
 """Matrix functions on the closed disk.
 
 Bounded analytic matrix functions Theta, their boundary samples
-(:meth:`MatrixFunction.boundary`, computed once per function) and the
+(:meth:`MatrixFunction.boundary`, computed once per function, and
+:meth:`MatrixFunction.boundary_abs_det`, |det Theta| on them) and the
 coefficients and zeros of det Theta.  The span of the kernels at a finite
 zero set is built by ``riesz.SubspaceSystem.from_kernel_groups``; the
 covering count of {|det Theta_n| < eps**d} is computed by
@@ -47,7 +48,7 @@ class MatrixFunction:
     is a scalar polynomial with no zeros in the closed unit disk.
     """
 
-    __slots__ = ("numer", "denom", "_det_coeffs", "_boundary")
+    __slots__ = ("numer", "denom", "_det_coeffs", "_boundary", "_boundary_abs_det")
 
     def __init__(self, numer, denom=(1.0,)):
         numer = np.asarray(numer, dtype=complex)
@@ -64,6 +65,7 @@ class MatrixFunction:
         self.denom = denom
         self._det_coeffs = None
         self._boundary = None
+        self._boundary_abs_det = None
 
     @property
     def rows(self) -> int:
@@ -90,6 +92,14 @@ class MatrixFunction:
             vals.flags.writeable = False
             self._boundary = vals
         return self._boundary
+
+    def boundary_abs_det(self) -> np.ndarray:
+        """|det| at the boundary samples of :meth:`boundary`, square
+        functions only; computed on the first call and kept read-only."""
+        if self._boundary_abs_det is None:
+            self._boundary_abs_det = np.abs(np.linalg.det(self.boundary()))
+            self._boundary_abs_det.flags.writeable = False
+        return self._boundary_abs_det
 
     def is_contractive(self) -> bool:
         """Largest boundary singular value at most 1 + 1e-8 on every 4th

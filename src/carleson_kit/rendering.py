@@ -2,46 +2,64 @@
 and :func:`write_atomic`, which writes both figures and reports.
 
 Everything is emitted as plain strings; coordinates map the closed unit
-disk into a fixed viewport with the imaginary axis pointing up.
+disk into a fixed viewport with the imaginary axis pointing up, and every
+number round-trips its double.  A contour's boundary is drawn exactly, as
+circles and circle arcs.
 """
 
 from __future__ import annotations
 
+import cmath
 import os
 import tempfile
 
 _VIEW = 640
 _MARGIN = 0.08
+_SCALE = _VIEW / (2.0 * (1.0 + _MARGIN))  # pixels per unit
+_CONTOUR = 'stroke="#c22" stroke-width="1.2" fill="none"'
 
 
 def _xy(z: complex) -> tuple[float, float]:
-    scale = _VIEW / (2.0 * (1.0 + _MARGIN))
-    x = (z.real + 1.0 + _MARGIN) * scale
-    y = (1.0 + _MARGIN - z.imag) * scale
+    x = (z.real + 1.0 + _MARGIN) * _SCALE
+    y = (1.0 + _MARGIN - z.imag) * _SCALE
     return x, y
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+    """The shortest decimal that reads back as the double."""
+    return repr(float(v))
+
+
+def _circle(z: complex, r: float, paint: str) -> str:
+    x, y = _xy(z)
+    return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" {paint}/>'
 
 
 def circle_element() -> str:
     """The unit circle."""
-    cx, cy = _xy(0j)
-    r = _VIEW / (2.0 * (1.0 + _MARGIN))
-    return (f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-            f'stroke="#444" stroke-width="1.5" fill="none"/>')
+    return _circle(0j, _SCALE, 'stroke="#444" stroke-width="1.5" fill="none"')
 
 
-def polyline_element(points, closed: bool = False) -> str:
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(_xy, points))
-    tag = "polygon" if closed else "polyline"
-    return f'<{tag} points="{coords}" stroke="#c22" stroke-width="1.2" fill="none"/>'
+def arc_element(center: complex, radius: float, start: float, end: float,
+                full: bool) -> str:
+    """One boundary arc of a contour (``ContourResult.arcs``), exactly: the
+    full circle as ``<circle>``, an open arc from ``start`` to ``end``
+    (counterclockwise) as a path with one elliptical-arc command (SVG 1.1,
+    8.3.8).  Its large-arc flag is set for arcs longer than pi; its sweep
+    flag is 0, since the image's y axis points down.  Every number
+    round-trips its double: a gamma-disk of radius 5e-7 is 1.5e-4 pixels
+    wide, and the ends of an arc 1e-9 short of the full circle stay two
+    points."""
+    if full:
+        return _circle(center, radius * _SCALE, _CONTOUR)
+    (x0, y0), (x1, y1) = (_xy(center + radius * cmath.exp(1j * t)) for t in (start, end))
+    r, large = _fmt(radius * _SCALE), int(end - start > cmath.pi)
+    return (f'<path d="M {_fmt(x0)} {_fmt(y0)} A {r} {r} 0 {large} 0 {_fmt(x1)} {_fmt(y1)}" '
+            f'{_CONTOUR}/>')
 
 
 def dot_element(z: complex, radius: float = 3.0, fill: str = "#06c") -> str:
-    x, y = _xy(z)
-    return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" fill="{fill}"/>'
+    return _circle(z, radius, f'fill="{fill}"')
 
 
 def svg_document(elements) -> str:
@@ -53,14 +71,11 @@ def svg_document(elements) -> str:
 
 
 def render_contour(result, zeros=()) -> str:
-    """Unit circle, zeros and the contour polylines."""
-    parts = [circle_element()]
-    for z in zeros:
-        parts.append(dot_element(complex(z)))
-    for poly in result.polylines:
-        pts = list(poly)
-        closed = bool(pts and abs(pts[0] - pts[-1]) < 1e-9)
-        parts.append(polyline_element(pts, closed=closed))
+    """Unit circle, zeros and the contour's boundary arcs."""
+    parts = [circle_element()] + [dot_element(complex(z)) for z in zeros]
+    centers, radii = result.region.centers.tolist(), result.region.radii.tolist()
+    parts += [arc_element(centers[k], radii[k], a, b, full)
+              for k, a, b, full in result.arcs.tolist()]
     return svg_document(parts)
 
 

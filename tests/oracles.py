@@ -550,8 +550,8 @@ def extract_polylines_reference(region):
     """The boundary polylines of a contour region, one circle at a time:
     the distances of each circle to every disk, its covered and cut tests,
     and the vertices of a closed circle drawn from its own angles.  The
-    reference for ``contour._extract_polylines``, which takes the tests in
-    row blocks and draws the closed circles as one block."""
+    reference for ``contour._polylines`` of ``contour._boundary_arcs``,
+    which take the tests in row blocks and draw all arcs at once."""
     centers, radii = region.centers, region.radii
     n = 256
     ts = TAU * (np.arange(n) + 0.5) / n
@@ -611,8 +611,9 @@ def region_contains_reference(region, z) -> np.ndarray:
 
 def verify_region_reference(phi, result, eps, samples, rng, depth=12):
     """``contour.verify_region`` at the points of
-    :func:`region_samples_reference`, with its report and membership by
-    :func:`region_contains_reference`."""
+    :func:`region_samples_reference`, with its report, membership by
+    :func:`region_contains_reference` and the curve norm of the polylines
+    of :func:`extract_polylines_reference`."""
     zs = region_samples_reference(result.region, samples, rng)
     inside = region_contains_reference(result.region, zs)
     log_abs = phi.log_abs(zs)
@@ -621,8 +622,8 @@ def verify_region_reference(phi, result, eps, samples, rng, depth=12):
     inside_vals, outside_vals = log_abs[inside], log_abs[~inside]
     upper_viol = int(np.sum(inside_vals > upper_level))
     lower_viol = int(np.sum(outside_vals < lower_level))
-    norm = (carleson_norm(CurveMeasure([np.asarray(p) for p in result.polylines]), depth)
-            if result.polylines else 0.0)
+    polylines = extract_polylines_reference(result.region)
+    norm = carleson_norm(CurveMeasure(polylines), depth) if polylines else 0.0
     return {
         "samples": int(zs.size),
         "upper_violations": upper_viol,

@@ -32,6 +32,7 @@ from carleson_kit.construction import (
 from carleson_kit.contour import (
     BoundedFunction,
     ContourConstants,
+    _polylines,
     bourgain_contour,
     check_potential_bounds,
     verify_region,
@@ -259,8 +260,7 @@ def test_c07_contour_nets_separated_dense_small_product():
         for family in (scalar_family, matrix_family):
             ps = build_contour_nets(family, eps=0.1, alpha=alpha)
             for entry in ps.entries:
-                verts = np.concatenate(
-                    [np.asarray(p) for p in entry.contour.polylines])
+                verts = np.concatenate(_polylines(entry.contour.region, entry.contour.arcs))
                 separated, dense, small = net_is_valid(verts, entry.blaschke, alpha)
                 assert separated
                 assert dense

@@ -17,7 +17,7 @@ from carleson_kit.carleson import (
     embedding_constant_empirical,
     kernel_test_constant,
 )
-from carleson_kit.contour import BoundedFunction, ContourConstants, bourgain_contour
+from carleson_kit.contour import BoundedFunction, ContourConstants, _polylines, bourgain_contour
 from carleson_kit.disk import (
     dyadic_arc,
     dyadic_index,
@@ -411,7 +411,7 @@ def test_curve_norm_memory_on_the_large_contour_input():
     # step: the segment blocks bound the per-segment arrays and the pair
     # index arrays, which for all 512,000 segments at once peaked at 105 MB
     result = bourgain_contour(BoundedFunction(zeros=ci_zeros(2000)), 0.1)
-    curve = CurveMeasure([np.asarray(p) for p in result.polylines])
+    curve = CurveMeasure(_polylines(result.region, result.arcs))
     assert sum(c.size - 1 for c in curve.polylines) == 512_000
     tracemalloc.start()
     try:
@@ -582,7 +582,7 @@ def test_kernel_test_constant_matches_direct_sum(name):
         want = _direct_kernel_sums(measure, r * np.exp(1j * TAU * np.arange(n) / n))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-11 * want.max(), (r, n)
-    interior = measure.points[np.abs(measure.points) < 1.0 - 1e-12]
+    interior = measure.points[one_minus_sq(measure.points) > 2.0 ** -52]
     want = _direct_kernel_sums(measure, np.concatenate([hyperbolic_grid(), interior])).max()
     assert abs(kernel_test_constant(measure) - want) <= 1e-12 * want
 
@@ -610,6 +610,24 @@ def test_kernel_test_constant_is_exact_on_the_boundary_cluster():
                 for lam in measure.points)
     assert _direct_kernel_sums(measure, hyperbolic_grid()).max() < exact / 2
     assert abs(kernel_test_constant(measure) - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("k", [39, 40, 50])
+def test_kernel_test_evaluates_atoms_next_to_the_circle(k):
+    # 20 atoms at 1 - 2^-k with masses 1 - |z|^2, next to one atom on the
+    # circle: each of the 20 takes its own term 1 at itself, so the
+    # constant is at least 1 however close they lie to the circle (from
+    # k = 40 on, a cut at |z| < 1 - 1e-12 read 5e-9 and 5e-12).  The atom
+    # on the circle is no grid point, nor is one whose cosine and sine put
+    # it an ulp inside
+    r = 1.0 - 2.0 ** -k
+    points = r * np.exp(1j * np.linspace(0.1, 6.0, 20))
+    masses = one_minus_sq(points)
+    atoms = list(zip(points.tolist(), masses.tolist()))
+    for rim in (1.0, cmath.exp(3.009j)):
+        assert 0.0 <= one_minus_sq(rim) < 2.0 ** -53
+        measure = DiscreteMeasure(atoms + [(rim, float(masses[0]))])
+        assert 1.0 <= kernel_test_constant(measure) < 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("size", [1, 2, 7, 63, 64, 65, 150, 400])
@@ -981,14 +999,16 @@ def test_curve_norm_under_the_dyadic_symmetries(seed):
     for zeros, atoms, outer, eps, c1 in _contour_stratum_inputs(seed):
         constants = ContourConstants.for_epsilon(eps, c1=c1)
         phi = BoundedFunction(zeros=zeros, singular_atoms=atoms, outer_log=outer)
-        polylines = bourgain_contour(phi, eps, constants).polylines
+        result = bourgain_contour(phi, eps, constants)
+        polylines = _polylines(result.region, result.arcs)
         want = carleson_norm(CurveMeasure(polylines))
         assert want > 0.0
         for point, angle, samples in _DYADIC_SYMMETRIES:
             image = BoundedFunction(zeros=point(np.array(zeros)),
                                     singular_atoms=[(angle(a), m) for a, m in atoms],
                                     outer_log=None if outer is None else samples(outer))
-            mapped = bourgain_contour(image, eps, constants).polylines
+            image_result = bourgain_contour(image, eps, constants)
+            mapped = _polylines(image_result.region, image_result.arcs)
             assert [p.size for p in mapped] == [p.size for p in polylines]
             got = carleson_norm(CurveMeasure(mapped))
             assert abs(got - want) <= _SYMMETRY_TOLERANCE * want, (len(zeros), eps)

@@ -839,7 +839,8 @@ def test_svg_output(tmp_path):
 
 def test_contour_svg_draws_one_curve_per_polyline(tmp_path):
     # two zeros: the figure holds the unit circle, one dot per zero and one
-    # curve per boundary polyline of the report, and no circle of radius 0
+    # contour element (told by its stroke) per boundary arc of the report,
+    # here two full circles, and no circle of radius 0
     inp = write_json(tmp_path, "zeros.json", {"zeros": [[0.0, 0.0], [0.6, 0.3]]})
     svg = tmp_path / "contour.svg"
     code, rep = run_to_file(tmp_path, [
@@ -847,10 +848,11 @@ def test_contour_svg_draws_one_curve_per_polyline(tmp_path):
     assert code == 0
     ns = "{http://www.w3.org/2000/svg}"
     root = ElementTree.parse(svg).getroot()
-    curves = [e for e in root if e.tag in (ns + "polygon", ns + "polyline")]
+    curves = [e for e in root if e.get("stroke") == "#c22"]
     assert len(curves) == rep["quantities"]["polylines"] == 2
+    assert [e.tag for e in curves] == [ns + "circle"] * 2
     radii = [float(e.get("r")) for e in root.iter(ns + "circle")]
-    assert len(radii) == 3
+    assert len(radii) == 5
     assert min(radii) > 0.0
 
 

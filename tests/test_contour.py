@@ -18,7 +18,8 @@ from carleson_kit.contour import (
     ContourResult,
     Region,
     RepresentingMeasure,
-    _extract_polylines,
+    _boundary_arcs,
+    _polylines,
     bourgain_contour,
     check_potential_bounds,
     select_bad_intervals,
@@ -660,7 +661,7 @@ class TestContour:
     def test_outer_function_above_level_gives_empty_region(self):
         phi = BoundedFunction(outer_log=np.full(256, math.log(0.5)))
         result = bourgain_contour(phi, 0.1)
-        assert result.polylines == ()
+        assert len(result.arcs) == 0 and _polylines(result.region, result.arcs) == ()
         assert result.region.centers.size == result.region.radii.size == 0
         zs = np.array([0.0, 0.3 + 0.2j, -0.8j])
         assert not result.region.contains_many(zs).any()
@@ -673,9 +674,10 @@ class TestContour:
         outside = result.region.contains_many(np.array([0.31 + 0j, 0.4j, 0.9]))
         assert inside.all()
         assert not outside.any()
-        # one closed polyline hugging the circle |z| = gamma
-        assert len(result.polylines) == 1
-        radii = np.abs(np.asarray(result.polylines[0]))
+        # one full circle, drawn as a closed polyline hugging |z| = gamma
+        assert result.arcs.tolist() == [(0, 0.0, TAU, True)]
+        (polyline,) = _polylines(result.region, result.arcs)
+        radii = np.abs(polyline)
         assert np.max(np.abs(radii - 0.3)) < 1e-6
 
     def test_identity_zero_region_default_constants(self):
@@ -698,7 +700,7 @@ class TestContour:
         region = result.region
         assert region.centers.tolist() == [pseudo_hyperbolic_disk(a, consts.gamma)[0]]
         assert region.radii.tolist() == [pseudo_hyperbolic_disk(a, consts.gamma)[1]]
-        assert len(result.polylines) == 1
+        assert len(result.arcs) == 1
         zs = np.random.default_rng(3).uniform(-0.7, 0.7, (4000, 2)) @ [1.0, 1j]
         both = np.zeros(zs.shape, dtype=bool)
         for z in (a, b):
@@ -730,7 +732,7 @@ class TestContour:
         result = bourgain_contour(phi, consts.epsilon, constants=consts)
         corrupted = ContourResult(
             region=Region([pseudo_hyperbolic_disk(0.0, 2 * consts.gamma)]),
-            polylines=result.polylines,
+            arcs=result.arcs,
             constants=consts,
         )
         rng = np.random.default_rng(5)
@@ -793,14 +795,21 @@ def clustered_disks(seed):
     return [pseudo_hyperbolic_disk(z, gamma) for z in rad * np.exp(1j * ang)]
 
 
-def own_circle(piece, disks):
-    """The index of the (center, radius) pair whose circle the piece runs along."""
-    return min(range(len(disks)), key=lambda i: np.max(
-        np.abs(np.abs(piece - disks[i][0]) - disks[i][1])))
+def drawn(region):
+    """The region's boundary arcs and the polylines drawn from them."""
+    arcs = _boundary_arcs(region)
+    return arcs, _polylines(region, arcs)
+
+
+def arc_ends(region, arcs):
+    """(circle, c + r e^(ia), c + r e^(ib)) of each open arc, in order."""
+    return [(k, region.centers[k] + region.radii[k] * cmath.exp(1j * a),
+             region.centers[k] + region.radii[k] * cmath.exp(1j * b))
+            for k, a, b, full in arcs.tolist() if not full]
 
 
 class TestBoundaryExtraction:
-    """The boundary pieces against closed-form crossings and arc lengths."""
+    """The boundary arcs against closed-form crossings and arc lengths."""
 
     ts = TAU * (np.arange(256) + 0.5) / 256
 
@@ -809,20 +818,20 @@ class TestBoundaryExtraction:
         verts[-1] = verts[0]
         return verts
 
-    def check_pieces(self, disks):
-        """Every open piece ends within 1e-12 r of a crossing of its circle
-        with another, every crossing outside the other disks is the end of
-        a piece on each of its two circles, and no vertex lies inside another
-        disk; returns the pieces."""
-        pieces = _extract_polylines(Region(disks))
-        ends = []
-        for p in pieces:
-            k = own_circle(p, disks)
+    def check_arcs(self, disks):
+        """Every open arc's ends c + r e^(ia) and c + r e^(ib) lie within
+        1e-12 r of a crossing of its circle with another, every crossing
+        outside the other disks is the end of an arc on each of its two
+        circles, and no drawn vertex lies inside another disk; returns the
+        arcs."""
+        region = Region(disks)
+        assert region.radii.size == len(disks)
+        arcs, polylines = drawn(region)
+        for k, p in zip(arcs["circle"].tolist(), polylines):
             for j, (cj, rj) in enumerate(disks):
                 if j != k:
                     assert np.all(np.abs(p - cj) > rj - 1e-15)
-            if p[0] != p[-1]:
-                ends += [(k, p[0]), (k, p[-1])]
+        ends = [(k, z) for k, za, zb in arc_ends(region, arcs) for z in (za, zb)]
         crossings = []
         for k, (ck, rk) in enumerate(disks):
             for j, (cj, rj) in enumerate(disks):
@@ -833,15 +842,15 @@ class TestBoundaryExtraction:
         for k, x in crossings:
             if all(abs(x - c) > r + 1e-9 for c, r in disks if abs(abs(x - c) - r) > 1e-9):
                 assert min(abs(end - x) for i, end in ends if i == k) < 1e-12 * disks[k][1]
-        return pieces
+        return arcs
 
     def test_two_overlapping_disks(self):
         phi = BoundedFunction(zeros=[0.0, 0.1 + 0.05j])
         result = bourgain_contour(phi, 0.3, constants=wide_constants())
         disks = list(zip(result.region.centers.tolist(), result.region.radii.tolist()))
-        pieces = self.check_pieces(disks)
-        assert all(np.array_equal(a, b) for a, b in zip(result.polylines, pieces))
-        assert len(pieces) == 2 and all(p[0] != p[-1] for p in pieces)
+        arcs = self.check_arcs(disks)
+        assert result.arcs.tobytes() == arcs.tobytes()
+        assert arcs["circle"].tolist() == [0, 1] and not arcs["full"].any()
 
     @pytest.mark.parametrize("depth", [1e-3, 1e-5, 1e-7, 1e-9])
     def test_caps_match_the_closed_form_arc_length(self, depth):
@@ -850,21 +859,22 @@ class TestBoundaryExtraction:
         r, rj, angle = 0.3, 0.2, 0.7
         cj = (r + rj - depth) * cmath.exp(1j * angle)
         d = abs(cj)
-        pieces = _extract_polylines(Region([(0.0, r), (cj, rj)]))
-        assert len(pieces) == 2
-        piece = next(p for p in pieces if abs(abs(p[1]) - r) < 1e-12)
+        arcs, pieces = drawn(Region([(0.0, r), (cj, rj)]))
+        assert arcs["circle"].tolist() == [0, 1]
+        _, a, b, full = arcs[0].tolist()
+        assert not full
         # the half-angle at 0 of the covered arc (of length 2 r half), by the
         # half-angle formula of the triangle (0, cj, crossing), whose factors
         # carry no cancellation
         half = 2.0 * math.atan(math.sqrt((d + rj - r) * (r + rj - d)
                                          / ((r + d + rj) * (r + d - rj))))
-        got = (cmath.phase(piece[0]) - angle, angle - cmath.phase(piece[-1]))
         # arccos at an argument within a few ulps of 1 is off by about
         # 1e-16 / half: 2.9e-12 here at depth 1e-9
-        for g in got:
+        for g in (a - angle, angle + TAU - b):
             assert abs(g - half) * half < 1e-15
         # the drawn arc is the rest of the circle, through every sample off the cap
-        assert len(piece) == 2 + np.sum(np.abs((self.ts - angle + math.pi) % TAU - math.pi) > half)
+        off_cap = np.abs((self.ts - angle + math.pi) % TAU - math.pi) > half
+        assert len(pieces[0]) == 2 + np.sum(off_cap)
 
     def test_covered_arcs_across_angle_zero(self):
         # on the circle of radius 0.3 around 0, disk A covers the angles
@@ -874,76 +884,101 @@ class TestBoundaryExtraction:
         # after it begins inside A, and D's arc ends before C's
         disks = [(0.0, 0.3), (0.3, 0.15), (0.3 * cmath.exp(0.2j), 0.03),
                  (0.3 * cmath.exp(2j), 0.1), (0.3 * cmath.exp(2.1j), 0.03)]
-        pieces = self.check_pieces(disks)
-        assert sorted(own_circle(p, disks) for p in pieces) == [0, 0, 1, 3]
+        arcs = self.check_arcs(disks)
+        assert arcs["circle"].tolist() == [0, 0, 1, 3]
 
     def test_external_and_internal_tangency(self):
         # externally tangent: neither open disk covers any of the other circle
-        pieces = _extract_polylines(Region([(-0.25, 0.25), (0.25, 0.25)]))
-        assert len(pieces) == 2
+        arcs, pieces = drawn(Region([(-0.25, 0.25), (0.25, 0.25)]))
+        assert arcs.tolist() == [(0, 0.0, TAU, True), (1, 0.0, TAU, True)]
         for p, c in zip(pieces, (-0.25, 0.25)):
             assert np.array_equal(p, self.closed_circle(c, 0.25))
         # internally tangent: the small circle is covered up to the tangent point
-        pieces = _extract_polylines(Region([(0.0, 0.5), (0.25, 0.25)]))
-        assert len(pieces) == 1
+        arcs, pieces = drawn(Region([(0.0, 0.5), (0.25, 0.25)]))
+        assert arcs.tolist() == [(0, 0.0, TAU, True)]
         assert np.array_equal(pieces[0], self.closed_circle(0.0, 0.5))
 
     def test_circle_inside_another_disk_draws_nothing(self):
-        pieces = _extract_polylines(Region([(0.1 + 0.1j, 0.1), (0.0, 0.5)]))
-        assert len(pieces) == 1
+        arcs, pieces = drawn(Region([(0.1 + 0.1j, 0.1), (0.0, 0.5)]))
+        assert arcs.tolist() == [(1, 0.0, TAU, True)]
         assert np.array_equal(pieces[0], self.closed_circle(0.0, 0.5))
 
     def test_coincident_and_nearly_coincident_circles(self):
         r = 0.3
         # the same circle twice, or rounding to the same key: drawn once
         for shift in (0.0, 1e-17):
-            pieces = _extract_polylines(Region([(0.2, r), (0.2 + shift, r)]))
-            assert len(pieces) == 1
+            arcs, pieces = drawn(Region([(0.2, r), (0.2 + shift, r)]))
+            assert arcs.tolist() == [(0, 0.0, TAU, True)]
             assert np.array_equal(pieces[0], self.closed_circle(0.2, r))
         # one center, radii 1e-13 apart: the larger circle covers the smaller
-        pieces = _extract_polylines(Region([(0.2, r), (0.2, r + 1e-13)]))
-        assert len(pieces) == 1
+        arcs, pieces = drawn(Region([(0.2, r), (0.2, r + 1e-13)]))
+        assert arcs.tolist() == [(1, 0.0, TAU, True)]
         assert np.array_equal(pieces[0], self.closed_circle(0.2, r + 1e-13))
         # one radius, centers 1e-13 apart: each circle keeps the half away
         # from the other center, between the crossings on the bisector
         disks = [(0.2, r), (0.2 + 1e-13j, r)]
-        pieces = self.check_pieces(disks)
-        assert len(pieces) == 2
-        for p, away in zip(pieces, (-1.0, 1.0)):
-            assert abs(p[0].real - 0.2) == pytest.approx(r, rel=1e-12)
-            assert abs(p[-1].real - 0.2) == pytest.approx(r, rel=1e-12)
-            assert away * p[len(p) // 2].imag == pytest.approx(r, rel=1e-3)
+        arcs = self.check_arcs(disks)
+        assert arcs["circle"].tolist() == [0, 1]
+        for (k, a, b, _), away in zip(arcs.tolist(), (-1.0, 1.0)):
+            for t in (a, b):
+                assert abs(r * math.cos(t)) == pytest.approx(r, rel=1e-12)
+            assert away * math.sin(0.5 * (a + b)) == pytest.approx(1.0, rel=1e-12)
 
-    def test_disks_a_gap_apart_are_closed_circles(self):
+    def test_disks_a_gap_apart_are_full_circles(self):
         # two disks of radius 0.3, 1e-5 apart on the real axis: neither
         # meets the other, so both are drawn whole, the samples next to the
         # gap included
         r, gap = 0.3, 1e-5
-        pieces = _extract_polylines(Region([(-r, r), (r + gap, r)]))
-        assert len(pieces) == 2
+        arcs, pieces = drawn(Region([(-r, r), (r + gap, r)]))
+        assert arcs["full"].tolist() == [True, True]
         for p, c in zip(pieces, (-r, r + gap)):
             assert np.array_equal(p, self.closed_circle(c, r))
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_fuzzed_clusters_end_at_the_crossings(self, seed):
-        pieces = self.check_pieces(clustered_disks(seed))
-        assert any(p[0] != p[-1] for p in pieces)
+    def test_a_covered_gap_below_1e_9_leaves_an_open_arc(self):
+        # a disk of radius 2e-10 on the circle of radius 2e-8 covers the
+        # angles within 0.01 of 0, a chord of 4e-10: the rest is one open
+        # arc, not the full circle, and its drawing keeps both ends
+        region = Region([(0.5, 2e-8), (0.5 + 2e-8, 2e-10)])
+        arcs, pieces = drawn(region)
+        assert arcs["circle"].tolist() == [0, 1] and not arcs["full"].any()
+        (_, za, zb), _ = arc_ends(region, arcs)
+        assert 3e-10 < abs(za - zb) < 1e-9
+        # both ends and all 256 samples, the nearest 0.0123 from angle 0
+        assert pieces[0][0] != pieces[0][-1] and len(pieces[0]) == 258
+        assert arcs[0]["end"] - arcs[0]["start"] == pytest.approx(TAU - 0.02, rel=1e-6)
+
+    def test_a_covered_arc_that_rounds_to_a_point_leaves_the_full_circle(self):
+        # a disk of radius 2e-10 on the circle of radius 0.3: the half-angle
+        # of the arc it covers, 6.7e-10, takes arccos at a number that rounds
+        # to 1, so it reads 0 and the circle stays whole; the small circle
+        # keeps the half outside the large disk
+        region = Region([(0.0, 0.3), (0.3 * cmath.exp(0.7j), 2e-10)])
+        arcs, pieces = drawn(region)
+        assert arcs["circle"].tolist() == [0, 1]
+        assert arcs["full"].tolist() == [True, False]
+        assert np.array_equal(pieces[0], self.closed_circle(0.0, 0.3))
+        assert arcs[1]["end"] - arcs[1]["start"] == pytest.approx(math.pi, rel=1e-6)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_pieces_map_onto_themselves_under_the_dyadic_symmetries(self, seed):
+    def test_fuzzed_clusters_end_at_the_crossings(self, seed):
+        arcs = self.check_arcs(clustered_disks(seed))
+        assert not arcs["full"].all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_arcs_map_onto_themselves_under_the_dyadic_symmetries(self, seed):
         def pieces(disks):
-            """Each piece as its circle's radius and the points (center,
-            first end, last end), or (center,) when it is closed."""
-            out = []
-            for p in _extract_polylines(Region(disks)):
-                k = own_circle(p, disks)
-                ends = () if p[0] == p[-1] else (p[0], p[-1])
-                out.append((disks[k][1], np.array((disks[k][0],) + ends)))
-            return out
+            """Each arc as its circle's radius and the points (center,
+            first end, last end), or (center,) when it is the full circle."""
+            region = Region(disks)
+            arcs = _boundary_arcs(region)
+            ends = iter(arc_ends(region, arcs))
+            return [(region.radii[k], np.array((region.centers[k],)
+                                               + (() if full else next(ends)[1:])))
+                    for k, _, _, full in arcs.tolist()]
 
         disks = clustered_disks(seed)
         want = pieces(disks)
-        # z -> -z keeps the orientation of each piece, z -> conj(z) reverses it
+        # z -> -z keeps the orientation of each arc, z -> conj(z) reverses it
         for mapped, order in ((np.negative, [0, 1, 2]), (np.conj, [0, 2, 1])):
             # the pseudo-hyperbolic disk of the mapped zero is the mapped disk
             got = pieces([(mapped(c), r) for c, r in disks])
@@ -967,7 +1002,7 @@ def _contour_case(name):
                          (0.75, 0.1)])
         consts = wide_constants()
         phi = BoundedFunction(zeros=[0.0])
-        return phi, ContourResult(region, _extract_polylines(region), consts), consts.epsilon
+        return phi, ContourResult(region, _boundary_arcs(region), consts), consts.epsilon
     if name == "2000 disks":
         zeros, consts = ci_zeros(2000), ContourConstants.for_epsilon(0.1)
     else:
@@ -984,9 +1019,9 @@ def _contour_case(name):
 
 
 class TestBlockedSamplerAndDrawing:
-    """The near samples come from one draw and the closed circles from one
-    block: the samples, their order, every polyline and the whole report
-    equal the disk-by-disk references of ``oracles``."""
+    """The near samples come from one draw and the polylines from one
+    blocked draw of the arcs: the samples, their order, every polyline and
+    the whole report equal the disk-by-disk references of ``oracles``."""
 
     CASES = ["no disk", "one disk", "round-equal circles", "overlapping at gamma = eps",
              "covered", "2000 disks"]
@@ -994,9 +1029,10 @@ class TestBlockedSamplerAndDrawing:
     @pytest.mark.parametrize("name", CASES)
     def test_polylines_are_the_per_circle_drawing(self, name):
         _, result, _ = _contour_case(name)
+        got = _polylines(result.region, result.arcs)
         want = extract_polylines_reference(result.region)
-        assert len(result.polylines) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(result.polylines, want))
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("name", CASES)
     def test_samples_and_report_are_the_per_disk_draw(self, name, monkeypatch):
@@ -1024,8 +1060,8 @@ class TestBlockedSamplerAndDrawing:
         for name in self.CASES:
             _, result, _ = _contour_case(name)
             region = result.region
-            closed = sum(p[0] == p[-1] for p in result.polylines)
-            kinds[name] = (region.radii.size, closed, len(result.polylines) - closed)
+            full = int(result.arcs["full"].sum())
+            kinds[name] = (region.radii.size, full, len(result.arcs) - full)
         assert kinds["no disk"] == (0, 0, 0)
         assert kinds["one disk"] == (1, 1, 0)
         assert kinds["round-equal circles"] == (1, 1, 0)
@@ -1037,24 +1073,25 @@ class TestBlockedSamplerAndDrawing:
     @pytest.mark.parametrize("seed", range(4))
     def test_fuzzed_clusters_are_the_per_circle_drawing(self, seed):
         region = Region(clustered_disks(seed) + [(-0.5, 0.05), (-0.5 + 0.01j, 0.01)])
-        got, want = _extract_polylines(region), extract_polylines_reference(region)
+        got, want = drawn(region)[1], extract_polylines_reference(region)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_distance_tests_stay_in_row_blocks(self):
         # 4,000 circles: the whole (circle, disk) distance matrix would take
-        # 256 MB as complex differences; the polylines take 16.4 MB
+        # 256 MB as complex differences; the polylines take 16.4 MB, and the
+        # draw's blocks of vertices a few MB more
         region = Region(zip(*(a.tolist() for a in pseudo_hyperbolic_disk(
             np.array(ci_zeros(4000)), ContourConstants.for_epsilon(0.1).gamma))))
         tracemalloc.start()
         try:
-            polylines = _extract_polylines(region)
+            polylines = drawn(region)[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        drawn = sum(p.nbytes for p in polylines)
+        size = sum(p.nbytes for p in polylines)
         assert len(polylines) == 4000
-        assert peak < drawn + 4e6
+        assert peak < size + 4e6
 
 
 def _membership_case(count, seed):

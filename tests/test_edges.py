@@ -145,9 +145,7 @@ WRONG_TODAY = {
     **{f"sequence-near-circle-{k}": "ROADMAP item 4: the depth-12 dyadic norm misses "
        "squares below 2^-12" for k in GAPS if k > 12},
     **{f"carleson-near-circle-{k}": "ROADMAP items 4 and 11: the depth-12 norm and the "
-       "degree-64 embedding constant miss the circle"
-       + ("; the kernel test evaluates no atom past 1 - 1e-12" if k >= 40 else "")
-       for k in GAPS},
+       "degree-64 embedding constant miss the circle" for k in GAPS},
     **{f"construct-near-equal-{sep}-0.1": "ROADMAP item 21: exits 0 with covering_max 0, "
        "since the grid misses both level sets" for sep in NEAR_EQUAL},
 }
